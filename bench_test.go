@@ -243,6 +243,36 @@ func BenchmarkNWCQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkNWCDense measures one NWC* query per iteration inside a
+// Gaussian cluster at three densities — about 11, 46 and 183 objects
+// per 60 × 60 window at the centre — the regime where window
+// verification, not traversal, sets the cost. allocs/op is the number
+// to watch: a query materialises one group per improvement of its
+// bound, so it stays in the tens whatever the density.
+func BenchmarkNWCDense(b *testing.B) {
+	for _, sigma := range []float64{1000, 500, 250} {
+		pts := datagen.Gaussian(20000, 5000, sigma, 1)
+		env := benchEnv(b, pts)
+		b.Run(fmt.Sprintf("sigma=%g", sigma), func(b *testing.B) {
+			env.Tree.ResetVisits()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Query centres walk a 5 × 5 grid within half a σ of the mean.
+				q := geom.Point{
+					X: 5000 + float64(i%5-2)*sigma/4,
+					Y: 5000 + float64(i/5%5-2)*sigma/4,
+				}
+				_, _, err := env.Engine.NWC(core.Query{Q: q, L: 60, W: 60, N: 8}, core.SchemeNWCStar, core.MeasureMax)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(env.Tree.Visits())/float64(b.N), "nodevisits/op")
+		})
+	}
+}
+
 // benchTraceIndex builds the public-API index and query list shared by
 // the trace-overhead benchmarks.
 func benchTraceIndex(b *testing.B) (*Index, []geom.Point) {

@@ -75,6 +75,12 @@ func TestExplainNWCVisitSum(t *testing.T) {
 		if res.Found && c.GroupsEmitted == 0 {
 			t.Errorf("%s: found a group but GroupsEmitted = 0", sch)
 		}
+		// The verify stage's books balance: every qualified window is
+		// either ruled out by a distance gate or materialised.
+		if c.QualifiedWindows != c.WindowsGated+c.GroupsEmitted {
+			t.Errorf("%s: qualified %d != gated %d + emitted %d",
+				sch, c.QualifiedWindows, c.WindowsGated, c.GroupsEmitted)
+		}
 		if tr.HeapHighWater == 0 {
 			t.Errorf("%s: heap high-water = 0", sch)
 		}
@@ -111,6 +117,9 @@ func TestExplainKNWC(t *testing.T) {
 	if c.GroupsEmitted != c.DedupOffered {
 		t.Errorf("groups emitted %d != dedup offered %d", c.GroupsEmitted, c.DedupOffered)
 	}
+	if c.QualifiedWindows != c.WindowsGated+c.GroupsEmitted {
+		t.Errorf("qualified %d != gated %d + emitted %d", c.QualifiedWindows, c.WindowsGated, c.GroupsEmitted)
+	}
 	var sawDedup bool
 	for _, p := range tr.Phases {
 		if p.Phase == "knwc-dedup" {
@@ -132,7 +141,7 @@ func TestQueryTraceRenderAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tr.Render()
-	for _, want := range []string{"nwc scheme=NWC*", "descent", "window-enum", "verify", "└─"} {
+	for _, want := range []string{"nwc scheme=NWC*", "descent", "window-enum", "verify", "qualified=", "gated=", "groups-emitted=", "└─"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

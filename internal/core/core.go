@@ -193,14 +193,20 @@ func (g Group) OverlapCount(o Group) int {
 // traversal threads a *Stats through the whole read path, and node
 // visits are counted by a per-query tree Reader), so concurrent queries
 // never bleed into each other's numbers.
+//
+// The two window counts cover enumerated windows only: an anchor whose
+// candidates hold too few objects under the bound for any window to
+// improve it is dropped before enumeration (evaluateWindows), so both
+// fall far below the number of windows that exist once a dense query
+// has a bound.
 type Stats struct {
 	NodeVisits       uint64 // R*-tree nodes visited (the paper's I/O cost)
 	ObjectsProcessed int    // objects popped and evaluated
 	ObjectsSkipped   int    // objects skipped by SRR or DEP before any window query
 	NodesPruned      int    // index nodes pruned by DIP or DEP
 	WindowQueries    int    // window queries issued
-	CandidateWindows int    // candidate windows evaluated
-	QualifiedWindows int    // candidate windows that were qualified
+	CandidateWindows int    // candidate windows enumerated
+	QualifiedWindows int    // enumerated windows holding at least n objects
 	GridProbes       int    // density-grid upper-bound probes issued by DEP
 }
 

@@ -1,0 +1,97 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"testing"
+
+	"nwcq/internal/geom"
+	"nwcq/internal/trace"
+)
+
+// denseFixture is the regime the verify stage exists for: 6000 objects
+// in one Gaussian cluster (σ = 80), so a 30 × 30 window near the centre
+// holds 100–135 of them and one query qualifies thousands of windows.
+func denseFixture(t *testing.T) (*Engine, []Query) {
+	rng := rand.New(rand.NewSource(12))
+	pts := make([]geom.Point, 6000)
+	for i := range pts {
+		pts[i] = geom.Point{
+			X:  clamp(500+rng.NormFloat64()*80, 0, 1000),
+			Y:  clamp(500+rng.NormFloat64()*80, 0, 1000),
+			ID: uint64(i),
+		}
+	}
+	var qs []Query
+	for _, c := range []geom.Point{{X: 500, Y: 500}, {X: 530, Y: 470}, {X: 455, Y: 520}} {
+		qs = append(qs, Query{Q: c, L: 30, W: 30, N: 8})
+	}
+	return buildEngine(t, pts, 16, 25), qs
+}
+
+// TestDenseVerifyCeilings holds the verify stage to its contract on
+// dense data. The gates prune windows, never the traversal, so the
+// counters the paper's cost model is built on must equal the values the
+// eager path (every qualified window materialised) produced on this
+// fixture; what changes is that a group is materialised only for a
+// window that strictly improves the bound, and a query allocates a
+// handful of objects where it allocated tens of thousands.
+func TestDenseVerifyCeilings(t *testing.T) {
+	eng, qs := denseFixture(t)
+	// Recorded with the eager verify stage, commit 95e1636.
+	golden := map[Measure][]Stats{
+		MeasureMax: {
+			{NodeVisits: 30957, ObjectsProcessed: 998, ObjectsSkipped: 311, NodesPruned: 140, WindowQueries: 687, GridProbes: 791},
+			{NodeVisits: 22663, ObjectsProcessed: 809, ObjectsSkipped: 214, NodesPruned: 86, WindowQueries: 595, GridProbes: 677},
+			{NodeVisits: 17051, ObjectsProcessed: 730, ObjectsSkipped: 226, NodesPruned: 97, WindowQueries: 504, GridProbes: 577},
+		},
+		MeasureMin: {
+			{NodeVisits: 27491, ObjectsProcessed: 878, ObjectsSkipped: 254, NodesPruned: 124, WindowQueries: 624, GridProbes: 716},
+			{NodeVisits: 18354, ObjectsProcessed: 694, ObjectsSkipped: 194, NodesPruned: 86, WindowQueries: 500, GridProbes: 571},
+			{NodeVisits: 15294, ObjectsProcessed: 691, ObjectsSkipped: 230, NodesPruned: 87, WindowQueries: 461, GridProbes: 530},
+		},
+	}
+	for measure, want := range golden {
+		for i, qy := range qs {
+			best := math.Inf(1)
+			improvements := int64(0)
+			rec := trace.New()
+			st, err := eng.search(context.Background(), qy, SchemeNWCStar,
+				func() float64 { return best },
+				func(g Group) {
+					if g.Dist < best {
+						best = g.Dist
+						improvements++
+					}
+				}, measure, rec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := rec.Snapshot().Counters
+			if emitted := c[trace.CtrGroupsEmitted]; emitted != improvements || emitted == 0 {
+				t.Errorf("%v query %d: %d groups emitted, %d strict improvements", measure, i, emitted, improvements)
+			}
+			if gated := c[trace.CtrWindowsGated]; int64(st.QualifiedWindows) != gated+improvements {
+				t.Errorf("%v query %d: %d qualified windows != %d gated + %d emitted", measure, i, st.QualifiedWindows, gated, improvements)
+			}
+			if c[trace.CtrAnchorsGated] == 0 {
+				t.Errorf("%v query %d: no anchor was gated before its sort", measure, i)
+			}
+			// The window counts fall — a gated anchor enumerates none —
+			// and are not part of the traversal's signature.
+			st.CandidateWindows, st.QualifiedWindows = 0, 0
+			if st != want[i] {
+				t.Errorf("%v query %d: traversal stats %+v, want %+v", measure, i, st, want[i])
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, _, err := eng.NWC(qy, SchemeNWCStar, measure); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 64 {
+				t.Errorf("%v query %d: %.0f allocations per query, ceiling 64", measure, i, allocs)
+			}
+		}
+	}
+}

@@ -1,84 +1,59 @@
 package core
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // distStats is an order-statistic structure over the objects currently
 // inside the sliding candidate window: a Fenwick (binary indexed) tree
-// over coordinate-compressed squared distances, tracking per-rank counts
-// and linear-distance sums.
+// over coordinate-compressed object distances, tracking per-rank counts
+// and distance sums.
 //
 // evaluateWindows slides a window over the y-sorted candidates of one
-// anchor; each object enters and leaves the window exactly once, and for
-// every candidate window the engine needs the distance of the window's
-// best group — the n-th smallest object distance for MeasureMax, the
-// smallest for MeasureMin, the mean of the n smallest for MeasureAvg.
-// Computing those from scratch costs O(s) per window (O(s²) per anchor);
-// the Fenwick tree answers them in O(log s), so whole-window evaluation
-// drops to O(s log s) per anchor. Groups are only materialised for
-// windows whose exact distance beats the current pruning bound.
+// anchor; each object enters and leaves the window exactly once. Under
+// MeasureAvg the distance of a window's best group is the mean of its n
+// smallest object distances, which no running count can bound sharply;
+// computing it from scratch costs O(s) per window (O(s²) per anchor),
+// the Fenwick tree answers it in O(log s). MeasureMax and MeasureMin
+// need only a count of objects under the bound and do not use this.
 type distStats struct {
-	d2s   []float64 // sorted unique squared distances; rank i ↔ d2s[i]
-	dist  []float64 // linear distance per rank
+	dist  []float64 // sorted unique distances; rank i ↔ dist[i]
 	cnt   []int     // Fenwick tree of counts (1-based)
-	sum   []float64 // Fenwick tree of linear-distance sums (1-based)
+	sum   []float64 // Fenwick tree of distance sums (1-based)
 	total int
 }
 
-// newDistStats prepares ranks for the given squared distances (one per
-// candidate object; duplicates welcome). The structure starts empty.
-func newDistStats(allD2 []float64) *distStats {
-	ds := &distStats{}
-	ds.reset(allD2)
-	return ds
-}
-
-// reset re-initialises ds for a new set of squared distances, reusing
-// the slice capacity of a previous use — per-query scratch holds one
-// distStats so anchor evaluation stops allocating Fenwick arrays.
-func (ds *distStats) reset(allD2 []float64) {
-	ds.d2s = append(ds.d2s[:0], allD2...)
-	slices.Sort(ds.d2s)
-	ds.d2s = slices.Compact(ds.d2s)
-	n := len(ds.d2s)
-	if cap(ds.dist) < n {
-		ds.dist = make([]float64, n)
+// reset re-initialises ds, empty, for the distances of a new slab (one
+// per object; duplicates welcome), reusing the slice capacity of a
+// previous use — per-query scratch holds one distStats so anchor
+// evaluation stops allocating Fenwick arrays.
+func (ds *distStats) reset(slab []slabObj) {
+	ds.dist = ds.dist[:0]
+	for _, o := range slab {
+		ds.dist = append(ds.dist, o.d)
+	}
+	slices.Sort(ds.dist)
+	ds.dist = slices.Compact(ds.dist)
+	n := len(ds.dist)
+	if cap(ds.cnt) < n+1 {
 		ds.cnt = make([]int, n+1)
 		ds.sum = make([]float64, n+1)
 	}
-	ds.dist = ds.dist[:n]
 	ds.cnt = ds.cnt[:n+1]
 	ds.sum = ds.sum[:n+1]
-	for i, v := range ds.d2s {
-		ds.dist[i] = math.Sqrt(v)
-	}
-	for i := range ds.cnt {
-		ds.cnt[i] = 0
-		ds.sum[i] = 0
-	}
+	clear(ds.cnt)
+	clear(ds.sum)
 	ds.total = 0
 }
 
-// rankOf returns the 0-based rank of a squared distance that is
-// guaranteed to be present in the compressed domain.
-func (ds *distStats) rankOf(d2 float64) int {
-	lo, hi := 0, len(ds.d2s)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ds.d2s[mid] < d2 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// rankOf returns the 0-based rank of a distance that is guaranteed to
+// be present in the compressed domain.
+func (ds *distStats) rankOf(d float64) int {
+	r, _ := slices.BinarySearch(ds.dist, d)
+	return r
 }
 
 func (ds *distStats) add(rank int) {
 	d := ds.dist[rank]
-	for i := rank + 1; i <= len(ds.d2s); i += i & (-i) {
+	for i := rank + 1; i <= len(ds.dist); i += i & (-i) {
 		ds.cnt[i]++
 		ds.sum[i] += d
 	}
@@ -87,46 +62,26 @@ func (ds *distStats) add(rank int) {
 
 func (ds *distStats) remove(rank int) {
 	d := ds.dist[rank]
-	for i := rank + 1; i <= len(ds.d2s); i += i & (-i) {
+	for i := rank + 1; i <= len(ds.dist); i += i & (-i) {
 		ds.cnt[i]--
 		ds.sum[i] -= d
 	}
 	ds.total--
 }
 
-// kthD2 returns the k-th smallest (1-based) squared distance currently
-// in the window. The caller guarantees 1 ≤ k ≤ total.
-func (ds *distStats) kthD2(k int) float64 {
-	pos := 0
-	remain := k
-	// Highest power of two within the tree size.
-	step := 1
-	for step*2 <= len(ds.d2s) {
-		step *= 2
-	}
-	for ; step > 0; step /= 2 {
-		next := pos + step
-		if next <= len(ds.d2s) && ds.cnt[next] < remain {
-			remain -= ds.cnt[next]
-			pos = next
-		}
-	}
-	return ds.d2s[pos]
-}
-
-// sumSmallest returns the sum of the k smallest linear distances in the
+// sumSmallest returns the sum of the k smallest distances in the
 // window. The caller guarantees 1 ≤ k ≤ total.
 func (ds *distStats) sumSmallest(k int) float64 {
 	pos := 0
 	remain := k
 	total := 0.0
 	step := 1
-	for step*2 <= len(ds.d2s) {
+	for step*2 <= len(ds.dist) {
 		step *= 2
 	}
 	for ; step > 0; step /= 2 {
 		next := pos + step
-		if next <= len(ds.d2s) && ds.cnt[next] < remain {
+		if next <= len(ds.dist) && ds.cnt[next] < remain {
 			remain -= ds.cnt[next]
 			total += ds.sum[next]
 			pos = next

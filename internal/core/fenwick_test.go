@@ -10,35 +10,40 @@ import (
 	"nwcq/internal/geom"
 )
 
+// newDistStats prepares an empty distStats over the given distances.
+func newDistStats(all []float64) *distStats {
+	slab := make([]slabObj, len(all))
+	for i, d := range all {
+		slab[i].d = d
+	}
+	ds := &distStats{}
+	ds.reset(slab)
+	return ds
+}
+
 // referenceWindow mirrors distStats with a plain slice for oracle
 // comparison.
 type referenceWindow struct {
-	d2s []float64
+	dists []float64
 }
 
-func (r *referenceWindow) add(d2 float64) { r.d2s = append(r.d2s, d2) }
-func (r *referenceWindow) remove(d2 float64) {
-	for i, v := range r.d2s {
-		if v == d2 {
-			r.d2s = append(r.d2s[:i], r.d2s[i+1:]...)
+func (r *referenceWindow) add(d float64) { r.dists = append(r.dists, d) }
+func (r *referenceWindow) remove(d float64) {
+	for i, v := range r.dists {
+		if v == d {
+			r.dists = append(r.dists[:i], r.dists[i+1:]...)
 			return
 		}
 	}
 	panic("remove of absent value")
 }
 
-func (r *referenceWindow) kthD2(k int) float64 {
-	cp := append([]float64(nil), r.d2s...)
-	sort.Float64s(cp)
-	return cp[k-1]
-}
-
 func (r *referenceWindow) sumSmallest(k int) float64 {
-	cp := append([]float64(nil), r.d2s...)
+	cp := append([]float64(nil), r.dists...)
 	sort.Float64s(cp)
 	s := 0.0
 	for _, v := range cp[:k] {
-		s += math.Sqrt(v)
+		s += v
 	}
 	return s
 }
@@ -71,16 +76,13 @@ func TestDistStatsAgainstReference(t *testing.T) {
 				ref.add(all[i])
 				present[i] = true
 			}
-			if fen.total != len(ref.d2s) {
-				t.Fatalf("total %d, reference %d", fen.total, len(ref.d2s))
+			if fen.total != len(ref.dists) {
+				t.Fatalf("total %d, reference %d", fen.total, len(ref.dists))
 			}
 			if fen.total == 0 {
 				continue
 			}
 			k := 1 + rng.Intn(fen.total)
-			if got, want := fen.kthD2(k), ref.kthD2(k); got != want {
-				t.Fatalf("kthD2(%d) = %g, want %g", k, got, want)
-			}
 			if got, want := fen.sumSmallest(k), ref.sumSmallest(k); math.Abs(got-want) > 1e-9*math.Max(1, want) {
 				t.Fatalf("sumSmallest(%d) = %g, want %g", k, got, want)
 			}
@@ -107,12 +109,9 @@ func TestDistStatsQuickProperty(t *testing.T) {
 		k := int(kRaw)%len(vals) + 1
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)
-		if fen.kthD2(k) != sorted[k-1] {
-			return false
-		}
 		want := 0.0
 		for _, v := range sorted[:k] {
-			want += math.Sqrt(v)
+			want += v
 		}
 		got := fen.sumSmallest(k)
 		return math.Abs(got-want) <= 1e-9*math.Max(1, want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -296,12 +297,27 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 // object p from the candidates returned by its window query (sc.buf),
 // following Section 3.2: p sits on the quadrant-appropriate vertical
 // edge and each candidate object on the appropriate horizontal edge. A
-// sliding two-pointer over the y-sorted candidates counts each window's
-// population in amortised constant time. sc also supplies the Fenwick
-// and selection scratch, reused across anchors and queries.
+// sliding two-pointer over the y-sorted candidates maintains, in
+// amortised constant time per window, the window's population and how
+// many of its objects lie strictly under the pruning bound.
+//
+// That second count gates materialisation (DESIGN.md §16): a window's
+// group can beat the bound only if at least `need` of its objects are
+// under it — all n for MeasureMax, one for MeasureMin and MeasureAvg —
+// so a window failing the test is skipped without selecting, sorting or
+// allocating anything. Distances come from q.Dist, the function
+// groupDist uses, which makes the test a strict necessary condition of
+// groupDist < bound: it needs no slack and never drops an improving
+// group, and emit stays the authority on what improves.
 func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, measure Measure, bound func() float64, emit func(Group), st *Stats, rec *trace.Recorder) {
-	cands := sc.buf
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
+	need := 0 // MeasureWindow: object distances never enter the group distance
+	switch measure {
+	case MeasureMax:
+		need = n
+	case MeasureMin, MeasureAvg:
+		need = 1
+	}
 	// Every candidate window generated by p shares its x-interval; only
 	// objects inside it can be window contents or horizontal anchors.
 	var xlo, xhi float64
@@ -310,131 +326,123 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, meas
 	} else {
 		xlo, xhi = p.X, p.X+l
 	}
-	s := cands[:0] // filter in place; cands is the caller's scratch buffer
-	for _, c := range cands {
-		if c.X >= xlo && c.X <= xhi {
-			s = append(s, c)
+	cb := bound() // the bound the under-counts below are taken against
+	slabUnder := 0
+	s := sc.slab[:0]
+	for _, c := range sc.buf {
+		if c.X < xlo || c.X > xhi {
+			continue
 		}
+		o := slabObj{p: c}
+		if need > 0 {
+			o.d = q.Dist(c)
+			if o.d < cb {
+				slabUnder++
+			}
+		}
+		s = append(s, o)
 	}
+	sc.slab = s
 	if len(s) < n {
+		return
+	}
+	// Every window of this anchor draws its contents from s, so when s
+	// as a whole fails the test no window can pass it: skip the sort.
+	if slabUnder < need {
+		rec.Count(trace.CtrAnchorsGated, 1)
 		return
 	}
 	top := geom.AnchorsTopEdge(q, p)
 	if top {
-		slices.SortFunc(s, func(a, b geom.Point) int {
-			switch {
-			case a.Y < b.Y:
-				return -1
-			case a.Y > b.Y:
-				return 1
-			default:
-				return 0
-			}
-		})
+		slices.SortFunc(s, func(a, b slabObj) int { return cmp.Compare(a.p.Y, b.p.Y) })
 	} else {
-		slices.SortFunc(s, func(a, b geom.Point) int {
-			switch {
-			case a.Y > b.Y:
-				return -1
-			case a.Y < b.Y:
-				return 1
-			default:
-				return 0
-			}
-		})
+		slices.SortFunc(s, func(a, b slabObj) int { return cmp.Compare(b.p.Y, a.p.Y) })
 	}
-	// Order-statistic tracking of the sliding window's object distances:
-	// it yields each window's exact group distance in O(log s), so the
-	// group's object list is materialised only when it can actually beat
-	// the bound. MeasureWindow needs no object distances.
-	// For small candidate sets the per-anchor setup outweighs the
-	// per-window savings; evaluate those directly.
-	const fenwickThreshold = 96
+	// MeasureAvg has no counting test as sharp as its group distance, so
+	// it also tracks the window's distances in an order-statistic tree
+	// and gates on the exact mean of the n smallest.
 	var fen *distStats
 	var ranks []int
-	if measure != MeasureWindow && len(s) >= fenwickThreshold {
-		d2 := sc.floats(len(s))
-		for i, c := range s {
-			d2[i] = c.Dist2(q)
-		}
+	if measure == MeasureAvg {
 		fen = &sc.fen
-		fen.reset(d2)
+		fen.reset(s)
 		ranks = sc.ints(len(s))
-		for i, v := range d2 {
-			ranks[i] = fen.rankOf(v)
+		for i, o := range s {
+			ranks[i] = fen.rankOf(o.d)
 		}
 	}
-	// gateSlack keeps the O(log s) gate conservative: the gate value and
-	// the authoritative groupDist recomputation may differ by a few ulps
-	// (sqrt-of-sum vs hypot), and a borderline group must never be lost.
-	const gateSlack = 1 + 1e-9
+	// avgSlack keeps the order-statistic gate conservative: its sum and
+	// groupDist's add the same distances in different orders, so the two
+	// may differ by a few ulps, and a borderline group must never be lost.
+	const avgSlack = 1 + 1e-9
 
+	gated := int64(0)
+	under := 0 // objects of the current window s[lo..i] with d < cb
 	lo := 0
 	for i, o := range s {
+		if o.d < cb {
+			under++
+		}
 		if fen != nil {
 			fen.add(ranks[i])
 		}
 		// Horizontal anchors on the wrong side of p generate windows
 		// that would not contain p; skip them (Section 3.2).
-		if top && o.Y < p.Y || !top && o.Y > p.Y {
+		if top && o.p.Y < p.Y || !top && o.p.Y > p.Y {
 			continue
 		}
 		// Partners sharing a y coordinate generate the same window;
 		// evaluate it only at the last duplicate, where the content
 		// prefix s[lo..i] is complete. Evaluating earlier would emit
 		// groups that are not the window's n closest objects.
-		if i+1 < len(s) && s[i+1].Y == o.Y {
+		if i+1 < len(s) && s[i+1].p.Y == o.p.Y {
 			continue
 		}
 		// Window y-interval: [o.Y-w, o.Y] for top anchors, [o.Y, o.Y+w]
 		// for bottom anchors. Contents are s[lo..i].
-		if top {
-			for s[lo].Y < o.Y-w {
-				if fen != nil {
-					fen.remove(ranks[lo])
-				}
-				lo++
+		for top && s[lo].p.Y < o.p.Y-w || !top && s[lo].p.Y > o.p.Y+w {
+			if s[lo].d < cb {
+				under--
 			}
-		} else {
-			for s[lo].Y > o.Y+w {
-				if fen != nil {
-					fen.remove(ranks[lo])
-				}
-				lo++
+			if fen != nil {
+				fen.remove(ranks[lo])
 			}
+			lo++
 		}
 		st.CandidateWindows++
 		if i-lo+1 < n {
 			continue
 		}
 		st.QualifiedWindows++
-		win := geom.CandidateWindow(q, p, o, l, w)
+		// The bound moves when a group is emitted — for kNWC's k-th
+		// distance in either direction — and, under a SharedBound, at
+		// any moment; recount the window against the value in force.
 		b := bound()
-		finiteBound := !math.IsInf(b, 1)
-		if finiteBound && win.MinDist2(q) >= b*b {
-			continue
-		}
-		// Exact-distance gate: skip materialising groups that cannot
-		// beat the bound. Emitting a non-improving group would be
-		// harmless (both NWC and kNWC re-check), so the gate errs on
-		// the permissive side.
-		if fen != nil && finiteBound {
-			switch measure {
-			case MeasureMax:
-				if fen.kthD2(n) > b*b*gateSlack {
-					continue
-				}
-			case MeasureMin:
-				if fen.kthD2(1) > b*b*gateSlack {
-					continue
-				}
-			case MeasureAvg:
-				if fen.sumSmallest(n)/float64(n) > b*gateSlack {
-					continue
+		if b != cb {
+			cb, under = b, 0
+			for _, c := range s[lo : i+1] {
+				if c.d < cb {
+					under++
 				}
 			}
 		}
-		objs := nClosestScratch(q, s[lo:i+1], n, sc)
+		if under < need {
+			gated++
+			continue
+		}
+		win := geom.CandidateWindow(q, p, o.p, l, w)
+		if !math.IsInf(b, 1) &&
+			(win.MinDist2(q) >= b*b || fen != nil && fen.sumSmallest(n)/float64(n) > b*avgSlack) {
+			gated++
+			continue
+		}
+		// The candidates were copied into s, so their buffer is free to
+		// hold the window's contents for selection.
+		pts := sc.buf[:0]
+		for _, c := range s[lo : i+1] {
+			pts = append(pts, c.p)
+		}
+		objs := nClosestScratch(q, pts, n, sc)
 		rec.Count(trace.CtrGroupsEmitted, 1)
 		emit(Group{
 			Objects: objs,
@@ -442,4 +450,5 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, meas
 			Window:  win,
 		})
 	}
+	rec.Count(trace.CtrWindowsGated, gated)
 }

@@ -8,18 +8,26 @@ import (
 
 // searchScratch bundles the per-query working memory of the NWC/kNWC
 // traversal: the best-first heap, the window-query candidate buffer,
-// the order-statistic setup arrays and the n-closest selection scratch.
+// the current anchor's x-slab, the order-statistic setup arrays and the
+// n-closest selection scratch.
 // Queries borrow one from scratchPool so steady-state batch load (many
 // queries across worker goroutines) stops allocating these on every
 // call; everything handed to the caller (result groups, object lists)
 // is still freshly allocated, so nothing escapes back into the pool.
 type searchScratch struct {
 	pq    pqueue
-	buf   []geom.Point // window-query results / in-place x-filtered candidates
-	d2    []float64    // squared distances feeding the Fenwick setup
-	ranks []int        // candidate rank per index
+	buf   []geom.Point // window-query results, then one window's contents for selection
+	slab  []slabObj    // x-filtered candidates of the current anchor, y-sorted
+	ranks []int        // slab object rank per index (MeasureAvg)
 	dp    []distPoint  // nClosest selection scratch
 	fen   distStats    // Fenwick arrays, reset per anchor
+}
+
+// slabObj is one x-slab candidate of the current anchor together with
+// its distance to the query point, computed once per anchor.
+type slabObj struct {
+	p geom.Point
+	d float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -43,8 +51,8 @@ func putScratch(sc *searchScratch) {
 	if cap(sc.buf) > scratchKeepCap {
 		sc.buf = nil
 	}
-	if cap(sc.d2) > scratchKeepCap {
-		sc.d2 = nil
+	if cap(sc.slab) > scratchKeepCap {
+		sc.slab = nil
 	}
 	if cap(sc.ranks) > scratchKeepCap {
 		sc.ranks = nil
@@ -52,19 +60,10 @@ func putScratch(sc *searchScratch) {
 	if cap(sc.dp) > scratchKeepCap {
 		sc.dp = nil
 	}
-	if cap(sc.fen.d2s) > scratchKeepCap {
+	if cap(sc.fen.dist) > scratchKeepCap {
 		sc.fen = distStats{}
 	}
 	scratchPool.Put(sc)
-}
-
-// floats returns a length-n slice backed by sc.d2, reusing capacity.
-func (sc *searchScratch) floats(n int) []float64 {
-	if cap(sc.d2) < n {
-		sc.d2 = make([]float64, n)
-	}
-	sc.d2 = sc.d2[:n]
-	return sc.d2
 }
 
 // ints returns a length-n slice backed by sc.ranks, reusing capacity.

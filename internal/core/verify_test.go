@@ -1,0 +1,334 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"nwcq/internal/geom"
+	"nwcq/internal/rstar"
+)
+
+// Differential tests for the verify stage (evaluateWindows) on data built
+// to produce ties: many equal distances, equal y coordinates, duplicate
+// coordinates and objects at distance exactly equal to the current
+// bound — where a gate that is off by one comparison, one ulp or one
+// object changes the answer.
+
+// tieDataset returns points on a pitch-10 integer lattice inside
+// [200,200+10·side]², each vertex holding 0–3 objects (distinct IDs), in
+// shuffled order. Queries on lattice vertices then see every distance
+// several times over.
+func tieDataset(rng *rand.Rand, side int) []geom.Point {
+	var pts []geom.Point
+	for i := 0; i <= side; i++ {
+		for j := 0; j <= side; j++ {
+			for d := rng.Intn(4); d > 0; d-- {
+				pts = append(pts, geom.Point{X: 200 + float64(i*10), Y: 200 + float64(j*10)})
+			}
+		}
+	}
+	rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
+	for i := range pts {
+		pts[i].ID = uint64(i)
+	}
+	return pts
+}
+
+// tieQuery draws a query on the lattice (or half a pitch off it) with
+// window extents that are lattice multiples, so window edges pass
+// through objects.
+func tieQuery(rng *rand.Rand, side int) Query {
+	return Query{
+		Q: geom.Point{X: 200 + float64(rng.Intn(2*side+1))*5, Y: 200 + float64(rng.Intn(2*side+1))*5},
+		L: float64(1+rng.Intn(3)) * 10,
+		W: float64(1+rng.Intn(3)) * 10,
+		N: 1 + rng.Intn(6),
+	}
+}
+
+// sixteenSchemes lists every combination of the four optimisations.
+func sixteenSchemes() []Scheme {
+	var out []Scheme
+	for b := 0; b < 16; b++ {
+		out = append(out, Scheme{SRR: b&1 != 0, DIP: b&2 != 0, DEP: b&4 != 0, IWP: b&8 != 0})
+	}
+	return out
+}
+
+// inUniverse reports whether g is exactly — objects, distance and window
+// — the group of some qualified window of the Lemma-1 candidate universe
+// (the enumeration CandidateGroups deduplicates).
+func inUniverse(pts []geom.Point, qy Query, measure Measure, g Group) bool {
+	for _, p := range pts {
+		top := geom.AnchorsTopEdge(qy.Q, p)
+		for _, o := range pts {
+			if top && o.Y < p.Y || !top && o.Y > p.Y {
+				continue
+			}
+			win := geom.CandidateWindow(qy.Q, p, o, qy.L, qy.W)
+			if win != g.Window || !win.ContainsPoint(o) || !win.ContainsPoint(p) {
+				continue
+			}
+			var contents []geom.Point
+			for _, c := range pts {
+				if win.ContainsPoint(c) {
+					contents = append(contents, c)
+				}
+			}
+			if len(contents) < qy.N {
+				continue
+			}
+			objs := nClosest(qy.Q, contents, qy.N)
+			if slices.Equal(objs, g.Objects) && groupDist(qy.Q, objs, win, measure) == g.Dist {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestTieHeavyMatchesOracles runs NWC and kNWC under every measure and
+// scheme combination on tie-heavy data. Distances must equal the
+// oracles' bit for bit (engine and oracle share groupDist, so no
+// tolerance is needed or allowed), and every returned group must be an
+// exact member of the candidate universe.
+func TestTieHeavyMatchesOracles(t *testing.T) {
+	schemes := sixteenSchemes()
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const side = 5
+		pts := tieDataset(rng, side)
+		eng := buildEngine(t, pts, 4, 10)
+		for trial := 0; trial < 5; trial++ {
+			qy := tieQuery(rng, side)
+			for _, measure := range allMeasures {
+				want := BruteForceNWC(pts, qy, measure)
+				for _, scheme := range schemes {
+					got, _, err := eng.NWC(qy, scheme, measure)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Found != want.Found || got.Found && got.Dist != want.Dist {
+						t.Fatalf("seed %d %v %v %+v: NWC (%v, %v), oracle (%v, %v)",
+							seed, scheme, measure, qy, got.Found, got.Dist, want.Found, want.Dist)
+					}
+					if got.Found && !inUniverse(pts, qy, measure, got.Group) {
+						t.Fatalf("seed %d %v %v %+v: NWC group %+v is no candidate window's group",
+							seed, scheme, measure, qy, got.Group)
+					}
+				}
+				for m := 0; m <= 1; m++ {
+					kq := KNWCQuery{Query: qy, K: 3, M: m}
+					ref := BruteForceKNWC(pts, kq, measure)
+					for _, scheme := range schemes {
+						groups, _, err := eng.KNWC(kq, scheme, measure)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := scheme.String() + "/" + measure.String()
+						checkDefinition3(t, pts, kq, measure, groups, label)
+						if len(groups) != len(ref) {
+							t.Fatalf("seed %d %s %+v: %d groups, oracle %d", seed, label, kq, len(groups), len(ref))
+						}
+						for i, g := range groups {
+							if g.Dist != ref[i].Dist {
+								t.Fatalf("seed %d %s %+v: group %d dist %v, oracle %v", seed, label, kq, i, g.Dist, ref[i].Dist)
+							}
+							if !inUniverse(pts, qy, measure, g) {
+								t.Fatalf("seed %d %s %+v: group %d %+v is no candidate window's group", seed, label, kq, i, g)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSharedBoundAtTheOptimum pins strictness against an externally
+// supplied bound. A SharedBound already equal to the local optimum means
+// no local group improves on it: the cell stays untouched and the
+// result is elided — always under MeasureMax/MeasureMin, whose counting
+// gate is exact; the other measures' gates carry rounding slack and may
+// let the equal group through. A bound one ulp above the optimum must
+// still yield it exactly.
+func TestSharedBoundAtTheOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const side = 5
+	pts := tieDataset(rng, side)
+	eng := buildEngine(t, pts, 4, 10)
+	checked := 0
+	for trial := 0; trial < 12; trial++ {
+		qy := tieQuery(rng, side)
+		for _, measure := range allMeasures {
+			want := BruteForceNWC(pts, qy, measure)
+			if !want.Found || want.Dist == 0 {
+				continue
+			}
+			checked++
+			for _, scheme := range []Scheme{SchemeNWC, SchemeNWCStar} {
+				at := rstar.NewSharedBound()
+				at.Tighten(want.Dist)
+				got, _, err := eng.NWCBounded(context.Background(), qy, scheme, measure, nil, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				strict := measure == MeasureMax || measure == MeasureMin
+				if got.Found && (strict || got.Dist != want.Dist) || at.Load() != want.Dist {
+					t.Fatalf("%v %v %+v: bound at the optimum %v: found=%v dist=%v, cell %v",
+						scheme, measure, qy, want.Dist, got.Found, got.Dist, at.Load())
+				}
+				above := rstar.NewSharedBound()
+				above.Tighten(math.Nextafter(want.Dist, math.Inf(1)))
+				got, _, err = eng.NWCBounded(context.Background(), qy, scheme, measure, nil, above)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Found || got.Dist != want.Dist || above.Load() != want.Dist {
+					t.Fatalf("%v %v %+v: bound one ulp above the optimum %v: found=%v dist=%v, cell %v",
+						scheme, measure, qy, want.Dist, got.Found, got.Dist, above.Load())
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no query had a non-zero optimum; the test is vacuous")
+	}
+}
+
+// eagerWindows is the reference for evaluateWindows' gates: the same
+// windows of anchor p in the same order, but every qualified one is
+// materialised and emitted — no distance test of any kind. emit is the
+// authority on what improves, so a gate that only ever skips
+// non-improving windows leaves the final state identical to this.
+func eagerWindows(qy Query, p geom.Point, cands []geom.Point, measure Measure, emit func(Group)) {
+	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
+	xlo, xhi := p.X, p.X+l
+	if geom.OnRightEdge(q, p) {
+		xlo, xhi = p.X-l, p.X
+	}
+	var s []geom.Point
+	for _, c := range cands {
+		if c.X >= xlo && c.X <= xhi {
+			s = append(s, c)
+		}
+	}
+	top := geom.AnchorsTopEdge(q, p)
+	sort.SliceStable(s, func(a, b int) bool {
+		if top {
+			return s[a].Y < s[b].Y
+		}
+		return s[a].Y > s[b].Y
+	})
+	for i, o := range s {
+		if top && o.Y < p.Y || !top && o.Y > p.Y {
+			continue
+		}
+		if i+1 < len(s) && s[i+1].Y == o.Y {
+			continue
+		}
+		var contents []geom.Point
+		for _, c := range s[:i+1] {
+			if top && c.Y >= o.Y-w || !top && c.Y <= o.Y+w {
+				contents = append(contents, c)
+			}
+		}
+		if len(contents) < n {
+			continue
+		}
+		win := geom.CandidateWindow(q, p, o, l, w)
+		objs := nClosest(q, contents, n)
+		emit(Group{Objects: objs, Dist: groupDist(q, objs, win, measure), Window: win})
+	}
+}
+
+// forEachAnchor feeds eval every object as an anchor, nearest first,
+// with the contents of its search region as candidates — the sequence
+// the traversal produces with every optimisation off.
+func forEachAnchor(pts []geom.Point, qy Query, eval func(p geom.Point, cands []geom.Point)) {
+	order := nClosest(qy.Q, pts, len(pts))
+	for _, p := range order {
+		sr := geom.SearchRegion(qy.Q, p, qy.L, qy.W)
+		var cands []geom.Point
+		for _, c := range pts {
+			if sr.ContainsPoint(c) {
+				cands = append(cands, c)
+			}
+		}
+		eval(p, cands)
+	}
+}
+
+// gatedAnchor runs the engine's evaluateWindows on one anchor.
+func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bound func() float64, emit func(Group)) {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.buf = append(sc.buf, cands...)
+	var st Stats
+	(&Engine{}).evaluateWindows(qy, p, sc, measure, bound, emit, &st, nil)
+}
+
+// TestGatedVerifyEqualsEager drives evaluateWindows and the gate-free
+// reference over the same anchor sequence on tie-heavy data and demands
+// identical final state — Objects, Dist and Window — for NWC and for
+// kNWC (k=3, m∈{0,1}) under all four measures. The kNWC sweep must
+// include anchors during which the k-th bound rises (accepting a pooled
+// group can evict a farther one's blocker), the case that forces the
+// under-the-bound count to be retaken rather than only decremented.
+func TestGatedVerifyEqualsEager(t *testing.T) {
+	rises := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const side = 4
+		pts := tieDataset(rng, side)
+		for trial := 0; trial < 6; trial++ {
+			qy := tieQuery(rng, side)
+			for _, measure := range allMeasures {
+				var gated, eager Group
+				gated.Dist, eager.Dist = math.Inf(1), math.Inf(1)
+				keepBest := func(best *Group) func(Group) {
+					return func(g Group) {
+						if g.Dist < best.Dist {
+							*best = g
+						}
+					}
+				}
+				forEachAnchor(pts, qy, func(p geom.Point, cands []geom.Point) {
+					gatedAnchor(qy, p, cands, measure, func() float64 { return gated.Dist }, keepBest(&gated))
+					eagerWindows(qy, p, cands, measure, keepBest(&eager))
+				})
+				if !reflect.DeepEqual(gated, eager) {
+					t.Fatalf("seed %d %v %+v: NWC gated %+v, eager %+v", seed, measure, qy, gated, eager)
+				}
+
+				for m := 0; m <= 1; m++ {
+					gs := knwcState{k: 3, m: m, index: map[string]int{}}
+					es := knwcState{k: 3, m: m, index: map[string]int{}}
+					forEachAnchor(pts, qy, func(p geom.Point, cands []geom.Point) {
+						last := gs.bound()
+						gatedAnchor(qy, p, cands, measure, func() float64 {
+							b := gs.bound()
+							if b > last {
+								rises++
+							}
+							last = b
+							return b
+						}, gs.insert)
+						eagerWindows(qy, p, cands, measure, es.insert)
+					})
+					if !reflect.DeepEqual(gs.result(), es.result()) {
+						t.Fatalf("seed %d %v m=%d %+v: kNWC gated %+v, eager %+v", seed, measure, m, qy, gs.result(), es.result())
+					}
+				}
+			}
+		}
+	}
+	if rises == 0 {
+		t.Fatal("the k-th bound never rose mid-anchor; the recount case is untested")
+	}
+}

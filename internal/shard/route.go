@@ -1011,8 +1011,10 @@ func addCounters(a, b nwcq.TraceCounters) nwcq.TraceCounters {
 	a.DEPSkippedObjects += b.DEPSkippedObjects
 	a.GridProbes += b.GridProbes
 	a.WindowQueries += b.WindowQueries
+	a.AnchorsGated += b.AnchorsGated
 	a.CandidateWindows += b.CandidateWindows
 	a.QualifiedWindows += b.QualifiedWindows
+	a.WindowsGated += b.WindowsGated
 	a.GroupsEmitted += b.GroupsEmitted
 	a.IWPJumpStarts += b.IWPJumpStarts
 	a.IWPRootStarts += b.IWPRootStarts

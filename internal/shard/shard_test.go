@@ -234,6 +234,10 @@ func TestMINDISTPruningSkipsShards(t *testing.T) {
 	pts = append(pts, nwcq.Point{X: 95, Y: 95, ID: 1000})
 
 	single, sh := buildBoth(t, pts, 4)
+	// One worker: the home shard's answer is in hand before any sibling
+	// is considered. With more, a sibling claimed before that answer
+	// lands is queried, not pruned, and the count depends on scheduling.
+	sh.SetParallelism(1)
 	q := nwcq.Query{X: 5, Y: 5, Length: 4, Width: 4, N: 4}
 	want, err := single.NWC(q)
 	if err != nil {

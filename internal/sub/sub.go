@@ -180,7 +180,9 @@ func (r *Registry) Publish(lsn, gen uint64, op Op, changed []geom.Point, pin fun
 	defer r.mu.Unlock()
 	for _, s := range r.subs {
 		s.mu.Lock()
-		if s.closed || !s.affectedLocked(op, changed) {
+		// gen ≤ floor: the initial evaluation already reflects this
+		// publish (see DiscardThrough), so it is never pinned or queued.
+		if s.closed || gen <= s.floor || !s.affectedLocked(op, changed) {
 			s.mu.Unlock()
 			continue
 		}
@@ -235,6 +237,9 @@ type Subscription struct {
 	// dropped remembers an overflow since the last delivery; the next
 	// popped notification carries it out as Resync.
 	dropped bool
+	// floor is the generation of the host's initial evaluation; Publish
+	// drops notifications at or below it.
+	floor uint64
 
 	// Affect-test state. found/bound are the last reported evaluation:
 	// when the answer exists at distance bound, only changes inside the
@@ -363,10 +368,15 @@ func (s *Subscription) Evaluated(found bool, dist float64, err error) {
 }
 
 // DiscardThrough drops (and releases) pending notifications at or below
-// gen. The host calls it after the initial evaluation so the stream
-// never runs backwards past the init frame.
+// gen and keeps later ones at or below gen from being queued. The host
+// calls it with the generation of the view its initial evaluation ran
+// on, so the stream never repeats or runs backwards past the init
+// frame. The floor has to persist: the host swaps a view in before it
+// calls Publish, so the initial evaluation can pin generation gen and
+// discard an empty queue while the Publish for gen is still on its way.
 func (s *Subscription) DiscardThrough(gen uint64) {
 	s.mu.Lock()
+	s.floor = gen
 	kept := s.queue[:0]
 	for i := range s.queue {
 		if s.queue[i].Gen <= gen {

@@ -152,7 +152,9 @@ func TestCloseReleasesPendingPins(t *testing.T) {
 }
 
 // TestDiscardThrough drops exactly the prefix at or below the given
-// generation, releasing its pins.
+// generation, releasing its pins, and refuses a publish at or below it
+// that arrives afterwards (the host swaps a view in before publishing
+// it, so the initial evaluation can overtake the notification).
 func TestDiscardThrough(t *testing.T) {
 	r := NewRegistry(8)
 	p := &pinCounter{}
@@ -164,6 +166,11 @@ func TestDiscardThrough(t *testing.T) {
 	s.DiscardThrough(2)
 	if got := p.out.Load(); got != 2 {
 		t.Fatalf("%d pins outstanding after DiscardThrough(2), want 2", got)
+	}
+	before := r.Stats().Notified
+	publish(r, p, 2, OpReset)
+	if got := r.Stats().Notified; got != before || p.out.Load() != 2 {
+		t.Fatalf("late publish at the floor was queued (notified %d→%d, %d pins)", before, got, p.out.Load())
 	}
 	n, err := s.Next(context.Background(), nil)
 	if err != nil {

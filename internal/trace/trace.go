@@ -78,8 +78,10 @@ const (
 	// CtrDEPSkippedObjects counts anchor objects whose window query DEP
 	// cancelled.
 	CtrDEPSkippedObjects
-	// CtrGroupsEmitted counts groups that survived every gate and were
-	// offered to the result (best-group update or kNWC pool).
+	// CtrGroupsEmitted counts windows whose group was materialised and
+	// offered to the result (best-group update or kNWC pool): the
+	// windows no distance gate could rule out. For MeasureMax/MeasureMin
+	// NWC that is one per strict improvement of the bound.
 	CtrGroupsEmitted
 	// CtrIWPJumpStarts counts window queries IWP started below the root
 	// via a backward pointer.
@@ -95,6 +97,15 @@ const (
 	// CtrDedupAccepted counts offers that entered the pool (new object
 	// set, or an improved distance for a known set).
 	CtrDedupAccepted
+	// CtrWindowsGated counts qualified windows skipped by a distance
+	// gate — too few objects under the bound, window MINDIST, or
+	// MeasureAvg's order-statistic mean — without materialising their
+	// group. Qualified windows = gated + emitted.
+	CtrWindowsGated
+	// CtrAnchorsGated counts anchor objects whose whole x-slab held too
+	// few objects under the bound for any of their windows to improve
+	// it; their windows are neither sorted nor enumerated.
+	CtrAnchorsGated
 
 	// CounterCount is the number of counters.
 	CounterCount
@@ -104,7 +115,7 @@ var counterNames = [CounterCount]string{
 	"srr_shrinks", "srr_skips", "dip_pruned_nodes", "dep_pruned_nodes",
 	"dep_skipped_objects", "groups_emitted", "iwp_jump_starts",
 	"iwp_root_starts", "iwp_overlap_scans", "dedup_offered",
-	"dedup_accepted",
+	"dedup_accepted", "windows_gated", "anchors_gated",
 }
 
 // String returns the counter's stable snake_case name.

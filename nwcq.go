@@ -218,8 +218,11 @@ type Stats struct {
 	NodesPruned int
 	// WindowQueries counts window queries issued.
 	WindowQueries int
-	// CandidateWindows and QualifiedWindows count windows evaluated and
-	// windows holding at least N objects.
+	// CandidateWindows and QualifiedWindows count windows enumerated and,
+	// of those, windows holding at least N objects. An anchor whose
+	// candidates hold too few objects under the current bound for any of
+	// its windows to improve it enumerates none, so on dense data both
+	// counts are far below the number of windows that exist.
 	CandidateWindows int
 	QualifiedWindows int
 	// GridProbes counts density-grid upper-bound probes issued by DEP.

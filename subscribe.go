@@ -143,9 +143,11 @@ func (ix *Index) Subscribe(q Query) (Subscription, error) {
 	}
 	s := ix.subs.Subscribe(sub.Spec{X: q.X, Y: q.Y, L: q.Length, W: q.Width})
 	// Evaluate at the current view. Registration preceded the pin, so a
-	// mutation racing in between lands in the queue — DiscardThrough
-	// below removes the ones the initial answer already reflects, which
-	// keeps the frame stream monotone.
+	// mutation racing in between lands in the queue, or — its view is
+	// swapped in before its notification is published — arrives after
+	// the evaluation. DiscardThrough below removes the queued ones the
+	// initial answer already reflects and refuses the late ones, which
+	// keeps the frame stream strictly monotone.
 	v := ix.acquire()
 	res, err := ix.nwcOnView(context.Background(), v, q, nil)
 	lsn, gen := v.lsn, v.gen

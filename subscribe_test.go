@@ -218,6 +218,35 @@ func TestSubscriptionChurnUnderMutation(t *testing.T) {
 		}
 	}()
 
+	// churnOnce subscribes, reads up to four frames and closes — on
+	// every path, so a failed check does not also leak the subscription.
+	churnOnce := func() bool {
+		s, err := idx.Subscribe(q)
+		if err != nil {
+			t.Errorf("subscribe: %v", err)
+			return false
+		}
+		defer s.Close()
+		var lastGen uint64
+		for i := 0; i < 4; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			u, err := s.Next(ctx, nil)
+			cancel()
+			if errors.Is(err, context.DeadlineExceeded) {
+				break
+			}
+			if err != nil {
+				t.Errorf("next: %v", err)
+				return false
+			}
+			if u.Gen <= lastGen {
+				t.Errorf("gen %d not above %d", u.Gen, lastGen)
+				return false
+			}
+			lastGen = u.Gen
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -229,30 +258,9 @@ func TestSubscriptionChurnUnderMutation(t *testing.T) {
 					return
 				default:
 				}
-				s, err := idx.Subscribe(q)
-				if err != nil {
-					t.Errorf("subscribe: %v", err)
+				if !churnOnce() {
 					return
 				}
-				var lastGen uint64
-				for i := 0; i < 4; i++ {
-					ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-					u, err := s.Next(ctx, nil)
-					cancel()
-					if err != nil {
-						if errors.Is(err, context.DeadlineExceeded) {
-							break
-						}
-						t.Errorf("next: %v", err)
-						return
-					}
-					if u.Gen <= lastGen {
-						t.Errorf("gen %d not above %d", u.Gen, lastGen)
-						return
-					}
-					lastGen = u.Gen
-				}
-				s.Close()
 			}
 		}()
 	}

@@ -60,13 +60,20 @@ type TraceCounters struct {
 	DEPSkippedObjects int64 `json:"dep_skipped_objects"`
 	// GridProbes counts density-grid upper-bound probes.
 	GridProbes int64 `json:"grid_probes"`
-	// WindowQueries counts window queries issued; CandidateWindows and
-	// QualifiedWindows count windows enumerated and windows holding at
-	// least N objects; GroupsEmitted counts groups that survived every
-	// distance gate and reached the result (or the kNWC pool).
+	// WindowQueries counts window queries issued. AnchorsGated counts
+	// the anchors among them whose candidates held too few objects under
+	// the bound for any window to improve it; their windows are not
+	// enumerated. CandidateWindows and QualifiedWindows count windows
+	// enumerated and, of those, windows holding at least N objects.
+	// WindowsGated counts qualified windows a distance gate ruled out
+	// and GroupsEmitted those whose group was materialised and offered
+	// to the result (or the kNWC pool), so QualifiedWindows =
+	// WindowsGated + GroupsEmitted.
 	WindowQueries    int64 `json:"window_queries"`
+	AnchorsGated     int64 `json:"anchors_gated"`
 	CandidateWindows int64 `json:"candidate_windows"`
 	QualifiedWindows int64 `json:"qualified_windows"`
+	WindowsGated     int64 `json:"windows_gated"`
 	GroupsEmitted    int64 `json:"groups_emitted"`
 	// IWPJumpStarts counts window queries started below the root via a
 	// backward pointer, IWPRootStarts those that fell back to the root,
@@ -132,8 +139,10 @@ func queryTraceFrom(kind string, scheme Scheme, measure Measure, rec *trace.Reco
 			DEPSkippedObjects: s.Counters[trace.CtrDEPSkippedObjects],
 			GridProbes:        int64(st.GridProbes),
 			WindowQueries:     int64(st.WindowQueries),
+			AnchorsGated:      s.Counters[trace.CtrAnchorsGated],
 			CandidateWindows:  int64(st.CandidateWindows),
 			QualifiedWindows:  int64(st.QualifiedWindows),
+			WindowsGated:      s.Counters[trace.CtrWindowsGated],
 			GroupsEmitted:     s.Counters[trace.CtrGroupsEmitted],
 			IWPJumpStarts:     s.Counters[trace.CtrIWPJumpStarts],
 			IWPRootStarts:     s.Counters[trace.CtrIWPRootStarts],
@@ -175,7 +184,8 @@ func (t *QueryTrace) Render() string {
 			kv("iwp-root-starts", c.IWPRootStarts), kv("iwp-overlap-scans", c.IWPOverlapScans),
 			kv("candidate-high-water", int64(t.CandidateHighWater))),
 		"verify": joinNonZero(
-			kv("windows", c.CandidateWindows), kv("qualified", c.QualifiedWindows),
+			kv("anchors-gated", c.AnchorsGated), kv("windows", c.CandidateWindows),
+			kv("qualified", c.QualifiedWindows), kv("gated", c.WindowsGated),
 			kv("groups-emitted", c.GroupsEmitted)),
 		"knwc-dedup": joinNonZero(
 			kv("offered", c.DedupOffered), kv("accepted", c.DedupAccepted)),
