@@ -326,9 +326,10 @@ func BenchmarkNWCTraceOn(b *testing.B) {
 // insert/delete pairs, each publishing a new version) must match the
 // static-index sub-benchmark in both ns/op and allocs/op — compare the
 // two sub-benchmarks, and both against BENCH_baseline.json. The view
-// pin is one atomic load plus one CAS and resolves pre-built engines,
-// so queries pay nothing for mutability; TestViewPinZeroAlloc asserts
-// the same property deterministically.
+// pin is one atomic load plus one CAS and every view is published with
+// its engine and IWP index in place (iwprebuilds/op is 0), so queries
+// pay nothing for mutability; TestViewPinZeroAlloc asserts the same
+// property deterministically.
 func BenchmarkNWCUnderMutation(b *testing.B) {
 	raw := datagen.NYLikeN(10000, 1)
 	pts := make([]Point, len(raw))
@@ -410,6 +411,9 @@ func BenchmarkNWCUnderMutation(b *testing.B) {
 			// includes the mutator's own copy-on-write work (a real
 			// mutation costs memory); the READ path's share is zero.
 			b.ReportMetric(float64(pairs.Load())/float64(b.N), "mutations/op")
+			// Every publish patches the IWP index; none of these
+			// mutations changes the tree's height, so none rebuilds it.
+			b.ReportMetric(float64(idx.Metrics().IWPRebuilds)/float64(b.N), "iwprebuilds/op")
 		}
 	}
 	b.Run("static", func(b *testing.B) { run(b, false) })

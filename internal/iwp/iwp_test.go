@@ -136,22 +136,19 @@ func TestBackwardPointerStructure(t *testing.T) {
 
 func TestBackwardPointerCountFormula(t *testing.T) {
 	// r = ⌈log₂ h⌉ + 2 for leaf depth h ≥ 1 (paper Section 3.3.4, via
-	// its height-8 example having r = 5).
-	cases := map[int]int{1: 2, 2: 3, 3: 4, 4: 4, 5: 5, 8: 5, 9: 6}
+	// its height-8 example having r = 5); the root-is-leaf degenerate
+	// case keeps a single self pointer.
+	cases := map[int]int{0: 1, 1: 2, 2: 3, 3: 4, 4: 4, 5: 5, 8: 5, 9: 6}
 	for h, wantR := range cases {
-		path := make([]Pointer, h+1)
-		for i := range path {
-			path[i] = Pointer{Node: rstar.NodeID(i + 1)}
+		r := 0
+		for _, targeted := range targetedDepths(Exponential, h) {
+			if targeted {
+				r++
+			}
 		}
-		got := backwardPointers(path)
-		if len(got) != wantR {
-			t.Errorf("h=%d: r=%d, want %d", h, len(got), wantR)
+		if r != wantR {
+			t.Errorf("h=%d: r=%d, want %d", h, r, wantR)
 		}
-	}
-	// Root-is-leaf degenerate case: a single self pointer.
-	got := backwardPointers([]Pointer{{Node: 1}})
-	if len(got) != 1 || got[0].Node != 1 {
-		t.Errorf("h=0: pointers %v", got)
 	}
 }
 

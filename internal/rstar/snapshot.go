@@ -40,6 +40,12 @@ import (
 //     them has drained. Until then the slots stay live, so a reader in
 //     the middle of a traversal can never observe a recycled node.
 //
+//   - Next to the retired IDs, Commit returns the nodes it wrote under
+//     their final IDs. Together they are the exact difference between
+//     the two versions' node sets (Delta), which lets structures derived
+//     from the tree — the IWP pointer index — be patched per commit
+//     instead of rebuilt.
+//
 // Shadow allocation relies on one structural invariant of the R*-tree
 // algorithms: whenever a node's content changes, its parent is also
 // written in the same batch (MBR adjustment, split installation, or
@@ -119,6 +125,21 @@ func (t *Tree) ReleaseNodes(ids []NodeID) error {
 	return nil
 }
 
+// Delta is the exact difference between the node sets of a snapshot and
+// of the snapshot a Commit derived from it.
+//
+// Written holds every node reachable in the new tree under an ID the
+// base tree did not use, with its child IDs and child MBRs as published;
+// the nodes are shared with the store and must not be modified. Retired
+// holds every ID reachable in the base tree and no longer in the new
+// one. The new root is always written, and so is the parent of every
+// other written node (the invariant shadow allocation itself rests on),
+// so the written nodes form one connected top of the new tree.
+type Delta struct {
+	Written []*Node
+	Retired []NodeID
+}
+
 // WriteBatch is one copy-on-write mutation batch over a frozen tree.
 // Run ordinary Tree mutations on Tree(), then Commit to publish them
 // all at once or Discard to drop them. A batch is single-goroutine;
@@ -155,22 +176,23 @@ func (b *WriteBatch) Tree() *Tree { return b.tree }
 // Commit publishes the batch: every written node is installed under a
 // fresh ID next to the current version's nodes, child references are
 // remapped, and the new root is persisted. It returns the new immutable
-// snapshot plus the retired IDs — node slots that versions up to and
-// including the superseded one may still reference. The caller must
-// pass them to ReleaseNodes once those versions have drained.
+// snapshot plus the commit's Delta. The delta's retired IDs are node
+// slots that versions up to and including the superseded one may still
+// reference; the caller must pass them to ReleaseNodes once those
+// versions have drained.
 //
 // An empty batch (for example a Delete that found nothing) returns the
-// base snapshot unchanged with no retired IDs. On error nothing has
+// base snapshot unchanged with an empty delta. On error nothing has
 // been published and the base snapshot is intact.
-func (b *WriteBatch) Commit() (*Tree, []NodeID, error) {
+func (b *WriteBatch) Commit() (*Tree, Delta, error) {
 	if b.done {
-		return nil, nil, errors.New("rstar: write batch already finished")
+		return nil, Delta{}, errors.New("rstar: write batch already finished")
 	}
 	b.done = true
 	ov := b.ov
 	if len(ov.written) == 0 && len(ov.freedBase) == 0 {
 		ov.base.UnreserveIDs(ov.unreserved)
-		return b.base, nil, nil
+		return b.base, Delta{}, nil
 	}
 
 	// Shadow-allocate a fresh ID for every rewritten base node. Batch
@@ -190,7 +212,7 @@ func (b *WriteBatch) Commit() (*Tree, []NodeID, error) {
 		nid, err := ov.base.ReserveID()
 		if err != nil {
 			ov.base.UnreserveIDs(ov.unreserved)
-			return nil, nil, err
+			return nil, Delta{}, err
 		}
 		remap[id] = nid
 	}
@@ -199,7 +221,7 @@ func (b *WriteBatch) Commit() (*Tree, []NodeID, error) {
 	for _, id := range writtenIDs {
 		n := ov.dirty[id]
 		if n == nil {
-			return nil, nil, fmt.Errorf("rstar: written node %d missing from batch", id)
+			return nil, Delta{}, fmt.Errorf("rstar: written node %d missing from batch", id)
 		}
 		if nid, ok := remap[n.ID]; ok {
 			n.ID = nid
@@ -227,10 +249,11 @@ func (b *WriteBatch) Commit() (*Tree, []NodeID, error) {
 
 	view, err := ov.base.PublishBatch(written, retired, root, b.tree.height, b.tree.count)
 	if err != nil {
-		return nil, nil, err
+		return nil, Delta{}, err
 	}
 	ov.base.UnreserveIDs(ov.unreserved)
-	return &Tree{store: view, opts: b.tree.opts, root: root, height: b.tree.height, count: b.tree.count, frozen: true}, retired, nil
+	next := &Tree{store: view, opts: b.tree.opts, root: root, height: b.tree.height, count: b.tree.count, frozen: true}
+	return next, Delta{Written: written, Retired: retired}, nil
 }
 
 // Discard drops the batch, returning any reserved IDs to the allocator.

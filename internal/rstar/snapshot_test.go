@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -152,10 +153,11 @@ func TestWriteBatchCommitPreservesOldVersion(t *testing.T) {
 					t.Fatalf("batch delete missed %v", p)
 				}
 			}
-			v1, retired, err := b.Commit()
+			v1, delta, err := b.Commit()
 			if err != nil {
 				t.Fatal(err)
 			}
+			retired := delta.Retired
 			if len(retired) == 0 {
 				t.Fatal("commit with mutations retired no nodes")
 			}
@@ -209,15 +211,15 @@ func TestWriteBatchEmptyCommit(t *testing.T) {
 	if found, err := b.Tree().Delete(geom.Point{X: -5, Y: -5, ID: 424242}); err != nil || found {
 		t.Fatalf("miss delete = (%v, %v), want (false, nil)", found, err)
 	}
-	v1, retired, err := b.Commit()
+	v1, delta, err := b.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1 != v0 {
 		t.Fatal("empty commit should return the base snapshot")
 	}
-	if len(retired) != 0 {
-		t.Fatalf("empty commit retired %d nodes", len(retired))
+	if len(delta.Retired) != 0 || len(delta.Written) != 0 {
+		t.Fatalf("empty commit wrote %d and retired %d nodes", len(delta.Written), len(delta.Retired))
 	}
 }
 
@@ -318,11 +320,11 @@ func TestSnapshotChain(t *testing.T) {
 						delete(ref, victim.ID)
 					}
 				}
-				next, retired, err := b.Commit()
+				next, delta, err := b.Commit()
 				if err != nil {
 					t.Fatalf("step %d: commit: %v", step, err)
 				}
-				pending = append(pending, pendingRelease{ids: retired})
+				pending = append(pending, pendingRelease{ids: delta.Retired})
 				// Lag releases: only versions two commits old drain.
 				if len(pending) > 2 {
 					if err := next.ReleaseNodes(pending[0].ids); err != nil {
@@ -398,11 +400,11 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				next, dead, err := b.Commit()
+				next, delta, err := b.Commit()
 				if err != nil {
 					t.Fatal(err)
 				}
-				retired = append(retired, dead...)
+				retired = append(retired, delta.Retired...)
 				writer = next
 			}
 			close(stop)
@@ -417,6 +419,149 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 			}
 			if err := writer.CheckInvariants(false); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCommitDeltaExact pins what derived structures patched from a
+// commit's Delta rely on: the written IDs are exactly the nodes reachable
+// in the new tree and not in the base, the retired IDs exactly the
+// reverse, every written node carries the content the new tree serves,
+// and every written node but the root has a written parent. The script
+// shrinks the tree to nothing and regrows it, so condense, forced
+// reinsertion, root split and root collapse all pass through.
+func TestCommitDeltaExact(t *testing.T) {
+	for _, kind := range []string{"mem", "paged"} {
+		t.Run(kind, func(t *testing.T) {
+			live := snapPoints(260, 11)
+			var cur *Tree
+			if kind == "mem" {
+				cur = buildFrozenMem(t, live)
+			} else {
+				cur = buildFrozenPaged(t, live)
+			}
+			rng := rand.New(rand.NewSource(12))
+			nextID := uint64(500000)
+			var pending [][]NodeID
+			heights := map[int]bool{}
+
+			reachable := func(tr *Tree) map[NodeID]bool {
+				ids, err := tr.NodeIDs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				set := make(map[NodeID]bool, len(ids))
+				for _, id := range ids {
+					if set[id] {
+						t.Fatalf("node %d reachable twice", id)
+					}
+					set[id] = true
+				}
+				return set
+			}
+
+			for step := 0; step < 120; step++ {
+				// Phases: drain to empty, regrow, then mix.
+				insertBias := 5
+				switch {
+				case step < 45:
+					insertBias = 0
+				case step < 90:
+					insertBias = 10
+				}
+				b, err := cur.BeginWrite()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, nops := 0, 1+rng.Intn(12); i < nops; i++ {
+					if rng.Intn(10) < insertBias || len(live) == 0 {
+						p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, ID: nextID}
+						nextID++
+						if err := b.Tree().Insert(p); err != nil {
+							t.Fatal(err)
+						}
+						live = append(live, p)
+						continue
+					}
+					j := rng.Intn(len(live))
+					if found, err := b.Tree().Delete(live[j]); err != nil || !found {
+						t.Fatalf("step %d: delete = (%v, %v)", step, found, err)
+					}
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+				next, delta, err := b.Commit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				heights[next.Height()] = true
+
+				before, after := reachable(cur), reachable(next)
+				written := make(map[NodeID]*Node, len(delta.Written))
+				for _, n := range delta.Written {
+					if written[n.ID] != nil {
+						t.Fatalf("step %d: node %d written twice", step, n.ID)
+					}
+					written[n.ID] = n
+					if before[n.ID] || !after[n.ID] {
+						t.Fatalf("step %d: written node %d: in base %v, in new tree %v", step, n.ID, before[n.ID], after[n.ID])
+					}
+				}
+				retired := make(map[NodeID]bool, len(delta.Retired))
+				for _, id := range delta.Retired {
+					if retired[id] {
+						t.Fatalf("step %d: node %d retired twice", step, id)
+					}
+					retired[id] = true
+					if !before[id] || after[id] {
+						t.Fatalf("step %d: retired node %d: in base %v, in new tree %v", step, id, before[id], after[id])
+					}
+				}
+				for id := range after {
+					if !before[id] && written[id] == nil {
+						t.Fatalf("step %d: new node %d missing from the written set", step, id)
+					}
+				}
+				for id := range before {
+					if !after[id] && !retired[id] {
+						t.Fatalf("step %d: dropped node %d missing from the retired set", step, id)
+					}
+				}
+				if written[next.Root()] == nil {
+					t.Fatalf("step %d: root %d not written", step, next.Root())
+				}
+				hasWrittenParent := map[NodeID]bool{next.Root(): true}
+				for id, n := range written {
+					stored, err := next.Node(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if stored.Leaf != n.Leaf || !slices.Equal(stored.Children, n.Children) ||
+						!slices.Equal(stored.Rects, n.Rects) || !slices.Equal(stored.Points, n.Points) {
+						t.Fatalf("step %d: written node %d differs from the stored node", step, id)
+					}
+					for _, c := range n.Children {
+						hasWrittenParent[c] = true
+					}
+				}
+				for id := range written {
+					if !hasWrittenParent[id] {
+						t.Fatalf("step %d: written node %d has an unwritten parent", step, id)
+					}
+				}
+
+				pending = append(pending, delta.Retired)
+				if len(pending) > 2 {
+					if err := next.ReleaseNodes(pending[0]); err != nil {
+						t.Fatal(err)
+					}
+					pending = pending[1:]
+				}
+				cur = next
+			}
+			if len(heights) < 3 {
+				t.Fatalf("script only saw tree heights %v; root split and collapse not exercised", heights)
 			}
 		})
 	}

@@ -15,7 +15,7 @@ import (
 // Router-level observability. Latency and error aggregates are recorded
 // once per routed query at the router (so a query fanned out to three
 // shards still counts once), while storage-level state — page caches,
-// WALs, IWP rebuilds, node visits — is summed across the shards'
+// WALs, full IWP rebuilds, node visits — is summed across the shards'
 // snapshots. Metrics() folds both into one nwcq.MetricsSnapshot, and
 // WritePrometheus renders the same families a single index exposes plus
 // the nwcq_shard_* routing extras.
@@ -164,7 +164,8 @@ func (s *Sharded) RouterStats() RouterStats {
 // Metrics returns one aggregated snapshot for the whole sharded
 // backend: router-level query aggregates (each routed query counted
 // once, with its summed node visits), plus the shards' storage state
-// (page caches, WALs, IWP rebuilds) summed, plus the routing counters.
+// (page caches, WALs, full IWP rebuilds — the height-changing mutations
+// only) summed, plus the routing counters.
 func (s *Sharded) Metrics() nwcq.MetricsSnapshot {
 	m := s.obs
 	now := time.Now()

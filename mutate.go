@@ -32,10 +32,13 @@ import (
 //     index's SyncPolicy (durable.go). The fsync happens after the
 //     writer mutex is released, so committers queued behind it coalesce
 //     into one fsync while the next mutation proceeds;
-//   - the IWP pointer sets are per-view snapshot structures, rebuilt
-//     lazily (single-flight) by the first IWP-scheme query on the new
-//     view; the rebuild's node visits are accounted in IOStats, never
-//     reset it, and never touch any query's private Stats.
+//   - the IWP pointer index is a persistent structure like the tree and
+//     the grid: the publish step patches it from the nodes the commit
+//     wrote and retired (iwp.Index.Apply, DESIGN.md §17), under the
+//     writer mutex, so every view is born with its pointers and no query
+//     ever builds them. Only a commit that changes the tree's height
+//     rebuilds them in full. The patch's few node reads are accounted in
+//     IOStats like the mutation's own and never touch a query's Stats.
 
 // Insert adds one point to the index. It is safe to call concurrently
 // with queries and with other mutations; the point is visible to every
@@ -235,11 +238,13 @@ func (ix *Index) encodeFor(op byte, pts []geom.Point) []byte {
 
 // commitMutationLocked runs the tail every mutation shares: log the
 // record (WAL mode — before any page of the commit is published),
-// commit the copy-on-write batch, publish the new view, notify standing
-// queries, and trigger a checkpoint if the log has grown past its
-// threshold. A commit or publish failure after the append is
-// neutralised with an abort record so recovery does not replay a
-// mutation the caller saw fail. op and changed describe the mutation
+// commit the copy-on-write batch, publish the new view (patching the
+// IWP index from the commit's delta), notify standing queries, and
+// trigger a checkpoint if the log has grown past its threshold. A
+// commit or publish failure after the append — a failed IWP patch
+// included: no view is published with a stale index — is neutralised
+// with an abort record so recovery does not replay a mutation the
+// caller saw fail. op and changed describe the mutation
 // for the subscription affect test; leaderLSN, nonzero only on a
 // replication follower, stamps notifications with the leader's LSN so
 // both replicas expose the same version axis. Caller holds ix.wmu.
@@ -252,14 +257,14 @@ func (ix *Index) commitMutationLocked(b *rstar.WriteBatch, payload []byte, den *
 			return 0, err
 		}
 	}
-	newTree, retired, err := b.Commit()
+	newTree, delta, err := b.Commit()
 	if err != nil {
 		if ix.dur != nil {
 			ix.dur.abort(lsn)
 		}
 		return 0, err
 	}
-	if err := ix.publishLocked(newTree, den, retired, lsn); err != nil {
+	if err := ix.publishLocked(newTree, den, delta, lsn); err != nil {
 		if ix.dur != nil {
 			ix.dur.abort(lsn)
 		}

@@ -105,7 +105,7 @@ func TestInsertOutsideSpaceRebuildsGrid(t *testing.T) {
 	}
 }
 
-func TestMutationInvalidatesIWP(t *testing.T) {
+func TestIWPFollowsMutations(t *testing.T) {
 	pts := testPoints(800, 23)
 	idx, err := Build(pts)
 	if err != nil {
@@ -140,7 +140,7 @@ func TestMutationInvalidatesIWP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if withIWP.Found != base.Found || math.Abs(withIWP.Dist-base.Dist) > 1e-9 {
-		t.Fatalf("stale-IWP rebuild broken: IWP %v/%g, plain %v/%g",
+		t.Fatalf("IWP index out of step with the tree: IWP %v/%g, plain %v/%g",
 			withIWP.Found, withIWP.Dist, base.Found, base.Dist)
 	}
 }

@@ -52,7 +52,6 @@ import (
 	"nwcq/internal/core"
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
-	"nwcq/internal/iwp"
 	"nwcq/internal/pager"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
@@ -533,15 +532,8 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := newView(frozen, den)
+	v, err := firstView(frozen, den)
 	if err != nil {
-		return nil, err
-	}
-	iwpIdx, err := iwp.Build(frozen)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.setIWP(iwpIdx); err != nil {
 		return nil, err
 	}
 	frozen.ResetVisits()
@@ -565,12 +557,10 @@ func (ix *Index) TreeHeight() int { return ix.cur.Load().tree.Height() }
 
 // StorageOverheadBytes reports the extra storage of the DEP density
 // grid and the IWP pointers, using the paper's accounting (two bytes
-// per grid cell, four bytes per pointer). When the current view has
-// not yet built its IWP pointers (they materialise on first IWP-scheme
-// query after a mutation), the previous view's figure is reported.
+// per grid cell, four bytes per pointer), for the current view.
 func (ix *Index) StorageOverheadBytes() (gridBytes, iwpBytes int) {
 	v := ix.cur.Load()
-	return v.grid.StorageBytes(), v.iwpBytes()
+	return v.grid.StorageBytes(), v.iwp.StorageBytes()
 }
 
 // NWC answers an NWC query with no cancellation; it is shorthand for
@@ -616,11 +606,7 @@ func (ix *Index) nwcOnView(ctx context.Context, v *view, q Query, rec *trace.Rec
 		return Result{}, err
 	}
 	scheme := q.Scheme.internal()
-	eng, err := ix.engineFor(v, scheme)
-	if err != nil {
-		return Result{}, err
-	}
-	res, st, err := eng.NWCBounded(ctx, core.Query{
+	res, st, err := v.eng.NWCBounded(ctx, core.Query{
 		Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N,
 	}, scheme, measure, rec, rstar.BoundFromContext(ctx))
 	if err != nil {
@@ -666,11 +652,7 @@ func (ix *Index) knwcOnView(ctx context.Context, v *view, q KQuery, rec *trace.R
 		return KResult{}, err
 	}
 	scheme := q.Scheme.internal()
-	eng, err := ix.engineFor(v, scheme)
-	if err != nil {
-		return KResult{}, err
-	}
-	groups, st, err := eng.KNWCTrace(ctx, core.KNWCQuery{
+	groups, st, err := v.eng.KNWCTrace(ctx, core.KNWCQuery{
 		Query: core.Query{Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N},
 		K:     q.K, M: q.M,
 	}, scheme, measure, rec)
@@ -747,7 +729,7 @@ func (ix *Index) ResetIOStats() { ix.cur.Load().tree.ResetVisits() }
 
 // IOStats returns the cumulative node visits since the index was built
 // or ResetIOStats was called. The counter is atomic and exact under
-// concurrent queries; per-view IWP rebuilds add their walk here too.
+// concurrent queries; the nodes a mutation reads add to it too.
 func (ix *Index) IOStats() uint64 { return ix.cur.Load().tree.Visits() }
 
 func groupFrom(g core.Group) Group {

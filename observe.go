@@ -38,8 +38,9 @@ type queryMetrics struct {
 	// byScheme counts NWC/kNWC queries per resolved scheme, indexed by
 	// the scheme's four optimisation bits.
 	byScheme [16]metrics.Counter
-	// iwpRebuilds counts lazy per-view IWP pointer rebuilds triggered
-	// by the first IWP-scheme query after a mutation.
+	// iwpRebuilds counts full IWP index rebuilds on the publish path: a
+	// mutation that changed the tree's height. Every other mutation
+	// patches the index and does not count.
 	iwpRebuilds metrics.Counter
 }
 
@@ -166,8 +167,9 @@ type MetricsSnapshot struct {
 	// CumulativeNodeVisits is the index-wide atomic node-visit total
 	// (same value as IOStats).
 	CumulativeNodeVisits uint64 `json:"cumulative_node_visits"`
-	// IWPRebuilds counts lazy IWP pointer rebuilds (first IWP-scheme
-	// query on a freshly published view after a mutation).
+	// IWPRebuilds counts full rebuilds of the IWP pointer index: the
+	// mutations that changed the R*-tree's height. All other mutations
+	// patch the index incrementally and leave this counter alone.
 	IWPRebuilds uint64 `json:"iwp_rebuilds"`
 	// PageCache reports buffer-pool counters; nil for in-memory indexes,
 	// which have no page cache. A sharded backend sums its shards'.
@@ -359,7 +361,7 @@ func (ix *Index) WritePrometheus(w io.Writer) error {
 	pw.Value("nwcq_node_visits_total", nil, float64(cur.tree.Visits()))
 	pw.Header("nwcq_index_points", "gauge", "Points currently indexed.")
 	pw.Value("nwcq_index_points", nil, float64(cur.tree.Len()))
-	pw.Header("nwcq_iwp_rebuilds_total", "counter", "Lazy per-view IWP pointer rebuilds after mutations.")
+	pw.Header("nwcq_iwp_rebuilds_total", "counter", "Full IWP pointer index rebuilds (mutations that changed the tree height; all others patch it).")
 	pw.Value("nwcq_iwp_rebuilds_total", nil, float64(m.iwpRebuilds.Value()))
 	pw.Header("nwcq_uptime_seconds", "gauge", "Seconds since the index was built or opened.")
 	pw.Value("nwcq_uptime_seconds", nil, time.Since(ix.created).Seconds())

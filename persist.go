@@ -8,7 +8,6 @@ import (
 
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
-	"nwcq/internal/iwp"
 	"nwcq/internal/pager"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
@@ -316,7 +315,7 @@ func finishPaged(tree *rstar.Tree, gpts []geom.Point, o buildOptions, pages *pag
 	if err != nil {
 		return nil, err
 	}
-	v, err := newView(frozen, den)
+	v, err := firstView(frozen, den)
 	if err != nil {
 		return nil, err
 	}
@@ -324,13 +323,6 @@ func finishPaged(tree *rstar.Tree, gpts []geom.Point, o buildOptions, pages *pag
 		// The initial view reflects every log record (replay applied or
 		// skipped each one), so it commits at the appended frontier.
 		v.lsn = log.AppendedLSN()
-	}
-	iwpIdx, err := iwp.Build(frozen)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.setIWP(iwpIdx); err != nil {
-		return nil, err
 	}
 	frozen.ResetVisits()
 	px := &PagedIndex{

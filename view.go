@@ -1,7 +1,6 @@
 package nwcq
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"nwcq/internal/core"
@@ -20,8 +19,9 @@ import (
 // observes a single consistent version of the dataset no matter how
 // many mutations land meanwhile. Writers (Insert, Delete) serialise on
 // Index.wmu, build the next version off the query path with
-// copy-on-write structures (rstar.WriteBatch, grid.WithAdd/WithRemove),
-// and publish it with a single pointer swap.
+// copy-on-write structures (rstar.WriteBatch, grid.WithAdd/WithRemove,
+// iwp.Index.Apply), and publish it with a single pointer swap. Every
+// view is born complete: there is no state a query has to build.
 //
 // Superseded views join a FIFO retire queue. Each carries the node IDs
 // its replacement retired; those IDs stay readable until every query
@@ -32,7 +32,8 @@ import (
 type view struct {
 	tree *rstar.Tree   // frozen snapshot; safe for lock-free reads
 	grid *grid.Density // immutable (reached only via COW derivation)
-	eng  *core.Engine  // SRR/DIP/DEP engine over tree+grid; no IWP
+	iwp  *iwp.Index    // immutable; shares untouched records with its predecessor's
+	eng  *core.Engine  // engine over tree+grid+iwp; runs every scheme
 
 	// gen is this view's publication generation (Index.vgen at publish
 	// time, starting at 1 for the build/open view). It is set before the
@@ -46,18 +47,6 @@ type view struct {
 	// the committed-LSN watermark read it off the published view.
 	lsn uint64
 
-	// IWP pointers are built per view, on demand, exactly once: the
-	// first IWP-scheme query on a fresh view populates iwpState under
-	// iwpMu (single-flight); every later query reads it with one atomic
-	// load. The initial view from Build/OpenPaged has it pre-populated,
-	// so steady-state reads never touch the mutex.
-	iwpMu    sync.Mutex
-	iwpState atomic.Pointer[iwpState]
-	// iwpBytesHint carries the superseded view's IWP footprint so
-	// StorageOverheadBytes stays meaningful before this view's own
-	// pointers are (lazily) built.
-	iwpBytesHint int
-
 	// refs counts queries currently pinning this view. The writer
 	// tombstones a superseded view by swapping 0 → -1, after which no
 	// new query can pin it and its retired node IDs can be released.
@@ -68,45 +57,24 @@ type view struct {
 	retired []rstar.NodeID
 }
 
-// iwpState is the immutable result of one IWP build for a view: the
-// pointer sets and the full engine wired over them, or the error the
-// build produced (cached so every query fails identically rather than
-// re-running a failing build).
-type iwpState struct {
-	idx *iwp.Index
-	eng *core.Engine
-	err error
-}
-
-// newView assembles a view over a frozen tree and an immutable grid,
-// building the non-IWP engine eagerly. The IWP side starts empty unless
-// the caller pre-populates iwpState (Build does; mutations do not).
-func newView(tree *rstar.Tree, den *grid.Density) (*view, error) {
-	eng, err := core.NewEngine(tree, den, nil)
+// newView assembles a view over a frozen tree, an immutable grid and
+// the IWP index of that tree.
+func newView(tree *rstar.Tree, den *grid.Density, idx *iwp.Index) (*view, error) {
+	eng, err := core.NewEngine(tree, den, idx)
 	if err != nil {
 		return nil, err
 	}
-	return &view{tree: tree, grid: den, eng: eng}, nil
+	return &view{tree: tree, grid: den, iwp: idx, eng: eng}, nil
 }
 
-// setIWP pre-populates the view's IWP state (build path, where the
-// pointers are constructed before the view is published).
-func (v *view) setIWP(idx *iwp.Index) error {
-	eng, err := core.NewEngine(v.tree, v.grid, idx)
+// firstView assembles the view a Build or an OpenPaged starts from: the
+// one place the IWP index is built by reading the whole tree.
+func firstView(tree *rstar.Tree, den *grid.Density) (*view, error) {
+	idx, err := iwp.Build(tree)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	v.iwpState.Store(&iwpState{idx: idx, eng: eng})
-	return nil
-}
-
-// iwpBytes reports the view's IWP storage footprint: the built
-// pointers' if present, the predecessor's otherwise.
-func (v *view) iwpBytes() int {
-	if st := v.iwpState.Load(); st != nil && st.idx != nil {
-		return st.idx.StorageBytes()
-	}
-	return v.iwpBytesHint
+	return newView(tree, den, idx)
 }
 
 // acquire pins the current view for one query. The loop handles the
@@ -131,56 +99,31 @@ func (ix *Index) acquire() *view {
 // release unpins a view acquired by acquire.
 func (v *view) release() { v.refs.Add(-1) }
 
-// engineFor returns the engine a query under scheme must run on:
-// the view's base engine, or — for IWP schemes — the IWP engine,
-// building the pointers for this view on first use (single-flight; the
-// race that previously let two queries install half-swapped engines is
-// structurally gone because the state is immutable once stored).
-func (ix *Index) engineFor(v *view, scheme core.Scheme) (*core.Engine, error) {
-	if !scheme.IWP {
-		return v.eng, nil
-	}
-	if st := v.iwpState.Load(); st != nil {
-		return st.eng, st.err
-	}
-	v.iwpMu.Lock()
-	defer v.iwpMu.Unlock()
-	if st := v.iwpState.Load(); st != nil {
-		return st.eng, st.err
-	}
-	// The build walks the snapshot through the cumulative visit counter:
-	// rebuild cost is real service I/O and shows up in IOStats, but it
-	// never resets the counter (the pre-view code zeroed it here,
-	// clobbering service-lifetime stats) and never pollutes any query's
-	// private Stats.
-	st := &iwpState{}
-	st.idx, st.err = iwp.Build(v.tree)
-	if st.err == nil {
-		st.eng, st.err = core.NewEngine(v.tree, v.grid, st.idx)
-	}
-	v.iwpState.Store(st)
-	ix.obs.iwpRebuilds.Inc()
-	return st.eng, st.err
-}
-
-// publishLocked installs the next version: swap in the new view, queue
-// the old one for retirement carrying the node IDs its replacement
-// obsoleted, and opportunistically drain the queue. lsn is the WAL
-// record the new view reflects (0 on non-WAL indexes). Callers hold
-// ix.wmu. On error nothing has been published.
-func (ix *Index) publishLocked(tree *rstar.Tree, den *grid.Density, retired []rstar.NodeID, lsn uint64) error {
-	nv, err := newView(tree, den)
+// publishLocked installs the next version: patch the IWP index from the
+// commit's delta, swap in the new view, queue the old one for retirement
+// carrying the node IDs its replacement obsoleted, and opportunistically
+// drain the queue. lsn is the WAL record the new view reflects (0 on
+// non-WAL indexes). Callers hold ix.wmu. On error nothing has been
+// published.
+func (ix *Index) publishLocked(tree *rstar.Tree, den *grid.Density, delta rstar.Delta, lsn uint64) error {
+	old := ix.cur.Load()
+	idx, rebuilt, err := old.iwp.Apply(tree, delta)
 	if err != nil {
 		return err
 	}
-	old := ix.cur.Load()
-	nv.iwpBytesHint = old.iwpBytes()
+	if rebuilt {
+		ix.obs.iwpRebuilds.Inc()
+	}
+	nv, err := newView(tree, den, idx)
+	if err != nil {
+		return err
+	}
 	nv.lsn = lsn
 	// Stamp the generation before the swap: the instant nv is visible,
 	// ViewGeneration reports a number strictly above every entry cached
 	// against the superseded view, so a stale hit is impossible.
 	nv.gen = ix.vgen.Add(1)
-	old.retired = retired
+	old.retired = delta.Retired
 	ix.retireq = append(ix.retireq, old)
 	ix.cur.Store(nv)
 	ix.drainRetiredLocked()
