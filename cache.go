@@ -70,31 +70,6 @@ func (c *resultCache) stats() qcache.Stats {
 	return c.nwc.Stats().Add(c.knwc.Stats())
 }
 
-// metrics converts the summed cache counters into the public snapshot
-// form; a nil receiver (caching off) reports nil.
-func (c *resultCache) metrics() *ResultCacheMetrics {
-	if c == nil {
-		return nil
-	}
-	return resultCacheMetrics(c.stats())
-}
-
-// resultCacheMetrics converts qcache counters into the public form
-// (shared with the sharded router's exposition).
-func resultCacheMetrics(st qcache.Stats) *ResultCacheMetrics {
-	rc := &ResultCacheMetrics{
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Coalesced:     st.Coalesced,
-		Invalidations: st.Invalidations,
-		Entries:       st.Entries,
-	}
-	if total := rc.Hits + rc.Misses; total > 0 {
-		rc.HitRate = float64(rc.Hits) / float64(total)
-	}
-	return rc
-}
-
 // nwcCached answers q through the result cache when one is configured,
 // reporting whether the answer was a hit. Queries carrying a shared
 // scatter bound bypass the cache entirely: a bounded execution may

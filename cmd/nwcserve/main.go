@@ -136,7 +136,7 @@ func main() {
 	// transition.
 	health := server.NewHealth()
 	var handler atomic.Pointer[http.Handler]
-	boot := bootHandler(health)
+	boot := server.BootHandler(health)
 	handler.Store(&boot)
 	srv := &http.Server{
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -419,29 +419,6 @@ func newLogger(format string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
 	}
-}
-
-// bootHandler serves the startup window before the backend is open:
-// liveness succeeds (the process is up), readiness and everything else
-// answer 503 so load balancers and the load harness keep waiting.
-func bootHandler(h *server.Health) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !h.Ready() {
-			http.Error(w, "starting", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "starting", http.StatusServiceUnavailable)
-	})
-	return mux
 }
 
 // logRequests wraps h with one structured access-log line per request.

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nwcq/internal/obs"
 )
 
 // TestExplainNWCVisitSum is the tracing acceptance check: for every
@@ -211,8 +213,8 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("no slow-query entries under 1ns threshold")
 	}
-	if len(entries) > slowLogSize {
-		t.Fatalf("%d entries exceed ring size %d", len(entries), slowLogSize)
+	if len(entries) > obs.SlowLogSize {
+		t.Fatalf("%d entries exceed ring size %d", len(entries), obs.SlowLogSize)
 	}
 	for i := 1; i < len(entries); i++ {
 		if entries[i].StartedAt.After(entries[i-1].StartedAt) {

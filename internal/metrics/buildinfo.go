@@ -26,12 +26,3 @@ var buildOnce = sync.OnceValue(func() BuildInfo {
 
 // Build returns the process's build identity, resolved once.
 func Build() BuildInfo { return buildOnce() }
-
-// BuildInfoProm renders the nwcq_build_info gauge: constant value 1
-// with the identity in labels — the Prometheus convention for build
-// metadata, joinable onto any other family by label matching.
-func (p *PromWriter) BuildInfoProm() {
-	b := Build()
-	p.Header("nwcq_build_info", "gauge", "Build identity of the serving binary (constant 1; identity in labels).")
-	p.Value("nwcq_build_info", Labels{"version", b.Version, "go_version", b.GoVersion}, 1)
-}

@@ -7,9 +7,10 @@ import (
 	"strconv"
 )
 
-// Prometheus text exposition (format version 0.0.4) rendering, shared
-// by every backend that exports metrics: the single-index observe path
-// and the shard router's aggregated families.
+// Prometheus text exposition (format version 0.0.4) rendering. Every
+// exposition in the module — the shared family table (internal/obs),
+// the router's block, the server's per-endpoint and replica families —
+// goes through PromWriter; nothing else formats a # HELP line.
 
 // Labels is a flat name/value pair list ({"kind", "nwc"} renders as
 // {kind="nwc"}).
@@ -58,6 +59,19 @@ func (p *PromWriter) Value(name string, l Labels, v float64) {
 	p.printf("%s%s %s\n", name, l.String(), FormatPromValue(v))
 }
 
+// Counter emits a family holding one unlabelled counter sample — one
+// row of a family table.
+func (p *PromWriter) Counter(name, help string, v float64) {
+	p.Header(name, "counter", help)
+	p.Value(name, nil, v)
+}
+
+// Gauge is Counter for a gauge.
+func (p *PromWriter) Gauge(name, help string, v float64) {
+	p.Header(name, "gauge", help)
+	p.Value(name, nil, v)
+}
+
 // Histogram renders one histogram with Prometheus's cumulative buckets:
 // every _bucket line counts observations at or below its le bound, the
 // +Inf bucket equals _count.
@@ -81,7 +95,7 @@ func FormatPromValue(v float64) string {
 
 // SortedKeys returns m's keys in lexical order, for deterministic
 // exposition output.
-func SortedKeys(m map[string]uint64) []string {
+func SortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

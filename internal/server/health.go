@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
+	"net/http"
 	"sync/atomic"
 	"time"
 
 	"nwcq"
 	"nwcq/internal/qevent"
+	"nwcq/internal/repl"
 )
 
 // Option configures optional Server behaviour; pass options to New.
@@ -32,6 +35,48 @@ func (h *Health) SetReady(v bool) { h.ready.Store(v) }
 
 // Ready reports the current readiness state.
 func (h *Health) Ready() bool { return h.ready.Load() }
+
+// handleHealthz is liveness: the process is up.
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintln(w, "ok")
+}
+
+// readyzHandler is readiness: 503 until the gate opens (nil: no gate),
+// and on a follower 503 while the replica lags past its staleness bound
+// (nil: not a follower).
+func readyzHandler(h *Health, replica func() repl.Status) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if h != nil && !h.Ready() {
+			http.Error(w, "starting", http.StatusServiceUnavailable)
+			return
+		}
+		if replica != nil {
+			if st := replica(); !st.Ready {
+				http.Error(w, fmt.Sprintf(
+					"replica lagging: replica_lsn=%d leader_committed_lsn=%d lag_seconds=%.1f diverged=%t",
+					st.ReplicaLSN, st.LeaderCommittedLSN, st.LagSeconds, st.Diverged),
+					http.StatusServiceUnavailable)
+				return
+			}
+		}
+		handleHealthz(w, r)
+	}
+}
+
+// BootHandler serves the startup window before the backend is open, on
+// the same /healthz and /readyz handlers the full server mounts:
+// liveness succeeds (the process is up), readiness and everything else
+// answer 503 so load balancers and the load harness keep waiting.
+func BootHandler(h *Health) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", handleHealthz)
+	mux.HandleFunc("GET /readyz", readyzHandler(h, nil))
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "starting", http.StatusServiceUnavailable)
+	})
+	return mux
+}
 
 // WithHealth attaches a readiness gate to the server: GET /readyz
 // answers 503 until h.SetReady(true). Without it /readyz is always 200

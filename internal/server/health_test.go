@@ -26,7 +26,9 @@ func getStatus(t *testing.T, url string) int {
 
 // TestReadyzEndpoint: without a health gate /readyz is always 200; with
 // one it answers 503 until SetReady(true) and follows later flips, so a
-// load balancer never routes to a server still replaying its WAL.
+// load balancer never routes to a server still replaying its WAL. The
+// boot handler nwcserve listens with while the backend opens shares the
+// gate: liveness 200, readiness and every other path 503, then the flip.
 func TestReadyzEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	if code := getStatus(t, ts.URL+"/readyz"); code != http.StatusOK {
@@ -40,6 +42,19 @@ func TestReadyzEndpoint(t *testing.T) {
 	h := NewHealth()
 	gated := httptest.NewServer(New(idx, idx, WithHealth(h)).Handler())
 	t.Cleanup(gated.Close)
+	boot := httptest.NewServer(BootHandler(h))
+	t.Cleanup(boot.Close)
+
+	for path, want := range map[string]int{
+		"/healthz":                 http.StatusOK,
+		"/readyz":                  http.StatusServiceUnavailable,
+		"/metrics":                 http.StatusServiceUnavailable,
+		"/nwc?x=1&y=1&l=2&w=2&n=1": http.StatusServiceUnavailable,
+	} {
+		if code := getStatus(t, boot.URL+path); code != want {
+			t.Errorf("boot window %s: status %d, want %d", path, code, want)
+		}
+	}
 
 	if code := getStatus(t, gated.URL+"/readyz"); code != http.StatusServiceUnavailable {
 		t.Errorf("not ready: status %d, want 503", code)
@@ -49,8 +64,10 @@ func TestReadyzEndpoint(t *testing.T) {
 		t.Errorf("healthz while not ready: status %d, want 200", code)
 	}
 	h.SetReady(true)
-	if code := getStatus(t, gated.URL+"/readyz"); code != http.StatusOK {
-		t.Errorf("ready: status %d, want 200", code)
+	for _, base := range []string{gated.URL, boot.URL} {
+		if code := getStatus(t, base+"/readyz"); code != http.StatusOK {
+			t.Errorf("ready: status %d, want 200", code)
+		}
 	}
 	h.SetReady(false)
 	if code := getStatus(t, gated.URL+"/readyz"); code != http.StatusServiceUnavailable {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nwcq"
+	"nwcq/internal/metrics"
 	"nwcq/internal/repl"
 )
 
@@ -170,20 +171,19 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 
 // writeReplicaPrometheus appends the follower gauges to the Prometheus
 // exposition.
-func (s *Server) writeReplicaPrometheus(w http.ResponseWriter) {
-	st := s.replica()
-	b2i := func(b bool) int {
+func writeReplicaPrometheus(pw *metrics.PromWriter, st repl.Status) {
+	b2f := func(b bool) float64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	fmt.Fprintf(w, "# HELP nwcq_replica_lag_seconds Time since the replica last matched the leader's committed LSN (-1 before first catch-up).\n# TYPE nwcq_replica_lag_seconds gauge\nnwcq_replica_lag_seconds %g\n", st.LagSeconds)
-	fmt.Fprintf(w, "# HELP nwcq_replica_connected Whether the WAL stream to the leader is open.\n# TYPE nwcq_replica_connected gauge\nnwcq_replica_connected %d\n", b2i(st.Connected))
-	fmt.Fprintf(w, "# HELP nwcq_replica_ready Whether the replica serves within its staleness bound.\n# TYPE nwcq_replica_ready gauge\nnwcq_replica_ready %d\n", b2i(st.Ready))
-	fmt.Fprintf(w, "# HELP nwcq_replica_reconnects_total Stream reconnect attempts.\n# TYPE nwcq_replica_reconnects_total counter\nnwcq_replica_reconnects_total %d\n", st.Reconnects)
-	fmt.Fprintf(w, "# HELP nwcq_replica_snapshots_total Snapshot bootstraps received.\n# TYPE nwcq_replica_snapshots_total counter\nnwcq_replica_snapshots_total %d\n", st.Snapshots)
-	fmt.Fprintf(w, "# HELP nwcq_replica_records_applied_total Replicated WAL records applied.\n# TYPE nwcq_replica_records_applied_total counter\nnwcq_replica_records_applied_total %d\n", st.RecordsApplied)
-	fmt.Fprintf(w, "# HELP nwcq_replica_leader_durable_lsn Leader durable LSN from the last heartbeat.\n# TYPE nwcq_replica_leader_durable_lsn gauge\nnwcq_replica_leader_durable_lsn %d\n", st.LeaderDurableLSN)
-	fmt.Fprintf(w, "# HELP nwcq_replica_leader_committed_lsn Leader committed LSN from the last heartbeat.\n# TYPE nwcq_replica_leader_committed_lsn gauge\nnwcq_replica_leader_committed_lsn %d\n", st.LeaderCommittedLSN)
+	pw.Gauge("nwcq_replica_lag_seconds", "Time since the replica last matched the leader's committed LSN (-1 before first catch-up).", st.LagSeconds)
+	pw.Gauge("nwcq_replica_connected", "Whether the WAL stream to the leader is open.", b2f(st.Connected))
+	pw.Gauge("nwcq_replica_ready", "Whether the replica serves within its staleness bound.", b2f(st.Ready))
+	pw.Counter("nwcq_replica_reconnects_total", "Stream reconnect attempts.", float64(st.Reconnects))
+	pw.Counter("nwcq_replica_snapshots_total", "Snapshot bootstraps received.", float64(st.Snapshots))
+	pw.Counter("nwcq_replica_records_applied_total", "Replicated WAL records applied.", float64(st.RecordsApplied))
+	pw.Gauge("nwcq_replica_leader_durable_lsn", "Leader durable LSN from the last heartbeat.", float64(st.LeaderDurableLSN))
+	pw.Gauge("nwcq_replica_leader_committed_lsn", "Leader committed LSN from the last heartbeat.", float64(st.LeaderCommittedLSN))
 }

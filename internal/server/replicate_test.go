@@ -179,18 +179,17 @@ func TestReplicationEndToEnd(t *testing.T) {
 		t.Fatal("leader restart produced no reconnect")
 	}
 	// Prometheus exposition carries the follower gauges.
-	resp, err := http.Get(followerTS + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(buf)
-	resp.Body.Close()
-	text := string(buf[:n])
-	for _, want := range []string{"nwcq_replica_lag_seconds", "nwcq_replica_connected", "nwcq_replica_ready 1"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("prometheus output lacks %q", want)
+	values, typed := scrapeProm(t, followerTS)
+	for _, want := range []string{"nwcq_replica_lag_seconds", "nwcq_replica_connected", "nwcq_replica_ready"} {
+		if typed[want] != "gauge" {
+			t.Fatalf("prometheus output: family %s has type %q, want gauge", want, typed[want])
 		}
+	}
+	if values["nwcq_replica_ready"] != 1 {
+		t.Fatalf("nwcq_replica_ready = %g, want 1", values["nwcq_replica_ready"])
+	}
+	if got, want := values["nwcq_replica_lsn"], float64(replica.ReplicaLSN()); got != want || want == 0 {
+		t.Fatalf("nwcq_replica_lsn = %g, follower applied through %g", got, want)
 	}
 }
 

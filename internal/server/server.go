@@ -51,7 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -141,27 +140,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /batch/knwc", s.instrument("batch_knwc", s.handleBatchKNWC))
 	mux.HandleFunc("GET /wal/stream", s.instrument("wal_stream", s.handleWALStream))
 	mux.HandleFunc("GET /subscribe", s.instrument("subscribe", s.handleSubscribe))
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.health != nil && !s.health.Ready() {
-			http.Error(w, "starting", http.StatusServiceUnavailable)
-			return
-		}
-		if s.replica != nil {
-			if st := s.replica(); !st.Ready {
-				http.Error(w, fmt.Sprintf(
-					"replica lagging: replica_lsn=%d leader_committed_lsn=%d lag_seconds=%.1f diverged=%t",
-					st.ReplicaLSN, st.LeaderCommittedLSN, st.LagSeconds, st.Diverged),
-					http.StatusServiceUnavailable)
-				return
-			}
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("GET /healthz", handleHealthz)
+	mux.HandleFunc("GET /readyz", readyzHandler(s.health, s.replica))
 	return mux
 }
 
@@ -628,43 +608,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetricsPrometheus renders the index metrics plus the server's
-// per-endpoint counters in the Prometheus text exposition format.
+// per-endpoint families (and a follower's replica gauges) in the
+// Prometheus text exposition format. A PromWriter stops writing at its
+// first error — the client went away — and the handler stops rendering
+// there.
 func (s *Server) handleMetricsPrometheus(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.idx.WritePrometheus(w); err != nil {
-		return // client went away mid-write; nothing sensible to do
+		return
 	}
-	names := make([]string, 0, len(s.endpoints))
-	for name := range s.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP nwcq_http_requests_total HTTP requests served, by endpoint.\n# TYPE nwcq_http_requests_total counter\n")
+	names := metrics.SortedKeys(s.endpoints)
+	pw := &metrics.PromWriter{W: w}
+	pw.Header("nwcq_http_requests_total", "counter", "HTTP requests served, by endpoint.")
 	for _, name := range names {
-		fmt.Fprintf(w, "nwcq_http_requests_total{endpoint=%q} %d\n", name, s.endpoints[name].requests.Value())
+		pw.Value("nwcq_http_requests_total", metrics.Labels{"endpoint", name}, float64(s.endpoints[name].requests.Value()))
 	}
-	fmt.Fprintf(w, "# HELP nwcq_http_failures_total HTTP requests answered with status >= 400, by endpoint.\n# TYPE nwcq_http_failures_total counter\n")
+	pw.Header("nwcq_http_failures_total", "counter", "HTTP requests answered with status >= 400, by endpoint.")
 	for _, name := range names {
-		fmt.Fprintf(w, "nwcq_http_failures_total{endpoint=%q} %d\n", name, s.endpoints[name].failures.Value())
+		pw.Value("nwcq_http_failures_total", metrics.Labels{"endpoint", name}, float64(s.endpoints[name].failures.Value()))
 	}
-	fmt.Fprintf(w, "# HELP nwcq_http_latency_seconds HTTP request latency, by endpoint.\n# TYPE nwcq_http_latency_seconds histogram\n")
+	pw.Header("nwcq_http_latency_seconds", "histogram", "HTTP request latency, by endpoint.")
 	for _, name := range names {
-		snap := s.endpoints[name].latency.Snapshot()
-		cum := uint64(0)
-		for i, bound := range snap.Bounds {
-			cum += snap.Counts[i]
-			fmt.Fprintf(w, "nwcq_http_latency_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				name, strconv.FormatFloat(bound, 'g', -1, 64), cum)
-		}
-		cum += snap.Counts[len(snap.Counts)-1]
-		fmt.Fprintf(w, "nwcq_http_latency_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "nwcq_http_latency_seconds_sum{endpoint=%q} %s\n",
-			name, strconv.FormatFloat(snap.Sum, 'g', -1, 64))
-		fmt.Fprintf(w, "nwcq_http_latency_seconds_count{endpoint=%q} %d\n", name, cum)
+		pw.Histogram("nwcq_http_latency_seconds", metrics.Labels{"endpoint", name}, s.endpoints[name].latency.Snapshot())
 	}
-	if s.replica != nil {
-		s.writeReplicaPrometheus(w)
+	if s.replica == nil || pw.Err != nil {
+		return
 	}
+	writeReplicaPrometheus(pw, s.replica())
 }
 
 // handleSlowlog serves the retained slow-query log entries, newest

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"nwcq"
@@ -48,18 +47,14 @@ func TestPagedIndexMutations(t *testing.T) {
 		t.Fatalf("delete response %+v", del)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	text := string(body[:n])
+	values, typed := scrapeProm(t, ts.URL)
 	for _, want := range []string{"nwcq_wal_appends_total", "nwcq_page_syncs_total"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("prometheus metrics missing %s", want)
+		if typed[want] != "counter" {
+			t.Fatalf("prometheus metrics: family %s has type %q, want counter", want, typed[want])
 		}
+	}
+	if values["nwcq_wal_appends_total"] < 2 {
+		t.Fatalf("nwcq_wal_appends_total = %g after one insert and one delete", values["nwcq_wal_appends_total"])
 	}
 
 	ts.Close()

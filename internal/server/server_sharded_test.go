@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -84,15 +83,13 @@ func TestShardedBackend(t *testing.T) {
 		t.Fatalf("insert response %+v", ins)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
+	values, typed := scrapeProm(t, ts.URL)
+	if values["nwcq_shards"] != 4 {
+		t.Errorf("nwcq_shards = %g, want 4", values["nwcq_shards"])
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{"nwcq_shards 4", "nwcq_queries_total", "nwcq_http_requests_total"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("prometheus exposition missing %q", want)
+	for _, want := range []string{"nwcq_queries_total", "nwcq_http_requests_total"} {
+		if typed[want] != "counter" {
+			t.Errorf("prometheus exposition: family %s has type %q, want counter", want, typed[want])
 		}
 	}
 

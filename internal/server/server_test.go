@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"nwcq"
+	"nwcq/internal/repl"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -372,7 +375,9 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0
 
 // scrapeProm fetches /metrics?format=prometheus, validates every line
 // of the exposition, and returns sample values keyed by full series
-// name plus the declared TYPE per family.
+// name plus the declared TYPE per family. Beyond line syntax it lints
+// the family structure: one HELP and one TYPE per family, both ahead of
+// the family's first sample, and no sample without a declared family.
 func scrapeProm(t *testing.T, baseURL string) (values map[string]float64, typed map[string]string) {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/metrics?format=prometheus")
@@ -388,21 +393,37 @@ func scrapeProm(t *testing.T, baseURL string) (values map[string]float64, typed 
 	}
 	values = map[string]float64{}
 	typed = map[string]string{}
+	helped := map[string]bool{}
+	sampled := map[string]bool{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "# TYPE ") {
+		if strings.HasPrefix(line, "# TYPE ") || strings.HasPrefix(line, "# HELP ") {
 			parts := strings.Fields(line)
+			if len(parts) < 4 {
+				t.Fatalf("malformed comment line %q", line)
+			}
+			family := parts[2]
+			if sampled[family] {
+				t.Fatalf("%q follows the first sample of family %s", line, family)
+			}
+			if parts[1] == "HELP" {
+				if helped[family] {
+					t.Fatalf("second HELP for family %s", family)
+				}
+				helped[family] = true
+				continue
+			}
 			if len(parts) != 4 {
 				t.Fatalf("malformed TYPE line %q", line)
 			}
-			typed[parts[2]] = parts[3]
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
+			if _, dup := typed[family]; dup {
+				t.Fatalf("second TYPE for family %s", family)
+			}
+			typed[family] = parts[3]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -417,6 +438,20 @@ func scrapeProm(t *testing.T, baseURL string) (values map[string]float64, typed 
 			t.Fatalf("bad value in %q: %v", line, err)
 		}
 		values[line[:sp]] = v
+		family := line[:strings.IndexAny(line, "{ ")]
+		if _, ok := typed[family]; !ok {
+			// A histogram's series carry the family name plus a suffix.
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(family, suffix); base != family && typed[base] == "histogram" {
+					family = base
+					break
+				}
+			}
+		}
+		if _, ok := typed[family]; !ok {
+			t.Fatalf("sample %q has no preceding # TYPE", line)
+		}
+		sampled[family] = true
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -515,6 +550,48 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		t.Errorf("http requests for nwc = %g", values[`nwcq_http_requests_total{endpoint="nwc"}`])
 	}
 	checkBuildInfo(t, values, typed)
+}
+
+// cutWriter is a ResponseWriter whose client goes away: writes from the
+// failAt-th on fail, and it counts how many were attempted.
+type cutWriter struct {
+	header http.Header
+	failAt int
+	writes int
+}
+
+func (c *cutWriter) Header() http.Header { return c.header }
+func (c *cutWriter) WriteHeader(int)     {}
+func (c *cutWriter) Write(p []byte) (int, error) {
+	c.writes++
+	if c.writes >= c.failAt {
+		return 0, errors.New("client went away")
+	}
+	return len(p), nil
+}
+
+// TestMetricsPrometheusStopsAtFirstWriteError cuts the connection at
+// points spread over the whole exposition — index families, endpoint
+// families, replica gauges — and checks the failed write is the last
+// one attempted.
+func TestMetricsPrometheusStopsAtFirstWriteError(t *testing.T) {
+	idx, err := nwcq.Build([]nwcq.Point{{X: 1, Y: 1, ID: 1}, {X: 2, Y: 2, ID: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(idx, idx, WithReplica(func() repl.Status { return repl.Status{Ready: true} }))
+	whole := &cutWriter{header: http.Header{}, failAt: math.MaxInt}
+	s.handleMetricsPrometheus(whole)
+	if whole.writes < 100 {
+		t.Fatalf("full exposition took %d writes; the cut points below would not cover it", whole.writes)
+	}
+	for failAt := 1; failAt <= whole.writes; failAt += 29 {
+		w := &cutWriter{header: http.Header{}, failAt: failAt}
+		s.handleMetricsPrometheus(w)
+		if w.writes != failAt {
+			t.Errorf("connection cut at write %d of %d: %d writes attempted", failAt, whole.writes, w.writes)
+		}
+	}
 }
 
 func TestConcurrentRequests(t *testing.T) {

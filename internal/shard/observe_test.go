@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -127,17 +128,58 @@ func TestShardedExplain(t *testing.T) {
 	}
 }
 
-// TestShardedSlowLog checks the threshold fans out and entries merge.
+// TestShardedSlowLog checks the threshold fans out, entries merge, and
+// every routed entry point — the Ctx forms and the explained forms —
+// leaves one Source "router" entry, validation failures excepted.
 func TestShardedSlowLog(t *testing.T) {
 	_, sh := buildBoth(t, straddlePoints(rand.New(rand.NewSource(31)), 40), 2)
 	sh.SetSlowQueryThreshold(time.Nanosecond)
 	if got := sh.SlowQueryThreshold(); got != time.Nanosecond {
 		t.Fatalf("threshold=%v, want 1ns", got)
 	}
-	if _, err := sh.NWC(nwcq.Query{X: 50, Y: 50, Length: 8, Width: 8, N: 3}); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	q := nwcq.Query{X: 50, Y: 50, Length: 8, Width: 8, N: 3}
+	kq := nwcq.KQuery{Query: q, K: 2, M: 1}
+	routed := func(kind string) int {
+		n := 0
+		for _, e := range sh.SlowQueries() {
+			if e.Source == "router" && e.Kind == kind {
+				n++
+			}
+		}
+		return n
 	}
-	if entries := sh.SlowQueries(); len(entries) == 0 {
-		t.Fatal("no slow-query entries despite 1ns threshold")
+	for _, step := range []struct {
+		name, kind string
+		run        func() error
+	}{
+		{"NWC", "nwc", func() error { _, err := sh.NWC(q); return err }},
+		{"KNWC", "knwc", func() error { _, err := sh.KNWC(kq); return err }},
+		{"ExplainNWC", "nwc", func() error { _, _, err := sh.ExplainNWC(ctx, q); return err }},
+		{"ExplainKNWC", "knwc", func() error { _, _, err := sh.ExplainKNWC(ctx, kq); return err }},
+	} {
+		before := routed(step.kind)
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := routed(step.kind); got != before+1 {
+			t.Errorf("%s left %d router %s entries, want %d", step.name, got, step.kind, before+1)
+		}
+	}
+	before := len(sh.SlowQueries())
+	if _, _, err := sh.ExplainNWC(ctx, nwcq.Query{X: 50, Y: 50, Length: -1, Width: 8, N: 3}); !errors.Is(err, nwcq.ErrInvalidQuery) {
+		t.Fatalf("invalid query returned %v, want ErrInvalidQuery", err)
+	}
+	if got := len(sh.SlowQueries()); got != before {
+		t.Errorf("validation failure recorded: %d entries, was %d", got, before)
+	}
+	shardEntries := 0
+	for _, e := range sh.SlowQueries() {
+		if strings.HasPrefix(e.Source, "shard") {
+			shardEntries++
+		}
+	}
+	if shardEntries == 0 {
+		t.Error("no shard-level entries merged despite the 1ns threshold on every shard")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"nwcq"
 	"nwcq/internal/core"
 	"nwcq/internal/geom"
+	"nwcq/internal/obs"
 	wpool "nwcq/internal/pool"
 	"nwcq/internal/qevent"
 	"nwcq/internal/rstar"
@@ -139,7 +140,7 @@ type routeStats struct {
 // routed execution — a phase that never ran records zero, keeping the
 // three counts equal so their quantiles are comparable.
 func (s *Sharded) finishRoute(rt *routeStats, ev *qevent.Event) {
-	m := s.obs
+	m := s.ctr
 	m.shardQueries.Add(uint64(rt.shardsQueried))
 	m.shardsPruned.Add(uint64(rt.shardsPruned))
 	m.borderFetches.Add(uint64(rt.borderFetches))
@@ -259,13 +260,7 @@ func (s *Sharded) NWC(q nwcq.Query) (nwcq.Result, error) {
 func (s *Sharded) NWCCtx(ctx context.Context, q nwcq.Query) (nwcq.Result, error) {
 	start := time.Now()
 	res, hit, err := s.nwcCached(ctx, q)
-	elapsed := time.Since(start)
-	visits := res.Stats.NodeVisits
-	if hit {
-		visits = 0
-	}
-	s.obs.observe(rNWC, q.Scheme, elapsed, visits, err)
-	s.noteSlowRouted("nwc", q, 0, 0, start, elapsed, visits, err)
+	s.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, hit, err)
 	return res, err
 }
 
@@ -303,8 +298,7 @@ func (s *Sharded) ExplainNWC(ctx context.Context, q nwcq.Query) (nwcq.Result, *n
 	col := &explainCollector{}
 	start := time.Now()
 	res, err := s.nwc(ctx, q, col)
-	elapsed := time.Since(start)
-	s.obs.observe(rNWC, q.Scheme, elapsed, res.Stats.NodeVisits, err)
+	elapsed := s.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, false, err)
 	return res, col.merged("nwc", q.Scheme, q.Measure, elapsed, res.Stats.NodeVisits), err
 }
 
@@ -458,9 +452,9 @@ func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, b
 					if !ok {
 						return
 					}
-					s.obs.inflight.Add(1)
+					s.ctr.inflight.Add(1)
 					r, err := s.shardNWC(wctx, i, q, col)
-					s.obs.inflight.Add(-1)
+					s.ctr.inflight.Add(-1)
 					mu.Lock()
 					if err != nil {
 						if firstErr == nil {
@@ -482,7 +476,7 @@ func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, b
 		}(w)
 	}
 	wg.Wait()
-	s.obs.boundTightenings.Add(sb.Tightenings())
+	s.ctr.boundTightenings.Add(sb.Tightenings())
 	if firstErr != nil {
 		return out, best, firstErr
 	}
@@ -511,13 +505,7 @@ func (s *Sharded) KNWC(q nwcq.KQuery) (nwcq.KResult, error) {
 func (s *Sharded) KNWCCtx(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, error) {
 	start := time.Now()
 	res, hit, err := s.knwcCached(ctx, q)
-	elapsed := time.Since(start)
-	visits := res.Stats.NodeVisits
-	if hit {
-		visits = 0
-	}
-	s.obs.observe(rKNWC, q.Scheme, elapsed, visits, err)
-	s.noteSlowRouted("knwc", q.Query, q.K, q.M, start, elapsed, visits, err)
+	s.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, hit, err)
 	return res, err
 }
 
@@ -553,8 +541,7 @@ func (s *Sharded) ExplainKNWC(ctx context.Context, q nwcq.KQuery) (nwcq.KResult,
 	col := &explainCollector{}
 	start := time.Now()
 	res, err := s.knwc(ctx, q, col)
-	elapsed := time.Since(start)
-	s.obs.observe(rKNWC, q.Scheme, elapsed, res.Stats.NodeVisits, err)
+	elapsed := s.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, false, err)
 	return res, col.merged("knwc", q.Scheme, q.Measure, elapsed, res.Stats.NodeVisits), err
 }
 
@@ -750,9 +737,9 @@ func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point,
 					if !ok {
 						return
 					}
-					s.obs.inflight.Add(1)
+					s.ctr.inflight.Add(1)
 					kr, err := s.shardKNWC(wctx, i, q, col)
-					s.obs.inflight.Add(-1)
+					s.ctr.inflight.Add(-1)
 					mu.Lock()
 					if err != nil {
 						if firstErr == nil {
@@ -824,7 +811,7 @@ func (s *Sharded) Window(minX, minY, maxX, maxY float64) ([]nwcq.Point, error) {
 		}
 		out = append(out, pts...)
 	}
-	s.obs.observe(rWindow, nwcq.SchemeDefault, time.Since(start), 0, err)
+	s.rec.Observe(obs.KindWindow, start, err)
 	if err != nil {
 		return nil, err
 	}
@@ -836,7 +823,7 @@ func (s *Sharded) Window(minX, minY, maxX, maxY float64) ([]nwcq.Point, error) {
 func (s *Sharded) Nearest(x, y float64, k int) ([]nwcq.Point, error) {
 	start := time.Now()
 	out, err := s.nearest(x, y, k)
-	s.obs.observe(rNearest, nwcq.SchemeDefault, time.Since(start), 0, err)
+	s.rec.Observe(obs.KindNearest, start, err)
 	return out, err
 }
 

@@ -29,6 +29,7 @@ import (
 
 	"nwcq"
 	"nwcq/internal/geom"
+	"nwcq/internal/obs"
 	wpool "nwcq/internal/pool"
 	"nwcq/internal/qcache"
 )
@@ -105,7 +106,10 @@ type Sharded struct {
 	subResyncs    atomic.Uint64
 
 	created time.Time
-	obs     *routerMetrics
+	// rec is the query recorder — the same obs.Recorder a single index
+	// holds; ctr is the routing activity only a router has.
+	rec *obs.Recorder
+	ctr *routerCounters
 }
 
 // routerCache pairs the router's NWC and kNWC result caches — the
@@ -212,14 +216,17 @@ func rectFrom(r nwcq.Rect, points []nwcq.Point) geom.Rect {
 }
 
 // newRouter builds the Sharded shell: partitioning, regions, initial
-// bounds and router metrics. Shards are attached by the constructors.
+// bounds and router metrics. Shards are attached by the constructors,
+// which then copy the shards' slow-query threshold (a Build option,
+// the same on every shard) onto the router's recorder.
 func newRouter(space geom.Rect, n int) *Sharded {
 	gx, gy := splitGrid(n)
 	s := &Sharded{
 		space: space, gx: gx, gy: gy,
 		regions: make([]geom.Rect, n),
 		created: time.Now(),
-		obs:     newRouterMetrics(),
+		rec:     obs.NewRecorder(0, "router"),
+		ctr:     newRouterCounters(),
 	}
 	cw, ch := space.Width()/float64(gx), space.Height()/float64(gy)
 	for i := 0; i < n; i++ {
@@ -348,6 +355,7 @@ func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 	for i, part := range parts {
 		s.extendBounds(i, part)
 	}
+	s.rec.SetSlowThreshold(s.shards[0].SlowQueryThreshold())
 	return s, nil
 }
 
@@ -384,6 +392,7 @@ func OpenSharded(dir string, opt Options) (*Sharded, error) {
 		}
 		s.extendBounds(i, all)
 	}
+	s.rec.SetSlowThreshold(s.shards[0].SlowQueryThreshold())
 	return s, nil
 }
 
@@ -510,7 +519,7 @@ func (s *Sharded) Insert(p nwcq.Point) error {
 	i := s.shardFor(p.X, p.Y)
 	s.extendBounds(i, []nwcq.Point{p})
 	err := s.shards[i].Insert(p)
-	s.obs.observe(rInsert, nwcq.SchemeDefault, time.Since(start), 0, err)
+	s.rec.Observe(obs.KindInsert, start, err)
 	return err
 }
 
@@ -535,7 +544,7 @@ func (s *Sharded) InsertBatch(pts []nwcq.Point) error {
 func (s *Sharded) Delete(p nwcq.Point) (bool, error) {
 	start := time.Now()
 	found, err := s.shards[s.shardFor(p.X, p.Y)].Delete(p)
-	s.obs.observe(rDelete, nwcq.SchemeDefault, time.Since(start), 0, err)
+	s.rec.Observe(obs.KindDelete, start, err)
 	return found, err
 }
 

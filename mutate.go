@@ -6,6 +6,7 @@ import (
 
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
+	"nwcq/internal/obs"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
 )
@@ -46,7 +47,7 @@ import (
 func (ix *Index) Insert(p Point) error {
 	start := time.Now()
 	err := ix.insert(p)
-	ix.obs.observe(kindInsert, SchemeDefault, time.Since(start), 0, err)
+	ix.rec.Observe(obs.KindInsert, start, err)
 	return err
 }
 
@@ -70,7 +71,7 @@ func (ix *Index) insert(p Point) error {
 func (ix *Index) InsertBatch(pts []Point) error {
 	start := time.Now()
 	err := ix.insertBatch(pts)
-	ix.obs.observe(kindInsert, SchemeDefault, time.Since(start), 0, err)
+	ix.rec.Observe(obs.KindInsert, start, err)
 	return err
 }
 
@@ -135,7 +136,7 @@ func (ix *Index) insertLocked(gpts []geom.Point) (uint64, error) {
 func (ix *Index) Delete(p Point) (bool, error) {
 	start := time.Now()
 	found, err := ix.delete(p)
-	ix.obs.observe(kindDelete, SchemeDefault, time.Since(start), 0, err)
+	ix.rec.Observe(obs.KindDelete, start, err)
 	return found, err
 }
 
@@ -157,7 +158,7 @@ func (ix *Index) delete(p Point) (bool, error) {
 func (ix *Index) DeleteBatch(pts []Point) ([]bool, error) {
 	start := time.Now()
 	founds, err := ix.deleteBatch(pts)
-	ix.obs.observe(kindDelete, SchemeDefault, time.Since(start), 0, err)
+	ix.rec.Observe(obs.KindDelete, start, err)
 	return founds, err
 }
 

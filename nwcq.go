@@ -52,6 +52,8 @@ import (
 	"nwcq/internal/core"
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
+	"nwcq/internal/metrics"
+	"nwcq/internal/obs"
 	"nwcq/internal/pager"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
@@ -292,11 +294,15 @@ type Index struct {
 	retireq []*view
 
 	options buildOptions
-	obs     *queryMetrics
-	// slow is the slow-query log (lock-free ring + atomic threshold);
-	// created anchors the uptime reported by Metrics.
-	slow    *slowLog
+	// rec is the query recorder shared in kind with the shard router
+	// (internal/obs): per-kind histograms, scheme counts and the slow
+	// log. created anchors the uptime reported by Metrics.
+	rec     *obs.Recorder
 	created time.Time
+	// iwpRebuilds counts full IWP index rebuilds on the publish path: a
+	// mutation that changed the tree's height. Every other mutation
+	// patches the index and does not count.
+	iwpRebuilds metrics.Counter
 	// pageStats reports buffer-pool counters for paged indexes (nil for
 	// in-memory indexes); Metrics uses it to expose cache effectiveness.
 	pageStats func() pager.Stats
@@ -539,7 +545,7 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 	frozen.ResetVisits()
 	ix := &Index{
 		options: o,
-		obs:     newQueryMetrics(), slow: newSlowLog(o.slowThreshold), created: time.Now(),
+		rec:     obs.NewRecorder(o.slowThreshold, ""), created: time.Now(),
 		cache: newResultCache(o.resultCache),
 		subs:  sub.NewRegistry(o.subQueue),
 	}
@@ -576,15 +582,7 @@ func (ix *Index) NWC(q Query) (Result, error) {
 func (ix *Index) NWCCtx(ctx context.Context, q Query) (Result, error) {
 	start := time.Now()
 	res, hit, err := ix.nwcCached(ctx, q)
-	elapsed := time.Since(start)
-	visits := res.Stats.NodeVisits
-	if hit {
-		// A cache hit visits no nodes; the stored Stats describe the
-		// execution that populated the entry.
-		visits = 0
-	}
-	ix.obs.observe(kindNWC, q.Scheme, elapsed, visits, err)
-	ix.noteSlow(kindNWC, q, 0, 0, start, elapsed, visits, err)
+	ix.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, hit, err)
 	return res, err
 }
 
@@ -626,13 +624,7 @@ func (ix *Index) nwcOnView(ctx context.Context, v *view, q Query, rec *trace.Rec
 func (ix *Index) KNWCCtx(ctx context.Context, q KQuery) (KResult, error) {
 	start := time.Now()
 	res, hit, err := ix.knwcCached(ctx, q)
-	elapsed := time.Since(start)
-	visits := res.Stats.NodeVisits
-	if hit {
-		visits = 0
-	}
-	ix.obs.observe(kindKNWC, q.Scheme, elapsed, visits, err)
-	ix.noteSlow(kindKNWC, q.Query, q.K, q.M, start, elapsed, visits, err)
+	ix.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, hit, err)
 	return res, err
 }
 
@@ -682,7 +674,7 @@ func (ix *Index) KNWC(q KQuery) (KResult, error) {
 func (ix *Index) Window(minX, minY, maxX, maxY float64) ([]Point, error) {
 	start := time.Now()
 	pts, err := ix.window(context.Background(), minX, minY, maxX, maxY)
-	ix.obs.observe(kindWindow, SchemeDefault, time.Since(start), 0, err)
+	ix.rec.Observe(obs.KindWindow, start, err)
 	return pts, err
 }
 
@@ -704,7 +696,7 @@ func (ix *Index) window(ctx context.Context, minX, minY, maxX, maxY float64) ([]
 func (ix *Index) Nearest(x, y float64, k int) ([]Point, error) {
 	start := time.Now()
 	pts, err := ix.nearest(context.Background(), x, y, k)
-	ix.obs.observe(kindNearest, SchemeDefault, time.Since(start), 0, err)
+	ix.rec.Observe(obs.KindNearest, start, err)
 	return pts, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nwcq/internal/obs"
 	"nwcq/internal/pager"
 )
 
@@ -23,13 +24,13 @@ func buildTestIndex(t *testing.T, n int) *Index {
 func TestSchemeIndexRoundTrip(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		s := NewScheme(i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0)
-		if got := schemeIndex(s); got != i {
-			t.Errorf("schemeIndex(NewScheme(%04b)) = %d, want %d", i, got, i)
+		if got := obs.SchemeIndex(s.Flags()); got != i {
+			t.Errorf("SchemeIndex(NewScheme(%04b).Flags()) = %d, want %d", i, got, i)
 		}
 	}
 	// The zero value resolves to all optimisations on.
-	if got := schemeIndex(SchemeDefault); got != 15 {
-		t.Errorf("schemeIndex(SchemeDefault) = %d, want 15", got)
+	if got := obs.SchemeIndex(SchemeDefault.Flags()); got != 15 {
+		t.Errorf("SchemeIndex(SchemeDefault.Flags()) = %d, want 15", got)
 	}
 }
 

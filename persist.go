@@ -8,6 +8,7 @@ import (
 
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
+	"nwcq/internal/obs"
 	"nwcq/internal/pager"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
@@ -328,10 +329,10 @@ func finishPaged(tree *rstar.Tree, gpts []geom.Point, o buildOptions, pages *pag
 	px := &PagedIndex{
 		Index: Index{
 			options: o,
-			obs:     newQueryMetrics(), pageStats: pages.Stats,
-			slow: newSlowLog(o.slowThreshold), created: time.Now(),
-			dur:  dur,
-			subs: sub.NewRegistry(o.subQueue),
+			rec:     obs.NewRecorder(o.slowThreshold, ""), pageStats: pages.Stats,
+			created: time.Now(),
+			dur:     dur,
+			subs:    sub.NewRegistry(o.subQueue),
 		},
 		pages: pages,
 		file:  f,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"nwcq/internal/obs"
 	"nwcq/internal/sub"
 )
 
@@ -102,27 +103,8 @@ var (
 	_ TemporalQuerier = (*Index)(nil)
 )
 
-// SubscriptionStats snapshots the subscription subsystem's counters.
-type SubscriptionStats struct {
-	Active     int64  `json:"active"`
-	Published  uint64 `json:"published"`
-	Notified   uint64 `json:"notified"`
-	Coalesced  uint64 `json:"coalesced"`
-	Resyncs    uint64 `json:"resyncs"`
-	Delivered  uint64 `json:"delivered"`
-	EvalErrors uint64 `json:"eval_errors"`
-}
-
-func subStatsFrom(st sub.Stats) SubscriptionStats {
-	return SubscriptionStats{
-		Active: st.Active, Published: st.Published, Notified: st.Notified,
-		Coalesced: st.Coalesced, Resyncs: st.Resyncs,
-		Delivered: st.Delivered, EvalErrors: st.EvalErrors,
-	}
-}
-
 // SubscriptionStats returns the subscription counters.
-func (ix *Index) SubscriptionStats() SubscriptionStats { return subStatsFrom(ix.subs.Stats()) }
+func (ix *Index) SubscriptionStats() SubscriptionStats { return ix.subs.Stats() }
 
 // SubRegistry exposes the index's subscription registry. It exists for
 // the sharded router (internal/shard), which attaches lightweight
@@ -259,7 +241,7 @@ func (ix *Index) RetainedLSNs() (oldest, newest uint64) {
 func (ix *Index) NWCAsOf(ctx context.Context, q Query, lsn uint64) (Result, error) {
 	start := time.Now()
 	res, err := ix.nwcAsOf(ctx, q, lsn)
-	ix.obs.observe(kindNWC, q.Scheme, time.Since(start), res.Stats.NodeVisits, err)
+	ix.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, false, err)
 	return res, err
 }
 
@@ -279,7 +261,7 @@ func (ix *Index) nwcAsOf(ctx context.Context, q Query, lsn uint64) (Result, erro
 func (ix *Index) KNWCAsOf(ctx context.Context, q KQuery, lsn uint64) (KResult, error) {
 	start := time.Now()
 	res, err := ix.knwcAsOf(ctx, q, lsn)
-	ix.obs.observe(kindKNWC, q.Scheme, time.Since(start), res.Stats.NodeVisits, err)
+	ix.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, false, err)
 	return res, err
 }
 

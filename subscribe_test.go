@@ -394,6 +394,9 @@ func TestTemporalReadsMatchSubscriptionFrames(t *testing.T) {
 
 	ctx := context.Background()
 	frames := drainFrames(t, s)
+	// From here on only the as-of reads run, each past a 1ns threshold:
+	// they must reach the slow log like every other entry point.
+	px.SetSlowQueryThreshold(time.Nanosecond)
 	updates := 0
 	for _, u := range frames[1:] {
 		res, err := px.NWCAsOf(ctx, q, u.LSN)
@@ -412,6 +415,21 @@ func TestTemporalReadsMatchSubscriptionFrames(t *testing.T) {
 	if updates == 0 {
 		t.Fatal("no update frames; the temporal cross-check is vacuous")
 	}
+	// A validation failure never executed and stays out of the log.
+	if _, err := px.NWCAsOf(ctx, Query{X: 500, Y: 500, Length: 100, Width: 100}, frames[1].LSN); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("as-of read with N=0 returned %v, want ErrInvalidQuery", err)
+	}
+	slow := map[string]int{}
+	for _, e := range px.SlowQueries() {
+		slow[e.Kind]++
+		if e.Source != "" || e.N != q.N || e.Duration <= 0 {
+			t.Fatalf("as-of slow-log entry malformed: %+v", e)
+		}
+	}
+	if slow["nwc"] != updates || slow["knwc"] != updates {
+		t.Fatalf("slow log holds %v after %d NWCAsOf + %d KNWCAsOf past a 1ns threshold", slow, updates, updates)
+	}
+	px.SetSlowQueryThreshold(0)
 
 	oldest, newest := px.RetainedLSNs()
 	if oldest > newest {

@@ -2,14 +2,11 @@ package nwcq
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"nwcq/internal/metrics"
+	"nwcq/internal/obs"
 	"nwcq/internal/trace"
 )
 
@@ -23,10 +20,11 @@ import (
 // instrumentation point — no clocks, no atomics, no allocation (see
 // BenchmarkNWCTraceOff/BenchmarkNWCTraceOn).
 //
-// The slow-query log is a lock-free ring (internal/metrics.Ring) of the
-// most recent queries that exceeded a configurable latency threshold;
-// recording is one atomic increment plus one pointer store, off the
-// fast path entirely while the threshold is unset.
+// The slow-query log is a lock-free ring (internal/metrics.Ring, held by
+// the index's obs.Recorder) of the most recent queries that exceeded a
+// configurable latency threshold; recording is one atomic increment
+// plus one pointer store, off the fast path entirely while the
+// threshold is unset.
 
 // PhaseTrace is one algorithm phase's share of a traced query. Phases
 // interleave during the best-first traversal, so Duration and
@@ -231,9 +229,7 @@ func (ix *Index) ExplainNWC(ctx context.Context, q Query) (Result, *QueryTrace, 
 	rec := trace.New()
 	start := time.Now()
 	res, err := ix.nwc(ctx, q, rec)
-	elapsed := time.Since(start)
-	ix.obs.observe(kindNWC, q.Scheme, elapsed, res.Stats.NodeVisits, err)
-	ix.noteSlow(kindNWC, q, 0, 0, start, elapsed, res.Stats.NodeVisits, err)
+	ix.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, false, err)
 	return res, queryTraceFrom("nwc", q.Scheme, q.Measure, rec, res.Stats), err
 }
 
@@ -243,62 +239,8 @@ func (ix *Index) ExplainKNWC(ctx context.Context, q KQuery) (KResult, *QueryTrac
 	rec := trace.New()
 	start := time.Now()
 	res, err := ix.knwc(ctx, q, rec)
-	elapsed := time.Since(start)
-	ix.obs.observe(kindKNWC, q.Scheme, elapsed, res.Stats.NodeVisits, err)
-	ix.noteSlow(kindKNWC, q.Query, q.K, q.M, start, elapsed, res.Stats.NodeVisits, err)
+	ix.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, false, err)
 	return res, queryTraceFrom("knwc", q.Scheme, q.Measure, rec, res.Stats), err
-}
-
-// ---------------------------------------------------------------------
-// Slow-query log
-// ---------------------------------------------------------------------
-
-// SlowQueryEntry records one query that exceeded the slow-query
-// threshold: its parameters, timing and I/O cost.
-type SlowQueryEntry struct {
-	// Kind is "nwc" or "knwc".
-	Kind    string `json:"kind"`
-	Scheme  string `json:"scheme"`
-	Measure string `json:"measure"`
-	// The query parameters.
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Length float64 `json:"length"`
-	Width  float64 `json:"width"`
-	N      int     `json:"n"`
-	K      int     `json:"k,omitempty"`
-	M      int     `json:"m,omitempty"`
-	// StartedAt is the wall-clock start, Duration the monotonic
-	// elapsed time, NodeVisits the I/O cost.
-	StartedAt  time.Time     `json:"started_at"`
-	Duration   time.Duration `json:"duration_ns"`
-	NodeVisits uint64        `json:"node_visits"`
-	// Source names the level that recorded the entry in a sharded
-	// deployment: "router" for whole routed queries (end-to-end time
-	// including scatter, border fetches and merging) or "shard<i>" for
-	// one shard's local share. Empty on a single-index backend.
-	Source string `json:"source,omitempty"`
-	// Error is set when the query failed (including cancellation).
-	Error string `json:"error,omitempty"`
-}
-
-// slowLogSize is the number of entries the slow-query ring retains.
-const slowLogSize = 128
-
-// slowLog pairs the latency threshold (atomic, runtime-adjustable) with
-// the lock-free ring of offending queries. thresholdNs zero means off:
-// the query path then pays one atomic load and one branch.
-type slowLog struct {
-	thresholdNs atomic.Int64
-	ring        *metrics.Ring[SlowQueryEntry]
-}
-
-func newSlowLog(threshold time.Duration) *slowLog {
-	s := &slowLog{ring: metrics.NewRing[SlowQueryEntry](slowLogSize)}
-	if threshold > 0 {
-		s.thresholdNs.Store(int64(threshold))
-	}
-	return s
 }
 
 // WithSlowQueryThreshold enables the slow-query log: every NWC/kNWC
@@ -313,50 +255,13 @@ func WithSlowQueryThreshold(threshold time.Duration) BuildOption {
 // zero or negative disables the log. Safe to call concurrently with
 // queries.
 func (ix *Index) SetSlowQueryThreshold(threshold time.Duration) {
-	if threshold < 0 {
-		threshold = 0
-	}
-	ix.slow.thresholdNs.Store(int64(threshold))
+	ix.rec.SetSlowThreshold(threshold)
 }
 
 // SlowQueryThreshold returns the current threshold, zero when the log
 // is disabled.
-func (ix *Index) SlowQueryThreshold() time.Duration {
-	return time.Duration(ix.slow.thresholdNs.Load())
-}
+func (ix *Index) SlowQueryThreshold() time.Duration { return ix.rec.SlowThreshold() }
 
 // SlowQueries returns the retained slow-query log entries, newest
 // first. Safe to call concurrently with queries.
-func (ix *Index) SlowQueries() []SlowQueryEntry {
-	ptrs := ix.slow.ring.Snapshot()
-	out := make([]SlowQueryEntry, 0, len(ptrs))
-	for _, p := range ptrs {
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StartedAt.After(out[j].StartedAt) })
-	return out
-}
-
-// noteSlow records the query in the slow log when it exceeded the
-// threshold. The entry is built only past the threshold check, so the
-// fast path costs an atomic load and a compare. Queries rejected at
-// validation never executed — and may carry NaN/Inf parameters that
-// would poison the log's JSON encoding — so they are not recorded.
-func (ix *Index) noteSlow(kind queryKind, q Query, k, m int, start time.Time, elapsed time.Duration, visits uint64, err error) {
-	th := ix.slow.thresholdNs.Load()
-	if th <= 0 || int64(elapsed) < th || errors.Is(err, ErrInvalidQuery) {
-		return
-	}
-	e := &SlowQueryEntry{
-		Kind:    kindNames[kind],
-		Scheme:  q.Scheme.String(),
-		Measure: q.Measure.String(),
-		X:       q.X, Y: q.Y, Length: q.Length, Width: q.Width, N: q.N,
-		K: k, M: m,
-		StartedAt: start, Duration: elapsed, NodeVisits: visits,
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	ix.slow.ring.Put(e)
-}
+func (ix *Index) SlowQueries() []SlowQueryEntry { return ix.rec.SlowQueries() }

@@ -1,14 +1,15 @@
 package nwcq
 
 import (
-	"errors"
 	"fmt"
 	"math"
+
+	"nwcq/internal/obs"
 )
 
 // ErrInvalidQuery tags every parameter-validation failure in this
 // package; test rejections with errors.Is(err, nwcq.ErrInvalidQuery).
-var ErrInvalidQuery = errors.New("nwcq: invalid query")
+var ErrInvalidQuery = obs.ErrInvalidQuery
 
 // ValidationError reports exactly which parameter a query was rejected
 // for. It unwraps to ErrInvalidQuery.

@@ -112,7 +112,7 @@ func (ix *Index) publishLocked(tree *rstar.Tree, den *grid.Density, delta rstar.
 		return err
 	}
 	if rebuilt {
-		ix.obs.iwpRebuilds.Inc()
+		ix.iwpRebuilds.Inc()
 	}
 	nv, err := newView(tree, den, idx)
 	if err != nil {
