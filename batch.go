@@ -2,10 +2,8 @@ package nwcq
 
 import (
 	"context"
-	"fmt"
 
 	"nwcq/internal/pool"
-	"nwcq/internal/qevent"
 )
 
 // Batch execution. Queries are safe under unrestricted concurrency, so
@@ -45,22 +43,7 @@ func (ix *Index) NWCBatch(queries []Query, opt BatchOptions) ([]Result, error) {
 // runs under ctx, so cancellation aborts the whole batch with the
 // context's error.
 func (ix *Index) NWCBatchCtx(ctx context.Context, queries []Query, opt BatchOptions) ([]Result, error) {
-	// A wide event is owned by one request; concurrent batch members must
-	// not race on it, so the fan-out runs detached.
-	ctx = qevent.Detach(ctx)
-	results := make([]Result, len(queries))
-	err := pool.Each(len(queries), ix.batchWorkers(opt), func(i int) error {
-		res, err := ix.NWCCtx(ctx, queries[i])
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return pool.Map(ctx, queries, pool.Workers(opt.Parallelism, ix.options.parallelism), ix.NWCCtx)
 }
 
 // KNWCBatch answers many kNWC queries concurrently. The i-th result
@@ -72,18 +55,5 @@ func (ix *Index) KNWCBatch(queries []KQuery, opt BatchOptions) ([]KResult, error
 // KNWCBatchCtx is KNWCBatch under a context, with NWCBatchCtx's
 // cancellation semantics.
 func (ix *Index) KNWCBatchCtx(ctx context.Context, queries []KQuery, opt BatchOptions) ([]KResult, error) {
-	ctx = qevent.Detach(ctx)
-	results := make([]KResult, len(queries))
-	err := pool.Each(len(queries), ix.batchWorkers(opt), func(i int) error {
-		res, err := ix.KNWCCtx(ctx, queries[i])
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return pool.Map(ctx, queries, pool.Workers(opt.Parallelism, ix.options.parallelism), ix.KNWCCtx)
 }

@@ -233,7 +233,7 @@ func BenchmarkNWCQuery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				_, _, err := env.Engine.NWC(core.Query{Q: q, L: 60, W: 60, N: 8}, scheme, core.MeasureMax)
+				_, _, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: 60, W: 60, N: 8}, scheme, core.MeasureMax, core.Exec{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,7 +263,7 @@ func BenchmarkNWCDense(b *testing.B) {
 					X: 5000 + float64(i%5-2)*sigma/4,
 					Y: 5000 + float64(i/5%5-2)*sigma/4,
 				}
-				_, _, err := env.Engine.NWC(core.Query{Q: q, L: 60, W: 60, N: 8}, core.SchemeNWCStar, core.MeasureMax)
+				_, _, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: 60, W: 60, N: 8}, core.SchemeNWCStar, core.MeasureMax, core.Exec{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -429,9 +429,9 @@ func BenchmarkKNWCQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				_, _, err := env.Engine.KNWC(core.KNWCQuery{
+				_, _, err := env.Engine.KNWC(context.Background(), core.KNWCQuery{
 					Query: core.Query{Q: q, L: 60, W: 60, N: 8}, K: k, M: 2,
-				}, core.SchemeNWCStar, core.MeasureMax)
+				}, core.SchemeNWCStar, core.MeasureMax, core.Exec{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -76,7 +76,8 @@ func (p SyncPolicy) String() string {
 
 const (
 	// defaultCheckpointBytes triggers a checkpoint once this many log
-	// bytes accumulate (WithWALCheckpointBytes overrides).
+	// bytes accumulate (tests shrink it through
+	// buildOptions.walCheckpointBytes).
 	defaultCheckpointBytes = 1 << 20
 	// defaultSyncInterval is the SyncInterval flush cadence when
 	// WithWALSyncInterval is not given a duration.

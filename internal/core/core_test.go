@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,7 +151,7 @@ func TestNWCMatchesBruteForceAllSchemes(t *testing.T) {
 			for _, measure := range allMeasures {
 				want := BruteForceNWC(pts, qy, measure)
 				for _, scheme := range allSchemes {
-					got, _, err := eng.NWC(qy, scheme, measure)
+					got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -187,12 +188,12 @@ func TestSchemesAgreeOnLargerData(t *testing.T) {
 				N: 1 + rng.Intn(10),
 			}
 			measure := allMeasures[trial%len(allMeasures)]
-			base, baseStats, err := eng.NWC(qy, SchemeNWC, measure)
+			base, baseStats, err := eng.NWC(context.Background(), qy, SchemeNWC, measure, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, scheme := range allSchemes[1:] {
-				got, st, err := eng.NWC(qy, scheme, measure)
+				got, st, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +223,7 @@ func TestOptimisationsReduceIO(t *testing.T) {
 	qy := Query{Q: geom.Point{X: 500, Y: 500}, L: 20, W: 20, N: 5}
 	visits := map[string]uint64{}
 	for _, scheme := range allSchemes {
-		_, st, err := eng.NWC(qy, scheme, MeasureMax)
+		_, st, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func TestPlainNWCVisitsWholeTree(t *testing.T) {
 	pts := genPoints(rng, 2000, false)
 	eng := buildEngine(t, pts, 10, 25)
 	qy := Query{Q: geom.Point{X: 500, Y: 500}, L: 15, W: 15, N: 4}
-	_, st, err := eng.NWC(qy, SchemeNWC, MeasureMax)
+	_, st, err := eng.NWC(context.Background(), qy, SchemeNWC, MeasureMax, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestNWCN1IsNearestNeighborLike(t *testing.T) {
 	eng := buildEngine(t, pts, 8, 50)
 	q := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 	qy := Query{Q: q, L: 10, W: 10, N: 1}
-	got, _, err := eng.NWC(qy, SchemeNWCStar, MeasureMax)
+	got, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, MeasureMax, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestNoQualifiedWindow(t *testing.T) {
 	// n larger than the dataset: impossible.
 	qy := Query{Q: geom.Point{X: 500, Y: 500}, L: 10, W: 10, N: len(pts) + 1}
 	for _, scheme := range allSchemes {
-		got, _, err := eng.NWC(qy, scheme, MeasureMax)
+		got, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +303,7 @@ func TestNoQualifiedWindow(t *testing.T) {
 	}
 	// Tiny window on sparse data can also fail.
 	qy = Query{Q: geom.Point{X: 500, Y: 500}, L: 0.001, W: 0.001, N: 3}
-	got, _, err := eng.NWC(qy, SchemeNWCStar, MeasureMax)
+	got, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, MeasureMax, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestNoQualifiedWindow(t *testing.T) {
 
 func TestEmptyDataset(t *testing.T) {
 	eng := buildEngine(t, nil, 8, 50)
-	got, st, err := eng.NWC(Query{Q: geom.Point{X: 1, Y: 1}, L: 5, W: 5, N: 1}, SchemeNWCStar, MeasureMax)
+	got, st, err := eng.NWC(context.Background(), Query{Q: geom.Point{X: 1, Y: 1}, L: 5, W: 5, N: 1}, SchemeNWCStar, MeasureMax, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +336,12 @@ func TestValidation(t *testing.T) {
 		{Q: geom.Point{X: math.NaN()}, L: 5, W: 5, N: 1},
 	}
 	for _, qy := range bad {
-		if _, _, err := eng.NWC(qy, SchemeNWC, MeasureMax); err == nil {
+		if _, _, err := eng.NWC(context.Background(), qy, SchemeNWC, MeasureMax, Exec{}); err == nil {
 			t.Errorf("query %+v accepted", qy)
 		}
 	}
 	ok := Query{Q: geom.Point{X: 1, Y: 1}, L: 5, W: 5, N: 1}
-	if _, _, err := eng.NWC(ok, SchemeNWC, Measure(99)); err == nil {
+	if _, _, err := eng.NWC(context.Background(), ok, SchemeNWC, Measure(99), Exec{}); err == nil {
 		t.Error("invalid measure accepted")
 	}
 	// Engines without substrate reject schemes that need it.
@@ -348,10 +349,10 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bare.NWC(ok, SchemeDEP, MeasureMax); err == nil {
+	if _, _, err := bare.NWC(context.Background(), ok, SchemeDEP, MeasureMax, Exec{}); err == nil {
 		t.Error("DEP without grid accepted")
 	}
-	if _, _, err := bare.NWC(ok, SchemeIWP, MeasureMax); err == nil {
+	if _, _, err := bare.NWC(context.Background(), ok, SchemeIWP, MeasureMax, Exec{}); err == nil {
 		t.Error("IWP without index accepted")
 	}
 	if _, err := NewEngine(nil, nil, nil); err == nil {
@@ -366,7 +367,7 @@ func TestQueryFarOutsideSpace(t *testing.T) {
 	qy := Query{Q: geom.Point{X: -5000, Y: 8000}, L: 60, W: 60, N: 3}
 	want := BruteForceNWC(pts, qy, MeasureMax)
 	for _, scheme := range allSchemes {
-		got, _, err := eng.NWC(qy, scheme, MeasureMax)
+		got, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +405,7 @@ func TestDuplicateHeavyDataset(t *testing.T) {
 		for _, measure := range allMeasures {
 			want := BruteForceNWC(pts, qy, measure)
 			for _, scheme := range allSchemes {
-				got, _, err := eng.NWC(qy, scheme, measure)
+				got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -454,7 +455,7 @@ func TestStatsAccounting(t *testing.T) {
 	pts := genPoints(rng, 1000, true)
 	eng := buildEngine(t, pts, 8, 25)
 	qy := Query{Q: geom.Point{X: 500, Y: 500}, L: 25, W: 25, N: 4}
-	_, st, err := eng.NWC(qy, SchemeNWCStar, MeasureMax)
+	_, st, err := eng.NWC(context.Background(), qy, SchemeNWCStar, MeasureMax, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

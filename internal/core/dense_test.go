@@ -64,7 +64,7 @@ func TestDenseVerifyCeilings(t *testing.T) {
 						best = g.Dist
 						improvements++
 					}
-				}, measure, rec, nil)
+				}, measure, Exec{Rec: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestDenseVerifyCeilings(t *testing.T) {
 				t.Errorf("%v query %d: traversal stats %+v, want %+v", measure, i, st, want[i])
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, _, err := eng.NWC(qy, SchemeNWCStar, measure); err != nil {
+				if _, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, measure, Exec{}); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -53,7 +54,7 @@ func FuzzNWCAgainstOracle(f *testing.F) {
 		}
 		want := BruteForceNWC(pts, qy, measure)
 		for _, scheme := range allSchemes {
-			got, _, err := eng.NWC(qy, scheme, measure)
+			got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func FuzzKNWCDefinition(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups, _, err := eng.KNWC(qy, SchemeNWCStar, MeasureMax)
+		groups, _, err := eng.KNWC(context.Background(), qy, SchemeNWCStar, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}

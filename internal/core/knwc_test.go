@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,7 +111,7 @@ func TestKNWCSatisfiesDefinition3(t *testing.T) {
 			qy.M = rng.Intn(qy.N) // m < n keeps groups meaningfully distinct
 			for _, measure := range allMeasures {
 				for _, scheme := range knwcSchemes {
-					groups, _, err := eng.KNWC(qy, scheme, measure)
+					groups, _, err := eng.KNWC(context.Background(), qy, scheme, measure, Exec{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,7 +142,7 @@ func TestKNWCFirstGroupIsOptimal(t *testing.T) {
 		qy.M = rng.Intn(qy.N)
 		want := BruteForceNWC(pts, qy.Query, MeasureMax)
 		for _, scheme := range knwcSchemes {
-			groups, _, err := eng.KNWC(qy, scheme, MeasureMax)
+			groups, _, err := eng.KNWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +183,7 @@ func TestKNWCMatchesGreedyReference(t *testing.T) {
 		for _, measure := range allMeasures {
 			want := BruteForceKNWC(pts, qy, measure)
 			for _, scheme := range knwcSchemes {
-				got, _, err := eng.KNWC(qy, scheme, measure)
+				got, _, err := eng.KNWC(context.Background(), qy, scheme, measure, Exec{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,11 +213,11 @@ func TestKNWCK1EqualsNWC(t *testing.T) {
 			W: rng.Float64()*30 + 5,
 			N: 1 + rng.Intn(6),
 		}
-		nwc, _, err := eng.NWC(q, SchemeNWCStar, MeasureMax)
+		nwc, _, err := eng.NWC(context.Background(), q, SchemeNWCStar, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups, _, err := eng.KNWC(KNWCQuery{Query: q, K: 1, M: 0}, SchemeNWCStar, MeasureMax)
+		groups, _, err := eng.KNWC(context.Background(), KNWCQuery{Query: q, K: 1, M: 0}, SchemeNWCStar, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func TestKNWCMoreGroupsCostMore(t *testing.T) {
 	q := Query{Q: geom.Point{X: 500, Y: 500}, L: 20, W: 20, N: 4}
 	var prev uint64
 	for _, k := range []int{1, 4, 16} {
-		_, st, err := eng.KNWC(KNWCQuery{Query: q, K: k, M: 1}, SchemeNWCStar, MeasureMax)
+		_, st, err := eng.KNWC(context.Background(), KNWCQuery{Query: q, K: k, M: 1}, SchemeNWCStar, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestKNWCLargerMIsEasier(t *testing.T) {
 	prevDist := math.Inf(1)
 	first := true
 	for _, m := range []int{5, 3, 1, 0} { // descending m
-		groups, _, err := eng.KNWC(KNWCQuery{Query: q, K: 4, M: m}, SchemeNWCStar, MeasureMax)
+		groups, _, err := eng.KNWC(context.Background(), KNWCQuery{Query: q, K: 4, M: m}, SchemeNWCStar, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,11 +283,11 @@ func TestKNWCValidation(t *testing.T) {
 		{Query: Query{Q: geom.Point{}, L: 0, W: 5, N: 1}, K: 1, M: 0},
 	}
 	for _, qy := range bad {
-		if _, _, err := eng.KNWC(qy, SchemeNWC, MeasureMax); err == nil {
+		if _, _, err := eng.KNWC(context.Background(), qy, SchemeNWC, MeasureMax, Exec{}); err == nil {
 			t.Errorf("kNWC query %+v accepted", qy)
 		}
 	}
-	if _, _, err := eng.KNWC(KNWCQuery{Query: ok, K: 1, M: 0}, SchemeNWC, Measure(42)); err == nil {
+	if _, _, err := eng.KNWC(context.Background(), KNWCQuery{Query: ok, K: 1, M: 0}, SchemeNWC, Measure(42), Exec{}); err == nil {
 		t.Error("invalid measure accepted")
 	}
 }

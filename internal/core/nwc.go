@@ -19,13 +19,21 @@ type Result struct {
 	Found bool
 }
 
-// NWC answers query qy with the given scheme and measure under no
-// cancellation. It is shorthand for NWCCtx with a background context.
-func (e *Engine) NWC(qy Query, scheme Scheme, measure Measure) (Result, Stats, error) {
-	return e.NWCCtx(context.Background(), qy, scheme, measure)
+// Exec is the execution descriptor of one engine query: what rides
+// along with the traversal without changing its answer. The zero value
+// is a plain untraced, unshared execution.
+type Exec struct {
+	// Rec, when non-nil, receives per-query structured tracing: the
+	// traversal attributes wall time, node visits and pruning decisions
+	// to algorithm phases on it. A nil Rec costs the query path one
+	// nil-check branch per instrumentation point and nothing else.
+	Rec *trace.Recorder
+	// Bound, when non-nil, is a cooperative shared bound (NWC only; see
+	// Engine.NWC and, for why kNWC ignores it, Engine.KNWC).
+	Bound *rstar.SharedBound
 }
 
-// NWCCtx answers query qy with the given scheme and measure. It
+// NWC answers query qy with the given scheme and measure. It
 // implements Algorithm 1: a best-first traversal of the R*-tree visits
 // objects in ascending distance from q; each object generates its
 // search region and a window query; every candidate window found is
@@ -35,24 +43,12 @@ func (e *Engine) NWC(qy Query, scheme Scheme, measure Measure) (Result, Stats, e
 // The context is consulted at node-visit granularity: once ctx is done
 // the traversal stops and the context's error is returned, along with
 // the stats accumulated so far.
-func (e *Engine) NWCCtx(ctx context.Context, qy Query, scheme Scheme, measure Measure) (Result, Stats, error) {
-	return e.NWCTrace(ctx, qy, scheme, measure, nil)
-}
-
-// NWCTrace is NWCCtx with per-query structured tracing: when rec is
-// non-nil the traversal attributes wall time, node visits and pruning
-// decisions to algorithm phases on it. A nil rec costs the query path
-// one nil-check branch per instrumentation point and nothing else.
-func (e *Engine) NWCTrace(ctx context.Context, qy Query, scheme Scheme, measure Measure, rec *trace.Recorder) (Result, Stats, error) {
-	return e.NWCBounded(ctx, qy, scheme, measure, rec, nil)
-}
-
-// NWCBounded is NWCTrace with a cooperative shared bound. When sb is
-// non-nil, every pruning decision (SRR, DIP, DEP, the window MINDIST
-// gate) tests against min(local best, shared cell) — so a bound found
-// by any concurrent search over another partition of the dataset
-// shrinks this traversal's frontier at node-visit granularity — and
-// every local improvement is published back into the cell.
+//
+// When x.Bound is non-nil, every pruning decision (SRR, DIP, DEP, the
+// window MINDIST gate) tests against min(local best, shared cell) — so
+// a bound found by any concurrent search over another partition of the
+// dataset shrinks this traversal's frontier at node-visit granularity —
+// and every local improvement is published back into the cell.
 //
 // Sharing is sound for the single-best NWC search because the cell is
 // monotone non-increasing and always at least the final global best B:
@@ -64,7 +60,7 @@ func (e *Engine) NWCTrace(ctx context.Context, qy Query, scheme Scheme, measure 
 // except that groups at distance ≥ the global bound may be elided —
 // exactly the ones a scatter-gather merge discards anyway. See
 // DESIGN.md §12.
-func (e *Engine) NWCBounded(ctx context.Context, qy Query, scheme Scheme, measure Measure, rec *trace.Recorder, sb *rstar.SharedBound) (Result, Stats, error) {
+func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measure, x Exec) (Result, Stats, error) {
 	if err := qy.Validate(); err != nil {
 		return Result{}, Stats{}, err
 	}
@@ -83,7 +79,7 @@ func (e *Engine) NWCBounded(ctx context.Context, qy Query, scheme Scheme, measur
 			found = true
 		}
 	}
-	if sb != nil {
+	if sb := x.Bound; sb != nil {
 		bound = func() float64 {
 			b := best.Dist
 			if g := sb.Load(); g < b {
@@ -99,7 +95,7 @@ func (e *Engine) NWCBounded(ctx context.Context, qy Query, scheme Scheme, measur
 			}
 		}
 	}
-	stats, err := e.search(ctx, qy, scheme, bound, emit, measure, rec, sb)
+	stats, err := e.search(ctx, qy, scheme, bound, emit, measure, x)
 	if err != nil {
 		return Result{}, stats, err
 	}
@@ -175,10 +171,11 @@ func (pq *pqueue) pop() pqItem {
 // concurrent searches never share a mutable counter. The reader also
 // checks ctx before every node read, giving cancellation at node-visit
 // granularity.
-func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, emit func(Group), measure Measure, rec *trace.Recorder, sb *rstar.SharedBound) (Stats, error) {
+func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, emit func(Group), measure Measure, x Exec) (Stats, error) {
 	var st Stats
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
-	r := e.tree.Reader(ctx, &st.NodeVisits).WithTrace(rec).WithBound(sb)
+	rec := x.Rec
+	r := e.tree.Reader(ctx, &st.NodeVisits).WithTrace(rec).WithBound(x.Bound)
 
 	// Working memory (heap, candidate buffer, selection scratch) is
 	// borrowed from a pool: under batch load the steady state allocates

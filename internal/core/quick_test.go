@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -77,7 +78,7 @@ func TestQuickNWCOptimality(t *testing.T) {
 		}
 		measure := allMeasures[int(mRaw)%len(allMeasures)]
 		want := BruteForceNWC(pts, qy, measure)
-		got, _, err := eng.NWC(qy, SchemeNWCStar, measure)
+		got, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, measure, Exec{})
 		if err != nil {
 			return false
 		}
@@ -116,11 +117,11 @@ func TestQuickSchemeEquivalence(t *testing.T) {
 			N: int(nRaw%6) + 1,
 		}
 		scheme := allSchemes[int(sRaw)%len(allSchemes)]
-		base, _, err := eng.NWC(qy, SchemeNWC, MeasureMax)
+		base, _, err := eng.NWC(context.Background(), qy, SchemeNWC, MeasureMax, Exec{})
 		if err != nil {
 			return false
 		}
-		got, _, err := eng.NWC(qy, scheme, MeasureMax)
+		got, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 		if err != nil {
 			return false
 		}
@@ -161,7 +162,7 @@ func TestQuickKNWCStructure(t *testing.T) {
 			K: int(kRaw%4) + 1,
 			M: int(mRaw) % n,
 		}
-		groups, _, err := eng.KNWC(qy, SchemeNWCStar, MeasureMax)
+		groups, _, err := eng.KNWC(context.Background(), qy, SchemeNWCStar, MeasureMax, Exec{})
 		if err != nil {
 			return false
 		}
@@ -211,7 +212,7 @@ func TestConcurrentReadQueries(t *testing.T) {
 					Q: geom.Point{X: float64((seed*37 + i*211) % 1000), Y: float64((seed*91 + i*53) % 1000)},
 					L: 30, W: 30, N: 4,
 				}
-				if _, _, err := eng.NWC(q, SchemeNWCPlus, MeasureMax); err != nil {
+				if _, _, err := eng.NWC(context.Background(), q, SchemeNWCPlus, MeasureMax, Exec{}); err != nil {
 					errs <- err
 					return
 				}

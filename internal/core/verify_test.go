@@ -109,7 +109,7 @@ func TestTieHeavyMatchesOracles(t *testing.T) {
 			for _, measure := range allMeasures {
 				want := BruteForceNWC(pts, qy, measure)
 				for _, scheme := range schemes {
-					got, _, err := eng.NWC(qy, scheme, measure)
+					got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -126,7 +126,7 @@ func TestTieHeavyMatchesOracles(t *testing.T) {
 					kq := KNWCQuery{Query: qy, K: 3, M: m}
 					ref := BruteForceKNWC(pts, kq, measure)
 					for _, scheme := range schemes {
-						groups, _, err := eng.KNWC(kq, scheme, measure)
+						groups, _, err := eng.KNWC(context.Background(), kq, scheme, measure, Exec{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -174,7 +174,7 @@ func TestSharedBoundAtTheOptimum(t *testing.T) {
 			for _, scheme := range []Scheme{SchemeNWC, SchemeNWCStar} {
 				at := rstar.NewSharedBound()
 				at.Tighten(want.Dist)
-				got, _, err := eng.NWCBounded(context.Background(), qy, scheme, measure, nil, at)
+				got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{Bound: at})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,7 +185,7 @@ func TestSharedBoundAtTheOptimum(t *testing.T) {
 				}
 				above := rstar.NewSharedBound()
 				above.Tighten(math.Nextafter(want.Dist, math.Inf(1)))
-				got, _, err = eng.NWCBounded(context.Background(), qy, scheme, measure, nil, above)
+				got, _, err = eng.NWC(context.Background(), qy, scheme, measure, Exec{Bound: above})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"nwcq/internal/core"
@@ -132,7 +133,7 @@ type Measurement struct {
 func RunNWC(env *Env, queries []geom.Point, l, w float64, n int, scheme core.Scheme, measure core.Measure) (Measurement, error) {
 	var m Measurement
 	for _, q := range queries {
-		res, st, err := env.Engine.NWC(core.Query{Q: q, L: l, W: w, N: n}, scheme, measure)
+		res, st, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: l, W: w, N: n}, scheme, measure, core.Exec{})
 		if err != nil {
 			return m, fmt.Errorf("harness: %s/%v: %w", env.Name, scheme, err)
 		}
@@ -154,9 +155,9 @@ func RunNWC(env *Env, queries []geom.Point, l, w float64, n int, scheme core.Sch
 func RunKNWC(env *Env, queries []geom.Point, l, w float64, n, k, mm int, scheme core.Scheme, measure core.Measure) (Measurement, error) {
 	var m Measurement
 	for _, q := range queries {
-		groups, st, err := env.Engine.KNWC(core.KNWCQuery{
+		groups, st, err := env.Engine.KNWC(context.Background(), core.KNWCQuery{
 			Query: core.Query{Q: q, L: l, W: w, N: n}, K: k, M: mm,
-		}, scheme, measure)
+		}, scheme, measure, core.Exec{})
 		if err != nil {
 			return m, fmt.Errorf("harness: %s/%v: %w", env.Name, scheme, err)
 		}

@@ -1,19 +1,26 @@
 // Package pool provides the bounded worker pool every fan-out path
-// shares: batch execution on all backends, the sharded router's scatter
-// phase, and its border/certify fetch passes. One implementation keeps
-// the claim/fail semantics identical everywhere.
+// shares: batch execution on all backends (Map), the sharded router's
+// scatter scheduler, and its border/certify fetch passes (Each). One
+// implementation keeps the claim/fail semantics identical everywhere.
 package pool
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"sync"
+
+	"nwcq/internal/qevent"
 )
 
-// Workers resolves a parallelism knob: n itself when positive,
-// GOMAXPROCS otherwise.
-func Workers(n int) int {
-	if n > 0 {
-		return n
+// Workers resolves a chain of parallelism knobs, most specific first
+// (a per-call option, then the backend's configured width): the first
+// positive one wins, GOMAXPROCS when none is.
+func Workers(knobs ...int) int {
+	for _, n := range knobs {
+		if n > 0 {
+			return n
+		}
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -75,4 +82,26 @@ func Each(n, workers int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// Map answers every query of a batch with fn over a bounded worker
+// pool. The i-th result corresponds to in[i]; the first error aborts
+// the batch and names the member that failed.
+func Map[Q, R any](ctx context.Context, in []Q, workers int, fn func(context.Context, Q) (R, error)) ([]R, error) {
+	// A wide event is owned by one request; concurrent batch members must
+	// not race on it, so the fan-out runs detached.
+	ctx = qevent.Detach(ctx)
+	out := make([]R, len(in))
+	err := Each(len(in), workers, func(i int) error {
+		r, err := fn(ctx, in[i])
+		if err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+		out[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -15,12 +15,19 @@
 // and share its value. A leader error is never cached — waiters fall
 // back to computing for themselves, uncached, since the error may be
 // private to the leader's context.
+//
+// Resolve is the one cached-execution sequence both frontends (the
+// index and the shard router) run a query through: bypass or lookup,
+// single-flight compute, and the cache outcome stamped on the request's
+// wide event.
 package qcache
 
 import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"nwcq/internal/qevent"
 )
 
 // Stats is a point-in-time copy of a cache's counters.
@@ -63,10 +70,12 @@ type Cache[K comparable, V any] struct {
 	hits, misses, coalesced, invalidations atomic.Uint64
 }
 
-// New returns a cache holding at most capacity entries (minimum 1).
+// New returns a cache holding at most capacity entries, or nil —
+// caching off, which Resolve understands — when capacity is not
+// positive.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity < 1 {
-		capacity = 1
+		return nil
 	}
 	return &Cache[K, V]{capacity: capacity, m: make(map[K]*entry[V], capacity)}
 }
@@ -165,6 +174,38 @@ func (c *Cache[K, V]) Do(ctx context.Context, gen uint64, k K, fn func() (V, err
 	c.mu.Unlock()
 	close(e.done)
 	return v, err
+}
+
+// Resolve answers k through c and reports whether the answer was a hit,
+// stamping the outcome on the wide event riding ctx, if any. bypass
+// marks an execution that must neither read nor fill the cache (an
+// explained or temporal query, or one running under a shared scatter
+// bound, whose result may legitimately elide groups an unbounded caller
+// needs); a nil c means caching is off. Either way fn runs directly. gen
+// is the caller's dataset generation.
+func Resolve[K comparable, V any](ctx context.Context, c *Cache[K, V], bypass bool, gen uint64, k K, fn func() (V, error)) (v V, hit bool, err error) {
+	ev := qevent.From(ctx)
+	if bypass || c == nil {
+		if ev != nil {
+			ev.Cache = qevent.CacheOff
+			if bypass {
+				ev.Cache = qevent.CacheBypass
+			}
+		}
+		v, err = fn()
+		return v, false, err
+	}
+	if v, hit = c.Get(gen, k); hit {
+		if ev != nil {
+			ev.Cache = qevent.CacheHit
+		}
+		return v, true, nil
+	}
+	if ev != nil {
+		ev.Cache = qevent.CacheMiss
+	}
+	v, err = c.Do(ctx, gen, k, fn)
+	return v, false, err
 }
 
 // evictLocked frees one slot, preferring a landed entry over an

@@ -185,6 +185,26 @@ func TestQueryLogWideEvents(t *testing.T) {
 	if knwc.K != 2 || knwc.M != 1 {
 		t.Errorf("knwc k/m = %d/%d, want 2/1", knwc.K, knwc.M)
 	}
+
+	// Explained and temporal requests run the same path: their events
+	// carry the cache outcome ("bypass": these kinds never consult the
+	// cache) and the phase split of the recorder that ran.
+	getJSON(t, ts.URL+"/nwc?x=500&y=500&l=80&w=80&n=4&explain=1", &tmp)
+	getJSON(t, ts.URL+"/knwc?x=500&y=500&l=80&w=80&n=3&k=2&m=1&explain=1", &struct{}{})
+	getJSON(t, ts.URL+"/nwc?x=500&y=500&l=80&w=80&n=4&as_of_lsn=0", &tmp)
+	recs = decodeQueryLog(t, sb.Lines())
+	if len(recs) != 5 {
+		t.Fatalf("%d records, want 5", len(recs))
+	}
+	for i, name := range []string{"nwc explain", "knwc explain", "nwc as_of_lsn"} {
+		rec := recs[2+i]
+		if rec.Cache != "bypass" {
+			t.Errorf("%s: cache outcome = %q, want bypass", name, rec.Cache)
+		}
+		if len(rec.Phases) == 0 {
+			t.Errorf("%s: record carries no engine phase breakdown", name)
+		}
+	}
 }
 
 // TestQueryLogSampling checks 1-in-N sampling: with n=3 requests

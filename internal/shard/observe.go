@@ -118,8 +118,8 @@ func (s *Sharded) Metrics() nwcq.MetricsSnapshot {
 	for _, ix := range s.shards {
 		src.AddShard(ix.Metrics())
 	}
-	if c := s.rcache; c != nil {
-		st := c.stats()
+	if s.nwcCache != nil {
+		st := s.nwcCache.Stats().Add(s.knwcCache.Stats())
 		src.ResultCache = &st
 	}
 	out := s.rec.Snapshot(src)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -76,6 +77,112 @@ func TestParallelMatchesSequentialAllSchemes(t *testing.T) {
 				}
 				knwcAgree(t, "kpar/"+label, kpar, kOracle)
 			}
+		}
+	}
+
+	// Entry-point equivalence: at either width, the same query through
+	// every public name is one routed execution — same answer, recorded
+	// exactly once. Node visits are compared at width 1 only: under the
+	// shared bound, how much a traversal prunes depends on when the other
+	// shards' improvements land.
+	ctx := context.Background()
+	for _, width := range []int{1, 4} {
+		sh.SetParallelism(width)
+		// counted runs one entry point and checks the router recorded
+		// exactly one more query of kind.
+		counted := func(label, kind string, call func()) {
+			t.Helper()
+			before := sh.Metrics().Queries[kind]
+			call()
+			after := sh.Metrics().Queries[kind]
+			if after.Count != before.Count+1 || after.Errors != before.Errors {
+				t.Fatalf("width %d %s: %s count %d → %d, errors %d → %d; want one more, no errors",
+					width, label, kind, before.Count, after.Count, before.Errors, after.Errors)
+			}
+		}
+		for qi, qq := range queries {
+			q := nwcq.Query{X: qq.x, Y: qq.y, Length: qq.l, Width: qq.w, N: qq.n}
+			ref, err := sh.NWCCtx(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(label string, got nwcq.Result) {
+				t.Helper()
+				if got.Found != ref.Found || got.Dist != ref.Dist || !reflect.DeepEqual(got.Objects, ref.Objects) ||
+					(width == 1 && got.Stats.NodeVisits != ref.Stats.NodeVisits) {
+					t.Fatalf("width %d q%d %s:\n got %+v\nwant %+v", width, qi, label, got, ref)
+				}
+			}
+			counted("NWCCtx", "nwc", func() {
+				got, err := sh.NWCCtx(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("NWCCtx", got)
+			})
+			counted("ExplainNWC", "nwc", func() {
+				got, tr, err := sh.ExplainNWC(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("ExplainNWC", got)
+				if tr.NodeVisits != got.Stats.NodeVisits {
+					t.Fatalf("width %d q%d: trace visits %d, result %d", width, qi, tr.NodeVisits, got.Stats.NodeVisits)
+				}
+			})
+			counted("NWCBatch", "nwc", func() {
+				got, err := sh.NWCBatchCtx(ctx, []nwcq.Query{q}, nwcq.BatchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("NWCBatch", got[0])
+			})
+			counted("Subscribe", "nwc", func() {
+				sub, err := sh.Subscribe(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				init, err := sub.Next(ctx, nil)
+				sub.Close()
+				if err != nil || init.Kind != nwcq.SubInit {
+					t.Fatalf("width %d q%d init frame: %+v, %v", width, qi, init, err)
+				}
+				same("Subscribe init", init.Result)
+			})
+
+			kq := nwcq.KQuery{Query: q, K: 3, M: 1}
+			kref, err := sh.KNWCCtx(ctx, kq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ksame := func(label string, got nwcq.KResult) {
+				t.Helper()
+				if got.Found != kref.Found || !reflect.DeepEqual(got.Groups, kref.Groups) ||
+					(width == 1 && got.Stats.NodeVisits != kref.Stats.NodeVisits) {
+					t.Fatalf("width %d q%d %s:\n got %+v\nwant %+v", width, qi, label, got, kref)
+				}
+			}
+			counted("KNWCCtx", "knwc", func() {
+				got, err := sh.KNWCCtx(ctx, kq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ksame("KNWCCtx", got)
+			})
+			counted("ExplainKNWC", "knwc", func() {
+				got, _, err := sh.ExplainKNWC(ctx, kq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ksame("ExplainKNWC", got)
+			})
+			counted("KNWCBatch", "knwc", func() {
+				got, err := sh.KNWCBatchCtx(ctx, []nwcq.KQuery{kq}, nwcq.BatchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ksame("KNWCBatch", got[0])
+			})
 		}
 	}
 }
@@ -239,10 +346,10 @@ func TestRouterCacheCoalescingUnderMutations(t *testing.T) {
 	if !res.Found {
 		t.Fatalf("inserted group invisible after publishes (stale router cache?)")
 	}
-	if sh.rcache == nil {
+	if sh.nwcCache == nil {
 		t.Fatal("router cache not constructed")
 	}
-	if st := sh.rcache.stats(); st.Hits+st.Misses == 0 {
+	if st := sh.nwcCache.Stats().Add(sh.knwcCache.Stats()); st.Hits+st.Misses == 0 {
 		t.Fatalf("cache never consulted: %+v", st)
 	}
 }

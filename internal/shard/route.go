@@ -15,6 +15,7 @@ import (
 	"nwcq/internal/geom"
 	"nwcq/internal/obs"
 	wpool "nwcq/internal/pool"
+	"nwcq/internal/qcache"
 	"nwcq/internal/qevent"
 	"nwcq/internal/rstar"
 )
@@ -258,36 +259,8 @@ func (s *Sharded) NWC(q nwcq.Query) (nwcq.Result, error) {
 // cache configured (Options.ResultCache) the answer may be served from
 // a previous identical query against the same dataset version.
 func (s *Sharded) NWCCtx(ctx context.Context, q nwcq.Query) (nwcq.Result, error) {
-	start := time.Now()
-	res, hit, err := s.nwcCached(ctx, q)
-	s.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, hit, err)
+	res, _, err := s.routeNWC(ctx, q, nil)
 	return res, err
-}
-
-func (s *Sharded) nwcCached(ctx context.Context, q nwcq.Query) (nwcq.Result, bool, error) {
-	ev := qevent.From(ctx)
-	c := s.rcache
-	if c == nil {
-		if ev != nil {
-			ev.Cache = qevent.CacheOff
-		}
-		res, err := s.nwc(ctx, q, nil)
-		return res, false, err
-	}
-	gen := s.generation()
-	if res, ok := c.nwc.Get(gen, q); ok {
-		if ev != nil {
-			ev.Cache = qevent.CacheHit
-		}
-		return res, true, nil
-	}
-	if ev != nil {
-		ev.Cache = qevent.CacheMiss
-	}
-	res, err := c.nwc.Do(ctx, gen, q, func() (nwcq.Result, error) {
-		return s.nwc(ctx, q, nil)
-	})
-	return res, false, err
 }
 
 // ExplainNWC answers an NWC query with per-shard tracing, merging the
@@ -296,10 +269,19 @@ func (s *Sharded) nwcCached(ctx context.Context, q nwcq.Query) (nwcq.Result, boo
 // Explained queries never touch the result cache.
 func (s *Sharded) ExplainNWC(ctx context.Context, q nwcq.Query) (nwcq.Result, *nwcq.QueryTrace, error) {
 	col := &explainCollector{}
-	start := time.Now()
-	res, err := s.nwc(ctx, q, col)
-	elapsed := s.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, false, err)
+	res, elapsed, err := s.routeNWC(ctx, q, col)
 	return res, col.merged("nwc", q.Scheme, q.Measure, elapsed, res.Stats.NodeVisits), err
+}
+
+// routeNWC is the router's one NWC path: through the result cache
+// unless a collector marks the query explained, then recorded.
+func (s *Sharded) routeNWC(ctx context.Context, q nwcq.Query, col *explainCollector) (nwcq.Result, time.Duration, error) {
+	start := time.Now()
+	res, hit, err := qcache.Resolve(ctx, s.nwcCache, col != nil, s.generation(), q, func() (nwcq.Result, error) {
+		return s.nwc(ctx, q, col)
+	})
+	elapsed := s.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, hit, err)
+	return res, elapsed, err
 }
 
 func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) (nwcq.Result, error) {
@@ -368,128 +350,99 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) 
 	return out, nil
 }
 
-// scatterNWC runs the scatter phase and returns the merged best local
-// answer (best is +Inf when no shard found one). With one worker — or
-// one shard, the automatic fallback — it is the original sequential
-// loop, byte for byte of allocation. With more, workers claim shards
-// off the MINDIST schedule and cooperate through a shared bound cell:
+// scatter is the scatter phase's one scheduler, for both query kinds
+// and every pool width: it visits the shards in MINDIST order (home
+// first) over the shared worker pool, whose one-worker case is a plain
+// loop on the calling goroutine. A shard other than home whose MINDIST
+// exceeds limit() when a worker claims it is skipped — the paper's
+// best-first node pruning lifted to shard granularity; every other
+// shard runs query and has its result folded in by absorb. limit and
+// absorb run under the scatter mutex, so they may share state freely.
+// The first query error stops further claims and is returned once the
+// in-flight shards finish.
+func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geom.Rect, home, workers int, rt *routeStats,
+	limit func() float64, query func(context.Context, int) (R, error), absorb func(R)) error {
+	order := s.visitOrder(qp, bounds, home)
+	var mu sync.Mutex
+	return wpool.Each(len(order), workers, func(j int) error {
+		i := order[j]
+		mu.Lock()
+		pruned := i != home && bounds[i].MinDist(qp) > limit()
+		if pruned {
+			rt.shardsPruned++
+		}
+		mu.Unlock()
+		if pruned {
+			return nil
+		}
+		var (
+			r   R
+			err error
+		)
+		s.ctr.inflight.Add(1)
+		// The label shows up on CPU profiles, splitting scatter work by
+		// shard under /debug/pprof.
+		pprof.Do(ctx, pprof.Labels("nwcq_scatter_shard", strconv.Itoa(i)), func(ctx context.Context) {
+			r, err = query(ctx, i)
+		})
+		s.ctr.inflight.Add(-1)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		rt.shardsQueried++
+		absorb(r)
+		mu.Unlock()
+		return nil
+	})
+}
+
+// scatterNWC runs the NWC scatter phase and returns the merged best
+// local answer (best is +Inf when no shard found one). With more than
+// one worker — never on a single shard, the automatic fallback — the
+// shard traversals cooperate through a shared bound cell:
 //
 //   - Every shard traversal runs with the cell on its reader, so SRR,
 //     DIP, DEP and the window MINDIST gate prune against
 //     min(local best, global bound) and publish improvements back.
 //   - A shard still queued when the cell drops below its region MINDIST
 //     is cancelled at claim time (counted in ShardsPruned, like the
-//     sequential prune).
+//     sequential prune). The cell is ≤ every completed shard's best, so
+//     it is at least as sharp as the sequential bound.
 //
 // Safety: the cell is monotone non-increasing and always ≥ the final
 // global best B, so claim-time pruning only skips shards whose every
 // group is ≥ B, and in-traversal pruning only elides groups ≥ B —
 // both invisible to the merge, whose minimum is exactly B either way.
 func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, bounds []geom.Rect, home int, col *explainCollector, rt *routeStats) (nwcq.Result, float64, error) {
-	order := s.visitOrder(qp, bounds, home)
-	workers := s.scatterWorkers(len(order))
 	out := nwcq.Result{}
 	best := math.Inf(1)
-
-	if workers <= 1 {
-		for _, i := range order {
-			if i != home && bounds[i].MinDist(qp) > best {
-				rt.shardsPruned++
-				continue
+	limit := func() float64 { return best }
+	workers := s.scatterWorkers(len(bounds))
+	if workers > 1 {
+		sb := rstar.NewSharedBound()
+		ctx = rstar.ContextWithBound(ctx, sb)
+		limit = sb.Load
+		defer func() { s.ctr.boundTightenings.Add(sb.Tightenings()) }()
+	}
+	err := scatter(ctx, s, qp, bounds, home, workers, rt, limit,
+		func(ctx context.Context, i int) (nwcq.Result, error) {
+			if col == nil {
+				return s.shards[i].NWCCtx(ctx, q)
 			}
-			r, err := s.shardNWC(ctx, i, q, col)
-			if err != nil {
-				return out, best, err
-			}
-			rt.shardsQueried++
+			res, tr, err := s.shards[i].ExplainNWC(ctx, q)
+			col.add(i, tr)
+			return res, err
+		},
+		func(r nwcq.Result) {
 			out.Stats = addStats(out.Stats, r.Stats)
 			if r.Found && r.Dist < best {
 				best = r.Dist
 				out.Group = r.Group
 				out.Found = true
 			}
-		}
-		return out, best, nil
-	}
-
-	sb := rstar.NewSharedBound()
-	bctx := rstar.ContextWithBound(ctx, sb)
-	var (
-		mu       sync.Mutex
-		next     int
-		firstErr error
-	)
-	// claim hands a worker the next unpruned shard off the schedule.
-	// Pruning tests the live cell, which is ≤ every completed shard's
-	// best, so it is at least as sharp as the sequential bound.
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for next < len(order) {
-			if firstErr != nil {
-				return 0, false
-			}
-			i := order[next]
-			next++
-			if i != home && bounds[i].MinDist(qp) > sb.Load() {
-				rt.shardsPruned++
-				continue
-			}
-			return i, true
-		}
-		return 0, false
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// The label shows up on CPU profiles, splitting scatter work
-			// by worker under /debug/pprof.
-			pprof.Do(bctx, pprof.Labels("nwcq_scatter_worker", strconv.Itoa(worker)), func(wctx context.Context) {
-				for {
-					i, ok := claim()
-					if !ok {
-						return
-					}
-					s.ctr.inflight.Add(1)
-					r, err := s.shardNWC(wctx, i, q, col)
-					s.ctr.inflight.Add(-1)
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					rt.shardsQueried++
-					out.Stats = addStats(out.Stats, r.Stats)
-					if r.Found && r.Dist < best {
-						best = r.Dist
-						out.Group = r.Group
-						out.Found = true
-					}
-					mu.Unlock()
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	s.ctr.boundTightenings.Add(sb.Tightenings())
-	if firstErr != nil {
-		return out, best, firstErr
-	}
-	return out, best, nil
-}
-
-func (s *Sharded) shardNWC(ctx context.Context, i int, q nwcq.Query, col *explainCollector) (nwcq.Result, error) {
-	if col == nil {
-		return s.shards[i].NWCCtx(ctx, q)
-	}
-	res, tr, err := s.shards[i].ExplainNWC(ctx, q)
-	col.add(i, tr)
-	return res, err
+		})
+	return out, best, err
 }
 
 // KNWC answers a kNWC query without cancellation.
@@ -503,46 +456,26 @@ func (s *Sharded) KNWC(q nwcq.KQuery) (nwcq.KResult, error) {
 // (rerunning with a doubled bound when certification fails). The
 // result equals the single-index answer in group count and distances.
 func (s *Sharded) KNWCCtx(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, error) {
-	start := time.Now()
-	res, hit, err := s.knwcCached(ctx, q)
-	s.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, hit, err)
+	res, _, err := s.routeKNWC(ctx, q, nil)
 	return res, err
-}
-
-func (s *Sharded) knwcCached(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, bool, error) {
-	ev := qevent.From(ctx)
-	c := s.rcache
-	if c == nil {
-		if ev != nil {
-			ev.Cache = qevent.CacheOff
-		}
-		res, err := s.knwc(ctx, q, nil)
-		return res, false, err
-	}
-	gen := s.generation()
-	if res, ok := c.knwc.Get(gen, q); ok {
-		if ev != nil {
-			ev.Cache = qevent.CacheHit
-		}
-		return res, true, nil
-	}
-	if ev != nil {
-		ev.Cache = qevent.CacheMiss
-	}
-	res, err := c.knwc.Do(ctx, gen, q, func() (nwcq.KResult, error) {
-		return s.knwc(ctx, q, nil)
-	})
-	return res, false, err
 }
 
 // ExplainKNWC is KNWCCtx with per-shard tracing, merged like
 // ExplainNWC. Explained queries never touch the result cache.
 func (s *Sharded) ExplainKNWC(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, *nwcq.QueryTrace, error) {
 	col := &explainCollector{}
-	start := time.Now()
-	res, err := s.knwc(ctx, q, col)
-	elapsed := s.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, false, err)
+	res, elapsed, err := s.routeKNWC(ctx, q, col)
 	return res, col.merged("knwc", q.Scheme, q.Measure, elapsed, res.Stats.NodeVisits), err
+}
+
+// routeKNWC is routeNWC for kNWC queries.
+func (s *Sharded) routeKNWC(ctx context.Context, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, time.Duration, error) {
+	start := time.Now()
+	res, hit, err := qcache.Resolve(ctx, s.knwcCache, col != nil, s.generation(), q, func() (nwcq.KResult, error) {
+		return s.knwc(ctx, q, col)
+	})
+	elapsed := s.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, hit, err)
+	return res, elapsed, err
 }
 
 // compatible reports whether g can join groups under the overlap budget
@@ -558,25 +491,32 @@ func compatible(groups []core.Group, g core.Group, m int) bool {
 	return true
 }
 
-// mergeEstimate runs the greedy acceptance over the pooled per-shard
-// chain groups (ascending by distance) and returns the k-th accepted
-// distance, or +Inf when the pool cannot supply k groups. Ties are
-// broken deterministically but the value is only used as a fetch
-// bound, never returned.
-func mergeEstimate(pool []core.Group, k, m int) float64 {
-	sorted := make([]core.Group, len(pool))
-	copy(sorted, pool)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dist < sorted[j].Dist })
+// greedy runs the acceptance rule over groups, which must ascend by
+// distance: each group compatible with everything accepted so far joins,
+// until k are accepted or the next group lies beyond horizon.
+func greedy(groups []core.Group, k, m int, horizon float64) []core.Group {
 	var accepted []core.Group
-	for _, g := range sorted {
+	for _, g := range groups {
+		if g.Dist > horizon {
+			break
+		}
 		if compatible(accepted, g, m) {
 			accepted = append(accepted, g)
 			if len(accepted) == k {
-				return g.Dist
+				break
 			}
 		}
 	}
-	return math.Inf(1)
+	return accepted
+}
+
+// kResult renders accepted groups as the public answer.
+func kResult(groups []core.Group, stats nwcq.Stats) nwcq.KResult {
+	out := nwcq.KResult{Found: len(groups) > 0, Stats: stats}
+	for _, g := range groups {
+		out.Groups = append(out.Groups, groupOut(g))
+	}
+	return out
 }
 
 func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, error) {
@@ -597,7 +537,7 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 	cq := coreQuery(q.Query)
 
 	scatterStart := time.Now()
-	stats, pool, est, err := s.scatterKNWC(ctx, q, qp, bounds, home, col, rt)
+	stats, merged, est, err := s.scatterKNWC(ctx, q, qp, bounds, home, col, rt)
 	rt.scatter = time.Since(scatterStart)
 	if err != nil {
 		return nwcq.KResult{Stats: stats}, err
@@ -605,15 +545,13 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 
 	// Fast path: every candidate at or below the estimate lives in a
 	// single shard, so that shard's own greedy chain is the global
-	// answer — and it is exactly what the merge reproduces. (A shard
-	// pruned against a transiently smaller estimate cannot hide here:
-	// if its MINDIST ended up below the final estimate, its bounds
-	// intersect the fetch box and the fast path is off.)
+	// answer — and it is exactly what the scatter's merge reproduced,
+	// inside the scatter phase's time. (A shard pruned against a
+	// transiently smaller estimate cannot hide here: if its MINDIST ended
+	// up below the final estimate, its bounds intersect the fetch box and
+	// the fast path is off.)
 	if !math.IsInf(est, 1) && intersecting(bounds, fetchBox(q.Query, est)) <= 1 {
-		mergeStart := time.Now()
-		out := s.mergedKResult(pool, q, stats)
-		rt.merge += time.Since(mergeStart)
-		return out, nil
+		return kResult(merged, stats), nil
 	}
 
 	// Certification loop: fetch box(D), merge the candidate list
@@ -639,34 +577,26 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 		}
 		col.borderDone(len(pts))
 		mergeStart := time.Now()
-		var groups []core.Group
-		for _, g := range core.CandidateGroups(pts, cq, measure) {
-			if !complete && g.Dist > d {
-				break // sorted ascending; past the certified horizon
-			}
-			if compatible(groups, g, q.M) {
-				groups = append(groups, g)
-				if len(groups) == q.K {
-					break
-				}
-			}
+		horizon := d // the certified horizon: candidates ascend, stop past it
+		if complete {
+			horizon = math.Inf(1)
 		}
+		groups := greedy(core.CandidateGroups(pts, cq, measure), q.K, q.M, horizon)
 		rt.merge += time.Since(mergeStart)
 		if len(groups) == q.K || complete {
-			out := nwcq.KResult{Found: len(groups) > 0, Stats: stats}
-			for _, g := range groups {
-				out.Groups = append(out.Groups, groupOut(g))
-			}
-			return out, nil
+			return kResult(groups, stats), nil
 		}
 		d = math.Max(2*d, math.Hypot(q.Length, q.Width))
 	}
 }
 
 // scatterKNWC collects per-shard chains, pruning queued shards against
-// the running merged estimate; the pool only seeds the certification
-// bound. With multiple workers the pool and estimate live behind a
-// mutex and shard claims prune against the live estimate.
+// the running merged estimate — the k-th distance of the greedy merge
+// over the chains pooled so far (ascending by distance; ties broken
+// deterministically), +Inf while the pool cannot supply k groups. It
+// returns that merge and estimate over every queried shard; the
+// estimate only seeds the certification bound, the merge is the
+// fast-path answer.
 //
 // Unlike NWC, the per-traversal engines get NO shared bound cell: the
 // merge estimate is non-monotone (accepting a pooled group can push the
@@ -678,123 +608,37 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 // irrelevant (MINDIST above the final estimate) or disables the fast
 // path and is covered by the certification fetch.
 func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point, bounds []geom.Rect, home int, col *explainCollector, rt *routeStats) (nwcq.Stats, []core.Group, float64, error) {
-	order := s.visitOrder(qp, bounds, home)
-	workers := s.scatterWorkers(len(order))
-	var stats nwcq.Stats
-	var pool []core.Group
+	var (
+		stats  nwcq.Stats
+		pool   []core.Group
+		merged []core.Group
+	)
 	est := math.Inf(1)
-
-	if workers <= 1 {
-		for _, i := range order {
-			if i != home && bounds[i].MinDist(qp) > est {
-				rt.shardsPruned++
-				continue
+	err := scatter(ctx, s, qp, bounds, home, s.scatterWorkers(len(bounds)), rt,
+		func() float64 { return est },
+		func(ctx context.Context, i int) (nwcq.KResult, error) {
+			if col == nil {
+				return s.shards[i].KNWCCtx(ctx, q)
 			}
-			kr, err := s.shardKNWC(ctx, i, q, col)
-			if err != nil {
-				return stats, pool, est, err
-			}
-			rt.shardsQueried++
+			res, tr, err := s.shards[i].ExplainKNWC(ctx, q)
+			col.add(i, tr)
+			return res, err
+		},
+		func(kr nwcq.KResult) {
 			stats = addStats(stats, kr.Stats)
 			for _, g := range kr.Groups {
 				pool = append(pool, groupIn(g))
 			}
-			est = mergeEstimate(pool, q.K, q.M)
-		}
-		return stats, pool, est, nil
-	}
-
-	var (
-		mu       sync.Mutex
-		next     int
-		firstErr error
-	)
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for next < len(order) {
-			if firstErr != nil {
-				return 0, false
+			sorted := make([]core.Group, len(pool))
+			copy(sorted, pool)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dist < sorted[j].Dist })
+			merged = greedy(sorted, q.K, q.M, math.Inf(1))
+			est = math.Inf(1)
+			if len(merged) == q.K {
+				est = merged[q.K-1].Dist
 			}
-			i := order[next]
-			next++
-			if i != home && bounds[i].MinDist(qp) > est {
-				rt.shardsPruned++
-				continue
-			}
-			return i, true
-		}
-		return 0, false
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			pprof.Do(ctx, pprof.Labels("nwcq_scatter_worker", strconv.Itoa(worker)), func(wctx context.Context) {
-				for {
-					i, ok := claim()
-					if !ok {
-						return
-					}
-					s.ctr.inflight.Add(1)
-					kr, err := s.shardKNWC(wctx, i, q, col)
-					s.ctr.inflight.Add(-1)
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					rt.shardsQueried++
-					stats = addStats(stats, kr.Stats)
-					for _, g := range kr.Groups {
-						pool = append(pool, groupIn(g))
-					}
-					est = mergeEstimate(pool, q.K, q.M)
-					mu.Unlock()
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return stats, pool, est, firstErr
-	}
-	return stats, pool, est, nil
-}
-
-// mergedKResult materialises the fast-path answer: greedy over the
-// pooled chains, ascending by distance.
-func (s *Sharded) mergedKResult(pool []core.Group, q nwcq.KQuery, stats nwcq.Stats) nwcq.KResult {
-	sorted := make([]core.Group, len(pool))
-	copy(sorted, pool)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dist < sorted[j].Dist })
-	var accepted []core.Group
-	for _, g := range sorted {
-		if compatible(accepted, g, q.M) {
-			accepted = append(accepted, g)
-			if len(accepted) == q.K {
-				break
-			}
-		}
-	}
-	out := nwcq.KResult{Found: len(accepted) > 0, Stats: stats}
-	for _, g := range accepted {
-		out.Groups = append(out.Groups, groupOut(g))
-	}
-	return out
-}
-
-func (s *Sharded) shardKNWC(ctx context.Context, i int, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, error) {
-	if col == nil {
-		return s.shards[i].KNWCCtx(ctx, q)
-	}
-	res, tr, err := s.shards[i].ExplainKNWC(ctx, q)
-	col.add(i, tr)
-	return res, err
+		})
+	return stats, merged, est, err
 }
 
 // Window runs a range query across every shard and concatenates the
@@ -855,22 +699,7 @@ func (s *Sharded) NWCBatch(queries []nwcq.Query, opt nwcq.BatchOptions) ([]nwcq.
 // NWCBatchCtx fans routed NWC queries over a worker pool; the first
 // error aborts the batch, matching the single-index semantics.
 func (s *Sharded) NWCBatchCtx(ctx context.Context, queries []nwcq.Query, opt nwcq.BatchOptions) ([]nwcq.Result, error) {
-	// A wide event is owned by one request; the batch fan-out runs
-	// detached so concurrent members never race on it.
-	ctx = qevent.Detach(ctx)
-	results := make([]nwcq.Result, len(queries))
-	err := wpool.Each(len(queries), s.batchWorkers(opt), func(i int) error {
-		res, err := s.NWCCtx(ctx, queries[i])
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return wpool.Map(ctx, queries, wpool.Workers(opt.Parallelism, int(s.par.Load())), s.NWCCtx)
 }
 
 // KNWCBatch answers many kNWC queries concurrently, in input order.
@@ -880,29 +709,7 @@ func (s *Sharded) KNWCBatch(queries []nwcq.KQuery, opt nwcq.BatchOptions) ([]nwc
 
 // KNWCBatchCtx is the kNWC batch form of NWCBatchCtx.
 func (s *Sharded) KNWCBatchCtx(ctx context.Context, queries []nwcq.KQuery, opt nwcq.BatchOptions) ([]nwcq.KResult, error) {
-	ctx = qevent.Detach(ctx)
-	results := make([]nwcq.KResult, len(queries))
-	err := wpool.Each(len(queries), s.batchWorkers(opt), func(i int) error {
-		res, err := s.KNWCCtx(ctx, queries[i])
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// batchWorkers resolves one batch call's worker count: the per-call
-// option wins, then the router's Parallelism, then GOMAXPROCS.
-func (s *Sharded) batchWorkers(opt nwcq.BatchOptions) int {
-	if opt.Parallelism > 0 {
-		return opt.Parallelism
-	}
-	return s.parallelism()
+	return wpool.Map(ctx, queries, wpool.Workers(opt.Parallelism, int(s.par.Load())), s.KNWCCtx)
 }
 
 // explainCollector gathers per-shard traces during an explained routed

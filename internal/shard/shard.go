@@ -93,9 +93,10 @@ type Sharded struct {
 	// batches (0 = GOMAXPROCS). Runtime adjustable via SetParallelism;
 	// read with one atomic load per routed query.
 	par atomic.Int32
-	// rcache is the router-level result cache; nil when Options left it
-	// off.
-	rcache *routerCache
+	// nwcCache and knwcCache are the router-level result caches; nil when
+	// Options left them off.
+	nwcCache  *qcache.Cache[nwcq.Query, nwcq.Result]
+	knwcCache *qcache.Cache[nwcq.KQuery, nwcq.KResult]
 
 	// Standing-query state (subscribe.go): open router subscriptions,
 	// their ID source, and the router-level delivery counters.
@@ -110,27 +111,6 @@ type Sharded struct {
 	// holds; ctr is the routing activity only a router has.
 	rec *obs.Recorder
 	ctr *routerCounters
-}
-
-// routerCache pairs the router's NWC and kNWC result caches — the
-// sharded twin of the single-index resultCache in nwcq.
-type routerCache struct {
-	nwc  *qcache.Cache[nwcq.Query, nwcq.Result]
-	knwc *qcache.Cache[nwcq.KQuery, nwcq.KResult]
-}
-
-func newRouterCache(entries int) *routerCache {
-	if entries <= 0 {
-		return nil
-	}
-	return &routerCache{
-		nwc:  qcache.New[nwcq.Query, nwcq.Result](entries),
-		knwc: qcache.New[nwcq.KQuery, nwcq.KResult](entries),
-	}
-}
-
-func (c *routerCache) stats() qcache.Stats {
-	return c.nwc.Stats().Add(c.knwc.Stats())
 }
 
 // SetParallelism adjusts the router's worker width at runtime (0
@@ -216,18 +196,24 @@ func rectFrom(r nwcq.Rect, points []nwcq.Point) geom.Rect {
 }
 
 // newRouter builds the Sharded shell: partitioning, regions, initial
-// bounds and router metrics. Shards are attached by the constructors,
-// which then copy the shards' slow-query threshold (a Build option,
-// the same on every shard) onto the router's recorder.
-func newRouter(space geom.Rect, n int) *Sharded {
+// bounds, worker width, result caches and router metrics. Shards are
+// attached to the empty slots by the constructors, which then copy the
+// shards' slow-query threshold (a Build option, the same on every
+// shard) onto the router's recorder.
+func newRouter(space geom.Rect, n int, opt Options) *Sharded {
 	gx, gy := splitGrid(n)
 	s := &Sharded{
-		space: space, gx: gx, gy: gy,
-		regions: make([]geom.Rect, n),
-		created: time.Now(),
-		rec:     obs.NewRecorder(0, "router"),
-		ctr:     newRouterCounters(),
+		shards: make([]*nwcq.Index, n),
+		pageds: make([]*nwcq.PagedIndex, n),
+		space:  space, gx: gx, gy: gy,
+		regions:   make([]geom.Rect, n),
+		nwcCache:  qcache.New[nwcq.Query, nwcq.Result](opt.ResultCache),
+		knwcCache: qcache.New[nwcq.KQuery, nwcq.KResult](opt.ResultCache),
+		created:   time.Now(),
+		rec:       obs.NewRecorder(0, "router"),
+		ctr:       newRouterCounters(),
 	}
+	s.SetParallelism(opt.Parallelism)
 	cw, ch := space.Width()/float64(gx), space.Height()/float64(gy)
 	for i := 0; i < n; i++ {
 		col, row := i%gx, i/gx
@@ -321,12 +307,8 @@ func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("shard: Shards must be at least 1, got %d", opt.Shards)
 	}
-	s := newRouter(rectFrom(opt.Space, points), opt.Shards)
-	s.SetParallelism(opt.Parallelism)
-	s.rcache = newRouterCache(opt.ResultCache)
+	s := newRouter(rectFrom(opt.Space, points), opt.Shards, opt)
 	parts := s.partition(points)
-	s.shards = make([]*nwcq.Index, opt.Shards)
-	s.pageds = make([]*nwcq.PagedIndex, opt.Shards)
 	if opt.Dir != "" {
 		if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 			return nil, err
@@ -368,11 +350,7 @@ func OpenSharded(dir string, opt Options) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newRouter(geom.NewRect(m.Space.MinX, m.Space.MinY, m.Space.MaxX, m.Space.MaxY), m.Shards)
-	s.SetParallelism(opt.Parallelism)
-	s.rcache = newRouterCache(opt.ResultCache)
-	s.shards = make([]*nwcq.Index, m.Shards)
-	s.pageds = make([]*nwcq.PagedIndex, m.Shards)
+	s := newRouter(geom.NewRect(m.Space.MinX, m.Space.MinY, m.Space.MaxX, m.Space.MaxY), m.Shards, opt)
 	for i := range s.shards {
 		px, err := nwcq.OpenPaged(shardPath(dir, i), opt.Build...)
 		if err != nil {

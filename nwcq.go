@@ -55,6 +55,7 @@ import (
 	"nwcq/internal/metrics"
 	"nwcq/internal/obs"
 	"nwcq/internal/pager"
+	"nwcq/internal/qcache"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
 	"nwcq/internal/trace"
@@ -311,10 +312,11 @@ type Index struct {
 	dur *durability
 
 	// vgen numbers published views (the initial view is generation 1);
-	// cache is the optional result cache keyed by (query, generation).
-	// See cache.go.
-	vgen  atomic.Uint64
-	cache *resultCache
+	// nwcCache and knwcCache are the optional result caches keyed by
+	// (query, generation), both nil when caching is off. See cache.go.
+	vgen      atomic.Uint64
+	nwcCache  *qcache.Cache[Query, Result]
+	knwcCache *qcache.Cache[KQuery, KResult]
 
 	// subs is the standing-query registry the publish path notifies
 	// (subscribe.go, internal/sub). Always non-nil; with no subscribers
@@ -346,7 +348,10 @@ type buildOptions struct {
 	// superseded views alive for as-of reads. See subscribe.go.
 	subQueue      int
 	viewRetention int
-	// Write-ahead-log knobs; paged indexes only (see durable.go).
+	// Write-ahead-log knobs; paged indexes only (see durable.go). The
+	// two byte sizes have no public option: zero means the defaults (1
+	// MiB each), and only the crash and replication tests set them, to
+	// force rotations and checkpoints on tiny scripts.
 	walDisabled        bool
 	walSync            SyncPolicy
 	walSyncInterval    time.Duration
@@ -425,21 +430,6 @@ func WithWALSyncInterval(d time.Duration) BuildOption {
 // during OpenPaged — records in it are not replayed.
 func WithoutWAL() BuildOption {
 	return func(o *buildOptions) { o.walDisabled = true }
-}
-
-// WithWALSegmentBytes sets the WAL segment size before rotation
-// (default 1 MiB). Smaller segments recycle sooner after a checkpoint;
-// larger ones rotate less often.
-func WithWALSegmentBytes(n int64) BuildOption {
-	return func(o *buildOptions) { o.walSegmentBytes = n }
-}
-
-// WithWALCheckpointBytes sets how much log accumulates before a
-// mutation triggers a checkpoint that folds the log into the page file
-// (default 1 MiB). Smaller values bound recovery time; larger ones
-// amortise checkpoint fsyncs over more mutations.
-func WithWALCheckpointBytes(n int64) BuildOption {
-	return func(o *buildOptions) { o.walCheckpointBytes = n }
 }
 
 // WithSubscriptionQueue bounds each subscriber's pending-notification
@@ -546,8 +536,9 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 	ix := &Index{
 		options: o,
 		rec:     obs.NewRecorder(o.slowThreshold, ""), created: time.Now(),
-		cache: newResultCache(o.resultCache),
-		subs:  sub.NewRegistry(o.subQueue),
+		nwcCache:  qcache.New[Query, Result](o.resultCache),
+		knwcCache: qcache.New[KQuery, KResult](o.resultCache),
+		subs:      sub.NewRegistry(o.subQueue),
 	}
 	v.gen = ix.vgen.Add(1)
 	ix.cur.Store(v)
@@ -580,33 +571,22 @@ func (ix *Index) NWC(q Query) (Result, error) {
 // traversal aborts and the context's error is returned. The query's
 // Stats is computed in isolation, exact under any concurrency.
 func (ix *Index) NWCCtx(ctx context.Context, q Query) (Result, error) {
-	start := time.Now()
-	res, hit, err := ix.nwcCached(ctx, q)
-	ix.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, hit, err)
-	return res, err
+	return execute(ctx, ix, &nwcKind, q, exec{})
 }
 
-func (ix *Index) nwc(ctx context.Context, q Query, rec *trace.Recorder) (Result, error) {
-	if err := q.Validate(); err != nil {
-		return Result{}, err
-	}
-	v := ix.acquire()
-	defer v.release()
-	return ix.nwcOnView(ctx, v, q, rec)
-}
-
-// nwcOnView answers q against one pinned view — the execution core
-// shared by live queries, subscription re-evaluations and temporal
-// as-of reads. The caller owns the pin and has validated q.
+// nwcOnView answers q against one pinned view — the evaluator under
+// execute (live, explained and temporal as-of queries) and under
+// subscription re-evaluations. The caller owns the pin and has
+// validated q.
 func (ix *Index) nwcOnView(ctx context.Context, v *view, q Query, rec *trace.Recorder) (Result, error) {
 	measure, err := q.Measure.internal()
 	if err != nil {
 		return Result{}, err
 	}
 	scheme := q.Scheme.internal()
-	res, st, err := v.eng.NWCBounded(ctx, core.Query{
+	res, st, err := v.eng.NWC(ctx, core.Query{
 		Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N,
-	}, scheme, measure, rec, rstar.BoundFromContext(ctx))
+	}, scheme, measure, core.Exec{Rec: rec, Bound: rstar.BoundFromContext(ctx)})
 	if err != nil {
 		return Result{Stats: statsFrom(st)}, err
 	}
@@ -622,19 +602,7 @@ func (ix *Index) nwcOnView(ctx context.Context, v *view, q Query, rec *trace.Rec
 // ascending distance, pairwise sharing at most M objects, plus the
 // query's isolated Stats. Context semantics match NWCCtx.
 func (ix *Index) KNWCCtx(ctx context.Context, q KQuery) (KResult, error) {
-	start := time.Now()
-	res, hit, err := ix.knwcCached(ctx, q)
-	ix.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, hit, err)
-	return res, err
-}
-
-func (ix *Index) knwc(ctx context.Context, q KQuery, rec *trace.Recorder) (KResult, error) {
-	if err := q.Validate(); err != nil {
-		return KResult{}, err
-	}
-	v := ix.acquire()
-	defer v.release()
-	return ix.knwcOnView(ctx, v, q, rec)
+	return execute(ctx, ix, &knwcKind, q, exec{})
 }
 
 // knwcOnView is the kNWC form of nwcOnView.
@@ -644,10 +612,10 @@ func (ix *Index) knwcOnView(ctx context.Context, v *view, q KQuery, rec *trace.R
 		return KResult{}, err
 	}
 	scheme := q.Scheme.internal()
-	groups, st, err := v.eng.KNWCTrace(ctx, core.KNWCQuery{
+	groups, st, err := v.eng.KNWC(ctx, core.KNWCQuery{
 		Query: core.Query{Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N},
 		K:     q.K, M: q.M,
-	}, scheme, measure, rec)
+	}, scheme, measure, core.Exec{Rec: rec})
 	if err != nil {
 		return KResult{Stats: statsFrom(st)}, err
 	}

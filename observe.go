@@ -88,8 +88,8 @@ func (ix *Index) Metrics() MetricsSnapshot {
 			SyncPolicy:       d.policy.String(),
 		}
 	}
-	if c := ix.cache; c != nil {
-		st := c.stats()
+	if ix.nwcCache != nil {
+		st := ix.nwcCache.Stats().Add(ix.knwcCache.Stats())
 		src.ResultCache = &st
 	}
 	return ix.rec.Snapshot(src)

@@ -10,6 +10,7 @@ import (
 	"nwcq/internal/grid"
 	"nwcq/internal/obs"
 	"nwcq/internal/pager"
+	"nwcq/internal/qcache"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
 	"nwcq/internal/wal"
@@ -333,12 +334,14 @@ func finishPaged(tree *rstar.Tree, gpts []geom.Point, o buildOptions, pages *pag
 			created: time.Now(),
 			dur:     dur,
 			subs:    sub.NewRegistry(o.subQueue),
+
+			nwcCache:  qcache.New[Query, Result](o.resultCache),
+			knwcCache: qcache.New[KQuery, KResult](o.resultCache),
 		},
 		pages: pages,
 		file:  f,
 		log:   log,
 	}
-	px.cache = newResultCache(o.resultCache)
 	v.gen = px.vgen.Add(1)
 	px.cur.Store(v)
 	return px, nil

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"nwcq/internal/obs"
 	"nwcq/internal/sub"
 )
 
@@ -239,40 +238,10 @@ func (ix *Index) RetainedLSNs() (oldest, newest uint64) {
 // fails with ErrLSNNotRetained when that version is outside the
 // retained window (size it with WithViewRetention).
 func (ix *Index) NWCAsOf(ctx context.Context, q Query, lsn uint64) (Result, error) {
-	start := time.Now()
-	res, err := ix.nwcAsOf(ctx, q, lsn)
-	ix.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, false, err)
-	return res, err
-}
-
-func (ix *Index) nwcAsOf(ctx context.Context, q Query, lsn uint64) (Result, error) {
-	if err := q.Validate(); err != nil {
-		return Result{}, err
-	}
-	v, err := ix.viewAt(lsn)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.release()
-	return ix.nwcOnView(ctx, v, q, nil)
+	return execute(ctx, ix, &nwcKind, q, exec{asOf: true, lsn: lsn})
 }
 
 // KNWCAsOf is the kNWC form of NWCAsOf.
 func (ix *Index) KNWCAsOf(ctx context.Context, q KQuery, lsn uint64) (KResult, error) {
-	start := time.Now()
-	res, err := ix.knwcAsOf(ctx, q, lsn)
-	ix.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, false, err)
-	return res, err
-}
-
-func (ix *Index) knwcAsOf(ctx context.Context, q KQuery, lsn uint64) (KResult, error) {
-	if err := q.Validate(); err != nil {
-		return KResult{}, err
-	}
-	v, err := ix.viewAt(lsn)
-	if err != nil {
-		return KResult{}, err
-	}
-	defer v.release()
-	return ix.knwcOnView(ctx, v, q, nil)
+	return execute(ctx, ix, &knwcKind, q, exec{asOf: true, lsn: lsn})
 }

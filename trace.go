@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"nwcq/internal/obs"
 	"nwcq/internal/trace"
 )
 
@@ -227,9 +226,7 @@ func joinNonZero(parts ...string) []string {
 // Metrics and the slow-query log like any other.
 func (ix *Index) ExplainNWC(ctx context.Context, q Query) (Result, *QueryTrace, error) {
 	rec := trace.New()
-	start := time.Now()
-	res, err := ix.nwc(ctx, q, rec)
-	ix.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, false, err)
+	res, err := execute(ctx, ix, &nwcKind, q, exec{rec: rec})
 	return res, queryTraceFrom("nwc", q.Scheme, q.Measure, rec, res.Stats), err
 }
 
@@ -237,9 +234,7 @@ func (ix *Index) ExplainNWC(ctx context.Context, q Query) (Result, *QueryTrace, 
 // groups alongside the query's structured trace.
 func (ix *Index) ExplainKNWC(ctx context.Context, q KQuery) (KResult, *QueryTrace, error) {
 	rec := trace.New()
-	start := time.Now()
-	res, err := ix.knwc(ctx, q, rec)
-	ix.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, false, err)
+	res, err := execute(ctx, ix, &knwcKind, q, exec{rec: rec})
 	return res, queryTraceFrom("knwc", q.Scheme, q.Measure, rec, res.Stats), err
 }
 
