@@ -273,6 +273,41 @@ func BenchmarkNWCDense(b *testing.B) {
 	}
 }
 
+// BenchmarkNWCUnpruned measures the query node visits say nothing about:
+// under plain NWC or IWP alone no bound stops the traversal, each of the
+// 40,000 uniform points is an anchor (72 candidates a region), and one
+// the window memo serves reads no node but scans a band of the memo.
+// ns/op of "shared" against "per-anchor" is what sized core's memoSpan
+// (DESIGN.md §18): sharing must not cost such a query time.
+func BenchmarkNWCUnpruned(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]geom.Point, 40000)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000, ID: uint64(i)}
+	}
+	env := benchEnv(b, pts)
+	for _, scheme := range []core.Scheme{core.SchemeNWC, core.SchemeIWP} {
+		for _, perAnchor := range []bool{false, true} {
+			name := scheme.String() + "/shared"
+			if perAnchor {
+				name = scheme.String() + "/per-anchor"
+			}
+			b.Run(name, func(b *testing.B) {
+				env.Tree.ResetVisits()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q := geom.Point{X: 5000 + float64(i%3)*100, Y: 5000}
+					_, _, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: 300, W: 300, N: 4}, scheme, core.MeasureMax, core.Exec{PerAnchor: perAnchor})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(env.Tree.Visits())/float64(b.N), "nodevisits/op")
+			})
+		}
+	}
+}
+
 // benchTraceIndex builds the public-API index and query list shared by
 // the trace-overhead benchmarks.
 func benchTraceIndex(b *testing.B) (*Index, []geom.Point) {

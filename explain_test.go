@@ -83,6 +83,19 @@ func TestExplainNWCVisitSum(t *testing.T) {
 			t.Errorf("%s: qualified %d != gated %d + emitted %d",
 				sch, c.QualifiedWindows, c.WindowsGated, c.GroupsEmitted)
 		}
+		// So do the window memo's: an anchor is served from the memo,
+		// grows it by one to four strips, or bypasses it; and under an IWP
+		// scheme every range query that reached the index started
+		// somewhere.
+		grew := c.WindowQueries - c.MemoServed - c.MemoBypassed
+		if grew < 0 || c.MemoStrips < grew || c.MemoStrips > 4*grew {
+			t.Errorf("%s: %d window queries, %d served, %d bypassed leave %d growths for %d strips",
+				sch, c.WindowQueries, c.MemoServed, c.MemoBypassed, grew, c.MemoStrips)
+		}
+		if _, _, _, iwp := sch.Flags(); iwp && c.IWPJumpStarts+c.IWPRootStarts != c.MemoStrips+c.MemoBypassed {
+			t.Errorf("%s: %d jump + %d root starts != %d strips + %d bypassed",
+				sch, c.IWPJumpStarts, c.IWPRootStarts, c.MemoStrips, c.MemoBypassed)
+		}
 		if tr.HeapHighWater == 0 {
 			t.Errorf("%s: heap high-water = 0", sch)
 		}

@@ -30,13 +30,18 @@ func denseFixture(t *testing.T) (*Engine, []Query) {
 	return buildEngine(t, pts, 16, 25), qs
 }
 
-// TestDenseVerifyCeilings holds the verify stage to its contract on
-// dense data. The gates prune windows, never the traversal, so the
-// counters the paper's cost model is built on must equal the values the
-// eager path (every qualified window materialised) produced on this
-// fixture; what changes is that a group is materialised only for a
-// window that strictly improves the bound, and a query allocates a
-// handful of objects where it allocated tens of thousands.
+// TestDenseVerifyCeilings holds the verify stage and the window memo to
+// their contracts on dense data. The gates prune windows, never the
+// traversal, so under Exec{PerAnchor: true} — Algorithm 1's one window
+// query per anchor — the counters the paper's cost model is built on must
+// equal the values the eager path (every qualified window materialised)
+// produced on this fixture; what changed there is that a group is
+// materialised only for a window that strictly improves the bound, and a
+// query allocates a handful of objects where it allocated tens of
+// thousands. The shared execution must repeat every one of those counters
+// but the node visits, which it must cut at least tenfold: in this hot
+// spot nearly every anchor's search region lies inside what earlier
+// anchors fetched.
 func TestDenseVerifyCeilings(t *testing.T) {
 	eng, qs := denseFixture(t)
 	// Recorded with the eager verify stage, commit 95e1636.
@@ -52,45 +57,63 @@ func TestDenseVerifyCeilings(t *testing.T) {
 			{NodeVisits: 15294, ObjectsProcessed: 691, ObjectsSkipped: 230, NodesPruned: 87, WindowQueries: 461, GridProbes: 530},
 		},
 	}
+	// Node visits of the shared execution, recorded with this change.
+	sharedVisits := map[Measure][]uint64{
+		MeasureMax: {1031, 572, 623},
+		MeasureMin: {749, 396, 433},
+	}
 	for measure, want := range golden {
 		for i, qy := range qs {
-			best := math.Inf(1)
-			improvements := int64(0)
-			rec := trace.New()
-			st, err := eng.search(context.Background(), qy, SchemeNWCStar,
-				func() float64 { return best },
-				func(g Group) {
-					if g.Dist < best {
-						best = g.Dist
-						improvements++
-					}
-				}, measure, Exec{Rec: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := rec.Snapshot().Counters
-			if emitted := c[trace.CtrGroupsEmitted]; emitted != improvements || emitted == 0 {
-				t.Errorf("%v query %d: %d groups emitted, %d strict improvements", measure, i, emitted, improvements)
-			}
-			if gated := c[trace.CtrWindowsGated]; int64(st.QualifiedWindows) != gated+improvements {
-				t.Errorf("%v query %d: %d qualified windows != %d gated + %d emitted", measure, i, st.QualifiedWindows, gated, improvements)
-			}
-			if c[trace.CtrAnchorsGated] == 0 {
-				t.Errorf("%v query %d: no anchor was gated before its sort", measure, i)
-			}
-			// The window counts fall — a gated anchor enumerates none —
-			// and are not part of the traversal's signature.
-			st.CandidateWindows, st.QualifiedWindows = 0, 0
-			if st != want[i] {
-				t.Errorf("%v query %d: traversal stats %+v, want %+v", measure, i, st, want[i])
-			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, measure, Exec{}); err != nil {
+			for _, perAnchor := range []bool{true, false} {
+				best := math.Inf(1)
+				improvements := int64(0)
+				rec := trace.New()
+				st, err := eng.search(context.Background(), qy, SchemeNWCStar,
+					func() float64 { return best },
+					func(g Group) {
+						if g.Dist < best {
+							best = g.Dist
+							improvements++
+						}
+					}, measure, Exec{Rec: rec, PerAnchor: perAnchor})
+				if err != nil {
 					t.Fatal(err)
 				}
-			})
-			if allocs > 64 {
-				t.Errorf("%v query %d: %.0f allocations per query, ceiling 64", measure, i, allocs)
+				c := rec.Snapshot().Counters
+				if emitted := c[trace.CtrGroupsEmitted]; emitted != improvements || emitted == 0 {
+					t.Errorf("%v query %d: %d groups emitted, %d strict improvements", measure, i, emitted, improvements)
+				}
+				if gated := c[trace.CtrWindowsGated]; int64(st.QualifiedWindows) != gated+improvements {
+					t.Errorf("%v query %d: %d qualified windows != %d gated + %d emitted", measure, i, st.QualifiedWindows, gated, improvements)
+				}
+				if c[trace.CtrAnchorsGated] == 0 {
+					t.Errorf("%v query %d: no anchor was gated before its sort", measure, i)
+				}
+				// The window counts fall — a gated anchor enumerates none —
+				// and are not part of the traversal's signature.
+				st.CandidateWindows, st.QualifiedWindows = 0, 0
+				wantSt := want[i]
+				if perAnchor {
+					if n := c[trace.CtrMemoBypassed]; n != int64(st.WindowQueries) || c[trace.CtrMemoServed]+c[trace.CtrMemoStrips] != 0 {
+						t.Errorf("%v query %d: per-anchor execution touched the memo: %d of %d anchors bypassed it", measure, i, n, st.WindowQueries)
+					}
+				} else {
+					wantSt.NodeVisits = sharedVisits[measure][i]
+					if wantSt.NodeVisits*10 > want[i].NodeVisits {
+						t.Errorf("%v query %d: shared pin of %d node visits is over a tenth of the per-anchor %d", measure, i, wantSt.NodeVisits, want[i].NodeVisits)
+					}
+				}
+				if st != wantSt {
+					t.Errorf("%v query %d per-anchor=%v: traversal stats %+v, want %+v", measure, i, perAnchor, st, wantSt)
+				}
+				allocs := testing.AllocsPerRun(5, func() {
+					if _, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, measure, Exec{PerAnchor: perAnchor}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs > 64 {
+					t.Errorf("%v query %d per-anchor=%v: %.0f allocations per query, ceiling 64", measure, i, perAnchor, allocs)
+				}
 			}
 		}
 	}

@@ -1,0 +1,382 @@
+package core
+
+import (
+	"cmp"
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"nwcq/internal/geom"
+)
+
+// memoLattice is the dataset the memo tests fetch regions of: a 12 × 12
+// lattice of spacing 4 (coordinates 0..44), where every third site holds
+// a second object and every ninth a third one at the same coordinates
+// under other IDs. Region bounds are even numbers, so half of them run
+// through lattice sites: points sit exactly on the boundary two strips
+// share, which is where a point could be fetched twice or not at all.
+func memoLattice() []geom.Point {
+	var pts []geom.Point
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			for c := 0; c < 3; c++ {
+				if c == 1 && (i+j)%3 != 0 || c == 2 && (i+j)%9 != 0 {
+					continue
+				}
+				pts = append(pts, geom.Point{X: float64(4 * i), Y: float64(4 * j), ID: uint64(len(pts))})
+			}
+		}
+	}
+	return pts
+}
+
+// decodeRegions reads one region per four bytes: x and y of the lower
+// corner from 0 to 48, width and height from −2 (an empty region) over 0
+// (a segment, what SRR leaves of a region at the edge of the bound) to 28,
+// all even.
+func decodeRegions(data []byte) []geom.Rect {
+	var out []geom.Rect
+	for ; len(data) >= 4 && len(out) < 64; data = data[4:] {
+		x, y := float64(data[0]%25*2), float64(data[1]%25*2)
+		out = append(out, geom.Rect{
+			MinX: x, MinY: y,
+			MaxX: x + float64(data[2]%16)*2 - 2,
+			MaxY: y + float64(data[3]%16)*2 - 2,
+		})
+	}
+	return out
+}
+
+// encodeRegions is the inverse of decodeRegions on regions it can express.
+func encodeRegions(rs []geom.Rect) []byte {
+	var out []byte
+	for _, r := range rs {
+		out = append(out, byte(r.MinX/2), byte(r.MinY/2), byte((r.Width()+2)/2), byte((r.Height()+2)/2))
+	}
+	return out
+}
+
+func byID(a, b geom.Point) int { return cmp.Compare(a.ID, b.ID) }
+
+// memoQuery is the query the memo tests' regions belong to: its unshrunk
+// search region is 8 × 8, so the memo may span 32 × 32 of the lattice's 44.
+var memoQuery = Query{Q: geom.Point{X: 21, Y: 19}, L: 8, W: 4, N: 1}
+
+// checkMemoSequence asks one memo for the regions in turn — through IWP's
+// window query from the leaf that mode picks (mode odd) or through the
+// traditional one (mode even) — and demands of every answer exactly the
+// points of the region, each once and with its distance to q, and of the
+// memo after it exactly the points of the closed rectangle it says it
+// holds, x-sorted, and no rectangle wider or taller than its span.
+func checkMemoSequence(t *testing.T, eng *Engine, pts []geom.Point, mode byte, regions []geom.Rect) {
+	t.Helper()
+	q := memoQuery.Q
+	r := eng.tree.Reader(context.Background(), nil)
+	viaIWP := mode&1 == 1
+	leaf := eng.tree.Root()
+	for pick := int(mode >> 1); ; pick /= 2 {
+		n, err := r.Node(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Leaf {
+			break
+		}
+		leaf = n.Children[pick%len(n.Children)]
+	}
+	inside := func(rect geom.Rect) []geom.Point {
+		var in []geom.Point
+		for _, p := range pts {
+			if rect.ContainsPoint(p) {
+				in = append(in, p)
+			}
+		}
+		return in // pts is in ID order
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	m := &sc.memo
+	for step, sr := range regions {
+		cand, err := eng.anchorCandidates(r, viaIWP, leaf, sr, memoQuery, false, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []geom.Point
+		for _, o := range cand {
+			if o.p.Y < sr.MinY || o.p.Y > sr.MaxY {
+				continue
+			}
+			if o.d != q.Dist(o.p) {
+				t.Fatalf("step %d %v: point %v carries distance %g, want %g", step, sr, o.p, o.d, q.Dist(o.p))
+			}
+			got = append(got, o.p)
+		}
+		slices.SortFunc(got, byID)
+		if want := inside(sr); !slices.Equal(got, want) {
+			t.Fatalf("step %d, region %v of %v: got %v, want %v", step, sr, regions, got, want)
+		}
+		held := make([]geom.Point, len(m.pts))
+		for i, o := range m.pts {
+			if i > 0 && m.pts[i-1].p.X > o.p.X {
+				t.Fatalf("step %d %v: memo not x-sorted at %d", step, sr, i)
+			}
+			held[i] = o.p
+		}
+		slices.SortFunc(held, byID)
+		if want := inside(m.have); !slices.Equal(held, want) {
+			t.Fatalf("step %d, region %v of %v: memo of %v holds %v, want %v", step, sr, regions, m.have, held, want)
+		}
+		if !m.have.IsEmpty() && (m.have.Width() > memoSpan*memoQuery.L || m.have.Height() > memoSpan*2*memoQuery.W) {
+			t.Fatalf("step %d, region %v of %v: memo grew to %v, past %d regions a side", step, sr, regions, m.have, memoSpan)
+		}
+	}
+}
+
+// memoSequences are the shapes a query's regions take, by name.
+var memoSequences = map[string][]geom.Rect{
+	"nested":        {{MinX: 8, MinY: 8, MaxX: 30, MaxY: 30}, {MinX: 12, MinY: 12, MaxX: 20, MaxY: 20}, {MinX: 8, MinY: 8, MaxX: 30, MaxY: 30}, {MinX: 14, MinY: 10, MaxX: 14, MaxY: 28}},
+	"disjoint":      {{MinX: 0, MinY: 0, MaxX: 6, MaxY: 6}, {MinX: 40, MinY: 40, MaxX: 48, MaxY: 48}, {MinX: 0, MinY: 40, MaxX: 4, MaxY: 44}, {MinX: 2, MinY: 2, MaxX: 6, MaxY: 8}},
+	"edge-touching": {{MinX: 8, MinY: 8, MaxX: 16, MaxY: 16}, {MinX: 16, MinY: 8, MaxX: 24, MaxY: 16}, {MinX: 8, MinY: 16, MaxX: 24, MaxY: 24}, {MinX: 0, MinY: 24, MaxX: 8, MaxY: 32}},
+	"zero-height":   {{MinX: 4, MinY: 12, MaxX: 24, MaxY: 12}, {MinX: 8, MinY: 12, MaxX: 28, MaxY: 12}, {MinX: 6, MinY: 10, MaxX: 26, MaxY: 14}, {MinX: 10, MinY: 16, MaxX: 30, MaxY: 16}},
+	"four-strips":   {{MinX: 16, MinY: 16, MaxX: 28, MaxY: 28}, {MinX: 12, MinY: 12, MaxX: 32, MaxY: 32}, {MinX: 8, MinY: 20, MaxX: 36, MaxY: 24}, {MinX: 20, MinY: 8, MaxX: 24, MaxY: 36}},
+	"sliding":       {{MinX: 0, MinY: 8, MaxX: 12, MaxY: 32}, {MinX: 2, MinY: 8, MaxX: 14, MaxY: 30}, {MinX: 4, MinY: 10, MaxX: 16, MaxY: 32}, {MinX: 6, MinY: 8, MaxX: 18, MaxY: 28}, {MinX: 8, MinY: 12, MaxX: 20, MaxY: 34}},
+	// Search regions marching right, half a region a step: the eighth would
+	// make the memo 36 wide. The last lies inside what was fetched before.
+	"past-the-span": {{MinX: 0, MinY: 16, MaxX: 8, MaxY: 24}, {MinX: 4, MinY: 16, MaxX: 12, MaxY: 24}, {MinX: 8, MinY: 16, MaxX: 16, MaxY: 24}, {MinX: 12, MinY: 16, MaxX: 20, MaxY: 24}, {MinX: 16, MinY: 16, MaxX: 24, MaxY: 24}, {MinX: 20, MinY: 16, MaxX: 28, MaxY: 24}, {MinX: 24, MinY: 16, MaxX: 32, MaxY: 24}, {MinX: 28, MinY: 16, MaxX: 36, MaxY: 24}, {MinX: 32, MinY: 16, MaxX: 40, MaxY: 24}, {MinX: 2, MinY: 16, MaxX: 10, MaxY: 24}},
+	"empty":         {{MinX: 8, MinY: 8, MaxX: 6, MaxY: 20}, {MinX: 8, MinY: 8, MaxX: 20, MaxY: 20}, {MinX: 30, MinY: 30, MaxX: 40, MaxY: 28}, {MinX: 10, MinY: 10, MaxX: 8, MaxY: 8}},
+}
+
+// TestMemoRegionTable runs the named sequences through both window
+// queries and from several leaves.
+func TestMemoRegionTable(t *testing.T) {
+	pts := memoLattice()
+	eng, err := quickEngine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, seq := range memoSequences {
+		if !reflect.DeepEqual(decodeRegions(encodeRegions(seq)), seq) {
+			t.Fatalf("%s: the fuzz encoding cannot express %v", name, seq)
+		}
+		for mode := byte(0); mode < 8; mode++ {
+			checkMemoSequence(t, eng, pts, mode, seq)
+		}
+	}
+	// The guards must have let the memo grow and must have refused: a table
+	// that only ever bypassed, or never did, would prove little.
+	r := eng.tree.Reader(context.Background(), nil)
+	for _, c := range []struct {
+		seq  []geom.Rect
+		want geom.Rect
+	}{
+		// memoWaste refuses the far corner, memoSpan the eighth step right.
+		{memoSequences["disjoint"][:2], memoSequences["disjoint"][0]},
+		{memoSequences["past-the-span"], geom.Rect{MinX: 0, MinY: 16, MaxX: 32, MaxY: 24}},
+	} {
+		sc := getScratch()
+		for _, sr := range c.seq {
+			if _, err := eng.anchorCandidates(r, false, 0, sr, memoQuery, false, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sc.memo.have != c.want {
+			t.Errorf("after %v the memo holds %v, want %v", c.seq, sc.memo.have, c.want)
+		}
+		putScratch(sc)
+	}
+}
+
+// FuzzMemoRegion drives the memo with byte-derived region sequences; the
+// seed corpus (testdata/fuzz/FuzzMemoRegion) is the table above under
+// encodeRegions, once per window query.
+func FuzzMemoRegion(f *testing.F) {
+	pts := memoLattice()
+	eng, err := quickEngine(pts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, mode byte, data []byte) {
+		checkMemoSequence(t, eng, pts, mode, decodeRegions(data))
+	})
+}
+
+// TestSharedEqualsPerAnchor is the memo's contract with the rest of the
+// engine: an execution that shares window queries between anchors and one
+// that issues Algorithm 1's window query for every anchor return the same
+// answer, bit for bit, and the same Stats but for the node visits — under
+// each of the seven schemes and four measures, for NWC and kNWC, on
+// uniform, clustered and duplicate-heavy data. Node visits are compared
+// per dataset and scheme: a single query with a handful of anchors can
+// read a few nodes more when shared (a strip is longer and thinner than
+// the region it completes), so "no more than per anchor" holds of sums,
+// not of every query.
+func TestSharedEqualsPerAnchor(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	datasets := map[string][]geom.Point{}
+	for i := 0; i < 1500; i++ {
+		id := uint64(i)
+		datasets["uniform"] = append(datasets["uniform"], geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, ID: id})
+		datasets["gaussian"] = append(datasets["gaussian"], geom.Point{
+			X: clamp(500+rng.NormFloat64()*90, 0, 1000), Y: clamp(500+rng.NormFloat64()*90, 0, 1000), ID: id})
+		// 150 sites on a lattice of spacing 25, ten objects to a site on average.
+		datasets["duplicates"] = append(datasets["duplicates"], geom.Point{
+			X: 300 + float64(rng.Intn(15))*25, Y: 300 + float64(rng.Intn(10))*25, ID: id})
+	}
+	queries := []Query{
+		{Q: geom.Point{X: 500, Y: 500}, L: 40, W: 40, N: 4},
+		{Q: geom.Point{X: 430, Y: 560}, L: 60, W: 25, N: 6},
+		{Q: geom.Point{X: 905, Y: 120}, L: 30, W: 80, N: 3},
+	}
+	for name, pts := range datasets {
+		eng := buildEngine(t, pts, 8, 25)
+		for _, scheme := range allSchemes {
+			var shared, perAnchor uint64
+			// sameButVisits demands equal Stats but for the node visits,
+			// which it adds to the scheme's two sums.
+			sameButVisits := func(what string, st, stPA Stats) {
+				t.Helper()
+				shared, perAnchor = shared+st.NodeVisits, perAnchor+stPA.NodeVisits
+				st.NodeVisits, stPA.NodeVisits = 0, 0
+				if st != stPA {
+					t.Errorf("%s %v %s: stats shared %+v, per-anchor %+v", name, scheme, what, st, stPA)
+				}
+			}
+			for _, qy := range queries {
+				for _, measure := range allMeasures {
+					res, st, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					resPA, stPA, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{PerAnchor: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res, resPA) {
+						t.Fatalf("%s %v %v %+v: NWC shared %+v, per-anchor %+v", name, scheme, measure, qy, res, resPA)
+					}
+					sameButVisits("NWC "+measure.String(), st, stPA)
+
+					kq := KNWCQuery{Query: qy, K: 3, M: 1}
+					groups, st, err := eng.KNWC(context.Background(), kq, scheme, measure, Exec{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					groupsPA, stPA, err := eng.KNWC(context.Background(), kq, scheme, measure, Exec{PerAnchor: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(groups, groupsPA) {
+						t.Fatalf("%s %v %v %+v: kNWC shared %+v, per-anchor %+v", name, scheme, measure, kq, groups, groupsPA)
+					}
+					sameButVisits("kNWC "+measure.String(), st, stPA)
+				}
+			}
+			if shared > perAnchor {
+				t.Errorf("%s %v: sharing read %d nodes where one query per anchor read %d", name, scheme, shared, perAnchor)
+			}
+		}
+	}
+}
+
+// TestUnprunedSharedTakesPerAnchorTime is the wall-clock side of the test
+// above, for the queries node visits flatter: under plain NWC or IWP alone
+// no bound stops the traversal, every object of the dataset is an anchor,
+// and one served from the memo reads no node but scans an x-band as tall
+// as the memo. memoSpan keeps that scan under the cost of the range query
+// it replaces; without it this query takes 1.8 times as long shared as
+// per anchor (three times on 40,000 points), and 1.4 times at a span of
+// 16. The fastest of five alternating runs a side is compared, which
+// noise can only raise.
+func TestUnprunedSharedTakesPerAnchorTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison")
+	}
+	rng := rand.New(rand.NewSource(17))
+	pts := make([]geom.Point, 8000)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, ID: uint64(i)}
+	}
+	eng := buildEngine(t, pts, 50, 25)
+	qy := Query{Q: geom.Point{X: 500, Y: 500}, L: 40, W: 40, N: 4}
+	for _, scheme := range []Scheme{SchemeNWC, SchemeIWP} {
+		fastest := map[bool]time.Duration{}
+		for run := 0; run < 5; run++ {
+			for _, perAnchor := range []bool{false, true} {
+				start := time.Now()
+				if _, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{PerAnchor: perAnchor}); err != nil {
+					t.Fatal(err)
+				}
+				if d := time.Since(start); run == 0 || d < fastest[perAnchor] {
+					fastest[perAnchor] = d
+				}
+			}
+		}
+		if shared, perAnchor := fastest[false], fastest[true]; shared > perAnchor*5/4 {
+			t.Errorf("%v: %v shared, %v per anchor: sharing costs an unpruned query more than a quarter", scheme, shared, perAnchor)
+		}
+	}
+}
+
+// consultCtx counts the times it was asked and answered "not done".
+type consultCtx struct {
+	context.Context
+	consults uint64
+}
+
+func (c *consultCtx) Err() error {
+	err := c.Context.Err()
+	if err == nil {
+		c.consults++
+	}
+	return err
+}
+
+// TestCancelStopsWithinOneAnchor cancels a dense query from inside the
+// verification of an anchor, at each improvement of the bound in turn.
+// The reader consults the context before every node it reads, but in a
+// hot spot the anchors that follow are served from the memo and read
+// none: search has to consult it for them. Each consult that says "go on"
+// is followed by exactly one node visit or one object, so when nothing ran
+// after the cancellation the two add up to the consults counted at it.
+func TestCancelStopsWithinOneAnchor(t *testing.T) {
+	eng, qs := denseFixture(t)
+	for i, qy := range qs {
+		for stopAt := 1; ; stopAt++ {
+			parent, cancel := context.WithCancel(context.Background())
+			ctx := &consultCtx{Context: parent}
+			best, improvements, atCancel := math.Inf(1), 0, uint64(0)
+			st, err := eng.search(ctx, qy, SchemeNWCStar,
+				func() float64 { return best },
+				func(g Group) {
+					if g.Dist < best {
+						best = g.Dist
+						if improvements++; improvements == stopAt {
+							atCancel = ctx.consults
+							cancel()
+						}
+					}
+				}, MeasureMax, Exec{})
+			cancel()
+			if improvements < stopAt {
+				if err != nil {
+					t.Fatalf("query %d: uncancelled run failed: %v", i, err)
+				}
+				if stopAt < 3 {
+					t.Fatalf("query %d: only %d improvements, nothing to cancel at", i, improvements)
+				}
+				break
+			}
+			if err != context.Canceled {
+				t.Fatalf("query %d cancelled at improvement %d: err = %v", i, stopAt, err)
+			}
+			if done := st.NodeVisits + uint64(st.ObjectsProcessed); done != atCancel {
+				t.Fatalf("query %d cancelled at improvement %d after %d consults: %d node visits + %d objects = %d, so %d ran after it",
+					i, stopAt, atCancel, st.NodeVisits, st.ObjectsProcessed, done, done-atCancel)
+			}
+		}
+	}
+}

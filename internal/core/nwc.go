@@ -31,6 +31,11 @@ type Exec struct {
 	// Bound, when non-nil, is a cooperative shared bound (NWC only; see
 	// Engine.NWC and, for why kNWC ignores it, Engine.KNWC).
 	Bound *rstar.SharedBound
+	// PerAnchor runs the paper's Algorithm 1 literally: one window query
+	// per anchor, nothing shared between them, so NodeVisits is the I/O
+	// count the paper's figures report. Only internal/harness (and tests)
+	// set it; a serving path never does. See DESIGN.md §18.
+	PerAnchor bool
 }
 
 // NWC answers query qy with the given scheme and measure. It
@@ -40,9 +45,9 @@ type Exec struct {
 // checked against the best group so far; optimisations prune nodes,
 // objects and window queries as enabled by the scheme.
 //
-// The context is consulted at node-visit granularity: once ctx is done
-// the traversal stops and the context's error is returned, along with
-// the stats accumulated so far.
+// The context is consulted per node visit or anchor, whichever comes
+// first: once ctx is done the traversal stops and the context's error is
+// returned, along with the stats accumulated so far.
 //
 // When x.Bound is non-nil, every pruning decision (SRR, DIP, DEP, the
 // window MINDIST gate) tests against min(local best, shared cell) — so
@@ -169,8 +174,9 @@ func (pq *pqueue) pop() pqItem {
 // one query: node visits are counted by a per-query tree Reader (which
 // also keeps the index-wide cumulative atomic total exact), so
 // concurrent searches never share a mutable counter. The reader also
-// checks ctx before every node read, giving cancellation at node-visit
-// granularity.
+// checks ctx before every node read, and search checks it before every
+// anchor — one the window memo serves reads no node — giving
+// cancellation per node visit or anchor, whichever comes first.
 func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, emit func(Group), measure Measure, x Exec) (Stats, error) {
 	var st Stats
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
@@ -235,6 +241,11 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 		}
 
 		// Object item: generate and evaluate its candidate windows.
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return st, err
+			}
+		}
 		rec.Enter(trace.PhaseSRR)
 		st.ObjectsProcessed++
 		p := it.point
@@ -268,45 +279,40 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			}
 		}
 		st.WindowQueries++
-		sc.buf = sc.buf[:0]
-		collect := func(cp geom.Point) bool {
-			sc.buf = append(sc.buf, cp)
-			return true
-		}
 		rec.Enter(trace.PhaseWindowEnum)
-		if scheme.IWP {
-			err = e.iwpIdx.WindowQuery(r, it.id, sr, collect)
-		} else {
-			err = r.Search(sr, collect)
-		}
+		cand, err := e.anchorCandidates(r, scheme.IWP, it.id, sr, qy, x.PerAnchor, sc)
 		if err != nil {
 			return st, err
 		}
-		rec.Candidates(len(sc.buf))
 		rec.Enter(trace.PhaseVerify)
-		e.evaluateWindows(qy, p, sc, measure, bound, emit, &st, rec)
+		e.evaluateWindows(qy, p, cand, sr.MinY, sr.MaxY, sc, measure, bound, emit, &st, rec)
 		rec.Enter(trace.PhaseDescent)
 	}
 	return st, nil
 }
 
 // evaluateWindows enumerates the candidate windows generated by anchor
-// object p from the candidates returned by its window query (sc.buf),
-// following Section 3.2: p sits on the quadrant-appropriate vertical
-// edge and each candidate object on the appropriate horizontal edge. A
-// sliding two-pointer over the y-sorted candidates maintains, in
-// amortised constant time per window, the window's population and how
-// many of its objects lie strictly under the pruning bound.
+// object p from its candidates — the points of cand with y in [ylo, yhi],
+// which are the indexed points of p's search region; its x-interval is
+// the one every window of p shares, so each of them can be window
+// contents or a horizontal anchor — following Section 3.2: p sits on the
+// quadrant-appropriate vertical edge and each candidate object on the
+// appropriate horizontal edge. A sliding two-pointer over the y-sorted
+// candidates maintains, in amortised constant time per window, the
+// window's population and how many of its objects lie strictly under the
+// pruning bound.
 //
 // That second count gates materialisation (DESIGN.md §16): a window's
 // group can beat the bound only if at least `need` of its objects are
 // under it — all n for MeasureMax, one for MeasureMin and MeasureAvg —
 // so a window failing the test is skipped without selecting, sorting or
-// allocating anything. Distances come from q.Dist, the function
-// groupDist uses, which makes the test a strict necessary condition of
-// groupDist < bound: it needs no slack and never drops an improving
-// group, and emit stays the authority on what improves.
-func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, measure Measure, bound func() float64, emit func(Group), st *Stats, rec *trace.Recorder) {
+// allocating anything, and an anchor whose candidates as a whole fail it
+// is dropped on a counting pass over cand, before they are even copied
+// out of it. Distances come from q.Dist, the function groupDist uses,
+// which makes the test a strict necessary condition of groupDist < bound:
+// it needs no slack and never drops an improving group, and emit stays
+// the authority on what improves.
+func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []slabObj, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, emit func(Group), st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	need := 0 // MeasureWindow: object distances never enter the group distance
 	switch measure {
@@ -315,40 +321,36 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, meas
 	case MeasureMin, MeasureAvg:
 		need = 1
 	}
-	// Every candidate window generated by p shares its x-interval; only
-	// objects inside it can be window contents or horizontal anchors.
-	var xlo, xhi float64
-	if geom.OnRightEdge(q, p) {
-		xlo, xhi = p.X-l, p.X
-	} else {
-		xlo, xhi = p.X, p.X+l
-	}
 	cb := bound() // the bound the under-counts below are taken against
-	slabUnder := 0
-	s := sc.slab[:0]
-	for _, c := range sc.buf {
-		if c.X < xlo || c.X > xhi {
-			continue
-		}
-		o := slabObj{p: c}
-		if need > 0 {
-			o.d = q.Dist(c)
+	// Every window of this anchor draws its contents from the candidates,
+	// so when they as a whole fail the test no window can pass it: skip
+	// the copy and the sort.
+	count, slabUnder := 0, 0
+	for i := range cand {
+		if o := &cand[i]; o.p.Y >= ylo && o.p.Y <= yhi {
+			count++
 			if o.d < cb {
 				slabUnder++
 			}
 		}
-		s = append(s, o)
 	}
-	sc.slab = s
-	if len(s) < n {
+	rec.Candidates(count)
+	if count < n {
 		return
 	}
-	// Every window of this anchor draws its contents from s, so when s
-	// as a whole fails the test no window can pass it: skip the sort.
 	if slabUnder < need {
 		rec.Count(trace.CtrAnchorsGated, 1)
 		return
 	}
+	// cand may be sc.slab itself (a bypassed anchor's own range query);
+	// the copy then runs in place, each write at or behind its read.
+	s := sc.slab[:0]
+	for _, o := range cand {
+		if o.p.Y >= ylo && o.p.Y <= yhi {
+			s = append(s, o)
+		}
+	}
+	sc.slab = s
 	top := geom.AnchorsTopEdge(q, p)
 	if top {
 		slices.SortFunc(s, func(a, b slabObj) int { return cmp.Compare(a.p.Y, b.p.Y) })
@@ -433,12 +435,11 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, meas
 			gated++
 			continue
 		}
-		// The candidates were copied into s, so their buffer is free to
-		// hold the window's contents for selection.
 		pts := sc.buf[:0]
 		for _, c := range s[lo : i+1] {
 			pts = append(pts, c.p)
 		}
+		sc.buf = pts // keep the capacity for the next materialisation
 		objs := nClosestScratch(q, pts, n, sc)
 		rec.Count(trace.CtrGroupsEmitted, 1)
 		emit(Group{

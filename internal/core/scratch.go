@@ -7,24 +7,25 @@ import (
 )
 
 // searchScratch bundles the per-query working memory of the NWC/kNWC
-// traversal: the best-first heap, the window-query candidate buffer,
-// the current anchor's x-slab, the order-statistic setup arrays and the
-// n-closest selection scratch.
+// traversal: the best-first heap, the window memo, the current anchor's
+// candidates, one window's contents, the order-statistic setup arrays
+// and the n-closest selection scratch.
 // Queries borrow one from scratchPool so steady-state batch load (many
 // queries across worker goroutines) stops allocating these on every
 // call; everything handed to the caller (result groups, object lists)
 // is still freshly allocated, so nothing escapes back into the pool.
 type searchScratch struct {
 	pq    pqueue
-	buf   []geom.Point // window-query results, then one window's contents for selection
-	slab  []slabObj    // x-filtered candidates of the current anchor, y-sorted
+	memo  windowMemo   // what this query's window queries fetched so far
+	buf   []geom.Point // one window's contents, for selection
+	slab  []slabObj    // what a range query read, then the current anchor's candidates, y-sorted
 	ranks []int        // slab object rank per index (MeasureAvg)
 	dp    []distPoint  // nClosest selection scratch
 	fen   distStats    // Fenwick arrays, reset per anchor
 }
 
-// slabObj is one x-slab candidate of the current anchor together with
-// its distance to the query point, computed once per anchor.
+// slabObj is one indexed point together with its distance to the query
+// point, computed once per query when the point is fetched.
 type slabObj struct {
 	p geom.Point
 	d float64
@@ -41,6 +42,7 @@ func getScratch() *searchScratch {
 	sc := scratchPool.Get().(*searchScratch)
 	sc.pq = sc.pq[:0]
 	sc.buf = sc.buf[:0]
+	sc.memo.reset()
 	return sc
 }
 
@@ -53,6 +55,9 @@ func putScratch(sc *searchScratch) {
 	}
 	if cap(sc.slab) > scratchKeepCap {
 		sc.slab = nil
+	}
+	if cap(sc.memo.pts) > scratchKeepCap {
+		sc.memo.pts = nil
 	}
 	if cap(sc.ranks) > scratchKeepCap {
 		sc.ranks = nil

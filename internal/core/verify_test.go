@@ -268,9 +268,12 @@ func forEachAnchor(pts []geom.Point, qy Query, eval func(p geom.Point, cands []g
 func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bound func() float64, emit func(Group)) {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.buf = append(sc.buf, cands...)
+	cand := make([]slabObj, len(cands))
+	for i, c := range cands {
+		cand[i] = slabObj{p: c, d: qy.Q.Dist(c)}
+	}
 	var st Stats
-	(&Engine{}).evaluateWindows(qy, p, sc, measure, bound, emit, &st, nil)
+	(&Engine{}).evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), sc, measure, bound, emit, &st, nil)
 }
 
 // TestGatedVerifyEqualsEager drives evaluateWindows and the gate-free

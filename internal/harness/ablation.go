@@ -14,7 +14,11 @@ import (
 //     (node counts and NWC* query I/O);
 //  2. R*-tree fan-out — 25 / 50 (paper) / 100 entries per node;
 //  3. IWP backward-pointer spacing — minimal / exponential (paper) /
-//     full (pointer storage vs IWP-scheme query I/O).
+//     full (pointer storage vs IWP-scheme query I/O);
+//  4. anchor-shared window queries — NWC* executed as the paper states
+//     it, one window query per anchor (what every other table and figure
+//     reports), beside NWC* as the engine serves it, the anchors of a
+//     query sharing what their window queries fetch (DESIGN.md §18).
 func Ablation(o Options) ([]*Table, error) {
 	ws := o.windowScale()
 	l, w := defaultWindow*ws, defaultWindow*ws
@@ -107,5 +111,31 @@ func Ablation(o Options) ([]*Table, error) {
 			fmt.Sprintf("%d", env.IWP.NumOverlap()),
 			fmtIO(m.AvgIO))
 	}
-	return []*Table{buildTab, fanTab, iwpTab}, nil
+
+	// 4. Anchor-shared window queries, all three datasets.
+	sharedTab := &Table{
+		Title:  "Ablation: anchor-shared window queries (AvgIO)",
+		Header: []string{"Execution"},
+	}
+	perAnchor, shared := []string{"NWC*"}, []string{"NWC* shared"}
+	for _, d := range datasets {
+		o.logf("ablation shared window queries %s", d.Name)
+		env, err := o.build(d)
+		if err != nil {
+			return nil, err
+		}
+		pa, err := RunNWC(env, queries, l, w, defaultN, core.SchemeNWCStar, o.Measure)
+		if err != nil {
+			return nil, err
+		}
+		sh, err := runNWC(env, queries, l, w, defaultN, core.SchemeNWCStar, o.Measure, core.Exec{})
+		if err != nil {
+			return nil, err
+		}
+		perAnchor, shared = append(perAnchor, fmtIO(pa.AvgIO)), append(shared, fmtIO(sh.AvgIO))
+		sharedTab.Header = append(sharedTab.Header, d.Name)
+	}
+	sharedTab.AddRow(perAnchor...)
+	sharedTab.AddRow(shared...)
+	return []*Table{buildTab, fanTab, iwpTab, sharedTab}, nil
 }

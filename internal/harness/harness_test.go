@@ -300,7 +300,7 @@ func TestAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 3 {
+	if len(tables) != 4 {
 		t.Fatalf("%d ablation tables", len(tables))
 	}
 	// Build-method table: 3 datasets x 2 methods.
@@ -327,5 +327,21 @@ func TestAblationSmoke(t *testing.T) {
 	bFull, _ := strconv.Atoi(tables[2].Rows[2][1])
 	if bFull < bMin {
 		t.Errorf("full spacing has %d pointers, minimal %d", bFull, bMin)
+	}
+	// Shared-window-query table: NWC* as the paper executes it beside
+	// NWC* as the engine serves it, one column per dataset; sharing must
+	// read fewer nodes over the three datasets together.
+	rows := tables[3].Rows
+	if len(rows) != 2 || len(rows[0]) != 4 || rows[0][0] != "NWC*" || rows[1][0] != "NWC* shared" {
+		t.Fatalf("shared window query ablation: %v", rows)
+	}
+	var perAnchor, shared float64
+	for col := 1; col < 4; col++ {
+		pa, _ := strconv.ParseFloat(rows[0][col], 64)
+		sh, _ := strconv.ParseFloat(rows[1][col], 64)
+		perAnchor, shared = perAnchor+pa, shared+sh
+	}
+	if shared >= perAnchor {
+		t.Errorf("sharing read %g nodes per query where one window query per anchor read %g", shared, perAnchor)
 	}
 }

@@ -813,6 +813,9 @@ func addCounters(a, b nwcq.TraceCounters) nwcq.TraceCounters {
 	a.IWPJumpStarts += b.IWPJumpStarts
 	a.IWPRootStarts += b.IWPRootStarts
 	a.IWPOverlapScans += b.IWPOverlapScans
+	a.MemoServed += b.MemoServed
+	a.MemoStrips += b.MemoStrips
+	a.MemoBypassed += b.MemoBypassed
 	a.DedupOffered += b.DedupOffered
 	a.DedupAccepted += b.DedupAccepted
 	return a

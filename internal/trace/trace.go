@@ -33,8 +33,9 @@ const (
 	// PhaseSRR covers search-region construction and SRR shrinking for
 	// each anchor object, including DEP's window-query cancellation.
 	PhaseSRR
-	// PhaseWindowEnum covers window-query execution (IWP or
-	// traditional root descent) collecting candidate objects.
+	// PhaseWindowEnum covers collecting each anchor's candidate objects:
+	// from the query's window memo, or by window-query execution (IWP or
+	// traditional root descent) to grow it or bypass it.
 	PhaseWindowEnum
 	// PhaseVerify covers candidate-window enumeration and verification
 	// against the pruning bound (evaluateWindows).
@@ -106,6 +107,18 @@ const (
 	// few objects under the bound for any of their windows to improve
 	// it; their windows are neither sorted nor enumerated.
 	CtrAnchorsGated
+	// CtrMemoServed counts anchors whose search region lay inside the
+	// query's window memo: their candidates cost no node visit.
+	CtrMemoServed
+	// CtrMemoStrips counts the range queries that grew the memo, one to
+	// four difference strips per anchor that stuck out of it. Anchors
+	// that grew it = window queries − memo_served − memo_bypassed.
+	CtrMemoStrips
+	// CtrMemoBypassed counts anchors answered by a range query of their
+	// own with the memo left alone: those whose strips would have covered
+	// too much beyond their region, and every anchor of a per-anchor
+	// execution (the paper's Algorithm 1, internal/harness).
+	CtrMemoBypassed
 
 	// CounterCount is the number of counters.
 	CounterCount
@@ -116,6 +129,7 @@ var counterNames = [CounterCount]string{
 	"dep_skipped_objects", "groups_emitted", "iwp_jump_starts",
 	"iwp_root_starts", "iwp_overlap_scans", "dedup_offered",
 	"dedup_accepted", "windows_gated", "anchors_gated",
+	"memo_served", "memo_strips", "memo_bypassed",
 }
 
 // String returns the counter's stable snake_case name.

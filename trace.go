@@ -57,7 +57,9 @@ type TraceCounters struct {
 	DEPSkippedObjects int64 `json:"dep_skipped_objects"`
 	// GridProbes counts density-grid upper-bound probes.
 	GridProbes int64 `json:"grid_probes"`
-	// WindowQueries counts window queries issued. AnchorsGated counts
+	// WindowQueries counts the anchors whose windows were taken up: the
+	// window queries Algorithm 1 issues, one per such anchor. The Memo
+	// counters below say how they were answered. AnchorsGated counts
 	// the anchors among them whose candidates held too few objects under
 	// the bound for any window to improve it; their windows are not
 	// enumerated. CandidateWindows and QualifiedWindows count windows
@@ -75,10 +77,23 @@ type TraceCounters struct {
 	// IWPJumpStarts counts window queries started below the root via a
 	// backward pointer, IWPRootStarts those that fell back to the root,
 	// and IWPOverlapScans the overlapping-node subtree scans run to
-	// restore completeness after a below-root start.
+	// restore completeness after a below-root start. They count the
+	// range queries that reached the index (MemoStrips + MemoBypassed
+	// under an IWP scheme), not the anchors.
 	IWPJumpStarts   int64 `json:"iwp_jump_starts"`
 	IWPRootStarts   int64 `json:"iwp_root_starts"`
 	IWPOverlapScans int64 `json:"iwp_overlap_scans"`
+	// MemoServed counts anchors whose search region lay inside what the
+	// query's earlier window queries had fetched: their candidates cost
+	// no node visit. MemoStrips counts the range queries that grew that
+	// memo, one to four difference strips per anchor that stuck out of it
+	// (so WindowQueries − MemoServed − MemoBypassed anchors grew it), and
+	// MemoBypassed the anchors answered by a range query of their own
+	// because their strips would have covered too much beyond their
+	// region.
+	MemoServed   int64 `json:"memo_served"`
+	MemoStrips   int64 `json:"memo_strips"`
+	MemoBypassed int64 `json:"memo_bypassed"`
 	// DedupOffered and DedupAccepted count kNWC candidate-pool traffic:
 	// groups offered, and offers that entered the pool.
 	DedupOffered  int64 `json:"dedup_offered"`
@@ -144,6 +159,9 @@ func queryTraceFrom(kind string, scheme Scheme, measure Measure, rec *trace.Reco
 			IWPJumpStarts:     s.Counters[trace.CtrIWPJumpStarts],
 			IWPRootStarts:     s.Counters[trace.CtrIWPRootStarts],
 			IWPOverlapScans:   s.Counters[trace.CtrIWPOverlapScans],
+			MemoServed:        s.Counters[trace.CtrMemoServed],
+			MemoStrips:        s.Counters[trace.CtrMemoStrips],
+			MemoBypassed:      s.Counters[trace.CtrMemoBypassed],
 			DedupOffered:      s.Counters[trace.CtrDedupOffered],
 			DedupAccepted:     s.Counters[trace.CtrDedupAccepted],
 		},
@@ -177,7 +195,9 @@ func (t *QueryTrace) Render() string {
 			kv("shrunk", c.SRRShrinks), kv("skipped", c.SRRSkips),
 			kv("dep-cancelled", c.DEPSkippedObjects), kv("grid-probes", c.GridProbes)),
 		"window-enum": joinNonZero(
-			kv("window-queries", c.WindowQueries), kv("iwp-jump-starts", c.IWPJumpStarts),
+			kv("window-queries", c.WindowQueries), kv("memo-served", c.MemoServed),
+			kv("memo-strips", c.MemoStrips), kv("memo-bypassed", c.MemoBypassed),
+			kv("iwp-jump-starts", c.IWPJumpStarts),
 			kv("iwp-root-starts", c.IWPRootStarts), kv("iwp-overlap-scans", c.IWPOverlapScans),
 			kv("candidate-high-water", int64(t.CandidateHighWater))),
 		"verify": joinNonZero(
