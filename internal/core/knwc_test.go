@@ -300,13 +300,10 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 		}
 		return g
 	}
-	newState := func(k, m int) *knwcState {
-		return &knwcState{k: k, m: m, index: make(map[string]int)}
-	}
 	// Eviction chain: B (mid) arrives, C (far, blocked by B under the
 	// paper's Steps 1–5) arrives, then A (closest, overlapping B)
 	// displaces B. The pool-based maintenance recovers C.
-	s := newState(2, 0)
+	s := newKNWCState(2, 0)
 	s.insert(mk(5, 1, 2)) // B
 	s.insert(mk(9, 2, 4)) // C overlaps B: blocked while B is accepted
 	s.insert(mk(1, 1, 7)) // A overlaps B, evicts it from the greedy set
@@ -315,7 +312,7 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 		t.Fatalf("groups after eviction chain: %+v", got)
 	}
 	// Exact duplicates collapse even when m >= n allows them.
-	s = newState(3, 5)
+	s = newKNWCState(3, 5)
 	s.insert(mk(2, 1, 2))
 	s.insert(mk(2, 1, 2))
 	if got := s.result(); len(got) != 1 {
@@ -323,14 +320,14 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 	}
 	// Same object set through a closer window keeps the smaller
 	// distance (MeasureWindow semantics).
-	s = newState(2, 0)
+	s = newKNWCState(2, 0)
 	s.insert(mk(7, 1, 2))
 	s.insert(mk(3, 1, 2))
 	if got := s.result(); len(got) != 1 || got[0].Dist != 3 {
 		t.Fatalf("min-dist dedup failed: %+v", got)
 	}
 	// A candidate farther than the full greedy list is ignored.
-	s = newState(1, 0)
+	s = newKNWCState(1, 0)
 	s.insert(mk(1, 1))
 	s.insert(mk(2, 2))
 	if got := s.result(); len(got) != 1 || got[0].Dist != 1 {
@@ -340,7 +337,7 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 		t.Fatalf("bound = %g, want 1", b)
 	}
 	// Overlap with a closer group blocks greedy acceptance.
-	s = newState(3, 0)
+	s = newKNWCState(3, 0)
 	s.insert(mk(1, 1, 2))
 	s.insert(mk(2, 2, 3))
 	if got := s.result(); len(got) != 1 {
@@ -349,7 +346,7 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 }
 
 func TestKNWCPoolCompaction(t *testing.T) {
-	s := &knwcState{k: 2, m: 0, index: make(map[string]int)}
+	s := newKNWCState(2, 0)
 	// Fill beyond the compaction limit with disjoint singleton groups.
 	for i := 0; i < compactLimit+10; i++ {
 		g := Group{
@@ -366,8 +363,11 @@ func TestKNWCPoolCompaction(t *testing.T) {
 		t.Fatalf("compacted pool result: %+v", got)
 	}
 	// Index stays consistent after compaction.
-	for key, pos := range s.index {
-		if s.pool[pos].key != key {
+	if len(s.held) != len(s.pool) {
+		t.Fatalf("index holds %d keys for %d pool entries", len(s.held), len(s.pool))
+	}
+	for key, dist := range s.held {
+		if pos := s.position(dist, []byte(key)); pos == len(s.pool) || s.pool[pos].key != key || s.pool[pos].g.Dist != dist {
 			t.Fatal("index out of sync after compaction")
 		}
 	}

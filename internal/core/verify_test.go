@@ -310,8 +310,8 @@ func TestGatedVerifyEqualsEager(t *testing.T) {
 				}
 
 				for m := 0; m <= 1; m++ {
-					gs := knwcState{k: 3, m: m, index: map[string]int{}}
-					es := knwcState{k: 3, m: m, index: map[string]int{}}
+					gs := newKNWCState(3, m)
+					es := newKNWCState(3, m)
 					forEachAnchor(pts, qy, func(p geom.Point, cands []geom.Point) {
 						last := gs.bound()
 						gatedAnchor(qy, p, cands, measure, func() float64 {

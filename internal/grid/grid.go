@@ -9,25 +9,30 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"nwcq/internal/geom"
 )
 
 // Density is a density grid over a bounded object space.
 //
-// Counts are stored per row so that the copy-on-write derivations
-// (WithAdd, WithRemove) can produce an updated grid by cloning the row
-// directory plus the single affected row — a few hundred words for the
-// paper's 400 × 400 default — while sharing every untouched row with
-// the original. A Density reached only through WithAdd/WithRemove is
-// effectively immutable and safe for concurrent readers; the in-place
-// Add/Remove methods remain for single-owner bulk construction and must
-// never run on a grid that concurrent queries can see.
+// Counts are stored per row, as prefix sums: rows[cy][cx] is the number
+// of objects in cells [0, cx) of row cy (nx+1 words), so a rectangle's
+// bound costs one subtraction per row it spans and a mutation rewrites
+// the suffix of one row. Rows are independent (DESIGN.md §9: why not a
+// 2-D table) so that the copy-on-write derivations (WithAdd, WithRemove)
+// can produce an updated grid by cloning the row directory plus the
+// single affected row — a few hundred words for the paper's 400 × 400
+// default — while sharing every untouched row with the original. A
+// Density reached only through WithAdd/WithRemove is effectively
+// immutable and safe for concurrent readers; the in-place Add/Remove
+// methods remain for single-owner bulk construction and must never run
+// on a grid that concurrent queries can see.
 type Density struct {
 	space    geom.Rect
 	cellSize float64
 	nx, ny   int
-	rows     [][]uint32 // rows[cy][cx]
+	rows     [][]uint32 // rows[cy][cx]: prefix sums, see above
 	total    int
 }
 
@@ -51,18 +56,25 @@ func New(space geom.Rect, cellSize float64, pts []geom.Point) (*Density, error) 
 	// One backing array, sliced into rows: same locality as the old
 	// flat layout for the build, while rows stay independently
 	// shareable afterwards.
-	flat := make([]uint32, d.nx*d.ny)
+	stride := d.nx + 1
+	flat := make([]uint32, stride*d.ny)
 	d.rows = make([][]uint32, d.ny)
 	for cy := 0; cy < d.ny; cy++ {
-		d.rows[cy] = flat[cy*d.nx : (cy+1)*d.nx : (cy+1)*d.nx]
+		d.rows[cy] = flat[cy*stride : (cy+1)*stride : (cy+1)*stride]
 	}
+	// Each cell is counted into the word after it, then rows are summed.
 	for _, p := range pts {
 		cx, cy, ok := d.cellOf(p)
 		if !ok {
 			return nil, fmt.Errorf("grid: point %v outside space %v", p, space)
 		}
-		d.rows[cy][cx]++
+		d.rows[cy][cx+1]++
 		d.total++
+	}
+	for _, row := range d.rows {
+		for cx := 1; cx <= d.nx; cx++ {
+			row[cx] += row[cx-1]
+		}
 	}
 	return d, nil
 }
@@ -92,16 +104,18 @@ func (d *Density) Dims() (nx, ny int) { return d.nx, d.ny }
 // Total returns the number of indexed objects.
 func (d *Density) Total() int { return d.total }
 
-// StorageBytes returns the memory footprint of the cell counters. The
-// paper stores one short integer per cell (Section 5.2: a 400 × 400 grid
-// occupies about 312 KB); we report the same two bytes per cell so the
-// storage-overhead experiment matches.
+// StorageBytes returns the footprint of the cell counters as the paper
+// lays them out — one short integer per cell (Section 5.2: a 400 × 400
+// grid occupies about 312 KB) — so the storage-overhead experiment
+// matches; it is not what is held, a 4-byte prefix word per cell and one
+// more per row.
 func (d *Density) StorageBytes() int { return d.nx * d.ny * 2 }
 
 // UpperBound returns an upper bound on the number of objects within rect
 // (Algorithm 2's ub): the sum of the counts of all cells intersecting
-// rect. Cells partially covered by rect contribute their full count, so
-// the result can exceed — but never undercount — the true population.
+// rect, taken as one prefix-sum difference per row. Cells partially
+// covered by rect contribute their full count, so the result can exceed
+// — but never undercount — the true population.
 func (d *Density) UpperBound(rect geom.Rect) int {
 	rect = rect.Intersection(d.space)
 	if rect.IsEmpty() {
@@ -118,11 +132,8 @@ func (d *Density) UpperBound(rect geom.Rect) int {
 		y1 = d.ny - 1
 	}
 	sum := 0
-	for cy := y0; cy <= y1; cy++ {
-		row := d.rows[cy]
-		for cx := x0; cx <= x1; cx++ {
-			sum += int(row[cx])
-		}
+	for _, row := range d.rows[y0 : y1+1] {
+		sum += int(row[x1+1] - row[x0])
 	}
 	return sum
 }
@@ -136,16 +147,39 @@ func (d *Density) PrunesRect(rect geom.Rect, n int) bool {
 // Space returns the grid's object space.
 func (d *Density) Space() geom.Rect { return d.space }
 
+// cellFor is cellOf for a mutation: it names what is wrong with p, and a
+// removal is also refused from a cell that holds nothing.
+func (d *Density) cellFor(p geom.Point, remove bool) (cx, cy int, err error) {
+	cx, cy, ok := d.cellOf(p)
+	if !ok {
+		return 0, 0, fmt.Errorf("grid: point %v outside space %v", p, d.space)
+	}
+	if remove && d.rows[cy][cx+1] == d.rows[cy][cx] {
+		return 0, 0, fmt.Errorf("grid: removing %v from an empty cell", p)
+	}
+	return cx, cy, nil
+}
+
+const minusOne = ^uint32(0) // −1 in the counters' wrapping arithmetic
+
+// bump changes the count of cell cx of row by delta: every prefix sum
+// past the cell moves, at most nx additions.
+func bump(row []uint32, cx int, delta uint32) {
+	for i := cx + 1; i < len(row); i++ {
+		row[i] += delta
+	}
+}
+
 // Add counts a newly inserted object in place. It fails when p lies
 // outside the grid's space; callers then rebuild the grid over an
 // enlarged space. In-place mutation is for single-owner grids only —
 // published grids derive updates with WithAdd.
 func (d *Density) Add(p geom.Point) error {
-	cx, cy, ok := d.cellOf(p)
-	if !ok {
-		return fmt.Errorf("grid: point %v outside space %v", p, d.space)
+	cx, cy, err := d.cellFor(p, false)
+	if err != nil {
+		return err
 	}
-	d.rows[cy][cx]++
+	bump(d.rows[cy], cx, 1)
 	d.total++
 	return nil
 }
@@ -154,14 +188,11 @@ func (d *Density) Add(p geom.Point) error {
 // was never added corrupts the bound and is rejected. See Add for the
 // single-owner caveat.
 func (d *Density) Remove(p geom.Point) error {
-	cx, cy, ok := d.cellOf(p)
-	if !ok {
-		return fmt.Errorf("grid: point %v outside space %v", p, d.space)
+	cx, cy, err := d.cellFor(p, true)
+	if err != nil {
+		return err
 	}
-	if d.rows[cy][cx] == 0 {
-		return fmt.Errorf("grid: removing %v from an empty cell", p)
-	}
-	d.rows[cy][cx]--
+	bump(d.rows[cy], cx, minusOne)
 	d.total--
 	return nil
 }
@@ -170,11 +201,8 @@ func (d *Density) Remove(p geom.Point) error {
 // row cy is a private clone, ready to be edited without disturbing d.
 func (d *Density) withRow(cy int) *Density {
 	nd := *d
-	nd.rows = make([][]uint32, len(d.rows))
-	copy(nd.rows, d.rows)
-	row := make([]uint32, d.nx)
-	copy(row, d.rows[cy])
-	nd.rows[cy] = row
+	nd.rows = slices.Clone(d.rows)
+	nd.rows[cy] = slices.Clone(d.rows[cy])
 	return &nd
 }
 
@@ -182,12 +210,12 @@ func (d *Density) withRow(cy int) *Density {
 // every row except the affected one. d is not modified and stays safe
 // for concurrent readers.
 func (d *Density) WithAdd(p geom.Point) (*Density, error) {
-	cx, cy, ok := d.cellOf(p)
-	if !ok {
-		return nil, fmt.Errorf("grid: point %v outside space %v", p, d.space)
+	cx, cy, err := d.cellFor(p, false)
+	if err != nil {
+		return nil, err
 	}
 	nd := d.withRow(cy)
-	nd.rows[cy][cx]++
+	bump(nd.rows[cy], cx, 1)
 	nd.total++
 	return nd, nil
 }
@@ -196,15 +224,12 @@ func (d *Density) WithAdd(p geom.Point) (*Density, error) {
 // sharing every row except the affected one. d is not modified and
 // stays safe for concurrent readers.
 func (d *Density) WithRemove(p geom.Point) (*Density, error) {
-	cx, cy, ok := d.cellOf(p)
-	if !ok {
-		return nil, fmt.Errorf("grid: point %v outside space %v", p, d.space)
-	}
-	if d.rows[cy][cx] == 0 {
-		return nil, fmt.Errorf("grid: removing %v from an empty cell", p)
+	cx, cy, err := d.cellFor(p, true)
+	if err != nil {
+		return nil, err
 	}
 	nd := d.withRow(cy)
-	nd.rows[cy][cx]--
+	bump(nd.rows[cy], cx, minusOne)
 	nd.total--
 	return nd, nil
 }

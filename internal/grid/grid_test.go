@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -306,5 +307,238 @@ func TestWithAddWithRemoveCopyOnWrite(t *testing.T) {
 	}
 	if _, err := empty.WithRemove(geom.Point{X: 5, Y: 5}); err == nil {
 		t.Error("WithRemove from empty cell accepted")
+	}
+}
+
+// gridModel is the naive side of TestMutationsMatchRecount: the live
+// points, recounted cell by cell for every question.
+type gridModel struct {
+	space geom.Rect
+	cell  float64
+	live  []geom.Point
+}
+
+// cellOf restates the grid's mapping: truncate, then fold the space's
+// top and right border into the last cell.
+func (m *gridModel) cellOf(p geom.Point) (cx, cy int) {
+	nx, ny := int(m.space.Width()/m.cell)+1, int(m.space.Height()/m.cell)+1
+	cx = min(int((p.X-m.space.MinX)/m.cell), nx-1)
+	cy = min(int((p.Y-m.space.MinY)/m.cell), ny-1)
+	return cx, cy
+}
+
+// upperBound counts the live points whose cell intersects r, one point
+// and one cell at a time.
+func (m *gridModel) upperBound(r geom.Rect) int {
+	r = r.Intersection(m.space)
+	if r.IsEmpty() {
+		return 0
+	}
+	x0, y0 := m.cellOf(geom.Point{X: r.MinX, Y: r.MinY})
+	x1, y1 := m.cellOf(geom.Point{X: r.MaxX, Y: r.MaxY})
+	n := 0
+	for _, p := range m.live {
+		if cx, cy := m.cellOf(p); cx >= x0 && cx <= x1 && cy >= y0 && cy <= y1 {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *gridModel) cellEmpty(p geom.Point) bool {
+	return m.upperBound(geom.RectAround(p)) == 0
+}
+
+// coord draws a coordinate inside [lo, hi] that is, half the time, on a
+// cell border or a border of the space.
+func (m *gridModel) coord(rng *rand.Rand, lo, hi float64) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return lo
+	case 1:
+		return hi
+	case 2:
+		return min(lo+float64(rng.Intn(int((hi-lo)/m.cell)+1))*m.cell, hi)
+	}
+	return lo + rng.Float64()*(hi-lo)
+}
+
+func (m *gridModel) point(rng *rand.Rand, id uint64) geom.Point {
+	s := m.space
+	return geom.Point{X: m.coord(rng, s.MinX, s.MaxX), Y: m.coord(rng, s.MinY, s.MaxY), ID: id}
+}
+
+// rects returns the questions asked after every step: degenerate, one
+// cell, the whole space, a superset of it, outside it, and random ones.
+func (m *gridModel) rects(rng *rand.Rand) []geom.Rect {
+	s := m.space
+	p, c := m.point(rng, 0), m.point(rng, 0)
+	out := []geom.Rect{
+		geom.RectAround(p),
+		geom.NewRect(p.X, s.MinY, p.X, s.MaxY), // zero width, every row
+		geom.NewRect(s.MinX, p.Y, s.MaxX, p.Y), // zero height, every column
+		geom.NewRect(c.X, c.Y, c.X+m.cell/2, c.Y+m.cell/2),
+		s,
+		s.Buffer(3*m.cell, 3*m.cell),
+		geom.NewRect(s.MaxX+1, s.MinY, s.MaxX+50, s.MaxY),
+		geom.NewRect(s.MinX-50, s.MinY-50, s.MinX-1, s.MinY-1),
+		geom.EmptyRect(),
+	}
+	for i := 0; i < 6; i++ {
+		a, b := m.point(rng, 0), m.point(rng, 0)
+		out = append(out, geom.NewRect(a.X, a.Y, b.X, b.Y))
+	}
+	return out
+}
+
+// TestMutationsMatchRecount drives random Add / Remove / WithAdd /
+// WithRemove sequences and asserts after every step that UpperBound
+// equals a per-cell recount of the live points, that refused mutations
+// change nothing, and that a derived grid shares every untouched row
+// with its parent and leaves the parent's answers alone.
+func TestMutationsMatchRecount(t *testing.T) {
+	configs := []struct {
+		name  string
+		space geom.Rect
+		cell  float64
+	}{
+		{"dividing", geom.NewRect(0, 0, 100, 100), 10},
+		{"ragged", geom.NewRect(-50, 20, 41, 97), 7},
+		{"one-cell", geom.NewRect(0, 0, 10, 10), 250},
+		{"one-row", geom.NewRect(0, 0, 300, 4), 5},
+		{"paper", geom.NewRect(0, 0, 10000, 10000), 25},
+	}
+	for ci, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(ci) + 1))
+			m := &gridModel{space: cfg.space, cell: cfg.cell}
+			for i := 0; i < 40; i++ {
+				m.live = append(m.live, m.point(rng, uint64(i)))
+			}
+			cur, err := New(cfg.space, cfg.cell, m.live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(step int, what string, d *Density, rects []geom.Rect) {
+				t.Helper()
+				if d.Total() != len(m.live) {
+					t.Fatalf("step %d %s: total %d, want %d", step, what, d.Total(), len(m.live))
+				}
+				for _, r := range rects {
+					if got, want := d.UpperBound(r), m.upperBound(r); got != want {
+						t.Fatalf("step %d %s: UpperBound(%v) = %d, recount %d", step, what, r, got, want)
+					}
+				}
+			}
+			check(0, "build", cur, m.rects(rng))
+			for step := 1; step <= 400; step++ {
+				rects := m.rects(rng)
+				before := make([]int, len(rects))
+				for i, r := range rects {
+					before[i] = cur.UpperBound(r)
+				}
+				parent, parentTotal := cur, cur.Total()
+				cow := rng.Intn(2) == 0
+				var p geom.Point
+				switch op := rng.Intn(8); {
+				case op == 0: // refused: outside the space
+					p = geom.Point{X: cfg.space.MaxX + 1 + rng.Float64(), Y: cfg.space.MinY}
+					errs := []error{cur.Add(p), cur.Remove(p)}
+					_, e1 := cur.WithAdd(p)
+					_, e2 := cur.WithRemove(p)
+					for i, err := range append(errs, e1, e2) {
+						if err == nil {
+							t.Fatalf("step %d: mutation %d outside the space accepted", step, i)
+						}
+					}
+					cow = false
+				case op == 1: // refused: removal from an empty cell
+					p = m.point(rng, 0)
+					if !m.cellEmpty(p) {
+						continue
+					}
+					if err := cur.Remove(p); err == nil {
+						t.Fatalf("step %d: Remove(%v) from an empty cell accepted", step, p)
+					}
+					if _, err := cur.WithRemove(p); err == nil {
+						t.Fatalf("step %d: WithRemove(%v) from an empty cell accepted", step, p)
+					}
+					cow = false
+				case op <= 4 || len(m.live) == 0:
+					p = m.point(rng, uint64(1000+step))
+					if cow {
+						cur, err = cur.WithAdd(p)
+					} else {
+						err = cur.Add(p)
+					}
+					m.live = append(m.live, p)
+				default:
+					j := rng.Intn(len(m.live))
+					p = m.live[j]
+					if cow {
+						cur, err = cur.WithRemove(p)
+					} else {
+						err = cur.Remove(p)
+					}
+					m.live = append(m.live[:j], m.live[j+1:]...)
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				check(step, "current", cur, rects)
+				if !cow {
+					continue
+				}
+				// The parent kept its total and its answers, and gave the
+				// child every row but the one the point falls in.
+				if parent.Total() != parentTotal {
+					t.Fatalf("step %d: derivation changed the parent's total", step)
+				}
+				for i, r := range rects {
+					if got := parent.UpperBound(r); got != before[i] {
+						t.Fatalf("step %d: parent's UpperBound(%v) moved %d -> %d", step, r, before[i], got)
+					}
+				}
+				_, cy := m.cellOf(p)
+				for y := range cur.rows {
+					if shared := &cur.rows[y][0] == &parent.rows[y][0]; shared != (y != cy) {
+						t.Fatalf("step %d: row %d shared = %v, the point is in row %d", step, y, shared, cy)
+					}
+				}
+			}
+		})
+	}
+}
+
+var ubSink int
+
+// BenchmarkUpperBound prices one DEP probe at the three rectangle sizes
+// the search asks about — the root's extended MBR (the whole space), a
+// leaf's, and one object's search region — on 200,000 uniform points at
+// the paper's default cell size and at a fine one.
+func BenchmarkUpperBound(b *testing.B) {
+	space := geom.NewRect(0, 0, 10000, 10000)
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]geom.Point, 200000)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000, ID: uint64(i)}
+	}
+	for _, cell := range []float64{25, 5} {
+		d, err := New(space, cell, pts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sz := range []struct {
+			name string
+			w, h float64
+		}{{"root", 10000, 10000}, {"leaf", 400, 400}, {"region", 60, 120}} {
+			b.Run(fmt.Sprintf("cell=%g/%s", cell, sz.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					x := float64(i%89) * (10000 - sz.w) / 89
+					y := float64(i%97) * (10000 - sz.h) / 97
+					ubSink += d.UpperBound(geom.NewRect(x, y, x+sz.w, y+sz.h))
+				}
+			})
+		}
 	}
 }
