@@ -297,7 +297,7 @@ func BenchmarkNWCUnpruned(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q := geom.Point{X: 5000 + float64(i%3)*100, Y: 5000}
-					_, _, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: 300, W: 300, N: 4}, scheme, core.MeasureMax, core.Exec{PerAnchor: perAnchor})
+					_, _, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: 300, W: 300, N: 4}, scheme, core.MeasureMax, core.Exec{Paper: perAnchor})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -65,6 +65,17 @@ func (m Measure) String() string {
 // Valid reports whether m is a known measure.
 func (m Measure) Valid() bool { return m >= MeasureMax && m <= MeasureWindow }
 
+// anchorReach returns how far from q an anchor of a group nearer than b
+// can lie. Under MeasureMax every object of such a group is nearer than b
+// and one of them generates a window holding them all (DESIGN.md §19);
+// under the other measures a nearer group may hold objects at any distance.
+func (m Measure) anchorReach(b float64) float64 {
+	if m == MeasureMax {
+		return b
+	}
+	return math.Inf(1)
+}
+
 // errInvalidMeasure rejects unknown Measure values at the API boundary.
 var errInvalidMeasure = errors.New("core: invalid measure")
 

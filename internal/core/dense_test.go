@@ -32,7 +32,7 @@ func denseFixture(t *testing.T) (*Engine, []Query) {
 
 // TestDenseVerifyCeilings holds the verify stage and the window memo to
 // their contracts on dense data. The gates prune windows, never the
-// traversal, so under Exec{PerAnchor: true} — Algorithm 1's one window
+// traversal, so under Exec{Paper: true} — Algorithm 1's one window
 // query per anchor — the counters the paper's cost model is built on must
 // equal the values the eager path (every qualified window materialised)
 // produced on this fixture; what changed there is that a group is
@@ -75,7 +75,7 @@ func TestDenseVerifyCeilings(t *testing.T) {
 							best = g.Dist
 							improvements++
 						}
-					}, measure, Exec{Rec: rec, PerAnchor: perAnchor})
+					}, measure, Exec{Rec: rec, Paper: perAnchor}, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func TestDenseVerifyCeilings(t *testing.T) {
 					t.Errorf("%v query %d per-anchor=%v: traversal stats %+v, want %+v", measure, i, perAnchor, st, wantSt)
 				}
 				allocs := testing.AllocsPerRun(5, func() {
-					if _, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, measure, Exec{PerAnchor: perAnchor}); err != nil {
+					if _, _, err := eng.NWC(context.Background(), qy, SchemeNWCStar, measure, Exec{Paper: perAnchor}); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -129,9 +129,9 @@ func TestQuickselect(t *testing.T) {
 		for i := range s {
 			d := rng.Float64() * 10
 			if rng.Intn(5) == 0 && i > 0 {
-				d = s[rng.Intn(i)].d2 // ties
+				d = s[rng.Intn(i)].d // ties
 			}
-			s[i] = distPoint{d2: d, p: genPoints(rng, 1, false)[0]}
+			s[i] = distPoint{d: d, p: genPoints(rng, 1, false)[0]}
 		}
 		k := 1 + rng.Intn(n)
 		cp := make([]distPoint, n)
@@ -153,7 +153,7 @@ func TestQuickselect(t *testing.T) {
 		sum := func(vs []distPoint) float64 {
 			total := 0.0
 			for _, v := range vs {
-				total += v.d2
+				total += v.d
 			}
 			return total
 		}
@@ -172,8 +172,8 @@ func TestNClosestMatchesSort(t *testing.T) {
 		got := nClosest(q, pts, n)
 		want := append([]geom.Point(nil), pts...)
 		sort.Slice(want, func(a, b int) bool {
-			return distLess(distPoint{d2: want[a].Dist2(q), p: want[a]},
-				distPoint{d2: want[b].Dist2(q), p: want[b]})
+			return distLess(distPoint{d: q.Dist(want[a]), p: want[a]},
+				distPoint{d: q.Dist(want[b]), p: want[b]})
 		})
 		wantN := n
 		if wantN > len(want) {

@@ -42,17 +42,19 @@ func groupDist(q geom.Point, objs []geom.Point, win geom.Rect, m Measure) float6
 }
 
 // distOrder is the deterministic object ordering used to pick the n
-// closest objects of a window: by squared distance, then coordinates,
-// then ID, so every scheme returns identical groups regardless of
-// discovery order.
+// closest objects of a window: by distance, then coordinates, then ID, so
+// every scheme returns identical groups regardless of discovery order.
+// The distance is q.Dist, which groupDist and the verify stage's counts
+// read — Dist2 can order two objects the other way in the last bit — so a
+// window holding n objects under a bound yields a group under it (§19).
 type distPoint struct {
-	d2 float64
-	p  geom.Point
+	d float64
+	p geom.Point
 }
 
 func distLess(a, b distPoint) bool {
-	if a.d2 != b.d2 {
-		return a.d2 < b.d2
+	if a.d != b.d {
+		return a.d < b.d
 	}
 	if a.p.X != b.p.X {
 		return a.p.X < b.p.X
@@ -87,7 +89,7 @@ func nClosestScratch(q geom.Point, pts []geom.Point, n int, sc *searchScratch) [
 		scratch = make([]distPoint, len(pts))
 	}
 	for i, p := range pts {
-		scratch[i] = distPoint{d2: p.Dist2(q), p: p}
+		scratch[i] = distPoint{d: q.Dist(p), p: p}
 	}
 	quickselect(scratch, n)
 	top := scratch[:n]

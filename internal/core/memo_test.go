@@ -204,16 +204,18 @@ func FuzzMemoRegion(f *testing.F) {
 	})
 }
 
-// TestSharedEqualsPerAnchor is the memo's contract with the rest of the
-// engine: an execution that shares window queries between anchors and one
-// that issues Algorithm 1's window query for every anchor return the same
-// answer, bit for bit, and the same Stats but for the node visits — under
-// each of the seven schemes and four measures, for NWC and kNWC, on
-// uniform, clustered and duplicate-heavy data. Node visits are compared
-// per dataset and scheme: a single query with a handful of anchors can
-// read a few nodes more when shared (a strip is longer and thinner than
-// the region it completes), so "no more than per anchor" holds of sums,
-// not of every query.
+// TestSharedEqualsPerAnchor is the contract of everything Exec.Paper turns
+// off with the rest of the engine: the serving execution — window queries
+// shared between anchors, NWC under MeasureMax stopped at the bound — and
+// Algorithm 1's return the same answer, bit for bit, under each of the
+// seven schemes and four measures, for NWC and kNWC, on uniform, clustered
+// and duplicate-heavy data. Where the stop rule is off (kNWC, the other
+// three measures) the Stats are the same too but for the node visits;
+// where it is on no counter may exceed the paper execution's. Node visits
+// are compared per dataset and scheme: a single query with a handful of
+// anchors can read a few nodes more when shared (a strip is longer and
+// thinner than the region it completes), so "no more than per anchor"
+// holds of sums, not of every query.
 func TestSharedEqualsPerAnchor(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	datasets := map[string][]geom.Point{}
@@ -236,12 +238,20 @@ func TestSharedEqualsPerAnchor(t *testing.T) {
 		for _, scheme := range allSchemes {
 			var shared, perAnchor uint64
 			// sameButVisits demands equal Stats but for the node visits,
-			// which it adds to the scheme's two sums.
-			sameButVisits := func(what string, st, stPA Stats) {
+			// which it adds to the scheme's two sums; of a search that
+			// stops at the bound it demands no counter above the paper's.
+			sameButVisits := func(what string, stops bool, st, stPA Stats) {
 				t.Helper()
 				shared, perAnchor = shared+st.NodeVisits, perAnchor+stPA.NodeVisits
 				st.NodeVisits, stPA.NodeVisits = 0, 0
-				if st != stPA {
+				if stops {
+					if st.ObjectsProcessed > stPA.ObjectsProcessed || st.ObjectsSkipped > stPA.ObjectsSkipped ||
+						st.NodesPruned > stPA.NodesPruned || st.WindowQueries > stPA.WindowQueries ||
+						st.CandidateWindows > stPA.CandidateWindows || st.QualifiedWindows > stPA.QualifiedWindows ||
+						st.GridProbes > stPA.GridProbes {
+						t.Errorf("%s %v %s: stats stopped at the bound %+v exceed the paper's %+v", name, scheme, what, st, stPA)
+					}
+				} else if st != stPA {
 					t.Errorf("%s %v %s: stats shared %+v, per-anchor %+v", name, scheme, what, st, stPA)
 				}
 			}
@@ -251,28 +261,28 @@ func TestSharedEqualsPerAnchor(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					resPA, stPA, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{PerAnchor: true})
+					resPA, stPA, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{Paper: true})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(res, resPA) {
 						t.Fatalf("%s %v %v %+v: NWC shared %+v, per-anchor %+v", name, scheme, measure, qy, res, resPA)
 					}
-					sameButVisits("NWC "+measure.String(), st, stPA)
+					sameButVisits("NWC "+measure.String(), measure == MeasureMax, st, stPA)
 
 					kq := KNWCQuery{Query: qy, K: 3, M: 1}
 					groups, st, err := eng.KNWC(context.Background(), kq, scheme, measure, Exec{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					groupsPA, stPA, err := eng.KNWC(context.Background(), kq, scheme, measure, Exec{PerAnchor: true})
+					groupsPA, stPA, err := eng.KNWC(context.Background(), kq, scheme, measure, Exec{Paper: true})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(groups, groupsPA) {
 						t.Fatalf("%s %v %v %+v: kNWC shared %+v, per-anchor %+v", name, scheme, measure, kq, groups, groupsPA)
 					}
-					sameButVisits("kNWC "+measure.String(), st, stPA)
+					sameButVisits("kNWC "+measure.String(), false, st, stPA)
 				}
 			}
 			if shared > perAnchor {
@@ -307,7 +317,7 @@ func TestUnprunedSharedTakesPerAnchorTime(t *testing.T) {
 		for run := 0; run < 5; run++ {
 			for _, perAnchor := range []bool{false, true} {
 				start := time.Now()
-				if _, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{PerAnchor: perAnchor}); err != nil {
+				if _, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{Paper: perAnchor}); err != nil {
 					t.Fatal(err)
 				}
 				if d := time.Since(start); run == 0 || d < fastest[perAnchor] {
@@ -359,7 +369,7 @@ func TestCancelStopsWithinOneAnchor(t *testing.T) {
 							cancel()
 						}
 					}
-				}, MeasureMax, Exec{})
+				}, MeasureMax, Exec{}, true)
 			cancel()
 			if improvements < stopAt {
 				if err != nil {

@@ -31,11 +31,13 @@ type Exec struct {
 	// Bound, when non-nil, is a cooperative shared bound (NWC only; see
 	// Engine.NWC and, for why kNWC ignores it, Engine.KNWC).
 	Bound *rstar.SharedBound
-	// PerAnchor runs the paper's Algorithm 1 literally: one window query
-	// per anchor, nothing shared between them, so NodeVisits is the I/O
-	// count the paper's figures report. Only internal/harness (and tests)
-	// set it; a serving path never does. See DESIGN.md §18.
-	PerAnchor bool
+	// Paper runs the paper's Algorithm 1 literally, so that NodeVisits is
+	// the I/O count its figures report. It turns off what the engine adds:
+	// anchor sharing (every anchor issues its own window query, DESIGN.md
+	// §18), the stop rule and its dead-on-arrival filter (everything is
+	// queued and the queue drained, §19). Only internal/harness (and
+	// tests) set it; a serving path never does.
+	Paper bool
 }
 
 // NWC answers query qy with the given scheme and measure. It
@@ -100,7 +102,7 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 			}
 		}
 	}
-	stats, err := e.search(ctx, qy, scheme, bound, emit, measure, x)
+	stats, err := e.search(ctx, qy, scheme, bound, emit, measure, x, true)
 	if err != nil {
 		return Result{}, stats, err
 	}
@@ -109,6 +111,11 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 	}
 	return Result{Group: best, Found: true}, stats, nil
 }
+
+// stopSlack widens the stop rule's limit by a few dozen ulps: items carry
+// Dist2 and groups math.Hypot, so an anchor inside the bound may compute
+// just outside its square. An item in the band is processed as ever.
+const stopSlack = 1 + 1e-14
 
 // pqItem is an element of the best-first priority queue: an index node
 // (with the MBR recorded by its parent, so pruning needs no extra I/O)
@@ -122,7 +129,22 @@ type pqItem struct {
 	point  geom.Point   // object items only
 }
 
-// pqueue is a typed binary min-heap on dist2, avoiding the boxing of
+// before is the queue's order: ascending distance, then nodes (by id)
+// before objects (by distLess). Being total, it does not depend on what
+// else the heap holds: the stop rule leaves far items out, and equidistant
+// anchors must still come in the paper execution's order (DESIGN.md §19).
+func (a *pqItem) before(b *pqItem) bool {
+	return a.dist2 < b.dist2 || a.dist2 == b.dist2 && a.tieBefore(b)
+}
+
+func (a *pqItem) tieBefore(b *pqItem) bool {
+	if a.isNode || b.isNode {
+		return a.isNode && (!b.isNode || a.id < b.id)
+	}
+	return distLess(distPoint{p: a.point}, distPoint{p: b.point})
+}
+
+// pqueue is a typed binary min-heap under before, avoiding the boxing of
 // container/heap in this hot path.
 type pqueue []pqItem
 
@@ -131,7 +153,7 @@ func (pq *pqueue) push(it pqItem) {
 	i := len(*pq) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*pq)[parent].dist2 <= (*pq)[i].dist2 {
+		if !(*pq)[i].before(&(*pq)[parent]) {
 			break
 		}
 		(*pq)[parent], (*pq)[i] = (*pq)[i], (*pq)[parent]
@@ -150,10 +172,10 @@ func (pq *pqueue) pop() pqItem {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < len(h) && h[l].dist2 < h[smallest].dist2 {
+		if l < len(h) && h[l].before(&h[smallest]) {
 			smallest = l
 		}
-		if r < len(h) && h[r].dist2 < h[smallest].dist2 {
+		if r < len(h) && h[r].before(&h[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
@@ -177,7 +199,12 @@ func (pq *pqueue) pop() pqItem {
 // checks ctx before every node read, and search checks it before every
 // anchor — one the window memo serves reads no node — giving
 // cancellation per node visit or anchor, whichever comes first.
-func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, emit func(Group), measure Measure, x Exec) (Stats, error) {
+//
+// single says the caller keeps one best group under a bound that only
+// falls (NWC). Unless x.Paper, such a search stops at the bound (DESIGN.md
+// §19): a nearer group has an anchor within measure.anchorReach(bound) of
+// q, so the first item popped beyond that ends it and none is queued.
+func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, emit func(Group), measure Measure, x Exec, single bool) (Stats, error) {
 	var st Stats
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	rec := x.Rec
@@ -197,8 +224,16 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 	rootMBR := root.MBR()
 	pq.push(pqItem{dist2: rootMBR.MinDist2(q), isNode: true, id: e.tree.Root(), mbr: rootMBR})
 
+	stop, lim2 := single && !x.Paper, math.Inf(1)
 	for len(*pq) > 0 {
 		it := pq.pop()
+		if stop {
+			reach := measure.anchorReach(bound())
+			if lim2 = reach * reach * stopSlack; it.dist2 > lim2 {
+				rec.Count(trace.CtrStoppedAtBound, 1)
+				break
+			}
+		}
 		if it.isNode {
 			b := bound()
 			// DIP (Section 3.3.2): prune the node when no object inside
@@ -226,16 +261,22 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			if err != nil {
 				return st, err
 			}
+			// An entry beyond lim2 would be popped beyond it: dead on arrival.
+			had := len(*pq)
 			if node.Leaf {
 				for _, p := range node.Points {
-					pq.push(pqItem{dist2: p.Dist2(q), id: node.ID, point: p})
+					if d2 := p.Dist2(q); d2 <= lim2 {
+						pq.push(pqItem{dist2: d2, id: node.ID, point: p})
+					}
 				}
-				rec.Heap(len(*pq))
-				continue
+			} else {
+				for i, r := range node.Rects {
+					if d2 := r.MinDist2(q); d2 <= lim2 {
+						pq.push(pqItem{dist2: d2, isNode: true, id: node.Children[i], mbr: r})
+					}
+				}
 			}
-			for i, r := range node.Rects {
-				pq.push(pqItem{dist2: r.MinDist2(q), isNode: true, id: node.Children[i], mbr: r})
-			}
+			rec.Count(trace.CtrNeverQueued, int64(had+node.Len()-len(*pq)))
 			rec.Heap(len(*pq))
 			continue
 		}
@@ -280,7 +321,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 		}
 		st.WindowQueries++
 		rec.Enter(trace.PhaseWindowEnum)
-		cand, err := e.anchorCandidates(r, scheme.IWP, it.id, sr, qy, x.PerAnchor, sc)
+		cand, err := e.anchorCandidates(r, scheme.IWP, it.id, sr, qy, x.Paper, sc)
 		if err != nil {
 			return st, err
 		}

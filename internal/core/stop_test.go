@@ -1,0 +1,272 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"nwcq/internal/geom"
+	"nwcq/internal/rstar"
+	"nwcq/internal/trace"
+)
+
+// A stop script is six header bytes — the query point in half steps of a
+// 16 × 16 lattice, l and w from 1 to 8, n from 1 to 6, a spare byte — and
+// then one object per two bytes, at lattice site (x%17, y%17) under the ID
+// of its position. Small integers make everything the stop rule has to get
+// right common instead of rare: objects at exactly the bound's distance,
+// sites holding several objects, anchors sharing an x or a y with q,
+// anchors equidistant from q, and group distances (math.Hypot) whose
+// square is an ulp off the anchors' integer Dist2.
+func decodeStop(data []byte) (Query, []geom.Point) {
+	if len(data) < 6 {
+		return Query{}, nil
+	}
+	qy := Query{
+		Q: geom.Point{X: float64(data[0]%33) / 2, Y: float64(data[1]%33) / 2},
+		L: float64(1 + data[2]%8), W: float64(1 + data[3]%8), N: 1 + int(data[4]%6),
+	}
+	var pts []geom.Point
+	for data = data[6:]; len(data) >= 2 && len(pts) < 40; data = data[2:] {
+		pts = append(pts, geom.Point{X: float64(data[0] % 17), Y: float64(data[1] % 17), ID: uint64(len(pts))})
+	}
+	return qy, pts
+}
+
+// stopScript is the inverse of decodeStop: q in lattice units (halves
+// allowed), then the sites of the objects.
+func stopScript(qx, qy float64, l, w, n int, sites ...[2]byte) []byte {
+	out := []byte{byte(2 * qx), byte(2 * qy), byte(l - 1), byte(w - 1), byte(n - 1), 0}
+	for _, s := range sites {
+		out = append(out, s[0], s[1])
+	}
+	return out
+}
+
+// stopRun is what checkStopScript saw of plain NWC under MeasureMax.
+type stopRun struct {
+	res             Result
+	served, paper   Stats
+	cut, stopped    int64
+	within, objects int // objects inside the answer's distance (slack band included), and all of them
+}
+
+// checkStopScript holds the serving execution to the paper's on one
+// script: under every scheme and measure the two return the same Result,
+// bit for bit, which is the oracle's; the same again under a shared bound
+// set just above the optimum, and the same as each other under one set at
+// it or an ulp below. Under MeasureMax the serving execution of the three
+// schemes that prune no node processes exactly the objects inside the
+// answer's distance.
+func checkStopScript(t *testing.T, data []byte) (run stopRun) {
+	t.Helper()
+	qy, pts := decodeStop(data)
+	if qy.N == 0 {
+		return run
+	}
+	eng, err := quickEngine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run.objects = len(pts)
+	for _, measure := range allMeasures {
+		want := BruteForceNWC(pts, qy, measure)
+		if measure == MeasureMax {
+			for _, p := range pts {
+				if !want.Found || p.Dist2(qy.Q) <= want.Dist*want.Dist*stopSlack {
+					run.within++
+				}
+			}
+		}
+		for _, scheme := range allSchemes {
+			at := fmt.Sprintf("%v %v %+v over %v", scheme, measure, qy, pts)
+			rec := trace.New()
+			served, st, err := eng.NWC(ctx, qy, scheme, measure, Exec{Rec: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paper, stPaper, err := eng.NWC(ctx, qy, scheme, measure, Exec{Paper: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(served, paper) {
+				t.Fatalf("%s: served %+v, the paper's execution %+v", at, served, paper)
+			}
+			if served.Found != want.Found || served.Found && math.Abs(served.Dist-want.Dist) > 1e-9 {
+				t.Fatalf("%s: served %+v, oracle %+v", at, served, want)
+			}
+			c := rec.Snapshot().Counters
+			if measure != MeasureMax {
+				if st.NodeVisits = stPaper.NodeVisits; st != stPaper || c[trace.CtrNeverQueued]+c[trace.CtrStoppedAtBound] != 0 {
+					t.Fatalf("%s: the stop rule ran: stats %+v, the paper's %+v", at, st, stPaper)
+				}
+			} else if !scheme.DIP && !scheme.DEP && st.ObjectsProcessed != run.within {
+				t.Fatalf("%s: %d objects processed, %d lie within the answer's distance", at, st.ObjectsProcessed, run.within)
+			}
+			if measure == MeasureMax && scheme == SchemeNWC {
+				run.res, run.served, run.paper = served, st, stPaper
+				run.cut, run.stopped = c[trace.CtrNeverQueued], c[trace.CtrStoppedAtBound]
+			}
+			if !want.Found || served.Dist == 0 {
+				continue
+			}
+			// A bound another shard found: the answer's distance survives one
+			// just above it (by more than SRR and DIP, which square it, can lose); under
+			// MeasureMax one at or below it leaves nothing to report (the
+			// other measures' gates may let a group at the bound through).
+			for _, pre := range []float64{served.Dist * (1 + 1e-12), served.Dist, math.Nextafter(served.Dist, 0)} {
+				var got [2]Result
+				for i, paper := range []bool{false, true} {
+					sb := rstar.NewSharedBound()
+					sb.Tighten(pre)
+					if got[i], _, err = eng.NWC(ctx, qy, scheme, measure, Exec{Bound: sb, Paper: paper}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !reflect.DeepEqual(got[0], got[1]) {
+					t.Fatalf("%s under a shared bound of %v: served %+v, the paper's execution %+v", at, pre, got[0], got[1])
+				}
+				if pre > served.Dist && !(got[0].Found && got[0].Dist == served.Dist) || pre <= served.Dist && measure == MeasureMax && got[0].Found {
+					t.Fatalf("%s under a shared bound of %v: %+v, alone %+v", at, pre, got[0], served)
+				}
+			}
+		}
+	}
+	return run
+}
+
+// stopScripts are the situations the stop rule must get right, by name;
+// each is also a file of FuzzStopAtBound's seed corpus.
+var stopScripts = map[string][]byte{
+	// The answer {(8,8),(11,12)} lies 5 away; (5,4), (12,5) and (8,13) lie
+	// exactly 5 away too and must be processed, (8,14) must not.
+	"at-the-bound": stopScript(8, 8, 4, 4, 2, [2]byte{8, 8}, [2]byte{11, 12}, [2]byte{5, 4}, [2]byte{12, 5}, [2]byte{8, 13}, [2]byte{8, 14}, [2]byte{1, 1}, [2]byte{16, 2}, [2]byte{15, 15}),
+	// The answer {(9,9),(11,13)} lies Hypot(3,5) away, whose square is an
+	// ulp under 34, the Dist2 of its own far member and of three objects
+	// more: only the slack band keeps them inside the limit.
+	"off-by-an-ulp": stopScript(8, 8, 3, 5, 2, [2]byte{9, 9}, [2]byte{11, 13}, [2]byte{13, 11}, [2]byte{5, 3}, [2]byte{3, 5}, [2]byte{2, 2}, [2]byte{15, 15}, [2]byte{8, 16}),
+	// Three objects a site, three sites: groups of one site's objects tie.
+	"duplicate-sites": stopScript(7.5, 7.5, 3, 3, 3, [2]byte{9, 9}, [2]byte{9, 9}, [2]byte{9, 9}, [2]byte{6, 6}, [2]byte{6, 6}, [2]byte{6, 6}, [2]byte{9, 6}, [2]byte{9, 6}, [2]byte{9, 6}, [2]byte{0, 16}, [2]byte{16, 0}),
+	// q shares its x with one column of anchors and its y with one row.
+	"on-the-axes": stopScript(8, 8, 3, 5, 3, [2]byte{8, 10}, [2]byte{8, 5}, [2]byte{8, 12}, [2]byte{10, 8}, [2]byte{5, 8}, [2]byte{12, 8}, [2]byte{8, 8}, [2]byte{2, 2}, [2]byte{14, 14}, [2]byte{8, 16}, [2]byte{16, 8}),
+	// The best group has q inside its bounding box: one object in each
+	// quadrant; its rightmost member is the anchor that finds it.
+	"straddling": stopScript(8, 8, 6, 6, 4, [2]byte{10, 9}, [2]byte{6, 10}, [2]byte{7, 6}, [2]byte{9, 5}, [2]byte{14, 14}, [2]byte{15, 13}, [2]byte{13, 15}, [2]byte{14, 12}, [2]byte{1, 2}, [2]byte{2, 1}),
+	// All to the left of q: the leftmost member anchors the group.
+	"left-of-q": stopScript(12, 8, 5, 4, 3, [2]byte{9, 8}, [2]byte{6, 9}, [2]byte{7, 7}, [2]byte{4, 8}, [2]byte{2, 2}, [2]byte{15, 15}, [2]byte{16, 8}, [2]byte{3, 12}),
+	// Eight anchors on one circle, four groups at one distance.
+	"equidistant": stopScript(8, 8, 2, 2, 2, [2]byte{11, 12}, [2]byte{12, 11}, [2]byte{5, 4}, [2]byte{4, 5}, [2]byte{11, 4}, [2]byte{12, 5}, [2]byte{5, 12}, [2]byte{4, 11}, [2]byte{8, 2}, [2]byte{16, 16}, [2]byte{0, 0}),
+	"n-is-1":      stopScript(3.5, 12, 1, 1, 1, [2]byte{5, 12}, [2]byte{2, 12}, [2]byte{3, 14}, [2]byte{4, 10}, [2]byte{9, 9}, [2]byte{16, 1}, [2]byte{0, 0}, [2]byte{12, 12}, [2]byte{7, 3}),
+	// No window holds six: there is never a bound and the whole tree is walked.
+	"n-too-large": stopScript(8, 8, 2, 2, 6, [2]byte{8, 8}, [2]byte{9, 9}, [2]byte{9, 8}, [2]byte{8, 9}, [2]byte{10, 10}, [2]byte{3, 3}, [2]byte{4, 3}, [2]byte{3, 4}, [2]byte{13, 2}, [2]byte{2, 13}, [2]byte{14, 14}, [2]byte{15, 15}),
+	// The first group found is far; nearer anchors improve on it thrice.
+	"falling-bound": stopScript(0, 0, 8, 2, 3, [2]byte{1, 0}, [2]byte{2, 9}, [2]byte{3, 9}, [2]byte{4, 9}, [2]byte{9, 3}, [2]byte{10, 3}, [2]byte{11, 3}, [2]byte{6, 6}, [2]byte{7, 6}, [2]byte{8, 6}, [2]byte{16, 16}, [2]byte{15, 16}, [2]byte{16, 15}, [2]byte{12, 12}),
+}
+
+// TestStopAtBoundTable runs the named scripts, checks that each did what
+// its name says, and that each is in the fuzz corpus as written here.
+func TestStopAtBoundTable(t *testing.T) {
+	for name, script := range stopScripts {
+		run := checkStopScript(t, script)
+		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzStopAtBound", name))
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", script); err != nil || string(file) != want {
+			t.Errorf("%s: corpus file holds %q (%v), want %q", name, file, err, want)
+		}
+		if run.paper.ObjectsProcessed != run.objects {
+			t.Errorf("%s: the paper's plain NWC processed %d of %d objects", name, run.paper.ObjectsProcessed, run.objects)
+		}
+		if name == "n-too-large" {
+			if run.res.Found || run.stopped != 0 || run.cut != 0 || run.served.ObjectsProcessed != run.objects {
+				t.Errorf("%s: found=%v stopped=%d never-queued=%d, %d of %d objects processed: want the whole tree walked",
+					name, run.res.Found, run.stopped, run.cut, run.served.ObjectsProcessed, run.objects)
+			}
+			continue
+		}
+		// Every other script has objects beyond its answer: the search must
+		// have ended at the bound, or left off the queue all that lay beyond.
+		if !run.res.Found || run.within == run.objects || run.stopped == 0 && run.cut == 0 {
+			t.Errorf("%s: found=%v, %d of %d objects within the answer's distance, stopped=%d never-queued=%d",
+				name, run.res.Found, run.within, run.objects, run.stopped, run.cut)
+		}
+		switch name {
+		case "at-the-bound":
+			if run.res.Dist != 5 || run.within != 5 {
+				t.Errorf("%s: answer at %v with %d objects within it, want 5 and 5", name, run.res.Dist, run.within)
+			}
+		case "off-by-an-ulp":
+			if d := run.res.Dist; d*d >= 34 || run.within != 5 {
+				t.Errorf("%s: answer at %v (squared %v) with %d objects within it, want under 34 and 5", name, d, d*d, run.within)
+			}
+		case "straddling":
+			if w := run.res.Window; !(w.MinX < 8 && w.MaxX > 8 && w.MinY < 8 && w.MaxY > 8) {
+				t.Errorf("%s: the answer's window %v does not hold q", name, w)
+			}
+		}
+	}
+}
+
+// FuzzStopAtBound drives checkStopScript with byte-derived scripts; the
+// seed corpus (testdata/fuzz/FuzzStopAtBound) is the table above.
+func FuzzStopAtBound(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkStopScript(t, data) })
+}
+
+// TestQueueOrderReplay pins the queue's order on a recorded sequence of
+// pushes and pops full of ties — equal distances between nodes, between
+// objects, between the two, and between objects of one site — and shows it
+// is the items' own order, not the heap's: the same pops come out, in the
+// same order, when every item the stop rule would have left out (here:
+// beyond 9) was never pushed. A heap that settled ties by where its items
+// happened to sit passes the first half on its own sequence and fails the
+// second — and then an execution that leaves items out takes equidistant
+// anchors, and reports equidistant groups, in another order than the
+// paper's.
+func TestQueueOrderReplay(t *testing.T) {
+	obj := func(d2 float64, x, y float64, id uint64) pqItem {
+		return pqItem{dist2: d2, id: rstar.NodeID(7), point: geom.Point{X: x, Y: y, ID: id}}
+	}
+	node := func(d2 float64, id rstar.NodeID) pqItem { return pqItem{dist2: d2, isNode: true, id: id} }
+	// An item is pushed, pop pops; the labels are what the pops must
+	// return, in order.
+	pop := pqItem{dist2: -1}
+	script := []pqItem{
+		node(0, 3), node(0, 1), node(0, 2), pop, pop,
+		obj(4, 2, 0, 5), obj(4, 0, 2, 6), node(16, 9), obj(4, 0, 2, 4), node(4, 8), pop,
+		obj(25, 5, 0, 1), obj(9, 3, 0, 2), obj(9, 0, 3, 3), node(25, 4), pop, pop, pop, pop,
+		obj(9, 0, 3, 0), node(9, 6), obj(36, 6, 0, 7), node(9, 5), pop, pop, pop, pop, pop, pop, pop, pop, pop,
+	}
+	want := []string{
+		"node 1", "node 2", "node 3", "node 8", "(0,2)#4", "(0,2)#6", "(2,0)#5",
+		"node 5", "node 6", "(0,3)#0", "(0,3)#3", "(3,0)#2", "node 9", "node 4", "(5,0)#1", "(6,0)#7",
+	}
+	label := func(it pqItem) string {
+		if it.isNode {
+			return fmt.Sprintf("node %d", it.id)
+		}
+		return fmt.Sprintf("(%g,%g)#%d", it.point.X, it.point.Y, it.point.ID)
+	}
+	for _, limit := range []float64{math.Inf(1), 9} {
+		var pq pqueue
+		var got []string
+		for _, it := range script {
+			switch {
+			case it == pop && len(pq) > 0:
+				got = append(got, label(pq.pop()))
+			case it != pop && it.dist2 <= limit:
+				pq.push(it)
+			}
+		}
+		wantHere := want
+		if limit == 9 {
+			wantHere = want[:12]
+		}
+		if !reflect.DeepEqual(got, wantHere) {
+			t.Errorf("items within %v popped as %v, recorded %v", limit, got, wantHere)
+		}
+	}
+}

@@ -328,12 +328,12 @@ func TestAblationSmoke(t *testing.T) {
 	if bFull < bMin {
 		t.Errorf("full spacing has %d pointers, minimal %d", bFull, bMin)
 	}
-	// Shared-window-query table: NWC* as the paper executes it beside
-	// NWC* as the engine serves it, one column per dataset; sharing must
-	// read fewer nodes over the three datasets together.
+	// Serving-execution table: NWC* as the paper executes it beside NWC*
+	// as the engine serves it, one column per dataset; serving must read
+	// fewer nodes over the three datasets together.
 	rows := tables[3].Rows
-	if len(rows) != 2 || len(rows[0]) != 4 || rows[0][0] != "NWC*" || rows[1][0] != "NWC* shared" {
-		t.Fatalf("shared window query ablation: %v", rows)
+	if len(rows) != 2 || len(rows[0]) != 4 || rows[0][0] != "NWC*" || rows[1][0] != "NWC* serving" {
+		t.Fatalf("serving execution ablation: %v", rows)
 	}
 	var perAnchor, shared float64
 	for col := 1; col < 4; col++ {
@@ -342,6 +342,6 @@ func TestAblationSmoke(t *testing.T) {
 		perAnchor, shared = perAnchor+pa, shared+sh
 	}
 	if shared >= perAnchor {
-		t.Errorf("sharing read %g nodes per query where one window query per anchor read %g", shared, perAnchor)
+		t.Errorf("serving read %g nodes per query where the paper's execution read %g", shared, perAnchor)
 	}
 }

@@ -816,6 +816,8 @@ func addCounters(a, b nwcq.TraceCounters) nwcq.TraceCounters {
 	a.MemoServed += b.MemoServed
 	a.MemoStrips += b.MemoStrips
 	a.MemoBypassed += b.MemoBypassed
+	a.NeverQueued += b.NeverQueued
+	a.StoppedAtBound += b.StoppedAtBound
 	a.DedupOffered += b.DedupOffered
 	a.DedupAccepted += b.DedupAccepted
 	return a

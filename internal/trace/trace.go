@@ -119,6 +119,13 @@ const (
 	// too much beyond their region, and every anchor of a per-anchor
 	// execution (the paper's Algorithm 1, internal/harness).
 	CtrMemoBypassed
+	// CtrNeverQueued counts child MBRs and leaf points an NWC search under
+	// MeasureMax left off the queue because they already lay beyond the
+	// bound when their parent was expanded.
+	CtrNeverQueued
+	// CtrStoppedAtBound is 1 when such a search ended at the first queue
+	// item farther than the bound, 0 when the queue ran empty.
+	CtrStoppedAtBound
 
 	// CounterCount is the number of counters.
 	CounterCount
@@ -130,6 +137,7 @@ var counterNames = [CounterCount]string{
 	"iwp_root_starts", "iwp_overlap_scans", "dedup_offered",
 	"dedup_accepted", "windows_gated", "anchors_gated",
 	"memo_served", "memo_strips", "memo_bypassed",
+	"never_queued", "stopped_at_bound",
 }
 
 // String returns the counter's stable snake_case name.

@@ -94,6 +94,13 @@ type TraceCounters struct {
 	MemoServed   int64 `json:"memo_served"`
 	MemoStrips   int64 `json:"memo_strips"`
 	MemoBypassed int64 `json:"memo_bypassed"`
+	// NeverQueued counts child MBRs and leaf points left off the best-first
+	// queue because they lay beyond the bound when their parent was
+	// expanded, and StoppedAtBound is 1 when the search ended at the first
+	// queue item farther than the bound (0: the queue ran empty). Both are
+	// the stop rule of an NWC query under MeasureMax and stay 0 otherwise.
+	NeverQueued    int64 `json:"never_queued"`
+	StoppedAtBound int64 `json:"stopped_at_bound"`
 	// DedupOffered and DedupAccepted count kNWC candidate-pool traffic:
 	// groups offered, and offers that entered the pool.
 	DedupOffered  int64 `json:"dedup_offered"`
@@ -162,6 +169,8 @@ func queryTraceFrom(kind string, scheme Scheme, measure Measure, rec *trace.Reco
 			MemoServed:        s.Counters[trace.CtrMemoServed],
 			MemoStrips:        s.Counters[trace.CtrMemoStrips],
 			MemoBypassed:      s.Counters[trace.CtrMemoBypassed],
+			NeverQueued:       s.Counters[trace.CtrNeverQueued],
+			StoppedAtBound:    s.Counters[trace.CtrStoppedAtBound],
 			DedupOffered:      s.Counters[trace.CtrDedupOffered],
 			DedupAccepted:     s.Counters[trace.CtrDedupAccepted],
 		},
@@ -190,6 +199,7 @@ func (t *QueryTrace) Render() string {
 	details := map[string][]string{
 		"descent": joinNonZero(
 			kv("dip-pruned", c.DIPPrunedNodes), kv("dep-pruned", c.DEPPrunedNodes),
+			kv("never-queued", c.NeverQueued), kv("stopped-at-bound", c.StoppedAtBound),
 			kv("heap-high-water", int64(t.HeapHighWater))),
 		"srr": joinNonZero(
 			kv("shrunk", c.SRRShrinks), kv("skipped", c.SRRSkips),
