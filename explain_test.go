@@ -154,8 +154,9 @@ func TestExplainKNWC(t *testing.T) {
 // §19) on one query in a dense Gaussian cluster: under the max measure
 // the search ended at the bound, having left off the queue what lay beyond
 // it and processed eight objects (the drained queue of Algorithm 1
-// processes 980 for the same answer, with a heap of 483); under the min
-// measure and for kNWC the rule does not apply and both counters stay 0.
+// processes 980 for the same answer, with a heap of 483), the seven that
+// had a bound on search regions cut to its box; under the min measure and
+// for kNWC the rule does not apply and all three counters stay 0.
 func TestExplainStopAtBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := make([]Point, 4000)
@@ -172,16 +173,16 @@ func TestExplainStopAtBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tr.Counters
-	if !res.Found || c.StoppedAtBound != 1 || c.NeverQueued != 105 || res.Stats.ObjectsProcessed != 8 || tr.HeapHighWater != 140 {
-		t.Errorf("max: found=%v stopped_at_bound=%d never_queued=%d objects=%d heap=%d, want true, 1, 105, 8, 140",
-			res.Found, c.StoppedAtBound, c.NeverQueued, res.Stats.ObjectsProcessed, tr.HeapHighWater)
+	if !res.Found || c.StoppedAtBound != 1 || c.NeverQueued != 105 || c.Clipped != 7 || res.Stats.ObjectsProcessed != 8 || tr.HeapHighWater != 140 {
+		t.Errorf("max: found=%v stopped_at_bound=%d never_queued=%d clipped=%d objects=%d heap=%d, want true, 1, 105, 7, 8, 140",
+			res.Found, c.StoppedAtBound, c.NeverQueued, c.Clipped, res.Stats.ObjectsProcessed, tr.HeapHighWater)
 	}
 	out := tr.Render()
 	raw, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"never-queued=105", "stopped-at-bound=1", `"never_queued":105`, `"stopped_at_bound":1`} {
+	for _, want := range []string{"never-queued=105", "stopped-at-bound=1", "clipped=7", `"never_queued":105`, `"stopped_at_bound":1`, `"clipped":7`} {
 		if !strings.Contains(out+string(raw), want) {
 			t.Errorf("render and JSON miss %q:\n%s\n%s", want, out, raw)
 		}
@@ -190,15 +191,15 @@ func TestExplainStopAtBound(t *testing.T) {
 	if _, tr, err = ix.ExplainNWC(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if c := tr.Counters; c.StoppedAtBound != 0 || c.NeverQueued != 0 {
-		t.Errorf("min: stopped_at_bound=%d never_queued=%d, want 0 and 0", c.StoppedAtBound, c.NeverQueued)
+	if c := tr.Counters; c.StoppedAtBound != 0 || c.NeverQueued != 0 || c.Clipped != 0 {
+		t.Errorf("min: stopped_at_bound=%d never_queued=%d clipped=%d, want 0, 0 and 0", c.StoppedAtBound, c.NeverQueued, c.Clipped)
 	}
 	q.Measure = MaxDistance
 	if _, tr, err = ix.ExplainKNWC(context.Background(), KQuery{Query: q, K: 3, M: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if c := tr.Counters; c.StoppedAtBound != 0 || c.NeverQueued != 0 {
-		t.Errorf("kNWC: stopped_at_bound=%d never_queued=%d, want 0 and 0", c.StoppedAtBound, c.NeverQueued)
+	if c := tr.Counters; c.StoppedAtBound != 0 || c.NeverQueued != 0 || c.Clipped != 0 {
+		t.Errorf("kNWC: stopped_at_bound=%d never_queued=%d clipped=%d, want 0, 0 and 0", c.StoppedAtBound, c.NeverQueued, c.Clipped)
 	}
 }
 

@@ -25,7 +25,7 @@ type distStats struct {
 // per object; duplicates welcome), reusing the slice capacity of a
 // previous use — per-query scratch holds one distStats so anchor
 // evaluation stops allocating Fenwick arrays.
-func (ds *distStats) reset(slab []slabObj) {
+func (ds *distStats) reset(slab []distPoint) {
 	ds.dist = ds.dist[:0]
 	for _, o := range slab {
 		ds.dist = append(ds.dist, o.d)

@@ -12,7 +12,7 @@ import (
 
 // newDistStats prepares an empty distStats over the given distances.
 func newDistStats(all []float64) *distStats {
-	slab := make([]slabObj, len(all))
+	slab := make([]distPoint, len(all))
 	for i, d := range all {
 		slab[i].d = d
 	}

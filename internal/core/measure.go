@@ -47,6 +47,9 @@ func groupDist(q geom.Point, objs []geom.Point, win geom.Rect, m Measure) float6
 // The distance is q.Dist, which groupDist and the verify stage's counts
 // read — Dist2 can order two objects the other way in the last bit — so a
 // window holding n objects under a bound yields a group under it (§19).
+//
+// A distPoint is one indexed point together with its distance to the query
+// point, computed once per query when the point is fetched.
 type distPoint struct {
 	d float64
 	p geom.Point
@@ -67,32 +70,27 @@ func distLess(a, b distPoint) bool {
 
 // nClosest returns the n objects of pts closest to q in ascending
 // distance order (all of them if n ≥ len(pts)), breaking distance ties
-// deterministically. pts is not modified. The selection runs in
-// O(len(pts) + n log n) expected time via quickselect — this sits on the
-// hot path of window evaluation.
+// deterministically. pts is not modified.
 func nClosest(q geom.Point, pts []geom.Point, n int) []geom.Point {
-	return nClosestScratch(q, pts, n, nil)
+	s := make([]distPoint, len(pts))
+	for i, p := range pts {
+		s[i] = distPoint{d: q.Dist(p), p: p}
+	}
+	return selectClosest(s, n)
 }
 
-// nClosestScratch is nClosest drawing its selection buffer from sc (nil
-// allocates fresh, as callers off the query path do). The returned
-// slice is always freshly allocated — it ends up in result groups and
-// must not alias pooled memory.
-func nClosestScratch(q geom.Point, pts []geom.Point, n int, sc *searchScratch) []geom.Point {
-	if n > len(pts) {
-		n = len(pts)
+// selectClosest returns the points of the n least elements of s under
+// distLess, ascending (all of them if n ≥ len(s)); it reorders s. The
+// selection runs in O(len(s) + n log n) expected time via quickselect —
+// this sits on the hot path of window evaluation. The returned slice is
+// always freshly allocated — it ends up in result groups and must not
+// alias pooled memory.
+func selectClosest(s []distPoint, n int) []geom.Point {
+	if n > len(s) {
+		n = len(s)
 	}
-	var scratch []distPoint
-	if sc != nil {
-		scratch = sc.distPoints(len(pts))
-	} else {
-		scratch = make([]distPoint, len(pts))
-	}
-	for i, p := range pts {
-		scratch[i] = distPoint{d: q.Dist(p), p: p}
-	}
-	quickselect(scratch, n)
-	top := scratch[:n]
+	quickselect(s, n)
+	top := s[:n]
 	slices.SortFunc(top, func(a, b distPoint) int {
 		if distLess(a, b) {
 			return -1

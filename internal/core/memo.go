@@ -18,8 +18,8 @@ import (
 // pts without reading a node, and one that sticks out fetches only the
 // strips that turn have into the bounding box of both (DESIGN.md §18).
 type windowMemo struct {
-	have geom.Rect // the closed rectangle fetched; empty until the first growth
-	pts  []slabObj // every indexed point inside have, ascending x
+	have geom.Rect   // the closed rectangle fetched; empty until the first growth
+	pts  []distPoint // every indexed point inside have, ascending x
 }
 
 const (
@@ -50,7 +50,7 @@ func (m *windowMemo) reset() {
 // band returns the memo's points between sr's x bounds: those inside sr
 // are the ones among them whose y lies between its y bounds. sr must lie
 // inside have. The result aliases pts and is valid until the next growth.
-func (m *windowMemo) band(sr geom.Rect) []slabObj {
+func (m *windowMemo) band(sr geom.Rect) []distPoint {
 	b := m.pts[sort.Search(len(m.pts), func(i int) bool { return m.pts[i].p.X >= sr.MinX }):]
 	return b[:sort.Search(len(b), func(i int) bool { return b[i].p.X > sr.MaxX })]
 }
@@ -90,8 +90,8 @@ func (m *windowMemo) strips(sr geom.Rect) (out [4]geom.Rect, n int) {
 
 // merge sorts add by x and folds it into pts, from the back so that a
 // growth to the right moves nothing.
-func (m *windowMemo) merge(add []slabObj) {
-	slices.SortFunc(add, func(a, b slabObj) int { return cmp.Compare(a.p.X, b.p.X) })
+func (m *windowMemo) merge(add []distPoint) {
+	slices.SortFunc(add, func(a, b distPoint) int { return cmp.Compare(a.p.X, b.p.X) })
 	i, j := len(m.pts)-1, len(add)-1
 	m.pts = append(m.pts, add...)
 	for w := len(m.pts) - 1; j >= 0; w-- {
@@ -109,10 +109,10 @@ func (m *windowMemo) merge(add []slabObj) {
 // inside have, with its distance to q: one window query, IWP's from the
 // anchor's leaf or the traditional one from the root. It is the only
 // place a query's window queries reach the index.
-func (e *Engine) rangeQuery(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, rect, have geom.Rect, q geom.Point, dst []slabObj) ([]slabObj, error) {
+func (e *Engine) rangeQuery(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, rect, have geom.Rect, q geom.Point, dst []distPoint) ([]distPoint, error) {
 	collect := func(c geom.Point) bool {
 		if !have.ContainsPoint(c) {
-			dst = append(dst, slabObj{p: c, d: q.Dist(c)})
+			dst = append(dst, distPoint{p: c, d: q.Dist(c)})
 		}
 		return true
 	}
@@ -144,7 +144,7 @@ func (m *windowMemo) worthGrowing(sr geom.Rect, l, w float64) bool {
 // sc.slab, which no anchor is using at this point: a growth's strips
 // until they are merged, a bypassed anchor's region until evaluateWindows
 // has looked at it (the run then aliases sc.slab).
-func (e *Engine) anchorCandidates(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, sr geom.Rect, qy Query, perAnchor bool, sc *searchScratch) (cand []slabObj, err error) {
+func (e *Engine) anchorCandidates(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, sr geom.Rect, qy Query, perAnchor bool, sc *searchScratch) (cand []distPoint, err error) {
 	m, q := &sc.memo, qy.Q
 	rec := r.Recorder()
 	if !perAnchor {

@@ -34,9 +34,10 @@ type Exec struct {
 	// Paper runs the paper's Algorithm 1 literally, so that NodeVisits is
 	// the I/O count its figures report. It turns off what the engine adds:
 	// anchor sharing (every anchor issues its own window query, DESIGN.md
-	// §18), the stop rule and its dead-on-arrival filter (everything is
-	// queued and the queue drained, §19). Only internal/harness (and
-	// tests) set it; a serving path never does.
+	// §18), the stop rule, its dead-on-arrival filter and its box
+	// (everything is queued, the queue drained and every search region
+	// read whole, §19). Only internal/harness (and tests) set it; a
+	// serving path never does.
 	Paper bool
 }
 
@@ -116,6 +117,15 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 // Dist2 and groups math.Hypot, so an anchor inside the bound may compute
 // just outside its square. An item in the band is processed as ever.
 const stopSlack = 1 + 1e-14
+
+// boxSlack widens the bound's box (DESIGN.md §19) as stopSlack widens the
+// limit, but on lengths: an anchor the limit lets through lies within
+// reach·√stopSlack of q on each axis and must find itself in its own
+// region; an object with math.Hypot under the bound is nearer than that on
+// both. The box's sides q ± r round at the magnitude of q, which may dwarf
+// the bound's, but rounding is monotone: a coordinate inside the exact box
+// is itself a float64 and so inside the rounded one.
+const boxSlack = 1 + 1e-14
 
 // pqItem is an element of the best-first priority queue: an index node
 // (with the MBR recorded by its parent, so pruning needs no extra I/O)
@@ -203,7 +213,9 @@ func (pq *pqueue) pop() pqItem {
 // single says the caller keeps one best group under a bound that only
 // falls (NWC). Unless x.Paper, such a search stops at the bound (DESIGN.md
 // §19): a nearer group has an anchor within measure.anchorReach(bound) of
-// q, so the first item popped beyond that ends it and none is queued.
+// q, so the first item popped beyond that ends it and none is queued; and
+// the group lies within that reach of q on both axes, so each anchor's
+// search region is cut to that box before anything is read or counted.
 func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, emit func(Group), measure Measure, x Exec, single bool) (Stats, error) {
 	var st Stats
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
@@ -224,11 +236,11 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 	rootMBR := root.MBR()
 	pq.push(pqItem{dist2: rootMBR.MinDist2(q), isNode: true, id: e.tree.Root(), mbr: rootMBR})
 
-	stop, lim2 := single && !x.Paper, math.Inf(1)
+	stop, reach, lim2 := single && !x.Paper, math.Inf(1), math.Inf(1)
 	for len(*pq) > 0 {
 		it := pq.pop()
 		if stop {
-			reach := measure.anchorReach(bound())
+			reach = measure.anchorReach(bound())
 			if lim2 = reach * reach * stopSlack; it.dist2 > lim2 {
 				rec.Count(trace.CtrStoppedAtBound, 1)
 				break
@@ -308,6 +320,15 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 		} else {
 			sr = geom.SearchRegion(q, p, l, w)
 		}
+		// The bound's box: objects outside it are farther than the bound,
+		// and no window needs them to find a group under it.
+		if !math.IsInf(reach, 1) {
+			r := reach * boxSlack
+			if in := sr.Intersection(geom.RectAround(q).Buffer(r, r)); in != sr {
+				sr = in
+				rec.Count(trace.CtrClipped, 1)
+			}
+		}
 		// DEP window-query cancellation: a search region that cannot
 		// hold n objects generates no qualified window.
 		if scheme.DEP {
@@ -353,7 +374,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 // which makes the test a strict necessary condition of groupDist < bound:
 // it needs no slack and never drops an improving group, and emit stays
 // the authority on what improves.
-func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []slabObj, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, emit func(Group), st *Stats, rec *trace.Recorder) {
+func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, emit func(Group), st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	need := 0 // MeasureWindow: object distances never enter the group distance
 	switch measure {
@@ -394,9 +415,9 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []slabObj, ylo, yh
 	sc.slab = s
 	top := geom.AnchorsTopEdge(q, p)
 	if top {
-		slices.SortFunc(s, func(a, b slabObj) int { return cmp.Compare(a.p.Y, b.p.Y) })
+		slices.SortFunc(s, func(a, b distPoint) int { return cmp.Compare(a.p.Y, b.p.Y) })
 	} else {
-		slices.SortFunc(s, func(a, b slabObj) int { return cmp.Compare(b.p.Y, a.p.Y) })
+		slices.SortFunc(s, func(a, b distPoint) int { return cmp.Compare(b.p.Y, a.p.Y) })
 	}
 	// MeasureAvg has no counting test as sharp as its group distance, so
 	// it also tracks the window's distances in an order-statistic tree
@@ -476,12 +497,8 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []slabObj, ylo, yh
 			gated++
 			continue
 		}
-		pts := sc.buf[:0]
-		for _, c := range s[lo : i+1] {
-			pts = append(pts, c.p)
-		}
-		sc.buf = pts // keep the capacity for the next materialisation
-		objs := nClosestScratch(q, pts, n, sc)
+		sc.dp = append(sc.dp[:0], s[lo:i+1]...) // selection reorders its input
+		objs := selectClosest(sc.dp, n)
 		rec.Count(trace.CtrGroupsEmitted, 1)
 		emit(Group{
 			Objects: objs,

@@ -16,6 +16,12 @@ import (
 
 // quickEngine builds a full engine from quick-generated raw values.
 func quickEngine(pts []geom.Point) (*Engine, error) {
+	return engineOver(pts, geom.NewRect(0, 0, 1000, 1000), 40)
+}
+
+// engineOver builds a full engine whose density grid covers space in
+// cells of the given size.
+func engineOver(pts []geom.Point, space geom.Rect, cell float64) (*Engine, error) {
 	tr, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: 4})
 	if err != nil {
 		return nil, err
@@ -25,7 +31,7 @@ func quickEngine(pts []geom.Point) (*Engine, error) {
 			return nil, err
 		}
 	}
-	den, err := grid.New(geom.NewRect(0, 0, 1000, 1000), 40, pts)
+	den, err := grid.New(space, cell, pts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,34 +1,22 @@
 package core
 
-import (
-	"sync"
-
-	"nwcq/internal/geom"
-)
+import "sync"
 
 // searchScratch bundles the per-query working memory of the NWC/kNWC
 // traversal: the best-first heap, the window memo, the current anchor's
-// candidates, one window's contents, the order-statistic setup arrays
-// and the n-closest selection scratch.
+// candidates, the order-statistic setup arrays and the n-closest
+// selection scratch.
 // Queries borrow one from scratchPool so steady-state batch load (many
 // queries across worker goroutines) stops allocating these on every
 // call; everything handed to the caller (result groups, object lists)
 // is still freshly allocated, so nothing escapes back into the pool.
 type searchScratch struct {
 	pq    pqueue
-	memo  windowMemo   // what this query's window queries fetched so far
-	buf   []geom.Point // one window's contents, for selection
-	slab  []slabObj    // what a range query read, then the current anchor's candidates, y-sorted
-	ranks []int        // slab object rank per index (MeasureAvg)
-	dp    []distPoint  // nClosest selection scratch
-	fen   distStats    // Fenwick arrays, reset per anchor
-}
-
-// slabObj is one indexed point together with its distance to the query
-// point, computed once per query when the point is fetched.
-type slabObj struct {
-	p geom.Point
-	d float64
+	memo  windowMemo  // what this query's window queries fetched so far
+	slab  []distPoint // what a range query read, then the current anchor's candidates, y-sorted
+	ranks []int       // slab object rank per index (MeasureAvg)
+	dp    []distPoint // one window's contents, reordered by selection
+	fen   distStats   // Fenwick arrays, reset per anchor
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -41,7 +29,6 @@ const scratchKeepCap = 1 << 16
 func getScratch() *searchScratch {
 	sc := scratchPool.Get().(*searchScratch)
 	sc.pq = sc.pq[:0]
-	sc.buf = sc.buf[:0]
 	sc.memo.reset()
 	return sc
 }
@@ -49,9 +36,6 @@ func getScratch() *searchScratch {
 func putScratch(sc *searchScratch) {
 	if cap(sc.pq) > scratchKeepCap {
 		sc.pq = nil
-	}
-	if cap(sc.buf) > scratchKeepCap {
-		sc.buf = nil
 	}
 	if cap(sc.slab) > scratchKeepCap {
 		sc.slab = nil
@@ -78,13 +62,4 @@ func (sc *searchScratch) ints(n int) []int {
 	}
 	sc.ranks = sc.ranks[:n]
 	return sc.ranks
-}
-
-// distPoints returns a length-n slice backed by sc.dp, reusing capacity.
-func (sc *searchScratch) distPoints(n int) []distPoint {
-	if cap(sc.dp) < n {
-		sc.dp = make([]distPoint, n)
-	}
-	sc.dp = sc.dp[:n]
-	return sc.dp
 }

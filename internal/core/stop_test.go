@@ -15,30 +15,32 @@ import (
 )
 
 // A stop script is six header bytes — the query point in half steps of a
-// 16 × 16 lattice, l and w from 1 to 8, n from 1 to 6, a spare byte — and
-// then one object per two bytes, at lattice site (x%17, y%17) under the ID
-// of its position. Small integers make everything the stop rule has to get
-// right common instead of rare: objects at exactly the bound's distance,
+// 16 × 16 lattice, l and w from 1 to 8, n from 1 to 6, and where the
+// lattice's origin lies on both axes (0, 2²⁰ or 2⁴⁰: q ± bound then rounds
+// at a magnitude the bound does not have) — and then one object per two
+// bytes, at lattice site (x%17, y%17) under the ID of its position. Small
+// integers make everything the stop rule has to get right common instead
+// of rare: objects at exactly the bound's distance or on its box's edge,
 // sites holding several objects, anchors sharing an x or a y with q,
 // anchors equidistant from q, and group distances (math.Hypot) whose
 // square is an ulp off the anchors' integer Dist2.
-func decodeStop(data []byte) (Query, []geom.Point) {
+func decodeStop(data []byte) (qy Query, pts []geom.Point, origin float64) {
 	if len(data) < 6 {
-		return Query{}, nil
+		return Query{}, nil, 0
 	}
-	qy := Query{
-		Q: geom.Point{X: float64(data[0]%33) / 2, Y: float64(data[1]%33) / 2},
+	origin = [3]float64{0, 1 << 20, 1 << 40}[data[5]%3]
+	qy = Query{
+		Q: geom.Point{X: origin + float64(data[0]%33)/2, Y: origin + float64(data[1]%33)/2},
 		L: float64(1 + data[2]%8), W: float64(1 + data[3]%8), N: 1 + int(data[4]%6),
 	}
-	var pts []geom.Point
 	for data = data[6:]; len(data) >= 2 && len(pts) < 40; data = data[2:] {
-		pts = append(pts, geom.Point{X: float64(data[0] % 17), Y: float64(data[1] % 17), ID: uint64(len(pts))})
+		pts = append(pts, geom.Point{X: origin + float64(data[0]%17), Y: origin + float64(data[1]%17), ID: uint64(len(pts))})
 	}
-	return qy, pts
+	return qy, pts, origin
 }
 
-// stopScript is the inverse of decodeStop: q in lattice units (halves
-// allowed), then the sites of the objects.
+// stopScript is the inverse of decodeStop at origin 0: q in lattice units
+// (halves allowed), then the sites of the objects.
 func stopScript(qx, qy float64, l, w, n int, sites ...[2]byte) []byte {
 	out := []byte{byte(2 * qx), byte(2 * qy), byte(l - 1), byte(w - 1), byte(n - 1), 0}
 	for _, s := range sites {
@@ -49,26 +51,54 @@ func stopScript(qx, qy float64, l, w, n int, sites ...[2]byte) []byte {
 
 // stopRun is what checkStopScript saw of plain NWC under MeasureMax.
 type stopRun struct {
-	res             Result
-	served, paper   Stats
-	cut, stopped    int64
-	within, objects int // objects inside the answer's distance (slack band included), and all of them
+	res           Result
+	served, paper Stats
+	// Trace counters: never queued, stopped at the bound, groups emitted,
+	// and anchors the box cut — alone, and under a shared bound set just
+	// above the answer.
+	cut, stopped, emitted, clipped, sharedClipped int64
+	within, objects                               int // objects inside the answer's distance (slack band included), and all of them
+	edge, corner                                  int // objects on the edge of the answer's box, and inside it but beyond the answer
+}
+
+// noMoreWork reports whether a search that stops at the bound did no more
+// of anything than the paper's execution. Two counters are not work: node
+// visits, which the memo moves between anchors (TestSharedEqualsPerAnchor
+// sums them over queries), and objects skipped, which the box raises — DEP
+// cancels an anchor on what is left of its region where the paper's
+// execution reads all of it (the fuzzer's first finding here).
+func noMoreWork(st, paper Stats) bool {
+	return st.ObjectsProcessed <= paper.ObjectsProcessed &&
+		st.NodesPruned <= paper.NodesPruned && st.WindowQueries <= paper.WindowQueries &&
+		st.CandidateWindows <= paper.CandidateWindows && st.QualifiedWindows <= paper.QualifiedWindows &&
+		st.GridProbes <= paper.GridProbes
+}
+
+// ruleCounts sums what the stop rule and its box counted on rec: 0 where
+// the rule is off.
+func ruleCounts(rec *trace.Recorder) int64 {
+	c := rec.Snapshot().Counters
+	return c[trace.CtrNeverQueued] + c[trace.CtrStoppedAtBound] + c[trace.CtrClipped]
 }
 
 // checkStopScript holds the serving execution to the paper's on one
 // script: under every scheme and measure the two return the same Result,
 // bit for bit, which is the oracle's; the same again under a shared bound
 // set just above the optimum, and the same as each other under one set at
-// it or an ulp below. Under MeasureMax the serving execution of the three
-// schemes that prune no node processes exactly the objects inside the
-// answer's distance.
+// it or an ulp below. Under MeasureMax the serving execution does no more
+// of anything than the paper's, and under the three schemes that prune no
+// node it processes exactly the objects inside the answer's distance;
+// where the rule is off — the other measures, and kNWC under all four —
+// the two executions differ in node visits only.
 func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 	t.Helper()
-	qy, pts := decodeStop(data)
+	qy, pts, origin := decodeStop(data)
 	if qy.N == 0 {
 		return run
 	}
-	eng, err := quickEngine(pts)
+	// Cells of four lattice steps: DEP has something to say about a region
+	// the box has cut.
+	eng, err := engineOver(pts, geom.NewRect(origin, origin, origin+16, origin+16), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +108,16 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 		want := BruteForceNWC(pts, qy, measure)
 		if measure == MeasureMax {
 			for _, p := range pts {
-				if !want.Found || p.Dist2(qy.Q) <= want.Dist*want.Dist*stopSlack {
+				inside := !want.Found || p.Dist2(qy.Q) <= want.Dist*want.Dist*stopSlack
+				side := math.Max(math.Abs(p.X-qy.Q.X), math.Abs(p.Y-qy.Q.Y))
+				if inside {
 					run.within++
+				}
+				if want.Found && side == want.Dist {
+					run.edge++
+				}
+				if !inside && side < want.Dist {
+					run.corner++
 				}
 			}
 		}
@@ -100,17 +138,37 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			if served.Found != want.Found || served.Found && math.Abs(served.Dist-want.Dist) > 1e-9 {
 				t.Fatalf("%s: served %+v, oracle %+v", at, served, want)
 			}
-			c := rec.Snapshot().Counters
 			if measure != MeasureMax {
-				if st.NodeVisits = stPaper.NodeVisits; st != stPaper || c[trace.CtrNeverQueued]+c[trace.CtrStoppedAtBound] != 0 {
+				if st.NodeVisits = stPaper.NodeVisits; st != stPaper || ruleCounts(rec) != 0 {
 					t.Fatalf("%s: the stop rule ran: stats %+v, the paper's %+v", at, st, stPaper)
 				}
+			} else if !noMoreWork(st, stPaper) {
+				t.Fatalf("%s: stats %+v exceed the paper's %+v", at, st, stPaper)
 			} else if !scheme.DIP && !scheme.DEP && st.ObjectsProcessed != run.within {
 				t.Fatalf("%s: %d objects processed, %d lie within the answer's distance", at, st.ObjectsProcessed, run.within)
 			}
 			if measure == MeasureMax && scheme == SchemeNWC {
 				run.res, run.served, run.paper = served, st, stPaper
-				run.cut, run.stopped = c[trace.CtrNeverQueued], c[trace.CtrStoppedAtBound]
+				c := rec.Snapshot().Counters
+				run.cut, run.stopped, run.clipped = c[trace.CtrNeverQueued], c[trace.CtrStoppedAtBound], c[trace.CtrClipped]
+				run.emitted = c[trace.CtrGroupsEmitted]
+			}
+			// kNWC never stops at a bound: its k-th distance can rise.
+			kq := KNWCQuery{Query: qy, K: 2, M: 1}
+			rec = trace.New()
+			groups, kst, err := eng.KNWC(ctx, kq, scheme, measure, Exec{Rec: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			groupsPaper, kstPaper, err := eng.KNWC(ctx, kq, scheme, measure, Exec{Paper: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(groups, groupsPaper) {
+				t.Fatalf("%s: kNWC served %+v, the paper's execution %+v", at, groups, groupsPaper)
+			}
+			if kst.NodeVisits = kstPaper.NodeVisits; kst != kstPaper || ruleCounts(rec) != 0 {
+				t.Fatalf("%s: the stop rule ran on kNWC: stats %+v, the paper's %+v", at, kst, kstPaper)
 			}
 			if !want.Found || served.Dist == 0 {
 				continue
@@ -121,10 +179,12 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			// other measures' gates may let a group at the bound through).
 			for _, pre := range []float64{served.Dist * (1 + 1e-12), served.Dist, math.Nextafter(served.Dist, 0)} {
 				var got [2]Result
-				for i, paper := range []bool{false, true} {
-					sb := rstar.NewSharedBound()
-					sb.Tighten(pre)
-					if got[i], _, err = eng.NWC(ctx, qy, scheme, measure, Exec{Bound: sb, Paper: paper}); err != nil {
+				var sts [2]Stats
+				rec = trace.New()
+				for i, x := range []Exec{{Rec: rec}, {Paper: true}} {
+					x.Bound = rstar.NewSharedBound()
+					x.Bound.Tighten(pre)
+					if got[i], sts[i], err = eng.NWC(ctx, qy, scheme, measure, x); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -133,6 +193,12 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 				}
 				if pre > served.Dist && !(got[0].Found && got[0].Dist == served.Dist) || pre <= served.Dist && measure == MeasureMax && got[0].Found {
 					t.Fatalf("%s under a shared bound of %v: %+v, alone %+v", at, pre, got[0], served)
+				}
+				if measure == MeasureMax && !noMoreWork(sts[0], sts[1]) {
+					t.Fatalf("%s under a shared bound of %v: stats %+v exceed the paper's %+v", at, pre, sts[0], sts[1])
+				}
+				if measure == MeasureMax && scheme == SchemeNWC && pre > served.Dist {
+					run.sharedClipped = rec.Snapshot().Counters[trace.CtrClipped]
 				}
 			}
 		}
@@ -166,6 +232,35 @@ var stopScripts = map[string][]byte{
 	"n-too-large": stopScript(8, 8, 2, 2, 6, [2]byte{8, 8}, [2]byte{9, 9}, [2]byte{9, 8}, [2]byte{8, 9}, [2]byte{10, 10}, [2]byte{3, 3}, [2]byte{4, 3}, [2]byte{3, 4}, [2]byte{13, 2}, [2]byte{2, 13}, [2]byte{14, 14}, [2]byte{15, 15}),
 	// The first group found is far; nearer anchors improve on it thrice.
 	"falling-bound": stopScript(0, 0, 8, 2, 3, [2]byte{1, 0}, [2]byte{2, 9}, [2]byte{3, 9}, [2]byte{4, 9}, [2]byte{9, 3}, [2]byte{10, 3}, [2]byte{11, 3}, [2]byte{6, 6}, [2]byte{7, 6}, [2]byte{8, 6}, [2]byte{16, 16}, [2]byte{15, 16}, [2]byte{16, 15}, [2]byte{12, 12}),
+
+	// The bound's box. (8,9) finds {(8,9),(4,11)} at 5; (11,8), inside the
+	// box [3,13]², pairs with (11,8), (8,9) and (4,11) but not with (10,14)
+	// above it, whose window holds the answer {(8,9),(11,8)} all the same:
+	// five candidate windows, not six.
+	"partner-outside-box": stopScript(8, 8, 8, 8, 2, [2]byte{8, 9}, [2]byte{4, 11}, [2]byte{11, 8}, [2]byte{10, 14}, [2]byte{16, 16}, [2]byte{16, 0}),
+	// The answer {(8,8),(11,12)} lies 5 away; (13,8), as far, is an anchor on
+	// the box's right edge and must find itself in what is left of its
+	// region, with (13,9) on that edge and (9,13) on the top one.
+	"on-the-box-edge": stopScript(8, 8, 4, 6, 2, [2]byte{8, 8}, [2]byte{11, 12}, [2]byte{13, 8}, [2]byte{13, 9}, [2]byte{9, 13}, [2]byte{1, 1}, [2]byte{16, 2}),
+	// (12,12) and (4,4) lie in the box's corners, beyond the answer's 5:
+	// fetched and counted with the region of (13,8), never under the bound.
+	"box-corner": stopScript(8, 8, 4, 6, 2, [2]byte{8, 8}, [2]byte{11, 12}, [2]byte{13, 8}, [2]byte{12, 12}, [2]byte{4, 4}, [2]byte{1, 15}, [2]byte{16, 2}),
+	// (11,8) is cut to the box of the 5 that (8,9) found and then improves
+	// on it twice, to {(11,8),(10,5)} and to {(8,9),(11,8)}: its box goes
+	// stale under it, and (4,11), outside the later ones, is still counted.
+	"bound-inside-anchor": stopScript(8, 8, 8, 8, 2, [2]byte{8, 9}, [2]byte{4, 11}, [2]byte{11, 8}, [2]byte{10, 5}, [2]byte{16, 2}, [2]byte{15, 16}),
+	// Alone, the first anchor has no bound and no box; under a shared bound
+	// just above the answer it is cut like the rest, and finds nothing.
+	"shared-below-local": stopScript(8, 8, 8, 8, 2, [2]byte{8, 7}, [2]byte{4, 5}, [2]byte{11, 7}, [2]byte{10, 11}, [2]byte{0, 14}, [2]byte{15, 0}),
+	// The answer lies 0.5 from a q that lies 2⁴⁰ from the origin: the box's
+	// sides round at 2⁻¹², 2,048 times the bound's own precision.
+	"tiny-bound-far-origin": farFrom(2, stopScript(8.5, 8, 2, 2, 2, [2]byte{8, 8}, [2]byte{9, 8}, [2]byte{8, 9}, [2]byte{9, 9}, [2]byte{3, 3}, [2]byte{14, 12}, [2]byte{8, 12})),
+}
+
+// farFrom moves a script's lattice: origin 1 is 2²⁰, 2 is 2⁴⁰.
+func farFrom(origin byte, script []byte) []byte {
+	script[5] = origin
+	return script
 }
 
 // TestStopAtBoundTable runs the named scripts, checks that each did what
@@ -205,6 +300,35 @@ func TestStopAtBoundTable(t *testing.T) {
 		case "straddling":
 			if w := run.res.Window; !(w.MinX < 8 && w.MaxX > 8 && w.MinY < 8 && w.MaxY > 8) {
 				t.Errorf("%s: the answer's window %v does not hold q", name, w)
+			}
+		case "partner-outside-box":
+			if run.clipped != 1 || run.served.CandidateWindows != 5 || run.paper.CandidateWindows != 6 {
+				t.Errorf("%s: %d anchors cut, %d candidate windows (the paper's %d), want 1, 5 and 6",
+					name, run.clipped, run.served.CandidateWindows, run.paper.CandidateWindows)
+			}
+		case "on-the-box-edge":
+			if run.res.Dist != 5 || run.within != 3 || run.edge != 3 || run.clipped != 1 {
+				t.Errorf("%s: answer at %v, %d objects within it, %d on its box's edge, %d anchors cut, want 5, 3, 3 and 1",
+					name, run.res.Dist, run.within, run.edge, run.clipped)
+			}
+		case "box-corner":
+			if run.res.Dist != 5 || run.corner != 2 || run.clipped == 0 {
+				t.Errorf("%s: answer at %v, %d objects in its box's corners, %d anchors cut, want 5, 2 and some",
+					name, run.res.Dist, run.corner, run.clipped)
+			}
+		case "bound-inside-anchor":
+			// The first of the two anchors has two objects to its region: one group.
+			if run.served.ObjectsProcessed != 2 || run.emitted != 3 || run.clipped != 1 {
+				t.Errorf("%s: %d anchors, %d groups emitted, %d anchors cut, want 2, 3 and 1",
+					name, run.served.ObjectsProcessed, run.emitted, run.clipped)
+			}
+		case "shared-below-local":
+			if run.clipped != 1 || run.sharedClipped != 2 {
+				t.Errorf("%s: %d anchors cut alone and %d under the shared bound, want 1 and 2", name, run.clipped, run.sharedClipped)
+			}
+		case "tiny-bound-far-origin":
+			if run.res.Dist != 0.5 || run.within != 2 || run.clipped != 1 {
+				t.Errorf("%s: answer at %v, %d objects within it, %d anchors cut, want 0.5, 2 and 1", name, run.res.Dist, run.within, run.clipped)
 			}
 		}
 	}

@@ -268,9 +268,9 @@ func forEachAnchor(pts []geom.Point, qy Query, eval func(p geom.Point, cands []g
 func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bound func() float64, emit func(Group)) {
 	sc := getScratch()
 	defer putScratch(sc)
-	cand := make([]slabObj, len(cands))
+	cand := make([]distPoint, len(cands))
 	for i, c := range cands {
-		cand[i] = slabObj{p: c, d: qy.Q.Dist(c)}
+		cand[i] = distPoint{p: c, d: qy.Q.Dist(c)}
 	}
 	var st Stats
 	(&Engine{}).evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), sc, measure, bound, emit, &st, nil)

@@ -19,7 +19,8 @@ import (
 //     window query per anchor and the queue drained (what every other
 //     table and figure reports), beside NWC* as the engine serves it: the
 //     anchors of a query sharing what their window queries fetch
-//     (DESIGN.md §18) and the search stopping at the bound (§19).
+//     (DESIGN.md §18) and the search stopping at the bound, inside its
+//     box (§19).
 func Ablation(o Options) ([]*Table, error) {
 	ws := o.windowScale()
 	l, w := defaultWindow*ws, defaultWindow*ws

@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -215,8 +216,11 @@ func toGroupJSON(g nwcq.Group) groupJSON {
 			MaxX: g.Window.MaxX, MaxY: g.Window.MaxY,
 		},
 	}
-	for _, o := range g.Objects {
-		out.Objects = append(out.Objects, pointJSON{X: o.X, Y: o.Y, ID: o.ID})
+	if len(g.Objects) > 0 { // nil stays nil: it encodes as null
+		out.Objects = make([]pointJSON, len(g.Objects))
+	}
+	for i, o := range g.Objects {
+		out.Objects[i] = pointJSON{X: o.X, Y: o.Y, ID: o.ID}
 	}
 	return out
 }
@@ -232,12 +236,14 @@ func toStatsJSON(st nwcq.Stats) statsJSON {
 	}
 }
 
-// queryFromRequest parses the shared NWC parameters.
-func queryFromRequest(r *http.Request) (nwcq.Query, error) {
+// queryFrom parses the shared NWC parameters out of a request's query
+// string, which its handler parses once (r.URL.Query() builds a new map
+// on every call).
+func queryFrom(vals url.Values) (nwcq.Query, error) {
 	var q nwcq.Query
 	var err error
 	get := func(name string) (float64, error) {
-		v := r.URL.Query().Get(name)
+		v := vals.Get(name)
 		if v == "" {
 			return 0, fmt.Errorf("missing parameter %q", name)
 		}
@@ -260,14 +266,14 @@ func queryFromRequest(r *http.Request) (nwcq.Query, error) {
 		return q, err
 	}
 	q.N = int(n)
-	if sv := r.URL.Query().Get("scheme"); sv != "" {
+	if sv := vals.Get("scheme"); sv != "" {
 		scheme, err := ParseScheme(sv)
 		if err != nil {
 			return q, err
 		}
 		q.Scheme = scheme
 	}
-	if mv := r.URL.Query().Get("measure"); mv != "" {
+	if mv := vals.Get("measure"); mv != "" {
 		measure, err := ParseMeasure(mv)
 		if err != nil {
 			return q, err
@@ -327,8 +333,8 @@ func (s *Server) ok(w http.ResponseWriter, payload any) {
 }
 
 // wantExplain reports whether the request opted into per-query tracing.
-func wantExplain(r *http.Request) bool {
-	switch r.URL.Query().Get("explain") {
+func wantExplain(vals url.Values) bool {
+	switch vals.Get("explain") {
 	case "1", "true", "yes":
 		return true
 	}
@@ -336,12 +342,13 @@ func wantExplain(r *http.Request) bool {
 }
 
 func (s *Server) handleNWC(w http.ResponseWriter, r *http.Request) {
-	q, err := queryFromRequest(r)
+	vals := r.URL.Query()
+	q, err := queryFrom(vals)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	asOf, asOfSet, err := asOfFromRequest(r)
+	asOf, asOfSet, err := asOfFrom(vals)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -360,7 +367,7 @@ func (s *Server) handleNWC(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		res, err = tq.NWCAsOf(ctx, q, asOf)
-	case wantExplain(r):
+	case wantExplain(vals):
 		res, qt, err = s.idx.ExplainNWC(ctx, q)
 	default:
 		res, err = s.idx.NWCCtx(ctx, q)
@@ -385,12 +392,13 @@ func (s *Server) handleNWC(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleKNWC(w http.ResponseWriter, r *http.Request) {
-	q, err := queryFromRequest(r)
+	vals := r.URL.Query()
+	q, err := queryFrom(vals)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	kv := r.URL.Query().Get("k")
+	kv := vals.Get("k")
 	if kv == "" {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("missing parameter %q", "k"))
 		return
@@ -401,14 +409,14 @@ func (s *Server) handleKNWC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := 0
-	if mv := r.URL.Query().Get("m"); mv != "" {
+	if mv := vals.Get("m"); mv != "" {
 		if m, err = strconv.Atoi(mv); err != nil {
 			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
 	}
 	kq := nwcq.KQuery{Query: q, K: k, M: m}
-	asOf, asOfSet, err := asOfFromRequest(r)
+	asOf, asOfSet, err := asOfFrom(vals)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -427,7 +435,7 @@ func (s *Server) handleKNWC(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		res, err = tq.KNWCAsOf(ctx, kq, asOf)
-	case wantExplain(r):
+	case wantExplain(vals):
 		res, qt, err = s.idx.ExplainKNWC(ctx, kq)
 	default:
 		res, err = s.idx.KNWCCtx(ctx, kq)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -41,10 +42,10 @@ var (
 	errNoTemporal   = errors.New("backend does not retain past views (need a single index, see WithViewRetention)")
 )
 
-// asOfFromRequest parses the optional as_of_lsn parameter shared by
-// /nwc and /knwc (temporal reads against a retained view).
-func asOfFromRequest(r *http.Request) (uint64, bool, error) {
-	v := r.URL.Query().Get("as_of_lsn")
+// asOfFrom parses the optional as_of_lsn parameter shared by /nwc and
+// /knwc (temporal reads against a retained view).
+func asOfFrom(vals url.Values) (uint64, bool, error) {
+	v := vals.Get("as_of_lsn")
 	if v == "" {
 		return 0, false, nil
 	}
@@ -82,10 +83,10 @@ func toSubFrameJSON(u nwcq.SubUpdate) subFrameJSON {
 // lastEventID reads the client's resume position: the standard SSE
 // Last-Event-ID header, or a last_event_id query parameter for clients
 // (curl) that cannot set headers per reconnect.
-func lastEventID(r *http.Request) (uint64, bool) {
+func lastEventID(r *http.Request, vals url.Values) (uint64, bool) {
 	v := r.Header.Get("Last-Event-ID")
 	if v == "" {
-		v = r.URL.Query().Get("last_event_id")
+		v = vals.Get("last_event_id")
 	}
 	if v == "" {
 		return 0, false
@@ -108,7 +109,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, errors.New("response writer cannot stream"))
 		return
 	}
-	q, err := queryFromRequest(r)
+	vals := r.URL.Query()
+	q, err := queryFrom(vals)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -119,7 +121,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sub.Close()
-	resumeID, resuming := lastEventID(r)
+	resumeID, resuming := lastEventID(r, vals)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -818,6 +818,7 @@ func addCounters(a, b nwcq.TraceCounters) nwcq.TraceCounters {
 	a.MemoBypassed += b.MemoBypassed
 	a.NeverQueued += b.NeverQueued
 	a.StoppedAtBound += b.StoppedAtBound
+	a.Clipped += b.Clipped
 	a.DedupOffered += b.DedupOffered
 	a.DedupAccepted += b.DedupAccepted
 	return a

@@ -126,6 +126,9 @@ const (
 	// CtrStoppedAtBound is 1 when such a search ended at the first queue
 	// item farther than the bound, 0 when the queue ran empty.
 	CtrStoppedAtBound
+	// CtrClipped counts the anchors of such a search whose search region
+	// the bound's box [q ± bound]² cut before it was probed, read or counted.
+	CtrClipped
 
 	// CounterCount is the number of counters.
 	CounterCount
@@ -137,7 +140,7 @@ var counterNames = [CounterCount]string{
 	"iwp_root_starts", "iwp_overlap_scans", "dedup_offered",
 	"dedup_accepted", "windows_gated", "anchors_gated",
 	"memo_served", "memo_strips", "memo_bypassed",
-	"never_queued", "stopped_at_bound",
+	"never_queued", "stopped_at_bound", "clipped",
 }
 
 // String returns the counter's stable snake_case name.

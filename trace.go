@@ -97,10 +97,13 @@ type TraceCounters struct {
 	// NeverQueued counts child MBRs and leaf points left off the best-first
 	// queue because they lay beyond the bound when their parent was
 	// expanded, and StoppedAtBound is 1 when the search ended at the first
-	// queue item farther than the bound (0: the queue ran empty). Both are
-	// the stop rule of an NWC query under MeasureMax and stay 0 otherwise.
+	// queue item farther than the bound (0: the queue ran empty). Clipped
+	// counts the anchors whose search region was cut to the bound's box
+	// [q ± bound]² before it was probed, read or counted. All three are the
+	// stop rule of an NWC query under MeasureMax and stay 0 otherwise.
 	NeverQueued    int64 `json:"never_queued"`
 	StoppedAtBound int64 `json:"stopped_at_bound"`
+	Clipped        int64 `json:"clipped"`
 	// DedupOffered and DedupAccepted count kNWC candidate-pool traffic:
 	// groups offered, and offers that entered the pool.
 	DedupOffered  int64 `json:"dedup_offered"`
@@ -171,6 +174,7 @@ func queryTraceFrom(kind string, scheme Scheme, measure Measure, rec *trace.Reco
 			MemoBypassed:      s.Counters[trace.CtrMemoBypassed],
 			NeverQueued:       s.Counters[trace.CtrNeverQueued],
 			StoppedAtBound:    s.Counters[trace.CtrStoppedAtBound],
+			Clipped:           s.Counters[trace.CtrClipped],
 			DedupOffered:      s.Counters[trace.CtrDedupOffered],
 			DedupAccepted:     s.Counters[trace.CtrDedupAccepted],
 		},
@@ -202,7 +206,7 @@ func (t *QueryTrace) Render() string {
 			kv("never-queued", c.NeverQueued), kv("stopped-at-bound", c.StoppedAtBound),
 			kv("heap-high-water", int64(t.HeapHighWater))),
 		"srr": joinNonZero(
-			kv("shrunk", c.SRRShrinks), kv("skipped", c.SRRSkips),
+			kv("shrunk", c.SRRShrinks), kv("clipped", c.Clipped), kv("skipped", c.SRRSkips),
 			kv("dep-cancelled", c.DEPSkippedObjects), kv("grid-probes", c.GridProbes)),
 		"window-enum": joinNonZero(
 			kv("window-queries", c.WindowQueries), kv("memo-served", c.MemoServed),
