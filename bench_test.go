@@ -28,6 +28,7 @@ import (
 	"nwcq/internal/harness"
 	"nwcq/internal/pager"
 	"nwcq/internal/rstar"
+	"nwcq/internal/trace"
 )
 
 // benchOptions scales every figure benchmark: 2% of the paper's
@@ -471,6 +472,55 @@ func BenchmarkKNWCQuery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkKNWCServing measures one kNWC as the benchmark's workloads send
+// it — l = w = 60, n = 8, k = 3, m = 1, NWC*, MeasureMax, the serving
+// execution — on that benchmark's 200k uniform points and on the NY-like
+// set of BenchmarkKNWCQuery, and reports beside ns, B and allocs what the
+// query paid for: objects popped, window queries, windows offered to the
+// pool and groups that entered it, per op, counted on a second, traced
+// pass over the same queries.
+func BenchmarkKNWCServing(b *testing.B) {
+	for _, set := range []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"uniform-200k", datagen.Uniform(200000, 101)},
+		{"ny-like-10k", datagen.NYLikeN(10000, 2)},
+	} {
+		env := benchEnv(b, set.pts)
+		queries := harness.QueryPoints(64, 6)
+		run := func(q geom.Point, rec *trace.Recorder) core.Stats {
+			_, st, err := env.Engine.KNWC(context.Background(), core.KNWCQuery{
+				Query: core.Query{Q: q, L: 60, W: 60, N: 8}, K: 3, M: 1,
+			}, core.SchemeNWCStar, core.MeasureMax, core.Exec{Rec: rec})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(queries[i%len(queries)], nil)
+			}
+			b.StopTimer()
+			var popped, fetched, offered, entered float64
+			for _, q := range queries {
+				rec := trace.New()
+				st := run(q, rec)
+				c := rec.Snapshot().Counters
+				popped, fetched = popped+float64(st.ObjectsProcessed), fetched+float64(st.WindowQueries)
+				offered, entered = offered+float64(c[trace.CtrDedupOffered]), entered+float64(c[trace.CtrDedupAccepted])
+			}
+			n := float64(len(queries))
+			b.ReportMetric(popped/n, "popped/op")
+			b.ReportMetric(fetched/n, "windowqueries/op")
+			b.ReportMetric(offered/n, "offers/op")
+			b.ReportMetric(entered/n, "entries/op")
 		})
 	}
 }

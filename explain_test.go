@@ -130,11 +130,18 @@ func TestExplainKNWC(t *testing.T) {
 	if c.DedupAccepted > c.DedupOffered {
 		t.Errorf("accepted %d > offered %d", c.DedupAccepted, c.DedupOffered)
 	}
-	if c.GroupsEmitted != c.DedupOffered {
-		t.Errorf("groups emitted %d != dedup offered %d", c.GroupsEmitted, c.DedupOffered)
+	// Every qualified window is ruled out by a distance gate, skipped as
+	// the repeat of the one before it, or reaches the pool's test; a group
+	// is materialised only for one that enters.
+	if c.QualifiedWindows != c.WindowsGated+c.WindowsRepeated+c.DedupOffered || c.WindowsRepeated == 0 {
+		t.Errorf("qualified %d != gated %d + repeated %d + offered %d, or nothing repeated",
+			c.QualifiedWindows, c.WindowsGated, c.WindowsRepeated, c.DedupOffered)
 	}
-	if c.QualifiedWindows != c.WindowsGated+c.GroupsEmitted {
-		t.Errorf("qualified %d != gated %d + emitted %d", c.QualifiedWindows, c.WindowsGated, c.GroupsEmitted)
+	if c.GroupsEmitted != c.DedupAccepted {
+		t.Errorf("groups emitted %d != dedup accepted %d", c.GroupsEmitted, c.DedupAccepted)
+	}
+	if out := tr.Render(); !strings.Contains(out, "repeated=") || !strings.Contains(out, "stopped-at-bound=1") {
+		t.Errorf("render misses the repeats or the stop:\n%s", out)
 	}
 	var sawDedup bool
 	for _, p := range tr.Phases {
@@ -155,8 +162,10 @@ func TestExplainKNWC(t *testing.T) {
 // the search ended at the bound, having left off the queue what lay beyond
 // it and processed eight objects (the drained queue of Algorithm 1
 // processes 980 for the same answer, with a heap of 483), the seven that
-// had a bound on search regions cut to its box; under the min measure and
-// for kNWC the rule does not apply and all three counters stay 0.
+// had a bound on search regions cut to its box; under the min measure the
+// rule does not apply and all three counters stay 0; a kNWC ends at the
+// reach of its third group, with nothing left off the queue and no region
+// cut.
 func TestExplainStopAtBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := make([]Point, 4000)
@@ -198,8 +207,8 @@ func TestExplainStopAtBound(t *testing.T) {
 	if _, tr, err = ix.ExplainKNWC(context.Background(), KQuery{Query: q, K: 3, M: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if c := tr.Counters; c.StoppedAtBound != 0 || c.NeverQueued != 0 || c.Clipped != 0 {
-		t.Errorf("kNWC: stopped_at_bound=%d never_queued=%d clipped=%d, want 0, 0 and 0", c.StoppedAtBound, c.NeverQueued, c.Clipped)
+	if c := tr.Counters; c.StoppedAtBound != 1 || c.NeverQueued != 0 || c.Clipped != 0 {
+		t.Errorf("kNWC: stopped_at_bound=%d never_queued=%d clipped=%d, want 1, 0 and 0", c.StoppedAtBound, c.NeverQueued, c.Clipped)
 	}
 }
 

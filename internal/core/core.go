@@ -65,12 +65,17 @@ func (m Measure) String() string {
 // Valid reports whether m is a known measure.
 func (m Measure) Valid() bool { return m >= MeasureMax && m <= MeasureWindow }
 
-// anchorReach returns how far from q an anchor of a group nearer than b
-// can lie. Under MeasureMax every object of such a group is nearer than b
-// and one of them generates a window holding them all (DESIGN.md §19);
-// under the other measures a nearer group may hold objects at any distance.
-func (m Measure) anchorReach(b float64) float64 {
-	if m == MeasureMax {
+// anchorReach returns how far from q an anchor can lie whose windows still
+// matter under bound b (DESIGN.md §19). For a single best group under
+// MeasureMax every object of a nearer group is nearer than b and one of
+// them generates a window holding them all; under the other measures it may
+// hold objects at any distance. A pool of distinct groups has b + pad: an
+// anchor lies inside its windows, which past that fail the MINDIST gate.
+func (m Measure) anchorReach(b, pad float64, single bool) float64 {
+	switch {
+	case !single:
+		return b + pad
+	case m == MeasureMax:
 		return b
 	}
 	return math.Inf(1)

@@ -38,10 +38,10 @@ func denseFixture(t *testing.T) (*Engine, []Query) {
 // produced on this fixture; what changed there is that a group is
 // materialised only for a window that strictly improves the bound, and a
 // query allocates a handful of objects where it allocated tens of
-// thousands. The shared execution must repeat every one of those counters
-// but the node visits, which it must cut at least tenfold: in this hot
-// spot nearly every anchor's search region lies inside what earlier
-// anchors fetched.
+// thousands. The serving execution, pinned too, must exceed none of those
+// counters and cut the node visits at least tenfold: in this hot spot
+// nearly every anchor's search region lies inside what earlier anchors
+// fetched.
 func TestDenseVerifyCeilings(t *testing.T) {
 	eng, qs := denseFixture(t)
 	// Recorded with the eager verify stage, commit 95e1636.
@@ -57,10 +57,22 @@ func TestDenseVerifyCeilings(t *testing.T) {
 			{NodeVisits: 15294, ObjectsProcessed: 691, ObjectsSkipped: 230, NodesPruned: 87, WindowQueries: 461, GridProbes: 530},
 		},
 	}
-	// Node visits of the shared execution, recorded with this change.
-	sharedVisits := map[Measure][]uint64{
-		MeasureMax: {1031, 572, 623},
-		MeasureMin: {749, 396, 433},
+	// The serving execution of a search that is not for a single best group
+	// (single = false, kNWC's), recorded with the stop at the reach: it ends
+	// with an eighth of the paper's objects unprocessed, and under MeasureMax
+	// drops nearly every anchor on a count over the memo — five window
+	// queries for 687 — where the paper's fetches the region first.
+	served := map[Measure][]Stats{
+		MeasureMax: {
+			{NodeVisits: 287, ObjectsProcessed: 864, ObjectsSkipped: 177, NodesPruned: 27, WindowQueries: 5, GridProbes: 109},
+			{NodeVisits: 220, ObjectsProcessed: 734, ObjectsSkipped: 139, NodesPruned: 30, WindowQueries: 4, GridProbes: 86},
+			{NodeVisits: 187, ObjectsProcessed: 639, ObjectsSkipped: 135, NodesPruned: 21, WindowQueries: 3, GridProbes: 76},
+		},
+		MeasureMin: {
+			{NodeVisits: 749, ObjectsProcessed: 761, ObjectsSkipped: 137, NodesPruned: 28, WindowQueries: 624, GridProbes: 716},
+			{NodeVisits: 396, ObjectsProcessed: 623, ObjectsSkipped: 123, NodesPruned: 24, WindowQueries: 500, GridProbes: 571},
+			{NodeVisits: 433, ObjectsProcessed: 598, ObjectsSkipped: 137, NodesPruned: 19, WindowQueries: 461, GridProbes: 530},
+		},
 	}
 	for measure, want := range golden {
 		for i, qy := range qs {
@@ -70,11 +82,13 @@ func TestDenseVerifyCeilings(t *testing.T) {
 				rec := trace.New()
 				st, err := eng.search(context.Background(), qy, SchemeNWCStar,
 					func() float64 { return best },
-					func(g Group) {
-						if g.Dist < best {
-							best = g.Dist
-							improvements++
+					func(dist float64, _ []distPoint, _ geom.Rect) bool {
+						if dist >= best {
+							return false
 						}
+						best = dist
+						improvements++
+						return true
 					}, measure, Exec{Rec: rec, Paper: perAnchor}, false)
 				if err != nil {
 					t.Fatal(err)
@@ -83,8 +97,8 @@ func TestDenseVerifyCeilings(t *testing.T) {
 				if emitted := c[trace.CtrGroupsEmitted]; emitted != improvements || emitted == 0 {
 					t.Errorf("%v query %d: %d groups emitted, %d strict improvements", measure, i, emitted, improvements)
 				}
-				if gated := c[trace.CtrWindowsGated]; int64(st.QualifiedWindows) != gated+improvements {
-					t.Errorf("%v query %d: %d qualified windows != %d gated + %d emitted", measure, i, st.QualifiedWindows, gated, improvements)
+				if gated, repeated := c[trace.CtrWindowsGated], c[trace.CtrWindowsRepeated]; int64(st.QualifiedWindows) != gated+repeated+improvements || perAnchor && repeated != 0 {
+					t.Errorf("%v query %d: %d qualified windows != %d gated + %d repeated + %d emitted", measure, i, st.QualifiedWindows, gated, repeated, improvements)
 				}
 				if c[trace.CtrAnchorsGated] == 0 {
 					t.Errorf("%v query %d: no anchor was gated before its sort", measure, i)
@@ -98,9 +112,12 @@ func TestDenseVerifyCeilings(t *testing.T) {
 						t.Errorf("%v query %d: per-anchor execution touched the memo: %d of %d anchors bypassed it", measure, i, n, st.WindowQueries)
 					}
 				} else {
-					wantSt.NodeVisits = sharedVisits[measure][i]
+					wantSt = served[measure][i]
 					if wantSt.NodeVisits*10 > want[i].NodeVisits {
 						t.Errorf("%v query %d: shared pin of %d node visits is over a tenth of the per-anchor %d", measure, i, wantSt.NodeVisits, want[i].NodeVisits)
+					}
+					if !noMoreWork(wantSt, want[i]) || wantSt.ObjectsSkipped > want[i].ObjectsSkipped || c[trace.CtrStoppedAtBound] != 1 {
+						t.Errorf("%v query %d: serving pin %+v exceeds the per-anchor %+v, or the search did not end at the bound", measure, i, wantSt, want[i])
 					}
 				}
 				if st != wantSt {

@@ -189,3 +189,25 @@ func TestNClosestMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestSelDistIsGroupDist: the distance the verify stage reads off the
+// selected members' carried distances is, bit for bit, the one groupDist —
+// the oracles' function — computes from their points, under every measure.
+func TestSelDistIsGroupDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		pts := genPoints(rng, 1+rng.Intn(60), trial%2 == 0)
+		q := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		s := make([]distPoint, len(pts))
+		for i, p := range pts {
+			s[i] = distPoint{d: q.Dist(p), p: p}
+		}
+		sel := selectClosest(s, 1+rng.Intn(10))
+		win := geom.NewRect(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
+		for _, measure := range allMeasures {
+			if got, want := selDist(q, sel, win, measure), groupDist(q, pointsOf(nil, sel), win, measure); got != want {
+				t.Fatalf("%v over %v: selDist %v, groupDist %v", measure, sel, got, want)
+			}
+		}
+	}
+}

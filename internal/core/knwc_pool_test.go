@@ -78,6 +78,20 @@ func (r *poolModel) offer(g Group) {
 	}
 }
 
+// offerGroup hands g to the pool through its sink, as evaluateWindows
+// does: the distance, the members in scratch that is reused as soon as the
+// sink returns — here wiped, so an entry that kept a reference to it no
+// longer equals the model's — and the window. The test comes first; only
+// an offer that enters is materialised.
+func (s *knwcState) offerGroup(g Group) bool {
+	sel := make([]distPoint, len(g.Objects))
+	for i, p := range g.Objects {
+		sel[i] = distPoint{p: p, d: g.Dist}
+	}
+	defer clear(sel)
+	return s.offer(g.Dist, sel, g.Window)
+}
+
 // checkAgainst demands of s everything the model has: the same pool in
 // the same order, the same selection (by position, ascending), the same
 // bound, the same counts, and a key → distance map that is exactly the
@@ -178,8 +192,11 @@ func runPoolScript(t *testing.T, data []byte, limit int) (sizes []int) {
 	offer := func(g Group) {
 		// Each side gets its own slice: neither may come to depend on the
 		// other's, or on the caller's order of objects.
+		before := r.accepted
 		r.offer(Group{Objects: append([]geom.Point{}, g.Objects...), Dist: g.Dist, Window: g.Window})
-		s.insert(Group{Objects: append([]geom.Point{}, g.Objects...), Dist: g.Dist, Window: g.Window})
+		if entered := s.offerGroup(g); entered != (r.accepted > before) {
+			t.Fatalf("op %d, offer %d: the sink reported entered=%v, the model accepted %d", step, r.offered, entered, r.accepted-before)
+		}
 		if limit < compactLimit || r.offered%512 == 0 { // the check is O(pool): sampled when the pool is large
 			r.checkAgainst(t, s, fmt.Sprintf("op %d, offer %d", step, r.offered))
 		}

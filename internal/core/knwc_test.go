@@ -164,11 +164,15 @@ func TestKNWCFirstGroupIsOptimal(t *testing.T) {
 
 // TestKNWCMatchesGreedyReference compares full result distances against
 // the greedy oracle: the pool-based maintenance is order-insensitive, so
-// every scheme must reproduce the greedy selection exactly.
+// every scheme must reproduce the greedy selection exactly — on 50
+// clustered points under random parameters, and on 2,000 uniform ones at
+// the density and parameters of the benchmark's kNWC (7.2 objects to a
+// 60 × 60 window, n = 8, k = 3, m = 1).
 func TestKNWCMatchesGreedyReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	pts := genPoints(rng, 50, true)
 	eng := buildEngine(t, pts, 4, 50)
+	var trials []KNWCQuery
 	for trial := 0; trial < 12; trial++ {
 		qy := KNWCQuery{
 			Query: Query{
@@ -180,6 +184,23 @@ func TestKNWCMatchesGreedyReference(t *testing.T) {
 			K: 1 + rng.Intn(4),
 		}
 		qy.M = rng.Intn(qy.N)
+		trials = append(trials, qy)
+	}
+	checkGreedy(t, eng, pts, trials)
+
+	pts = genPoints(rng, 2000, false)
+	eng = buildEngine(t, pts, 16, 25)
+	trials = trials[:0]
+	for trial := 0; trial < 3; trial++ {
+		q := geom.Point{X: 200 + rng.Float64()*600, Y: 200 + rng.Float64()*600}
+		trials = append(trials, KNWCQuery{Query: Query{Q: q, L: 60, W: 60, N: 8}, K: 3, M: 1})
+	}
+	checkGreedy(t, eng, pts, trials)
+}
+
+func checkGreedy(t *testing.T, eng *Engine, pts []geom.Point, trials []KNWCQuery) {
+	t.Helper()
+	for _, qy := range trials {
 		for _, measure := range allMeasures {
 			want := BruteForceKNWC(pts, qy, measure)
 			for _, scheme := range knwcSchemes {
@@ -304,32 +325,32 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 	// paper's Steps 1–5) arrives, then A (closest, overlapping B)
 	// displaces B. The pool-based maintenance recovers C.
 	s := newKNWCState(2, 0)
-	s.insert(mk(5, 1, 2)) // B
-	s.insert(mk(9, 2, 4)) // C overlaps B: blocked while B is accepted
-	s.insert(mk(1, 1, 7)) // A overlaps B, evicts it from the greedy set
+	s.offerGroup(mk(5, 1, 2)) // B
+	s.offerGroup(mk(9, 2, 4)) // C overlaps B: blocked while B is accepted
+	s.offerGroup(mk(1, 1, 7)) // A overlaps B, evicts it from the greedy set
 	got := s.result()
 	if len(got) != 2 || got[0].Dist != 1 || got[1].Dist != 9 {
 		t.Fatalf("groups after eviction chain: %+v", got)
 	}
 	// Exact duplicates collapse even when m >= n allows them.
 	s = newKNWCState(3, 5)
-	s.insert(mk(2, 1, 2))
-	s.insert(mk(2, 1, 2))
+	s.offerGroup(mk(2, 1, 2))
+	s.offerGroup(mk(2, 1, 2))
 	if got := s.result(); len(got) != 1 {
 		t.Fatalf("duplicate group retained: %+v", got)
 	}
 	// Same object set through a closer window keeps the smaller
 	// distance (MeasureWindow semantics).
 	s = newKNWCState(2, 0)
-	s.insert(mk(7, 1, 2))
-	s.insert(mk(3, 1, 2))
+	s.offerGroup(mk(7, 1, 2))
+	s.offerGroup(mk(3, 1, 2))
 	if got := s.result(); len(got) != 1 || got[0].Dist != 3 {
 		t.Fatalf("min-dist dedup failed: %+v", got)
 	}
 	// A candidate farther than the full greedy list is ignored.
 	s = newKNWCState(1, 0)
-	s.insert(mk(1, 1))
-	s.insert(mk(2, 2))
+	s.offerGroup(mk(1, 1))
+	s.offerGroup(mk(2, 2))
 	if got := s.result(); len(got) != 1 || got[0].Dist != 1 {
 		t.Fatalf("far candidate displaced the best: %+v", got)
 	}
@@ -338,8 +359,8 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 	}
 	// Overlap with a closer group blocks greedy acceptance.
 	s = newKNWCState(3, 0)
-	s.insert(mk(1, 1, 2))
-	s.insert(mk(2, 2, 3))
+	s.offerGroup(mk(1, 1, 2))
+	s.offerGroup(mk(2, 2, 3))
 	if got := s.result(); len(got) != 1 {
 		t.Fatalf("overlap violation accepted: %+v", got)
 	}
@@ -353,7 +374,7 @@ func TestKNWCPoolCompaction(t *testing.T) {
 			Dist:    float64(i%97) + 1, // bounded distances so the bound stays small
 			Objects: []geom.Point{{X: float64(i), Y: 0, ID: uint64(i)}},
 		}
-		s.insert(g)
+		s.offerGroup(g)
 	}
 	if len(s.pool) > compactLimit {
 		t.Fatalf("pool grew to %d entries, limit %d", len(s.pool), compactLimit)

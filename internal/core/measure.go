@@ -68,6 +68,35 @@ func distLess(a, b distPoint) bool {
 	return a.p.ID < b.p.ID
 }
 
+// selDist is groupDist, bit for bit, for members that carry their distance:
+// sel in ascending distOrder, each d the q.Dist groupDist would compute.
+func selDist(q geom.Point, sel []distPoint, win geom.Rect, m Measure) float64 {
+	switch m {
+	case MeasureMin:
+		return sel[0].d
+	case MeasureAvg:
+		sum := 0.0
+		for _, c := range sel {
+			sum += c.d
+		}
+		return sum / float64(len(sel))
+	case MeasureWindow:
+		return win.MinDist(q)
+	default: // MeasureMax
+		return sel[len(sel)-1].d
+	}
+}
+
+// pointsOf appends the points of sel to dst. What ends up in a result group
+// must not alias pooled memory: such a caller passes nil.
+func pointsOf(dst []geom.Point, sel []distPoint) []geom.Point {
+	dst = slices.Grow(dst, len(sel))
+	for _, c := range sel {
+		dst = append(dst, c.p)
+	}
+	return dst
+}
+
 // nClosest returns the n objects of pts closest to q in ascending
 // distance order (all of them if n ≥ len(pts)), breaking distance ties
 // deterministically. pts is not modified.
@@ -76,16 +105,14 @@ func nClosest(q geom.Point, pts []geom.Point, n int) []geom.Point {
 	for i, p := range pts {
 		s[i] = distPoint{d: q.Dist(p), p: p}
 	}
-	return selectClosest(s, n)
+	return pointsOf(nil, selectClosest(s, n))
 }
 
-// selectClosest returns the points of the n least elements of s under
-// distLess, ascending (all of them if n ≥ len(s)); it reorders s. The
+// selectClosest returns the n least elements of s under distLess, ascending
+// (all of them if n ≥ len(s)), as a prefix of s, which it reorders. The
 // selection runs in O(len(s) + n log n) expected time via quickselect —
-// this sits on the hot path of window evaluation. The returned slice is
-// always freshly allocated — it ends up in result groups and must not
-// alias pooled memory.
-func selectClosest(s []distPoint, n int) []geom.Point {
+// this sits on the hot path of window evaluation.
+func selectClosest(s []distPoint, n int) []distPoint {
 	if n > len(s) {
 		n = len(s)
 	}
@@ -100,11 +127,7 @@ func selectClosest(s []distPoint, n int) []geom.Point {
 		}
 		return 0
 	})
-	out := make([]geom.Point, n)
-	for i, dp := range top {
-		out[i] = dp.p
-	}
-	return out
+	return top
 }
 
 // quickselect partitions s so that the k smallest elements under

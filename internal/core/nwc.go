@@ -33,11 +33,11 @@ type Exec struct {
 	Bound *rstar.SharedBound
 	// Paper runs the paper's Algorithm 1 literally, so that NodeVisits is
 	// the I/O count its figures report. It turns off what the engine adds:
-	// anchor sharing (every anchor issues its own window query, DESIGN.md
-	// §18), the stop rule, its dead-on-arrival filter and its box
-	// (everything is queued, the queue drained and every search region
-	// read whole, §19). Only internal/harness (and tests) set it; a
-	// serving path never does.
+	// anchor sharing (DESIGN.md §18: every anchor issues its own window
+	// query), the repeat skip (§16), and the stop at the bound with NWC's
+	// filter and box and kNWC's count before fetching (§19: everything is
+	// queued, the queue drained, every search region read whole). Only
+	// internal/harness (and tests) set it; a serving path never does.
 	Paper bool
 }
 
@@ -81,29 +81,22 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 	best := Group{Dist: math.Inf(1)}
 	found := false
 	bound := func() float64 { return best.Dist }
-	emit := func(g Group) {
-		if g.Dist < best.Dist {
-			best = g
-			found = true
-		}
+	sb := x.Bound
+	if sb != nil {
+		bound = func() float64 { return min(best.Dist, sb.Load()) }
 	}
-	if sb := x.Bound; sb != nil {
-		bound = func() float64 {
-			b := best.Dist
-			if g := sb.Load(); g < b {
-				b = g
-			}
-			return b
+	take := func(dist float64, sel []distPoint, win geom.Rect) bool {
+		if dist >= best.Dist {
+			x.Rec.Count(trace.CtrWindowsGated, 1) // the last distance gate
+			return false
 		}
-		emit = func(g Group) {
-			if g.Dist < best.Dist {
-				best = g
-				found = true
-				sb.Tighten(g.Dist)
-			}
+		best, found = Group{Objects: pointsOf(nil, sel), Dist: dist, Window: win}, true
+		if sb != nil {
+			sb.Tighten(dist)
 		}
+		return true
 	}
-	stats, err := e.search(ctx, qy, scheme, bound, emit, measure, x, true)
+	stats, err := e.search(ctx, qy, scheme, bound, take, measure, x, true)
 	if err != nil {
 		return Result{}, stats, err
 	}
@@ -197,10 +190,16 @@ func (pq *pqueue) pop() pqItem {
 	return top
 }
 
+// sink takes a window that passed every gate of evaluateWindows: its
+// group's distance, the n members in ascending distOrder — scratch, to be
+// copied if kept — and the window. It reports whether it kept the group.
+type sink func(dist float64, sel []distPoint, win geom.Rect) bool
+
 // search drives the shared NWC/kNWC traversal. bound returns the current
 // pruning distance (the distance of the best group for NWC, of the k-th
-// group for kNWC, +Inf while unset); emit receives every candidate group
-// that passes the window-level MINDIST check, in discovery order.
+// group for kNWC, +Inf while unset); take receives every candidate group
+// that passes the window-level gates, in discovery order, and must refuse
+// one at or beyond the bound.
 //
 // All accounting goes onto the returned Stats, a carrier owned by this
 // one query: node visits are counted by a per-query tree Reader (which
@@ -210,13 +209,14 @@ func (pq *pqueue) pop() pqItem {
 // anchor — one the window memo serves reads no node — giving
 // cancellation per node visit or anchor, whichever comes first.
 //
-// single says the caller keeps one best group under a bound that only
-// falls (NWC). Unless x.Paper, such a search stops at the bound (DESIGN.md
-// §19): a nearer group has an anchor within measure.anchorReach(bound) of
-// q, so the first item popped beyond that ends it and none is queued; and
-// the group lies within that reach of q on both axes, so each anchor's
-// search region is cut to that box before anything is read or counted.
-func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, emit func(Group), measure Measure, x Exec, single bool) (Stats, error) {
+// Unless x.Paper the search ends at the first item popped beyond
+// measure.anchorReach of the bound (DESIGN.md §19). single says the caller
+// keeps one best group under a bound that only falls (NWC): then nothing
+// beyond the reach is queued either, and each anchor's search region is
+// cut to the box the group lies in. A pool of distinct groups (kNWC), whose
+// bound can rise, gets neither; but under MeasureMax an anchor the memo
+// shows to have under n objects in that box is dropped before any read.
+func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, take sink, measure Measure, x Exec, single bool) (Stats, error) {
 	var st Stats
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	rec := x.Rec
@@ -236,11 +236,14 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 	rootMBR := root.MBR()
 	pq.push(pqItem{dist2: rootMBR.MinDist2(q), isNode: true, id: e.tree.Root(), mbr: rootMBR})
 
-	stop, reach, lim2 := single && !x.Paper, math.Inf(1), math.Inf(1)
+	// A pool's anchor may lie a window's diagonal beyond the bound, and the
+	// window's edges, p.X ± l and o.Y ± w, half an ulp of a coordinate off.
+	pad := math.Hypot(l, w) + 1e-15*(math.Abs(q.X)+math.Abs(q.Y)+l+w)
+	stop, reach, lim2 := !x.Paper, math.Inf(1), math.Inf(1)
 	for len(*pq) > 0 {
 		it := pq.pop()
 		if stop {
-			reach = measure.anchorReach(bound())
+			reach = measure.anchorReach(bound(), pad, single)
 			if lim2 = reach * reach * stopSlack; it.dist2 > lim2 {
 				rec.Count(trace.CtrStoppedAtBound, 1)
 				break
@@ -273,17 +276,17 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			if err != nil {
 				return st, err
 			}
-			// An entry beyond lim2 would be popped beyond it: dead on arrival.
+			// An entry beyond lim2 is dead on arrival, unless the bound can rise.
 			had := len(*pq)
 			if node.Leaf {
 				for _, p := range node.Points {
-					if d2 := p.Dist2(q); d2 <= lim2 {
+					if d2 := p.Dist2(q); d2 <= lim2 || !single {
 						pq.push(pqItem{dist2: d2, id: node.ID, point: p})
 					}
 				}
 			} else {
 				for i, r := range node.Rects {
-					if d2 := r.MinDist2(q); d2 <= lim2 {
+					if d2 := r.MinDist2(q); d2 <= lim2 || !single {
 						pq.push(pqItem{dist2: d2, isNode: true, id: node.Children[i], mbr: r})
 					}
 				}
@@ -322,11 +325,22 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 		}
 		// The bound's box: objects outside it are farther than the bound,
 		// and no window needs them to find a group under it.
-		if !math.IsInf(reach, 1) {
+		if single && !math.IsInf(reach, 1) {
 			r := reach * boxSlack
 			if in := sr.Intersection(geom.RectAround(q).Buffer(r, r)); in != sr {
 				sr = in
 				rec.Count(trace.CtrClipped, 1)
+			}
+		} else if b := bound(); !single && stop && measure == MeasureMax && !math.IsInf(b, 1) {
+			// A pool needs the region whole — a partner outside the box still
+			// defines a distinct set — but not if the box holds under n points.
+			r := b * boxSlack
+			if in := sr.Intersection(geom.RectAround(q).Buffer(r, r)); sc.memo.have.ContainsRect(in) {
+				if _, under := countUnder(sc.memo.band(in), in.MinY, in.MaxY, b); under < n {
+					rec.Count(trace.CtrAnchorsGated, 1)
+					rec.Enter(trace.PhaseDescent)
+					continue
+				}
 			}
 		}
 		// DEP window-query cancellation: a search region that cannot
@@ -347,10 +361,24 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			return st, err
 		}
 		rec.Enter(trace.PhaseVerify)
-		e.evaluateWindows(qy, p, cand, sr.MinY, sr.MaxY, sc, measure, bound, emit, &st, rec)
+		e.evaluateWindows(qy, p, cand, sr.MinY, sr.MaxY, sc, measure, bound, take, x.Paper, &st, rec)
 		rec.Enter(trace.PhaseDescent)
 	}
 	return st, nil
+}
+
+// countUnder returns how many points of cand have y in [ylo, yhi], and how
+// many of those lie nearer than b.
+func countUnder(cand []distPoint, ylo, yhi, b float64) (count, under int) {
+	for i := range cand {
+		if o := &cand[i]; o.p.Y >= ylo && o.p.Y <= yhi {
+			count++
+			if o.d < b {
+				under++
+			}
+		}
+	}
+	return count, under
 }
 
 // evaluateWindows enumerates the candidate windows generated by anchor
@@ -364,17 +392,21 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 // window's population and how many of its objects lie strictly under the
 // pruning bound.
 //
-// That second count gates materialisation (DESIGN.md §16): a window's
-// group can beat the bound only if at least `need` of its objects are
-// under it — all n for MeasureMax, one for MeasureMin and MeasureAvg —
-// so a window failing the test is skipped without selecting, sorting or
-// allocating anything, and an anchor whose candidates as a whole fail it
-// is dropped on a counting pass over cand, before they are even copied
-// out of it. Distances come from q.Dist, the function groupDist uses,
-// which makes the test a strict necessary condition of groupDist < bound:
-// it needs no slack and never drops an improving group, and emit stays
-// the authority on what improves.
-func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, emit func(Group), st *Stats, rec *trace.Recorder) {
+// That second count gates selection (DESIGN.md §16): a window's group can
+// beat the bound only if at least `need` of its objects are under it — all
+// n for MeasureMax, one for MeasureMin and MeasureAvg — so a window failing
+// the test is skipped without selecting or sorting anything, and an anchor
+// whose candidates as a whole fail it is dropped on a counting pass over
+// cand, before they are even copied out of it. Distances come from q.Dist,
+// the function groupDist uses, which makes the test a strict necessary
+// condition of groupDist < bound: it needs no slack and never drops an
+// improving group, and take stays the authority on what improves.
+//
+// Unless paper, a window whose n nearest are those of the last window
+// handed to take is skipped too: the same group at the same distance, which
+// either sink has just refused or holds — except under MeasureWindow, where
+// the distance is the window's.
+func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, take sink, paper bool, st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	need := 0 // MeasureWindow: object distances never enter the group distance
 	switch measure {
@@ -387,15 +419,7 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, 
 	// Every window of this anchor draws its contents from the candidates,
 	// so when they as a whole fail the test no window can pass it: skip
 	// the copy and the sort.
-	count, slabUnder := 0, 0
-	for i := range cand {
-		if o := &cand[i]; o.p.Y >= ylo && o.p.Y <= yhi {
-			count++
-			if o.d < cb {
-				slabUnder++
-			}
-		}
-	}
+	count, slabUnder := countUnder(cand, ylo, yhi, cb)
 	rec.Candidates(count)
 	if count < n {
 		return
@@ -437,12 +461,18 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, 
 	// may differ by a few ulps, and a borderline group must never be lost.
 	const avgSlack = 1 + 1e-9
 
-	gated := int64(0)
+	gated, repeated := int64(0), int64(0)
 	under := 0 // objects of the current window s[lo..i] with d < cb
 	lo := 0
+	// far is the farthest member of the last window handed to take; while
+	// none at or under it has left and none under it entered, same holds.
+	far, same := distPoint{}, false
 	for i, o := range s {
 		if o.d < cb {
 			under++
+		}
+		if same && distLess(o, far) {
+			same = false
 		}
 		if fen != nil {
 			fen.add(ranks[i])
@@ -465,6 +495,9 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, 
 			if s[lo].d < cb {
 				under--
 			}
+			if same && !distLess(far, s[lo]) {
+				same = false
+			}
 			if fen != nil {
 				fen.remove(ranks[lo])
 			}
@@ -475,7 +508,7 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, 
 			continue
 		}
 		st.QualifiedWindows++
-		// The bound moves when a group is emitted — for kNWC's k-th
+		// The bound moves when a group is kept — for kNWC's k-th
 		// distance in either direction — and, under a SharedBound, at
 		// any moment; recount the window against the value in force.
 		b := bound()
@@ -491,6 +524,10 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, 
 			gated++
 			continue
 		}
+		if same {
+			repeated++
+			continue
+		}
 		win := geom.CandidateWindow(q, p, o.p, l, w)
 		if !math.IsInf(b, 1) &&
 			(win.MinDist2(q) >= b*b || fen != nil && fen.sumSmallest(n)/float64(n) > b*avgSlack) {
@@ -498,13 +535,12 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, 
 			continue
 		}
 		sc.dp = append(sc.dp[:0], s[lo:i+1]...) // selection reorders its input
-		objs := selectClosest(sc.dp, n)
-		rec.Count(trace.CtrGroupsEmitted, 1)
-		emit(Group{
-			Objects: objs,
-			Dist:    groupDist(q, objs, win, measure),
-			Window:  win,
-		})
+		sel := selectClosest(sc.dp, n)
+		far, same = sel[n-1], !paper && measure != MeasureWindow
+		if take(selDist(q, sel, win, measure), sel, win) {
+			rec.Count(trace.CtrGroupsEmitted, 1)
+		}
 	}
 	rec.Count(trace.CtrWindowsGated, gated)
+	rec.Count(trace.CtrWindowsRepeated, repeated)
 }

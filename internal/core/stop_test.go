@@ -59,6 +59,34 @@ type stopRun struct {
 	cut, stopped, emitted, clipped, sharedClipped int64
 	within, objects                               int // objects inside the answer's distance (slack band included), and all of them
 	edge, corner                                  int // objects on the edge of the answer's box, and inside it but beyond the answer
+	// kNWC (k = 2, m = 1) under plain NWC: its Stats under MeasureMax, how
+	// often its bound rose there and the lowest it ever was, and its answer
+	// and both executions' trace counters under each measure.
+	kServed               Stats
+	rises                 int
+	low                   float64
+	kGroups               map[Measure][]Group
+	kCounts, kCountsPaper map[Measure][trace.CounterCount]int64
+}
+
+// watchedKNWC is Engine.KNWC with an eye on the pool: it also counts the
+// offers that left the k-th distance farther than they found it, and
+// returns the lowest it ever was.
+func watchedKNWC(eng *Engine, kq KNWCQuery, scheme Scheme, measure Measure, x Exec) (groups []Group, rises int, low float64, err error) {
+	pool := newKNWCState(kq.K, kq.M)
+	defer pool.release()
+	low = math.Inf(1)
+	take := func(dist float64, sel []distPoint, win geom.Rect) bool {
+		before := pool.bound()
+		in := pool.offer(dist, sel, win)
+		if pool.bound() > before {
+			rises++
+		}
+		low = min(low, pool.bound())
+		return in
+	}
+	_, err = eng.search(context.Background(), kq.Query, scheme, pool.bound, take, measure, x, false)
+	return pool.result(), rises, low, err
 }
 
 // noMoreWork reports whether a search that stops at the bound did no more
@@ -88,8 +116,12 @@ func ruleCounts(rec *trace.Recorder) int64 {
 // it or an ulp below. Under MeasureMax the serving execution does no more
 // of anything than the paper's, and under the three schemes that prune no
 // node it processes exactly the objects inside the answer's distance;
-// where the rule is off — the other measures, and kNWC under all four —
-// the two executions differ in node visits only.
+// where the rule is off — NWC under the other measures — the two
+// executions differ in node visits only. kNWC stops at the reach of its
+// k-th distance under all four: the two return the same groups, the pool
+// lets in as many offers, and the serving execution does no more of
+// anything, cuts nothing off the queue or off a search region, and ends at
+// the bound at most once.
 func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 	t.Helper()
 	qy, pts, origin := decodeStop(data)
@@ -153,22 +185,42 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 				run.cut, run.stopped, run.clipped = c[trace.CtrNeverQueued], c[trace.CtrStoppedAtBound], c[trace.CtrClipped]
 				run.emitted = c[trace.CtrGroupsEmitted]
 			}
-			// kNWC never stops at a bound: its k-th distance can rise.
+			// kNWC stops at the reach of its k-th distance, which can rise;
+			// it has no filter and no box.
 			kq := KNWCQuery{Query: qy, K: 2, M: 1}
-			rec = trace.New()
+			rec, recPaper := trace.New(), trace.New()
 			groups, kst, err := eng.KNWC(ctx, kq, scheme, measure, Exec{Rec: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			groupsPaper, kstPaper, err := eng.KNWC(ctx, kq, scheme, measure, Exec{Paper: true})
+			groupsPaper, kstPaper, err := eng.KNWC(ctx, kq, scheme, measure, Exec{Rec: recPaper, Paper: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(groups, groupsPaper) {
 				t.Fatalf("%s: kNWC served %+v, the paper's execution %+v", at, groups, groupsPaper)
 			}
-			if kst.NodeVisits = kstPaper.NodeVisits; kst != kstPaper || ruleCounts(rec) != 0 {
-				t.Fatalf("%s: the stop rule ran on kNWC: stats %+v, the paper's %+v", at, kst, kstPaper)
+			c, cPaper := rec.Snapshot().Counters, recPaper.Snapshot().Counters
+			if !noMoreWork(kst, kstPaper) || c[trace.CtrDedupAccepted] != cPaper[trace.CtrDedupAccepted] ||
+				c[trace.CtrStoppedAtBound] > 1 || c[trace.CtrNeverQueued]+c[trace.CtrClipped] != 0 || ruleCounts(recPaper) != 0 {
+				t.Fatalf("%s: kNWC stats %+v and counters %v, the paper's %+v and %v", at, kst, c, kstPaper, cPaper)
+			}
+			if scheme == SchemeNWC {
+				if run.kGroups == nil {
+					run.kGroups = map[Measure][]Group{}
+					run.kCounts, run.kCountsPaper = map[Measure][trace.CounterCount]int64{}, map[Measure][trace.CounterCount]int64{}
+				}
+				run.kGroups[measure], run.kCounts[measure], run.kCountsPaper[measure] = groups, c, cPaper
+			}
+			if measure == MeasureMax && scheme == SchemeNWC {
+				run.kServed = kst
+				var watched []Group
+				if watched, run.rises, run.low, err = watchedKNWC(eng, kq, scheme, measure, Exec{}); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(watched, groups) {
+					t.Fatalf("%s: kNWC watched %+v, unwatched %+v", at, watched, groups)
+				}
 			}
 			if !want.Found || served.Dist == 0 {
 				continue
@@ -255,6 +307,32 @@ var stopScripts = map[string][]byte{
 	// The answer lies 0.5 from a q that lies 2⁴⁰ from the origin: the box's
 	// sides round at 2⁻¹², 2,048 times the bound's own precision.
 	"tiny-bound-far-origin": farFrom(2, stopScript(8.5, 8, 2, 2, 2, [2]byte{8, 8}, [2]byte{9, 8}, [2]byte{8, 9}, [2]byte{9, 9}, [2]byte{3, 3}, [2]byte{14, 12}, [2]byte{8, 12})),
+
+	// kNWC (k = 2, m = 1). {(3,8),(5,4),(1,7)} at 4.03 and {(3,8),(3,10),(7,12)}
+	// at 4.92 fill the selection; three anchors later (1,7) finds
+	// {(3,8),(3,10),(1,7)}, also at 4.03 and ahead of the first by its key,
+	// which shares two objects with each of them: both leave, and the second
+	// group ends up at 6.26 — beyond a bound the search had pruned with.
+	"knwc-rising-bound": stopScript(5, 7.5, 5, 5, 3, [2]byte{3, 8}, [2]byte{3, 10}, [2]byte{5, 4}, [2]byte{1, 7}, [2]byte{7, 12}, [2]byte{6, 14}, [2]byte{2, 13}, [2]byte{16, 1}),
+	// Groups of one: the second nearest object, (7,7), sets the bound at 3√2,
+	// a 2 × 2 window's diagonal is 2√2, and (9,9) lies 5√2 away, exactly at the
+	// reach: processed. (10,8), the next site out (√52), ends the search.
+	"knwc-at-the-reach": stopScript(4, 4, 2, 2, 1, [2]byte{5, 4}, [2]byte{7, 7}, [2]byte{9, 9}, [2]byte{10, 8}, [2]byte{16, 16}),
+	// Anchor (9,8) has two partners, itself and (6,9), and the two nearest of
+	// both windows are {(9,8),(8,6)}: offered once. The paper's execution
+	// offers it twice, and so does either under MeasureWindow.
+	"repeat-window": stopScript(8, 8, 4, 4, 2, [2]byte{9, 8}, [2]byte{8, 6}, [2]byte{6, 9}, [2]byte{16, 16}),
+	// Under MeasureWindow {(8,10),(7,10)} is found 6 away through a window of
+	// (8,10) and then 2 away through one of (7,10), which replaces it; and
+	// {(6,13),(8,10)} comes twice running from each of its two anchors, 2 and
+	// then 3 away, offered every time. Under the other measures those two are
+	// the script's repeats.
+	"repeat-window-measure": stopScript(8, 16, 3, 4, 2, [2]byte{8, 10}, [2]byte{6, 13}, [2]byte{5, 6}, [2]byte{7, 10}, [2]byte{16, 10}, [2]byte{6, 9}),
+	// Three anchors leave the bound at 2 and [4,11] × [4,14] in the memo. Of
+	// the region of (12,8), [8,12] × [4,12], the bound's box keeps [8,10] ×
+	// [6,10], all of it fetched, with (9,8) inside the bound and (8,10) on it:
+	// one object where two are needed, and no window query.
+	"count-before-fetch": stopScript(8, 8, 4, 4, 2, [2]byte{9, 8}, [2]byte{7, 9}, [2]byte{8, 10}, [2]byte{12, 8}, [2]byte{16, 16}),
 }
 
 // farFrom moves a script's lattice: origin 1 is 2²⁰, 2 is 2⁴⁰.
@@ -288,6 +366,8 @@ func TestStopAtBoundTable(t *testing.T) {
 			t.Errorf("%s: found=%v, %d of %d objects within the answer's distance, stopped=%d never-queued=%d",
 				name, run.res.Found, run.within, run.objects, run.stopped, run.cut)
 		}
+		kMax, kMaxPaper := run.kCounts[MeasureMax], run.kCountsPaper[MeasureMax]
+		kWin, kWinPaper := run.kCounts[MeasureWindow], run.kCountsPaper[MeasureWindow]
 		switch name {
 		case "at-the-bound":
 			if run.res.Dist != 5 || run.within != 5 {
@@ -329,6 +409,33 @@ func TestStopAtBoundTable(t *testing.T) {
 		case "tiny-bound-far-origin":
 			if run.res.Dist != 0.5 || run.within != 2 || run.clipped != 1 {
 				t.Errorf("%s: answer at %v, %d objects within it, %d anchors cut, want 0.5, 2 and 1", name, run.res.Dist, run.within, run.clipped)
+			}
+		case "knwc-rising-bound":
+			if g := run.kGroups[MeasureMax]; run.rises != 1 || len(g) != 2 || !(g[1].Dist > run.low) {
+				t.Errorf("%s: the bound rose %d times from as low as %v, answer %+v: want one rise and a second group beyond it", name, run.rises, run.low, g)
+			}
+		case "knwc-at-the-reach":
+			if g := run.kGroups[MeasureMax]; len(g) != 2 || g[1].Dist != math.Hypot(3, 3) || kMax[trace.CtrStoppedAtBound] != 1 || run.kServed.ObjectsProcessed != 3 {
+				t.Errorf("%s: answer %+v, stopped-at-bound=%d after %d objects, want the second group 3√2 away, 1 and 3",
+					name, g, kMax[trace.CtrStoppedAtBound], run.kServed.ObjectsProcessed)
+			}
+		case "repeat-window":
+			if kMax[trace.CtrWindowsRepeated] != 1 || kMax[trace.CtrDedupOffered] != 3 || kMaxPaper[trace.CtrDedupOffered] != 4 ||
+				kWin[trace.CtrWindowsRepeated] != 0 || kWin[trace.CtrDedupOffered] != kWinPaper[trace.CtrDedupOffered] {
+				t.Errorf("%s: %d windows repeated and %d offered of the paper's %d; under MeasureWindow %d and %d of %d: want 1, 3 of 4, 0 and all",
+					name, kMax[trace.CtrWindowsRepeated], kMax[trace.CtrDedupOffered], kMaxPaper[trace.CtrDedupOffered],
+					kWin[trace.CtrWindowsRepeated], kWin[trace.CtrDedupOffered], kWinPaper[trace.CtrDedupOffered])
+			}
+		case "repeat-window-measure":
+			if g := run.kGroups[MeasureWindow]; kWin[trace.CtrWindowsRepeated] != 0 || kWin[trace.CtrDedupOffered] != 6 || kWin[trace.CtrDedupAccepted] != 3 ||
+				len(g) != 2 || g[0].Dist != 2 || g[1].Dist != 2 || kMax[trace.CtrWindowsRepeated] != 2 {
+				t.Errorf("%s: under MeasureWindow %d windows repeated, %d offered, %d entered, answer %+v; %d repeated under MeasureMax: want 0, 6, 3, both groups 2 away, and 2",
+					name, kWin[trace.CtrWindowsRepeated], kWin[trace.CtrDedupOffered], kWin[trace.CtrDedupAccepted], g, kMax[trace.CtrWindowsRepeated])
+			}
+		case "count-before-fetch":
+			if run.kServed.ObjectsProcessed != 4 || run.kServed.WindowQueries != 3 || kMax[trace.CtrAnchorsGated] != 1 || kMaxPaper[trace.CtrAnchorsGated] != 1 {
+				t.Errorf("%s: %d objects processed, %d window queries, %d anchors gated (the paper's %d), want 4, 3, 1 and 1",
+					name, run.kServed.ObjectsProcessed, run.kServed.WindowQueries, kMax[trace.CtrAnchorsGated], kMaxPaper[trace.CtrAnchorsGated])
 			}
 		}
 	}

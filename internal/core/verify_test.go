@@ -265,7 +265,7 @@ func forEachAnchor(pts []geom.Point, qy Query, eval func(p geom.Point, cands []g
 }
 
 // gatedAnchor runs the engine's evaluateWindows on one anchor.
-func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bound func() float64, emit func(Group)) {
+func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bound func() float64, take sink) {
 	sc := getScratch()
 	defer putScratch(sc)
 	cand := make([]distPoint, len(cands))
@@ -273,7 +273,17 @@ func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bo
 		cand[i] = distPoint{p: c, d: qy.Q.Dist(c)}
 	}
 	var st Stats
-	(&Engine{}).evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), sc, measure, bound, emit, &st, nil)
+	(&Engine{}).evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), sc, measure, bound, take, false, &st, nil)
+}
+
+// asSink is a sink that materialises whatever it is handed and passes it
+// to emit, which decides: the eager verify stage's emit, behind the door
+// the serving one has. It reports nothing kept, which only a trace reads.
+func asSink(emit func(Group)) sink {
+	return func(dist float64, sel []distPoint, win geom.Rect) bool {
+		emit(Group{Objects: pointsOf(nil, sel), Dist: dist, Window: win})
+		return false
+	}
 }
 
 // TestGatedVerifyEqualsEager drives evaluateWindows and the gate-free
@@ -302,7 +312,7 @@ func TestGatedVerifyEqualsEager(t *testing.T) {
 					}
 				}
 				forEachAnchor(pts, qy, func(p geom.Point, cands []geom.Point) {
-					gatedAnchor(qy, p, cands, measure, func() float64 { return gated.Dist }, keepBest(&gated))
+					gatedAnchor(qy, p, cands, measure, func() float64 { return gated.Dist }, asSink(keepBest(&gated)))
 					eagerWindows(qy, p, cands, measure, keepBest(&eager))
 				})
 				if !reflect.DeepEqual(gated, eager) {
@@ -321,8 +331,8 @@ func TestGatedVerifyEqualsEager(t *testing.T) {
 							}
 							last = b
 							return b
-						}, gs.insert)
-						eagerWindows(qy, p, cands, measure, es.insert)
+						}, gs.offer)
+						eagerWindows(qy, p, cands, measure, func(g Group) { es.offerGroup(g) })
 					})
 					if !reflect.DeepEqual(gs.result(), es.result()) {
 						t.Fatalf("seed %d %v m=%d %+v: kNWC gated %+v, eager %+v", seed, measure, m, qy, gs.result(), es.result())

@@ -809,6 +809,7 @@ func addCounters(a, b nwcq.TraceCounters) nwcq.TraceCounters {
 	a.CandidateWindows += b.CandidateWindows
 	a.QualifiedWindows += b.QualifiedWindows
 	a.WindowsGated += b.WindowsGated
+	a.WindowsRepeated += b.WindowsRepeated
 	a.GroupsEmitted += b.GroupsEmitted
 	a.IWPJumpStarts += b.IWPJumpStarts
 	a.IWPRootStarts += b.IWPRootStarts

@@ -79,10 +79,9 @@ const (
 	// CtrDEPSkippedObjects counts anchor objects whose window query DEP
 	// cancelled.
 	CtrDEPSkippedObjects
-	// CtrGroupsEmitted counts windows whose group was materialised and
-	// offered to the result (best-group update or kNWC pool): the
-	// windows no distance gate could rule out. For MeasureMax/MeasureMin
-	// NWC that is one per strict improvement of the bound.
+	// CtrGroupsEmitted counts windows whose group was materialised: the
+	// ones the result kept — an improvement of an NWC's best group, an
+	// entry to the kNWC pool (= dedup_accepted).
 	CtrGroupsEmitted
 	// CtrIWPJumpStarts counts window queries IWP started below the root
 	// via a backward pointer.
@@ -93,19 +92,22 @@ const (
 	// CtrIWPOverlapScans counts overlapping-node subtree scans IWP ran
 	// to restore completeness after a below-root start.
 	CtrIWPOverlapScans
-	// CtrDedupOffered counts groups offered to the kNWC candidate pool.
+	// CtrDedupOffered counts windows that reached the kNWC candidate pool's
+	// test: qualified windows = gated + repeated + offered.
 	CtrDedupOffered
 	// CtrDedupAccepted counts offers that entered the pool (new object
 	// set, or an improved distance for a known set).
 	CtrDedupAccepted
 	// CtrWindowsGated counts qualified windows skipped by a distance
-	// gate — too few objects under the bound, window MINDIST, or
-	// MeasureAvg's order-statistic mean — without materialising their
-	// group. Qualified windows = gated + emitted.
+	// gate — too few objects under the bound, window MINDIST,
+	// MeasureAvg's order-statistic mean, or an NWC's best distance —
+	// without materialising their group. For an NWC, qualified windows =
+	// gated + repeated + emitted.
 	CtrWindowsGated
 	// CtrAnchorsGated counts anchor objects whose whole x-slab held too
 	// few objects under the bound for any of their windows to improve
-	// it; their windows are neither sorted nor enumerated.
+	// it; their windows are neither sorted nor enumerated — nor, when a
+	// kNWC's window memo already shows it, is their region probed or read.
 	CtrAnchorsGated
 	// CtrMemoServed counts anchors whose search region lay inside the
 	// query's window memo: their candidates cost no node visit.
@@ -123,12 +125,18 @@ const (
 	// MeasureMax left off the queue because they already lay beyond the
 	// bound when their parent was expanded.
 	CtrNeverQueued
-	// CtrStoppedAtBound is 1 when such a search ended at the first queue
-	// item farther than the bound, 0 when the queue ran empty.
+	// CtrStoppedAtBound is 1 when a search ended at the first queue item
+	// beyond the reach of its bound — the bound itself for such an NWC,
+	// the k-th distance plus a window's diagonal for a kNWC under any
+	// measure — and 0 when the queue ran empty.
 	CtrStoppedAtBound
-	// CtrClipped counts the anchors of such a search whose search region
+	// CtrClipped counts the anchors of such an NWC whose search region
 	// the bound's box [q ± bound]² cut before it was probed, read or counted.
 	CtrClipped
+	// CtrWindowsRepeated counts qualified windows skipped because their n
+	// nearest objects were those of the window last handed on: the same
+	// group at the same distance, which the result had just refused or kept.
+	CtrWindowsRepeated
 
 	// CounterCount is the number of counters.
 	CounterCount
@@ -140,7 +148,7 @@ var counterNames = [CounterCount]string{
 	"iwp_root_starts", "iwp_overlap_scans", "dedup_offered",
 	"dedup_accepted", "windows_gated", "anchors_gated",
 	"memo_served", "memo_strips", "memo_bypassed",
-	"never_queued", "stopped_at_bound", "clipped",
+	"never_queued", "stopped_at_bound", "clipped", "windows_repeated",
 }
 
 // String returns the counter's stable snake_case name.

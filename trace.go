@@ -64,15 +64,21 @@ type TraceCounters struct {
 	// the bound for any window to improve it; their windows are not
 	// enumerated. CandidateWindows and QualifiedWindows count windows
 	// enumerated and, of those, windows holding at least N objects.
-	// WindowsGated counts qualified windows a distance gate ruled out
-	// and GroupsEmitted those whose group was materialised and offered
-	// to the result (or the kNWC pool), so QualifiedWindows =
-	// WindowsGated + GroupsEmitted.
+	// WindowsGated counts qualified windows a distance gate ruled out,
+	// WindowsRepeated those whose n nearest objects were the ones of the
+	// window last handed on, and GroupsEmitted those whose group was
+	// materialised: kept as the best so far, or entered into the kNWC
+	// pool (= DedupAccepted). QualifiedWindows = WindowsGated +
+	// WindowsRepeated + GroupsEmitted for an NWC, and WindowsGated +
+	// WindowsRepeated + DedupOffered for a kNWC. A kNWC also counts in
+	// AnchorsGated the anchors it dropped, on what its memo held, before
+	// they became window queries.
 	WindowQueries    int64 `json:"window_queries"`
 	AnchorsGated     int64 `json:"anchors_gated"`
 	CandidateWindows int64 `json:"candidate_windows"`
 	QualifiedWindows int64 `json:"qualified_windows"`
 	WindowsGated     int64 `json:"windows_gated"`
+	WindowsRepeated  int64 `json:"windows_repeated"`
 	GroupsEmitted    int64 `json:"groups_emitted"`
 	// IWPJumpStarts counts window queries started below the root via a
 	// backward pointer, IWPRootStarts those that fell back to the root,
@@ -100,12 +106,14 @@ type TraceCounters struct {
 	// queue item farther than the bound (0: the queue ran empty). Clipped
 	// counts the anchors whose search region was cut to the bound's box
 	// [q ± bound]² before it was probed, read or counted. All three are the
-	// stop rule of an NWC query under MeasureMax and stay 0 otherwise.
+	// stop rule of an NWC query under MeasureMax; a kNWC query, under any
+	// measure, sets only StoppedAtBound, when it ended at the first item
+	// farther than its k-th distance plus a window's diagonal.
 	NeverQueued    int64 `json:"never_queued"`
 	StoppedAtBound int64 `json:"stopped_at_bound"`
 	Clipped        int64 `json:"clipped"`
 	// DedupOffered and DedupAccepted count kNWC candidate-pool traffic:
-	// groups offered, and offers that entered the pool.
+	// windows that reached the pool's test, and those that entered it.
 	DedupOffered  int64 `json:"dedup_offered"`
 	DedupAccepted int64 `json:"dedup_accepted"`
 }
@@ -165,6 +173,7 @@ func queryTraceFrom(kind string, scheme Scheme, measure Measure, rec *trace.Reco
 			CandidateWindows:  int64(st.CandidateWindows),
 			QualifiedWindows:  int64(st.QualifiedWindows),
 			WindowsGated:      s.Counters[trace.CtrWindowsGated],
+			WindowsRepeated:   s.Counters[trace.CtrWindowsRepeated],
 			GroupsEmitted:     s.Counters[trace.CtrGroupsEmitted],
 			IWPJumpStarts:     s.Counters[trace.CtrIWPJumpStarts],
 			IWPRootStarts:     s.Counters[trace.CtrIWPRootStarts],
@@ -217,7 +226,7 @@ func (t *QueryTrace) Render() string {
 		"verify": joinNonZero(
 			kv("anchors-gated", c.AnchorsGated), kv("windows", c.CandidateWindows),
 			kv("qualified", c.QualifiedWindows), kv("gated", c.WindowsGated),
-			kv("groups-emitted", c.GroupsEmitted)),
+			kv("repeated", c.WindowsRepeated), kv("groups-emitted", c.GroupsEmitted)),
 		"knwc-dedup": joinNonZero(
 			kv("offered", c.DedupOffered), kv("accepted", c.DedupAccepted)),
 	}
