@@ -361,7 +361,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			return st, err
 		}
 		rec.Enter(trace.PhaseVerify)
-		e.evaluateWindows(qy, p, cand, sr.MinY, sr.MaxY, sc, measure, bound, take, x.Paper, &st, rec)
+		evaluateWindows(qy, p, cand, sr.MinY, sr.MaxY, sc, measure, bound, take, x.Paper, &st, rec)
 		rec.Enter(trace.PhaseDescent)
 	}
 	return st, nil
@@ -406,7 +406,7 @@ func countUnder(cand []distPoint, ylo, yhi, b float64) (count, under int) {
 // handed to take is skipped too: the same group at the same distance, which
 // either sink has just refused or holds — except under MeasureWindow, where
 // the distance is the window's.
-func (e *Engine) evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, take sink, paper bool, st *Stats, rec *trace.Recorder) {
+func evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, take sink, paper bool, st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	need := 0 // MeasureWindow: object distances never enter the group distance
 	switch measure {

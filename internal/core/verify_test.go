@@ -273,7 +273,7 @@ func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bo
 		cand[i] = distPoint{p: c, d: qy.Q.Dist(c)}
 	}
 	var st Stats
-	(&Engine{}).evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), sc, measure, bound, take, false, &st, nil)
+	evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), sc, measure, bound, take, false, &st, nil)
 }
 
 // asSink is a sink that materialises whatever it is handed and passes it

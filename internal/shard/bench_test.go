@@ -137,3 +137,54 @@ func BenchmarkShardedParallel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardedBorder measures the routed queries that pay for the
+// border step: 20k uniform points over 4 shards, every query within l of a
+// seam, so that nearly each one fetches a box of points across it and
+// sweeps them for candidate groups (core.GroupsWithin) — an NWC once under
+// its local best, a kNWC in its certification loop. borderpoints/op is
+// what the sweep is handed; ns, B and allocs per op are mostly what it
+// does with them.
+func BenchmarkShardedBorder(b *testing.B) {
+	const nPoints = 20_000
+	rng := rand.New(rand.NewSource(107))
+	pts := make([]nwcq.Point, nPoints)
+	for i := range pts {
+		pts[i] = nwcq.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, ID: uint64(i + 1)}
+	}
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: nwcq.Rect{MaxX: 1000, MaxY: 1000}, Build: []nwcq.BuildOption{nwcq.WithBulkLoad()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sh.Close()
+	const l = 20
+	onSeam := func(rng *rand.Rand) nwcq.Query {
+		x, y := 500+(2*rng.Float64()-1)*l, rng.Float64()*1000
+		if rng.Intn(2) == 1 {
+			x, y = y, x
+		}
+		return nwcq.Query{X: x, Y: y, Length: l, Width: l, N: 6}
+	}
+	for _, kind := range []string{"nwc", "knwc"} {
+		b.Run(kind, func(b *testing.B) {
+			qrng := rand.New(rand.NewSource(7))
+			before := sh.RouterStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := onSeam(qrng)
+				if kind == "nwc" {
+					_, err = sh.NWC(q)
+				} else {
+					_, err = sh.KNWC(nwcq.KQuery{Query: q, K: 3, M: 1})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after := sh.RouterStats()
+			b.ReportMetric(float64(after.BorderPoints-before.BorderPoints)/float64(b.N), "borderpoints/op")
+		})
+	}
+}

@@ -85,7 +85,7 @@ func TestShardedPrometheus(t *testing.T) {
 }
 
 // TestShardedExplain checks trace merging: shard-prefixed phases,
-// summed counters, and the synthetic border-fetch phase.
+// summed counters, and the synthetic border-fetch and border-merge phases.
 func TestShardedExplain(t *testing.T) {
 	_, sh := buildBoth(t, straddlePoints(rand.New(rand.NewSource(29)), 50), 4)
 
@@ -100,13 +100,17 @@ func TestShardedExplain(t *testing.T) {
 	if tr == nil || len(tr.Phases) == 0 {
 		t.Fatal("empty trace")
 	}
-	sawShard, sawBorder := false, false
-	for _, p := range tr.Phases {
+	sawShard, sawBorder, sawMerge := false, false, false
+	for i, p := range tr.Phases {
 		if strings.HasPrefix(p.Phase, "shard") {
 			sawShard = true
 		}
 		if p.Phase == "border-fetch" {
 			sawBorder = true
+		}
+		if p.Phase == "border-merge" {
+			// The sweep of what was fetched: after the fetch, and timed.
+			sawMerge = sawBorder && i == len(tr.Phases)-1 && p.Duration > 0
 		}
 	}
 	if !sawShard {
@@ -114,6 +118,9 @@ func TestShardedExplain(t *testing.T) {
 	}
 	if !sawBorder {
 		t.Fatal("no border-fetch phase for a straddling query")
+	}
+	if !sawMerge {
+		t.Fatalf("no timed border-merge phase closing the trace of a straddling query: %+v", tr.Phases)
 	}
 	if tr.Render() == "" {
 		t.Fatal("trace failed to render")

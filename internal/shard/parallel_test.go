@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -271,10 +272,11 @@ func TestParallelExplainTrace(t *testing.T) {
 	// Phases must be shard-ordered and stable under parallel scatter.
 	last := ""
 	for _, p := range tr.Phases {
-		if p.Phase < last && p.Phase != "border-fetch" {
+		border := strings.HasPrefix(p.Phase, "border-") // the router's own phases, after every shard's
+		if p.Phase < last && !border {
 			t.Fatalf("phases out of shard order: %q after %q", p.Phase, last)
 		}
-		if p.Phase != "border-fetch" {
+		if !border {
 			last = p.Phase[:7] // "shardN:" prefix
 		}
 	}
@@ -427,6 +429,58 @@ func TestParallelBatchMatchesSequentialBatch(t *testing.T) {
 		if par[i].Found != seq[i].Found ||
 			(seq[i].Found && math.Abs(par[i].Dist-seq[i].Dist) > distEps) {
 			t.Fatalf("batch query %d: parallel %+v, sequential %+v", i, par[i], seq[i])
+		}
+	}
+}
+
+// TestParallelKNWCTies: on lattices, where groups tie in distance by the
+// dozen — under the max measure every two sets sharing their farthest member
+// — the scatter's merge of the pooled chains must not depend on which
+// worker's chain came first: a kNWC deep inside one shard (the fast path,
+// which returns that merge) is that shard's own chain, group for group, at
+// any width, every time.
+func TestParallelKNWCTies(t *testing.T) {
+	var pts []nwcq.Point
+	for _, c := range [][2]float64{{20, 20}, {80, 20}, {20, 80}, {80, 80}} {
+		for i := -4; i <= 4; i++ {
+			for j := -4; j <= 4; j++ {
+				pts = append(pts, nwcq.Point{X: c[0] + float64(2*i), Y: c[1] + float64(2*j), ID: uint64(len(pts) + 1)})
+			}
+		}
+	}
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	for _, m := range allMeasures {
+		kq := nwcq.KQuery{Query: nwcq.Query{X: 20, Y: 20, Length: 2, Width: 2, N: 2, Measure: m}, K: 8, M: 1}
+		want, err := sh.shards[sh.shardFor(kq.X, kq.Y)].KNWC(kq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for i := 1; i < len(want.Groups); i++ {
+			if want.Groups[i].Dist == want.Groups[i-1].Dist {
+				ties++
+			}
+		}
+		if len(want.Groups) != kq.K || ties < 4 {
+			t.Fatalf("%s: the home shard's chain has %d groups and %d ties, want %d and a handful", m, len(want.Groups), ties, kq.K)
+		}
+		for round := 0; round < 10; round++ {
+			sh.SetParallelism(1 + 3*(round%2))
+			before := sh.RouterStats().BorderFetches
+			got, err := sh.KNWC(kq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh.RouterStats().BorderFetches != before {
+				t.Fatalf("%s: a border fetch ran: not the fast path", m)
+			}
+			if !reflect.DeepEqual(got.Groups, want.Groups) {
+				t.Fatalf("%s round %d:\n got %+v\nwant %+v", m, round, got.Groups, want.Groups)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -42,22 +43,24 @@ import (
 //     distance at most B has all its objects — and every point of any
 //     window that could generate a competing candidate — inside
 //     box(q, B+l, B+w), so fetching that box's points from every shard
-//     whose bounds intersect it and enumerating candidate groups over
-//     the fetched set (core.CandidateGroups) provably covers all of
-//     them. Candidates from partially-fetched windows are real feasible
-//     groups (their objects genuinely co-fit), so they can never beat
-//     the true optimum — taking the minimum stays exact.
+//     whose bounds intersect it and sweeping the fetched set for the
+//     candidate groups within B (core.GroupsWithin: the engine's verify
+//     stage over a sorted slice, costing what lies under B, not the cube
+//     of what was fetched) provably covers all of them. Candidates from
+//     partially-fetched windows are real feasible groups (their objects
+//     genuinely co-fit), so they can never beat the true optimum —
+//     taking the minimum stays exact.
 //  3. kNWC needs the full candidate *sequence* below the answer's k-th
 //     distance, not just the best group, so the border step becomes a
 //     certification loop: fetch box(D+l, D+w), greedily merge the
-//     candidate list truncated at D (below D it is provably identical
-//     to the full dataset's list), and accept when k groups emerged
-//     with the k-th at most D; otherwise double D and rerun. The local
-//     chains only seed D — correctness never depends on them.
+//     candidate list within D (the same sweep; up to D it is provably
+//     identical to the full dataset's list), and accept when k groups
+//     emerged; otherwise double D and rerun. The local chains only seed
+//     D — correctness never depends on them.
 //
 // The border and certify fetches fan their per-shard window queries out
-// over the same worker pool, with per-shard results concatenated in
-// shard order so the candidate enumeration stays deterministic.
+// over the same worker pool; the sweep sorts what they return, so its
+// list does not depend on the order they return it in.
 //
 // See DESIGN.md §11 for the containment proofs and §12 for the
 // shared-bound safety argument.
@@ -187,44 +190,49 @@ func fetchBox(q nwcq.Query, d float64) geom.Rect {
 	return geom.NewRect(q.X-(d+q.Length), q.Y-(d+q.Width), q.X+(d+q.Length), q.Y+(d+q.Width))
 }
 
-// fetchPoints collects every indexed point inside fetch from the shards
-// whose bounds intersect it. Bounds cover all of a shard's points
+// candidates fetches every indexed point inside fetch from the shards
+// whose bounds intersect it — bounds cover all of a shard's points
 // (including outliers), so skipped shards provably hold nothing inside
-// fetch. With parallelism above one the per-shard window queries fan
-// out over the worker pool; results are concatenated in shard order
-// either way, so the fetched sequence is deterministic.
-func (s *Sharded) fetchPoints(bounds []geom.Rect, fetch geom.Rect, rt *routeStats) ([]geom.Point, error) {
+// fetch; with parallelism above one the per-shard window queries fan out
+// over the worker pool — and sweeps them for the candidate groups within
+// limit of q, ascending. The fetch is the border phase, the sweep the
+// merge phase.
+func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, measure core.Measure, limit float64, col *explainCollector, rt *routeStats) ([]core.Group, error) {
 	start := time.Now()
-	defer func() { rt.border += time.Since(start) }()
 	idxs := make([]int, 0, len(s.shards))
 	for i := range s.shards {
 		if bounds[i].Intersects(fetch) {
 			idxs = append(idxs, i)
 		}
 	}
-	parts := make([][]geom.Point, len(idxs))
-	err := wpool.Each(len(idxs), s.scatterWorkers(len(idxs)), func(j int) error {
-		pts, err := s.shards[idxs[j]].Window(fetch.MinX, fetch.MinY, fetch.MaxX, fetch.MaxY)
-		if err != nil {
-			return err
-		}
-		part := make([]geom.Point, len(pts))
-		for k, p := range pts {
-			part[k] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
-		}
-		parts[j] = part
-		return nil
+	parts := make([][]nwcq.Point, len(idxs))
+	err := wpool.Each(len(idxs), s.scatterWorkers(len(idxs)), func(j int) (err error) {
+		parts[j], err = s.shards[idxs[j]].Window(fetch.MinX, fetch.MinY, fetch.MaxX, fetch.MaxY)
+		return err
 	})
 	if err != nil {
+		rt.border += time.Since(start)
 		return nil, err
 	}
-	var out []geom.Point
+	total := 0
 	for _, part := range parts {
-		out = append(out, part...)
+		total += len(part)
 	}
+	pts := make([]geom.Point, 0, total)
+	for _, part := range parts {
+		for _, p := range part {
+			pts = append(pts, geom.Point{X: p.X, Y: p.Y, ID: p.ID})
+		}
+	}
+	fetched := time.Now()
+	groups := core.GroupsWithin(pts, coreQuery(q), measure, limit)
+	fetching, sweeping := fetched.Sub(start), time.Since(fetched)
 	rt.borderFetches++
-	rt.borderPoints += len(out)
-	return out, nil
+	rt.borderPoints += total
+	rt.border += fetching
+	rt.merge += sweeping
+	col.borderDone(total, fetching, sweeping)
+	return groups, nil
 }
 
 // intersecting counts shards whose bounds intersect fetch.
@@ -265,7 +273,8 @@ func (s *Sharded) NWCCtx(ctx context.Context, q nwcq.Query) (nwcq.Result, error)
 
 // ExplainNWC answers an NWC query with per-shard tracing, merging the
 // shard traces into one router-level trace whose phases are prefixed
-// with the shard that ran them, plus a synthetic border-fetch phase.
+// with the shard that ran them, plus synthetic border-fetch and
+// border-merge phases.
 // Explained queries never touch the result cache.
 func (s *Sharded) ExplainNWC(ctx context.Context, q nwcq.Query) (nwcq.Result, *nwcq.QueryTrace, error) {
 	col := &explainCollector{}
@@ -310,43 +319,25 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) 
 		return nwcq.Result{Stats: out.Stats}, err
 	}
 
-	if !math.IsInf(best, 1) {
-		// Border step: candidates at or below the local best live inside
-		// this box; if only one shard's bounds intersect it, that shard's
-		// local answer is already globally exact.
-		fetch := fetchBox(q, best)
-		if intersecting(bounds, fetch) <= 1 {
-			return out, nil
-		}
-		pts, err := s.fetchPoints(bounds, fetch, rt)
-		if err != nil {
-			return nwcq.Result{Stats: out.Stats}, err
-		}
-		col.borderDone(len(pts))
-		mergeStart := time.Now()
-		cands := core.CandidateGroups(pts, coreQuery(q), measure)
-		if len(cands) > 0 && cands[0].Dist < best {
-			out.Group = groupOut(cands[0])
-		}
-		rt.merge += time.Since(mergeStart)
+	// Border step: candidates at or below the local best live inside this
+	// box; if only one shard's bounds intersect it, that shard's local
+	// answer is already globally exact — as is a best of zero, which
+	// nothing is under. No shard finding a group on its own points, any
+	// group that exists must mix points from several shards: the one case
+	// the fetch cannot be bounded by a distance.
+	var fetch geom.Rect
+	if !out.Found {
+		fetch = allBounds(bounds)
+	} else if fetch = fetchBox(q, best); best == 0 || intersecting(bounds, fetch) <= 1 {
 		return out, nil
 	}
-
-	// No shard found a group on its own points. Any group that exists
-	// must mix points from several shards, so enumerate candidates over
-	// the full dataset (the no-local-answer case is the one place the
-	// fetch cannot be bounded by a distance).
-	pts, err := s.fetchPoints(bounds, allBounds(bounds), rt)
+	cands, err := s.candidates(bounds, fetch, q, measure, best, col, rt)
 	if err != nil {
 		return nwcq.Result{Stats: out.Stats}, err
 	}
-	col.borderDone(len(pts))
-	mergeStart := time.Now()
-	if cands := core.CandidateGroups(pts, coreQuery(q), measure); len(cands) > 0 {
-		out.Found = true
-		out.Group = groupOut(cands[0])
+	if len(cands) > 0 && cands[0].Dist < best {
+		out.Found, out.Group = true, groupOut(cands[0])
 	}
-	rt.merge += time.Since(mergeStart)
 	return out, nil
 }
 
@@ -480,7 +471,7 @@ func (s *Sharded) routeKNWC(ctx context.Context, q nwcq.KQuery, col *explainColl
 
 // compatible reports whether g can join groups under the overlap budget
 // m: it must share at most m objects with every member and must not
-// duplicate one — the engine's (and BruteForceKNWC's) acceptance rule.
+// duplicate one — the engine's (and the oracle's) acceptance rule.
 func compatible(groups []core.Group, g core.Group, m int) bool {
 	for _, h := range groups {
 		ov := h.OverlapCount(g)
@@ -493,13 +484,10 @@ func compatible(groups []core.Group, g core.Group, m int) bool {
 
 // greedy runs the acceptance rule over groups, which must ascend by
 // distance: each group compatible with everything accepted so far joins,
-// until k are accepted or the next group lies beyond horizon.
-func greedy(groups []core.Group, k, m int, horizon float64) []core.Group {
+// until k are accepted.
+func greedy(groups []core.Group, k, m int) []core.Group {
 	var accepted []core.Group
 	for _, g := range groups {
-		if g.Dist > horizon {
-			break
-		}
 		if compatible(accepted, g, m) {
 			accepted = append(accepted, g)
 			if len(accepted) == k {
@@ -534,7 +522,6 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 	qp := geom.Point{X: q.X, Y: q.Y}
 	bounds := s.shardBounds()
 	home := s.shardFor(q.X, q.Y)
-	cq := coreQuery(q.Query)
 
 	scatterStart := time.Now()
 	stats, merged, est, err := s.scatterKNWC(ctx, q, qp, bounds, home, col, rt)
@@ -554,9 +541,10 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 		return kResult(merged, stats), nil
 	}
 
-	// Certification loop: fetch box(D), merge the candidate list
-	// truncated at D (identical to the full dataset's list up to D),
-	// and accept once k groups emerged or the fetch covered everything.
+	// Certification loop: fetch box(D), merge the candidate list within
+	// D — the certified horizon: identical to the full dataset's list up
+	// to D — and accept once k groups emerged or the fetch covered
+	// everything.
 	d := est
 	if math.IsInf(d, 1) || d <= 0 {
 		d = math.Hypot(q.Length, q.Width)
@@ -566,23 +554,16 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 		if iter > 0 {
 			rt.fetchReruns++
 		}
-		fetch := fetchBox(q.Query, d)
+		fetch, horizon := fetchBox(q.Query, d), d
 		complete := fetch.ContainsRect(whole)
 		if complete {
-			fetch = whole
+			fetch, horizon = whole, math.Inf(1)
 		}
-		pts, err := s.fetchPoints(bounds, fetch, rt)
+		cands, err := s.candidates(bounds, fetch, q.Query, measure, horizon, col, rt)
 		if err != nil {
 			return nwcq.KResult{Stats: stats}, err
 		}
-		col.borderDone(len(pts))
-		mergeStart := time.Now()
-		horizon := d // the certified horizon: candidates ascend, stop past it
-		if complete {
-			horizon = math.Inf(1)
-		}
-		groups := greedy(core.CandidateGroups(pts, cq, measure), q.K, q.M, horizon)
-		rt.merge += time.Since(mergeStart)
+		groups := greedy(cands, q.K, q.M)
 		if len(groups) == q.K || complete {
 			return kResult(groups, stats), nil
 		}
@@ -592,11 +573,11 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 
 // scatterKNWC collects per-shard chains, pruning queued shards against
 // the running merged estimate — the k-th distance of the greedy merge
-// over the chains pooled so far (ascending by distance; ties broken
-// deterministically), +Inf while the pool cannot supply k groups. It
-// returns that merge and estimate over every queried shard; the
-// estimate only seeds the certification bound, the merge is the
-// fast-path answer.
+// over the chains pooled so far (in a candidate list's order: ascending
+// by distance, then set key — whichever worker's chain came first), +Inf
+// while the pool cannot supply k groups. It returns that merge and
+// estimate over every queried shard; the estimate only seeds the
+// certification bound, the merge is the fast-path answer.
 //
 // Unlike NWC, the per-traversal engines get NO shared bound cell: the
 // merge estimate is non-monotone (accepting a pooled group can push the
@@ -629,10 +610,8 @@ func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point,
 			for _, g := range kr.Groups {
 				pool = append(pool, groupIn(g))
 			}
-			sorted := make([]core.Group, len(pool))
-			copy(sorted, pool)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dist < sorted[j].Dist })
-			merged = greedy(sorted, q.K, q.M, math.Inf(1))
+			slices.SortFunc(pool, core.CompareGroups)
+			merged = greedy(pool, q.K, q.M)
 			est = math.Inf(1)
 			if len(merged) == q.K {
 				est = merged[q.K-1].Dist
@@ -718,10 +697,11 @@ func (s *Sharded) KNWCBatchCtx(ctx context.Context, queries []nwcq.KQuery, opt n
 type explainCollector struct {
 	mu      sync.Mutex
 	entries []shardTrace
-	// borderPoints is -1 until a border fetch ran.
+	// What the border step fetched, and how long its fetches and its
+	// sweeps took, summed over a certification loop's reruns.
 	borderPoints int
-	borderStart  time.Time
 	borderTime   time.Duration
+	mergeTime    time.Duration
 }
 
 type shardTrace struct {
@@ -735,28 +715,27 @@ func (c *explainCollector) add(shard int, tr *nwcq.QueryTrace) {
 	}
 	c.mu.Lock()
 	c.entries = append(c.entries, shardTrace{shard: shard, trace: tr})
-	c.borderStart = time.Now()
 	c.mu.Unlock()
 }
 
-// borderDone stamps the border-fetch phase (points fetched, duration
-// since the last scatter query finished).
-func (c *explainCollector) borderDone(points int) {
+// borderDone adds one fetch and the sweep of what it fetched to the
+// border-fetch and border-merge phases.
+func (c *explainCollector) borderDone(points int, fetching, sweeping time.Duration) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.borderPoints += points
-	if !c.borderStart.IsZero() {
-		c.borderTime = time.Since(c.borderStart)
-	}
+	c.borderTime += fetching
+	c.mergeTime += sweeping
 	c.mu.Unlock()
 }
 
 // merged assembles the router-level trace: every shard's phases
-// prefixed with its shard number, counters summed, plus a synthetic
-// border-fetch phase when one ran. Shard entries are ordered by shard
-// index so the merged trace is stable under parallel scatter.
+// prefixed with its shard number, counters summed, plus synthetic
+// border-fetch and border-merge phases when a fetch ran. Shard entries
+// are ordered by shard index so the merged trace is stable under
+// parallel scatter.
 func (c *explainCollector) merged(kind string, scheme nwcq.Scheme, measure nwcq.Measure, elapsed time.Duration, visits uint64) *nwcq.QueryTrace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -791,6 +770,10 @@ func (c *explainCollector) merged(kind string, scheme nwcq.Scheme, measure nwcq.
 		qt.Phases = append(qt.Phases, nwcq.PhaseTrace{
 			Phase:    "border-fetch",
 			Duration: c.borderTime,
+			Entered:  1,
+		}, nwcq.PhaseTrace{
+			Phase:    "border-merge",
+			Duration: c.mergeTime,
 			Entered:  1,
 		})
 	}

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"nwcq"
@@ -465,6 +467,130 @@ func TestOutlierRouting(t *testing.T) {
 		found, err := sh.Delete(p)
 		if err != nil || !found {
 			t.Fatalf("delete outlier %d: found=%v err=%v", p.ID, found, err)
+		}
+	}
+}
+
+// idSet is a group's object IDs, ascending.
+func idSet(g nwcq.Group) []uint64 {
+	ids := make([]uint64, len(g.Objects))
+	for i, o := range g.Objects {
+		ids[i] = o.ID
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestBorderMergeOnTheSeam exercises the three places the router sweeps
+// fetched points (core.GroupsWithin) where they run: queries within l of a
+// shard seam, whose answers straddle it. NWC (border merge under the local
+// best) and kNWC (the certification loop, reruns included; with no local
+// estimate, the first sweep of a box) must equal the single index under
+// every measure in count, distances and object sets. Two sets may tie for a
+// place — sets sharing the member, or the window, that sets their distance —
+// and the single index keeps the one it met first, a shard the one its own
+// points make: a differing set must be n objects inside the l × w window it
+// is reported with, and such ties must stay the exception.
+func TestBorderMergeOnTheSeam(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	pts := straddlePoints(rng, 90)
+	single, sh := buildBoth(t, pts, 4)
+	groups, tied, unbounded := 0, 0, 0
+	for _, m := range allMeasures {
+		for i := 0; i < 12; i++ {
+			l, w := 3+rng.Float64()*5, 3+rng.Float64()*5
+			q := nwcq.Query{X: 50 + (2*rng.Float64()-1)*l, Y: rng.Float64() * 100, Length: l, Width: w, N: 2 + i%5, Measure: m}
+			if i%2 == 1 {
+				q.X, q.Y = rng.Float64()*100, 50+(2*rng.Float64()-1)*w
+			}
+			label := fmt.Sprintf("%s q%d %+v", m, i, q)
+			sameOrTied := func(what string, got, want nwcq.Group) {
+				t.Helper()
+				if got.Dist != want.Dist {
+					t.Fatalf("%s: %s at %v, the single index's at %v", label, what, got.Dist, want.Dist)
+				}
+				if groups++; slices.Equal(idSet(got), idSet(want)) {
+					return
+				}
+				tied++
+				win := got.Window
+				fits := len(got.Objects) == q.N && math.Abs(win.MaxX-win.MinX-l) < distEps && math.Abs(win.MaxY-win.MinY-w) < distEps
+				for _, o := range got.Objects {
+					fits = fits && win.MinX <= o.X && o.X <= win.MaxX && win.MinY <= o.Y && o.Y <= win.MaxY
+				}
+				if !fits {
+					t.Fatalf("%s: %s holds %v in %+v, the single index's %v", label, what, got.Objects, win, idSet(want))
+				}
+			}
+			want, err := single.NWC(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sh.NWC(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Found != want.Found {
+				t.Fatalf("%s: found=%v, the single index %v", label, got.Found, want.Found)
+			}
+			if got.Found {
+				sameOrTied("the group", got.Group, want.Group)
+				local := false
+				for _, ix := range sh.shards {
+					r, err := ix.NWC(q)
+					local = local || err == nil && r.Found
+				}
+				if !local {
+					unbounded++ // no shard had an answer: every point fetched, swept under +Inf
+				}
+			}
+			kq := nwcq.KQuery{Query: q, K: 3, M: 1}
+			kwant, err := single.KNWC(kq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kgot, err := sh.KNWC(kq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(kgot.Groups) != len(kwant.Groups) {
+				t.Fatalf("%s: kNWC %d groups, the single index %d", label, len(kgot.Groups), len(kwant.Groups))
+			}
+			for j, g := range kgot.Groups {
+				sameOrTied(fmt.Sprintf("kNWC group %d", j), g, kwant.Groups[j])
+			}
+		}
+	}
+	if tied*8 > groups {
+		t.Fatalf("%d of %d groups differ from the single index's in their objects", tied, groups)
+	}
+	if st := sh.RouterStats(); st.BorderFetches == 0 || st.FetchReruns == 0 || unbounded == 0 {
+		t.Fatalf("border fetches %d, certification reruns %d, NWC answers no shard had %d: want all above zero", st.BorderFetches, st.FetchReruns, unbounded)
+	}
+}
+
+// TestBestOfZeroNeedsNoBorder: a local best of zero is the answer — nothing
+// is under it — however many shards its box touches: no fetch, no sweep.
+func TestBestOfZeroNeedsNoBorder(t *testing.T) {
+	pts := straddlePoints(rand.New(rand.NewSource(25)), 60)
+	single, sh := buildBoth(t, pts, 4)
+	p := pts[0] // hugs the vertical seam
+	for _, m := range allMeasures {
+		q := nwcq.Query{X: p.X, Y: p.Y, Length: 6, Width: 6, N: 1, Measure: m}
+		want, err := single.NWC(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := sh.RouterStats().BorderFetches
+		got, err := sh.NWC(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Found || got.Dist != 0 || want.Dist != 0 {
+			t.Fatalf("%s: found=%v at %v, the single index at %v: want zero", m, got.Found, got.Dist, want.Dist)
+		}
+		if after := sh.RouterStats().BorderFetches; after != before {
+			t.Fatalf("%s: %d border fetches for a best of zero", m, after-before)
 		}
 	}
 }
