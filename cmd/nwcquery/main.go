@@ -43,14 +43,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	raw, err := datagen.LoadCSV(f)
+	pts, err := datagen.LoadCSV(f)
 	f.Close()
 	if err != nil {
 		fatal(err)
-	}
-	pts := make([]nwcq.Point, len(raw))
-	for i, p := range raw {
-		pts[i] = nwcq.Point{X: p.X, Y: p.Y, ID: p.ID}
 	}
 
 	sch, err := parseScheme(*scheme)

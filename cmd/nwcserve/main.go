@@ -398,16 +398,9 @@ func loadPoints(path string) ([]nwcq.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := datagen.LoadCSV(f)
+	pts, err := datagen.LoadCSV(f)
 	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]nwcq.Point, len(raw))
-	for i, p := range raw {
-		pts[i] = nwcq.Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
-	return pts, nil
+	return pts, err
 }
 
 func newLogger(format string) (*slog.Logger, error) {

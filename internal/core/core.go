@@ -162,17 +162,25 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// Group is one answer: n objects clustered in an l × w window.
+// Group is one answer group: n objects clustered in an l × w window. It
+// is the public nwcq.Group (an alias), and the one value that travels
+// from the engine through the result cache and the shard router to the
+// JSON encoder; its tags are the names it has on the wire.
+//
+// A group handed across a layer is read-only: the engine allocates what
+// it returns (its scratch never escapes), every layer above shares that
+// slice instead of copying it, and whoever needs Objects in another order
+// clones first, as CompareGroups does.
 type Group struct {
 	// Objects are the n result objects, ordered by ascending distance
 	// to the query point.
-	Objects []geom.Point
-	// Dist is the group's distance to the query point under the chosen
+	Objects []geom.Point `json:"objects"`
+	// Dist is the group's distance to the query point under the query's
 	// measure.
-	Dist float64
+	Dist float64 `json:"dist"`
 	// Window is a qualified window containing the objects (the one the
 	// algorithm found the group in).
-	Window geom.Rect
+	Window geom.Rect `json:"window"`
 }
 
 // OverlapCount returns |g ∩ o| by object identity (coordinates and ID).
@@ -202,28 +210,53 @@ func (g Group) OverlapCount(o Group) int {
 	return n
 }
 
-// Stats describes the work one query performed. NodeVisits is the
-// paper's performance metric: the number of R*-tree nodes read.
+// Stats reports the work one query performed; it is the public
+// nwcq.Stats (an alias) and its tags are the names it has on the wire.
+// NodeVisits is the paper's performance metric: the number of R*-tree
+// nodes read.
 //
 // Every field is accumulated on a carrier private to the query (the
 // traversal threads a *Stats through the whole read path, and node
 // visits are counted by a per-query tree Reader), so concurrent queries
-// never bleed into each other's numbers.
-//
-// The two window counts cover enumerated windows only: an anchor whose
-// candidates hold too few objects under the bound for any window to
-// improve it is dropped before enumeration (evaluateWindows), so both
-// fall far below the number of windows that exist once a dense query
-// has a bound.
+// report exact, independent numbers.
 type Stats struct {
-	NodeVisits       uint64 // R*-tree nodes visited (the paper's I/O cost)
-	ObjectsProcessed int    // objects popped and evaluated
-	ObjectsSkipped   int    // objects skipped by SRR or DEP before any window query
-	NodesPruned      int    // index nodes pruned by DIP or DEP
-	WindowQueries    int    // window queries issued
-	CandidateWindows int    // candidate windows enumerated
-	QualifiedWindows int    // enumerated windows holding at least n objects
-	GridProbes       int    // density-grid upper-bound probes issued by DEP
+	// NodeVisits is the number of index nodes read — the paper's I/O
+	// cost metric.
+	NodeVisits uint64 `json:"node_visits"`
+	// ObjectsProcessed counts data objects popped and evaluated as window
+	// anchors.
+	ObjectsProcessed int `json:"objects_processed"`
+	// ObjectsSkipped counts objects skipped by SRR or DEP before any
+	// window query.
+	ObjectsSkipped int `json:"objects_skipped"`
+	// NodesPruned counts index nodes pruned by DIP or DEP.
+	NodesPruned int `json:"nodes_pruned"`
+	// WindowQueries counts window queries issued.
+	WindowQueries int `json:"window_queries"`
+	// CandidateWindows and QualifiedWindows count windows enumerated and,
+	// of those, windows holding at least n objects. An anchor whose
+	// candidates hold too few objects under the current bound for any of
+	// its windows to improve it enumerates none (evaluateWindows), so on
+	// dense data both counts are far below the number of windows that
+	// exist. Neither is part of the wire's stats object: clients read
+	// them from an explained query's trace counters.
+	CandidateWindows int `json:"-"`
+	QualifiedWindows int `json:"-"`
+	// GridProbes counts density-grid upper-bound probes issued by DEP.
+	GridProbes int `json:"grid_probes"`
+}
+
+// Add accumulates o into s: a router's sum over the shards it queried, a
+// harness's sum over a run.
+func (s *Stats) Add(o Stats) {
+	s.NodeVisits += o.NodeVisits
+	s.ObjectsProcessed += o.ObjectsProcessed
+	s.ObjectsSkipped += o.ObjectsSkipped
+	s.NodesPruned += o.NodesPruned
+	s.WindowQueries += o.WindowQueries
+	s.CandidateWindows += o.CandidateWindows
+	s.QualifiedWindows += o.QualifiedWindows
+	s.GridProbes += o.GridProbes
 }
 
 // String renders the stats as a one-line explain summary.

@@ -10,11 +10,14 @@ package geom
 
 import "math"
 
-// Point is a location in the plane. ID identifies the data object the
-// point belongs to; the geometry kernel itself never interprets it.
+// Point is a data object: a location in the plane and a caller-owned
+// identifier, which the geometry kernel itself never interprets. It is
+// the public nwcq.Point (an alias), and its tags are the names it has on
+// the wire.
 type Point struct {
-	X, Y float64
-	ID   uint64
+	X  float64 `json:"x"`
+	Y  float64 `json:"y"`
+	ID uint64  `json:"id"`
 }
 
 // Dist returns the Euclidean distance between p and o.

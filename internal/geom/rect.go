@@ -5,11 +5,15 @@ import (
 	"math"
 )
 
-// Rect is a closed axis-aligned rectangle [MinX, MaxX] × [MinY, MaxY].
-// The zero value is the degenerate rectangle at the origin; use EmptyRect
-// for the identity of Union.
+// Rect is a closed axis-aligned rectangle [MinX, MaxX] × [MinY, MaxY],
+// reported with query results as the public nwcq.Rect (an alias); its
+// tags are the names it has on the wire. The zero value is the degenerate
+// rectangle at the origin; use EmptyRect for the identity of Union.
 type Rect struct {
-	MinX, MinY, MaxX, MaxY float64
+	MinX float64 `json:"min_x"`
+	MinY float64 `json:"min_y"`
+	MaxX float64 `json:"max_x"`
+	MaxY float64 `json:"max_y"`
 }
 
 // EmptyRect returns the canonical empty rectangle: Min components +Inf,

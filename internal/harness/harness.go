@@ -154,7 +154,7 @@ func runNWC(env *Env, queries []geom.Point, l, w float64, n int, scheme core.Sch
 		if res.Found {
 			m.AvgFound++
 		}
-		accumulate(&m.TotalStats, st)
+		m.TotalStats.Add(st)
 	}
 	if len(queries) > 0 {
 		m.AvgIO /= float64(len(queries))
@@ -176,21 +176,11 @@ func RunKNWC(env *Env, queries []geom.Point, l, w float64, n, k, mm int, scheme 
 		}
 		m.AvgIO += float64(st.NodeVisits)
 		m.AvgFound += float64(len(groups)) / float64(k)
-		accumulate(&m.TotalStats, st)
+		m.TotalStats.Add(st)
 	}
 	if len(queries) > 0 {
 		m.AvgIO /= float64(len(queries))
 		m.AvgFound /= float64(len(queries))
 	}
 	return m, nil
-}
-
-func accumulate(dst *core.Stats, s core.Stats) {
-	dst.NodeVisits += s.NodeVisits
-	dst.ObjectsProcessed += s.ObjectsProcessed
-	dst.ObjectsSkipped += s.ObjectsSkipped
-	dst.NodesPruned += s.NodesPruned
-	dst.WindowQueries += s.WindowQueries
-	dst.CandidateWindows += s.CandidateWindows
-	dst.QualifiedWindows += s.QualifiedWindows
 }

@@ -94,18 +94,9 @@ func (s *Server) handleBatchNWC(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	type result struct {
-		Found bool       `json:"found"`
-		Group *groupJSON `json:"group,omitempty"`
-		Stats statsJSON  `json:"stats"`
-	}
-	out := make([]result, len(results))
-	for i, res := range results {
-		out[i] = result{Found: res.Found, Stats: toStatsJSON(res.Stats)}
-		if res.Found {
-			g := toGroupJSON(res.Group)
-			out[i].Group = &g
-		}
+	out := make([]nwcAnswer, len(results))
+	for i := range results {
+		out[i] = nwcAnswerOf(&results[i], nil)
 	}
 	s.ok(w, map[string]any{"results": out})
 }
@@ -130,17 +121,9 @@ func (s *Server) handleBatchKNWC(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	type result struct {
-		Found  bool        `json:"found"`
-		Groups []groupJSON `json:"groups"`
-		Stats  statsJSON   `json:"stats"`
-	}
-	out := make([]result, len(results))
-	for i, res := range results {
-		out[i] = result{Found: res.Found, Groups: make([]groupJSON, 0, len(res.Groups)), Stats: toStatsJSON(res.Stats)}
-		for _, g := range res.Groups {
-			out[i].Groups = append(out[i].Groups, toGroupJSON(g))
-		}
+	out := make([]knwcAnswer, len(results))
+	for i := range results {
+		out[i] = knwcAnswerOf(&results[i], nil)
 	}
 	s.ok(w, map[string]any{"results": out})
 }

@@ -175,65 +175,47 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// pointJSON mirrors nwcq.Point for stable JSON field names.
-type pointJSON struct {
-	X  float64 `json:"x"`
-	Y  float64 `json:"y"`
-	ID uint64  `json:"id"`
+// The answer types carry their wire names as struct tags where they are
+// defined (geom.Point, geom.Rect, core.Group, core.Stats), so a result is
+// encoded as the engine returned it. nwcAnswer and knwcAnswer are the two
+// shapes it travels in, shared by the single, batch and SSE paths.
+
+// nwcAnswer is the wire form of an nwcq.Result. Group is set only when
+// found; Stats is a pointer because an SSE frame embeds this shape with
+// neither stats nor a trace.
+type nwcAnswer struct {
+	Found bool             `json:"found"`
+	Group *nwcq.Group      `json:"group,omitempty"`
+	Stats *nwcq.Stats      `json:"stats,omitempty"`
+	Trace *nwcq.QueryTrace `json:"trace,omitempty"`
 }
 
-type rectJSON struct {
-	MinX float64 `json:"min_x"`
-	MinY float64 `json:"min_y"`
-	MaxX float64 `json:"max_x"`
-	MaxY float64 `json:"max_y"`
-}
-
-type groupJSON struct {
-	Objects []pointJSON `json:"objects"`
-	Dist    float64     `json:"dist"`
-	Window  rectJSON    `json:"window"`
-}
-
-type statsJSON struct {
-	NodeVisits       uint64 `json:"node_visits"`
-	ObjectsProcessed int    `json:"objects_processed"`
-	ObjectsSkipped   int    `json:"objects_skipped"`
-	NodesPruned      int    `json:"nodes_pruned"`
-	WindowQueries    int    `json:"window_queries"`
-	GridProbes       int    `json:"grid_probes"`
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
-}
-
-func toGroupJSON(g nwcq.Group) groupJSON {
-	out := groupJSON{
-		Dist: g.Dist,
-		Window: rectJSON{
-			MinX: g.Window.MinX, MinY: g.Window.MinY,
-			MaxX: g.Window.MaxX, MaxY: g.Window.MaxY,
-		},
-	}
-	if len(g.Objects) > 0 { // nil stays nil: it encodes as null
-		out.Objects = make([]pointJSON, len(g.Objects))
-	}
-	for i, o := range g.Objects {
-		out.Objects[i] = pointJSON{X: o.X, Y: o.Y, ID: o.ID}
+func nwcAnswerOf(res *nwcq.Result, qt *nwcq.QueryTrace) nwcAnswer {
+	out := nwcAnswer{Found: res.Found, Stats: &res.Stats, Trace: qt}
+	if res.Found {
+		out.Group = &res.Group
 	}
 	return out
 }
 
-func toStatsJSON(st nwcq.Stats) statsJSON {
-	return statsJSON{
-		NodeVisits:       st.NodeVisits,
-		ObjectsProcessed: st.ObjectsProcessed,
-		ObjectsSkipped:   st.ObjectsSkipped,
-		NodesPruned:      st.NodesPruned,
-		WindowQueries:    st.WindowQueries,
-		GridProbes:       st.GridProbes,
+// knwcAnswer is the wire form of an nwcq.KResult; Groups is never null.
+type knwcAnswer struct {
+	Found  bool             `json:"found"`
+	Groups []nwcq.Group     `json:"groups"`
+	Stats  nwcq.Stats       `json:"stats"`
+	Trace  *nwcq.QueryTrace `json:"trace,omitempty"`
+}
+
+func knwcAnswerOf(res *nwcq.KResult, qt *nwcq.QueryTrace) knwcAnswer {
+	out := knwcAnswer{Found: res.Found, Groups: res.Groups, Stats: res.Stats, Trace: qt}
+	if out.Groups == nil {
+		out.Groups = []nwcq.Group{}
 	}
+	return out
+}
+
+type errorJSON struct {
+	Error string `json:"error"`
 }
 
 // queryFrom parses the shared NWC parameters out of a request's query
@@ -261,11 +243,13 @@ func queryFrom(vals url.Values) (nwcq.Query, error) {
 	if q.Width, err = get("w"); err != nil {
 		return q, err
 	}
-	n, err := get("n")
-	if err != nil {
-		return q, err
+	nv := vals.Get("n")
+	if nv == "" {
+		return q, fmt.Errorf("missing parameter %q", "n")
 	}
-	q.N = int(n)
+	if q.N, err = strconv.Atoi(nv); err != nil {
+		return q, fmt.Errorf("parameter %q: %w", "n", err)
+	}
 	if sv := vals.Get("scheme"); sv != "" {
 		scheme, err := ParseScheme(sv)
 		if err != nil {
@@ -377,18 +361,7 @@ func (s *Server) handleNWC(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	type response struct {
-		Found bool             `json:"found"`
-		Group *groupJSON       `json:"group,omitempty"`
-		Stats statsJSON        `json:"stats"`
-		Trace *nwcq.QueryTrace `json:"trace,omitempty"`
-	}
-	out := response{Found: res.Found, Stats: toStatsJSON(res.Stats), Trace: qt}
-	if res.Found {
-		g := toGroupJSON(res.Group)
-		out.Group = &g
-	}
-	s.ok(w, out)
+	s.ok(w, nwcAnswerOf(&res, qt))
 }
 
 func (s *Server) handleKNWC(w http.ResponseWriter, r *http.Request) {
@@ -445,17 +418,7 @@ func (s *Server) handleKNWC(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	type response struct {
-		Found  bool             `json:"found"`
-		Groups []groupJSON      `json:"groups"`
-		Stats  statsJSON        `json:"stats"`
-		Trace  *nwcq.QueryTrace `json:"trace,omitempty"`
-	}
-	out := response{Found: res.Found, Groups: make([]groupJSON, 0, len(res.Groups)), Stats: toStatsJSON(res.Stats), Trace: qt}
-	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, toGroupJSON(g))
-	}
-	s.ok(w, out)
+	s.ok(w, knwcAnswerOf(&res, qt))
 }
 
 // statusFor maps index errors onto HTTP statuses: parameter rejections
@@ -494,24 +457,23 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	out := make([]pointJSON, 0, len(pts))
-	for _, p := range pts {
-		out = append(out, pointJSON{X: p.X, Y: p.Y, ID: p.ID})
+	if pts == nil {
+		pts = []nwcq.Point{} // an empty answer is [], not null
 	}
-	s.ok(w, out)
+	s.ok(w, pts)
 }
 
 // decodePoint reads the JSON body shared by /insert and /delete. The
 // body is capped well above any legitimate point payload so a
 // misbehaving client cannot tie up the handler.
 func decodePoint(r *http.Request) (nwcq.Point, error) {
-	var p pointJSON
+	var p nwcq.Point
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return nwcq.Point{}, fmt.Errorf("invalid point body: %w", err)
 	}
-	return nwcq.Point{X: p.X, Y: p.Y, ID: p.ID}, nil
+	return p, nil
 }
 
 // points reports the live point count when the backend can introspect
@@ -580,8 +542,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// endpointJSON summarises one route for /metrics.
-type endpointJSON struct {
+// endpointSummary summarises one route for /metrics.
+type endpointSummary struct {
 	Requests     uint64  `json:"requests"`
 	Failures     uint64  `json:"failures"`
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
@@ -594,10 +556,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.handleMetricsPrometheus(w)
 		return
 	}
-	eps := make(map[string]endpointJSON, len(s.endpoints))
+	eps := make(map[string]endpointSummary, len(s.endpoints))
 	for name, ep := range s.endpoints {
 		lat := ep.latency.Snapshot()
-		eps[name] = endpointJSON{
+		eps[name] = endpointSummary{
 			Requests:     ep.requests.Value(),
 			Failures:     ep.failures.Value(),
 			LatencyP50Ms: lat.QuantileOr(0.50, 0) * 1e3,

@@ -188,6 +188,36 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNIsAnInteger: n is parsed as k and m are, so a fraction is not
+// truncated and an out-of-range or NaN float never reaches a float→int
+// conversion; every rejection names the parameter.
+func TestNIsAnInteger(t *testing.T) {
+	_, ts := testServer(t)
+	for _, c := range []struct {
+		n    string
+		code int
+	}{
+		{"2.9", 400}, {"1e30", 400}, {"NaN", 400}, {"-1", 400}, {"", 400}, {"8", 200},
+	} {
+		for _, path := range []string{"/nwc?x=500&y=500&l=100&w=100&n=", "/knwc?x=500&y=500&l=100&w=100&k=2&n="} {
+			var out struct {
+				Error string `json:"error"`
+				Found bool   `json:"found"`
+			}
+			code := getJSON(t, ts.URL+path+c.n, &out)
+			if code != c.code {
+				t.Errorf("%s%s: status %d, want %d", path, c.n, code, c.code)
+			}
+			if c.code == 400 && !strings.Contains(strings.ToLower(out.Error), `"n"`) && !strings.Contains(out.Error, "invalid N") {
+				t.Errorf("%s%s: error %q does not name the parameter", path, c.n, out.Error)
+			}
+			if c.code == 200 && !out.Found {
+				t.Errorf("%s%s: no group found", path, c.n)
+			}
+		}
+	}
+}
+
 func TestStatsAndHealth(t *testing.T) {
 	_, ts := testServer(t)
 	// Generate some traffic first.

@@ -63,19 +63,17 @@ type subFrameJSON struct {
 	Gen  uint64 `json:"gen"`
 	// PublishedUnixNS is when the triggering mutation published (0 on
 	// init frames); subscribers derive publish→notify latency from it.
-	PublishedUnixNS int64      `json:"published_unix_ns,omitempty"`
-	Found           bool       `json:"found"`
-	Group           *groupJSON `json:"group,omitempty"`
+	PublishedUnixNS int64 `json:"published_unix_ns,omitempty"`
+	nwcAnswer             // found and group only
 }
 
-func toSubFrameJSON(u nwcq.SubUpdate) subFrameJSON {
-	f := subFrameJSON{Kind: u.Kind, LSN: u.LSN, Gen: u.Gen, Found: u.Result.Found}
+func toSubFrameJSON(u *nwcq.SubUpdate) subFrameJSON {
+	f := subFrameJSON{Kind: u.Kind, LSN: u.LSN, Gen: u.Gen, nwcAnswer: nwcAnswer{Found: u.Result.Found}}
 	if !u.PublishedAt.IsZero() {
 		f.PublishedUnixNS = u.PublishedAt.UnixNano()
 	}
 	if u.Result.Found {
-		g := toGroupJSON(u.Result.Group)
-		f.Group = &g
+		f.Group = &u.Result.Group
 	}
 	return f
 }
@@ -191,7 +189,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 					u.Kind = nwcq.SubResync
 				}
 			}
-			data, err := json.Marshal(toSubFrameJSON(u))
+			data, err := json.Marshal(toSubFrameJSON(&u))
 			if err != nil {
 				return
 			}

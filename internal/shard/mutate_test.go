@@ -50,7 +50,7 @@ func TestShardedMutationOracle(t *testing.T) {
 			continue
 		}
 		q := nwcq.Query{X: 50, Y: 50, Length: 7, Width: 7, N: 3}
-		oracle := core.BruteForceNWC(corePoints(mirror),
+		oracle := core.BruteForceNWC(mirror,
 			core.Query{Q: geom.Point{X: 50, Y: 50}, L: 7, W: 7, N: 3}, core.MeasureMax)
 		got, err := sh.NWC(q)
 		if err != nil {
@@ -120,7 +120,7 @@ func TestConcurrentMutationStraddling(t *testing.T) {
 	}
 	defer sh.Close()
 
-	oracle := core.BruteForceNWC(corePoints(pts),
+	oracle := core.BruteForceNWC(pts,
 		core.Query{Q: geom.Point{X: 50, Y: 73}, L: 5, W: 5, N: 4}, core.MeasureMax)
 	if !oracle.Found {
 		t.Fatal("bad fixture: oracle found nothing")

@@ -29,7 +29,6 @@ func TestParallelMatchesSequentialAllSchemes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	cpts := corePoints(pts)
 
 	queries := []struct {
 		x, y, l, w float64
@@ -42,14 +41,13 @@ func TestParallelMatchesSequentialAllSchemes(t *testing.T) {
 		{90, 90, 12, 12, 6}, // interior of the far shard
 	}
 	for _, m := range allMeasures {
-		cm := coreMeasure(t, m)
 		for qi, qq := range queries {
-			oracle := core.BruteForceNWC(cpts,
-				core.Query{Q: geom.Point{X: qq.x, Y: qq.y}, L: qq.l, W: qq.w, N: qq.n}, cm)
-			kOracle := core.BruteForceKNWC(cpts, core.KNWCQuery{
+			oracle := core.BruteForceNWC(pts,
+				core.Query{Q: geom.Point{X: qq.x, Y: qq.y}, L: qq.l, W: qq.w, N: qq.n}, m)
+			kOracle := core.BruteForceKNWC(pts, core.KNWCQuery{
 				Query: core.Query{Q: geom.Point{X: qq.x, Y: qq.y}, L: qq.l, W: qq.w, N: qq.n},
 				K:     3, M: 1,
-			}, cm)
+			}, m)
 			for _, sc := range allSchemes() {
 				q := nwcq.Query{X: qq.x, Y: qq.y, Length: qq.l, Width: qq.w, N: qq.n, Scheme: sc, Measure: m}
 				label := sc.String() + "/" + m.String()

@@ -65,60 +65,8 @@ import (
 // See DESIGN.md §11 for the containment proofs and §12 for the
 // shared-bound safety argument.
 
-// measureOf maps the public measure onto the core engine's.
-func measureOf(m nwcq.Measure) (core.Measure, error) {
-	switch m {
-	case nwcq.MaxDistance:
-		return core.MeasureMax, nil
-	case nwcq.MinDistance:
-		return core.MeasureMin, nil
-	case nwcq.AvgDistance:
-		return core.MeasureAvg, nil
-	case nwcq.WindowDistance:
-		return core.MeasureWindow, nil
-	default:
-		return 0, fmt.Errorf("nwcq: unknown measure %d", int(m))
-	}
-}
-
 func coreQuery(q nwcq.Query) core.Query {
 	return core.Query{Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N}
-}
-
-func groupOut(g core.Group) nwcq.Group {
-	objs := make([]nwcq.Point, len(g.Objects))
-	for i, p := range g.Objects {
-		objs[i] = nwcq.Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
-	return nwcq.Group{
-		Objects: objs,
-		Dist:    g.Dist,
-		Window:  nwcq.Rect{MinX: g.Window.MinX, MinY: g.Window.MinY, MaxX: g.Window.MaxX, MaxY: g.Window.MaxY},
-	}
-}
-
-func groupIn(g nwcq.Group) core.Group {
-	objs := make([]geom.Point, len(g.Objects))
-	for i, p := range g.Objects {
-		objs[i] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
-	return core.Group{
-		Objects: objs,
-		Dist:    g.Dist,
-		Window:  geom.NewRect(g.Window.MinX, g.Window.MinY, g.Window.MaxX, g.Window.MaxY),
-	}
-}
-
-func addStats(a, b nwcq.Stats) nwcq.Stats {
-	a.NodeVisits += b.NodeVisits
-	a.ObjectsProcessed += b.ObjectsProcessed
-	a.ObjectsSkipped += b.ObjectsSkipped
-	a.NodesPruned += b.NodesPruned
-	a.WindowQueries += b.WindowQueries
-	a.CandidateWindows += b.CandidateWindows
-	a.QualifiedWindows += b.QualifiedWindows
-	a.GridProbes += b.GridProbes
-	return a
 }
 
 // routeStats accumulates one routed query's attribution: the fan-out
@@ -197,7 +145,7 @@ func fetchBox(q nwcq.Query, d float64) geom.Rect {
 // over the worker pool — and sweeps them for the candidate groups within
 // limit of q, ascending. The fetch is the border phase, the sweep the
 // merge phase.
-func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, measure core.Measure, limit float64, col *explainCollector, rt *routeStats) ([]core.Group, error) {
+func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, limit float64, col *explainCollector, rt *routeStats) ([]core.Group, error) {
 	start := time.Now()
 	idxs := make([]int, 0, len(s.shards))
 	for i := range s.shards {
@@ -205,7 +153,7 @@ func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, 
 			idxs = append(idxs, i)
 		}
 	}
-	parts := make([][]nwcq.Point, len(idxs))
+	parts := make([][]geom.Point, len(idxs))
 	err := wpool.Each(len(idxs), s.scatterWorkers(len(idxs)), func(j int) (err error) {
 		parts[j], err = s.shards[idxs[j]].Window(fetch.MinX, fetch.MinY, fetch.MaxX, fetch.MaxY)
 		return err
@@ -214,24 +162,15 @@ func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, 
 		rt.border += time.Since(start)
 		return nil, err
 	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	pts := make([]geom.Point, 0, total)
-	for _, part := range parts {
-		for _, p := range part {
-			pts = append(pts, geom.Point{X: p.X, Y: p.Y, ID: p.ID})
-		}
-	}
+	pts := slices.Concat(parts...)
 	fetched := time.Now()
-	groups := core.GroupsWithin(pts, coreQuery(q), measure, limit)
+	groups := core.GroupsWithin(pts, coreQuery(q), q.Measure, limit)
 	fetching, sweeping := fetched.Sub(start), time.Since(fetched)
 	rt.borderFetches++
-	rt.borderPoints += total
+	rt.borderPoints += len(pts)
 	rt.border += fetching
 	rt.merge += sweeping
-	col.borderDone(total, fetching, sweeping)
+	col.borderDone(len(pts), fetching, sweeping)
 	return groups, nil
 }
 
@@ -297,10 +236,6 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) 
 	if err := q.Validate(); err != nil {
 		return nwcq.Result{}, err
 	}
-	measure, err := measureOf(q.Measure)
-	if err != nil {
-		return nwcq.Result{}, err
-	}
 	// The router owns the request's wide event at routed-query
 	// granularity: read it here, then run the fan-out detached so the
 	// per-shard indexes (and their caches) never see — or race on — it.
@@ -331,12 +266,12 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) 
 	} else if fetch = fetchBox(q, best); best == 0 || intersecting(bounds, fetch) <= 1 {
 		return out, nil
 	}
-	cands, err := s.candidates(bounds, fetch, q, measure, best, col, rt)
+	cands, err := s.candidates(bounds, fetch, q, best, col, rt)
 	if err != nil {
 		return nwcq.Result{Stats: out.Stats}, err
 	}
 	if len(cands) > 0 && cands[0].Dist < best {
-		out.Found, out.Group = true, groupOut(cands[0])
+		out.Found, out.Group = true, cands[0]
 	}
 	return out, nil
 }
@@ -426,7 +361,7 @@ func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, b
 			return res, err
 		},
 		func(r nwcq.Result) {
-			out.Stats = addStats(out.Stats, r.Stats)
+			out.Stats.Add(r.Stats)
 			if r.Found && r.Dist < best {
 				best = r.Dist
 				out.Group = r.Group
@@ -500,19 +435,11 @@ func greedy(groups []core.Group, k, m int) []core.Group {
 
 // kResult renders accepted groups as the public answer.
 func kResult(groups []core.Group, stats nwcq.Stats) nwcq.KResult {
-	out := nwcq.KResult{Found: len(groups) > 0, Stats: stats}
-	for _, g := range groups {
-		out.Groups = append(out.Groups, groupOut(g))
-	}
-	return out
+	return nwcq.KResult{Groups: groups, Found: len(groups) > 0, Stats: stats}
 }
 
 func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, error) {
 	if err := q.Validate(); err != nil {
-		return nwcq.KResult{}, err
-	}
-	measure, err := measureOf(q.Measure)
-	if err != nil {
 		return nwcq.KResult{}, err
 	}
 	ev := qevent.From(ctx)
@@ -559,7 +486,7 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 		if complete {
 			fetch, horizon = whole, math.Inf(1)
 		}
-		cands, err := s.candidates(bounds, fetch, q.Query, measure, horizon, col, rt)
+		cands, err := s.candidates(bounds, fetch, q.Query, horizon, col, rt)
 		if err != nil {
 			return nwcq.KResult{Stats: stats}, err
 		}
@@ -606,10 +533,8 @@ func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point,
 			return res, err
 		},
 		func(kr nwcq.KResult) {
-			stats = addStats(stats, kr.Stats)
-			for _, g := range kr.Groups {
-				pool = append(pool, groupIn(g))
-			}
+			stats.Add(kr.Stats)
+			pool = append(pool, kr.Groups...)
 			slices.SortFunc(pool, core.CompareGroups)
 			merged = greedy(pool, q.K, q.M)
 			est = math.Inf(1)

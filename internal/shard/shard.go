@@ -23,6 +23,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,15 +177,15 @@ func splitGrid(n int) (gx, gy int) {
 	return gx, n / gx
 }
 
-// rectFrom converts the public rectangle, deriving a padded bounding
-// box from points when the zero value was given.
+// rectFrom normalises the configured rectangle, deriving a padded
+// bounding box from points when the zero value was given.
 func rectFrom(r nwcq.Rect, points []nwcq.Point) geom.Rect {
 	if r != (nwcq.Rect{}) {
 		return geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY)
 	}
 	space := geom.EmptyRect()
 	for _, p := range points {
-		space = space.ExtendPoint(geom.Point{X: p.X, Y: p.Y, ID: p.ID})
+		space = space.ExtendPoint(p)
 	}
 	if space.IsEmpty() {
 		space = geom.NewRect(0, 0, 1, 1)
@@ -268,7 +269,7 @@ func (s *Sharded) extendBounds(i int, pts []nwcq.Point) {
 	cur := s.shardBounds()
 	needs := false
 	for _, p := range pts {
-		if !cur[i].ContainsPoint(geom.Point{X: p.X, Y: p.Y}) {
+		if !cur[i].ContainsPoint(p) {
 			needs = true
 			break
 		}
@@ -282,7 +283,7 @@ func (s *Sharded) extendBounds(i int, pts []nwcq.Point) {
 	next := make([]geom.Rect, len(cur))
 	copy(next, cur)
 	for _, p := range pts {
-		next[i] = next[i].ExtendPoint(geom.Point{X: p.X, Y: p.Y})
+		next[i] = next[i].ExtendPoint(p)
 	}
 	s.bounds.Store(&next)
 }
@@ -374,21 +375,23 @@ func OpenSharded(dir string, opt Options) (*Sharded, error) {
 	return s, nil
 }
 
-// manifest is the sharded directory's layout record.
+// manifest is the sharded directory's layout record. It is a file format
+// older than the wire names geom.Rect is tagged with, so its space keeps
+// the MinX…MaxY keys through an untagged struct of its own (a conversion
+// between the two ignores tags).
 type manifest struct {
-	Shards int       `json:"shards"`
-	Space  nwcq.Rect `json:"space"`
+	Shards int          `json:"shards"`
+	Space  manifestRect `json:"space"`
 }
+
+type manifestRect struct{ MinX, MinY, MaxX, MaxY float64 }
 
 func shardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.nwcq", i))
 }
 
 func writeManifest(dir string, s *Sharded) error {
-	data, err := json.Marshal(manifest{
-		Shards: len(s.regions),
-		Space:  nwcq.Rect{MinX: s.space.MinX, MinY: s.space.MinY, MaxX: s.space.MaxX, MaxY: s.space.MaxY},
-	})
+	data, err := json.Marshal(manifest{Shards: len(s.regions), Space: manifestRect(s.space)})
 	if err != nil {
 		return err
 	}
@@ -415,13 +418,7 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 
 // ShardRegions returns the nominal partition rectangles, in shard
 // order.
-func (s *Sharded) ShardRegions() []nwcq.Rect {
-	out := make([]nwcq.Rect, len(s.regions))
-	for i, r := range s.regions {
-		out[i] = nwcq.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
-	}
-	return out
-}
+func (s *Sharded) ShardRegions() []nwcq.Rect { return slices.Clone(s.regions) }
 
 // Len returns the total number of indexed points across all shards.
 func (s *Sharded) Len() int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -57,23 +58,6 @@ func straddlePoints(rng *rand.Rand, n int) []nwcq.Point {
 	return pts
 }
 
-func corePoints(pts []nwcq.Point) []geom.Point {
-	out := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		out[i] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
-	return out
-}
-
-func coreMeasure(t *testing.T, m nwcq.Measure) core.Measure {
-	t.Helper()
-	cm, err := measureOf(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cm
-}
-
 // buildBoth builds a single in-memory index and a Sharded router over
 // the same points.
 func buildBoth(t *testing.T, pts []nwcq.Point, shards int) (*nwcq.Index, *Sharded) {
@@ -123,7 +107,6 @@ func TestShardedMatchesOracleAllSchemes(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pts := straddlePoints(rng, 90)
 	single, sh := buildBoth(t, pts, 4)
-	cpts := corePoints(pts)
 
 	queries := []struct {
 		x, y, l, w float64
@@ -136,14 +119,13 @@ func TestShardedMatchesOracleAllSchemes(t *testing.T) {
 		{90, 90, 12, 12, 6}, // interior of the far shard
 	}
 	for _, m := range allMeasures {
-		cm := coreMeasure(t, m)
 		for qi, qq := range queries {
-			oracle := core.BruteForceNWC(cpts,
-				core.Query{Q: geom.Point{X: qq.x, Y: qq.y}, L: qq.l, W: qq.w, N: qq.n}, cm)
-			kOracle := core.BruteForceKNWC(cpts, core.KNWCQuery{
+			oracle := core.BruteForceNWC(pts,
+				core.Query{Q: geom.Point{X: qq.x, Y: qq.y}, L: qq.l, W: qq.w, N: qq.n}, m)
+			kOracle := core.BruteForceKNWC(pts, core.KNWCQuery{
 				Query: core.Query{Q: geom.Point{X: qq.x, Y: qq.y}, L: qq.l, W: qq.w, N: qq.n},
 				K:     3, M: 1,
-			}, cm)
+			}, m)
 			for _, sc := range allSchemes() {
 				q := nwcq.Query{X: qq.x, Y: qq.y, Length: qq.l, Width: qq.w, N: qq.n, Scheme: sc, Measure: m}
 				label := sc.String() + "/" + m.String()
@@ -592,5 +574,132 @@ func TestBestOfZeroNeedsNoBorder(t *testing.T) {
 		if after := sh.RouterStats().BorderFetches; after != before {
 			t.Fatalf("%s: %d border fetches for a best of zero", m, after-before)
 		}
+	}
+}
+
+// TestManifestWrittenByTheParentOpens: manifest.json is a file format and
+// keeps its MinX…MaxY keys whatever wire names geom.Rect is tagged with.
+// testdata/manifest.json was written by the commit before the tags; a
+// directory built now writes the same bytes and reopens from those.
+func TestManifestWrittenByTheParentOpens(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	area := nwcq.Rect{MinX: -12.5, MinY: 0.1, MaxX: 100, MaxY: 1e6}
+	dir := filepath.Join(t.TempDir(), "cluster")
+	sh, err := NewSharded([]nwcq.Point{{X: 1, Y: 2, ID: 1}, {X: 90, Y: 80, ID: 2}}, Options{Shards: 4, Space: area, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	if written, err := os.ReadFile(path); err != nil || string(written) != string(old) {
+		t.Fatalf("manifest written as %s (err %v), the parent wrote %s", written, err, old)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Shards() != 4 || re.space != area || re.Len() != 2 {
+		t.Fatalf("reopened %d shards over %v holding %d points; want 4 over %v holding 2", re.Shards(), re.space, re.Len(), area)
+	}
+}
+
+// TestRouterLeavesAShardsGroupsAsTheyWere: a shard's answer — its cached
+// answer, when the shards cache — is the router's pool entry and the
+// router's result, not a copy of it, so the merge (the pool sorted, the
+// set keys compared, the border sweep beside it) must only read it. Every
+// shard's own answers are the same before and after routed queries on the
+// seam, and a routed result held by the caller survives later routed
+// queries and the overwriting of their objects.
+func TestRouterLeavesAShardsGroupsAsTheyWere(t *testing.T) {
+	pts := straddlePoints(rand.New(rand.NewSource(41)), 400)
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, Parallelism: 1,
+		Build: []nwcq.BuildOption{nwcq.WithResultCache(64)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	deep := func(groups []nwcq.Group) []nwcq.Group {
+		out := slices.Clone(groups)
+		for i := range out {
+			out[i].Objects = slices.Clone(out[i].Objects)
+		}
+		return out
+	}
+	same := func(a, b []nwcq.Group) bool {
+		return slices.EqualFunc(a, b, func(g, h nwcq.Group) bool {
+			return g.Dist == h.Dist && g.Window == h.Window && slices.Equal(g.Objects, h.Objects)
+		})
+	}
+	for _, m := range allMeasures {
+		q := nwcq.KQuery{Query: nwcq.Query{X: 50, Y: 50, Length: 8, Width: 8, N: 3, Measure: m}, K: 4, M: 1}
+		// Each shard's own answers, which also fills its cache.
+		var before [][]nwcq.Group
+		for _, ix := range sh.shards {
+			kr, err := ix.KNWC(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ix.NWC(q.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before = append(before, deep(append(slices.Clone(kr.Groups), r.Group)))
+		}
+		held, err := sh.KNWC(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held1, err := sh.NWC(q.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := deep(append(slices.Clone(held.Groups), held1.Group))
+		for dx := 0.5; dx <= 2; dx += 0.5 {
+			qb := q
+			qb.X += dx
+			other, err := sh.KNWC(qb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range other.Groups {
+				scribble(g.Objects)
+			}
+			other1, err := sh.NWC(qb.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scribble(other1.Objects)
+		}
+		if !same(append(slices.Clone(held.Groups), held1.Group), want) {
+			t.Fatalf("%v: a held routed result changed under later queries", m)
+		}
+		for i, ix := range sh.shards {
+			kr, err := ix.KNWC(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ix.NWC(q.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(append(slices.Clone(kr.Groups), r.Group), before[i]) {
+				t.Fatalf("%v: shard %d's cached answer changed under routed queries", m, i)
+			}
+		}
+	}
+}
+
+func scribble(pts []nwcq.Point) {
+	for i := range pts {
+		pts[i] = nwcq.Point{X: -1e9, Y: 1e9, ID: ^uint64(i)}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"nwcq/internal/geom"
 	"nwcq/internal/grid"
 	"nwcq/internal/obs"
 	"nwcq/internal/rstar"
@@ -55,9 +54,8 @@ func (ix *Index) insert(p Point) error {
 	if err := validateMutationPoint(p); err != nil {
 		return err
 	}
-	gpts := []geom.Point{{X: p.X, Y: p.Y, ID: p.ID}}
 	ix.wmu.Lock()
-	lsn, err := ix.insertLocked(gpts)
+	lsn, err := ix.insertLocked([]Point{p})
 	ix.wmu.Unlock()
 	if err != nil {
 		return err
@@ -79,15 +77,13 @@ func (ix *Index) insertBatch(pts []Point) error {
 	if len(pts) == 0 {
 		return nil
 	}
-	gpts := make([]geom.Point, len(pts))
-	for i, p := range pts {
+	for _, p := range pts {
 		if err := validateMutationPoint(p); err != nil {
 			return err
 		}
-		gpts[i] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
 	}
 	ix.wmu.Lock()
-	lsn, err := ix.insertLocked(gpts)
+	lsn, err := ix.insertLocked(pts)
 	ix.wmu.Unlock()
 	if err != nil {
 		return err
@@ -95,28 +91,28 @@ func (ix *Index) insertBatch(pts []Point) error {
 	return ix.waitDurable(lsn)
 }
 
-func (ix *Index) insertLocked(gpts []geom.Point) (uint64, error) {
+func (ix *Index) insertLocked(pts []Point) (uint64, error) {
 	old := ix.cur.Load()
 	b, err := old.tree.BeginWrite()
 	if err != nil {
 		return 0, err
 	}
-	for i := range gpts {
-		if err := b.Tree().Insert(gpts[i]); err != nil {
+	for i := range pts {
+		if err := b.Tree().Insert(pts[i]); err != nil {
 			b.Discard()
 			return 0, err
 		}
 	}
 	den := old.grid
-	for i := range gpts {
-		next, err := den.WithAdd(gpts[i])
+	for i := range pts {
+		next, err := den.WithAdd(pts[i])
 		if err != nil {
 			// Outside the grid's space: rebuild over a space covering the
 			// new point (with slack so a trickle of outliers does not cause
 			// repeated rebuilds). The rebuild reads the batch's tree, which
 			// already holds every point of this batch, so the remaining
 			// WithAdd steps are covered too.
-			next, err = rebuildGrid(b.Tree(), old.grid, &gpts[i])
+			next, err = rebuildGrid(b.Tree(), old.grid, &pts[i])
 			if err != nil {
 				b.Discard()
 				return 0, err
@@ -126,7 +122,7 @@ func (ix *Index) insertLocked(gpts []geom.Point) (uint64, error) {
 		}
 		den = next
 	}
-	return ix.commitMutationLocked(b, ix.encodeFor(recInsert, gpts), den, recInsert, gpts, 0)
+	return ix.commitMutationLocked(b, ix.encodeFor(recInsert, pts), den, recInsert, pts, 0)
 }
 
 // Delete removes one point (matched by coordinates and ID) and reports
@@ -141,9 +137,8 @@ func (ix *Index) Delete(p Point) (bool, error) {
 }
 
 func (ix *Index) delete(p Point) (bool, error) {
-	gpts := []geom.Point{{X: p.X, Y: p.Y, ID: p.ID}}
 	ix.wmu.Lock()
-	founds, lsn, err := ix.deleteLocked(gpts)
+	founds, lsn, err := ix.deleteLocked([]Point{p})
 	ix.wmu.Unlock()
 	if err != nil {
 		return false, err
@@ -166,12 +161,8 @@ func (ix *Index) deleteBatch(pts []Point) ([]bool, error) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
-	gpts := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		gpts[i] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
 	ix.wmu.Lock()
-	founds, lsn, err := ix.deleteLocked(gpts)
+	founds, lsn, err := ix.deleteLocked(pts)
 	ix.wmu.Unlock()
 	if err != nil {
 		return nil, err
@@ -179,15 +170,15 @@ func (ix *Index) deleteBatch(pts []Point) ([]bool, error) {
 	return founds, ix.waitDurable(lsn)
 }
 
-func (ix *Index) deleteLocked(gpts []geom.Point) ([]bool, uint64, error) {
+func (ix *Index) deleteLocked(pts []Point) ([]bool, uint64, error) {
 	old := ix.cur.Load()
 	b, err := old.tree.BeginWrite()
 	if err != nil {
 		return nil, 0, err
 	}
-	founds := make([]bool, len(gpts))
-	removed := make([]geom.Point, 0, len(gpts))
-	for i, gp := range gpts {
+	founds := make([]bool, len(pts))
+	removed := make([]Point, 0, len(pts))
+	for i, gp := range pts {
 		found, err := b.Tree().Delete(gp)
 		if err != nil {
 			b.Discard()
@@ -230,7 +221,7 @@ func (ix *Index) deleteLocked(gpts []geom.Point) ([]bool, uint64, error) {
 
 // encodeFor builds the WAL payload for a mutation, nil when the index
 // has no log (the bytes would be discarded unused).
-func (ix *Index) encodeFor(op byte, pts []geom.Point) []byte {
+func (ix *Index) encodeFor(op byte, pts []Point) []byte {
 	if ix.dur == nil {
 		return nil
 	}
@@ -249,7 +240,7 @@ func (ix *Index) encodeFor(op byte, pts []geom.Point) []byte {
 // for the subscription affect test; leaderLSN, nonzero only on a
 // replication follower, stamps notifications with the leader's LSN so
 // both replicas expose the same version axis. Caller holds ix.wmu.
-func (ix *Index) commitMutationLocked(b *rstar.WriteBatch, payload []byte, den *grid.Density, op byte, changed []geom.Point, leaderLSN uint64) (uint64, error) {
+func (ix *Index) commitMutationLocked(b *rstar.WriteBatch, payload []byte, den *grid.Density, op byte, changed []Point, leaderLSN uint64) (uint64, error) {
 	var lsn uint64
 	if ix.dur != nil {
 		var err error
@@ -317,7 +308,7 @@ func subOpFor(op byte) sub.Op {
 // payload is the recApply-wrapped record for this follower's own log;
 // leaderLSN stamps standing-query notifications so follower subscribers
 // see the leader's version axis. Caller holds ix.wmu.
-func (ix *Index) applyReplicatedLocked(op byte, gpts []geom.Point, payload []byte, leaderLSN uint64) (uint64, error) {
+func (ix *Index) applyReplicatedLocked(op byte, pts []Point, payload []byte, leaderLSN uint64) (uint64, error) {
 	old := ix.cur.Load()
 	b, err := old.tree.BeginWrite()
 	if err != nil {
@@ -325,16 +316,16 @@ func (ix *Index) applyReplicatedLocked(op byte, gpts []geom.Point, payload []byt
 	}
 	den := old.grid
 	if op == recInsert {
-		for i := range gpts {
-			if err := b.Tree().Insert(gpts[i]); err != nil {
+		for i := range pts {
+			if err := b.Tree().Insert(pts[i]); err != nil {
 				b.Discard()
 				return 0, err
 			}
 		}
-		for i := range gpts {
-			next, err := den.WithAdd(gpts[i])
+		for i := range pts {
+			next, err := den.WithAdd(pts[i])
 			if err != nil {
-				next, err = rebuildGrid(b.Tree(), old.grid, &gpts[i])
+				next, err = rebuildGrid(b.Tree(), old.grid, &pts[i])
 				if err != nil {
 					b.Discard()
 					return 0, err
@@ -345,8 +336,8 @@ func (ix *Index) applyReplicatedLocked(op byte, gpts []geom.Point, payload []byt
 			den = next
 		}
 	} else {
-		removed := make([]geom.Point, 0, len(gpts))
-		for _, gp := range gpts {
+		removed := make([]Point, 0, len(pts))
+		for _, gp := range pts {
 			found, err := b.Tree().Delete(gp)
 			if err != nil {
 				b.Discard()
@@ -370,9 +361,9 @@ func (ix *Index) applyReplicatedLocked(op byte, gpts []geom.Point, payload []byt
 			den = next
 		}
 	}
-	// gpts (not the matched subset) feeds the affect test for deletes:
+	// pts (not the matched subset) feeds the affect test for deletes:
 	// a superset of the changed points is always conservative.
-	return ix.commitMutationLocked(b, payload, den, op, gpts, leaderLSN)
+	return ix.commitMutationLocked(b, payload, den, op, pts, leaderLSN)
 }
 
 // resetLocked discards every indexed point as one logged mutation — the
@@ -423,7 +414,7 @@ func validateMutationPoint(p Point) error {
 // rebuildGrid builds a fresh density grid from t's current points. With
 // extra set, the space is enlarged to cover it plus 12.5% slack per
 // side; otherwise the old space is kept.
-func rebuildGrid(t *rstar.Tree, oldGrid *grid.Density, extra *geom.Point) (*grid.Density, error) {
+func rebuildGrid(t *rstar.Tree, oldGrid *grid.Density, extra *Point) (*grid.Density, error) {
 	pts, err := t.All()
 	if err != nil {
 		return nil, err

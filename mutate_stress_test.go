@@ -76,7 +76,6 @@ func buildMutationScript(nBase, nOps int, seed int64) (base []Point, ops []mutOp
 type mutOracle struct {
 	mu       sync.Mutex
 	versions [][]Point
-	geo      map[int][]geom.Point
 	nwc      map[[2]int]core.Result
 	knwc     map[[2]int][]core.Group
 }
@@ -84,23 +83,9 @@ type mutOracle struct {
 func newMutOracle(versions [][]Point) *mutOracle {
 	return &mutOracle{
 		versions: versions,
-		geo:      map[int][]geom.Point{},
 		nwc:      map[[2]int]core.Result{},
 		knwc:     map[[2]int][]core.Group{},
 	}
-}
-
-func (o *mutOracle) geomPts(ver int) []geom.Point {
-	if g, ok := o.geo[ver]; ok {
-		return g
-	}
-	pts := o.versions[ver]
-	g := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		g[i] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
-	o.geo[ver] = g
-	return g
 }
 
 func (o *mutOracle) NWC(qi, ver int, q Query) core.Result {
@@ -110,7 +95,7 @@ func (o *mutOracle) NWC(qi, ver int, q Query) core.Result {
 	if r, ok := o.nwc[key]; ok {
 		return r
 	}
-	r := core.BruteForceNWC(o.geomPts(ver), core.Query{
+	r := core.BruteForceNWC(o.versions[ver], core.Query{
 		Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N,
 	}, core.MeasureMax)
 	o.nwc[key] = r
@@ -124,7 +109,7 @@ func (o *mutOracle) KNWC(qi, ver int, q KQuery) []core.Group {
 	if r, ok := o.knwc[key]; ok {
 		return r
 	}
-	r := core.BruteForceKNWC(o.geomPts(ver), core.KNWCQuery{
+	r := core.BruteForceKNWC(o.versions[ver], core.KNWCQuery{
 		Query: core.Query{Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N},
 		K:     q.K, M: q.M,
 	}, core.MeasureMax)

@@ -61,48 +61,33 @@ import (
 	"nwcq/internal/trace"
 )
 
-// Point is a data object: a location and a caller-owned identifier.
-type Point struct {
-	X, Y float64
-	ID   uint64
-}
-
-// Rect is an axis-aligned rectangle, reported with query results.
-type Rect struct {
-	MinX, MinY, MaxX, MaxY float64
-}
-
-// Measure selects how the distance between the query location and a
-// group of n objects is evaluated (Section 2.1 of the paper).
-type Measure int
+// The answer's types are defined once, where the engine has them, and
+// travel from there to the caller and the wire uncopied (DESIGN.md §8,
+// "One type per thing"); their field documentation is on the definitions.
+type (
+	// Point is a data object: a location (X, Y) and a caller-owned
+	// identifier (ID).
+	Point = geom.Point
+	// Rect is an axis-aligned rectangle (MinX, MinY, MaxX, MaxY), reported
+	// with query results.
+	Rect = geom.Rect
+	// Measure selects how the distance between the query location and a
+	// group of n objects is evaluated (Section 2.1 of the paper).
+	Measure = core.Measure
+)
 
 const (
 	// MaxDistance is the distance to the farthest of the n objects
 	// (the default).
-	MaxDistance Measure = iota
+	MaxDistance = core.MeasureMax
 	// MinDistance is the distance to the nearest of the n objects.
-	MinDistance
+	MinDistance = core.MeasureMin
 	// AvgDistance is the mean distance to the n objects.
-	AvgDistance
+	AvgDistance = core.MeasureAvg
 	// WindowDistance is the smallest distance from the query location
 	// to any qualifying window containing the n objects.
-	WindowDistance
+	WindowDistance = core.MeasureWindow
 )
-
-func (m Measure) internal() (core.Measure, error) {
-	switch m {
-	case MaxDistance:
-		return core.MeasureMax, nil
-	case MinDistance:
-		return core.MeasureMin, nil
-	case AvgDistance:
-		return core.MeasureAvg, nil
-	case WindowDistance:
-		return core.MeasureWindow, nil
-	default:
-		return 0, fmt.Errorf("nwcq: unknown measure %d", int(m))
-	}
-}
 
 // Scheme selects which of the paper's optimisation techniques run a
 // query: SRR (search region reduction), DIP (distance-based pruning),
@@ -205,54 +190,20 @@ type KQuery struct {
 	M int
 }
 
-// Stats reports the work one query performed. It is computed on a
-// carrier private to the query, so concurrent queries report exact,
-// independent numbers.
-type Stats struct {
-	// NodeVisits is the number of index nodes read — the paper's I/O
-	// cost metric.
-	NodeVisits uint64
-	// ObjectsProcessed counts data objects evaluated as window anchors.
-	ObjectsProcessed int
-	// ObjectsSkipped counts objects skipped by SRR or DEP.
-	ObjectsSkipped int
-	// NodesPruned counts index nodes pruned by DIP or DEP.
-	NodesPruned int
-	// WindowQueries counts window queries issued.
-	WindowQueries int
-	// CandidateWindows and QualifiedWindows count windows enumerated and,
-	// of those, windows holding at least N objects. An anchor whose
-	// candidates hold too few objects under the current bound for any of
-	// its windows to improve it enumerates none, so on dense data both
-	// counts are far below the number of windows that exist.
-	CandidateWindows int
-	QualifiedWindows int
-	// GridProbes counts density-grid upper-bound probes issued by DEP.
-	GridProbes int
-}
+// Stats reports the work one query performed: NodeVisits (index nodes
+// read — the paper's I/O cost metric), ObjectsProcessed, ObjectsSkipped,
+// NodesPruned, WindowQueries, CandidateWindows, QualifiedWindows and
+// GridProbes. It is computed on a carrier private to the query, so
+// concurrent queries report exact, independent numbers.
+type Stats = core.Stats
 
-func statsFrom(s core.Stats) Stats {
-	return Stats{
-		NodeVisits:       s.NodeVisits,
-		ObjectsProcessed: s.ObjectsProcessed,
-		ObjectsSkipped:   s.ObjectsSkipped,
-		NodesPruned:      s.NodesPruned,
-		WindowQueries:    s.WindowQueries,
-		CandidateWindows: s.CandidateWindows,
-		QualifiedWindows: s.QualifiedWindows,
-		GridProbes:       s.GridProbes,
-	}
-}
-
-// Group is one answer group: N objects clustered in an l × w window.
-type Group struct {
-	// Objects are ordered by ascending distance to the query point.
-	Objects []Point
-	// Dist is the group's distance under the query's measure.
-	Dist float64
-	// Window is a qualifying window containing the objects.
-	Window Rect
-}
+// Group is one answer group: N objects clustered in an l × w window —
+// Objects (ordered by ascending distance to the query point), Dist (the
+// group's distance under the query's measure) and Window (a qualifying
+// window containing the objects). A returned group is the caller's to
+// read; the index may share its Objects with a result cache, so sort or
+// overwrite a copy.
+type Group = core.Group
 
 // Result is the answer to an NWC query.
 type Result struct {
@@ -467,13 +418,13 @@ func WithSpace(minX, minY, maxX, maxY float64) BuildOption {
 
 // Build indexes points and prepares every substrate (R*-tree, density
 // grid, IWP pointers) so any scheme can run. The point set can evolve
-// afterwards through Insert and Delete, concurrently with queries.
+// afterwards through Insert and Delete, concurrently with queries. Build
+// neither reorders nor retains points: the slice stays the caller's.
 func Build(points []Point, opts ...BuildOption) (*Index, error) {
 	o := buildOptions{maxEntries: 50, gridCellSize: 25}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	gpts := make([]geom.Point, len(points))
 	for i, p := range points {
 		if err := finiteParam("point coordinate", p.X); err != nil {
 			return nil, fmt.Errorf("nwcq: point %d has non-finite coordinates", i)
@@ -481,7 +432,6 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 		if err := finiteParam("point coordinate", p.Y); err != nil {
 			return nil, fmt.Errorf("nwcq: point %d has non-finite coordinates", i)
 		}
-		gpts[i] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
 	}
 
 	tree, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: o.maxEntries})
@@ -489,11 +439,11 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 		return nil, err
 	}
 	if o.bulkLoad {
-		if err := tree.BulkLoad(gpts); err != nil {
+		if err := tree.BulkLoad(points); err != nil {
 			return nil, err
 		}
 	} else {
-		for _, p := range gpts {
+		for _, p := range points {
 			if err := tree.Insert(p); err != nil {
 				return nil, err
 			}
@@ -503,7 +453,7 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 	space := o.space
 	if !o.spaceSet {
 		space = geom.EmptyRect()
-		for _, p := range gpts {
+		for _, p := range points {
 			space = space.ExtendPoint(p)
 		}
 		if space.IsEmpty() {
@@ -514,13 +464,13 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 			space = space.Buffer(1, 1)
 		}
 	} else {
-		for i, p := range gpts {
+		for i, p := range points {
 			if !space.ContainsPoint(p) {
 				return nil, fmt.Errorf("nwcq: point %d at (%g, %g) outside the configured space", i, p.X, p.Y)
 			}
 		}
 	}
-	den, err := grid.New(space, o.gridCellSize, gpts)
+	den, err := grid.New(space, o.gridCellSize, points)
 	if err != nil {
 		return nil, err
 	}
@@ -579,22 +529,13 @@ func (ix *Index) NWCCtx(ctx context.Context, q Query) (Result, error) {
 // subscription re-evaluations. The caller owns the pin and has
 // validated q.
 func (ix *Index) nwcOnView(ctx context.Context, v *view, q Query, rec *trace.Recorder) (Result, error) {
-	measure, err := q.Measure.internal()
-	if err != nil {
-		return Result{}, err
-	}
-	scheme := q.Scheme.internal()
 	res, st, err := v.eng.NWC(ctx, core.Query{
-		Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N,
-	}, scheme, measure, core.Exec{Rec: rec, Bound: rstar.BoundFromContext(ctx)})
+		Q: Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N,
+	}, q.Scheme.internal(), q.Measure, core.Exec{Rec: rec, Bound: rstar.BoundFromContext(ctx)})
 	if err != nil {
-		return Result{Stats: statsFrom(st)}, err
+		return Result{Stats: st}, err
 	}
-	out := Result{Found: res.Found, Stats: statsFrom(st)}
-	if res.Found {
-		out.Group = groupFrom(res.Group)
-	}
-	return out, nil
+	return Result{Group: res.Group, Found: res.Found, Stats: st}, nil
 }
 
 // KNWCCtx answers a kNWC query under ctx, returning a KResult that
@@ -607,26 +548,14 @@ func (ix *Index) KNWCCtx(ctx context.Context, q KQuery) (KResult, error) {
 
 // knwcOnView is the kNWC form of nwcOnView.
 func (ix *Index) knwcOnView(ctx context.Context, v *view, q KQuery, rec *trace.Recorder) (KResult, error) {
-	measure, err := q.Measure.internal()
-	if err != nil {
-		return KResult{}, err
-	}
-	scheme := q.Scheme.internal()
 	groups, st, err := v.eng.KNWC(ctx, core.KNWCQuery{
-		Query: core.Query{Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N},
+		Query: core.Query{Q: Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N},
 		K:     q.K, M: q.M,
-	}, scheme, measure, core.Exec{Rec: rec})
+	}, q.Scheme.internal(), q.Measure, core.Exec{Rec: rec})
 	if err != nil {
-		return KResult{Stats: statsFrom(st)}, err
+		return KResult{Stats: st}, err
 	}
-	out := KResult{Found: len(groups) > 0, Stats: statsFrom(st)}
-	if len(groups) > 0 {
-		out.Groups = make([]Group, len(groups))
-		for i, g := range groups {
-			out.Groups[i] = groupFrom(g)
-		}
-	}
-	return out, nil
+	return KResult{Groups: groups, Found: len(groups) > 0, Stats: st}, nil
 }
 
 // KNWC answers a kNWC query, returning a KResult with up to K groups
@@ -652,11 +581,7 @@ func (ix *Index) window(ctx context.Context, minX, minY, maxX, maxY float64) ([]
 	}
 	v := ix.acquire()
 	defer v.release()
-	pts, err := v.tree.Reader(ctx, nil).SearchCollect(geom.NewRect(minX, minY, maxX, maxY))
-	if err != nil {
-		return nil, err
-	}
-	return pointsFrom(pts), nil
+	return v.tree.Reader(ctx, nil).SearchCollect(geom.NewRect(minX, minY, maxX, maxY))
 }
 
 // Nearest returns the k indexed points nearest to (x, y) in ascending
@@ -674,11 +599,7 @@ func (ix *Index) nearest(ctx context.Context, x, y float64, k int) ([]Point, err
 	}
 	v := ix.acquire()
 	defer v.release()
-	pts, err := v.tree.Reader(ctx, nil).NearestK(geom.Point{X: x, Y: y}, k)
-	if err != nil {
-		return nil, err
-	}
-	return pointsFrom(pts), nil
+	return v.tree.Reader(ctx, nil).NearestK(Point{X: x, Y: y}, k)
 }
 
 // ResetIOStats zeroes the index-wide cumulative node-visit counter
@@ -691,19 +612,3 @@ func (ix *Index) ResetIOStats() { ix.cur.Load().tree.ResetVisits() }
 // or ResetIOStats was called. The counter is atomic and exact under
 // concurrent queries; the nodes a mutation reads add to it too.
 func (ix *Index) IOStats() uint64 { return ix.cur.Load().tree.Visits() }
-
-func groupFrom(g core.Group) Group {
-	return Group{
-		Objects: pointsFrom(g.Objects),
-		Dist:    g.Dist,
-		Window:  Rect{MinX: g.Window.MinX, MinY: g.Window.MinY, MaxX: g.Window.MaxX, MaxY: g.Window.MaxY},
-	}
-}
-
-func pointsFrom(pts []geom.Point) []Point {
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
-	return out
-}

@@ -179,14 +179,10 @@ func buildPagedOn(points []Point, f pagedFile, wfs wal.FS, o buildOptions) (px *
 	if err != nil {
 		return nil, err
 	}
-	gpts := make([]geom.Point, len(points))
-	for i, p := range points {
-		gpts[i] = geom.Point{X: p.X, Y: p.Y, ID: p.ID}
-	}
 	if o.bulkLoad {
-		err = tree.BulkLoad(gpts)
+		err = tree.BulkLoad(points)
 	} else {
-		for _, p := range gpts {
+		for _, p := range points {
 			if err = tree.Insert(p); err != nil {
 				break
 			}
@@ -234,7 +230,7 @@ func buildPagedOn(points []Point, f pagedFile, wfs wal.FS, o buildOptions) (px *
 	} else if err = pages.Sync(); err != nil {
 		return nil, err
 	}
-	return finishPaged(tree, gpts, o, pages, f, log, dur)
+	return finishPaged(tree, points, o, pages, f, log, dur)
 }
 
 // openPagedOn attaches to an existing page file, recovers from the WAL
@@ -288,18 +284,18 @@ func openPagedOn(f pagedFile, wfs wal.FS, o buildOptions) (px *PagedIndex, err e
 			return nil, err
 		}
 	}
-	gpts, err := tree.All()
+	points, err := tree.All()
 	if err != nil {
 		return nil, err
 	}
-	return finishPaged(tree, gpts, o, pages, f, log, dur)
+	return finishPaged(tree, points, o, pages, f, log, dur)
 }
 
-func finishPaged(tree *rstar.Tree, gpts []geom.Point, o buildOptions, pages *pager.Store, f pagedFile, log *wal.Log, dur *durability) (*PagedIndex, error) {
+func finishPaged(tree *rstar.Tree, points []Point, o buildOptions, pages *pager.Store, f pagedFile, log *wal.Log, dur *durability) (*PagedIndex, error) {
 	space := o.space
 	if !o.spaceSet {
 		space = geom.EmptyRect()
-		for _, p := range gpts {
+		for _, p := range points {
 			space = space.ExtendPoint(p)
 		}
 		if space.IsEmpty() {
@@ -309,7 +305,7 @@ func finishPaged(tree *rstar.Tree, gpts []geom.Point, o buildOptions, pages *pag
 			space = space.Buffer(1, 1)
 		}
 	}
-	den, err := grid.New(space, o.gridCellSize, gpts)
+	den, err := grid.New(space, o.gridCellSize, points)
 	if err != nil {
 		return nil, err
 	}

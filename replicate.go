@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"nwcq/internal/geom"
 	"nwcq/internal/wal"
 )
 
@@ -103,13 +102,9 @@ func (p *PagedIndex) ReplicationSnapshot() ([]Point, uint64, error) {
 	if err := p.log.Sync(v.lsn); err != nil {
 		return nil, 0, fmt.Errorf("nwcq: snapshot sync: %w", err)
 	}
-	gpts, err := v.tree.All()
+	pts, err := v.tree.All()
 	if err != nil {
 		return nil, 0, err
-	}
-	pts := make([]Point, len(gpts))
-	for i, gp := range gpts {
-		pts[i] = Point{X: gp.X, Y: gp.Y, ID: gp.ID}
 	}
 	return pts, v.lsn, nil
 }
@@ -256,7 +251,7 @@ func (p *PagedIndex) ApplyReplicated(leaderLSN uint64, data []byte) error {
 	if op != recInsert && op != recDelete {
 		return fmt.Errorf("nwcq: replicated record op %d is not a mutation (chained replication is unsupported)", op)
 	}
-	gpts, err := decodeMutation(data)
+	pts, err := decodeMutation(data)
 	if err != nil {
 		return err
 	}
@@ -265,7 +260,7 @@ func (p *PagedIndex) ApplyReplicated(leaderLSN uint64, data []byte) error {
 		p.wmu.Unlock()
 		return nil
 	}
-	_, err = p.applyReplicatedLocked(op, gpts, encodeApply(leaderLSN, data), leaderLSN)
+	_, err = p.applyReplicatedLocked(op, pts, encodeApply(leaderLSN, data), leaderLSN)
 	if err == nil && leaderLSN != 0 {
 		p.dur.replica.Store(leaderLSN)
 	}
@@ -282,13 +277,9 @@ func (p *PagedIndex) ApplySnapshotChunk(pts []Point, leaderLSN uint64) error {
 	if p.dur == nil {
 		return errNoWAL
 	}
-	gpts := make([]geom.Point, len(pts))
-	for i, pt := range pts {
-		gpts[i] = geom.Point{X: pt.X, Y: pt.Y, ID: pt.ID}
-	}
-	data := encodeMutation(recInsert, gpts)
+	data := encodeMutation(recInsert, pts)
 	p.wmu.Lock()
-	lsn, err := p.applyReplicatedLocked(recInsert, gpts, encodeApply(leaderLSN, data), leaderLSN)
+	lsn, err := p.applyReplicatedLocked(recInsert, pts, encodeApply(leaderLSN, data), leaderLSN)
 	if err == nil && leaderLSN != 0 {
 		p.dur.replica.Store(leaderLSN)
 	}

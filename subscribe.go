@@ -119,9 +119,6 @@ func (ix *Index) Subscribe(q Query) (Subscription, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := q.Measure.internal(); err != nil {
-		return nil, err
-	}
 	s := ix.subs.Subscribe(sub.Spec{X: q.X, Y: q.Y, L: q.Length, W: q.Width})
 	// Evaluate at the current view. Registration preceded the pin, so a
 	// mutation racing in between lands in the queue, or — its view is

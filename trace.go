@@ -141,15 +141,6 @@ type QueryTrace struct {
 	CandidateHighWater int `json:"candidate_high_water"`
 }
 
-// String returns the measure's name ("max", "min", "avg", "window").
-func (m Measure) String() string {
-	im, err := m.internal()
-	if err != nil {
-		return fmt.Sprintf("Measure(%d)", int(m))
-	}
-	return im.String()
-}
-
 // queryTraceFrom assembles the public trace from a finished recorder
 // and the query's Stats (which supplies the counters both share).
 func queryTraceFrom(kind string, scheme Scheme, measure Measure, rec *trace.Recorder, st Stats) *QueryTrace {

@@ -63,7 +63,7 @@ func (q Query) Validate() error {
 	if q.N < 1 {
 		return invalid("N", "must be at least 1, got %d", q.N)
 	}
-	if q.Measure < MaxDistance || q.Measure > WindowDistance {
+	if !q.Measure.Valid() {
 		return invalid("Measure", "unknown measure %d", int(q.Measure))
 	}
 	return nil
