@@ -556,6 +556,20 @@ func BenchmarkRStarBulkLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild measures the in-memory index's set-up as the benchmark
+// harness does it: 200k uniform points, STR-packed, over a given space —
+// tree, grid and IWP index together.
+func BenchmarkBuild(b *testing.B) {
+	pts := datagen.Uniform(200000, 101)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(pts, WithBulkLoad(), WithSpace(0, 0, datagen.SpaceWidth, datagen.SpaceWidth)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRStarWindowQuery measures a window query returning ~25
 // points from a 100k-point tree.
 func BenchmarkRStarWindowQuery(b *testing.B) {

@@ -37,10 +37,10 @@
 package iwp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"nwcq/internal/geom"
 	"nwcq/internal/rstar"
@@ -279,28 +279,58 @@ func BuildWithStrategy(tree *rstar.Tree, strategy Strategy) (*Index, error) {
 		if depth == 0 || !ix.targeted[depth] {
 			continue
 		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a].MBR.MinX < nodes[b].MBR.MinX })
-		for i, n := range nodes {
-			var ovs []Pointer
-			// Sweep left: candidates whose span may reach n.
-			for j := i - 1; j >= 0; j-- {
-				if nodes[j].MBR.Intersects(n.MBR) {
-					ovs = append(ovs, nodes[j])
-				}
-			}
-			// Sweep right: once MinX passes n.MaxX nothing can overlap.
-			for j := i + 1; j < len(nodes) && nodes[j].MBR.MinX <= n.MBR.MaxX; j++ {
-				if nodes[j].MBR.Intersects(n.MBR) {
-					ovs = append(ovs, nodes[j])
-				}
-			}
-			if len(ovs) > 0 {
-				b.edit(n.Node).overlap = ovs
-				ix.numOverlap += len(ovs)
+		b.linkOverlaps(nodes)
+	}
+	return ix, nil
+}
+
+// linkOverlaps gives every node of nodes, one depth's, the list of the
+// others whose MBRs intersect its own. Sorted by MinX, a node can only
+// meet the nodes after it up to the first whose MinX passes its MaxX, so
+// one sweep to the right from each node finds every intersecting pair
+// once, O(N log N + K) for K pairs, and the pair is recorded on both
+// nodes. A list holds the intersecting nodes before its own in the sort,
+// nearest first, then those after it.
+func (b *builder) linkOverlaps(nodes []Pointer) {
+	slices.SortFunc(nodes, func(p, q Pointer) int { return cmp.Compare(p.MBR.MinX, q.MBR.MinX) })
+	// Sweeping from the right end makes the pairs (i, j), i < j, come out
+	// with i descending and, for one i, j ascending: the order each list
+	// wants its two halves in.
+	var pairs [][2]int32
+	before := make([]int32, len(nodes))
+	after := make([]int32, len(nodes))
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i].MBR
+		for j := i + 1; j < len(nodes) && nodes[j].MBR.MinX <= n.MaxX; j++ {
+			if nodes[j].MBR.Intersects(n) {
+				pairs = append(pairs, [2]int32{int32(i), int32(j)})
+				after[i]++
+				before[j]++
 			}
 		}
 	}
-	return ix, nil
+	if len(pairs) == 0 {
+		return
+	}
+	// One backing array; before[i] and after[i] become the next free
+	// slots of node i's two halves.
+	all := make([]Pointer, 2*len(pairs))
+	start := int32(0)
+	for i := range nodes {
+		n := before[i] + after[i]
+		if n > 0 {
+			b.edit(nodes[i].Node).overlap = all[start : start+n : start+n]
+		}
+		before[i], after[i] = start, start+before[i]
+		start += n
+	}
+	for _, p := range pairs {
+		i, j := p[0], p[1]
+		all[after[i]], all[before[j]] = nodes[j], nodes[i]
+		after[i]++
+		before[j]++
+	}
+	b.numOverlap += len(all)
 }
 
 // Apply derives the index of newTree, the snapshot an rstar.WriteBatch

@@ -1,10 +1,13 @@
 package iwp
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"nwcq/internal/datagen"
 	"nwcq/internal/geom"
 	"nwcq/internal/rstar"
 )
@@ -152,11 +155,63 @@ func TestBackwardPointerCountFormula(t *testing.T) {
 	}
 }
 
+func bulkTree(t *testing.T, pts []geom.Point, maxEntries int) *rstar.Tree {
+	t.Helper()
+	tr, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: maxEntries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BulkLoad(pts); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestOverlapPointersMatchBruteForce holds every overlap list against
+// all same-depth pairs of intersecting MBRs, under every strategy, on an
+// inserted tree, on the bulk-loaded trees a server builds, on a lattice
+// whose sibling MBRs share edges (Intersects is closed, so touching
+// nodes overlap) and on data with every point on one x (zero-width
+// MBRs, all starting at the same MinX).
 func TestOverlapPointersMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	pts := genPoints(rng, 4000, true) // clustered data overlaps more
-	tr := buildTree(t, pts, 6)
-	ix, err := Build(tr)
+	var lattice, oneX []geom.Point
+	for x := 0; x < 60; x++ {
+		for y := 0; y < 60; y++ {
+			lattice = append(lattice, geom.Point{X: float64(x), Y: float64(y), ID: uint64(len(lattice))})
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		oneX = append(oneX, geom.Point{X: 500, Y: float64(rng.Intn(2000)), ID: uint64(i)})
+	}
+	cases := []struct {
+		name     string
+		tree     *rstar.Tree
+		touching bool // the case must have pairs that only share an edge
+	}{
+		{"inserted", buildTree(t, genPoints(rng, 4000, true), 6), false}, // clustered data overlaps more
+		{"bulk-uniform", bulkTree(t, genPoints(rng, 20000, false), 50), false},
+		{"bulk-clustered", bulkTree(t, genPoints(rng, 20000, true), 8), false},
+		{"bulk-lattice", bulkTree(t, lattice, 8), true},
+		{"bulk-one-x", bulkTree(t, oneX, 8), true},
+	}
+	for _, c := range cases {
+		for _, strategy := range []Strategy{Exponential, Minimal, Full} {
+			label := c.name + "/" + strategy.String()
+			touching := checkOverlapsBruteForce(t, label, c.tree, strategy)
+			if c.touching && touching == 0 {
+				t.Errorf("%s: no pair of nodes only shares an edge", label)
+			}
+		}
+	}
+}
+
+// checkOverlapsBruteForce compares the overlap lists of an index built
+// with strategy against a brute-force pairing of the tree's nodes and
+// returns how many of the pairs only touch.
+func checkOverlapsBruteForce(t *testing.T, label string, tr *rstar.Tree, strategy Strategy) (touching int) {
+	t.Helper()
+	ix, err := BuildWithStrategy(tr, strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,41 +231,43 @@ func TestOverlapPointersMatchBruteForce(t *testing.T) {
 		}
 	}
 	if len(targeted) == 0 {
-		t.Fatal("nothing targeted")
+		t.Fatalf("%s: nothing targeted", label)
 	}
-	checked := 0
-	for id := range targeted {
+	total := 0
+	for id := range depths {
 		var want []rstar.NodeID
-		for _, other := range byDepth[depths[id]] {
-			if other != id && mbrs[other].Intersects(mbrs[id]) {
-				want = append(want, other)
+		if targeted[id] {
+			for _, other := range byDepth[depths[id]] {
+				a, b := mbrs[id], mbrs[other]
+				if other != id && b.Intersects(a) {
+					want = append(want, other)
+					if a.MinX == b.MaxX || a.MaxX == b.MinX || a.MinY == b.MaxY || a.MaxY == b.MinY {
+						touching++
+					}
+				}
 			}
 		}
 		var got []rstar.NodeID
 		for _, ov := range ix.OverlapPointers(id) {
 			got = append(got, ov.Node)
 			if ov.MBR != mbrs[ov.Node] {
-				t.Fatalf("overlap pointer MBR stale for node %d", ov.Node)
+				t.Fatalf("%s: overlap pointer MBR stale for node %d", label, ov.Node)
 			}
 		}
-		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-		sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-		if len(got) != len(want) {
-			t.Fatalf("node %d: %d overlap pointers, want %d", id, len(got), len(want))
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: node %d lists overlapping nodes %v, want %v", label, id, got, want)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("node %d overlap set mismatch", id)
-			}
-		}
-		checked++
+		total += len(want)
 	}
-	if checked < 10 {
-		t.Fatalf("only %d targeted nodes checked", checked)
+	if ix.NumOverlap() != total {
+		t.Errorf("%s: NumOverlap = %d, want %d", label, ix.NumOverlap(), total)
 	}
 	if ix.StorageBytes() != (ix.NumBackward()+ix.NumOverlap())*4 {
-		t.Error("storage accounting formula drifted")
+		t.Errorf("%s: storage accounting formula drifted", label)
 	}
+	return touching
 }
 
 func samePointSet(t *testing.T, got, want []geom.Point, label string) {
@@ -424,5 +481,29 @@ func TestSingleLeafTree(t *testing.T) {
 	}
 	if len(got) != 5 {
 		t.Errorf("collected %d of 5 points", len(got))
+	}
+}
+
+// BenchmarkIWPBuild measures the IWP build over a bulk-loaded tree of
+// uniform points at the default fan-out. The 800k ÷ 200k time ratio is
+// the sweep's scaling: about 4–6 for O(N log N + K), 16 for a scan over
+// every pair.
+func BenchmarkIWPBuild(b *testing.B) {
+	for _, n := range []int{200000, 800000} {
+		tr, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: 50})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.BulkLoad(datagen.Uniform(n, 101)); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

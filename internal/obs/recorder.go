@@ -14,7 +14,7 @@ package obs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -188,7 +188,8 @@ func (r *Recorder) SlowQueries() []SlowQueryEntry {
 	return out
 }
 
-// SortSlowQueries orders entries newest first.
+// SortSlowQueries orders entries newest first, entries that started at
+// the same instant in the order given.
 func SortSlowQueries(entries []SlowQueryEntry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].StartedAt.After(entries[j].StartedAt) })
+	slices.SortStableFunc(entries, func(a, b SlowQueryEntry) int { return b.StartedAt.Compare(a.StartedAt) })
 }

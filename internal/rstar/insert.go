@@ -1,8 +1,9 @@
 package rstar
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"nwcq/internal/geom"
 )
@@ -201,8 +202,8 @@ func (t *Tree) forceReinsert(path []pathItem, idx, nodeLevel int) error {
 	node := path[idx].node
 	entries := nodeEntries(node)
 	center := node.MBR().Center()
-	sort.SliceStable(entries, func(a, b int) bool {
-		return entries[a].rect.Center().Dist2(center) > entries[b].rect.Center().Dist2(center)
+	slices.SortStableFunc(entries, func(a, b entry) int {
+		return cmp.Compare(b.rect.Center().Dist2(center), a.rect.Center().Dist2(center))
 	})
 	reinsertCount := (t.opts.MaxEntries + 1) * 3 / 10
 	if reinsertCount < 1 {
@@ -308,18 +309,12 @@ const (
 )
 
 func sortEntriesByAxis(entries []entry, axis int) {
-	sort.SliceStable(entries, func(a, b int) bool {
-		ra, rb := entries[a].rect, entries[b].rect
+	slices.SortStableFunc(entries, func(a, b entry) int {
+		ra, rb := a.rect, b.rect
 		if axis == axisX {
-			if ra.MinX != rb.MinX {
-				return ra.MinX < rb.MinX
-			}
-			return ra.MaxX < rb.MaxX
+			return cmp.Or(cmp.Compare(ra.MinX, rb.MinX), cmp.Compare(ra.MaxX, rb.MaxX))
 		}
-		if ra.MinY != rb.MinY {
-			return ra.MinY < rb.MinY
-		}
-		return ra.MaxY < rb.MaxY
+		return cmp.Or(cmp.Compare(ra.MinY, rb.MinY), cmp.Compare(ra.MaxY, rb.MaxY))
 	})
 }
 

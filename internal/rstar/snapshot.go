@@ -3,7 +3,7 @@ package rstar
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nwcq/internal/geom"
 )
@@ -204,7 +204,7 @@ func (b *WriteBatch) Commit() (*Tree, Delta, error) {
 	}
 	// Deterministic processing order keeps stores with sequential ID
 	// allocation (page files) reproducible run to run.
-	sort.Slice(writtenIDs, func(i, j int) bool { return writtenIDs[i] < writtenIDs[j] })
+	slices.Sort(writtenIDs)
 	for _, id := range writtenIDs {
 		if ov.allocs[id] {
 			continue

@@ -1,12 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -116,7 +116,8 @@ func (s *Sharded) finishRoute(rt *routeStats, ev *qevent.Event) {
 }
 
 // visitOrder returns shard indexes with home first and the rest in
-// ascending MINDIST(q, bounds) order — the scatter schedule.
+// ascending MINDIST(q, bounds) order, equal distances by index — the
+// scatter schedule.
 func (s *Sharded) visitOrder(qp geom.Point, bounds []geom.Rect, home int) []int {
 	order := make([]int, 0, len(bounds))
 	for i := range bounds {
@@ -124,8 +125,8 @@ func (s *Sharded) visitOrder(qp geom.Point, bounds []geom.Rect, home int) []int 
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return bounds[order[a]].MinDist2(qp) < bounds[order[b]].MinDist2(qp)
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(bounds[a].MinDist2(qp), bounds[b].MinDist2(qp)), cmp.Compare(a, b))
 	})
 	return append([]int{home}, order...)
 }
@@ -584,10 +585,8 @@ func (s *Sharded) nearest(x, y float64, k int) ([]nwcq.Point, error) {
 		}
 		all = append(all, pts...)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		di := (all[i].X-x)*(all[i].X-x) + (all[i].Y-y)*(all[i].Y-y)
-		dj := (all[j].X-x)*(all[j].X-x) + (all[j].Y-y)*(all[j].Y-y)
-		return di < dj
+	slices.SortStableFunc(all, func(a, b nwcq.Point) int {
+		return cmp.Compare((a.X-x)*(a.X-x)+(a.Y-y)*(a.Y-y), (b.X-x)*(b.X-x)+(b.Y-y)*(b.Y-y))
 	})
 	if len(all) > k {
 		all = all[:k]
@@ -664,7 +663,7 @@ func (c *explainCollector) borderDone(points int, fetching, sweeping time.Durati
 func (c *explainCollector) merged(kind string, scheme nwcq.Scheme, measure nwcq.Measure, elapsed time.Duration, visits uint64) *nwcq.QueryTrace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sort.SliceStable(c.entries, func(i, j int) bool { return c.entries[i].shard < c.entries[j].shard })
+	slices.SortStableFunc(c.entries, func(a, b shardTrace) int { return cmp.Compare(a.shard, b.shard) })
 	qt := &nwcq.QueryTrace{
 		Kind:       kind,
 		Scheme:     scheme.String(),
