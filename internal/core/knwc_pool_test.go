@@ -310,11 +310,16 @@ func FuzzKNWCPool(f *testing.F) {
 // oracle's are written apart and must stay interchangeable — same bytes,
 // hence the same order between any two sets, which is the pool's order
 // among equal distances — on sets whose objects share coordinates under
-// distinct IDs, whatever order the objects come in.
+// distinct IDs, whatever order the objects come in, of a handful of
+// objects and, one in ten, of more than insertionMax.
 func TestSetKeyMatchesOracleKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	randomSet := func() []geom.Point {
-		objs := make([]geom.Point, 1+rng.Intn(6))
+		n := 1 + rng.Intn(6)
+		if rng.Intn(10) == 0 {
+			n = insertionMax + 1 + rng.Intn(8)
+		}
+		objs := make([]geom.Point, n)
 		for i := range objs {
 			objs[i] = geom.Point{X: float64(rng.Intn(3) - 1), Y: float64(rng.Intn(3)-1) / 2, ID: uint64(rng.Intn(40))}
 		}

@@ -11,15 +11,15 @@ import (
 )
 
 // windowMemo is what one query's window queries have fetched so far:
-// exactly the indexed points of one closed rectangle, each once, x-sorted
-// and paired with its distance to the query point. In a hot spot the
-// search region of the next anchor overlaps the last one's almost
-// entirely, so an anchor whose region lies inside have is answered from
-// pts without reading a node, and one that sticks out fetches only the
-// strips that turn have into the bounding box of both (DESIGN.md §18).
+// exactly the indexed points of one closed rectangle, each once, in
+// (Y, X, ID) order and paired with its distance to the query point. In a
+// hot spot the search region of the next anchor overlaps the last one's
+// almost entirely, so an anchor whose region lies inside have is answered
+// from pts without reading a node, and one that sticks out fetches only
+// the strips that turn have into the bounding box of both (DESIGN.md §18).
 type windowMemo struct {
 	have geom.Rect   // the closed rectangle fetched; empty until the first growth
-	pts  []distPoint // every indexed point inside have, ascending x
+	pts  []distPoint // every indexed point inside have, in yOrder
 }
 
 const (
@@ -30,10 +30,10 @@ const (
 	// same answers, and the benchmark's node visits are flat from 2 up.
 	memoWaste = 3
 	// memoSpan stops growth at memoSpan unshrunk search regions (l × 2w)
-	// a side. An anchor served from the memo scans an x-band as tall as
+	// a side. An anchor served from the memo scans a y-band as wide as
 	// the memo, up to memoSpan times its own candidates, and a query no
 	// bound ever stops (plain NWC, IWP alone, no qualified window) walks
-	// the whole dataset: past this height the scan costs more than the
+	// the whole dataset: past this width the scan costs more than the
 	// range query it replaces. Measured (DESIGN.md §18): at 4 an unpruned
 	// query takes what it takes per anchor with 18, 72 and 288 candidates
 	// a region, at 6 it takes 9% more and at 8 35% more (288 a region),
@@ -47,12 +47,25 @@ func (m *windowMemo) reset() {
 	m.pts = m.pts[:0]
 }
 
-// band returns the memo's points between sr's x bounds: those inside sr
-// are the ones among them whose y lies between its y bounds. sr must lie
-// inside have. The result aliases pts and is valid until the next growth.
+// yOrder is the memo's order of points: by y, then x, then ID. It is total,
+// so a run cut from the memo arrives in one order however it was fetched.
+func yOrder(a, b distPoint) int {
+	switch {
+	case a.p.Y != b.p.Y:
+		return cmp.Compare(a.p.Y, b.p.Y)
+	case a.p.X != b.p.X:
+		return cmp.Compare(a.p.X, b.p.X)
+	}
+	return cmp.Compare(a.p.ID, b.p.ID)
+}
+
+// band returns the memo's points between sr's y bounds, in yOrder: those
+// inside sr are the ones among them whose x lies between its x bounds. sr
+// must lie inside have. The result aliases pts and is valid until the next
+// growth.
 func (m *windowMemo) band(sr geom.Rect) []distPoint {
-	b := m.pts[sort.Search(len(m.pts), func(i int) bool { return m.pts[i].p.X >= sr.MinX }):]
-	return b[:sort.Search(len(b), func(i int) bool { return b[i].p.X > sr.MaxX })]
+	b := m.pts[sort.Search(len(m.pts), func(i int) bool { return m.pts[i].p.Y >= sr.MinY }):]
+	return b[:sort.Search(len(b), func(i int) bool { return b[i].p.Y > sr.MaxY })]
 }
 
 // strips returns the rectangles whose points turn have into the bounding
@@ -88,14 +101,14 @@ func (m *windowMemo) strips(sr geom.Rect) (out [4]geom.Rect, n int) {
 	return out, n
 }
 
-// merge sorts add by x and folds it into pts, from the back so that a
-// growth to the right moves nothing.
+// merge sorts add into yOrder and folds it into pts, from the back so that
+// a growth upwards moves nothing.
 func (m *windowMemo) merge(add []distPoint) {
-	slices.SortFunc(add, func(a, b distPoint) int { return cmp.Compare(a.p.X, b.p.X) })
+	slices.SortFunc(add, yOrder)
 	i, j := len(m.pts)-1, len(add)-1
 	m.pts = append(m.pts, add...)
 	for w := len(m.pts) - 1; j >= 0; w-- {
-		if i >= 0 && m.pts[i].p.X > add[j].p.X {
+		if i >= 0 && yOrder(m.pts[i], add[j]) > 0 {
 			m.pts[w] = m.pts[i]
 			i--
 		} else {
@@ -135,38 +148,39 @@ func (m *windowMemo) worthGrowing(sr geom.Rect, l, w float64) bool {
 }
 
 // anchorCandidates returns a run of points in which the indexed points of
-// the anchor's search region sr are those with y inside sr's y bounds,
-// each of them once; the run is valid until the next call. The memo
-// serves the region when it holds it and is grown to hold it when that
-// is cheap; otherwise — and always under perAnchor, Algorithm 1's one
-// window query per anchor — the region is read from the index as it is
-// and the memo is left alone. What a range query reads is staged in
-// sc.slab, which no anchor is using at this point: a growth's strips
-// until they are merged, a bypassed anchor's region until evaluateWindows
-// has looked at it (the run then aliases sc.slab).
-func (e *Engine) anchorCandidates(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, sr geom.Rect, qy Query, perAnchor bool, sc *searchScratch) (cand []distPoint, err error) {
+// the anchor's search region sr are those with x inside sr's x bounds,
+// each of them once, and whether the run is in yOrder; it is valid until
+// the next call. The memo serves the region, in its order, when it holds
+// it and is grown to hold it when that is cheap; otherwise — and always
+// under perAnchor, Algorithm 1's one window query per anchor — the region
+// is read from the index as it is, in no order, and the memo is left
+// alone. What a range query reads is staged in sc.slab, which no anchor
+// is using at this point: a growth's strips until they are merged, a
+// bypassed anchor's region until evaluateWindows has looked at it (the
+// run then aliases sc.slab).
+func (e *Engine) anchorCandidates(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, sr geom.Rect, qy Query, perAnchor bool, sc *searchScratch) (cand []distPoint, ordered bool, err error) {
 	m, q := &sc.memo, qy.Q
 	rec := r.Recorder()
 	if !perAnchor {
 		if m.have.ContainsRect(sr) {
 			rec.Count(trace.CtrMemoServed, 1)
-			return m.band(sr), nil
+			return m.band(sr), true, nil
 		}
 		if m.worthGrowing(sr, qy.L, qy.W) {
 			strips, n := m.strips(sr)
 			sc.slab = sc.slab[:0]
 			for _, strip := range strips[:n] {
 				if sc.slab, err = e.rangeQuery(r, viaIWP, leaf, strip, m.have, q, sc.slab); err != nil {
-					return nil, err
+					return nil, false, err
 				}
 				m.have = m.have.Union(strip)
 			}
 			m.merge(sc.slab)
 			rec.Count(trace.CtrMemoStrips, int64(n))
-			return m.band(sr), nil
+			return m.band(sr), true, nil
 		}
 	}
 	rec.Count(trace.CtrMemoBypassed, 1)
 	sc.slab, err = e.rangeQuery(r, viaIWP, leaf, sr, geom.EmptyRect(), q, sc.slab[:0])
-	return sc.slab, err
+	return sc.slab, false, err
 }

@@ -69,9 +69,11 @@ var memoQuery = Query{Q: geom.Point{X: 21, Y: 19}, L: 8, W: 4, N: 1}
 // checkMemoSequence asks one memo for the regions in turn — through IWP's
 // window query from the leaf that mode picks (mode odd) or through the
 // traditional one (mode even) — and demands of every answer exactly the
-// points of the region, each once and with its distance to q, and of the
-// memo after it exactly the points of the closed rectangle it says it
-// holds, x-sorted, and no rectangle wider or taller than its span.
+// points of the region, each once and with its distance to q, and of one
+// the memo serves exactly the memo's y-band of the region, in (Y, X, ID)
+// order; of the memo after it, exactly the points of the closed rectangle
+// it says it holds, in (Y, X, ID) order, and no rectangle wider or taller
+// than its span.
 func checkMemoSequence(t *testing.T, eng *Engine, pts []geom.Point, mode byte, regions []geom.Rect) {
 	t.Helper()
 	q := memoQuery.Q
@@ -101,13 +103,29 @@ func checkMemoSequence(t *testing.T, eng *Engine, pts []geom.Point, mode byte, r
 	defer putScratch(sc)
 	m := &sc.memo
 	for step, sr := range regions {
-		cand, err := eng.anchorCandidates(r, viaIWP, leaf, sr, memoQuery, false, sc)
+		cand, ordered, err := eng.anchorCandidates(r, viaIWP, leaf, sr, memoQuery, false, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if ordered {
+			band := 0
+			for _, o := range m.pts {
+				if o.p.Y >= sr.MinY && o.p.Y <= sr.MaxY {
+					band++
+				}
+			}
+			for i, o := range cand {
+				if o.p.Y < sr.MinY || o.p.Y > sr.MaxY || i > 0 && yOrder(cand[i-1], o) >= 0 {
+					t.Fatalf("step %d %v: served run %v is not the memo's y-band in (Y, X, ID) order", step, sr, cand)
+				}
+			}
+			if len(cand) != band {
+				t.Fatalf("step %d %v: served run holds %d points, the memo's y-band %d", step, sr, len(cand), band)
+			}
+		}
 		var got []geom.Point
 		for _, o := range cand {
-			if o.p.Y < sr.MinY || o.p.Y > sr.MaxY {
+			if o.p.X < sr.MinX || o.p.X > sr.MaxX {
 				continue
 			}
 			if o.d != q.Dist(o.p) {
@@ -121,8 +139,8 @@ func checkMemoSequence(t *testing.T, eng *Engine, pts []geom.Point, mode byte, r
 		}
 		held := make([]geom.Point, len(m.pts))
 		for i, o := range m.pts {
-			if i > 0 && m.pts[i-1].p.X > o.p.X {
-				t.Fatalf("step %d %v: memo not x-sorted at %d", step, sr, i)
+			if i > 0 && yOrder(m.pts[i-1], o) >= 0 {
+				t.Fatalf("step %d %v: memo not in (Y, X, ID) order at %d", step, sr, i)
 			}
 			held[i] = o.p
 		}
@@ -179,7 +197,7 @@ func TestMemoRegionTable(t *testing.T) {
 	} {
 		sc := getScratch()
 		for _, sr := range c.seq {
-			if _, err := eng.anchorCandidates(r, false, 0, sr, memoQuery, false, sc); err != nil {
+			if _, _, err := eng.anchorCandidates(r, false, 0, sr, memoQuery, false, sc); err != nil {
 				t.Fatal(err)
 			}
 		}

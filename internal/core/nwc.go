@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -336,7 +335,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			// defines a distinct set — but not if the box holds under n points.
 			r := b * boxSlack
 			if in := sr.Intersection(geom.RectAround(q).Buffer(r, r)); sc.memo.have.ContainsRect(in) {
-				if _, under := countUnder(sc.memo.band(in), in.MinY, in.MaxY, b); under < n {
+				if _, under := countUnder(sc.memo.band(in), in.MinX, in.MaxX, b); under < n {
 					rec.Count(trace.CtrAnchorsGated, 1)
 					rec.Enter(trace.PhaseDescent)
 					continue
@@ -356,22 +355,22 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 		}
 		st.WindowQueries++
 		rec.Enter(trace.PhaseWindowEnum)
-		cand, err := e.anchorCandidates(r, scheme.IWP, it.id, sr, qy, x.Paper, sc)
+		cand, ordered, err := e.anchorCandidates(r, scheme.IWP, it.id, sr, qy, x.Paper, sc)
 		if err != nil {
 			return st, err
 		}
 		rec.Enter(trace.PhaseVerify)
-		evaluateWindows(qy, p, cand, sr.MinY, sr.MaxY, sc, measure, bound, take, x.Paper, &st, rec)
+		evaluateWindows(qy, p, cand, sr.MinX, sr.MaxX, ordered, sc, measure, bound, take, x.Paper, &st, rec)
 		rec.Enter(trace.PhaseDescent)
 	}
 	return st, nil
 }
 
-// countUnder returns how many points of cand have y in [ylo, yhi], and how
+// countUnder returns how many points of cand have x in [xlo, xhi], and how
 // many of those lie nearer than b.
-func countUnder(cand []distPoint, ylo, yhi, b float64) (count, under int) {
+func countUnder(cand []distPoint, xlo, xhi, b float64) (count, under int) {
 	for i := range cand {
-		if o := &cand[i]; o.p.Y >= ylo && o.p.Y <= yhi {
+		if o := &cand[i]; o.p.X >= xlo && o.p.X <= xhi {
 			count++
 			if o.d < b {
 				under++
@@ -382,31 +381,36 @@ func countUnder(cand []distPoint, ylo, yhi, b float64) (count, under int) {
 }
 
 // evaluateWindows enumerates the candidate windows generated by anchor
-// object p from its candidates — the points of cand with y in [ylo, yhi],
+// object p from its candidates — the points of cand with x in [xlo, xhi],
 // which are the indexed points of p's search region; its x-interval is
 // the one every window of p shares, so each of them can be window
 // contents or a horizontal anchor — following Section 3.2: p sits on the
 // quadrant-appropriate vertical edge and each candidate object on the
-// appropriate horizontal edge. A sliding two-pointer over the y-sorted
-// candidates maintains, in amortised constant time per window, the
-// window's population and how many of its objects lie strictly under the
-// pruning bound.
+// appropriate horizontal edge. cand is in yOrder when ordered says so (a
+// run of the memo) and is sorted into it otherwise. A sliding two-pointer
+// over the y-ordered candidates maintains, in amortised constant time per
+// window, the window's population and how many of its objects lie
+// strictly under the pruning bound.
 //
 // That second count gates selection (DESIGN.md §16): a window's group can
 // beat the bound only if at least `need` of its objects are under it — all
 // n for MeasureMax, one for MeasureMin and MeasureAvg — so a window failing
-// the test is skipped without selecting or sorting anything, and an anchor
-// whose candidates as a whole fail it is dropped on a counting pass over
-// cand, before they are even copied out of it. Distances come from q.Dist,
-// the function groupDist uses, which makes the test a strict necessary
-// condition of groupDist < bound: it needs no slack and never drops an
-// improving group, and take stays the authority on what improves.
+// the test is skipped without selecting anything, and an anchor whose
+// candidates as a whole fail it is dropped on a counting pass over cand,
+// before they are even copied out of it or sorted. Distances come from
+// q.Dist, the function groupDist uses, which makes the test a strict
+// necessary condition of groupDist < bound: it needs no slack and never
+// drops an improving group, and take stays the authority on what improves.
 //
 // Unless paper, a window whose n nearest are those of the last window
 // handed to take is skipped too: the same group at the same distance, which
 // either sink has just refused or holds — except under MeasureWindow, where
 // the distance is the window's.
-func evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64, sc *searchScratch, measure Measure, bound func() float64, take sink, paper bool, st *Stats, rec *trace.Recorder) {
+//
+// A window that passes every gate takes its n nearest from one distance
+// order of the candidates' positions, built at the anchor's first such
+// window: they are the first n positions of that order inside the window.
+func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64, ordered bool, sc *searchScratch, measure Measure, bound func() float64, take sink, paper bool, st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	need := 0 // MeasureWindow: object distances never enter the group distance
 	switch measure {
@@ -419,7 +423,7 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64,
 	// Every window of this anchor draws its contents from the candidates,
 	// so when they as a whole fail the test no window can pass it: skip
 	// the copy and the sort.
-	count, slabUnder := countUnder(cand, ylo, yhi, cb)
+	count, slabUnder := countUnder(cand, xlo, xhi, cb)
 	rec.Candidates(count)
 	if count < n {
 		return
@@ -432,16 +436,18 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64,
 	// the copy then runs in place, each write at or behind its read.
 	s := sc.slab[:0]
 	for _, o := range cand {
-		if o.p.Y >= ylo && o.p.Y <= yhi {
+		if o.p.X >= xlo && o.p.X <= xhi {
 			s = append(s, o)
 		}
 	}
 	sc.slab = s
+	if !ordered {
+		slices.SortFunc(s, yOrder)
+	}
+	// Top anchors' windows slide up from p, bottom anchors' down.
 	top := geom.AnchorsTopEdge(q, p)
-	if top {
-		slices.SortFunc(s, func(a, b distPoint) int { return cmp.Compare(a.p.Y, b.p.Y) })
-	} else {
-		slices.SortFunc(s, func(a, b distPoint) int { return cmp.Compare(b.p.Y, a.p.Y) })
+	if !top {
+		slices.Reverse(s)
 	}
 	// MeasureAvg has no counting test as sharp as its group distance, so
 	// it also tracks the window's distances in an order-statistic tree
@@ -461,6 +467,7 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64,
 	// may differ by a few ulps, and a borderline group must never be lost.
 	const avgSlack = 1 + 1e-9
 
+	var ord []int32 // s's positions in distance order, once a window needs it
 	gated, repeated := int64(0), int64(0)
 	under := 0 // objects of the current window s[lo..i] with d < cb
 	lo := 0
@@ -534,8 +541,11 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64,
 			gated++
 			continue
 		}
-		sc.dp = append(sc.dp[:0], s[lo:i+1]...) // selection reorders its input
-		sel := selectClosest(sc.dp, n)
+		if ord == nil {
+			ord = sc.distOrder(s)
+		}
+		sel := nearestIn(s, ord, lo, i, n, sc.sel[:0])
+		sc.sel = sel
 		far, same = sel[n-1], !paper && measure != MeasureWindow
 		if take(selDist(q, sel, win, measure), sel, win) {
 			rec.Count(trace.CtrGroupsEmitted, 1)
@@ -543,4 +553,18 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, ylo, yhi float64,
 	}
 	rec.Count(trace.CtrWindowsGated, gated)
 	rec.Count(trace.CtrWindowsRepeated, repeated)
+}
+
+// nearestIn appends to dst the first n positions of ord that lie in
+// [lo, hi]: with ord the positions of s in distance order, the n nearest
+// points of s[lo..hi], ascending — selectClosest's n, without a copy.
+func nearestIn(s []distPoint, ord []int32, lo, hi, n int, dst []distPoint) []distPoint {
+	for _, k := range ord {
+		if int(k) >= lo && int(k) <= hi {
+			if dst = append(dst, s[k]); len(dst) == n {
+				break
+			}
+		}
+	}
+	return dst
 }

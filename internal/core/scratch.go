@@ -1,11 +1,14 @@
 package core
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // searchScratch bundles the per-query working memory of the NWC/kNWC
 // traversal: the best-first heap, the window memo, the current anchor's
-// candidates, the order-statistic setup arrays and the n-closest
-// selection scratch.
+// candidates and their distance order, the order-statistic setup arrays
+// and the n-closest selection scratch.
 // Queries borrow one from scratchPool so steady-state batch load (many
 // queries across worker goroutines) stops allocating these on every
 // call; everything handed to the caller (result groups, object lists)
@@ -13,9 +16,10 @@ import "sync"
 type searchScratch struct {
 	pq    pqueue
 	memo  windowMemo  // what this query's window queries fetched so far
-	slab  []distPoint // what a range query read, then the current anchor's candidates, y-sorted
+	slab  []distPoint // what a range query read, then the current anchor's candidates, y-ordered
+	ord   []int32     // slab positions in distance order (distOrder)
 	ranks []int       // slab object rank per index (MeasureAvg)
-	dp    []distPoint // one window's contents, reordered by selection
+	sel   []distPoint // one window's n nearest, ascending
 	fen   distStats   // Fenwick arrays, reset per anchor
 }
 
@@ -43,11 +47,14 @@ func putScratch(sc *searchScratch) {
 	if cap(sc.memo.pts) > scratchKeepCap {
 		sc.memo.pts = nil
 	}
+	if cap(sc.ord) > scratchKeepCap {
+		sc.ord = nil
+	}
 	if cap(sc.ranks) > scratchKeepCap {
 		sc.ranks = nil
 	}
-	if cap(sc.dp) > scratchKeepCap {
-		sc.dp = nil
+	if cap(sc.sel) > scratchKeepCap {
+		sc.sel = nil
 	}
 	if cap(sc.fen.dist) > scratchKeepCap {
 		sc.fen = distStats{}
@@ -62,4 +69,26 @@ func (sc *searchScratch) ints(n int) []int {
 	}
 	sc.ranks = sc.ranks[:n]
 	return sc.ranks
+}
+
+// distOrder returns the positions of s ascending under distLess, backed by
+// sc.ord; up to insertionMax of them are put in order by insertion.
+func (sc *searchScratch) distOrder(s []distPoint) []int32 {
+	ord := sc.ord[:0]
+	for i := range s {
+		ord = append(ord, int32(i))
+	}
+	if len(ord) > insertionMax {
+		slices.SortFunc(ord, func(a, b int32) int { return distCompare(s[a], s[b]) })
+	} else {
+		for i := 1; i < len(ord); i++ {
+			k, j := ord[i], i
+			for ; j > 0 && distLess(s[k], s[ord[j-1]]); j-- {
+				ord[j] = ord[j-1]
+			}
+			ord[j] = k
+		}
+	}
+	sc.ord = ord
+	return ord
 }

@@ -11,9 +11,14 @@ import (
 // GroupsWithin returns CandidateGroups' list cut after its last group with
 // Dist ≤ limit — one entry per distinct object set at its smallest distance,
 // in CompareGroups' order — for a valid qy, whatever the order of pts. It is
-// the verify stage run over a slice (DESIGN.md §11): the points sorted by
-// (X, Y, ID), each as anchor with its search region shrunk under the limit
-// and the slice's x-band for candidates.
+// the verify stage run over a slice (DESIGN.md §11): each point, in (X, Y, ID)
+// order, as anchor with its search region shrunk under the limit, and the
+// y-band of the points in the memo's order for candidates.
+//
+// A set found again at its smallest distance keeps the window it was first
+// found in: that of the first anchor in (X, Y, ID) order to reach it, and
+// of that anchor the first window in its sweep. The anchor order is fixed
+// here, not inherited from the memo, whose y order would pick another.
 func GroupsWithin(pts []geom.Point, qy Query, measure Measure, limit float64) []Group {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -21,8 +26,10 @@ func GroupsWithin(pts []geom.Point, qy Query, measure Measure, limit float64) []
 	for _, p := range pts {
 		all = append(all, distPoint{d: qy.Q.Dist(p), p: p})
 	}
-	slices.SortFunc(all, func(a, b distPoint) int { return comparePoints(a.p, b.p) })
+	slices.SortFunc(all, yOrder)
 	sc.memo.pts = all
+	anchors := slices.Clone(pts)
+	slices.SortFunc(anchors, comparePoints)
 	// The gates are strict and squared, made to drop a group at the bound;
 	// one at the limit must pass: the bound is the limit and a little (the
 	// next float up still loses it), its square above zero. take cuts, exactly.
@@ -51,9 +58,9 @@ func GroupsWithin(pts []geom.Point, qy Query, measure Measure, limit float64) []
 		return true
 	}
 	var st Stats
-	for _, a := range all {
-		if sr := geom.ShrinkSearchRegion(qy.Q, a.p, qy.L, qy.W, b); !sr.IsEmpty() {
-			evaluateWindows(qy, a.p, sc.memo.band(sr), sr.MinY, sr.MaxY, sc, measure, bound, take, false, &st, nil)
+	for _, a := range anchors {
+		if sr := geom.ShrinkSearchRegion(qy.Q, a, qy.L, qy.W, b); !sr.IsEmpty() {
+			evaluateWindows(qy, a, sc.memo.band(sr), sr.MinX, sr.MaxX, true, sc, measure, bound, take, false, &st, nil)
 		}
 	}
 	slices.SortFunc(entries, func(a, b poolEntry) int { // CompareGroups, the keys in hand

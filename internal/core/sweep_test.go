@@ -139,6 +139,12 @@ var sweepScripts = map[string][]byte{
 	// Five objects, three to the fullest window, n = 4.
 	"fewer-than-n": sweepScript(3, stopScript(8, 8, 3, 3, 4,
 		[2]byte{8, 8}, [2]byte{9, 9}, [2]byte{10, 10}, [2]byte{2, 2}, [2]byte{14, 3})),
+	// Two objects, each an anchor of a window holding both: (9,10) on the
+	// left edge of [9,11] × [8,10], (10,9) on the right edge of [8,10] ×
+	// [8,10]. One set at one distance under every measure (q lies in both
+	// windows), found first by the anchor first in (X, Y, ID) order, which
+	// is last in (Y, X, ID) order.
+	"one-set-two-anchors": sweepScript(5, stopScript(9.5, 8, 2, 2, 2, [2]byte{9, 10}, [2]byte{10, 9})),
 	// Pairs in every corner of the lattice, far beyond any bound a query
 	// near the middle would run under: +Inf returns them all.
 	"limit-infinite": sweepScript(4, stopScript(8.5, 8, 2, 2, 2,
@@ -186,6 +192,15 @@ func TestGroupsWithinTable(t *testing.T) {
 			for m, g := range run.groups {
 				if len(g) != 0 || run.limits[m] != 2 {
 					t.Errorf("%s: %v has %d groups and %d limits tried, want none and the two that need no group", name, m, len(g), run.limits[m])
+				}
+			}
+		case "one-set-two-anchors":
+			qy, pts, _ := decodeStop(script[1:])
+			want := geom.Rect{MinX: 9, MinY: 8, MaxX: 11, MaxY: 10}
+			for _, m := range allMeasures {
+				got := GroupsWithin(pts, qy, m, math.Inf(1))
+				if len(got) != 1 || got[0].Window != want {
+					t.Errorf("%s: %v keeps %+v, want one group in the first anchor's window %v", name, m, got, want)
 				}
 			}
 		case "limit-infinite":

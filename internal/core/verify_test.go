@@ -273,7 +273,7 @@ func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bo
 		cand[i] = distPoint{p: c, d: qy.Q.Dist(c)}
 	}
 	var st Stats
-	evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), sc, measure, bound, take, false, &st, nil)
+	evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), false, sc, measure, bound, take, false, &st, nil)
 }
 
 // asSink is a sink that materialises whatever it is handed and passes it
@@ -343,5 +343,130 @@ func TestGatedVerifyEqualsEager(t *testing.T) {
 	}
 	if rises == 0 {
 		t.Fatal("the k-th bound never rose mid-anchor; the recount case is untested")
+	}
+}
+
+// TestAnchorOrderSelection holds the verify stage's selection — a window's
+// n nearest as the first n of its positions in one distance order per
+// anchor — to selectClosest over the window's contents, element for
+// element, for every window of every anchor. The slabs are random, and a
+// lattice where distances tie, rows share a y and sites hold up to three
+// objects, and some are longer than insertionMax, so that both of
+// distOrder's sorts run; every object is an anchor, on the top edge or the
+// bottom one;
+// all four measures; the candidates arrive as the memo hands them over (a
+// y-band in (Y, X, ID) order, cut to the region's x bounds) and as a range
+// query does (the region, in no order). At an infinite bound, with the
+// repeat skip off, every qualified window reaches the sink.
+func TestAnchorOrderSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var random, lattice []geom.Point
+	for i := 0; i < 300; i++ {
+		random = append(random, geom.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40, ID: uint64(i)})
+	}
+	for x := 0; x <= 40; x += 2 {
+		for y := 0; y <= 40; y += 2 {
+			for c := rng.Intn(4); c > 0; c-- {
+				lattice = append(lattice, geom.Point{X: float64(x), Y: float64(y), ID: uint64(len(lattice))})
+			}
+		}
+	}
+	queries := []Query{
+		{Q: geom.Point{X: 20, Y: 20}, L: 4, W: 4, N: 1},
+		{Q: geom.Point{X: 21, Y: 19}, L: 6, W: 4, N: 3},
+		{Q: geom.Point{X: 20, Y: 21}, L: 4, W: 8, N: 6},
+		{Q: geom.Point{X: 19, Y: 20}, L: 12, W: 12, N: 4}, // slabs past insertionMax
+	}
+	windows := map[bool]int{} // checked, by anchor edge (top or not)
+	sorted := map[bool]int{}  // checked, by whether distOrder sorts by insertion
+	for name, pts := range map[string][]geom.Point{"random": random, "lattice": lattice} {
+		for _, qy := range queries {
+			q := qy.Q
+			for _, measure := range allMeasures {
+				for _, p := range pts {
+					sr := geom.SearchRegion(q, p, qy.L, qy.W)
+					var region, band []distPoint
+					for _, c := range pts {
+						o := distPoint{d: q.Dist(c), p: c}
+						if c.Y >= sr.MinY && c.Y <= sr.MaxY {
+							band = append(band, o)
+						}
+						if sr.ContainsPoint(c) {
+							region = append(region, o)
+						}
+					}
+					slices.SortFunc(band, yOrder)
+					rng.Shuffle(len(region), func(i, j int) { region[i], region[j] = region[j], region[i] })
+					for _, ordered := range []bool{true, false} {
+						cand := region
+						if ordered {
+							cand = band
+						}
+						calls := 0
+						take := func(dist float64, sel []distPoint, win geom.Rect) bool {
+							calls++
+							var in []distPoint
+							for _, o := range region {
+								if win.ContainsPoint(o.p) {
+									in = append(in, o)
+								}
+							}
+							want := selectClosest(in, qy.N)
+							if !slices.Equal(sel, want) || dist != selDist(q, want, win, measure) {
+								t.Fatalf("%s %+v %v anchor %v (ordered %v), window %v: selected %v at %v, selectClosest %v",
+									name, qy, measure, p, ordered, win, sel, dist, want)
+							}
+							return false
+						}
+						sc := getScratch()
+						var st Stats
+						evaluateWindows(qy, p, cand, sr.MinX, sr.MaxX, ordered, sc, measure,
+							func() float64 { return math.Inf(1) }, take, true, &st, nil)
+						putScratch(sc)
+						if calls != st.QualifiedWindows {
+							t.Fatalf("%s %+v %v anchor %v (ordered %v): %d windows selected of %d qualified",
+								name, qy, measure, p, ordered, calls, st.QualifiedWindows)
+						}
+						windows[geom.AnchorsTopEdge(q, p)] += calls
+						sorted[len(region) <= insertionMax] += calls
+					}
+				}
+			}
+		}
+	}
+	if windows[true] == 0 || windows[false] == 0 || sorted[true] == 0 || sorted[false] == 0 {
+		t.Fatalf("windows checked by anchor edge (top: true) %v, by insertion-sorted slab (true) %v: both sides of each must be exercised", windows, sorted)
+	}
+}
+
+// TestGatedAnchorStaysUnsorted pins where a bypassed anchor's own range
+// query is put in order: after the per-anchor count gate, never before it.
+// A run the gate drops is left as the range query returned it; sorting
+// first made Algorithm 1's execution (Exec.Paper), whose anchors are all
+// bypassed and nearly all dropped, 2.4 times slower. The same run with an
+// anchor that passes ends in y order, so the test can see a sort.
+func TestGatedAnchorStaysUnsorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	qy := Query{Q: geom.Point{X: 0, Y: 0}, L: 50, W: 50, N: 3}
+	p := geom.Point{X: 10, Y: 10}
+	sr := geom.SearchRegion(qy.Q, p, qy.L, qy.W)
+	for _, b := range []float64{0, math.Inf(1)} { // no candidate is under 0
+		sc := getScratch()
+		sc.slab = sc.slab[:0]
+		for i := 0; i < 40; i++ {
+			c := geom.Point{X: sr.MinX + rng.Float64()*qy.L, Y: sr.MinY + rng.Float64()*2*qy.W, ID: uint64(i)}
+			sc.slab = append(sc.slab, distPoint{d: qy.Q.Dist(c), p: c})
+		}
+		cand := sc.slab // what anchorCandidates returns for a bypassed anchor
+		before := slices.Clone(cand)
+		var st Stats
+		evaluateWindows(qy, p, cand, sr.MinX, sr.MaxX, false, sc, MeasureMax,
+			func() float64 { return b }, func(float64, []distPoint, geom.Rect) bool { return false }, true, &st, nil)
+		sorted := slices.IsSortedFunc(cand, yOrder)
+		if gated := !math.IsInf(b, 1); gated && !slices.Equal(cand, before) || !gated && !sorted {
+			t.Errorf("bound %v: run sorted %v, unchanged %v; a gated anchor's run must stay as fetched, a passing one's end sorted",
+				b, sorted, slices.Equal(cand, before))
+		}
+		putScratch(sc)
 	}
 }
