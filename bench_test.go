@@ -512,7 +512,7 @@ func BenchmarkKNWCServing(b *testing.B) {
 			for _, q := range queries {
 				rec := trace.New()
 				st := run(q, rec)
-				c := rec.Snapshot().Counters
+				c := rec.Counters()
 				popped, fetched = popped+float64(st.ObjectsProcessed), fetched+float64(st.WindowQueries)
 				offered, entered = offered+float64(c[trace.CtrDedupOffered]), entered+float64(c[trace.CtrDedupAccepted])
 			}

@@ -6,7 +6,6 @@ import (
 
 	"nwcq/internal/obs"
 	"nwcq/internal/qcache"
-	"nwcq/internal/qevent"
 	"nwcq/internal/rstar"
 	"nwcq/internal/trace"
 )
@@ -14,17 +13,15 @@ import (
 // The index's one query path. Every public NWC/kNWC name (NWCCtx,
 // ExplainNWC, NWCAsOf and the kNWC forms; batches and the plain NWC/KNWC
 // shorthands through those) is a one-line call into execute, which runs
-// validate → result cache → pin a view → nwcOnView/knwcOnView → stamp
-// the wide event → record. Subscriptions alone call the evaluators
-// directly: they own their view pins and are not recorded as queries.
+// validate → result cache → pin a view → nwcOnView/knwcOnView → record.
+// Subscriptions alone call the evaluators directly: they own their view
+// pins and are not recorded as queries.
 
 // exec is the execution descriptor of one query: how it runs, as
 // opposed to what it asks. Cancellation, the router's shared scatter
-// bound and the request's wide event ride the context beside it.
+// bound and the request's record (internal/trace: an explained query's
+// armed recorder, a sampled wide event's) ride the context beside it.
 type exec struct {
-	// rec is the caller's trace recorder (the Explain forms); nil runs
-	// untraced unless a sampled wide event asks for a phase split.
-	rec *trace.Recorder
 	// asOf evaluates on the retained view as of lsn instead of the
 	// current one.
 	asOf bool
@@ -73,27 +70,20 @@ func execute[Q comparable, R any](ctx context.Context, ix *Index, k *queryKind[Q
 	)
 	err := k.validate(q)
 	if err == nil {
-		bypass := x.rec != nil || x.asOf || rstar.BoundFromContext(ctx) != nil
-		res, hit, err = qcache.Resolve(ctx, k.cache(ix), bypass, ix.ViewGeneration(), q, func() (R, error) {
+		tr := trace.From(ctx)
+		bypass := tr.Explained() || x.asOf || rstar.BoundFromContext(ctx) != nil
+		res, hit, err = qcache.Resolve(ctx, tr, k.cache(ix), bypass, ix.ViewGeneration(), q, func() (R, error) {
 			v, err := ix.pin(x)
 			if err != nil {
 				var zero R
 				return zero, err
 			}
 			defer v.release()
-			// A sampled wide event gets the engine's phase split for free.
+			// A sampled record gets the engine's phase split for free.
 			// Tracing never changes results, so a traced execution is safe
 			// to store in the cache. A coalesced waiter shares the leader's
-			// result but not its recorder; its event carries no phases.
-			rec, ev := x.rec, qevent.From(ctx)
-			if rec == nil && ev != nil {
-				rec = trace.New()
-			}
-			res, err := k.eval(ix, ctx, v, q, rec)
-			if ev != nil {
-				ev.Phases = eventPhases(rec)
-			}
-			return res, err
+			// result but not its recorder; its record carries no phases.
+			return k.eval(ix, ctx, v, q, tr.Arm())
 		})
 	}
 	ix.rec.Finish(k.kind, k.describe(q), start, k.visits(res), hit, err)
@@ -106,20 +96,4 @@ func (ix *Index) pin(x exec) (*view, error) {
 		return ix.viewAt(x.lsn)
 	}
 	return ix.acquire(), nil
-}
-
-// eventPhases copies a finished recorder's phase breakdown into the
-// wide-event form.
-func eventPhases(rec *trace.Recorder) []qevent.Phase {
-	s := rec.Snapshot()
-	out := make([]qevent.Phase, 0, len(s.Phases))
-	for _, p := range s.Phases {
-		out = append(out, qevent.Phase{
-			Name:       p.Phase.String(),
-			DurationNs: int64(p.Duration),
-			Entered:    p.Entered,
-			NodeVisits: p.Visits,
-		})
-	}
-	return out
 }

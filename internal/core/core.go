@@ -23,6 +23,7 @@ import (
 	"nwcq/internal/grid"
 	"nwcq/internal/iwp"
 	"nwcq/internal/rstar"
+	"nwcq/internal/trace"
 )
 
 // Measure selects the distance between the query point and a group of n
@@ -257,6 +258,18 @@ func (s *Stats) Add(o Stats) {
 	s.CandidateWindows += o.CandidateWindows
 	s.QualifiedWindows += o.QualifiedWindows
 	s.GridProbes += o.GridProbes
+}
+
+// TraceWork is what st holds for the query's explain trace
+// (trace.Record.Trace).
+func TraceWork(st Stats) trace.Work {
+	return trace.Work{
+		NodeVisits:       st.NodeVisits,
+		GridProbes:       int64(st.GridProbes),
+		WindowQueries:    int64(st.WindowQueries),
+		CandidateWindows: int64(st.CandidateWindows),
+		QualifiedWindows: int64(st.QualifiedWindows),
+	}
 }
 
 // String renders the stats as a one-line explain summary.

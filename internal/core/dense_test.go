@@ -93,7 +93,7 @@ func TestDenseVerifyCeilings(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := rec.Snapshot().Counters
+				c := rec.Counters()
 				if emitted := c[trace.CtrGroupsEmitted]; emitted != improvements || emitted == 0 {
 					t.Errorf("%v query %d: %d groups emitted, %d strict improvements", measure, i, emitted, improvements)
 				}

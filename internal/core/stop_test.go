@@ -105,7 +105,7 @@ func noMoreWork(st, paper Stats) bool {
 // ruleCounts sums what the stop rule and its box counted on rec: 0 where
 // the rule is off.
 func ruleCounts(rec *trace.Recorder) int64 {
-	c := rec.Snapshot().Counters
+	c := rec.Counters()
 	return c[trace.CtrNeverQueued] + c[trace.CtrStoppedAtBound] + c[trace.CtrClipped]
 }
 
@@ -181,7 +181,7 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			}
 			if measure == MeasureMax && scheme == SchemeNWC {
 				run.res, run.served, run.paper = served, st, stPaper
-				c := rec.Snapshot().Counters
+				c := rec.Counters()
 				run.cut, run.stopped, run.clipped = c[trace.CtrNeverQueued], c[trace.CtrStoppedAtBound], c[trace.CtrClipped]
 				run.emitted = c[trace.CtrGroupsEmitted]
 			}
@@ -200,7 +200,7 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			if !reflect.DeepEqual(groups, groupsPaper) {
 				t.Fatalf("%s: kNWC served %+v, the paper's execution %+v", at, groups, groupsPaper)
 			}
-			c, cPaper := rec.Snapshot().Counters, recPaper.Snapshot().Counters
+			c, cPaper := rec.Counters(), recPaper.Counters()
 			if !noMoreWork(kst, kstPaper) || c[trace.CtrDedupAccepted] != cPaper[trace.CtrDedupAccepted] ||
 				c[trace.CtrStoppedAtBound] > 1 || c[trace.CtrNeverQueued]+c[trace.CtrClipped] != 0 || ruleCounts(recPaper) != 0 {
 				t.Fatalf("%s: kNWC stats %+v and counters %v, the paper's %+v and %v", at, kst, c, kstPaper, cPaper)
@@ -250,7 +250,7 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 					t.Fatalf("%s under a shared bound of %v: stats %+v exceed the paper's %+v", at, pre, sts[0], sts[1])
 				}
 				if measure == MeasureMax && scheme == SchemeNWC && pre > served.Dist {
-					run.sharedClipped = rec.Snapshot().Counters[trace.CtrClipped]
+					run.sharedClipped = rec.Counters()[trace.CtrClipped]
 				}
 			}
 		}

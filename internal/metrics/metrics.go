@@ -1,23 +1,16 @@
-// Package metrics provides lock-free observability primitives for the
-// query hot path: monotonic counters and fixed-bucket histograms whose
-// every operation is a handful of atomic adds. Nothing here allocates
-// or takes a lock after construction, so instrumented queries stay
-// wait-free with respect to each other at any parallelism.
+// Package metrics provides the lock-free observability primitives
+// beside the histogram: monotonic atomic counters, the slow-query ring
+// (ring.go), the Prometheus text writer (prom.go) and the build identity
+// (buildinfo.go). Nothing here allocates or takes a lock on the query
+// path, so instrumented queries stay wait-free with respect to each
+// other at any parallelism.
 //
-// The histogram implementation lives in internal/histo — the same
-// log-bucketed core the load harness (cmd/nwcload) records into, so
-// server-side and client-side quantiles are estimated identically —
-// and is re-exported here under the names the metrics call sites have
-// always used. Quantiles are estimated from a Snapshot by linear
-// interpolation inside the bucket containing the target rank — the
-// standard bucketed-histogram p50/p95/p99 estimate.
+// The histogram is internal/histo's — the same log-bucketed core the load
+// harness (cmd/nwcload) records into, so server-side and client-side
+// quantiles are estimated identically — and its callers name it there.
 package metrics
 
-import (
-	"sync/atomic"
-
-	"nwcq/internal/histo"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing atomic counter. The zero value
 // is ready to use.
@@ -33,29 +26,3 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Histogram counts observations into fixed buckets. Observe is safe for
-// concurrent use and performs no allocation and no locking: one atomic
-// add on the bucket, one on the total count, and a CAS loop on the
-// float64 running sum. It is internal/histo's histogram under its
-// historical name.
-type Histogram = histo.Histogram
-
-// HistogramSnapshot is a point-in-time copy of a histogram, suitable
-// for quantile estimation and JSON serialisation.
-type HistogramSnapshot = histo.Snapshot
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds. An observation v lands in the first bucket with v <= bound;
-// values above every bound land in an implicit overflow bucket.
-func NewHistogram(bounds []float64) (*Histogram, error) { return histo.New(bounds) }
-
-// MustHistogram is NewHistogram panicking on invalid bounds; for
-// package-level construction with known-good bounds.
-func MustHistogram(bounds []float64) *Histogram { return histo.Must(bounds) }
-
-// ExponentialBounds returns n strictly ascending bucket bounds starting
-// at start and growing by factor: start, start*factor, …
-func ExponentialBounds(start, factor float64, n int) []float64 {
-	return histo.LogBuckets(start, factor, n)
-}

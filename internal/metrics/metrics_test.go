@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"nwcq/internal/histo"
 )
 
 func TestCounter(t *testing.T) {
@@ -36,20 +38,24 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// The tests below hold the histogram every family PromWriter.Histogram
+// renders (internal/histo's) to the bucketing and quantiles the
+// exposition and the JSON snapshot report.
+
 func TestNewHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(nil); err == nil {
+	if _, err := histo.New(nil); err == nil {
 		t.Error("empty bounds accepted")
 	}
-	if _, err := NewHistogram([]float64{1, 1}); err == nil {
+	if _, err := histo.New([]float64{1, 1}); err == nil {
 		t.Error("non-ascending bounds accepted")
 	}
-	if _, err := NewHistogram([]float64{2, 1}); err == nil {
+	if _, err := histo.New([]float64{2, 1}); err == nil {
 		t.Error("descending bounds accepted")
 	}
 }
 
 func TestExponentialBounds(t *testing.T) {
-	b := ExponentialBounds(1, 2, 4)
+	b := histo.LogBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}
 	for i := range want {
 		if b[i] != want[i] {
@@ -59,7 +65,7 @@ func TestExponentialBounds(t *testing.T) {
 }
 
 func TestHistogramBucketing(t *testing.T) {
-	h := MustHistogram([]float64{1, 2, 4})
+	h := histo.Must([]float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
 		h.Observe(v)
 	}
@@ -83,7 +89,7 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestQuantileInterpolation(t *testing.T) {
-	h := MustHistogram([]float64{10, 20, 30})
+	h := histo.Must([]float64{10, 20, 30})
 	// 100 observations uniform in (10, 20]: all land in bucket 1.
 	for i := 0; i < 100; i++ {
 		h.Observe(10 + float64(i%10) + 1)
@@ -102,7 +108,7 @@ func TestQuantileInterpolation(t *testing.T) {
 }
 
 func TestQuantileEmptyAndOverflow(t *testing.T) {
-	h := MustHistogram([]float64{1, 2})
+	h := histo.Must([]float64{1, 2})
 	// An empty distribution has no quantiles: NaN, never a fake 0 that
 	// reads as a perfect p99 in reports.
 	if q := h.Snapshot().Quantile(0.99); !math.IsNaN(q) {
@@ -118,7 +124,7 @@ func TestQuantileEmptyAndOverflow(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := MustHistogram(ExponentialBounds(1, 2, 10))
+	h := histo.Must(histo.LogBuckets(1, 2, 10))
 	var wg sync.WaitGroup
 	const workers, per = 8, 5000
 	for w := 0; w < workers; w++ {

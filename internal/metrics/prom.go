@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"nwcq/internal/histo"
 )
 
 // Prometheus text exposition (format version 0.0.4) rendering. Every
@@ -75,7 +77,7 @@ func (p *PromWriter) Gauge(name, help string, v float64) {
 // Histogram renders one histogram with Prometheus's cumulative buckets:
 // every _bucket line counts observations at or below its le bound, the
 // +Inf bucket equals _count.
-func (p *PromWriter) Histogram(name string, l Labels, s HistogramSnapshot) {
+func (p *PromWriter) Histogram(name string, l Labels, s histo.Snapshot) {
 	cum := uint64(0)
 	for i, bound := range s.Bounds {
 		cum += s.Counts[i]

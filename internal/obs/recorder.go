@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"nwcq/internal/core"
+	"nwcq/internal/histo"
 	"nwcq/internal/metrics"
 )
 
@@ -86,10 +87,10 @@ type Query struct {
 type Recorder struct {
 	queries [kindCount]metrics.Counter
 	errors  [kindCount]metrics.Counter
-	latency [kindCount]*metrics.Histogram // seconds
+	latency [kindCount]*histo.Histogram // seconds
 	// visits holds the per-query node visits of the two kinds that
 	// report them, KindNWC and KindKNWC.
-	visits [KindKNWC + 1]*metrics.Histogram
+	visits [KindKNWC + 1]*histo.Histogram
 	// byScheme counts NWC/kNWC queries per resolved scheme (SchemeIndex).
 	byScheme [16]metrics.Counter
 
@@ -108,11 +109,11 @@ func NewRecorder(threshold time.Duration, source string) *Recorder {
 	r := &Recorder{slow: metrics.NewRing[SlowQueryEntry](SlowLogSize), source: source}
 	for k := range r.latency {
 		// 1µs .. ~8.4s in ×2 steps.
-		r.latency[k] = metrics.MustHistogram(metrics.ExponentialBounds(1e-6, 2, 24))
+		r.latency[k] = histo.Must(histo.LogBuckets(1e-6, 2, 24))
 	}
 	for k := range r.visits {
 		// 1 .. ~8.4M node visits in ×2 steps.
-		r.visits[k] = metrics.MustHistogram(metrics.ExponentialBounds(1, 2, 24))
+		r.visits[k] = histo.Must(histo.LogBuckets(1, 2, 24))
 	}
 	r.SetSlowThreshold(threshold)
 	return r

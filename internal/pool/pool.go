@@ -10,7 +10,7 @@ import (
 	"runtime"
 	"sync"
 
-	"nwcq/internal/qevent"
+	"nwcq/internal/trace"
 )
 
 // Workers resolves a chain of parallelism knobs, most specific first
@@ -88,9 +88,9 @@ func Each(n, workers int, fn func(i int) error) error {
 // pool. The i-th result corresponds to in[i]; the first error aborts
 // the batch and names the member that failed.
 func Map[Q, R any](ctx context.Context, in []Q, workers int, fn func(context.Context, Q) (R, error)) ([]R, error) {
-	// A wide event is owned by one request; concurrent batch members must
-	// not race on it, so the fan-out runs detached.
-	ctx = qevent.Detach(ctx)
+	// A query record is owned by one request; concurrent batch members
+	// must not race on it, so the fan-out runs detached.
+	ctx = trace.Detach(ctx)
 	out := make([]R, len(in))
 	err := Each(len(in), workers, func(i int) error {
 		r, err := fn(ctx, in[i])

@@ -19,7 +19,7 @@
 // Resolve is the one cached-execution sequence both frontends (the
 // index and the shard router) run a query through: bypass or lookup,
 // single-flight compute, and the cache outcome stamped on the request's
-// wide event.
+// record (internal/trace).
 package qcache
 
 import (
@@ -27,7 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nwcq/internal/qevent"
+	"nwcq/internal/trace"
 )
 
 // Stats is a point-in-time copy of a cache's counters.
@@ -177,32 +177,31 @@ func (c *Cache[K, V]) Do(ctx context.Context, gen uint64, k K, fn func() (V, err
 }
 
 // Resolve answers k through c and reports whether the answer was a hit,
-// stamping the outcome on the wide event riding ctx, if any. bypass
+// stamping the outcome on tr, the request's record (nil: none). bypass
 // marks an execution that must neither read nor fill the cache (an
 // explained or temporal query, or one running under a shared scatter
 // bound, whose result may legitimately elide groups an unbounded caller
 // needs); a nil c means caching is off. Either way fn runs directly. gen
 // is the caller's dataset generation.
-func Resolve[K comparable, V any](ctx context.Context, c *Cache[K, V], bypass bool, gen uint64, k K, fn func() (V, error)) (v V, hit bool, err error) {
-	ev := qevent.From(ctx)
+func Resolve[K comparable, V any](ctx context.Context, tr *trace.Record, c *Cache[K, V], bypass bool, gen uint64, k K, fn func() (V, error)) (v V, hit bool, err error) {
 	if bypass || c == nil {
-		if ev != nil {
-			ev.Cache = qevent.CacheOff
+		if tr != nil {
+			tr.Cache = trace.CacheOff
 			if bypass {
-				ev.Cache = qevent.CacheBypass
+				tr.Cache = trace.CacheBypass
 			}
 		}
 		v, err = fn()
 		return v, false, err
 	}
 	if v, hit = c.Get(gen, k); hit {
-		if ev != nil {
-			ev.Cache = qevent.CacheHit
+		if tr != nil {
+			tr.Cache = trace.CacheHit
 		}
 		return v, true, nil
 	}
-	if ev != nil {
-		ev.Cache = qevent.CacheMiss
+	if tr != nil {
+		tr.Cache = trace.CacheMiss
 	}
 	v, err = c.Do(ctx, gen, k, fn)
 	return v, false, err

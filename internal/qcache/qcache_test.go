@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"nwcq/internal/trace"
 )
 
 func TestHitAfterDo(t *testing.T) {
@@ -247,4 +249,33 @@ func TestConcurrentGenerationChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestResolveStampsTheRecord: Resolve writes the one cache outcome a
+// request's record carries — off without a cache, bypass for an execution
+// that may not use it, miss then hit — and a request without a record
+// (nil) runs the same sequence untouched.
+func TestResolveStampsTheRecord(t *testing.T) {
+	ctx := context.Background()
+	c := New[int, string](8)
+	fn := func() (string, error) { return "v", nil }
+	for _, step := range []struct {
+		c      *Cache[int, string]
+		bypass bool
+		want   string
+	}{
+		{nil, false, trace.CacheOff},
+		{c, true, trace.CacheBypass},
+		{c, false, trace.CacheMiss},
+		{c, false, trace.CacheHit},
+	} {
+		tr := &trace.Record{}
+		v, hit, err := Resolve(ctx, tr, step.c, step.bypass, 1, 7, fn)
+		if err != nil || v != "v" || tr.Cache != step.want || hit != (step.want == trace.CacheHit) {
+			t.Errorf("want %s: got %q, hit=%v, err=%v, stamped %q", step.want, v, hit, err, tr.Cache)
+		}
+	}
+	if v, hit, err := Resolve(ctx, nil, c, false, 1, 7, fn); err != nil || !hit || v != "v" {
+		t.Errorf("without a record: %q, hit=%v, err=%v", v, hit, err)
+	}
 }

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"nwcq"
-	"nwcq/internal/qevent"
 	"nwcq/internal/repl"
+	"nwcq/internal/trace"
 )
 
 // Option configures optional Server behaviour; pass options to New.
@@ -105,31 +105,33 @@ func WithQueryLog(logger *slog.Logger, sampleN int) Option {
 }
 
 // queryLog samples requests and emits their wide events. Sampling is a
-// single atomic increment; unsampled requests never allocate an event,
-// so the stack's attribution hooks all stay on their nil fast paths.
+// single atomic increment; unsampled requests never allocate a record, so
+// the stack's attribution hooks all stay on their nil fast paths.
 type queryLog struct {
 	logger *slog.Logger
 	n      uint64
 	seq    atomic.Uint64
 }
 
-// attach returns ctx carrying a fresh wide event when this request is
-// sampled, and the event itself (nil when unsampled or logging is off).
-func (ql *queryLog) attach(ctx context.Context) (context.Context, *qevent.Event) {
+// attach returns ctx carrying a fresh query record when this request is
+// sampled, and the record itself (nil when unsampled or logging is off).
+// An explained request's trace is rendered from the same record.
+func (ql *queryLog) attach(ctx context.Context) (context.Context, *trace.Record) {
 	if ql == nil {
 		return ctx, nil
 	}
 	if ql.n > 1 && ql.seq.Add(1)%ql.n != 1 {
 		return ctx, nil
 	}
-	ev := &qevent.Event{}
-	return qevent.With(ctx, ev), ev
+	return trace.Ensure(ctx)
 }
 
-// emit writes the completed wide event as one structured record. A nil
-// event (unsampled request) is a no-op.
-func (ql *queryLog) emit(op string, q nwcq.Query, k, m int, elapsed time.Duration, found bool, ev *qevent.Event, err error) {
-	if ev == nil {
+// emit writes the completed record as one structured wide event: the
+// cache outcome, the engine's phases (an index's execution) and the
+// router's block (a routed query). A nil record (unsampled request) is a
+// no-op.
+func (ql *queryLog) emit(op string, q nwcq.Query, k, m int, elapsed time.Duration, found bool, tr *trace.Record, err error) {
+	if tr == nil {
 		return
 	}
 	attrs := []slog.Attr{
@@ -145,17 +147,33 @@ func (ql *queryLog) emit(op string, q nwcq.Query, k, m int, elapsed time.Duratio
 	if k > 0 {
 		attrs = append(attrs, slog.Int("k", k), slog.Int("m", m))
 	}
-	if ev.Cache != "" {
-		attrs = append(attrs, slog.String("cache", ev.Cache))
+	if tr.Cache != "" {
+		attrs = append(attrs, slog.String("cache", tr.Cache))
 	}
-	if len(ev.Phases) > 0 {
-		attrs = append(attrs, slog.Any("phases", ev.Phases))
+	if tr.Engine != nil {
+		attrs = append(attrs, slog.Any("phases", eventPhases(tr.Engine.Phases())))
 	}
-	if ev.Router != nil {
-		attrs = append(attrs, slog.Any("router", ev.Router))
+	if tr.Router != nil {
+		attrs = append(attrs, slog.Any("router", tr.Router))
 	}
 	if err != nil {
 		attrs = append(attrs, slog.String("error", err.Error()))
 	}
 	ql.logger.LogAttrs(context.Background(), slog.LevelInfo, "query", attrs...)
+}
+
+// eventPhases renders the engine's phases in the wide event, whose key
+// for a phase's name is "name" where the explain trace's is "phase".
+type eventPhases []nwcq.PhaseTrace
+
+func (ps eventPhases) MarshalJSON() ([]byte, error) {
+	b := []byte{'['}
+	for i, p := range ps {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"name":%q,"duration_ns":%d,"entered":%d,"node_visits":%d}`,
+			p.Phase, int64(p.Duration), p.Entered, p.NodeVisits)
+	}
+	return append(b, ']'), nil
 }

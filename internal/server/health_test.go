@@ -228,9 +228,12 @@ func TestQueryLogSampling(t *testing.T) {
 	}
 }
 
-// TestQueryLogSharded checks the router fills the event's attribution
+// TestQueryLogSharded checks the router fills the record's attribution
 // block: a routed query's record carries shard fan-out counts and the
-// scatter/border/merge phase split instead of engine phases.
+// scatter/border/merge phase split instead of engine phases — for a plain
+// NWC, an explained one and a kNWC alike. An explained routed query's
+// trace is rendered from the same record, so its border-fetch and
+// border-merge phases are the block's border_ns and merge_ns exactly.
 func TestQueryLogSharded(t *testing.T) {
 	var sb syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&sb, nil))
@@ -238,26 +241,64 @@ func TestQueryLogSharded(t *testing.T) {
 
 	var tmp nwcResponse
 	getJSON(t, ts.URL+"/nwc?x=500&y=500&l=80&w=80&n=4", &tmp)
+	var explained struct {
+		Trace struct {
+			Phases []struct {
+				Phase      string `json:"phase"`
+				DurationNs int64  `json:"duration_ns"`
+			} `json:"phases"`
+		} `json:"trace"`
+	}
+	getJSON(t, ts.URL+"/nwc?x=500&y=500&l=80&w=80&n=4&explain=1", &explained)
+	getJSON(t, ts.URL+"/knwc?x=500&y=500&l=80&w=80&n=3&k=2&m=1", &struct{}{})
 
-	recs := decodeQueryLog(t, sb.Lines())
-	if len(recs) != 1 {
-		t.Fatalf("%d records, want 1", len(recs))
+	lines := sb.Lines()
+	recs := decodeQueryLog(t, lines)
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 3", len(recs))
 	}
-	rec := recs[0]
-	if rec.Router == nil {
-		t.Fatal("routed query record has no router block")
+	for i, name := range []string{"nwc", "nwc explain", "knwc"} {
+		rec := recs[i]
+		if rec.Router == nil {
+			t.Fatalf("%s: routed query record has no router block", name)
+		}
+		if rec.Router.ShardsQueried < 1 || rec.Router.ShardsQueried > 4 {
+			t.Errorf("%s: shards_queried = %d", name, rec.Router.ShardsQueried)
+		}
+		if rec.Router.ShardsQueried+rec.Router.ShardsPruned != 4 {
+			t.Errorf("%s: queried %d + pruned %d != 4 shards",
+				name, rec.Router.ShardsQueried, rec.Router.ShardsPruned)
+		}
+		if rec.Router.ScatterNs <= 0 {
+			t.Errorf("%s: scatter_ns = %d", name, rec.Router.ScatterNs)
+		}
+		if len(rec.Phases) != 0 {
+			t.Errorf("%s: routed record carries engine phases; router split expected instead", name)
+		}
 	}
-	if rec.Router.ShardsQueried < 1 || rec.Router.ShardsQueried > 4 {
-		t.Errorf("shards_queried = %d", rec.Router.ShardsQueried)
+	if recs[1].Cache != "bypass" || recs[2].K != 2 {
+		t.Errorf("explained record's cache %q, kNWC record's k %d", recs[1].Cache, recs[2].K)
 	}
-	if rec.Router.ShardsQueried+rec.Router.ShardsPruned != 4 {
-		t.Errorf("queried %d + pruned %d != 4 shards",
-			rec.Router.ShardsQueried, rec.Router.ShardsPruned)
+
+	var block struct {
+		Router struct {
+			BorderFetches int   `json:"border_fetches"`
+			BorderNs      int64 `json:"border_ns"`
+			MergeNs       int64 `json:"merge_ns"`
+		} `json:"router"`
 	}
-	if rec.Router.ScatterNs <= 0 {
-		t.Errorf("scatter_ns = %d", rec.Router.ScatterNs)
+	if err := json.Unmarshal([]byte(lines[1]), &block); err != nil {
+		t.Fatal(err)
 	}
-	if len(rec.Phases) != 0 {
-		t.Error("routed record carries engine phases; router split expected instead")
+	if block.Router.BorderFetches == 0 {
+		t.Fatal("a query on the shards' seam fetched no border")
+	}
+	phase := map[string]int64{}
+	for _, p := range explained.Trace.Phases {
+		phase[p.Phase] = p.DurationNs
+	}
+	if phase["border-fetch"] != block.Router.BorderNs || phase["border-merge"] != block.Router.MergeNs || block.Router.MergeNs <= 0 {
+		t.Errorf("trace border-fetch %d ns, border-merge %d ns; record border_ns %d, merge_ns %d",
+			phase["border-fetch"], phase["border-merge"], block.Router.BorderNs, block.Router.MergeNs)
 	}
 }

@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"nwcq"
+	"nwcq/internal/histo"
 	"nwcq/internal/metrics"
 	"nwcq/internal/repl"
 )
@@ -67,13 +68,13 @@ import (
 type endpointStats struct {
 	requests metrics.Counter
 	failures metrics.Counter
-	latency  *metrics.Histogram // seconds
+	latency  *histo.Histogram // seconds
 }
 
 func newEndpointStats() *endpointStats {
 	return &endpointStats{
 		// 10µs .. ~80s in ×2 steps.
-		latency: metrics.MustHistogram(metrics.ExponentialBounds(1e-5, 2, 23)),
+		latency: histo.Must(histo.LogBuckets(1e-5, 2, 23)),
 	}
 }
 
@@ -341,7 +342,7 @@ func (s *Server) handleNWC(w http.ResponseWriter, r *http.Request) {
 		res nwcq.Result
 		qt  *nwcq.QueryTrace
 	)
-	ctx, ev := s.qlog.attach(r.Context())
+	ctx, tr := s.qlog.attach(r.Context())
 	start := time.Now()
 	switch {
 	case asOfSet:
@@ -356,7 +357,7 @@ func (s *Server) handleNWC(w http.ResponseWriter, r *http.Request) {
 	default:
 		res, err = s.idx.NWCCtx(ctx, q)
 	}
-	s.qlog.emit("nwc", q, 0, 0, time.Since(start), res.Found, ev, err)
+	s.qlog.emit("nwc", q, 0, 0, time.Since(start), res.Found, tr, err)
 	if err != nil {
 		s.fail(w, statusFor(err), err)
 		return
@@ -398,7 +399,7 @@ func (s *Server) handleKNWC(w http.ResponseWriter, r *http.Request) {
 		res nwcq.KResult
 		qt  *nwcq.QueryTrace
 	)
-	ctx, ev := s.qlog.attach(r.Context())
+	ctx, tr := s.qlog.attach(r.Context())
 	start := time.Now()
 	switch {
 	case asOfSet:
@@ -413,7 +414,7 @@ func (s *Server) handleKNWC(w http.ResponseWriter, r *http.Request) {
 	default:
 		res, err = s.idx.KNWCCtx(ctx, kq)
 	}
-	s.qlog.emit("knwc", q, k, m, time.Since(start), res.Found, ev, err)
+	s.qlog.emit("knwc", q, k, m, time.Since(start), res.Found, tr, err)
 	if err != nil {
 		s.fail(w, statusFor(err), err)
 		return

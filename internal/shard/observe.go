@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nwcq"
+	"nwcq/internal/histo"
 	"nwcq/internal/metrics"
 	"nwcq/internal/obs"
 )
@@ -55,13 +56,13 @@ type routerCounters struct {
 	// phase holds the scatter/border/merge latency histograms, recorded
 	// once per routed NWC/kNWC execution (cache hits route nothing and
 	// record nothing).
-	phase [phaseCount]*metrics.Histogram // seconds
+	phase [phaseCount]*histo.Histogram // seconds
 }
 
 func newRouterCounters() *routerCounters {
 	m := &routerCounters{}
 	for p := range m.phase {
-		m.phase[p] = metrics.MustHistogram(metrics.ExponentialBounds(1e-6, 2, 24))
+		m.phase[p] = histo.Must(histo.LogBuckets(1e-6, 2, 24))
 	}
 	return m
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"runtime/pprof"
 	"slices"
@@ -17,8 +16,8 @@ import (
 	"nwcq/internal/obs"
 	wpool "nwcq/internal/pool"
 	"nwcq/internal/qcache"
-	"nwcq/internal/qevent"
 	"nwcq/internal/rstar"
+	"nwcq/internal/trace"
 )
 
 // Query routing. The plan for both NWC and kNWC is:
@@ -69,50 +68,53 @@ func coreQuery(q nwcq.Query) core.Query {
 	return core.Query{Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N}
 }
 
-// routeStats accumulates one routed query's attribution: the fan-out
-// counts and the wall-clock split across the scatter, border and merge
-// phases. It is owned by the routed query's goroutine; on the parallel
-// scatter path workers update the count fields under the scatter mutex.
-// finishRoute flushes it once — into the global aggregates, the phase
-// histograms, and the request's wide event when one is attached.
-type routeStats struct {
-	shardsQueried int
-	shardsPruned  int
-	borderFetches int
-	borderPoints  int
-	fetchReruns   int
-	scatter       time.Duration
-	border        time.Duration
-	merge         time.Duration
+// begin starts one routed execution's attribution block (trace.Router),
+// set on the request's record when it carries one, and returns it with
+// the record's shard recorders — nil unless the query is explained. The
+// block is owned by the routed query's goroutine; on the parallel scatter
+// path workers update its counts under the scatter mutex.
+func begin(tr *trace.Record) (*trace.Router, []*trace.Recorder) {
+	rt := &trace.Router{}
+	if tr == nil {
+		return rt, nil
+	}
+	tr.Router = rt
+	return rt, tr.Shards
 }
 
-// finishRoute flushes one routed execution's attribution. Counters move
-// to the global aggregates in one batch (same totals as the old inline
-// increments, one visibility point). The phase histograms record every
-// routed execution — a phase that never ran records zero, keeping the
-// three counts equal so their quantiles are comparable.
-func (s *Sharded) finishRoute(rt *routeStats, ev *qevent.Event) {
+// finishRoute flushes one routed execution's block into the global
+// aggregates (one batch, one visibility point) and the phase histograms.
+// The histograms record every routed execution — a phase that never ran
+// records zero, keeping the three counts equal so their quantiles are
+// comparable.
+func (s *Sharded) finishRoute(rt *trace.Router) {
 	m := s.ctr
-	m.shardQueries.Add(uint64(rt.shardsQueried))
-	m.shardsPruned.Add(uint64(rt.shardsPruned))
-	m.borderFetches.Add(uint64(rt.borderFetches))
-	m.borderPoints.Add(uint64(rt.borderPoints))
-	m.fetchReruns.Add(uint64(rt.fetchReruns))
-	m.phase[phaseScatter].Observe(rt.scatter.Seconds())
-	m.phase[phaseBorder].Observe(rt.border.Seconds())
-	m.phase[phaseMerge].Observe(rt.merge.Seconds())
-	if ev != nil {
-		ev.Router = &qevent.Router{
-			ShardsQueried: rt.shardsQueried,
-			ShardsPruned:  rt.shardsPruned,
-			BorderFetches: rt.borderFetches,
-			BorderPoints:  rt.borderPoints,
-			FetchReruns:   rt.fetchReruns,
-			ScatterNs:     rt.scatter.Nanoseconds(),
-			BorderNs:      rt.border.Nanoseconds(),
-			MergeNs:       rt.merge.Nanoseconds(),
-		}
+	m.shardQueries.Add(uint64(rt.ShardsQueried))
+	m.shardsPruned.Add(uint64(rt.ShardsPruned))
+	m.borderFetches.Add(uint64(rt.BorderFetches))
+	m.borderPoints.Add(uint64(rt.BorderPoints))
+	m.fetchReruns.Add(uint64(rt.FetchReruns))
+	m.phase[phaseScatter].Observe(rt.Scatter.Seconds())
+	m.phase[phaseBorder].Observe(rt.Border.Seconds())
+	m.phase[phaseMerge].Observe(rt.Merge.Seconds())
+}
+
+// explainShard returns the context shard i's query runs under: when
+// shards is set (an explained routed query) one carrying a record armed
+// for an explained execution, its recorder kept in shards[i]; otherwise
+// ctx itself. Each scatter worker writes only its own shard's slot.
+func explainShard(ctx context.Context, shards []*trace.Recorder, i int) context.Context {
+	if shards == nil {
+		return ctx
 	}
+	shards[i] = trace.New()
+	return trace.With(ctx, &trace.Record{Engine: shards[i]})
+}
+
+// routedTrace renders an explained routed query's record, timed by the
+// elapsed time the router's Finish measured.
+func routedTrace(tr *trace.Record, kind string, q nwcq.Query, st nwcq.Stats, elapsed time.Duration) *nwcq.QueryTrace {
+	return tr.Trace(kind, q.Scheme.String(), q.Measure.String(), core.TraceWork(st), time.Now().Add(-elapsed), elapsed)
 }
 
 // visitOrder returns shard indexes with home first and the rest in
@@ -146,7 +148,7 @@ func fetchBox(q nwcq.Query, d float64) geom.Rect {
 // over the worker pool — and sweeps them for the candidate groups within
 // limit of q, ascending. The fetch is the border phase, the sweep the
 // merge phase.
-func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, limit float64, col *explainCollector, rt *routeStats) ([]core.Group, error) {
+func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, limit float64, rt *trace.Router) ([]core.Group, error) {
 	start := time.Now()
 	idxs := make([]int, 0, len(s.shards))
 	for i := range s.shards {
@@ -160,18 +162,16 @@ func (s *Sharded) candidates(bounds []geom.Rect, fetch geom.Rect, q nwcq.Query, 
 		return err
 	})
 	if err != nil {
-		rt.border += time.Since(start)
+		rt.Border += time.Since(start)
 		return nil, err
 	}
 	pts := slices.Concat(parts...)
 	fetched := time.Now()
 	groups := core.GroupsWithin(pts, coreQuery(q), q.Measure, limit)
-	fetching, sweeping := fetched.Sub(start), time.Since(fetched)
-	rt.borderFetches++
-	rt.borderPoints += len(pts)
-	rt.border += fetching
-	rt.merge += sweeping
-	col.borderDone(len(pts), fetching, sweeping)
+	rt.BorderFetches++
+	rt.BorderPoints += len(pts)
+	rt.Border += fetched.Sub(start)
+	rt.Merge += time.Since(fetched)
 	return groups, nil
 }
 
@@ -207,50 +207,51 @@ func (s *Sharded) NWC(q nwcq.Query) (nwcq.Result, error) {
 // cache configured (Options.ResultCache) the answer may be served from
 // a previous identical query against the same dataset version.
 func (s *Sharded) NWCCtx(ctx context.Context, q nwcq.Query) (nwcq.Result, error) {
-	res, _, err := s.routeNWC(ctx, q, nil)
+	res, _, err := s.routeNWC(ctx, q)
 	return res, err
 }
 
-// ExplainNWC answers an NWC query with per-shard tracing, merging the
-// shard traces into one router-level trace whose phases are prefixed
-// with the shard that ran them, plus synthetic border-fetch and
-// border-merge phases.
+// ExplainNWC answers an NWC query with per-shard tracing: the request's
+// record collects every queried shard's recorder, and renders as one
+// router-level trace whose phases are prefixed with the shard that ran
+// them, plus the router's border-fetch and border-merge phases.
 // Explained queries never touch the result cache.
 func (s *Sharded) ExplainNWC(ctx context.Context, q nwcq.Query) (nwcq.Result, *nwcq.QueryTrace, error) {
-	col := &explainCollector{}
-	res, elapsed, err := s.routeNWC(ctx, q, col)
-	return res, col.merged("nwc", q.Scheme, q.Measure, elapsed, res.Stats.NodeVisits), err
+	ctx, tr := trace.Ensure(ctx)
+	tr.Shards = make([]*trace.Recorder, len(s.shards))
+	res, elapsed, err := s.routeNWC(ctx, q)
+	return res, routedTrace(tr, "nwc", q, res.Stats, elapsed), err
 }
 
 // routeNWC is the router's one NWC path: through the result cache
-// unless a collector marks the query explained, then recorded.
-func (s *Sharded) routeNWC(ctx context.Context, q nwcq.Query, col *explainCollector) (nwcq.Result, time.Duration, error) {
+// unless the request's record marks the query explained, then recorded.
+func (s *Sharded) routeNWC(ctx context.Context, q nwcq.Query) (nwcq.Result, time.Duration, error) {
 	start := time.Now()
-	res, hit, err := qcache.Resolve(ctx, s.nwcCache, col != nil, s.generation(), q, func() (nwcq.Result, error) {
-		return s.nwc(ctx, q, col)
+	tr := trace.From(ctx)
+	res, hit, err := qcache.Resolve(ctx, tr, s.nwcCache, tr.Explained(), s.generation(), q, func() (nwcq.Result, error) {
+		return s.nwc(ctx, q, tr)
 	})
 	elapsed := s.rec.Finish(obs.KindNWC, recorded(q, 0, 0), start, res.Stats.NodeVisits, hit, err)
 	return res, elapsed, err
 }
 
-func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) (nwcq.Result, error) {
+func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, tr *trace.Record) (nwcq.Result, error) {
 	if err := q.Validate(); err != nil {
 		return nwcq.Result{}, err
 	}
-	// The router owns the request's wide event at routed-query
-	// granularity: read it here, then run the fan-out detached so the
+	// The router owns the request's record at routed-query granularity:
+	// it fills the router block, and runs the fan-out detached so the
 	// per-shard indexes (and their caches) never see — or race on — it.
-	ev := qevent.From(ctx)
-	ctx = qevent.Detach(ctx)
-	rt := &routeStats{}
-	defer func() { s.finishRoute(rt, ev) }()
+	ctx = trace.Detach(ctx)
+	rt, shards := begin(tr)
+	defer s.finishRoute(rt)
 	qp := geom.Point{X: q.X, Y: q.Y}
 	bounds := s.shardBounds()
 	home := s.shardFor(q.X, q.Y)
 
 	scatterStart := time.Now()
-	out, best, err := s.scatterNWC(ctx, q, qp, bounds, home, col, rt)
-	rt.scatter = time.Since(scatterStart)
+	out, best, err := s.scatterNWC(ctx, q, qp, bounds, home, shards, rt)
+	rt.Scatter = time.Since(scatterStart)
 	if err != nil {
 		return nwcq.Result{Stats: out.Stats}, err
 	}
@@ -267,7 +268,7 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) 
 	} else if fetch = fetchBox(q, best); best == 0 || intersecting(bounds, fetch) <= 1 {
 		return out, nil
 	}
-	cands, err := s.candidates(bounds, fetch, q, best, col, rt)
+	cands, err := s.candidates(bounds, fetch, q, best, rt)
 	if err != nil {
 		return nwcq.Result{Stats: out.Stats}, err
 	}
@@ -287,7 +288,7 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) 
 // absorb run under the scatter mutex, so they may share state freely.
 // The first query error stops further claims and is returned once the
 // in-flight shards finish.
-func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geom.Rect, home, workers int, rt *routeStats,
+func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geom.Rect, home, workers int, rt *trace.Router,
 	limit func() float64, query func(context.Context, int) (R, error), absorb func(R)) error {
 	order := s.visitOrder(qp, bounds, home)
 	var mu sync.Mutex
@@ -296,7 +297,7 @@ func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geo
 		mu.Lock()
 		pruned := i != home && bounds[i].MinDist(qp) > limit()
 		if pruned {
-			rt.shardsPruned++
+			rt.ShardsPruned++
 		}
 		mu.Unlock()
 		if pruned {
@@ -317,7 +318,7 @@ func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geo
 			return err
 		}
 		mu.Lock()
-		rt.shardsQueried++
+		rt.ShardsQueried++
 		absorb(r)
 		mu.Unlock()
 		return nil
@@ -341,7 +342,7 @@ func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geo
 // global best B, so claim-time pruning only skips shards whose every
 // group is ≥ B, and in-traversal pruning only elides groups ≥ B —
 // both invisible to the merge, whose minimum is exactly B either way.
-func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, bounds []geom.Rect, home int, col *explainCollector, rt *routeStats) (nwcq.Result, float64, error) {
+func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, bounds []geom.Rect, home int, shards []*trace.Recorder, rt *trace.Router) (nwcq.Result, float64, error) {
 	out := nwcq.Result{}
 	best := math.Inf(1)
 	limit := func() float64 { return best }
@@ -354,12 +355,7 @@ func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, b
 	}
 	err := scatter(ctx, s, qp, bounds, home, workers, rt, limit,
 		func(ctx context.Context, i int) (nwcq.Result, error) {
-			if col == nil {
-				return s.shards[i].NWCCtx(ctx, q)
-			}
-			res, tr, err := s.shards[i].ExplainNWC(ctx, q)
-			col.add(i, tr)
-			return res, err
+			return s.shards[i].NWCCtx(explainShard(ctx, shards, i), q)
 		},
 		func(r nwcq.Result) {
 			out.Stats.Add(r.Stats)
@@ -383,23 +379,25 @@ func (s *Sharded) KNWC(q nwcq.KQuery) (nwcq.KResult, error) {
 // (rerunning with a doubled bound when certification fails). The
 // result equals the single-index answer in group count and distances.
 func (s *Sharded) KNWCCtx(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, error) {
-	res, _, err := s.routeKNWC(ctx, q, nil)
+	res, _, err := s.routeKNWC(ctx, q)
 	return res, err
 }
 
 // ExplainKNWC is KNWCCtx with per-shard tracing, merged like
 // ExplainNWC. Explained queries never touch the result cache.
 func (s *Sharded) ExplainKNWC(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, *nwcq.QueryTrace, error) {
-	col := &explainCollector{}
-	res, elapsed, err := s.routeKNWC(ctx, q, col)
-	return res, col.merged("knwc", q.Scheme, q.Measure, elapsed, res.Stats.NodeVisits), err
+	ctx, tr := trace.Ensure(ctx)
+	tr.Shards = make([]*trace.Recorder, len(s.shards))
+	res, elapsed, err := s.routeKNWC(ctx, q)
+	return res, routedTrace(tr, "knwc", q.Query, res.Stats, elapsed), err
 }
 
 // routeKNWC is routeNWC for kNWC queries.
-func (s *Sharded) routeKNWC(ctx context.Context, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, time.Duration, error) {
+func (s *Sharded) routeKNWC(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, time.Duration, error) {
 	start := time.Now()
-	res, hit, err := qcache.Resolve(ctx, s.knwcCache, col != nil, s.generation(), q, func() (nwcq.KResult, error) {
-		return s.knwc(ctx, q, col)
+	tr := trace.From(ctx)
+	res, hit, err := qcache.Resolve(ctx, tr, s.knwcCache, tr.Explained(), s.generation(), q, func() (nwcq.KResult, error) {
+		return s.knwc(ctx, q, tr)
 	})
 	elapsed := s.rec.Finish(obs.KindKNWC, recorded(q.Query, q.K, q.M), start, res.Stats.NodeVisits, hit, err)
 	return res, elapsed, err
@@ -439,21 +437,20 @@ func kResult(groups []core.Group, stats nwcq.Stats) nwcq.KResult {
 	return nwcq.KResult{Groups: groups, Found: len(groups) > 0, Stats: stats}
 }
 
-func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, error) {
+func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, tr *trace.Record) (nwcq.KResult, error) {
 	if err := q.Validate(); err != nil {
 		return nwcq.KResult{}, err
 	}
-	ev := qevent.From(ctx)
-	ctx = qevent.Detach(ctx)
-	rt := &routeStats{}
-	defer func() { s.finishRoute(rt, ev) }()
+	ctx = trace.Detach(ctx)
+	rt, shards := begin(tr)
+	defer s.finishRoute(rt)
 	qp := geom.Point{X: q.X, Y: q.Y}
 	bounds := s.shardBounds()
 	home := s.shardFor(q.X, q.Y)
 
 	scatterStart := time.Now()
-	stats, merged, est, err := s.scatterKNWC(ctx, q, qp, bounds, home, col, rt)
-	rt.scatter = time.Since(scatterStart)
+	stats, merged, est, err := s.scatterKNWC(ctx, q, qp, bounds, home, shards, rt)
+	rt.Scatter = time.Since(scatterStart)
 	if err != nil {
 		return nwcq.KResult{Stats: stats}, err
 	}
@@ -480,14 +477,14 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 	whole := allBounds(bounds)
 	for iter := 0; ; iter++ {
 		if iter > 0 {
-			rt.fetchReruns++
+			rt.FetchReruns++
 		}
 		fetch, horizon := fetchBox(q.Query, d), d
 		complete := fetch.ContainsRect(whole)
 		if complete {
 			fetch, horizon = whole, math.Inf(1)
 		}
-		cands, err := s.candidates(bounds, fetch, q.Query, horizon, col, rt)
+		cands, err := s.candidates(bounds, fetch, q.Query, horizon, rt)
 		if err != nil {
 			return nwcq.KResult{Stats: stats}, err
 		}
@@ -516,7 +513,7 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 // shard skipped against a transiently small estimate either stays
 // irrelevant (MINDIST above the final estimate) or disables the fast
 // path and is covered by the certification fetch.
-func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point, bounds []geom.Rect, home int, col *explainCollector, rt *routeStats) (nwcq.Stats, []core.Group, float64, error) {
+func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point, bounds []geom.Rect, home int, shards []*trace.Recorder, rt *trace.Router) (nwcq.Stats, []core.Group, float64, error) {
 	var (
 		stats  nwcq.Stats
 		pool   []core.Group
@@ -526,12 +523,7 @@ func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point,
 	err := scatter(ctx, s, qp, bounds, home, s.scatterWorkers(len(bounds)), rt,
 		func() float64 { return est },
 		func(ctx context.Context, i int) (nwcq.KResult, error) {
-			if col == nil {
-				return s.shards[i].KNWCCtx(ctx, q)
-			}
-			res, tr, err := s.shards[i].ExplainKNWC(ctx, q)
-			col.add(i, tr)
-			return res, err
+			return s.shards[i].KNWCCtx(explainShard(ctx, shards, i), q)
 		},
 		func(kr nwcq.KResult) {
 			stats.Add(kr.Stats)
@@ -613,121 +605,4 @@ func (s *Sharded) KNWCBatch(queries []nwcq.KQuery, opt nwcq.BatchOptions) ([]nwc
 // KNWCBatchCtx is the kNWC batch form of NWCBatchCtx.
 func (s *Sharded) KNWCBatchCtx(ctx context.Context, queries []nwcq.KQuery, opt nwcq.BatchOptions) ([]nwcq.KResult, error) {
 	return wpool.Map(ctx, queries, wpool.Workers(opt.Parallelism, int(s.par.Load())), s.KNWCCtx)
-}
-
-// explainCollector gathers per-shard traces during an explained routed
-// query; a nil collector is the no-trace fast path. It is safe for the
-// scatter workers' concurrent add calls.
-type explainCollector struct {
-	mu      sync.Mutex
-	entries []shardTrace
-	// What the border step fetched, and how long its fetches and its
-	// sweeps took, summed over a certification loop's reruns.
-	borderPoints int
-	borderTime   time.Duration
-	mergeTime    time.Duration
-}
-
-type shardTrace struct {
-	shard int
-	trace *nwcq.QueryTrace
-}
-
-func (c *explainCollector) add(shard int, tr *nwcq.QueryTrace) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.entries = append(c.entries, shardTrace{shard: shard, trace: tr})
-	c.mu.Unlock()
-}
-
-// borderDone adds one fetch and the sweep of what it fetched to the
-// border-fetch and border-merge phases.
-func (c *explainCollector) borderDone(points int, fetching, sweeping time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.borderPoints += points
-	c.borderTime += fetching
-	c.mergeTime += sweeping
-	c.mu.Unlock()
-}
-
-// merged assembles the router-level trace: every shard's phases
-// prefixed with its shard number, counters summed, plus synthetic
-// border-fetch and border-merge phases when a fetch ran. Shard entries
-// are ordered by shard index so the merged trace is stable under
-// parallel scatter.
-func (c *explainCollector) merged(kind string, scheme nwcq.Scheme, measure nwcq.Measure, elapsed time.Duration, visits uint64) *nwcq.QueryTrace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slices.SortStableFunc(c.entries, func(a, b shardTrace) int { return cmp.Compare(a.shard, b.shard) })
-	qt := &nwcq.QueryTrace{
-		Kind:       kind,
-		Scheme:     scheme.String(),
-		Measure:    measure.String(),
-		StartedAt:  time.Now().Add(-elapsed),
-		Duration:   elapsed,
-		NodeVisits: visits,
-	}
-	for _, e := range c.entries {
-		prefix := fmt.Sprintf("shard%d:", e.shard)
-		for _, p := range e.trace.Phases {
-			qt.Phases = append(qt.Phases, nwcq.PhaseTrace{
-				Phase:      prefix + p.Phase,
-				Duration:   p.Duration,
-				Entered:    p.Entered,
-				NodeVisits: p.NodeVisits,
-			})
-		}
-		qt.Counters = addCounters(qt.Counters, e.trace.Counters)
-		if e.trace.HeapHighWater > qt.HeapHighWater {
-			qt.HeapHighWater = e.trace.HeapHighWater
-		}
-		if e.trace.CandidateHighWater > qt.CandidateHighWater {
-			qt.CandidateHighWater = e.trace.CandidateHighWater
-		}
-	}
-	if c.borderPoints > 0 || c.borderTime > 0 {
-		qt.Phases = append(qt.Phases, nwcq.PhaseTrace{
-			Phase:    "border-fetch",
-			Duration: c.borderTime,
-			Entered:  1,
-		}, nwcq.PhaseTrace{
-			Phase:    "border-merge",
-			Duration: c.mergeTime,
-			Entered:  1,
-		})
-	}
-	return qt
-}
-
-func addCounters(a, b nwcq.TraceCounters) nwcq.TraceCounters {
-	a.SRRShrinks += b.SRRShrinks
-	a.SRRSkips += b.SRRSkips
-	a.DIPPrunedNodes += b.DIPPrunedNodes
-	a.DEPPrunedNodes += b.DEPPrunedNodes
-	a.DEPSkippedObjects += b.DEPSkippedObjects
-	a.GridProbes += b.GridProbes
-	a.WindowQueries += b.WindowQueries
-	a.AnchorsGated += b.AnchorsGated
-	a.CandidateWindows += b.CandidateWindows
-	a.QualifiedWindows += b.QualifiedWindows
-	a.WindowsGated += b.WindowsGated
-	a.WindowsRepeated += b.WindowsRepeated
-	a.GroupsEmitted += b.GroupsEmitted
-	a.IWPJumpStarts += b.IWPJumpStarts
-	a.IWPRootStarts += b.IWPRootStarts
-	a.IWPOverlapScans += b.IWPOverlapScans
-	a.MemoServed += b.MemoServed
-	a.MemoStrips += b.MemoStrips
-	a.MemoBypassed += b.MemoBypassed
-	a.NeverQueued += b.NeverQueued
-	a.StoppedAtBound += b.StoppedAtBound
-	a.Clipped += b.Clipped
-	a.DedupOffered += b.DedupOffered
-	a.DedupAccepted += b.DedupAccepted
-	return a
 }

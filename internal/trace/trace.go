@@ -13,7 +13,9 @@
 //
 // A Recorder belongs to exactly one query and is not safe for
 // concurrent use; queries are the unit of tracing, and each builds its
-// own.
+// own. It is the engine's part of the query's Record (record.go), the one
+// per-request value the wide event and the explain trace are rendered
+// from.
 package trace
 
 import "time"
@@ -62,7 +64,8 @@ func (p Phase) String() string {
 
 // Counter identifies one pruning/decision count the recorder tracks
 // beyond what per-query Stats already carries (Stats aggregates SRR+DEP
-// skips and DIP+DEP prunes; the trace splits them by rule).
+// skips and DIP+DEP prunes; the trace splits them by rule). Its name is
+// the key of its TraceCounters field, where Record.Trace puts it.
 type Counter uint8
 
 const (
@@ -141,23 +144,6 @@ const (
 	// CounterCount is the number of counters.
 	CounterCount
 )
-
-var counterNames = [CounterCount]string{
-	"srr_shrinks", "srr_skips", "dip_pruned_nodes", "dep_pruned_nodes",
-	"dep_skipped_objects", "groups_emitted", "iwp_jump_starts",
-	"iwp_root_starts", "iwp_overlap_scans", "dedup_offered",
-	"dedup_accepted", "windows_gated", "anchors_gated",
-	"memo_served", "memo_strips", "memo_bypassed",
-	"never_queued", "stopped_at_bound", "clipped", "windows_repeated",
-}
-
-// String returns the counter's stable snake_case name.
-func (c Counter) String() string {
-	if c < CounterCount {
-		return counterNames[c]
-	}
-	return "unknown"
-}
 
 // Recorder accumulates one query's trace. The zero value is not usable;
 // construct with New. All methods are no-ops on a nil receiver.
@@ -245,63 +231,38 @@ func (r *Recorder) Finish() {
 	r.finished = true
 }
 
-// PhaseSnapshot is one phase's accumulated trace.
-type PhaseSnapshot struct {
-	Phase    Phase
-	Duration time.Duration
-	Entered  int
-	Visits   uint64
-}
-
-// Snapshot is a completed recorder's state, ready for presentation.
-type Snapshot struct {
-	Start time.Time
-	Total time.Duration
-	// Phases lists every phase that was entered at least once, in
-	// algorithm order.
-	Phases   []PhaseSnapshot
-	Counters [CounterCount]int64
-	// HeapHighWater and CandidateHighWater are the peak sizes of the
-	// best-first priority queue and the window-query candidate buffer.
-	HeapHighWater      int
-	CandidateHighWater int
-}
-
-// Snapshot finishes the recorder (if not already finished) and returns
-// its accumulated state. A nil recorder yields a zero Snapshot.
-func (r *Recorder) Snapshot() Snapshot {
+// Span finishes the recorder (if not already finished) and returns when
+// it started and how long it ran.
+func (r *Recorder) Span() (start time.Time, total time.Duration) {
 	if r == nil {
-		return Snapshot{}
+		return
 	}
 	r.Finish()
-	s := Snapshot{
-		Start:              r.start,
-		Total:              r.total,
-		Counters:           r.counters,
-		HeapHighWater:      r.heapHW,
-		CandidateHighWater: r.candHW,
-	}
-	for p := Phase(0); p < PhaseCount; p++ {
-		if r.entered[p] == 0 {
-			continue
-		}
-		s.Phases = append(s.Phases, PhaseSnapshot{
-			Phase:    p,
-			Duration: r.durs[p],
-			Entered:  r.entered[p],
-			Visits:   r.visits[p],
-		})
-	}
-	return s
+	return r.start, r.total
 }
 
-// VisitTotal sums the per-phase node-visit counts — by construction it
-// equals the query's Stats.NodeVisits when every node read went through
-// a reader carrying this recorder.
-func (s Snapshot) VisitTotal() uint64 {
-	var n uint64
-	for _, p := range s.Phases {
-		n += p.Visits
+// Phases finishes the recorder (if not already finished) and returns
+// every phase entered at least once, in algorithm order.
+func (r *Recorder) Phases() []PhaseTrace {
+	if r == nil {
+		return nil
 	}
-	return n
+	r.Finish()
+	var out []PhaseTrace
+	for p := Phase(0); p < PhaseCount; p++ {
+		if r.entered[p] > 0 {
+			out = append(out, PhaseTrace{Phase: p.String(), Duration: r.durs[p], Entered: r.entered[p], NodeVisits: r.visits[p]})
+		}
+	}
+	return out
+}
+
+// Counters finishes the recorder (if not already finished) and returns
+// its counts, indexed by Counter; zero on a nil recorder.
+func (r *Recorder) Counters() [CounterCount]int64 {
+	if r == nil {
+		return [CounterCount]int64{}
+	}
+	r.Finish()
+	return r.counters
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -15,10 +16,18 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Heap(10)
 	r.Candidates(10)
 	r.Finish()
-	s := r.Snapshot()
-	if s.Total != 0 || len(s.Phases) != 0 || s.VisitTotal() != 0 {
-		t.Fatalf("nil recorder produced non-zero snapshot: %+v", s)
+	if _, total := r.Span(); total != 0 || r.Phases() != nil || r.Counters() != [CounterCount]int64{} {
+		t.Fatal("nil recorder produced a non-zero trace")
 	}
+}
+
+// visitTotal sums the per-phase node-visit counts.
+func visitTotal(phases []PhaseTrace) uint64 {
+	var n uint64
+	for _, p := range phases {
+		n += p.NodeVisits
+	}
+	return n
 }
 
 func TestRecorderAccumulates(t *testing.T) {
@@ -37,38 +46,39 @@ func TestRecorderAccumulates(t *testing.T) {
 	r.Candidates(40)
 	r.Finish()
 
-	s := r.Snapshot()
-	if got := s.VisitTotal(); got != 4 {
-		t.Fatalf("VisitTotal = %d, want 4", got)
+	phases, c := r.Phases(), r.Counters()
+	if got := visitTotal(phases); got != 4 {
+		t.Fatalf("visit total = %d, want 4", got)
 	}
-	byPhase := map[Phase]PhaseSnapshot{}
-	for _, p := range s.Phases {
+	byPhase := map[string]PhaseTrace{}
+	for _, p := range phases {
 		byPhase[p.Phase] = p
 	}
-	if byPhase[PhaseDescent].Visits != 3 {
-		t.Errorf("descent visits = %d, want 3", byPhase[PhaseDescent].Visits)
+	if byPhase["descent"].NodeVisits != 3 {
+		t.Errorf("descent visits = %d, want 3", byPhase["descent"].NodeVisits)
 	}
-	if byPhase[PhaseDescent].Entered != 2 {
-		t.Errorf("descent entered = %d, want 2", byPhase[PhaseDescent].Entered)
+	if byPhase["descent"].Entered != 2 {
+		t.Errorf("descent entered = %d, want 2", byPhase["descent"].Entered)
 	}
-	if byPhase[PhaseValidate].Visits != 1 {
-		t.Errorf("validate visits = %d, want 1", byPhase[PhaseValidate].Visits)
+	if byPhase["validate"].NodeVisits != 1 {
+		t.Errorf("validate visits = %d, want 1", byPhase["validate"].NodeVisits)
 	}
-	if s.Counters[CtrDIPPruned] != 2 || s.Counters[CtrSRRShrinks] != 1 {
-		t.Errorf("counters = %v", s.Counters)
+	if c[CtrDIPPruned] != 2 || c[CtrSRRShrinks] != 1 {
+		t.Errorf("counters = %v", c)
 	}
-	if s.HeapHighWater != 5 || s.CandidateHighWater != 40 {
-		t.Errorf("high-water = %d/%d, want 5/40", s.HeapHighWater, s.CandidateHighWater)
+	if r.heapHW != 5 || r.candHW != 40 {
+		t.Errorf("high-water = %d/%d, want 5/40", r.heapHW, r.candHW)
 	}
-	if s.Total <= 0 {
-		t.Errorf("total duration %v not positive", s.Total)
+	_, total := r.Span()
+	if total <= 0 {
+		t.Errorf("total duration %v not positive", total)
 	}
 	var sum time.Duration
-	for _, p := range s.Phases {
+	for _, p := range phases {
 		sum += p.Duration
 	}
-	if sum > s.Total {
-		t.Errorf("phase durations %v exceed total %v", sum, s.Total)
+	if sum > total {
+		t.Errorf("phase durations %v exceed total %v", sum, total)
 	}
 }
 
@@ -79,23 +89,26 @@ func TestFinishFreezes(t *testing.T) {
 	r.Enter(PhaseDescent)
 	r.Visit()
 	r.Finish()
-	total := r.Snapshot().Total
+	_, total := r.Span()
 	r.Enter(PhaseVerify)
 	r.Visit()
-	s := r.Snapshot()
-	if s.VisitTotal() != 1 {
-		t.Errorf("visits after Finish leaked: %d", s.VisitTotal())
+	phases := r.Phases()
+	if visitTotal(phases) != 1 {
+		t.Errorf("visits after Finish leaked: %d", visitTotal(phases))
 	}
-	if s.Total != total {
-		t.Errorf("total changed after Finish: %v -> %v", total, s.Total)
+	if _, after := r.Span(); after != total {
+		t.Errorf("total changed after Finish: %v -> %v", total, after)
 	}
-	for _, p := range s.Phases {
-		if p.Phase == PhaseVerify {
+	for _, p := range phases {
+		if p.Phase == "verify" {
 			t.Errorf("phase entered after Finish leaked into snapshot")
 		}
 	}
 }
 
+// TestNames pins the phases' names and the counters' one mapping: each
+// Counter reaches a key of its own in the trace's counters, beside the
+// four a query's Stats supplies, and no key is also a phase's name.
 func TestNames(t *testing.T) {
 	seen := map[string]bool{}
 	for p := Phase(0); p < PhaseCount; p++ {
@@ -105,14 +118,35 @@ func TestNames(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for c := Counter(0); c < CounterCount; c++ {
-		n := c.String()
-		if n == "" || n == "unknown" || seen[n] {
-			t.Fatalf("counter %d has bad name %q", c, n)
-		}
-		seen[n] = true
-	}
-	if Phase(200).String() != "unknown" || Counter(200).String() != "unknown" {
+	if Phase(200).String() != "unknown" {
 		t.Fatalf("out-of-range names not guarded")
+	}
+	r := New()
+	for c := Counter(0); c < CounterCount; c++ {
+		r.Count(c, int64(c)+1)
+	}
+	tr := (&Record{Engine: r}).Trace("nwc", "NWC*", "max", Work{GridProbes: 101, WindowQueries: 102, CandidateWindows: 103, QualifiedWindows: 104}, time.Time{}, 0)
+	raw, err := json.Marshal(tr.Counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var byKey map[string]int64
+	if err := json.Unmarshal(raw, &byKey); err != nil {
+		t.Fatal(err)
+	}
+	if len(byKey) != int(CounterCount)+4 {
+		t.Fatalf("%d counter keys, want %d + 4", len(byKey), CounterCount)
+	}
+	values := map[int64]string{}
+	for key, v := range byKey {
+		if seen[key] || values[v] != "" {
+			t.Fatalf("counter key %q (value %d) collides with %q or a phase", key, v, values[v])
+		}
+		values[v] = key
+	}
+	for c := Counter(0); c < CounterCount; c++ {
+		if values[int64(c)+1] == "" {
+			t.Errorf("counter %d reaches no key of the trace's counters", c)
+		}
 	}
 }
