@@ -24,10 +24,12 @@
 // orchestrators and cmd/nwcload can gate on readiness without racing
 // crash recovery.
 //
-// With -index the tree lives on disk and POST /insert and /delete are
-// crash-safe: each mutation is written ahead to <index>.wal/ before it
-// is acknowledged (tune with -wal-sync and -wal-sync-interval), and
-// reopening after a crash replays the log. SIGINT/SIGTERM shut the
+// The tree is built by STR bulk loading (nwcbench -insert measures the
+// paper's one-by-one insertion build). With -index it lives on disk and
+// POST /insert and /delete are crash-safe: each mutation is written
+// ahead to <index>.wal/ before it is acknowledged (tune with -wal-sync
+// and -wal-sync-interval), and reopening after a crash replays the
+// log. SIGINT/SIGTERM shut the
 // server down gracefully: in-flight requests get -shutdown-timeout to
 // finish, then the index is checkpointed and closed so the next start
 // needs no recovery.
@@ -48,7 +50,8 @@
 // GET /subscribe registers a standing NWC query and streams its answer
 // as Server-Sent Events whenever a mutation may have changed it, with
 // Last-Event-ID resume (works on leaders, followers and sharded
-// backends; tune the per-subscription queue with -sub-queue). With
+// backends; each subscription queues at most 64 frames, and a consumer
+// that falls further behind gets a resync frame). With
 // -retain-views N, as_of_lsn= on /nwc and /knwc reads the answer as of
 // a past LSN from the retained views.
 package main
@@ -84,7 +87,6 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "query worker-pool width: scatter fan-out over shards and batch execution (0 = GOMAXPROCS, 1 = sequential)")
 		resultCache = flag.Int("result-cache", 0, "query result cache entries per query kind, invalidated by any mutation (0 disables)")
 		addr        = flag.String("addr", ":8080", "listen address")
-		bulk        = flag.Bool("bulk", true, "bulk-load the index")
 		slowlog     = flag.Duration("slowlog", 0, "slow-query log threshold (0 disables), e.g. 100ms")
 		walSync     = flag.String("wal-sync", "always", "WAL fsync policy for -index: always, interval or never")
 		walInterval = flag.Duration("wal-sync-interval", 100*time.Millisecond, "background fsync cadence when -wal-sync=interval")
@@ -92,7 +94,6 @@ func main() {
 		follow      = flag.String("follow", "", "run as a read replica of this leader URL (e.g. http://leader:8080); requires -index, serves reads only")
 		maxLag      = flag.Duration("max-replica-lag", 10*time.Second, "with -follow: /readyz answers 503 once the replica lags the leader by more than this (0 disables the gate)")
 		retainViews = flag.Int("retain-views", 0, "retain the last N superseded index views for as_of_lsn temporal reads (0 disables; single index only)")
-		subQueue    = flag.Int("sub-queue", 0, "per-subscription pending-frame queue for GET /subscribe (0 = default 64); overflow coalesces to a resync frame")
 		logFormat   = flag.String("log-format", "text", "access log format: text or json")
 		accessLog   = flag.Bool("access-log", true, "log every HTTP request")
 		querySample = flag.Int("query-log-sample", 0, "sample 1 in N NWC/kNWC requests into the wide-event query log (0 disables)")
@@ -105,15 +106,9 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	opts := []nwcq.BuildOption{nwcq.WithSlowQueryThreshold(*slowlog)}
-	if *bulk {
-		opts = append(opts, nwcq.WithBulkLoad())
-	}
+	opts := []nwcq.BuildOption{nwcq.WithBulkLoad(), nwcq.WithSlowQueryThreshold(*slowlog)}
 	if *retainViews > 0 {
 		opts = append(opts, nwcq.WithViewRetention(*retainViews))
-	}
-	if *subQueue > 0 {
-		opts = append(opts, nwcq.WithSubscriptionQueue(*subQueue))
 	}
 	switch *walSync {
 	case "always":

@@ -282,7 +282,7 @@ func (d *durability) checkpointLocked(tree *rstar.Tree) error {
 		return fmt.Errorf("nwcq: checkpoint: %w", err)
 	}
 	// The durable image no longer references the pending pages; they
-	// may be reallocated now (volatile free list, no page writes).
+	// may be reallocated now (the free list is in memory, no page writes).
 	if len(d.pending) > 0 {
 		if err := tree.ReleaseNodes(d.pending); err != nil {
 			return fmt.Errorf("nwcq: checkpoint: release retired pages: %w", err)
@@ -301,7 +301,7 @@ func (d *durability) checkpointLocked(tree *rstar.Tree) error {
 // poisoned, a final checkpoint is both impossible and wrong — the torn
 // log tail must stay frozen for recovery — so it surfaces the sticky
 // error exactly once (instead of the checkpoint error ladder re-wrapping
-// it) and still hands the deferred retired pages back to the volatile
+// it) and still hands the deferred retired pages back to the in-memory
 // allocator so the in-process tree is not leaked. Otherwise it runs the
 // normal final checkpoint. Called under Index.wmu.
 func (d *durability) closeLocked(tree *rstar.Tree) error {
@@ -431,7 +431,7 @@ func replayReset(tree *rstar.Tree) (*rstar.Tree, error) {
 
 // rebuildFreeSet reinstates the page allocator's free list as the
 // complement of the recovered tree's reachable pages — the only ground
-// truth after a crash, since the free list is volatile under WAL.
+// truth after a crash, since the free list lives in memory only.
 func rebuildFreeSet(tree *rstar.Tree, pages *pager.Store) error {
 	ids, err := tree.NodeIDs()
 	if err != nil {
@@ -447,5 +447,6 @@ func rebuildFreeSet(tree *rstar.Tree, pages *pager.Store) error {
 			free = append(free, pager.PageID(id))
 		}
 	}
-	return pages.AddFreePages(free)
+	pages.AddFreePages(free)
+	return nil
 }

@@ -132,6 +132,28 @@ func (r Rect) Union(o Rect) Rect {
 	}
 }
 
+// Bounds returns the rectangle a density grid or a shard partition
+// covers when none is configured: the bounding box of points, widened by
+// 1 on every side when either extent is zero (a grid needs an area), or
+// the unit square when there are no points. A point with a non-finite
+// coordinate is an error.
+func Bounds(points []Point) (Rect, error) {
+	r := EmptyRect()
+	for i, p := range points {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return Rect{}, fmt.Errorf("point %d has non-finite coordinates", i)
+		}
+		r = r.ExtendPoint(p)
+	}
+	if r.IsEmpty() {
+		return NewRect(0, 0, 1, 1), nil
+	}
+	if r.Width() <= 0 || r.Height() <= 0 {
+		r = r.Buffer(1, 1)
+	}
+	return r, nil
+}
+
 // ExtendPoint returns the smallest rectangle covering r and p.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return r.Union(RectAround(p))

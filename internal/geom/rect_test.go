@@ -28,6 +28,29 @@ func randPoint(r *rand.Rand) Point {
 	return Point{X: r.Float64()*200 - 100, Y: r.Float64()*200 - 100}
 }
 
+// TestBounds: the bounding box, padded by 1 where an extent is zero, the
+// unit square for no points, and an error for a non-finite coordinate.
+func TestBounds(t *testing.T) {
+	for _, c := range []struct {
+		pts  []Point
+		want Rect
+	}{
+		{nil, NewRect(0, 0, 1, 1)},
+		{[]Point{{X: 3, Y: 4}}, NewRect(2, 3, 4, 5)},
+		{[]Point{{X: 3, Y: 4}, {X: 7, Y: 4}}, NewRect(2, 3, 8, 5)},
+		{[]Point{{X: 3, Y: 4}, {X: 7, Y: 9}}, NewRect(3, 4, 7, 9)},
+	} {
+		if got, err := Bounds(c.pts); err != nil || got != c.want {
+			t.Errorf("Bounds(%v) = %v, %v; want %v", c.pts, got, err, c.want)
+		}
+	}
+	for _, p := range []Point{{X: math.NaN()}, {Y: math.Inf(-1)}} {
+		if _, err := Bounds([]Point{{X: 1, Y: 1}, p}); err == nil {
+			t.Errorf("Bounds accepted %v", p)
+		}
+	}
+}
+
 func TestEmptyRect(t *testing.T) {
 	e := EmptyRect()
 	if !e.IsEmpty() {

@@ -14,6 +14,14 @@ import (
 	"nwcq/internal/geom"
 )
 
+// DefaultCellSize is the paper's cell side.
+const DefaultCellSize = 25
+
+// maxCells caps a grid at 1 GiB of counts: a space wider than that at
+// its cell size (a far outlier, a hostile coordinate) is an error, not
+// an allocation that panics or exhausts memory.
+const maxCells = 1 << 28
+
 // Density is a density grid over a bounded object space.
 //
 // Counts are stored per row, as prefix sums: rows[cy][cx] is the number
@@ -46,6 +54,10 @@ func New(space geom.Rect, cellSize float64, pts []geom.Point) (*Density, error) 
 	}
 	if space.IsEmpty() || space.Width() <= 0 || space.Height() <= 0 {
 		return nil, fmt.Errorf("grid: invalid space %v", space)
+	}
+	// Written so a NaN or infinite extent fails too.
+	if cells := (space.Width()/cellSize + 1) * (space.Height()/cellSize + 1); !(cells <= maxCells) {
+		return nil, fmt.Errorf("grid: space %v at cell size %g needs %g cells, more than %d", space, cellSize, cells, maxCells)
 	}
 	d := &Density{
 		space:    space,

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,18 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(space, 10, []geom.Point{{X: 200, Y: 0}}); err == nil {
 		t.Error("out-of-space point accepted")
+	}
+	// A far outlier's insert rebuilds the grid over a space this wide: an
+	// error, not an allocation that panics.
+	for _, wide := range []geom.Rect{
+		geom.NewRect(0, 0, 1e300, 10),
+		geom.NewRect(0, 0, 1e12, 1e12),
+		{MaxX: math.Inf(1), MaxY: 10},
+		{MaxX: math.NaN(), MaxY: 10},
+	} {
+		if _, err := New(wide, 25, nil); err == nil {
+			t.Errorf("space %v accepted", wide)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's experimental settings.
 func DefaultConfig() Config {
-	return Config{MaxEntries: 50, GridCellSize: 25}
+	return Config{MaxEntries: rstar.DefaultMaxEntries, GridCellSize: grid.DefaultCellSize}
 }
 
 // Env is a built dataset environment: the R*-tree with its DEP and IWP
@@ -50,26 +50,15 @@ type Env struct {
 
 // Build indexes pts and constructs every substrate.
 func Build(name string, pts []geom.Point, cfg Config) (*Env, error) {
-	if cfg.MaxEntries == 0 {
-		cfg.MaxEntries = 50
-	}
 	if cfg.GridCellSize == 0 {
-		cfg.GridCellSize = 25
+		cfg.GridCellSize = grid.DefaultCellSize
 	}
 	tree, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: cfg.MaxEntries})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.BulkLoad {
-		if err := tree.BulkLoad(pts); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, p := range pts {
-			if err := tree.Insert(p); err != nil {
-				return nil, err
-			}
-		}
+	if err := tree.Load(pts, cfg.BulkLoad); err != nil {
+		return nil, err
 	}
 	den, err := grid.New(datagen.Space(), cfg.GridCellSize, pts)
 	if err != nil {

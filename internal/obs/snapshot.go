@@ -98,8 +98,8 @@ type MetricsSnapshot struct {
 	// PageCache reports buffer-pool counters; nil for in-memory indexes,
 	// which have no page cache. A sharded backend sums its shards'.
 	PageCache *PageCacheMetrics `json:"page_cache,omitempty"`
-	// WAL reports write-ahead-log counters; nil for in-memory indexes
-	// and indexes built WithoutWAL. A sharded backend sums its shards'.
+	// WAL reports write-ahead-log counters; nil for in-memory indexes,
+	// which have no log. A sharded backend sums its shards'.
 	WAL *WALMetrics `json:"wal,omitempty"`
 	// Router reports scatter-gather routing counters; nil for
 	// single-index backends.

@@ -1,7 +1,7 @@
 // Package pager implements a disk-oriented fixed-size page store with a
-// header page, a free list, per-page CRC-32 checksums, a sharded pinned
-// buffer pool with single-flight miss handling, and atomic read/write
-// statistics.
+// header page, an in-memory free list, per-page CRC-32 checksums, a
+// sharded pinned buffer pool with single-flight miss handling, and
+// atomic read/write statistics.
 //
 // It is the storage substrate beneath the paged R*-tree node store. The
 // paper's evaluation (Section 5) uses a page size of 4096 bytes and
@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
+	"io/fs"
 	"sync"
 	"sync/atomic"
 )
@@ -232,16 +232,13 @@ type Store struct {
 	// meta before any io stripe; the read path takes neither meta nor
 	// more than one stripe.
 	meta     sync.Mutex
-	freeHead PageID // head of the free-list chain, InvalidPage if none
 	dirtyHdr bool
 
-	// volatileFree switches Free/Allocate to an in-memory free set that
-	// never touches pages on disk. WAL-backed stores use it: the durable
-	// intrusive free list would scribble into pages the last checkpoint
-	// still references, and recovery rebuilds the set from tree
-	// reachability anyway.
-	volatileFree bool
-	freeMem      []PageID
+	// free holds the reusable pages. It lives in memory only: Free never
+	// writes to a page, because the last durable checkpoint may still
+	// reference it, and the owner reinstates the set after a reopen
+	// (AddFreePages) from what its own structure reaches.
+	free []PageID
 
 	// ckptLSN is the WAL position whose effects the on-disk pages fully
 	// contain; persisted in the header by WriteCheckpoint. Zero on
@@ -277,20 +274,12 @@ type Options struct {
 	// (up to 16 ways for large capacities), so the capacity is a total
 	// across shards and eviction is approximately LRU per shard.
 	CacheSize int
-
-	// VolatileFreeList keeps the free list in memory only: Free never
-	// writes to the page and the header records no free chain. Required
-	// under a write-ahead log, where freed pages may still be reachable
-	// from the durable checkpoint root; the owner reconstructs the free
-	// set after recovery via AddFreePages.
-	VolatileFreeList bool
 }
 
 func newStore(f File, opt Options) *Store {
 	s := &Store{
-		file:         f,
-		flight:       make(map[PageID]*flightCall),
-		volatileFree: opt.VolatileFreeList,
+		file:   f,
+		flight: make(map[PageID]*flightCall),
 	}
 	s.pool = newPool(opt.CacheSize, &s.stats.evictions)
 	return s
@@ -303,7 +292,6 @@ func Create(f File, opt Options) (*Store, error) {
 	}
 	s := newStore(f, opt)
 	s.numPages.Store(1) // header
-	s.freeHead = InvalidPage
 	s.dirtyHdr = true
 	if err := s.flushHeaderLocked(); err != nil {
 		return nil, err
@@ -318,34 +306,6 @@ func Open(f File, opt Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// CreateFile creates (or truncates) a store in the named OS file.
-func CreateFile(path string, opt Options) (*Store, *os.File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := Create(f, opt)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return s, f, nil
-}
-
-// OpenFile opens an existing store in the named OS file.
-func OpenFile(path string, opt Options) (*Store, *os.File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := Open(f, opt)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return s, f, nil
 }
 
 // PayloadSize returns the usable bytes per page.
@@ -392,20 +352,9 @@ func (s *Store) Allocate() (PageID, error) {
 	s.meta.Lock()
 	defer s.meta.Unlock()
 	s.stats.allocs.Add(1)
-	if s.volatileFree {
-		if n := len(s.freeMem); n > 0 {
-			id := s.freeMem[n-1]
-			s.freeMem = s.freeMem[:n-1]
-			return id, nil
-		}
-	} else if s.freeHead != InvalidPage {
-		id := s.freeHead
-		buf, err := s.Read(id)
-		if err != nil {
-			return InvalidPage, err
-		}
-		s.freeHead = PageID(be32(buf[:4]))
-		s.dirtyHdr = true
+	if n := len(s.free); n > 0 {
+		id := s.free[n-1]
+		s.free = s.free[:n-1]
 		return id, nil
 	}
 	id := PageID(s.numPages.Load())
@@ -419,10 +368,8 @@ func (s *Store) Allocate() (PageID, error) {
 	return id, nil
 }
 
-// Free returns a page to the free list. The page's content is no longer
-// meaningful after Free. With a volatile free list the page bytes are
-// left untouched (a durable checkpoint may still reference them); the
-// page simply becomes reusable by a later Allocate.
+// Free returns a page to the free list; a later Allocate reuses it. The
+// page's bytes are left untouched.
 func (s *Store) Free(id PageID) error {
 	if err := s.checkRange(id); err != nil {
 		return err
@@ -430,32 +377,17 @@ func (s *Store) Free(id PageID) error {
 	s.meta.Lock()
 	defer s.meta.Unlock()
 	s.stats.frees.Add(1)
-	if s.volatileFree {
-		s.freeMem = append(s.freeMem, id)
-		return nil
-	}
-	buf := make([]byte, payloadSize)
-	putBE32(buf[:4], uint32(s.freeHead))
-	if err := s.writePage(id, buf); err != nil {
-		return err
-	}
-	s.freeHead = id
-	s.dirtyHdr = true
+	s.free = append(s.free, id)
 	return nil
 }
 
-// AddFreePages hands the volatile free list a batch of reusable pages.
-// Recovery uses it to reinstate the free set (every page the final tree
-// does not reach); owners also use it to release retired shadow pages
-// once the checkpoint that stops referencing them is durable.
-func (s *Store) AddFreePages(ids []PageID) error {
+// AddFreePages hands the free list a batch of reusable pages. Recovery
+// uses it to reinstate the free set: every page the recovered tree does
+// not reach.
+func (s *Store) AddFreePages(ids []PageID) {
 	s.meta.Lock()
 	defer s.meta.Unlock()
-	if !s.volatileFree {
-		return errors.New("pager: AddFreePages requires a volatile free list")
-	}
-	s.freeMem = append(s.freeMem, ids...)
-	return nil
+	s.free = append(s.free, ids...)
 }
 
 // Read returns the payload of page id.
@@ -684,7 +616,7 @@ func (s *Store) checkRange(id PageID) error {
 //	[0:4]   magic
 //	[4:8]   version
 //	[8:12]  numPages
-//	[12:16] freeHead (InvalidPage under a volatile free list)
+//	[12:16] InvalidPage (once the head of an on-disk free chain, now unused)
 //	[16:20] userRoot
 //	[20:84] userMeta
 //	[84:92] checkpoint LSN
@@ -694,11 +626,7 @@ func (s *Store) flushHeaderLocked() error {
 	putBE32(buf[0:4], magic)
 	putBE32(buf[4:8], version)
 	putBE32(buf[8:12], s.numPages.Load())
-	head := s.freeHead
-	if s.volatileFree {
-		head = InvalidPage
-	}
-	putBE32(buf[12:16], uint32(head))
+	putBE32(buf[12:16], uint32(InvalidPage))
 	putBE32(buf[16:20], uint32(s.userRoot))
 	copy(buf[20:84], s.userMeta[:])
 	putBE64(buf[84:92], s.ckptLSN)
@@ -728,19 +656,49 @@ func (s *Store) readHeader() error {
 	if v := be32(payload[4:8]); v != version {
 		return fmt.Errorf("pager: unsupported version %d", v)
 	}
-	s.numPages.Store(be32(payload[8:12]))
-	s.freeHead = PageID(be32(payload[12:16]))
-	if s.volatileFree {
-		// The durable chain (if any, e.g. a file written without a WAL)
-		// is ignored; the owner rebuilds the free set from reachability
-		// after recovery.
-		s.freeHead = InvalidPage
+	// A count or a root the file cannot back is refused here: page 0 is
+	// the header and no page past the file's end exists, so Allocate
+	// would hand out the header, or a reader (and the owner sizing a free
+	// list by the count) would chase pages that are not there. A free
+	// chain at [12:16], from a file written before the list moved into
+	// memory, is ignored; its pages are reclaimed with the rest.
+	n := be32(payload[8:12])
+	if n == 0 {
+		return errors.New("pager: header counts no pages")
 	}
-	s.userRoot = PageID(be32(payload[16:20]))
+	if !holdsPages(s.file, n) {
+		return fmt.Errorf("pager: header counts %d pages, past the end of the file", n)
+	}
+	root := be32(payload[16:20])
+	if root >= n {
+		return fmt.Errorf("pager: header root page %d is not among its %d pages", root, n)
+	}
+	s.numPages.Store(n)
+	s.userRoot = PageID(root)
 	copy(s.userMeta[:], payload[20:84])
 	s.ckptLSN = be64(payload[84:92])
 	s.replLSN = be64(payload[92:100])
 	return nil
+}
+
+// holdsPages reports whether f is long enough for n whole pages. It asks
+// for the length where f can tell it (*os.File, the in-memory files) and
+// otherwise reads the last byte of page n-1.
+func holdsPages(f File, n uint32) bool {
+	end := int64(n) * PageSize
+	switch f := f.(type) {
+	case interface{ Stat() (fs.FileInfo, error) }:
+		fi, err := f.Stat()
+		return err == nil && fi.Size() >= end
+	case interface{ Len() int }:
+		return int64(f.Len()) >= end
+	case interface{ Size() (int64, error) }:
+		size, err := f.Size()
+		return err == nil && size >= end
+	}
+	var last [1]byte
+	_, err := f.ReadAt(last[:], end-1)
+	return err == nil
 }
 
 func be32(b []byte) uint32 {

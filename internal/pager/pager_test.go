@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -554,7 +555,11 @@ func TestPoolConcurrent(t *testing.T) {
 
 func TestOSFileBackend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	s, f, err := CreateFile(path, Options{CacheSize: 4})
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Create(f, Options{CacheSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,11 +575,15 @@ func TestOSFileBackend(t *testing.T) {
 	}
 	f.Close()
 
-	s2, f2, err := OpenFile(path, Options{})
+	f2, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f2.Close()
+	s2, err := Open(f2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	root, _ := s2.UserRoot()
 	got, err := s2.Read(root)
 	if err != nil {

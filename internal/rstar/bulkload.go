@@ -11,6 +11,20 @@ import (
 	"nwcq/internal/geom"
 )
 
+// Load fills the empty tree with pts: by BulkLoad when bulk is set, by
+// one R* insertion per point (the paper's construction) otherwise.
+func (t *Tree) Load(pts []geom.Point, bulk bool) error {
+	if bulk {
+		return t.BulkLoad(pts)
+	}
+	for _, p := range pts {
+		if err := t.Insert(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BulkLoad builds the tree from pts using sort-tile-recursive (STR)
 // packing (Leutenegger, Edgington and Lopez, ICDE 1997). It is much
 // faster than repeated insertion for large static datasets — the setting

@@ -239,6 +239,9 @@ func decodeNode(id NodeID, buf []byte) (*Node, error) {
 	if len(buf) < nodeHeaderSize {
 		return nil, fmt.Errorf("rstar: node %d page too short", id)
 	}
+	if buf[0] > 1 {
+		return nil, fmt.Errorf("rstar: node %d has kind %d, neither leaf nor internal", id, buf[0])
+	}
 	n := &Node{ID: id, Leaf: buf[0] == 1}
 	count := int(binary.BigEndian.Uint16(buf[1:3]))
 	off := nodeHeaderSize

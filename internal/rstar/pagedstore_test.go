@@ -3,6 +3,7 @@ package rstar
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -136,7 +137,11 @@ func TestPagedMatchesMem(t *testing.T) {
 
 func TestPagedPersistenceAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.db")
-	pages, f, err := pager.CreateFile(path, pager.Options{CacheSize: 32})
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, err := pager.Create(f, pager.Options{CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +166,15 @@ func TestPagedPersistenceAcrossReopen(t *testing.T) {
 	}
 	f.Close()
 
-	pages2, f2, err := pager.OpenFile(path, pager.Options{CacheSize: 32})
+	f2, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f2.Close()
+	pages2, err := pager.Open(f2, pager.Options{CacheSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr2, err := Attach(NewPagedStore(pages2), Options{MaxEntries: 16})
 	if err != nil {
 		t.Fatal(err)

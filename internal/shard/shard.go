@@ -177,23 +177,18 @@ func splitGrid(n int) (gx, gy int) {
 	return gx, n / gx
 }
 
-// rectFrom normalises the configured rectangle, deriving a padded
-// bounding box from points when the zero value was given.
-func rectFrom(r nwcq.Rect, points []nwcq.Point) geom.Rect {
+// rectFrom normalises the configured rectangle, deriving the points'
+// padded bounding box when the zero value was given; a point with a
+// non-finite coordinate is an error either way.
+func rectFrom(r nwcq.Rect, points []nwcq.Point) (geom.Rect, error) {
+	bounds, err := geom.Bounds(points)
+	if err != nil {
+		return geom.Rect{}, fmt.Errorf("shard: %w", err)
+	}
 	if r != (nwcq.Rect{}) {
-		return geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY)
+		return geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY), nil
 	}
-	space := geom.EmptyRect()
-	for _, p := range points {
-		space = space.ExtendPoint(p)
-	}
-	if space.IsEmpty() {
-		space = geom.NewRect(0, 0, 1, 1)
-	}
-	if space.Width() <= 0 || space.Height() <= 0 {
-		space = space.Buffer(1, 1)
-	}
-	return space
+	return bounds, nil
 }
 
 // newRouter builds the Sharded shell: partitioning, regions, initial
@@ -303,18 +298,21 @@ func (s *Sharded) partition(points []nwcq.Point) [][]nwcq.Point {
 // the scatter-gather frontend over them. With opt.Dir set the shards
 // are paged, WAL-backed indexes under that directory (created if
 // needed) with a manifest so OpenSharded can reopen them; otherwise
-// everything lives in memory.
+// everything lives in memory. A point with a non-finite coordinate is
+// refused before the directory is touched, and the manifest is written
+// only once every shard is built.
 func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("shard: Shards must be at least 1, got %d", opt.Shards)
 	}
-	s := newRouter(rectFrom(opt.Space, points), opt.Shards, opt)
+	space, err := rectFrom(opt.Space, points)
+	if err != nil {
+		return nil, err
+	}
+	s := newRouter(space, opt.Shards, opt)
 	parts := s.partition(points)
 	if opt.Dir != "" {
 		if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
-			return nil, err
-		}
-		if err := writeManifest(opt.Dir, s); err != nil {
 			return nil, err
 		}
 	}
@@ -334,6 +332,12 @@ func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 		}
 		s.pageds[i] = px
 		s.shards[i] = &px.Index
+	}
+	if opt.Dir != "" {
+		if err := writeManifest(opt.Dir, s); err != nil {
+			s.closeShards()
+			return nil, err
+		}
 	}
 	for i, part := range parts {
 		s.extendBounds(i, part)

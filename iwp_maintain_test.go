@@ -66,7 +66,7 @@ func TestPinnedViewsKeepTheirIWPIndex(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("pinned", func(t *testing.T) {
-		idx, err := Build(base, WithMaxEntries(6))
+		idx, err := Build(base, func(o *buildOptions) { o.maxEntries = 6 })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func (ix *Index) Insert(p Point) error {
 }
 
 func (ix *Index) insert(p Point) error {
-	if err := validateMutationPoint(p); err != nil {
+	if err := validatePoint(p); err != nil {
 		return err
 	}
 	ix.wmu.Lock()
@@ -78,7 +78,7 @@ func (ix *Index) insertBatch(pts []Point) error {
 		return nil
 	}
 	for _, p := range pts {
-		if err := validateMutationPoint(p); err != nil {
+		if err := validatePoint(p); err != nil {
 			return err
 		}
 	}
@@ -229,7 +229,7 @@ func (ix *Index) encodeFor(op byte, pts []Point) []byte {
 }
 
 // commitMutationLocked runs the tail every mutation shares: log the
-// record (WAL mode — before any page of the commit is published),
+// record (paged index — before any page of the commit is published),
 // commit the copy-on-write batch, publish the new view (patching the
 // IWP index from the commit's delta), notify standing queries, and
 // trigger a checkpoint if the log has grown past its threshold. A
@@ -404,7 +404,7 @@ func (ix *Index) waitDurable(lsn uint64) error {
 	return ix.dur.waitDurable(lsn)
 }
 
-func validateMutationPoint(p Point) error {
+func validatePoint(p Point) error {
 	if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
 		return invalid("point", "coordinates (%g, %g) must be finite", p.X, p.Y)
 	}

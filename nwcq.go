@@ -258,8 +258,8 @@ type Index struct {
 	// pageStats reports buffer-pool counters for paged indexes (nil for
 	// in-memory indexes); Metrics uses it to expose cache effectiveness.
 	pageStats func() pager.Stats
-	// dur binds the write-ahead log on WAL-backed paged indexes (nil for
-	// in-memory indexes and WithoutWAL); see durable.go.
+	// dur binds the write-ahead log of a paged index (nil for in-memory
+	// indexes); see durable.go.
 	dur *durability
 
 	// vgen numbers published views (the initial view is generation 1);
@@ -275,6 +275,10 @@ type Index struct {
 	subs *sub.Registry
 }
 
+// buildOptions is what the BuildOption constructors set. maxEntries and
+// gridCellSize have no public option: every index runs the paper's
+// fan-out of 50 (one node per 4096-byte page) and grid cells of side 25,
+// and only tests set other values.
 type buildOptions struct {
 	maxEntries   int
 	gridCellSize float64
@@ -294,35 +298,32 @@ type buildOptions struct {
 	// positive (entries per query kind). See cache.go.
 	parallelism int
 	resultCache int
-	// subQueue bounds each subscriber's pending-notification queue
-	// (default sub.DefaultQueueCap); viewRetention keeps that many
-	// superseded views alive for as-of reads. See subscribe.go.
+	// subQueue bounds each subscriber's pending-notification queue; it
+	// has no public option, zero means sub.DefaultQueueCap (64), and only
+	// a test shrinks it. viewRetention keeps that many superseded views
+	// alive for as-of reads. See subscribe.go.
 	subQueue      int
 	viewRetention int
 	// Write-ahead-log knobs; paged indexes only (see durable.go). The
 	// two byte sizes have no public option: zero means the defaults (1
 	// MiB each), and only the crash and replication tests set them, to
 	// force rotations and checkpoints on tiny scripts.
-	walDisabled        bool
 	walSync            SyncPolicy
 	walSyncInterval    time.Duration
 	walSegmentBytes    int64
 	walCheckpointBytes int64
 }
 
-// BuildOption configures Build.
+// BuildOption configures Build, BuildPaged and OpenPaged.
 type BuildOption func(*buildOptions)
 
-// WithMaxEntries sets the R*-tree fan-out (default 50, the paper's
-// setting; each node occupies one 4096-byte page in paged form).
-func WithMaxEntries(m int) BuildOption {
-	return func(o *buildOptions) { o.maxEntries = m }
-}
-
-// WithGridCellSize sets the density-grid cell side length used by the
-// DEP optimisation (default 25, the paper's setting).
-func WithGridCellSize(s float64) BuildOption {
-	return func(o *buildOptions) { o.gridCellSize = s }
+// newBuildOptions applies opts over the defaults.
+func newBuildOptions(opts []BuildOption) buildOptions {
+	o := buildOptions{maxEntries: rstar.DefaultMaxEntries, gridCellSize: grid.DefaultCellSize}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // WithBulkLoad builds the tree by STR packing instead of one-by-one R*
@@ -357,8 +358,7 @@ func WithNodeCacheSize(nodes int) BuildOption {
 // WithWALSync selects when a paged index fsyncs a mutation's WAL
 // record: SyncAlways (the default) before the mutation returns,
 // SyncInterval in the background (see WithWALSyncInterval), SyncNever
-// only at rotation, checkpoint and Close. In-memory indexes and
-// WithoutWAL ignore it.
+// only at rotation, checkpoint and Close. In-memory indexes ignore it.
 func WithWALSync(p SyncPolicy) BuildOption {
 	return func(o *buildOptions) { o.walSync = p }
 }
@@ -372,24 +372,6 @@ func WithWALSyncInterval(d time.Duration) BuildOption {
 		o.walSync = SyncInterval
 		o.walSyncInterval = d
 	}
-}
-
-// WithoutWAL disables the write-ahead log on a paged index: mutations
-// become durable only at Sync and Close, and a crash in between loses
-// them (the index file itself stays consistent as of the last sync).
-// Any existing log directory beside the file is ignored, including
-// during OpenPaged — records in it are not replayed.
-func WithoutWAL() BuildOption {
-	return func(o *buildOptions) { o.walDisabled = true }
-}
-
-// WithSubscriptionQueue bounds each subscriber's pending-notification
-// queue (default 64). A subscriber that falls further behind has its
-// oldest pending frames coalesced away and receives a resync frame;
-// the bound also caps how many superseded index views one slow
-// subscriber can keep pinned.
-func WithSubscriptionQueue(n int) BuildOption {
-	return func(o *buildOptions) { o.subQueue = n }
 }
 
 // WithViewRetention keeps the last n superseded views alive after
@@ -408,7 +390,7 @@ func WithViewRetention(n int) BuildOption {
 
 // WithSpace fixes the object space rectangle for the density grid.
 // By default the space is the bounding box of the points, slightly
-// padded.
+// padded. Build and BuildPaged refuse a point outside it.
 func WithSpace(minX, minY, maxX, maxY float64) BuildOption {
 	return func(o *buildOptions) {
 		o.space = geom.NewRect(minX, minY, maxX, maxY)
@@ -420,79 +402,83 @@ func WithSpace(minX, minY, maxX, maxY float64) BuildOption {
 // grid, IWP pointers) so any scheme can run. The point set can evolve
 // afterwards through Insert and Delete, concurrently with queries. Build
 // neither reorders nor retains points: the slice stays the caller's.
+//
+// Build, BuildPaged and OpenPaged assemble an index the same way and
+// differ only in the node store under the tree and in the WAL step of a
+// paged index: check refuses bad points, the tree is loaded (or, on
+// reopen, attached) and start publishes the first view.
 func Build(points []Point, opts ...BuildOption) (*Index, error) {
-	o := buildOptions{maxEntries: 50, gridCellSize: 25}
-	for _, opt := range opts {
-		opt(&o)
+	o := newBuildOptions(opts)
+	if err := o.check(points); err != nil {
+		return nil, err
 	}
-	for i, p := range points {
-		if err := finiteParam("point coordinate", p.X); err != nil {
-			return nil, fmt.Errorf("nwcq: point %d has non-finite coordinates", i)
-		}
-		if err := finiteParam("point coordinate", p.Y); err != nil {
-			return nil, fmt.Errorf("nwcq: point %d has non-finite coordinates", i)
-		}
-	}
-
 	tree, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: o.maxEntries})
 	if err != nil {
 		return nil, err
 	}
-	if o.bulkLoad {
-		if err := tree.BulkLoad(points); err != nil {
-			return nil, err
+	if err := tree.Load(points, o.bulkLoad); err != nil {
+		return nil, err
+	}
+	ix := &Index{}
+	if err := ix.start(tree, points, o, 0); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// check refuses a point no build may index: one with a non-finite
+// coordinate or, under WithSpace, one outside its rectangle. Builds run
+// it before they touch a tree or a file. A reopened index is not checked:
+// its points passed a build or a mutation, and a mutation may grow the
+// space.
+func (o buildOptions) check(points []Point) error {
+	for i, p := range points {
+		if err := validatePoint(p); err != nil {
+			return fmt.Errorf("nwcq: point %d: %w", i, err)
 		}
-	} else {
-		for _, p := range points {
-			if err := tree.Insert(p); err != nil {
-				return nil, err
-			}
+		if o.spaceSet && !o.space.ContainsPoint(p) {
+			return fmt.Errorf("nwcq: point %d at (%g, %g) outside the configured space", i, p.X, p.Y)
 		}
 	}
+	return nil
+}
 
+// start publishes the first view of a built or reopened index: the
+// density grid of points over the WithSpace rectangle or their padded
+// bounding box, the frozen tree (which holds the same points) and its
+// IWP pointers. lsn is the WAL position the view reflects, zero without
+// a log.
+func (ix *Index) start(tree *rstar.Tree, points []Point, o buildOptions, lsn uint64) error {
 	space := o.space
 	if !o.spaceSet {
-		space = geom.EmptyRect()
-		for _, p := range points {
-			space = space.ExtendPoint(p)
-		}
-		if space.IsEmpty() {
-			space = geom.NewRect(0, 0, 1, 1)
-		}
-		// Pad degenerate extents so the grid constructor accepts them.
-		if space.Width() <= 0 || space.Height() <= 0 {
-			space = space.Buffer(1, 1)
-		}
-	} else {
-		for i, p := range points {
-			if !space.ContainsPoint(p) {
-				return nil, fmt.Errorf("nwcq: point %d at (%g, %g) outside the configured space", i, p.X, p.Y)
-			}
+		var err error
+		if space, err = geom.Bounds(points); err != nil {
+			return fmt.Errorf("nwcq: %w", err)
 		}
 	}
 	den, err := grid.New(space, o.gridCellSize, points)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	frozen, err := tree.Freeze()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	v, err := firstView(frozen, den)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	v.lsn = lsn
 	frozen.ResetVisits()
-	ix := &Index{
-		options: o,
-		rec:     obs.NewRecorder(o.slowThreshold, ""), created: time.Now(),
-		nwcCache:  qcache.New[Query, Result](o.resultCache),
-		knwcCache: qcache.New[KQuery, KResult](o.resultCache),
-		subs:      sub.NewRegistry(o.subQueue),
-	}
+	ix.options = o
+	ix.rec = obs.NewRecorder(o.slowThreshold, "")
+	ix.created = time.Now()
+	ix.nwcCache = qcache.New[Query, Result](o.resultCache)
+	ix.knwcCache = qcache.New[KQuery, KResult](o.resultCache)
+	ix.subs = sub.NewRegistry(o.subQueue)
 	v.gen = ix.vgen.Add(1)
 	ix.cur.Store(v)
-	return ix, nil
+	return nil
 }
 
 // Len returns the number of indexed points (in the current view; a

@@ -20,7 +20,7 @@ func TestBuildAndBasicQuery(t *testing.T) {
 	for _, opts := range [][]BuildOption{
 		nil,
 		{WithBulkLoad()},
-		{WithMaxEntries(16), WithGridCellSize(50)},
+		{func(o *buildOptions) { o.maxEntries, o.gridCellSize = 16, 50 }},
 		{WithSpace(0, 0, 1000, 1000)},
 	} {
 		idx, err := Build(pts, opts...)

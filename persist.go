@@ -4,15 +4,9 @@ import (
 	"fmt"
 	"os"
 	"sync/atomic"
-	"time"
 
-	"nwcq/internal/geom"
-	"nwcq/internal/grid"
-	"nwcq/internal/obs"
 	"nwcq/internal/pager"
-	"nwcq/internal/qcache"
 	"nwcq/internal/rstar"
-	"nwcq/internal/sub"
 	"nwcq/internal/wal"
 )
 
@@ -24,12 +18,11 @@ import (
 // decoded-node cache above it; size both with WithPageCacheSize and
 // WithNodeCacheSize.
 //
-// Mutations (Insert, Delete and the batch forms) are crash-safe by
-// default: each is logged to a write-ahead log beside the index file
-// (<path>.wal/) before its pages are published, and OpenPaged replays
-// committed records after a crash. WithWALSync selects how eagerly
-// records are fsynced; WithoutWAL opts out entirely, in which case only
-// Sync/Close make mutations durable. See durable.go and DESIGN.md §10.
+// Mutations (Insert, Delete and the batch forms) are crash-safe: each
+// is logged to a write-ahead log beside the index file (<path>.wal/)
+// before its pages are published, and OpenPaged replays committed
+// records after a crash. WithWALSync selects how eagerly records are
+// fsynced. See durable.go and DESIGN.md §10.
 //
 // The density grid and IWP pointers are derived structures; they are
 // rebuilt when the file is opened.
@@ -37,7 +30,7 @@ type PagedIndex struct {
 	Index
 	pages *pager.Store
 	file  pagedFile
-	log   *wal.Log // nil when built WithoutWAL
+	log   *wal.Log
 	// closed makes Close idempotent: only the first call tears down.
 	closed atomic.Bool
 }
@@ -85,19 +78,6 @@ func (o *buildOptions) resolveCaches() (pageCache, nodeCache int) {
 // walDirFor returns the WAL directory accompanying an index file.
 func walDirFor(path string) string { return path + ".wal" }
 
-// resolveWALFS opens (creating if needed) the WAL directory for path,
-// or returns nil when the build options disable the WAL.
-func resolveWALFS(path string, o buildOptions) (wal.FS, error) {
-	if o.walDisabled {
-		return nil, nil
-	}
-	fs, err := wal.NewDirFS(walDirFor(path))
-	if err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
 // walOptions maps the build options onto the log's knobs.
 func walOptions(o buildOptions) wal.Options {
 	opt := wal.Options{SegmentBytes: o.walSegmentBytes}
@@ -112,23 +92,15 @@ func walOptions(o buildOptions) wal.Options {
 
 // BuildPaged indexes points into a page file at path (created or
 // truncated), persists the tree, and returns a queryable index whose
-// mutations are WAL-protected (unless WithoutWAL). Close it to release
-// the file.
+// mutations are WAL-protected. The points are checked before the file
+// is touched. Close the index to release the file.
 func BuildPaged(points []Point, path string, opts ...BuildOption) (*PagedIndex, error) {
-	o := buildOptions{maxEntries: 50, gridCellSize: 25}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.maxEntries > rstar.MaxPagedEntries() {
-		return nil, fmt.Errorf("nwcq: fan-out %d exceeds page capacity %d", o.maxEntries, rstar.MaxPagedEntries())
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	o := newBuildOptions(opts)
+	if err := o.check(points); err != nil {
 		return nil, err
 	}
-	wfs, err := resolveWALFS(path, o)
+	f, wfs, err := openPagedFiles(path, os.O_CREATE|os.O_TRUNC)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	return buildPagedOn(points, f, wfs, o)
@@ -136,211 +108,152 @@ func BuildPaged(points []Point, path string, opts ...BuildOption) (*PagedIndex, 
 
 // OpenPaged reopens an index file written by BuildPaged, replaying any
 // write-ahead log records past the last checkpoint (crash recovery).
-// Build options other than the grid cell size are read from the file;
-// the derived structures (density grid, IWP pointers) are rebuilt.
+// The tree is read from the file and the derived structures (density
+// grid, IWP pointers) are rebuilt; opts apply to the reopened index.
 func OpenPaged(path string, opts ...BuildOption) (*PagedIndex, error) {
-	o := buildOptions{maxEntries: 50, gridCellSize: 25}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, wfs, err := openPagedFiles(path, 0)
 	if err != nil {
 		return nil, err
 	}
-	wfs, err := resolveWALFS(path, o)
+	return openPagedOn(f, wfs, newBuildOptions(opts))
+}
+
+// openPagedFiles opens the page file at path with the extra flags and
+// the WAL directory beside it, creating the directory if needed.
+func openPagedFiles(path string, flag int) (*os.File, wal.FS, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|flag, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	wfs, err := wal.NewDirFS(walDirFor(path))
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return openPagedOn(f, wfs, o)
+	return f, wfs, nil
 }
 
 // buildPagedOn builds a paged index over an open file and WAL
-// filesystem (nil = no WAL). The single deferred cleanup replaces the
-// per-step f.Close() ladders: any error return closes whatever was
-// opened so far, success hands ownership to the returned index.
+// filesystem. The deferred release closes whatever was opened when an
+// error returns; success hands ownership to the returned index.
 func buildPagedOn(points []Point, f pagedFile, wfs wal.FS, o buildOptions) (px *PagedIndex, err error) {
-	var log *wal.Log
-	defer func() {
-		if err != nil {
-			if log != nil {
-				log.Close()
-			}
-			f.Close()
-		}
-	}()
+	px = &PagedIndex{file: f}
+	defer px.releaseOnError(&err)
 	pageCache, nodeCache := o.resolveCaches()
-	pages, err := pager.Create(f, pager.Options{CacheSize: pageCache, VolatileFreeList: wfs != nil})
+	if px.pages, err = pager.Create(f, pager.Options{CacheSize: pageCache}); err != nil {
+		return nil, err
+	}
+	tree, err := rstar.New(rstar.NewPagedStoreCache(px.pages, nodeCache), rstar.Options{MaxEntries: o.maxEntries})
 	if err != nil {
 		return nil, err
 	}
-	store := rstar.NewPagedStoreCache(pages, nodeCache)
-	tree, err := rstar.New(store, rstar.Options{MaxEntries: o.maxEntries})
-	if err != nil {
+	if err = tree.Load(points, o.bulkLoad); err != nil {
 		return nil, err
 	}
-	if o.bulkLoad {
-		err = tree.BulkLoad(points)
-	} else {
-		for _, p := range points {
-			if err = tree.Insert(p); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	// A fresh log plus an initial checkpoint: the build is the durable
+	// image, the log takes over from here.
+	if px.log, err = wal.Create(wfs, walOptions(o)); err != nil {
 		return nil, err
 	}
-	var dur *durability
-	if wfs != nil {
-		// A fresh log plus an initial checkpoint: the build is the
-		// durable image, the log takes over from here.
-		if log, err = wal.Create(wfs, walOptions(o)); err != nil {
+	ckptLSN := uint64(0)
+	if len(points) > 0 {
+		// The bulk-built base never went through the log, so no record
+		// replay can reconstruct it onto an empty replica. Burn LSN 1
+		// on a no-op marker and checkpoint past it: history "from the
+		// beginning" is then honestly compacted, and a replication
+		// stream that would need it gets ErrCompacted — forcing the
+		// snapshot bootstrap — instead of silently missing the base.
+		if ckptLSN, err = px.log.Append(encodeMutation(recInsert, nil)); err != nil {
 			return nil, err
 		}
-		ckptLSN := uint64(0)
-		if len(points) > 0 {
-			// The bulk-built base never went through the log, so no record
-			// replay can reconstruct it onto an empty replica. Burn LSN 1
-			// on a no-op marker and checkpoint past it: history "from the
-			// beginning" is then honestly compacted, and a replication
-			// stream that would need it gets ErrCompacted — forcing the
-			// snapshot bootstrap — instead of silently missing the base.
-			var lsn uint64
-			if lsn, err = log.Append(encodeMutation(recInsert, nil)); err != nil {
-				return nil, err
-			}
-			if err = log.Sync(lsn); err != nil {
-				return nil, err
-			}
-			ckptLSN = lsn
-		}
-		if err = pages.SyncData(); err != nil {
+		if err = px.log.Sync(ckptLSN); err != nil {
 			return nil, err
 		}
-		if err = pages.WriteCheckpoint(ckptLSN); err != nil {
-			return nil, err
-		}
-		if ckptLSN > 0 {
-			if err = log.Checkpointed(ckptLSN); err != nil {
-				return nil, err
-			}
-		}
-		dur = newDurability(log, pages, o)
-	} else if err = pages.Sync(); err != nil {
+	}
+	if err = px.pages.SyncData(); err != nil {
 		return nil, err
 	}
-	return finishPaged(tree, points, o, pages, f, log, dur)
+	if err = px.pages.WriteCheckpoint(ckptLSN); err != nil {
+		return nil, err
+	}
+	if ckptLSN > 0 {
+		if err = px.log.Checkpointed(ckptLSN); err != nil {
+			return nil, err
+		}
+	}
+	px.dur = newDurability(px.log, px.pages, o)
+	if err = px.start(tree, points, o); err != nil {
+		return nil, err
+	}
+	return px, nil
 }
 
 // openPagedOn attaches to an existing page file, recovers from the WAL
-// when one is configured, and assembles the index. Cleanup mirrors
-// buildPagedOn.
+// and assembles the index. Cleanup mirrors buildPagedOn.
 func openPagedOn(f pagedFile, wfs wal.FS, o buildOptions) (px *PagedIndex, err error) {
-	var log *wal.Log
-	defer func() {
-		if err != nil {
-			if log != nil {
-				log.Close()
-			}
-			f.Close()
-		}
-	}()
+	px = &PagedIndex{file: f}
+	defer px.releaseOnError(&err)
 	pageCache, nodeCache := o.resolveCaches()
-	pages, err := pager.Open(f, pager.Options{CacheSize: pageCache, VolatileFreeList: wfs != nil})
+	if px.pages, err = pager.Open(f, pager.Options{CacheSize: pageCache}); err != nil {
+		return nil, err
+	}
+	tree, err := rstar.Attach(rstar.NewPagedStoreCache(px.pages, nodeCache), rstar.Options{MaxEntries: o.maxEntries})
 	if err != nil {
 		return nil, err
 	}
-	store := rstar.NewPagedStoreCache(pages, nodeCache)
-	tree, err := rstar.Attach(store, rstar.Options{MaxEntries: o.maxEntries})
-	if err != nil {
+	if px.log, err = wal.Open(wfs, walOptions(o)); err != nil {
 		return nil, err
 	}
-	var dur *durability
-	if wfs != nil {
-		if log, err = wal.Open(wfs, walOptions(o)); err != nil {
+	px.dur = newDurability(px.log, px.pages, o)
+	var replayed int
+	var replica uint64
+	tree, replayed, replica, err = replayWAL(tree, px.log, px.pages.CheckpointLSN(), px.pages.ReplicaLSN())
+	if err != nil {
+		return nil, fmt.Errorf("nwcq: wal recovery: %w", err)
+	}
+	px.dur.replayed = uint64(replayed)
+	px.dur.replica.Store(replica)
+	if replayed > 0 {
+		// Fold the replay into a fresh checkpoint before any page can be
+		// reallocated; until it lands, the previous durable image stays
+		// intact so a crash here recovers again.
+		if err = px.dur.checkpointLocked(tree); err != nil {
 			return nil, err
 		}
-		dur = newDurability(log, pages, o)
-		var replayed int
-		var replica uint64
-		tree, replayed, replica, err = replayWAL(tree, log, pages.CheckpointLSN(), pages.ReplicaLSN())
-		if err != nil {
-			return nil, fmt.Errorf("nwcq: wal recovery: %w", err)
-		}
-		dur.replayed = uint64(replayed)
-		dur.replica.Store(replica)
-		if replayed > 0 {
-			// Fold the replay into a fresh checkpoint before any page
-			// can be reallocated; until it lands, the previous durable
-			// image stays intact so a crash here recovers again.
-			if err = dur.checkpointLocked(tree); err != nil {
-				return nil, err
-			}
-		}
-		// The free list is volatile under WAL: reinstate it as the
-		// complement of the recovered tree's reachable pages.
-		if err = rebuildFreeSet(tree, pages); err != nil {
-			return nil, err
-		}
+	}
+	// The free list lives in memory only: reinstate it as the complement
+	// of the recovered tree's reachable pages.
+	if err = rebuildFreeSet(tree, px.pages); err != nil {
+		return nil, err
 	}
 	points, err := tree.All()
 	if err != nil {
 		return nil, err
 	}
-	return finishPaged(tree, points, o, pages, f, log, dur)
+	if err = px.start(tree, points, o); err != nil {
+		return nil, err
+	}
+	return px, nil
 }
 
-func finishPaged(tree *rstar.Tree, points []Point, o buildOptions, pages *pager.Store, f pagedFile, log *wal.Log, dur *durability) (*PagedIndex, error) {
-	space := o.space
-	if !o.spaceSet {
-		space = geom.EmptyRect()
-		for _, p := range points {
-			space = space.ExtendPoint(p)
-		}
-		if space.IsEmpty() {
-			space = geom.NewRect(0, 0, 1, 1)
-		}
-		if space.Width() <= 0 || space.Height() <= 0 {
-			space = space.Buffer(1, 1)
-		}
-	}
-	den, err := grid.New(space, o.gridCellSize, points)
-	if err != nil {
-		return nil, err
-	}
-	frozen, err := tree.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	v, err := firstView(frozen, den)
-	if err != nil {
-		return nil, err
-	}
-	if log != nil {
-		// The initial view reflects every log record (replay applied or
-		// skipped each one), so it commits at the appended frontier.
-		v.lsn = log.AppendedLSN()
-	}
-	frozen.ResetVisits()
-	px := &PagedIndex{
-		Index: Index{
-			options: o,
-			rec:     obs.NewRecorder(o.slowThreshold, ""), pageStats: pages.Stats,
-			created: time.Now(),
-			dur:     dur,
-			subs:    sub.NewRegistry(o.subQueue),
+// start publishes the first view. The view reflects every log record
+// (recovery applied or skipped each one), so it commits at the appended
+// frontier.
+func (p *PagedIndex) start(tree *rstar.Tree, points []Point, o buildOptions) error {
+	p.pageStats = p.pages.Stats
+	return p.Index.start(tree, points, o, p.log.AppendedLSN())
+}
 
-			nwcCache:  qcache.New[Query, Result](o.resultCache),
-			knwcCache: qcache.New[KQuery, KResult](o.resultCache),
-		},
-		pages: pages,
-		file:  f,
-		log:   log,
+// releaseOnError closes the log and the file of an index whose
+// assembly failed with *err.
+func (p *PagedIndex) releaseOnError(err *error) {
+	if *err == nil {
+		return
 	}
-	v.gen = px.vgen.Add(1)
-	px.cur.Store(v)
-	return px, nil
+	if p.log != nil {
+		p.log.Close()
+	}
+	p.file.Close()
 }
 
 // PageStats returns the pager's operation counters, including buffer-pool
@@ -356,34 +269,25 @@ func (p *PagedIndex) PageStats() PageStats {
 	}
 }
 
-// Sync makes the current state durable: with a WAL it runs a full
-// checkpoint (fsync log, fsync pages, advance the header LSN, recycle
-// segments); without one it flushes the header and fsyncs the file.
+// Sync makes the current state durable with a full checkpoint: fsync
+// the log, fsync the pages, advance the header LSN, recycle segments.
 func (p *PagedIndex) Sync() error {
-	if p.dur != nil {
-		p.wmu.Lock()
-		defer p.wmu.Unlock()
-		return p.dur.checkpointLocked(p.cur.Load().tree)
-	}
-	return p.pages.Sync()
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	return p.dur.checkpointLocked(p.cur.Load().tree)
 }
 
-// Close checkpoints (WAL mode) or syncs, then releases the log and the
-// file. It is idempotent: second and later calls return nil without
-// touching anything. The index must not be used afterwards.
+// Close checkpoints, then releases the log and the file. It is
+// idempotent: second and later calls return nil without touching
+// anything. The index must not be used afterwards.
 func (p *PagedIndex) Close() error {
 	if !p.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	var firstErr error
-	if p.dur != nil {
-		p.wmu.Lock()
-		firstErr = p.dur.closeLocked(p.cur.Load().tree)
-		p.wmu.Unlock()
-		if err := p.log.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	} else if err := p.pages.Sync(); err != nil {
+	p.wmu.Lock()
+	firstErr := p.dur.closeLocked(p.cur.Load().tree)
+	p.wmu.Unlock()
+	if err := p.log.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	if err := p.file.Close(); err != nil && firstErr == nil {

@@ -86,9 +86,11 @@ func TestPagedInsertionBuild(t *testing.T) {
 	}
 }
 
+// TestPagedFanoutValidation: the fan-out has no public option, but a
+// node that outgrows its page is still refused, not truncated.
 func TestPagedFanoutValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "big.nwcq")
-	if _, err := BuildPaged(nil, path, WithMaxEntries(10000)); err == nil {
+	if _, err := BuildPaged(testPoints(500, 3), path, func(o *buildOptions) { o.maxEntries = 10000 }); err == nil {
 		t.Error("oversized fan-out accepted for paged build")
 	}
 }

@@ -152,37 +152,6 @@ func TestPagedCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestPagedWithoutWAL: opting out must create no log directory, keep
-// mutations working, and persist them through Close (only).
-func TestPagedWithoutWAL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "idx.nwc")
-	px, err := BuildPaged(walTestPoints(30), path, WithoutWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(walDirFor(path)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("WithoutWAL still created %s (stat err %v)", walDirFor(path), err)
-	}
-	if m := px.Metrics(); m.WAL != nil {
-		t.Fatal("Metrics().WAL set for a WithoutWAL index")
-	}
-	p := Point{X: 77, Y: 78, ID: 7001}
-	if err := px.Insert(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := px.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenPaged(path, WithoutWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.Len(); got != 31 {
-		t.Fatalf("reopened index has %d points, want 31", got)
-	}
-}
-
 // TestPagedWALSyncPolicies: interval and never relax when records hit
 // stable storage, but a clean Close still makes everything durable.
 func TestPagedWALSyncPolicies(t *testing.T) {

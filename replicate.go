@@ -36,10 +36,7 @@ import (
 // ReplicationSnapshot instead.
 var ErrCompacted = wal.ErrCompacted
 
-var errNoWAL = errors.New("nwcq: replication requires a WAL-backed paged index")
-
-// ReplicationLSNs is the leader-side position vector of a WAL-backed
-// index.
+// ReplicationLSNs is the leader-side position vector of a paged index.
 type ReplicationLSNs struct {
 	// Appended is the last LSN handed out by the log.
 	Appended uint64 `json:"appended_lsn"`
@@ -54,10 +51,10 @@ type ReplicationLSNs struct {
 	Replica uint64 `json:"replica_lsn"`
 }
 
-// Replicator is the replication surface a WAL-backed paged index
-// exposes: leaders hand out snapshots and record streams, followers
-// apply them and report their position. The server's GET /wal/stream
-// endpoint is a thin frame codec over this interface.
+// Replicator is the replication surface a paged index exposes: leaders
+// hand out snapshots and record streams, followers apply them and report
+// their position. The server's GET /wal/stream endpoint is a thin frame
+// codec over this interface.
 type Replicator interface {
 	ReplicationLSNs() ReplicationLSNs
 	ReplicationSnapshot() ([]Point, uint64, error)
@@ -68,9 +65,6 @@ var _ Replicator = (*PagedIndex)(nil)
 
 // ReplicationLSNs returns the index's current position vector.
 func (p *PagedIndex) ReplicationLSNs() ReplicationLSNs {
-	if p.dur == nil {
-		return ReplicationLSNs{}
-	}
 	return ReplicationLSNs{
 		Appended:  p.log.AppendedLSN(),
 		Durable:   p.log.DurableLSN(),
@@ -80,11 +74,8 @@ func (p *PagedIndex) ReplicationLSNs() ReplicationLSNs {
 }
 
 // ReplicaLSN returns the highest leader LSN this index has applied
-// (zero on leaders and non-WAL indexes).
+// (zero on leaders).
 func (p *PagedIndex) ReplicaLSN() uint64 {
-	if p.dur == nil {
-		return 0
-	}
 	return p.dur.replica.Load()
 }
 
@@ -94,9 +85,6 @@ func (p *PagedIndex) ReplicaLSN() uint64 {
 // the snapshot LSN first: the records the snapshot embodies must never
 // be lost to a leader restart once a follower has built on them.
 func (p *PagedIndex) ReplicationSnapshot() ([]Point, uint64, error) {
-	if p.dur == nil {
-		return nil, 0, errNoWAL
-	}
 	v := p.acquire()
 	defer v.release()
 	if err := p.log.Sync(v.lsn); err != nil {
@@ -127,9 +115,6 @@ type ReplicationStream struct {
 // recycled — bootstrap from ReplicationSnapshot and stream from its LSN
 // plus one instead. Close the stream to release its retention lease.
 func (p *PagedIndex) StreamFrom(from uint64) (*ReplicationStream, error) {
-	if p.dur == nil {
-		return nil, errNoWAL
-	}
 	r, err := p.log.NewReader(from)
 	if err != nil {
 		return nil, err
@@ -241,9 +226,6 @@ type ReplicationRecord struct {
 // suffix; redelivery is idempotent, and a position below the leader's
 // retained floor just re-bootstraps from a snapshot.
 func (p *PagedIndex) ApplyReplicated(leaderLSN uint64, data []byte) error {
-	if p.dur == nil {
-		return errNoWAL
-	}
 	if len(data) == 0 {
 		return errors.New("nwcq: empty replicated record")
 	}
@@ -274,9 +256,6 @@ func (p *PagedIndex) ApplyReplicated(leaderLSN uint64, data []byte) error {
 // LSN, committing the position in the same logged mutation as the last
 // points.
 func (p *PagedIndex) ApplySnapshotChunk(pts []Point, leaderLSN uint64) error {
-	if p.dur == nil {
-		return errNoWAL
-	}
 	data := encodeMutation(recInsert, pts)
 	p.wmu.Lock()
 	lsn, err := p.applyReplicatedLocked(recInsert, pts, encodeApply(leaderLSN, data), leaderLSN)
@@ -295,9 +274,6 @@ func (p *PagedIndex) ApplySnapshotChunk(pts []Point, leaderLSN uint64) error {
 // step when the leader can only offer a snapshot bootstrap and local
 // state (partial or diverged) must go.
 func (p *PagedIndex) ResetForSnapshot() error {
-	if p.dur == nil {
-		return errNoWAL
-	}
 	p.wmu.Lock()
 	lsn, err := p.resetLocked()
 	if err == nil {

@@ -138,7 +138,7 @@ func TestSubscriptionFramesMatchOracle(t *testing.T) {
 // only the 2 newest states, the first delivery after the overflow is
 // flagged resync, and the final frame is the current answer.
 func TestSubscriptionOverflowResync(t *testing.T) {
-	idx, err := Build(testPoints(50, 7), WithSubscriptionQueue(2))
+	idx, err := Build(testPoints(50, 7), func(o *buildOptions) { o.subQueue = 2 })
 	if err != nil {
 		t.Fatal(err)
 	}

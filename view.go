@@ -43,7 +43,7 @@ type view struct {
 
 	// lsn is the WAL record this view's state corresponds to: every
 	// record at or below lsn is reflected (applied or aborted), nothing
-	// above it is. Zero on non-WAL indexes. Replication snapshots and
+	// above it is. Zero on in-memory indexes. Replication snapshots and
 	// the committed-LSN watermark read it off the published view.
 	lsn uint64
 
@@ -103,7 +103,7 @@ func (v *view) release() { v.refs.Add(-1) }
 // commit's delta, swap in the new view, queue the old one for retirement
 // carrying the node IDs its replacement obsoleted, and opportunistically
 // drain the queue. lsn is the WAL record the new view reflects (0 on
-// non-WAL indexes). Callers hold ix.wmu. On error nothing has been
+// in-memory indexes). Callers hold ix.wmu. On error nothing has been
 // published.
 func (ix *Index) publishLocked(tree *rstar.Tree, den *grid.Density, delta rstar.Delta, lsn uint64) error {
 	old := ix.cur.Load()
@@ -147,9 +147,9 @@ func (ix *Index) drainRetiredLocked() {
 			return
 		}
 		if ix.dur != nil {
-			// WAL mode: the durable checkpoint may still reference these
-			// pages. Park them; the next checkpoint releases them once the
-			// header that stops referencing them is on disk (durable.go).
+			// A paged index: the durable checkpoint may still reference
+			// these pages. Park them; the next checkpoint releases them once
+			// the header that stops referencing them is on disk (durable.go).
 			ix.dur.pending = append(ix.dur.pending, h.retired...)
 		} else {
 			_ = cur.tree.ReleaseNodes(h.retired)
