@@ -2,8 +2,8 @@ package nwcq
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -84,14 +84,20 @@ const (
 	defaultSyncInterval = 100 * time.Millisecond
 )
 
-// Record payloads: one op byte, then op-specific data. Insert/delete
-// carry a point batch (single mutations are batches of one); abort
-// carries the LSN it neutralises. Apply wraps a replicated insert or
-// delete a follower applied — the leader's LSN rides inside it so the
-// follower's replica position recovers through the ordinary replay
-// path. Reset marks a follower discarding its state ahead of a
-// snapshot re-bootstrap: replay deletes every indexed point and zeroes
-// the replica position at that spot in the sequence.
+// Record payloads: one op byte, then op-specific data.
+//
+//	insert, delete  [op][4B n][n points, geom.PointSize bytes each]
+//	abort           [op][8B LSN it neutralises]
+//	apply           [op][8B leader LSN][an insert or delete payload]
+//	reset           [op]
+//
+// A single mutation is a batch of one. Apply wraps a leader's insert or
+// delete that a follower applied: the leader's LSN rides inside it, so
+// the follower's replica position recovers through replay; zero means
+// "position unknown" (intermediate snapshot chunks). Reset marks a
+// follower discarding its state ahead of a snapshot re-bootstrap:
+// replay deletes every indexed point and zeroes the replica position at
+// that spot in the sequence. decodeRecord is the one parser of all five.
 const (
 	recInsert byte = 1
 	recDelete byte = 2
@@ -100,63 +106,92 @@ const (
 	recReset  byte = 5
 )
 
-const recPointSize = 24 // x, y float64 bits + id, all big-endian u64
+// record is one decoded WAL payload. An apply record decodes to the
+// insert or delete it wraps, with replicated set.
+type record struct {
+	op  byte // recInsert, recDelete, recAbort or recReset
+	pts []Point
+	// target is the LSN an abort neutralises.
+	target uint64
+	// replicated marks a leader's record; leader is the LSN it carried.
+	replicated bool
+	leader     uint64
+}
+
+// decodeRecord parses a payload of any op. It refuses every payload
+// encode would not have written — a wrong length, an unknown op, an
+// apply wrapper around anything but an insert or delete — so a record
+// it returns re-encodes to its input.
+func decodeRecord(data []byte) (record, error) {
+	if len(data) == 0 {
+		return record{}, errors.New("nwcq: empty wal record")
+	}
+	switch op := data[0]; op {
+	case recInsert, recDelete:
+		if len(data) < 5 {
+			return record{}, fmt.Errorf("nwcq: wal record truncated (%d bytes)", len(data))
+		}
+		n := uint64(binary.BigEndian.Uint32(data[1:5]))
+		if uint64(len(data)-5) != n*geom.PointSize {
+			return record{}, fmt.Errorf("nwcq: wal record claims %d points in %d bytes", n, len(data))
+		}
+		return record{op: op, pts: geom.DecodePoints(data[5:])}, nil
+	case recAbort:
+		if len(data) != 9 {
+			return record{}, fmt.Errorf("nwcq: abort record of %d bytes", len(data))
+		}
+		return record{op: op, target: binary.BigEndian.Uint64(data[1:])}, nil
+	case recReset:
+		if len(data) != 1 {
+			return record{}, fmt.Errorf("nwcq: reset record of %d bytes", len(data))
+		}
+		return record{op: op}, nil
+	case recApply:
+		if len(data) < 10 {
+			return record{}, fmt.Errorf("nwcq: truncated apply record (%d bytes)", len(data))
+		}
+		r, err := decodeRecord(data[9:])
+		if err != nil {
+			return record{}, err
+		}
+		if r.replicated || (r.op != recInsert && r.op != recDelete) {
+			return record{}, fmt.Errorf("nwcq: apply record wraps op %d", data[9])
+		}
+		r.replicated, r.leader = true, binary.BigEndian.Uint64(data[1:9])
+		return r, nil
+	}
+	return record{}, fmt.Errorf("nwcq: unknown wal record op %d", data[0])
+}
+
+// encode serialises r; decodeRecord is its inverse.
+func (r record) encode() []byte {
+	b := make([]byte, 0, 9+5+len(r.pts)*geom.PointSize)
+	if r.replicated {
+		b = binary.BigEndian.AppendUint64(append(b, recApply), r.leader)
+	}
+	switch r.op {
+	case recAbort:
+		return binary.BigEndian.AppendUint64(append(b, recAbort), r.target)
+	case recReset:
+		return append(b, recReset)
+	}
+	b = binary.BigEndian.AppendUint32(append(b, r.op), uint32(len(r.pts)))
+	return geom.AppendPoints(b, r.pts)
+}
+
+// position returns the replica position after r applies at position
+// cur: a reset zeroes it, a leader's record with a known LSN advances it.
+func (r record) position(cur uint64) uint64 {
+	if r.op == recReset {
+		return 0
+	}
+	return max(cur, r.leader)
+}
 
 // encodeMutation serialises an insert or delete batch.
-func encodeMutation(op byte, pts []geom.Point) []byte {
-	buf := make([]byte, 5+len(pts)*recPointSize)
-	buf[0] = op
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(pts)))
-	off := 5
-	for _, p := range pts {
-		binary.BigEndian.PutUint64(buf[off:], math.Float64bits(p.X))
-		binary.BigEndian.PutUint64(buf[off+8:], math.Float64bits(p.Y))
-		binary.BigEndian.PutUint64(buf[off+16:], p.ID)
-		off += recPointSize
-	}
-	return buf
-}
+func encodeMutation(op byte, pts []Point) []byte { return record{op: op, pts: pts}.encode() }
 
-// decodeMutation parses an insert or delete payload (op already read).
-func decodeMutation(data []byte) ([]geom.Point, error) {
-	if len(data) < 5 {
-		return nil, fmt.Errorf("nwcq: wal record truncated (%d bytes)", len(data))
-	}
-	n := int(binary.BigEndian.Uint32(data[1:5]))
-	if len(data) != 5+n*recPointSize {
-		return nil, fmt.Errorf("nwcq: wal record claims %d points in %d bytes", n, len(data))
-	}
-	pts := make([]geom.Point, n)
-	off := 5
-	for i := range pts {
-		pts[i] = geom.Point{
-			X:  math.Float64frombits(binary.BigEndian.Uint64(data[off:])),
-			Y:  math.Float64frombits(binary.BigEndian.Uint64(data[off+8:])),
-			ID: binary.BigEndian.Uint64(data[off+16:]),
-		}
-		off += recPointSize
-	}
-	return pts, nil
-}
-
-func encodeAbort(lsn uint64) []byte {
-	buf := make([]byte, 9)
-	buf[0] = recAbort
-	binary.BigEndian.PutUint64(buf[1:], lsn)
-	return buf
-}
-
-// encodeApply wraps a replicated mutation payload with the leader LSN
-// it carried: [recApply][8B leader LSN][inner insert/delete payload].
-// leaderLSN zero means "position unknown" (intermediate snapshot
-// chunks) and leaves the recovered replica position untouched.
-func encodeApply(leaderLSN uint64, inner []byte) []byte {
-	buf := make([]byte, 9+len(inner))
-	buf[0] = recApply
-	binary.BigEndian.PutUint64(buf[1:9], leaderLSN)
-	copy(buf[9:], inner)
-	return buf
-}
+func encodeAbort(lsn uint64) []byte { return record{op: recAbort, target: lsn}.encode() }
 
 // durability binds a WAL to a paged index. All mutable fields are
 // guarded by Index.wmu (mutations, checkpoints and Close already
@@ -316,117 +351,54 @@ func (d *durability) closeLocked(tree *rstar.Tree) error {
 }
 
 // replayWAL applies committed records past the checkpoint through the
-// same COW write path live mutations use, returning the recovered tree,
-// the number of records applied, and the recovered replica position
-// (baseReplica updated in record order by recApply/recReset). The free
-// set is empty during replay, so every shadow allocation extends the
-// file and the checkpointed image stays intact — a crash mid-replay
-// recovers again from the same base.
+// apply step live mutations use (applyRecord), one copy-on-write batch
+// per record, returning the recovered tree, the number of records
+// applied, and the recovered replica position (baseReplica moved in
+// record order by apply and reset records). The free set is empty
+// during replay, so every shadow allocation extends the file and the
+// checkpointed image stays intact — a crash mid-replay recovers again
+// from the same base.
 func replayWAL(tree *rstar.Tree, log *wal.Log, afterLSN, baseReplica uint64) (*rstar.Tree, int, uint64, error) {
 	replica := baseReplica
-	recs := log.Records(afterLSN)
-	if len(recs) == 0 {
-		return tree, 0, replica, nil
-	}
+	logged := log.Records(afterLSN)
+	recs := make([]record, len(logged))
 	aborted := make(map[uint64]bool)
-	for _, r := range recs {
-		if len(r.Data) == 9 && r.Data[0] == recAbort {
-			aborted[binary.BigEndian.Uint64(r.Data[1:])] = true
+	for i, lr := range logged {
+		r, err := decodeRecord(lr.Data)
+		if err != nil {
+			return nil, 0, replica, fmt.Errorf("nwcq: lsn %d: %w", lr.LSN, err)
 		}
+		if r.op == recAbort {
+			aborted[r.target] = true
+		}
+		recs[i] = r
 	}
 	applied := 0
-	for _, r := range recs {
-		if len(r.Data) == 0 {
-			return nil, applied, replica, fmt.Errorf("nwcq: empty wal record at lsn %d", r.LSN)
-		}
-		op, data := r.Data[0], r.Data
-		if op == recAbort || aborted[r.LSN] {
+	for i, r := range recs {
+		if r.op == recAbort || aborted[logged[i].LSN] {
 			continue
-		}
-		if op == recReset {
-			next, err := replayReset(tree)
-			if err != nil {
-				return nil, applied, replica, fmt.Errorf("nwcq: replay reset lsn %d: %w", r.LSN, err)
-			}
-			tree = next
-			replica = 0
-			applied++
-			continue
-		}
-		var leaderLSN uint64
-		if op == recApply {
-			if len(data) < 10 {
-				return nil, applied, replica, fmt.Errorf("nwcq: truncated apply record at lsn %d", r.LSN)
-			}
-			leaderLSN = binary.BigEndian.Uint64(data[1:9])
-			data = data[9:]
-			op = data[0]
-		}
-		if op != recInsert && op != recDelete {
-			return nil, applied, replica, fmt.Errorf("nwcq: unknown wal record op %d at lsn %d", op, r.LSN)
-		}
-		pts, err := decodeMutation(data)
-		if err != nil {
-			return nil, applied, replica, fmt.Errorf("nwcq: lsn %d: %w", r.LSN, err)
 		}
 		b, err := tree.BeginWrite()
 		if err != nil {
 			return nil, applied, replica, err
 		}
-		for _, p := range pts {
-			if op == recInsert {
-				err = b.Tree().Insert(p)
-			} else {
-				// A logged delete found its point when it committed;
-				// replay tolerates an absent point (the record may
-				// re-run after a checkpoint landed part of its batch's
-				// effects — impossible for one batch, but harmless to
-				// allow).
-				_, err = b.Tree().Delete(p)
-			}
-			if err != nil {
-				b.Discard()
-				return nil, applied, replica, fmt.Errorf("nwcq: replay lsn %d: %w", r.LSN, err)
-			}
+		// A logged delete found its points when it committed; replay
+		// tolerates an absent one, as a follower's delete does.
+		if _, err := applyRecord(b.Tree(), r); err != nil {
+			b.Discard()
+			return nil, applied, replica, fmt.Errorf("nwcq: replay lsn %d: %w", logged[i].LSN, err)
 		}
 		next, _, err := b.Commit()
 		if err != nil {
-			return nil, applied, replica, fmt.Errorf("nwcq: replay lsn %d: %w", r.LSN, err)
+			return nil, applied, replica, fmt.Errorf("nwcq: replay lsn %d: %w", logged[i].LSN, err)
 		}
 		// Retired IDs are ignored: reachability reconstruction after
 		// replay returns every stale page to the allocator at once.
 		tree = next
 		applied++
-		if leaderLSN > replica {
-			replica = leaderLSN
-		}
+		replica = r.position(replica)
 	}
 	return tree, applied, replica, nil
-}
-
-// replayReset re-applies a follower state discard: every indexed point
-// is deleted through the COW path, leaving an empty tree for the
-// snapshot chunks that follow in the log.
-func replayReset(tree *rstar.Tree) (*rstar.Tree, error) {
-	pts, err := tree.All()
-	if err != nil {
-		return nil, err
-	}
-	b, err := tree.BeginWrite()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pts {
-		if _, err := b.Tree().Delete(p); err != nil {
-			b.Discard()
-			return nil, err
-		}
-	}
-	next, _, err := b.Commit()
-	if err != nil {
-		return nil, err
-	}
-	return next, nil
 }
 
 // rebuildFreeSet reinstates the page allocator's free list as the

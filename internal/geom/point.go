@@ -8,7 +8,10 @@
 // paper's setting; coordinates are float64.
 package geom
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Point is a data object: a location in the plane and a caller-owned
 // identifier, which the geometry kernel itself never interprets. It is
@@ -18,6 +21,35 @@ type Point struct {
 	X  float64 `json:"x"`
 	Y  float64 `json:"y"`
 	ID uint64  `json:"id"`
+}
+
+// PointSize is the length of a Point's byte encoding: X and Y as float64
+// bits, then ID, each a big-endian uint64. The write-ahead log's records
+// and the replication stream's point chunks both carry points this way.
+const PointSize = 24
+
+// AppendPoints appends the encoding of each point to b.
+func AppendPoints(b []byte, pts []Point) []byte {
+	for _, p := range pts {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.X))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Y))
+		b = binary.BigEndian.AppendUint64(b, p.ID)
+	}
+	return b
+}
+
+// DecodePoints decodes len(b)/PointSize points from b.
+func DecodePoints(b []byte) []Point {
+	pts := make([]Point, len(b)/PointSize)
+	for i := range pts {
+		e := b[i*PointSize : (i+1)*PointSize]
+		pts[i] = Point{
+			X:  math.Float64frombits(binary.BigEndian.Uint64(e[0:8])),
+			Y:  math.Float64frombits(binary.BigEndian.Uint64(e[8:16])),
+			ID: binary.BigEndian.Uint64(e[16:24]),
+		}
+	}
+	return pts
 }
 
 // Dist returns the Euclidean distance between p and o.

@@ -7,7 +7,7 @@
 // The stream is a flat sequence of length-delimited frames:
 //
 //	'S' snapshot header  [8B snapshot LSN][8B point count]
-//	'P' point chunk      [4B n][n × 24B point (x, y float64 bits, id)]
+//	'P' point chunk      [4B n][n points, geom.PointSize bytes each]
 //	'R' record           [8B lsn][4B payload len][payload]
 //	'H' heartbeat        [8B leader durable LSN][8B leader committed LSN][8B unix nanos]
 //
@@ -23,10 +23,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"nwcq"
+	"nwcq/internal/geom"
 )
 
 // Frame type bytes.
@@ -38,7 +38,6 @@ const (
 )
 
 const (
-	pointSize = 24
 	// maxFramePayload bounds a record frame's payload, mirroring the
 	// WAL's own record limit; larger lengths are stream corruption.
 	maxFramePayload = 16 << 20
@@ -71,21 +70,9 @@ func (w *Writer) Snapshot(lsn uint64, count int) error {
 
 // Points writes one chunk of snapshot points.
 func (w *Writer) Points(pts []nwcq.Point) error {
-	need := 5 + len(pts)*pointSize
-	if cap(w.scratch) < need {
-		w.scratch = make([]byte, need)
-	}
-	buf := w.scratch[:need]
-	buf[0] = FramePoints
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(pts)))
-	off := 5
-	for _, p := range pts {
-		binary.BigEndian.PutUint64(buf[off:], math.Float64bits(p.X))
-		binary.BigEndian.PutUint64(buf[off+8:], math.Float64bits(p.Y))
-		binary.BigEndian.PutUint64(buf[off+16:], p.ID)
-		off += pointSize
-	}
-	_, err := w.w.Write(buf)
+	w.scratch = binary.BigEndian.AppendUint32(append(w.scratch[:0], FramePoints), uint32(len(pts)))
+	w.scratch = geom.AppendPoints(w.scratch, pts)
+	_, err := w.w.Write(w.scratch)
 	return err
 }
 
@@ -171,21 +158,11 @@ func (r *Reader) Next() (Frame, error) {
 		if n > maxPointChunk {
 			return Frame{}, fmt.Errorf("repl: point chunk of %d points exceeds limit", n)
 		}
-		raw := make([]byte, int(n)*pointSize)
-		if _, err := io.ReadFull(r.r, raw); err != nil {
+		raw, err := readBody(r.r, int(n)*geom.PointSize)
+		if err != nil {
 			return Frame{}, fmt.Errorf("repl: point chunk body: %w", err)
 		}
-		pts := make([]nwcq.Point, n)
-		off := 0
-		for i := range pts {
-			pts[i] = nwcq.Point{
-				X:  math.Float64frombits(binary.BigEndian.Uint64(raw[off:])),
-				Y:  math.Float64frombits(binary.BigEndian.Uint64(raw[off+8:])),
-				ID: binary.BigEndian.Uint64(raw[off+16:]),
-			}
-			off += pointSize
-		}
-		return Frame{Type: FramePoints, Points: pts}, nil
+		return Frame{Type: FramePoints, Points: geom.DecodePoints(raw)}, nil
 	case FrameRecord:
 		var hdr [12]byte
 		if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
@@ -195,8 +172,8 @@ func (r *Reader) Next() (Frame, error) {
 		if plen == 0 || plen > maxFramePayload {
 			return Frame{}, fmt.Errorf("repl: record payload of %d bytes", plen)
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r.r, payload); err != nil {
+		payload, err := readBody(r.r, int(plen))
+		if err != nil {
 			return Frame{}, fmt.Errorf("repl: record body: %w", err)
 		}
 		return Frame{
@@ -218,4 +195,15 @@ func (r *Reader) Next() (Frame, error) {
 	default:
 		return Frame{}, fmt.Errorf("repl: unknown frame type %q", t)
 	}
+}
+
+// readBody reads an n-byte frame body into a buffer that grows with the
+// bytes that arrive, not with the length a header claims: a hostile or
+// torn header costs what the stream delivers.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(b) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -107,4 +108,68 @@ func TestWriterChunksLargePointSets(t *testing.T) {
 	if err != nil || len(fr.Points) != 1 || fr.Points[0].ID != 3 {
 		t.Fatalf("second chunk = %+v, %v", fr, err)
 	}
+}
+
+// TestTruncatedHeaderAllocatesLittle sends a header claiming the largest
+// body its limit allows, then ends the stream. The reader must fail
+// having allocated for the bytes that arrived, not for the claim (24 MiB
+// of points, 16 MiB of payload).
+func TestTruncatedHeaderAllocatesLittle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hdr  []byte
+	}{
+		{"points", []byte{FramePoints, 0x00, 0x10, 0x00, 0x00}},
+		{"record", []byte{FrameRecord, 0, 0, 0, 0, 0, 0, 0, 9, 0x01, 0x00, 0x00, 0x00}},
+	} {
+		r := NewReader(bytes.NewReader(tc.hdr))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := r.Next()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated frame accepted", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: a %d-byte header allocated %d bytes", tc.name, len(tc.hdr), got)
+		}
+	}
+}
+
+// FuzzReplFrame reads frames off a fuzzed stream until the first error.
+// Every frame read must write back to the bytes it was read from, and
+// the reader must never panic. Seeds are in testdata/fuzz/FuzzReplFrame:
+// one frame of each type, a whole session, headers claiming bodies that
+// never arrive, an empty and an oversized record, a chunk past its
+// limit and an unknown type.
+func FuzzReplFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReader(bytes.NewReader(data))
+		var out bytes.Buffer
+		w := NewWriter(&out)
+		for {
+			fr, err := r.Next()
+			if err != nil {
+				break
+			}
+			switch fr.Type {
+			case FrameSnapshot:
+				err = w.Snapshot(fr.LSN, int(fr.Count))
+			case FramePoints:
+				err = w.Points(fr.Points)
+			case FrameRecord:
+				err = w.Record(fr.LSN, fr.Payload)
+			case FrameHeartbeat:
+				err = w.Heartbeat(fr.Durable, fr.Committed, fr.At)
+			default:
+				t.Fatalf("reader returned frame type %q", fr.Type)
+			}
+			if err != nil {
+				t.Fatalf("frame %+v does not write: %v", fr, err)
+			}
+		}
+		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("frames write back as %x, read from %x", out.Bytes(), data)
+		}
+	})
 }

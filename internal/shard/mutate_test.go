@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -123,6 +124,118 @@ func TestShardedBatchMutations(t *testing.T) {
 	}
 	if sh.Len() != 30 {
 		t.Fatalf("Len=%d after delete, want 30", sh.Len())
+	}
+}
+
+// TestRefusedPointLeavesBounds inserts points the shards refuse. The
+// router routes them before a shard validates, and a refused point must
+// not widen its shard's pruning bounds: a NaN bound cannot prune, and an
+// infinite one covers the plane. After a refused single point the bounds
+// and a pruned query's ShardsPruned are unchanged; after a mixed batch
+// every bound is still finite.
+func TestRefusedPointLeavesBounds(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	pts := []nwcq.Point{
+		{X: 90, Y: 10, ID: 1}, {X: 91, Y: 11, ID: 2}, {X: 89, Y: 9, ID: 3},
+		{X: 10, Y: 10, ID: 4}, {X: 10, Y: 90, ID: 5}, {X: 90, Y: 90, ID: 6},
+	}
+	q := nwcq.Query{X: 90, Y: 10, Length: 4, Width: 4, N: 3}
+	pruned := func(sh *Sharded) uint64 {
+		t.Helper()
+		before := sh.RouterStats().ShardsPruned
+		if _, err := sh.NWC(q); err != nil {
+			t.Fatal(err)
+		}
+		return sh.RouterStats().ShardsPruned - before
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []nwcq.Point
+	}{
+		{"NaN x", []nwcq.Point{{X: nan, Y: 5, ID: 100}}},
+		{"NaN y", []nwcq.Point{{X: 5, Y: nan, ID: 100}}},
+		{"+Inf x", []nwcq.Point{{X: inf, Y: 5, ID: 100}}},
+		{"-Inf x", []nwcq.Point{{X: -inf, Y: 5, ID: 100}}},
+		{"+Inf y", []nwcq.Point{{X: 5, Y: inf, ID: 100}}},
+		{"mixed batch", []nwcq.Point{
+			{X: 5, Y: 5, ID: 100}, {X: -20, Y: 5, ID: 101}, {X: nan, Y: 5, ID: 102},
+			{X: 95, Y: -inf, ID: 103}, {X: 5, Y: 95, ID: 104}, {X: inf, Y: inf, ID: 105},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, sh := buildBoth(t, pts, 4)
+			sh.SetParallelism(1) // pruning counts are deterministic only sequentially
+			bounds := slices.Clone(sh.shardBounds())
+			wantPruned := pruned(sh)
+			if wantPruned == 0 {
+				t.Fatal("the query prunes no shard: the test shows nothing")
+			}
+			var err error
+			if len(tc.batch) == 1 {
+				err = sh.Insert(tc.batch[0])
+			} else {
+				err = sh.InsertBatch(tc.batch)
+			}
+			if err == nil {
+				t.Fatal("a non-finite point was accepted")
+			}
+			for i, b := range sh.shardBounds() {
+				if !finite(geom.Point{X: b.MinX, Y: b.MinY}) || !finite(geom.Point{X: b.MaxX, Y: b.MaxY}) {
+					t.Fatalf("shard %d bounds %+v after the refusal", i, b)
+				}
+			}
+			if len(tc.batch) > 1 {
+				return
+			}
+			if got := sh.shardBounds(); !slices.Equal(got, bounds) {
+				t.Fatalf("bounds %+v after the refused point, want %+v", got, bounds)
+			}
+			if got := pruned(sh); got != wantPruned {
+				t.Fatalf("query prunes %d shards after the refused point, want %d", got, wantPruned)
+			}
+		})
+	}
+}
+
+// TestMutationCountsMatchIndex runs one script of single, batch and
+// refused mutations on an Index and on a Sharded router. Both must count
+// the same insert and delete operations and errors.
+func TestMutationCountsMatchIndex(t *testing.T) {
+	single, sh := buildBoth(t, straddlePoints(rand.New(rand.NewSource(23)), 30), 4)
+	a, b := nwcq.Point{X: 10, Y: 10, ID: 601}, nwcq.Point{X: 90, Y: 90, ID: 602}
+	c, bad := nwcq.Point{X: 60, Y: 20, ID: 603}, nwcq.Point{X: math.NaN(), Y: 1, ID: 604}
+	absent := nwcq.Point{X: 1, Y: 1, ID: 999}
+	for _, m := range []nwcq.Mutator{single, sh} {
+		steps := []error{
+			m.Insert(a),
+			m.Insert(bad),
+			m.InsertBatch([]nwcq.Point{b, c}),
+			m.InsertBatch([]nwcq.Point{bad, {X: 30, Y: 30, ID: 605}}),
+			m.InsertBatch(nil),
+		}
+		_, err := m.Delete(a)
+		steps = append(steps, err)
+		_, err = m.Delete(absent)
+		steps = append(steps, err)
+		_, err = m.DeleteBatch([]nwcq.Point{b, absent, c})
+		steps = append(steps, err)
+		_, err = m.DeleteBatch(nil)
+		steps = append(steps, err)
+		for i, err := range steps {
+			if refused := i == 1 || i == 3; (err != nil) != refused {
+				t.Fatalf("%T step %d: err = %v", m, i, err)
+			}
+		}
+	}
+	want, got := single.Metrics().Queries, sh.Metrics().Queries
+	for _, kind := range []string{"insert", "delete"} {
+		if got[kind].Count != want[kind].Count || got[kind].Errors != want[kind].Errors {
+			t.Fatalf("%s: router counts %d ops, %d errors; the index %d, %d",
+				kind, got[kind].Count, got[kind].Errors, want[kind].Count, want[kind].Errors)
+		}
+	}
+	if want["insert"].Count != 5 || want["insert"].Errors != 2 || want["delete"].Count != 4 {
+		t.Fatalf("index counts insert %+v, delete %+v; want 5 ops with 2 errors, 4 ops", want["insert"], want["delete"])
 	}
 }
 

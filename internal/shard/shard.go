@@ -257,14 +257,16 @@ func (s *Sharded) shardFor(x, y float64) int {
 // do not modify).
 func (s *Sharded) shardBounds() []geom.Rect { return *s.bounds.Load() }
 
-// extendBounds grows shard i's effective bounds to cover p, if needed.
-// Extension is monotonic, so pruning against stale (smaller) bounds can
-// only happen for points not yet visible to any query.
+// extendBounds grows shard i's effective bounds to cover pts, if
+// needed. Extension is monotonic, so pruning against stale (smaller)
+// bounds can only happen for points not yet visible to any query. A
+// point with a non-finite coordinate extends nothing: the shard refuses
+// it before anything becomes visible.
 func (s *Sharded) extendBounds(i int, pts []nwcq.Point) {
 	cur := s.shardBounds()
 	needs := false
 	for _, p := range pts {
-		if !cur[i].ContainsPoint(p) {
+		if finite(p) && !cur[i].ContainsPoint(p) {
 			needs = true
 			break
 		}
@@ -278,9 +280,17 @@ func (s *Sharded) extendBounds(i int, pts []nwcq.Point) {
 	next := make([]geom.Rect, len(cur))
 	copy(next, cur)
 	for _, p := range pts {
-		next[i] = next[i].ExtendPoint(p)
+		if finite(p) {
+			next[i] = next[i].ExtendPoint(p)
+		}
 	}
 	s.bounds.Store(&next)
+}
+
+// finite reports whether both of p's coordinates are finite (a NaN
+// fails both comparisons).
+func finite(p nwcq.Point) bool {
+	return math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64
 }
 
 // partition splits points by destination shard, preserving input order
@@ -490,28 +500,24 @@ func (s *Sharded) closeShards() error {
 	return firstErr
 }
 
-// Insert routes the point to its shard by partition key. Safe under
-// full concurrency; bounds extension (for points outside the shard's
-// region) is published before the point becomes visible to queries.
-func (s *Sharded) Insert(p nwcq.Point) error {
-	start := time.Now()
-	i := s.shardFor(p.X, p.Y)
-	s.extendBounds(i, []nwcq.Point{p})
-	err := s.shards[i].Insert(p)
-	s.rec.Observe(obs.KindInsert, start, err)
-	return err
-}
+// Insert routes the point to its shard by partition key: InsertBatch
+// of one.
+func (s *Sharded) Insert(p nwcq.Point) error { return s.InsertBatch([]nwcq.Point{p}) }
 
 // InsertBatch routes points to their shards and inserts per shard
-// atomically. Atomicity is per shard: a failure leaves earlier shards'
-// sub-batches applied (each sub-batch itself is all-or-nothing).
-func (s *Sharded) InsertBatch(pts []nwcq.Point) error {
+// atomically. Safe under full concurrency; bounds extension (for points
+// outside a shard's region) is published before the points become
+// visible to queries. Atomicity is per shard: a failure leaves earlier
+// shards' sub-batches applied (each sub-batch itself is all-or-nothing).
+func (s *Sharded) InsertBatch(pts []nwcq.Point) (err error) {
+	start := time.Now()
+	defer func() { s.rec.Observe(obs.KindInsert, start, err) }()
 	for i, part := range s.partition(pts) {
 		if len(part) == 0 {
 			continue
 		}
 		s.extendBounds(i, part)
-		if err := s.shards[i].InsertBatch(part); err != nil {
+		if err = s.shards[i].InsertBatch(part); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -519,38 +525,37 @@ func (s *Sharded) InsertBatch(pts []nwcq.Point) error {
 }
 
 // Delete routes the deletion to the point's shard and reports whether
-// the point was found there.
+// the point was found there: the first flag of DeleteBatch of one.
 func (s *Sharded) Delete(p nwcq.Point) (bool, error) {
-	start := time.Now()
-	found, err := s.shards[s.shardFor(p.X, p.Y)].Delete(p)
-	s.rec.Observe(obs.KindDelete, start, err)
-	return found, err
+	founds, err := s.DeleteBatch([]nwcq.Point{p})
+	return len(founds) > 0 && founds[0], err
 }
 
-// DeleteBatch routes deletions per shard (each shard's sub-batch is
-// atomic) and returns one found flag per input point, in input order.
-func (s *Sharded) DeleteBatch(pts []nwcq.Point) ([]bool, error) {
+// DeleteBatch routes deletions per shard, in shard order (each shard's
+// sub-batch is atomic), and returns one found flag per input point, in
+// input order.
+func (s *Sharded) DeleteBatch(pts []nwcq.Point) (founds []bool, err error) {
+	start := time.Now()
+	defer func() { s.rec.Observe(obs.KindDelete, start, err) }()
 	if len(pts) == 0 {
 		return nil, nil
 	}
-	byShard := make(map[int][]int, len(s.shards))
-	for i, p := range pts {
-		si := s.shardFor(p.X, p.Y)
-		byShard[si] = append(byShard[si], i)
+	parts := s.partition(pts)
+	flags := make([][]bool, len(parts))
+	for i, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		if flags[i], err = s.shards[i].DeleteBatch(part); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
 	}
-	founds := make([]bool, len(pts))
-	for si, idxs := range byShard {
-		part := make([]nwcq.Point, len(idxs))
-		for j, i := range idxs {
-			part[j] = pts[i]
-		}
-		fs, err := s.shards[si].DeleteBatch(part)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
-		}
-		for j, i := range idxs {
-			founds[i] = fs[j]
-		}
+	// partition keeps input order within a shard: hand each point the
+	// next flag of its shard.
+	founds = make([]bool, len(pts))
+	for j, p := range pts {
+		i := s.shardFor(p.X, p.Y)
+		founds[j], flags[i] = flags[i][0], flags[i][1:]
 	}
 	return founds, nil
 }

@@ -70,7 +70,10 @@ func TestPinnedViewsKeepTheirIWPIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinned := map[int]*view{0: idx.acquire()}
+		// The reader holds v0 itself: it must not read the map the loop
+		// below writes.
+		v0 := idx.acquire()
+		pinned := map[int]*view{0: v0}
 		onView := func(v *view) func(Query) (Result, error) {
 			return func(q Query) (Result, error) { return idx.nwcOnView(ctx, v, q, nil) }
 		}
@@ -84,7 +87,7 @@ func TestPinnedViewsKeepTheirIWPIndex(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					checkViewAgainstOracle(t, "pinned, during writes", oracle, 0, onView(pinned[0]))
+					checkViewAgainstOracle(t, "pinned, during writes", oracle, 0, onView(v0))
 				}
 			}
 		}()

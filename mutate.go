@@ -40,40 +40,17 @@ import (
 //     rebuilds them in full. The patch's few node reads are accounted in
 //     IOStats like the mutation's own and never touch a query's Stats.
 
-// Insert adds one point to the index. It is safe to call concurrently
-// with queries and with other mutations; the point is visible to every
-// query that starts after Insert returns.
-func (ix *Index) Insert(p Point) error {
-	start := time.Now()
-	err := ix.insert(p)
-	ix.rec.Observe(obs.KindInsert, start, err)
-	return err
-}
-
-func (ix *Index) insert(p Point) error {
-	if err := validatePoint(p); err != nil {
-		return err
-	}
-	ix.wmu.Lock()
-	lsn, err := ix.insertLocked([]Point{p})
-	ix.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	return ix.waitDurable(lsn)
-}
+// Insert adds one point to the index: InsertBatch of one. It is safe to
+// call concurrently with queries and with other mutations; the point is
+// visible to every query that starts after Insert returns.
+func (ix *Index) Insert(p Point) error { return ix.InsertBatch([]Point{p}) }
 
 // InsertBatch adds points atomically: all become visible in one
 // published view (and, on a WAL-backed index, one log record and at
 // most one fsync) or none do. An empty batch is a no-op.
-func (ix *Index) InsertBatch(pts []Point) error {
+func (ix *Index) InsertBatch(pts []Point) (err error) {
 	start := time.Now()
-	err := ix.insertBatch(pts)
-	ix.rec.Observe(obs.KindInsert, start, err)
-	return err
-}
-
-func (ix *Index) insertBatch(pts []Point) error {
+	defer func() { ix.rec.Observe(obs.KindInsert, start, err) }()
 	if len(pts) == 0 {
 		return nil
 	}
@@ -82,87 +59,38 @@ func (ix *Index) insertBatch(pts []Point) error {
 			return err
 		}
 	}
-	ix.wmu.Lock()
-	lsn, err := ix.insertLocked(pts)
-	ix.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	return ix.waitDurable(lsn)
-}
-
-func (ix *Index) insertLocked(pts []Point) (uint64, error) {
-	old := ix.cur.Load()
-	b, err := old.tree.BeginWrite()
-	if err != nil {
-		return 0, err
-	}
-	for i := range pts {
-		if err := b.Tree().Insert(pts[i]); err != nil {
-			b.Discard()
-			return 0, err
-		}
-	}
-	den := old.grid
-	for i := range pts {
-		next, err := den.WithAdd(pts[i])
-		if err != nil {
-			// Outside the grid's space: rebuild over a space covering the
-			// new point (with slack so a trickle of outliers does not cause
-			// repeated rebuilds). The rebuild reads the batch's tree, which
-			// already holds every point of this batch, so the remaining
-			// WithAdd steps are covered too.
-			next, err = rebuildGrid(b.Tree(), old.grid, &pts[i])
-			if err != nil {
-				b.Discard()
-				return 0, err
-			}
-			den = next
-			break
-		}
-		den = next
-	}
-	return ix.commitMutationLocked(b, ix.encodeFor(recInsert, pts), den, recInsert, pts, 0)
+	_, err = ix.run(record{op: recInsert, pts: pts})
+	return err
 }
 
 // Delete removes one point (matched by coordinates and ID) and reports
-// whether it was found. Like Insert it is safe under full concurrency
-// and atomic: queries see either the index with the point or without
-// it, never an intermediate state.
+// whether it was found: the first flag of DeleteBatch of one. Like
+// Insert it is safe under full concurrency and atomic: queries see
+// either the index with the point or without it, never an intermediate
+// state.
 func (ix *Index) Delete(p Point) (bool, error) {
-	start := time.Now()
-	found, err := ix.delete(p)
-	ix.rec.Observe(obs.KindDelete, start, err)
-	return found, err
-}
-
-func (ix *Index) delete(p Point) (bool, error) {
-	ix.wmu.Lock()
-	founds, lsn, err := ix.deleteLocked([]Point{p})
-	ix.wmu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return founds[0], ix.waitDurable(lsn)
+	founds, err := ix.DeleteBatch([]Point{p})
+	return len(founds) > 0 && founds[0], err
 }
 
 // DeleteBatch removes points atomically (matched by coordinates and
 // ID), returning one found flag per input point. The found deletions
 // become visible in one published view — and one WAL record — or, if
 // anything fails, none do. An empty batch is a no-op.
-func (ix *Index) DeleteBatch(pts []Point) ([]bool, error) {
+func (ix *Index) DeleteBatch(pts []Point) (founds []bool, err error) {
 	start := time.Now()
-	founds, err := ix.deleteBatch(pts)
-	ix.rec.Observe(obs.KindDelete, start, err)
-	return founds, err
-}
-
-func (ix *Index) deleteBatch(pts []Point) ([]bool, error) {
+	defer func() { ix.rec.Observe(obs.KindDelete, start, err) }()
 	if len(pts) == 0 {
 		return nil, nil
 	}
+	return ix.run(record{op: recDelete, pts: pts})
+}
+
+// run applies r under the writer mutex, then waits for its durability
+// with the mutex released.
+func (ix *Index) run(r record) ([]bool, error) {
 	ix.wmu.Lock()
-	founds, lsn, err := ix.deleteLocked(pts)
+	founds, lsn, err := ix.mutateLocked(r)
 	ix.wmu.Unlock()
 	if err != nil {
 		return nil, err
@@ -170,81 +98,132 @@ func (ix *Index) deleteBatch(pts []Point) ([]bool, error) {
 	return founds, ix.waitDurable(lsn)
 }
 
-func (ix *Index) deleteLocked(pts []Point) ([]bool, uint64, error) {
+// mutateLocked is the one mutation step: BeginWrite, applyRecord on the
+// batch's tree, one grid step, commitMutationLocked. Where the record
+// came from picks between two rules:
+//
+//   - a caller's own mutation logs the points it changed, so a delete
+//     logs only the points it found, and one that found none commits
+//     nothing (lsn 0);
+//   - a leader's record (r.replicated) always commits, so the replica
+//     position advances past it, and feeds its own points to the affect
+//     test (a superset of the changed points is always conservative).
+//
+// It returns the per-point found flags of a delete. Caller holds ix.wmu.
+func (ix *Index) mutateLocked(r record) ([]bool, uint64, error) {
 	old := ix.cur.Load()
 	b, err := old.tree.BeginWrite()
 	if err != nil {
 		return nil, 0, err
 	}
-	founds := make([]bool, len(pts))
-	removed := make([]Point, 0, len(pts))
-	for i, gp := range pts {
-		found, err := b.Tree().Delete(gp)
-		if err != nil {
-			b.Discard()
-			return nil, 0, err
-		}
-		founds[i] = found
-		if found {
-			removed = append(removed, gp)
-		}
-	}
-	if len(removed) == 0 {
+	ch, err := applyRecord(b.Tree(), r)
+	if err != nil {
 		b.Discard()
-		return founds, 0, nil
+		return nil, 0, err
 	}
-	den := old.grid
-	for _, gp := range removed {
-		next, err := den.WithRemove(gp)
-		if err != nil {
-			// The grid does not count a point the tree held — the two
-			// drifted (e.g. a historic out-of-space insert). Rather than
-			// publish a grid that still counts the deleted point, rebuild it
-			// from the post-delete tree so the pair leaves consistent; a
-			// rebuild failure abandons the whole mutation.
-			next, err = rebuildGrid(b.Tree(), old.grid, nil)
-			if err != nil {
-				b.Discard()
-				return nil, 0, err
-			}
-			den = next
-			break
+	if r.op == recDelete && !r.replicated {
+		if len(ch.removed) == 0 {
+			b.Discard()
+			return ch.founds, 0, nil
 		}
-		den = next
+		r.pts = ch.removed
 	}
-	lsn, err := ix.commitMutationLocked(b, ix.encodeFor(recDelete, removed), den, recDelete, removed, 0)
+	den, err := nextGrid(b.Tree(), old.grid, r.op, ch)
+	if err != nil {
+		b.Discard()
+		return nil, 0, err
+	}
+	lsn, err := ix.commitMutationLocked(b, den, r)
 	if err != nil {
 		return nil, 0, err
 	}
-	return founds, lsn, nil
+	return ch.founds, lsn, nil
 }
 
-// encodeFor builds the WAL payload for a mutation, nil when the index
-// has no log (the bytes would be discarded unused).
-func (ix *Index) encodeFor(op byte, pts []Point) []byte {
-	if ix.dur == nil {
-		return nil
+// change is what applyRecord did to a tree.
+type change struct {
+	added   []Point // an insert's points
+	removed []Point // the points a delete or reset found and removed
+	founds  []bool  // a delete's found flag per record point
+}
+
+// applyRecord applies one mutation record to a write batch's tree — the
+// step live mutations, a follower's applies and WAL replay share. An
+// insert adds its points; a delete removes those present, tolerating
+// absent ones; a reset removes every point.
+func applyRecord(t *rstar.Tree, r record) (change, error) {
+	switch r.op {
+	case recInsert:
+		for i := range r.pts {
+			if err := t.Insert(r.pts[i]); err != nil {
+				return change{}, err
+			}
+		}
+		return change{added: r.pts}, nil
+	case recReset:
+		all, err := t.All()
+		if err != nil {
+			return change{}, err
+		}
+		r.pts = all
 	}
-	return encodeMutation(op, pts)
+	ch := change{founds: make([]bool, len(r.pts)), removed: make([]Point, 0, len(r.pts))}
+	for i, p := range r.pts {
+		found, err := t.Delete(p)
+		if err != nil {
+			return change{}, err
+		}
+		ch.founds[i] = found
+		if found {
+			ch.removed = append(ch.removed, p)
+		}
+	}
+	return ch, nil
 }
 
-// commitMutationLocked runs the tail every mutation shares: log the
-// record (paged index — before any page of the commit is published),
-// commit the copy-on-write batch, publish the new view (patching the
-// IWP index from the commit's delta), notify standing queries, and
-// trigger a checkpoint if the log has grown past its threshold. A
-// commit or publish failure after the append — a failed IWP patch
-// included: no view is published with a stale index — is neutralised
-// with an abort record so recovery does not replay a mutation the
-// caller saw fail. op and changed describe the mutation
-// for the subscription affect test; leaderLSN, nonzero only on a
-// replication follower, stamps notifications with the leader's LSN so
-// both replicas expose the same version axis. Caller holds ix.wmu.
-func (ix *Index) commitMutationLocked(b *rstar.WriteBatch, payload []byte, den *grid.Density, op byte, changed []Point, leaderLSN uint64) (uint64, error) {
+// nextGrid derives the density grid that matches t after ch: one
+// WithAdd or WithRemove per changed point, or a rebuild from t after a
+// reset or a failed step. A step fails when an insert falls outside the
+// grid's space (the rebuild grows the space to cover it) or when the
+// grid does not count a point the tree held — the two drifted — and the
+// rebuild then leaves the pair consistent rather than publish a grid
+// that still counts the deleted point.
+func nextGrid(t *rstar.Tree, old *grid.Density, op byte, ch change) (*grid.Density, error) {
+	if op == recReset {
+		return rebuildGrid(t, old)
+	}
+	den := old
+	var err error
+	for _, p := range ch.added {
+		if den, err = den.WithAdd(p); err != nil {
+			return rebuildGrid(t, old)
+		}
+	}
+	for _, p := range ch.removed {
+		if den, err = den.WithRemove(p); err != nil {
+			return rebuildGrid(t, old)
+		}
+	}
+	return den, nil
+}
+
+// commitMutationLocked runs the tail of the mutation step: log r
+// (paged index — before any page of the commit is published), commit
+// the copy-on-write batch, publish the new view (patching the IWP index
+// from the commit's delta), move the replica position, notify standing
+// queries, and trigger a checkpoint if the log has grown past its
+// threshold. A commit or publish failure after the append — a failed
+// IWP patch included: no view is published with a stale index — is
+// neutralised with an abort record so recovery does not replay a
+// mutation the caller saw fail. r's op and points feed the subscription
+// affect test; a leader's LSN, on a replication follower, stamps
+// notifications so both replicas expose the same version axis. Caller
+// holds ix.wmu.
+func (ix *Index) commitMutationLocked(b *rstar.WriteBatch, den *grid.Density, r record) (uint64, error) {
 	var lsn uint64
 	if ix.dur != nil {
 		var err error
-		if lsn, err = ix.dur.append(payload); err != nil {
+		if lsn, err = ix.dur.append(r.encode()); err != nil {
 			b.Discard()
 			return 0, err
 		}
@@ -266,6 +245,9 @@ func (ix *Index) commitMutationLocked(b *rstar.WriteBatch, payload []byte, den *
 		// Published: the record's fate is decided and the replication
 		// stream may ship it (the abort paths above settle via abort()).
 		ix.dur.settled.Store(lsn)
+		// The position moves before the checkpoint below can persist it:
+		// that checkpoint covers this record, so replay will not.
+		ix.dur.replica.Store(r.position(ix.dur.replica.Load()))
 	}
 	// Standing-query hook. The Active gate keeps the zero-subscriber
 	// cost at one atomic load: nothing below it (closure, timestamps,
@@ -273,10 +255,10 @@ func (ix *Index) commitMutationLocked(b *rstar.WriteBatch, payload []byte, den *
 	if ix.subs.Active() > 0 {
 		nv := ix.cur.Load()
 		frameLSN := lsn
-		if leaderLSN != 0 {
-			frameLSN = leaderLSN
+		if r.leader != 0 {
+			frameLSN = r.leader
 		}
-		ix.subs.Publish(frameLSN, nv.gen, subOpFor(op), changed, func() (any, func()) {
+		ix.subs.Publish(frameLSN, nv.gen, subOpFor(r.op), r.pts, func() (any, func()) {
 			// Under wmu the just-published view cannot be tombstoned, so
 			// a plain increment pins it.
 			nv.refs.Add(1)
@@ -301,99 +283,6 @@ func subOpFor(op byte) sub.Op {
 	}
 }
 
-// applyReplicatedLocked mirrors insertLocked/deleteLocked for a record
-// replicated from a leader. Deletes tolerate absent points (exactly as
-// WAL replay does) and always commit even when nothing matched: the
-// follower's replica position must advance past the record either way.
-// payload is the recApply-wrapped record for this follower's own log;
-// leaderLSN stamps standing-query notifications so follower subscribers
-// see the leader's version axis. Caller holds ix.wmu.
-func (ix *Index) applyReplicatedLocked(op byte, pts []Point, payload []byte, leaderLSN uint64) (uint64, error) {
-	old := ix.cur.Load()
-	b, err := old.tree.BeginWrite()
-	if err != nil {
-		return 0, err
-	}
-	den := old.grid
-	if op == recInsert {
-		for i := range pts {
-			if err := b.Tree().Insert(pts[i]); err != nil {
-				b.Discard()
-				return 0, err
-			}
-		}
-		for i := range pts {
-			next, err := den.WithAdd(pts[i])
-			if err != nil {
-				next, err = rebuildGrid(b.Tree(), old.grid, &pts[i])
-				if err != nil {
-					b.Discard()
-					return 0, err
-				}
-				den = next
-				break
-			}
-			den = next
-		}
-	} else {
-		removed := make([]Point, 0, len(pts))
-		for _, gp := range pts {
-			found, err := b.Tree().Delete(gp)
-			if err != nil {
-				b.Discard()
-				return 0, err
-			}
-			if found {
-				removed = append(removed, gp)
-			}
-		}
-		for _, gp := range removed {
-			next, err := den.WithRemove(gp)
-			if err != nil {
-				next, err = rebuildGrid(b.Tree(), old.grid, nil)
-				if err != nil {
-					b.Discard()
-					return 0, err
-				}
-				den = next
-				break
-			}
-			den = next
-		}
-	}
-	// pts (not the matched subset) feeds the affect test for deletes:
-	// a superset of the changed points is always conservative.
-	return ix.commitMutationLocked(b, payload, den, op, pts, leaderLSN)
-}
-
-// resetLocked discards every indexed point as one logged mutation — the
-// follower's first step of a snapshot re-bootstrap. Caller holds
-// ix.wmu.
-func (ix *Index) resetLocked() (uint64, error) {
-	old := ix.cur.Load()
-	b, err := old.tree.BeginWrite()
-	if err != nil {
-		return 0, err
-	}
-	pts, err := b.Tree().All()
-	if err != nil {
-		b.Discard()
-		return 0, err
-	}
-	for _, gp := range pts {
-		if _, err := b.Tree().Delete(gp); err != nil {
-			b.Discard()
-			return 0, err
-		}
-	}
-	den, err := rebuildGrid(b.Tree(), old.grid, nil)
-	if err != nil {
-		b.Discard()
-		return 0, err
-	}
-	return ix.commitMutationLocked(b, []byte{recReset}, den, recReset, nil, 0)
-}
-
 // waitDurable blocks until the mutation at lsn is durable under the
 // index's SyncPolicy. Called after wmu is released so waiting
 // committers coalesce on one fsync while the next writer proceeds.
@@ -411,20 +300,17 @@ func validatePoint(p Point) error {
 	return nil
 }
 
-// rebuildGrid builds a fresh density grid from t's current points. With
-// extra set, the space is enlarged to cover it plus 12.5% slack per
-// side; otherwise the old space is kept.
-func rebuildGrid(t *rstar.Tree, oldGrid *grid.Density, extra *Point) (*grid.Density, error) {
+// rebuildGrid builds a fresh density grid from t's current points over
+// the old space, enlarged to cover every stored point plus 12.5% slack
+// per side when some point lies outside it.
+func rebuildGrid(t *rstar.Tree, oldGrid *grid.Density) (*grid.Density, error) {
 	pts, err := t.All()
 	if err != nil {
 		return nil, err
 	}
 	space := oldGrid.Space()
-	if extra != nil {
-		space = space.ExtendPoint(*extra)
-	}
-	// Cover every stored point: repairing drift means the tree may hold
-	// points the old space never did.
+	// Cover every stored point: an insert outside the space, or drift
+	// being repaired, means the tree holds points the old space never did.
 	for _, p := range pts {
 		space = space.ExtendPoint(p)
 	}

@@ -1,8 +1,6 @@
 package nwcq
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"nwcq/internal/wal"
@@ -145,7 +143,11 @@ func (s *ReplicationStream) Next() (*ReplicationRecord, error) {
 			}
 		}
 		n := s.cur.LSN
-		if len(s.cur.Data) > 0 && s.cur.Data[0] == recAbort {
+		r, err := decodeRecord(s.cur.Data)
+		if err != nil {
+			return nil, fmt.Errorf("nwcq: stream lsn %d: %w", n, err)
+		}
+		if r.op == recAbort {
 			// A bare abort whose target preceded the stream start (or was
 			// already skipped): nothing for the follower.
 			s.cur = nil
@@ -173,7 +175,7 @@ func (s *ReplicationStream) Next() (*ReplicationRecord, error) {
 		if !ok {
 			return nil, nil
 		}
-		if isAbortOf(next.Data, n) {
+		if nr, err := decodeRecord(next.Data); err == nil && nr.op == recAbort && nr.target == n {
 			s.cur = nil // drop the aborted pair
 			continue
 		}
@@ -198,13 +200,6 @@ func (s *ReplicationStream) Pos() uint64 {
 // Close releases the stream's retention lease.
 func (s *ReplicationStream) Close() { s.r.Close() }
 
-func isAbortOf(data []byte, lsn uint64) bool {
-	if len(data) != 9 || data[0] != recAbort {
-		return false
-	}
-	return binary.BigEndian.Uint64(data[1:9]) == lsn
-}
-
 // ReplicationRecord is one committed mutation shipped to a follower.
 // Data is the leader's opaque record payload; followers hand it to
 // ApplyReplicated verbatim.
@@ -226,27 +221,20 @@ type ReplicationRecord struct {
 // suffix; redelivery is idempotent, and a position below the leader's
 // retained floor just re-bootstraps from a snapshot.
 func (p *PagedIndex) ApplyReplicated(leaderLSN uint64, data []byte) error {
-	if len(data) == 0 {
-		return errors.New("nwcq: empty replicated record")
-	}
-	op := data[0]
-	if op != recInsert && op != recDelete {
-		return fmt.Errorf("nwcq: replicated record op %d is not a mutation (chained replication is unsupported)", op)
-	}
-	pts, err := decodeMutation(data)
+	r, err := decodeRecord(data)
 	if err != nil {
 		return err
 	}
+	if r.replicated || (r.op != recInsert && r.op != recDelete) {
+		return fmt.Errorf("nwcq: replicated record op %d is not a mutation (chained replication is unsupported)", data[0])
+	}
+	r.replicated, r.leader = true, leaderLSN
 	p.wmu.Lock()
+	defer p.wmu.Unlock()
 	if leaderLSN != 0 && leaderLSN <= p.dur.replica.Load() {
-		p.wmu.Unlock()
 		return nil
 	}
-	_, err = p.applyReplicatedLocked(op, pts, encodeApply(leaderLSN, data), leaderLSN)
-	if err == nil && leaderLSN != 0 {
-		p.dur.replica.Store(leaderLSN)
-	}
-	p.wmu.Unlock()
+	_, _, err = p.mutateLocked(r)
 	return err
 }
 
@@ -256,17 +244,8 @@ func (p *PagedIndex) ApplyReplicated(leaderLSN uint64, data []byte) error {
 // LSN, committing the position in the same logged mutation as the last
 // points.
 func (p *PagedIndex) ApplySnapshotChunk(pts []Point, leaderLSN uint64) error {
-	data := encodeMutation(recInsert, pts)
-	p.wmu.Lock()
-	lsn, err := p.applyReplicatedLocked(recInsert, pts, encodeApply(leaderLSN, data), leaderLSN)
-	if err == nil && leaderLSN != 0 {
-		p.dur.replica.Store(leaderLSN)
-	}
-	p.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	return p.waitDurable(lsn)
+	_, err := p.run(record{op: recInsert, pts: pts, replicated: true, leader: leaderLSN})
+	return err
 }
 
 // ResetForSnapshot discards every indexed point and zeroes the replica
@@ -274,14 +253,6 @@ func (p *PagedIndex) ApplySnapshotChunk(pts []Point, leaderLSN uint64) error {
 // step when the leader can only offer a snapshot bootstrap and local
 // state (partial or diverged) must go.
 func (p *PagedIndex) ResetForSnapshot() error {
-	p.wmu.Lock()
-	lsn, err := p.resetLocked()
-	if err == nil {
-		p.dur.replica.Store(0)
-	}
-	p.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	return p.waitDurable(lsn)
+	_, err := p.run(record{op: recReset})
+	return err
 }
