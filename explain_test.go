@@ -84,14 +84,15 @@ func TestExplainNWCVisitSum(t *testing.T) {
 			t.Errorf("%s: qualified %d != gated %d + emitted %d",
 				sch, c.QualifiedWindows, c.WindowsGated, c.GroupsEmitted)
 		}
-		// So do the window memo's: an anchor is served from the memo,
-		// grows it by one to four strips, or bypasses it; and under an IWP
-		// scheme every range query that reached the index started
-		// somewhere.
-		grew := c.WindowQueries - c.MemoServed - c.MemoBypassed
-		if grew < 0 || c.MemoStrips < grew || c.MemoStrips > 4*grew {
-			t.Errorf("%s: %d window queries, %d served, %d bypassed leave %d growths for %d strips",
-				sch, c.WindowQueries, c.MemoServed, c.MemoBypassed, grew, c.MemoStrips)
+		// So do the window memo's: its first strip is W0, read for the seed
+		// before the first anchor (DESIGN.md §19); after it an anchor is
+		// served from the memo, grows it by one to four strips, or bypasses
+		// it; and under an IWP scheme every range query that reached the
+		// index started somewhere.
+		grew, strips := c.WindowQueries-c.MemoServed-c.MemoBypassed, c.MemoStrips-1
+		if grew < 0 || strips < grew || strips > 4*grew {
+			t.Errorf("%s: %d window queries, %d served, %d bypassed leave %d growths for %d strips after W0",
+				sch, c.WindowQueries, c.MemoServed, c.MemoBypassed, grew, strips)
 		}
 		if _, _, _, iwp := sch.Flags(); iwp && c.IWPJumpStarts+c.IWPRootStarts != c.MemoStrips+c.MemoBypassed {
 			t.Errorf("%s: %d jump + %d root starts != %d strips + %d bypassed",
@@ -161,8 +162,9 @@ func TestExplainKNWC(t *testing.T) {
 // §19) on one query in a dense Gaussian cluster: under the max measure
 // the search ended at the bound, having left off the queue what lay beyond
 // it and processed eight objects (the drained queue of Algorithm 1
-// processes 980 for the same answer, with a heap of 483), the seven that
-// had a bound on search regions cut to its box; under the min measure the
+// processes 980 for the same answer, with a heap of 483), all eight on
+// search regions cut to its box — the first to the seed's, which W0 gives
+// before there is a group (DESIGN.md §19); under the min measure the
 // rule does not apply and all three counters stay 0; a kNWC ends at the
 // reach of its third group, with nothing left off the queue and no region
 // cut.
@@ -182,8 +184,8 @@ func TestExplainStopAtBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tr.Counters
-	if !res.Found || c.StoppedAtBound != 1 || c.NeverQueued != 105 || c.Clipped != 7 || res.Stats.ObjectsProcessed != 8 || tr.HeapHighWater != 140 {
-		t.Errorf("max: found=%v stopped_at_bound=%d never_queued=%d clipped=%d objects=%d heap=%d, want true, 1, 105, 7, 8, 140",
+	if !res.Found || c.StoppedAtBound != 1 || c.NeverQueued != 105 || c.Clipped != 8 || res.Stats.ObjectsProcessed != 8 || tr.HeapHighWater != 140 {
+		t.Errorf("max: found=%v stopped_at_bound=%d never_queued=%d clipped=%d objects=%d heap=%d, want true, 1, 105, 8, 8, 140",
 			res.Found, c.StoppedAtBound, c.NeverQueued, c.Clipped, res.Stats.ObjectsProcessed, tr.HeapHighWater)
 	}
 	out := tr.Render()
@@ -191,7 +193,7 @@ func TestExplainStopAtBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"never-queued=105", "stopped-at-bound=1", "clipped=7", `"never_queued":105`, `"stopped_at_bound":1`, `"clipped":7`} {
+	for _, want := range []string{"never-queued=105", "stopped-at-bound=1", "clipped=8", `"never_queued":105`, `"stopped_at_bound":1`, `"clipped":8`} {
 		if !strings.Contains(out+string(raw), want) {
 			t.Errorf("render and JSON miss %q:\n%s\n%s", want, out, raw)
 		}

@@ -89,7 +89,7 @@ func TestDenseVerifyCeilings(t *testing.T) {
 						best = dist
 						improvements++
 						return true
-					}, measure, Exec{Rec: rec, Paper: perAnchor}, false)
+					}, measure, Exec{Rec: rec, Paper: perAnchor}, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -136,6 +137,39 @@ func (e *Engine) rangeQuery(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, rect
 		err = r.Search(rect, collect)
 	}
 	return dst, err
+}
+
+// seedMemo grows the empty memo by W0, the l × w window centred on q, read
+// from the first anchor's leaf, and returns the seed it gives (DESIGN.md
+// §19 "The seed"): when W0 holds n points their n nearest are a group, and
+// the seed lies an ulp above its distance; otherwise it is +Inf. A seed
+// cuts what the memo keeps to its box, as it cuts every anchor's region.
+func (e *Engine) seedMemo(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, qy Query, sc *searchScratch) (float64, error) {
+	m, q, n := &sc.memo, qy.Q, qy.N
+	w0 := geom.RectAround(q).Buffer(qy.L/2, qy.W/2)
+	got, err := e.rangeQuery(r, viaIWP, leaf, w0, m.have, q, sc.slab[:0])
+	sc.slab = got
+	if err != nil {
+		return math.Inf(1), err
+	}
+	r.Recorder().Count(trace.CtrMemoStrips, 1)
+	seed := math.Inf(1)
+	if len(got) >= n {
+		quickselect(got, n)
+		seed = math.Nextafter(slices.MaxFunc(got[:n], distCompare).d, math.Inf(1))
+		// The gates compare squares: a seed whose square is subnormal is none.
+		if seed*seed < 0x1p-1022 {
+			seed = math.Inf(1)
+		}
+	}
+	m.have = w0
+	if !math.IsInf(seed, 1) {
+		b := seed * boxSlack
+		m.have = w0.Intersection(geom.RectAround(q).Buffer(b, b))
+		got = slices.DeleteFunc(got, func(c distPoint) bool { return !m.have.ContainsPoint(c.p) })
+	}
+	m.merge(got)
+	return seed, nil
 }
 
 // worthGrowing reports whether an anchor of an l × w query whose region sr

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -137,19 +138,100 @@ func checkMemoSequence(t *testing.T, eng *Engine, pts []geom.Point, mode byte, r
 		if want := inside(sr); !slices.Equal(got, want) {
 			t.Fatalf("step %d, region %v of %v: got %v, want %v", step, sr, regions, got, want)
 		}
-		held := make([]geom.Point, len(m.pts))
-		for i, o := range m.pts {
-			if i > 0 && yOrder(m.pts[i-1], o) >= 0 {
-				t.Fatalf("step %d %v: memo not in (Y, X, ID) order at %d", step, sr, i)
-			}
-			held[i] = o.p
-		}
-		slices.SortFunc(held, byID)
-		if want := inside(m.have); !slices.Equal(held, want) {
-			t.Fatalf("step %d, region %v of %v: memo of %v holds %v, want %v", step, sr, regions, m.have, held, want)
-		}
+		checkHeld(t, m, pts, fmt.Sprintf("step %d, region %v of %v", step, sr, regions))
 		if !m.have.IsEmpty() && (m.have.Width() > memoSpan*memoQuery.L || m.have.Height() > memoSpan*2*memoQuery.W) {
 			t.Fatalf("step %d, region %v of %v: memo grew to %v, past %d regions a side", step, sr, regions, m.have, memoSpan)
+		}
+	}
+}
+
+// checkHeld demands of the memo its invariant: exactly the indexed points
+// inside have, each once, in (Y, X, ID) order, each with its distance to
+// the query point (memoQuery's, or the one a seeded memo was read for).
+func checkHeld(t *testing.T, m *windowMemo, pts []geom.Point, at string) {
+	t.Helper()
+	held := make([]geom.Point, len(m.pts))
+	for i, o := range m.pts {
+		if i > 0 && yOrder(m.pts[i-1], o) >= 0 {
+			t.Fatalf("%s: memo not in (Y, X, ID) order at %d", at, i)
+		}
+		held[i] = o.p
+	}
+	slices.SortFunc(held, byID)
+	var want []geom.Point
+	for _, p := range pts {
+		if m.have.ContainsPoint(p) {
+			want = append(want, p)
+		}
+	}
+	if !slices.Equal(held, want) {
+		t.Fatalf("%s: memo of %v holds %v, want %v", at, m.have, held, want)
+	}
+}
+
+// TestSeedMemo holds the memo's first growth under the max measure, the
+// seed's read of W0 (DESIGN.md §19 "The seed"), to the memo's invariant and
+// the seed to W0's n nearest, an ulp up, on the lattice whose sites lie on
+// W0's edges: with a seed the memo is W0 cut to the seed's box, without one
+// all of W0, and anchors grow it from there like any other rectangle.
+func TestSeedMemo(t *testing.T) {
+	pts := memoLattice()
+	eng, err := quickEngine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := eng.tree.Reader(context.Background(), nil)
+	leaf := eng.tree.Root()
+	for {
+		n, err := r.Node(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Leaf {
+			break
+		}
+		leaf = n.Children[0]
+	}
+	for _, c := range []struct {
+		qy     Query
+		seeded bool
+	}{
+		{memoQuery, true}, // the box cuts W0 along x
+		{Query{Q: geom.Point{X: 22, Y: 22}, L: 16, W: 16, N: 6}, true}, // and along both
+		{Query{Q: geom.Point{X: 22, Y: 22}, L: 4, W: 4, N: 5}, true},   // W0's corners are its five points, all inside the box
+		{Query{Q: geom.Point{X: 22, Y: 22}, L: 4, W: 4, N: 6}, false},  // one short
+	} {
+		for _, viaIWP := range []bool{false, true} {
+			sc := getScratch()
+			seed, err := eng.seedMemo(r, viaIWP, leaf, c.qy, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, m := c.qy.Q, &sc.memo
+			at := fmt.Sprintf("%+v (IWP %v)", c.qy, viaIWP)
+			w0 := geom.RectAround(q).Buffer(c.qy.L/2, c.qy.W/2)
+			want, have := math.Inf(1), w0
+			if g := w0Group(c.qy, pts); g != nil {
+				want = math.Nextafter(q.Dist(g[c.qy.N-1]), math.Inf(1))
+				b := want * boxSlack
+				have = w0.Intersection(geom.RectAround(q).Buffer(b, b))
+			}
+			if seed != want || !math.IsInf(seed, 1) != c.seeded || m.have != have {
+				t.Fatalf("%s: seed %v and memo %v, want %v and %v", at, seed, m.have, want, have)
+			}
+			checkHeld(t, m, pts, at)
+			for _, o := range m.pts {
+				if o.d != q.Dist(o.p) {
+					t.Fatalf("%s: point %v carries distance %g, want %g", at, o.p, o.d, q.Dist(o.p))
+				}
+			}
+			for step, sr := range memoSequences["four-strips"] {
+				if _, _, err := eng.anchorCandidates(r, viaIWP, leaf, sr, c.qy, false, sc); err != nil {
+					t.Fatal(err)
+				}
+				checkHeld(t, m, pts, fmt.Sprintf("%s, step %d", at, step))
+			}
+			putScratch(sc)
 		}
 	}
 }
@@ -349,35 +431,47 @@ func TestUnprunedSharedTakesPerAnchorTime(t *testing.T) {
 	}
 }
 
-// consultCtx counts the times it was asked and answered "not done".
+// consultCtx counts the times it was asked and answered "not done", and
+// cancels itself once it has answered so cancelAt times.
 type consultCtx struct {
 	context.Context
-	consults uint64
+	consults, cancelAt uint64
+	cancel             context.CancelFunc
 }
 
 func (c *consultCtx) Err() error {
 	err := c.Context.Err()
 	if err == nil {
-		c.consults++
+		if c.consults++; c.consults == c.cancelAt {
+			c.cancel()
+		}
 	}
 	return err
 }
 
 // TestCancelStopsWithinOneAnchor cancels a dense query from inside the
-// verification of an anchor, at each improvement of the bound in turn.
-// The reader consults the context before every node it reads, but in a
-// hot spot the anchors that follow are served from the memo and read
-// none: search has to consult it for them. Each consult that says "go on"
-// is followed by exactly one node visit or one object, so when nothing ran
-// after the cancellation the two add up to the consults counted at it.
+// verification of an anchor, at each improvement of the bound in turn, and
+// after each consult of the context in turn, which includes every node the
+// first anchor reads of W0, the seed's window (DESIGN.md §19). The reader
+// consults the context before every node it reads, but in a hot spot the
+// anchors that follow are served from the memo and read none: search has
+// to consult it for them. Each consult that says "go on" is followed by
+// exactly one node visit or one object, so when nothing ran after the
+// cancellation the two add up to the consults counted at it. The queries
+// lie at the cluster's edge, where the bound still improves after the seed.
 func TestCancelStopsWithinOneAnchor(t *testing.T) {
-	eng, qs := denseFixture(t)
-	for i, qy := range qs {
-		for stopAt := 1; ; stopAt++ {
+	eng, _ := denseFixture(t)
+	for i, c := range []geom.Point{{X: 350, Y: 380}, {X: 550, Y: 670}, {X: 630, Y: 350}} {
+		qy := Query{Q: c, L: 30, W: 30, N: 8}
+		// run searches qy with its seed and cancels at the stopAt-th
+		// improvement or the cancelAt-th consult, whichever comes first.
+		run := func(stopAt int, cancelAt uint64) (st Stats, seed float64, improvements int, atCancel uint64, err error) {
 			parent, cancel := context.WithCancel(context.Background())
-			ctx := &consultCtx{Context: parent}
-			best, improvements, atCancel := math.Inf(1), 0, uint64(0)
-			st, err := eng.search(ctx, qy, SchemeNWCStar,
+			defer cancel()
+			ctx := &consultCtx{Context: parent, cancelAt: cancelAt, cancel: cancel}
+			best := math.Inf(1)
+			seed, atCancel = math.Inf(1), cancelAt
+			st, err = eng.search(ctx, qy, SchemeNWCStar,
 				func() float64 { return best },
 				func(dist float64, _ []distPoint, _ geom.Rect) bool {
 					if dist >= best {
@@ -389,24 +483,45 @@ func TestCancelStopsWithinOneAnchor(t *testing.T) {
 						cancel()
 					}
 					return true
-				}, MeasureMax, Exec{}, true)
-			cancel()
+				}, MeasureMax, Exec{}, true, &seed)
+			return st, seed, improvements, atCancel, err
+		}
+		check := func(what string, st Stats, err error, atCancel uint64) {
+			t.Helper()
+			if err != context.Canceled {
+				t.Fatalf("query %d cancelled %s: err = %v", i, what, err)
+			}
+			if done := st.NodeVisits + uint64(st.ObjectsProcessed); done != atCancel {
+				t.Fatalf("query %d cancelled %s after %d consults: %d node visits + %d objects = %d, so %d ran after it",
+					i, what, atCancel, st.NodeVisits, st.ObjectsProcessed, done, done-atCancel)
+			}
+		}
+		for stopAt := 1; ; stopAt++ {
+			st, seed, improvements, atCancel, err := run(stopAt, 0)
 			if improvements < stopAt {
 				if err != nil {
 					t.Fatalf("query %d: uncancelled run failed: %v", i, err)
 				}
-				if stopAt < 3 {
-					t.Fatalf("query %d: only %d improvements, nothing to cancel at", i, improvements)
+				if math.IsInf(seed, 1) || stopAt < 3 {
+					t.Fatalf("query %d: seed %v and only %d improvements, nothing to cancel at", i, seed, improvements)
 				}
 				break
 			}
-			if err != context.Canceled {
-				t.Fatalf("query %d cancelled at improvement %d: err = %v", i, stopAt, err)
+			check(fmt.Sprintf("at improvement %d", stopAt), st, err, atCancel)
+		}
+		inFetch := 0
+		for cancelAt := uint64(1); ; cancelAt++ {
+			st, seed, _, _, err := run(0, cancelAt)
+			if err == nil {
+				break
 			}
-			if done := st.NodeVisits + uint64(st.ObjectsProcessed); done != atCancel {
-				t.Fatalf("query %d cancelled at improvement %d after %d consults: %d node visits + %d objects = %d, so %d ran after it",
-					i, stopAt, atCancel, st.NodeVisits, st.ObjectsProcessed, done, done-atCancel)
+			check(fmt.Sprintf("at consult %d", cancelAt), st, err, cancelAt)
+			if st.ObjectsProcessed == 1 && math.IsInf(seed, 1) {
+				inFetch++
 			}
+		}
+		if inFetch == 0 {
+			t.Errorf("query %d: no cancellation landed in the seed's fetch", i)
 		}
 	}
 }

@@ -95,7 +95,21 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 		}
 		return true
 	}
-	stats, err := e.search(ctx, qy, scheme, bound, take, measure, x, true)
+	// The seed (DESIGN.md §19) bounds a serving search under the max measure
+	// from its first anchor on, and by the lemma there it still finds a
+	// group. W0's edges round; should a seeded search find none while the
+	// seed was the bound in force, it runs again without one.
+	seed := math.Inf(1)
+	var seedAt *float64
+	if measure == MeasureMax && !x.Paper {
+		seedAt = &seed
+	}
+	stats, err := e.search(ctx, qy, scheme, bound, take, measure, x, true, seedAt)
+	if err == nil && !found && !math.IsInf(seed, 1) && (sb == nil || sb.Load() >= seed) {
+		var again Stats
+		again, err = e.search(ctx, qy, scheme, bound, take, measure, x, true, nil)
+		stats.Add(again)
+	}
 	if err != nil {
 		return Result{}, stats, err
 	}
@@ -215,7 +229,17 @@ type sink func(dist float64, sel []distPoint, win geom.Rect) bool
 // cut to the box the group lies in. A pool of distinct groups (kNWC), whose
 // bound can rise, gets neither; but under MeasureMax an anchor the memo
 // shows to have under n objects in that box is dropped before any read.
-func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, take sink, measure Measure, x Exec, single bool) (Stats, error) {
+//
+// seed, when non-nil (a single best group under MeasureMax, never the
+// paper's execution), receives the seed: the first anchor reads W0, the
+// l × w window centred on q, and when it holds n objects their distance,
+// an ulp up, bounds every pruning decision from then on. It is not a
+// group: take never sees it, and it does not reach x.Bound.
+func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, take sink, measure Measure, x Exec, single bool, seed *float64) (Stats, error) {
+	if seed != nil {
+		local := bound
+		bound = func() float64 { return min(local(), *seed) }
+	}
 	var st Stats
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	rec := x.Rec
@@ -301,8 +325,15 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 				return st, err
 			}
 		}
-		rec.Enter(trace.PhaseSRR)
 		st.ObjectsProcessed++
+		if seed != nil && st.ObjectsProcessed == 1 {
+			rec.Enter(trace.PhaseWindowEnum)
+			if *seed, err = e.seedMemo(r, scheme.IWP, it.id, qy, sc); err != nil {
+				return st, err
+			}
+			reach = measure.anchorReach(bound(), pad, single)
+		}
+		rec.Enter(trace.PhaseSRR)
 		p := it.point
 		var sr geom.Rect
 		if scheme.SRR {

@@ -59,6 +59,10 @@ type stopRun struct {
 	cut, stopped, emitted, clipped, sharedClipped int64
 	within, objects                               int // objects inside the answer's distance (slack band included), and all of them
 	edge, corner                                  int // objects on the edge of the answer's box, and inside it but beyond the answer
+	// The seed (+Inf for none) and, when W0 holds n objects, its group: the
+	// n nearest of them.
+	seed      float64
+	seedGroup []geom.Point
 	// kNWC (k = 2, m = 1) under plain NWC: its Stats under MeasureMax, how
 	// often its bound rose there and the lowest it ever was, and its answer
 	// and both executions' trace counters under each measure.
@@ -85,7 +89,7 @@ func watchedKNWC(eng *Engine, kq KNWCQuery, scheme Scheme, measure Measure, x Ex
 		low = min(low, pool.bound())
 		return in
 	}
-	_, err = eng.search(context.Background(), kq.Query, scheme, pool.bound, take, measure, x, false)
+	_, err = eng.search(context.Background(), kq.Query, scheme, pool.bound, take, measure, x, false, nil)
 	return pool.result(), rises, low, err
 }
 
@@ -136,8 +140,23 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 	}
 	ctx := context.Background()
 	run.objects = len(pts)
+	run.seed, run.seedGroup = seedOf(t, eng, qy), w0Group(qy, pts)
+	if wantSeed := math.Inf(1); run.seedGroup != nil {
+		wantSeed = math.Nextafter(qy.Q.Dist(run.seedGroup[qy.N-1]), math.Inf(1))
+		if wantSeed*wantSeed < 0x1p-1022 {
+			wantSeed = math.Inf(1)
+		}
+		if run.seed != wantSeed {
+			t.Fatalf("%+v over %v: seed %v, W0's group %v gives %v", qy, pts, run.seed, run.seedGroup, wantSeed)
+		}
+	}
 	for _, measure := range allMeasures {
 		want := BruteForceNWC(pts, qy, measure)
+		// The lattice keeps W0's edges exact, and by the lemma a seed then
+		// lies above a group (TestSeedFallback is what happens otherwise).
+		if measure == MeasureMax && !(want.Found && want.Dist < run.seed || math.IsInf(run.seed, 1)) {
+			t.Fatalf("%+v over %v: seed %v, oracle %+v", qy, pts, run.seed, want)
+		}
 		if measure == MeasureMax {
 			for _, p := range pts {
 				inside := !want.Found || p.Dist2(qy.Q) <= want.Dist*want.Dist*stopSlack
@@ -249,6 +268,11 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 				if measure == MeasureMax && !noMoreWork(sts[0], sts[1]) {
 					t.Fatalf("%s under a shared bound of %v: stats %+v exceed the paper's %+v", at, pre, sts[0], sts[1])
 				}
+				// A cell at or below the answer is below the seed: finding
+				// nothing under it is the answer, and nothing runs twice.
+				if measure == MeasureMax && pre <= served.Dist && sts[0].ObjectsProcessed > st.ObjectsProcessed {
+					t.Fatalf("%s under a shared bound of %v: %d objects processed, %d alone", at, pre, sts[0].ObjectsProcessed, st.ObjectsProcessed)
+				}
 				if measure == MeasureMax && scheme == SchemeNWC && pre > served.Dist {
 					run.sharedClipped = rec.Counters()[trace.CtrClipped]
 				}
@@ -285,10 +309,12 @@ var stopScripts = map[string][]byte{
 	// The first group found is far; nearer anchors improve on it thrice.
 	"falling-bound": stopScript(0, 0, 8, 2, 3, [2]byte{1, 0}, [2]byte{2, 9}, [2]byte{3, 9}, [2]byte{4, 9}, [2]byte{9, 3}, [2]byte{10, 3}, [2]byte{11, 3}, [2]byte{6, 6}, [2]byte{7, 6}, [2]byte{8, 6}, [2]byte{16, 16}, [2]byte{15, 16}, [2]byte{16, 15}, [2]byte{12, 12}),
 
-	// The bound's box. (8,9) finds {(8,9),(4,11)} at 5; (11,8), inside the
-	// box [3,13]², pairs with (11,8), (8,9) and (4,11) but not with (10,14)
-	// above it, whose window holds the answer {(8,9),(11,8)} all the same:
-	// five candidate windows, not six.
+	// The bound's box. Unseeded, (8,9) would find {(8,9),(4,11)} at 5, and
+	// (11,8), inside the box [3,13]², would pair with (11,8), (8,9) and (4,11)
+	// but not with (10,14) above it, whose window holds the answer
+	// {(8,9),(11,8)} all the same. W0 = [4,12]² holds the answer, and its
+	// seed, just above 3, cuts both anchors first; the -unseeded twin below
+	// keeps the scenario.
 	"partner-outside-box": stopScript(8, 8, 8, 8, 2, [2]byte{8, 9}, [2]byte{4, 11}, [2]byte{11, 8}, [2]byte{10, 14}, [2]byte{16, 16}, [2]byte{16, 0}),
 	// The answer {(8,8),(11,12)} lies 5 away; (13,8), as far, is an anchor on
 	// the box's right edge and must find itself in what is left of its
@@ -297,15 +323,19 @@ var stopScripts = map[string][]byte{
 	// (12,12) and (4,4) lie in the box's corners, beyond the answer's 5:
 	// fetched and counted with the region of (13,8), never under the bound.
 	"box-corner": stopScript(8, 8, 4, 6, 2, [2]byte{8, 8}, [2]byte{11, 12}, [2]byte{13, 8}, [2]byte{12, 12}, [2]byte{4, 4}, [2]byte{1, 15}, [2]byte{16, 2}),
-	// (11,8) is cut to the box of the 5 that (8,9) found and then improves
-	// on it twice, to {(11,8),(10,5)} and to {(8,9),(11,8)}: its box goes
-	// stale under it, and (4,11), outside the later ones, is still counted.
+	// Unseeded, (11,8) would be cut to the box of the 5 that (8,9) found and
+	// then improve on it twice, to {(11,8),(10,5)} and to {(8,9),(11,8)}: its
+	// box going stale under it, and (4,11), outside the later ones, still
+	// counted. W0 holds the answer, which (11,8) emits at once under the
+	// seed; the twin keeps the scenario.
 	"bound-inside-anchor": stopScript(8, 8, 8, 8, 2, [2]byte{8, 9}, [2]byte{4, 11}, [2]byte{11, 8}, [2]byte{10, 5}, [2]byte{16, 2}, [2]byte{15, 16}),
-	// Alone, the first anchor has no bound and no box; under a shared bound
-	// just above the answer it is cut like the rest, and finds nothing.
+	// Alone, the first anchor has only the seed's box (W0 holds the answer;
+	// the twin has no seed and no box); under a shared bound just above the
+	// answer it is cut like the rest, and finds nothing.
 	"shared-below-local": stopScript(8, 8, 8, 8, 2, [2]byte{8, 7}, [2]byte{4, 5}, [2]byte{11, 7}, [2]byte{10, 11}, [2]byte{0, 14}, [2]byte{15, 0}),
 	// The answer lies 0.5 from a q that lies 2⁴⁰ from the origin: the box's
-	// sides round at 2⁻¹², 2,048 times the bound's own precision.
+	// sides round at 2⁻¹², 2,048 times the bound's own precision. W0 holds
+	// the answer, whose seed cuts the first anchor too.
 	"tiny-bound-far-origin": farFrom(2, stopScript(8.5, 8, 2, 2, 2, [2]byte{8, 8}, [2]byte{9, 8}, [2]byte{8, 9}, [2]byte{9, 9}, [2]byte{3, 3}, [2]byte{14, 12}, [2]byte{8, 12})),
 
 	// kNWC (k = 2, m = 1). {(3,8),(5,4),(1,7)} at 4.03 and {(3,8),(3,10),(7,12)}
@@ -333,6 +363,63 @@ var stopScripts = map[string][]byte{
 	// [6,10], all of it fetched, with (9,8) inside the bound and (8,10) on it:
 	// one object where two are needed, and no window query.
 	"count-before-fetch": stopScript(8, 8, 4, 4, 2, [2]byte{9, 8}, [2]byte{7, 9}, [2]byte{8, 10}, [2]byte{12, 8}, [2]byte{16, 16}),
+
+	// The seed. W0 = [0,8] × [4,9] holds (1,4), (0,6) and (8,9); its two
+	// nearest set the seed an ulp above 4.03. (0,6) finds {(3,10),(0,6)} —
+	// (3,10) lies above W0 — at that distance before {(1,4),(0,6)}, the
+	// seed's own group, which shares its far member: the answer is the first.
+	"seed-tie": stopScript(4, 6.5, 8, 5, 2, [2]byte{0, 6}, [2]byte{1, 4}, [2]byte{3, 10}, [2]byte{8, 9}),
+	// W0 = [6,10] × [5,11] holds exactly three objects, the answer: every
+	// anchor, the first too, is cut to the box of the seed just above 3.
+	"w0-holds-n": stopScript(8, 8, 4, 6, 3, [2]byte{9, 9}, [2]byte{7, 6}, [2]byte{8, 11}, [2]byte{12, 8}, [2]byte{5, 12}, [2]byte{13, 3}, [2]byte{2, 14}, [2]byte{15, 15}),
+	// (8,11) moved to (8,12), out of W0: two objects, no seed, and the search
+	// does what it did without one, counter for counter.
+	"w0-holds-n-minus-1": stopScript(8, 8, 4, 6, 3, [2]byte{9, 9}, [2]byte{7, 6}, [2]byte{8, 12}, [2]byte{12, 8}, [2]byte{5, 12}, [2]byte{13, 3}, [2]byte{2, 14}, [2]byte{15, 15}),
+
+	// Twins of four box scripts whose W0 holds fewer than n: the seed now
+	// gets to those scenarios first, and these keep them on the unseeded
+	// path. (5,0) finds {(5,0),(3,5)} at 4.47; (8,4) is cut to its box and
+	// loses (7,6) above it, whose window holds the answer {(5,0),(8,4)} all
+	// the same: two candidate windows, not three.
+	"partner-outside-box-unseeded": stopScript(5, 1, 3, 7, 2, [2]byte{8, 4}, [2]byte{3, 5}, [2]byte{5, 0}, [2]byte{7, 6}, [2]byte{11, 14}),
+	// (3,5) has two objects to its region: one group, at 4.92. (7,6), cut to
+	// its box, improves on it twice, to {(7,6),(7,10)} and {(3,5),(7,6)}.
+	"bound-inside-anchor-unseeded": stopScript(3, 7.5, 5, 8, 2, [2]byte{3, 5}, [2]byte{14, 10}, [2]byte{7, 10}, [2]byte{7, 6}, [2]byte{1, 12}),
+	// W0 is empty: alone the first anchor has no box, under a shared bound
+	// just above the answer it is cut like the second.
+	"shared-below-local-unseeded": stopScript(10, 8.5, 1, 8, 2, [2]byte{1, 15}, [2]byte{2, 12}, [2]byte{0, 16}, [2]byte{2, 11}),
+	// The answer lies 1 from a q that lies 2⁴⁰ from the origin, and W0 holds
+	// only its nearer member, q's own site.
+	"tiny-bound-far-origin-unseeded": farFrom(2, stopScript(14, 4, 8, 1, 2, [2]byte{7, 11}, [2]byte{6, 4}, [2]byte{14, 4}, [2]byte{14, 5})),
+}
+
+// seedOf is the seed NWC draws from W0 under the max measure (DESIGN.md §19
+// "The seed"), +Inf for none.
+func seedOf(t *testing.T, eng *Engine, qy Query) float64 {
+	t.Helper()
+	sc := getScratch()
+	defer putScratch(sc)
+	seed, err := eng.seedMemo(eng.tree.Reader(context.Background(), nil), false, 0, qy, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seed
+}
+
+// w0Group returns the n nearest of the objects in W0, the l × w window
+// centred on q, or nil when it holds fewer than n.
+func w0Group(qy Query, pts []geom.Point) []geom.Point {
+	w0 := geom.RectAround(qy.Q).Buffer(qy.L/2, qy.W/2)
+	var in []geom.Point
+	for _, p := range pts {
+		if w0.ContainsPoint(p) {
+			in = append(in, p)
+		}
+	}
+	if len(in) < qy.N {
+		return nil
+	}
+	return nClosest(qy.Q, in, qy.N)
 }
 
 // farFrom moves a script's lattice: origin 1 is 2²⁰, 2 is 2⁴⁰.
@@ -382,8 +469,15 @@ func TestStopAtBoundTable(t *testing.T) {
 				t.Errorf("%s: the answer's window %v does not hold q", name, w)
 			}
 		case "partner-outside-box":
-			if run.clipped != 1 || run.served.CandidateWindows != 5 || run.paper.CandidateWindows != 6 {
-				t.Errorf("%s: %d anchors cut, %d candidate windows (the paper's %d), want 1, 5 and 6",
+			// W0's two nearest are the answer: the seed, just above 3, cuts
+			// (8,9) to one object and (11,8) to two windows.
+			if run.clipped != 2 || run.served.CandidateWindows != 2 || run.paper.CandidateWindows != 6 {
+				t.Errorf("%s: %d anchors cut, %d candidate windows (the paper's %d), want 2, 2 and 6",
+					name, run.clipped, run.served.CandidateWindows, run.paper.CandidateWindows)
+			}
+		case "partner-outside-box-unseeded":
+			if run.clipped != 1 || run.served.CandidateWindows != 2 || run.paper.CandidateWindows != 3 {
+				t.Errorf("%s: %d anchors cut, %d candidate windows (the paper's %d), want 1, 2 and 3",
 					name, run.clipped, run.served.CandidateWindows, run.paper.CandidateWindows)
 			}
 		case "on-the-box-edge":
@@ -397,18 +491,54 @@ func TestStopAtBoundTable(t *testing.T) {
 					name, run.res.Dist, run.corner, run.clipped)
 			}
 		case "bound-inside-anchor":
-			// The first of the two anchors has two objects to its region: one group.
+			// W0's two nearest are the answer: (11,8) emits it at once.
+			if run.served.ObjectsProcessed != 2 || run.emitted != 1 || run.clipped != 2 {
+				t.Errorf("%s: %d anchors, %d groups emitted, %d anchors cut, want 2, 1 and 2",
+					name, run.served.ObjectsProcessed, run.emitted, run.clipped)
+			}
+		case "bound-inside-anchor-unseeded":
 			if run.served.ObjectsProcessed != 2 || run.emitted != 3 || run.clipped != 1 {
 				t.Errorf("%s: %d anchors, %d groups emitted, %d anchors cut, want 2, 3 and 1",
 					name, run.served.ObjectsProcessed, run.emitted, run.clipped)
 			}
 		case "shared-below-local":
+			// The seed gives the first anchor a box alone too.
+			if run.clipped != 2 || run.sharedClipped != 2 {
+				t.Errorf("%s: %d anchors cut alone and %d under the shared bound, want 2 and 2", name, run.clipped, run.sharedClipped)
+			}
+		case "shared-below-local-unseeded":
 			if run.clipped != 1 || run.sharedClipped != 2 {
 				t.Errorf("%s: %d anchors cut alone and %d under the shared bound, want 1 and 2", name, run.clipped, run.sharedClipped)
 			}
 		case "tiny-bound-far-origin":
-			if run.res.Dist != 0.5 || run.within != 2 || run.clipped != 1 {
-				t.Errorf("%s: answer at %v, %d objects within it, %d anchors cut, want 0.5, 2 and 1", name, run.res.Dist, run.within, run.clipped)
+			// The seed, just above 0.5, cuts the first anchor as well.
+			if run.res.Dist != 0.5 || run.within != 2 || run.clipped != 2 {
+				t.Errorf("%s: answer at %v, %d objects within it, %d anchors cut, want 0.5, 2 and 2", name, run.res.Dist, run.within, run.clipped)
+			}
+		case "tiny-bound-far-origin-unseeded":
+			if run.res.Dist != 1 || run.within != 2 || run.clipped != 1 {
+				t.Errorf("%s: answer at %v, %d objects within it, %d anchors cut, want 1, 2 and 1", name, run.res.Dist, run.within, run.clipped)
+			}
+		case "seed-tie":
+			// The paper's execution emits {(3,10),(8,9)} at 4.72 first; under
+			// the seed nothing but the answer is emitted.
+			if g := run.seedGroup; run.seed != math.Nextafter(run.res.Dist, math.Inf(1)) || reflect.DeepEqual(run.res.Objects, g) ||
+				run.res.Objects[1] != g[1] || run.emitted != 1 {
+				t.Errorf("%s: seed %v from %v, answer %+v, %d emitted: want the seed's distance, its far member, another set, and 1",
+					name, run.seed, g, run.res, run.emitted)
+			}
+		case "w0-holds-n":
+			if !reflect.DeepEqual(run.seedGroup, run.res.Objects) || run.seed != math.Nextafter(3, 4) || run.clipped != 3 || run.served.ObjectsProcessed != 3 {
+				t.Errorf("%s: seed %v from %v, answer %+v, %d of %d anchors cut: want the answer's, just above 3, and all 3",
+					name, run.seed, run.seedGroup, run.res, run.clipped, run.served.ObjectsProcessed)
+			}
+		case "w0-holds-n-minus-1":
+			st := run.served
+			st.NodeVisits = 0
+			if want := (Stats{ObjectsProcessed: 4, WindowQueries: 4, CandidateWindows: 2, QualifiedWindows: 1}); !math.IsInf(run.seed, 1) || st != want ||
+				run.cut != 3 || run.stopped != 1 || run.emitted != 1 || run.clipped != 3 {
+				t.Errorf("%s: seed %v, stats %+v, never-queued=%d stopped=%d emitted=%d clipped=%d: want none, %+v, 3, 1, 1 and 3",
+					name, run.seed, st, run.cut, run.stopped, run.emitted, run.clipped, want)
 			}
 		case "knwc-rising-bound":
 			if g := run.kGroups[MeasureMax]; run.rises != 1 || len(g) != 2 || !(g[1].Dist > run.low) {
@@ -498,6 +628,67 @@ func TestQueueOrderReplay(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, wantHere) {
 			t.Errorf("items within %v popped as %v, recorded %v", limit, got, wantHere)
+		}
+	}
+}
+
+// TestSeedFallback is the seed's one way to be wrong (DESIGN.md §19 "The
+// seed"): W0's n nearest fit W0, but W0's edges q ± l/2 round, so they need
+// not fit an l × w window. At 2⁵², where the spacing of float64 is 1, W0 of
+// a 1 × 1 query centred on an integer q spans three integers along x: its
+// two nearest objects, 1 either side of q, seed the bound just above 1, and
+// no window holds both. The seeded search finds nothing, and NWC searches
+// again without the seed — when the seed was the bound in force: under a
+// shared cell above it, and at it, but not under one between the seed
+// group's distance and the seed, where finding nothing is the answer. The
+// interpreter's lattice (half steps up to 2⁴⁰) keeps W0's edges exact, so
+// no stop script can get here.
+func TestSeedFallback(t *testing.T) {
+	o := float64(1 << 52)
+	q := geom.Point{X: o + 1, Y: o + 8}
+	pts := []geom.Point{
+		{X: o, Y: o + 8, ID: 0}, {X: o + 2, Y: o + 8, ID: 1}, // in W0, 2 apart
+		{X: o + 4, Y: o + 8, ID: 2}, {X: o + 4, Y: o + 8, ID: 3}, // the answer, 3 away
+	}
+	qy := Query{Q: q, L: 1, W: 1, N: 2}
+	eng, err := engineOver(pts, geom.NewRect(o, o, o+16, o+16), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if w0 := geom.RectAround(q).Buffer(0.5, 0.5); w0.Width() != 2 {
+		t.Fatalf("W0 = %v is not 2 wide: nothing to fall back from", w0)
+	}
+	for _, c := range []struct {
+		cell         float64 // the shared cell; +Inf for none
+		found, rerun bool
+	}{
+		{math.Inf(1), true, true},
+		{4, true, true},
+		{3, false, true},
+		{1, false, false}, // below the seed, which was never the bound in force
+	} {
+		for _, scheme := range allSchemes {
+			var got [2]Result
+			var sts [2]Stats
+			for i, x := range []Exec{{}, {Paper: true}} {
+				if !math.IsInf(c.cell, 1) {
+					x.Bound = rstar.NewSharedBound()
+					x.Bound.Tighten(c.cell)
+				}
+				if got[i], sts[i], err = eng.NWC(ctx, qy, scheme, MeasureMax, x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			at := fmt.Sprintf("%v under a shared bound of %v", scheme, c.cell)
+			if !reflect.DeepEqual(got[0], got[1]) || got[0].Found != c.found || c.found && got[0].Dist != 3 {
+				t.Fatalf("%s: served %+v, the paper's execution %+v, want found=%v at 3", at, got[0], got[1], c.found)
+			}
+			// The seeded search takes the two objects 1 away; a rerun takes
+			// them again and the two 3 away.
+			if want := map[bool]int{false: 2, true: 6}[c.rerun]; sts[0].ObjectsProcessed != want {
+				t.Errorf("%s: %d objects processed, want %d (rerun=%v)", at, sts[0].ObjectsProcessed, want, c.rerun)
+			}
 		}
 	}
 }
