@@ -1,12 +1,14 @@
 package nwcq
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,4 +64,84 @@ func TestDesignCitations(t *testing.T) {
 	if cited < 20 {
 		t.Errorf("found %d DESIGN.md citations in Go comments; the pattern has stopped matching them", cited)
 	}
+}
+
+// TestCIRunPatterns holds every -run, -bench and -fuzz pattern of a `go
+// test` line in .github/workflows/ci.yml to the tests the packages on
+// that line declare: each |-separated alternative must match at least
+// one Test, Fuzz or Example (-run), Benchmark (-bench) or Fuzz (-fuzz)
+// function. Deleting or renaming a test a CI step names then fails here
+// instead of leaving the step running nothing.
+func TestCIRunPatterns(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flag := regexp.MustCompile(`-(run|bench|fuzz)[= ]('[^']*'|"[^"]*"|[^\s'"]+)`)
+	kinds := map[string]string{"run": "Test|Fuzz|Example", "bench": "Benchmark", "fuzz": "Fuzz"}
+	checked, declared := 0, map[string][]string{}
+	for _, line := range strings.Split(string(ci), "\n") {
+		i := strings.Index(line, "go test ")
+		if i < 0 || strings.Contains(line, " -C ") {
+			continue // no go test, or another module
+		}
+		var names []string
+		for _, arg := range strings.Fields(line[i:]) {
+			if strings.HasPrefix(arg, ".") {
+				if declared[arg] == nil {
+					declared[arg] = declaredTests(t, arg)
+				}
+				names = append(names, declared[arg]...)
+			}
+		}
+		for _, m := range flag.FindAllStringSubmatch(line[i:], -1) {
+			pattern := strings.Trim(m[2], `'"`)
+			if pattern == "^$" {
+				continue
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				re := regexp.MustCompile(strings.Split(alt, "/")[0])
+				kind := regexp.MustCompile(`^(` + kinds[m[1]] + `)`)
+				if !slices.ContainsFunc(names, func(n string) bool { return kind.MatchString(n) && re.MatchString(n) }) {
+					t.Errorf("ci.yml: -%s alternative %q matches no %s function in %s", m[1], alt, kinds[m[1]], line[i:])
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 50 {
+		t.Errorf("checked %d CI patterns; the parser has stopped finding them", checked)
+	}
+}
+
+// declaredTests lists the top-level function names in the _test.go files
+// of pkg, a go test package argument such as ".", "./internal/core/" or
+// "./..." (every package of this module; bench/ is a module of its own).
+func declaredTests(t *testing.T, pkg string) []string {
+	var names []string
+	root, recursive := filepath.Clean(strings.TrimSuffix(pkg, "...")), strings.HasSuffix(pkg, "...")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (!recursive || strings.HasPrefix(d.Name(), ".") || path == "bench"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }

@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -412,6 +413,10 @@ func writeManifest(dir string, s *Sharded) error {
 	return os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644)
 }
 
+// readManifest reads dir's manifest and checks its shard count against
+// the shard files the directory holds, before the router allocates
+// anything per shard: a hostile count fails here instead of sizing an
+// allocation.
 func readManifest(dir string) (manifest, error) {
 	var m manifest
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
@@ -421,8 +426,18 @@ func readManifest(dir string) (manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("shard: manifest: %w", err)
 	}
-	if m.Shards < 1 {
-		return m, fmt.Errorf("shard: manifest declares %d shards", m.Shards)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return m, err
+	}
+	files := 0
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "shard-") && strings.HasSuffix(name, ".nwcq") && !e.IsDir() {
+			files++
+		}
+	}
+	if m.Shards < 1 || m.Shards != files {
+		return m, fmt.Errorf("shard: manifest declares %d shards, %s holds %d shard files", m.Shards, dir, files)
 	}
 	return m, nil
 }

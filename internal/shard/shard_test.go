@@ -612,6 +612,43 @@ func TestManifestWrittenByTheParentOpens(t *testing.T) {
 	}
 }
 
+// FuzzManifest hands OpenSharded a fuzzed manifest.json over a directory
+// of four real shards. It must return an error or an opened router
+// holding the shards' points, never panic, and never size an allocation
+// by a declared shard count it has not checked against the shard files.
+// The corpus (testdata/fuzz/FuzzManifest) holds a count of 2^50, which
+// once panicked in newRouter.
+func FuzzManifest(f *testing.F) {
+	pts := straddlePoints(rand.New(rand.NewSource(9)), 20)
+	dir := f.TempDir()
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, Dir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := OpenSharded(dir, Options{})
+		if err != nil {
+			return
+		}
+		defer sh.Close()
+		if sh.Shards() != 4 || sh.Len() != len(pts) {
+			t.Fatalf("opened %d shards holding %d points; the directory has 4 holding %d", sh.Shards(), sh.Len(), len(pts))
+		}
+	})
+}
+
 // TestRouterLeavesAShardsGroupsAsTheyWere: a shard's answer — its cached
 // answer, when the shards cache — is the router's pool entry and the
 // router's result, not a copy of it, so the merge (the pool sorted, the

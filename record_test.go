@@ -188,3 +188,42 @@ func TestFollowerCheckpointKeepsPosition(t *testing.T) {
 		t.Fatalf("%d points after reopen, want %d", got, len(pts))
 	}
 }
+
+func crashBasePoints() []Point {
+	pts := make([]Point, 0, 80)
+	for i := 0; i < 80; i++ {
+		// Deterministic scatter over [0,1000)²; coprime strides give
+		// decent spread without a second RNG.
+		pts = append(pts, Point{
+			X:  float64((i * 137) % 1000),
+			Y:  float64((i * 313) % 1000),
+			ID: uint64(i + 1),
+		})
+	}
+	return pts
+}
+
+func recoveredSet(t *testing.T, px *PagedIndex) map[Point]bool {
+	t.Helper()
+	gpts, err := px.cur.Load().tree.All()
+	if err != nil {
+		t.Fatalf("All() on recovered tree: %v", err)
+	}
+	m := make(map[Point]bool, len(gpts))
+	for _, p := range gpts {
+		m[Point{X: p.X, Y: p.Y, ID: p.ID}] = true
+	}
+	return m
+}
+
+func setsEqual(a, b map[Point]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for p := range a {
+		if !b[p] {
+			return false
+		}
+	}
+	return true
+}

@@ -16,6 +16,92 @@ import (
 // survive leader restarts and its own crashes without losing anything
 // it acknowledged.
 
+// Mutation script: a deterministic mix of the four mutation entry
+// points, with precomputed oracle states.
+type scriptOp int
+
+const (
+	opInsert scriptOp = iota
+	opInsertBatch
+	opDelete
+	opDeleteBatch
+)
+
+type scriptStep struct {
+	op  scriptOp
+	pts []Point
+}
+
+func doStep(px *PagedIndex, s scriptStep) error {
+	switch s.op {
+	case opInsert:
+		return px.Insert(s.pts[0])
+	case opInsertBatch:
+		return px.InsertBatch(s.pts)
+	case opDelete:
+		_, err := px.Delete(s.pts[0])
+		return err
+	default:
+		_, err := px.DeleteBatch(s.pts)
+		return err
+	}
+}
+
+// buildCrashScript derives steps and the oracle: states[i] is the point
+// set after the first i steps all succeeded.
+func buildCrashScript(rng *rand.Rand, base []Point, steps int) ([]scriptStep, []map[Point]bool) {
+	alive := append([]Point(nil), base...)
+	nextID := uint64(100000)
+	newPoint := func() Point {
+		p := Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, ID: nextID}
+		nextID++
+		return p
+	}
+	states := make([]map[Point]bool, 0, steps+1)
+	snapshot := func() map[Point]bool {
+		m := make(map[Point]bool, len(alive))
+		for _, p := range alive {
+			m[p] = true
+		}
+		return m
+	}
+	states = append(states, snapshot())
+	script := make([]scriptStep, 0, steps)
+	for i := 0; i < steps; i++ {
+		var s scriptStep
+		switch rng.Intn(4) {
+		case 0:
+			s = scriptStep{op: opInsert, pts: []Point{newPoint()}}
+			alive = append(alive, s.pts[0])
+		case 1:
+			n := 2 + rng.Intn(5)
+			s = scriptStep{op: opInsertBatch}
+			for j := 0; j < n; j++ {
+				p := newPoint()
+				s.pts = append(s.pts, p)
+				alive = append(alive, p)
+			}
+		case 2:
+			j := rng.Intn(len(alive))
+			s = scriptStep{op: opDelete, pts: []Point{alive[j]}}
+			alive = append(alive[:j], alive[j+1:]...)
+		default:
+			// A batch mixing present and absent points, so replay of the
+			// logged (found-only) subset is exercised.
+			s = scriptStep{op: opDeleteBatch}
+			for j := 0; j < 2 && len(alive) > 0; j++ {
+				k := rng.Intn(len(alive))
+				s.pts = append(s.pts, alive[k])
+				alive = append(alive[:k], alive[k+1:]...)
+			}
+			s.pts = append(s.pts, Point{X: -1, Y: -1, ID: 999999999})
+		}
+		script = append(script, s)
+		states = append(states, snapshot())
+	}
+	return script, states
+}
+
 // memPaged is one index's backing store: a page file plus a WAL
 // directory, both in memory and both surviving an abandoned index the
 // way a disk survives a killed process.

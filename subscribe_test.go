@@ -483,22 +483,26 @@ func TestZeroSubscriberPublishBypassesRegistry(t *testing.T) {
 	}
 }
 
-// BenchmarkMutatePublish measures the insert+delete pair cost across
-// the notifier's three regimes. subs=0 is the no-regression pin against
-// BENCH_baseline.json's BenchmarkNWCUnderMutation rows: the gate is one
-// atomic load, so the pair cost must match the pre-subscription
-// mutation numbers. unaffected pays the affect test (a box miss per
-// subscriber); affected additionally pins a view and pushes a frame per
-// mutation onto an undrained queue (steady-state coalescing).
+// BenchmarkMutatePublish measures the insert+delete pair cost against
+// the number of open subscriptions. subs=0 is the no-regression pin
+// against BENCH_baseline.json's BenchmarkNWCUnderMutation rows: the
+// gate is one atomic load, so the pair cost must match the
+// pre-subscription mutation numbers. An unaffected subscription pays the
+// affect test (a box miss); an affected one additionally pins a view and
+// pushes a frame per mutation onto an undrained queue (steady-state
+// coalescing). The 100 and 10,000 rows are the ruler for a publish that
+// walks every subscription under the writer lock (ROADMAP item 9).
 func BenchmarkMutatePublish(b *testing.B) {
 	regimes := []struct {
-		name string
-		qx   float64 // standing-query center; mutations land at (100, 100)
-		subs int
+		name               string
+		unaffected, affect int // subscriptions away from and at the mutation site (100, 100)
 	}{
 		{"subs=0", 0, 0},
-		{"subs=1/unaffected", 900, 1},
-		{"subs=1/affected", 100, 1},
+		{"subs=1/unaffected", 1, 0},
+		{"subs=1/affected", 0, 1},
+		{"subs=100/unaffected", 100, 0},
+		{"subs=10000/unaffected", 10000, 0},
+		{"subs=10000/affected=1%", 9900, 100},
 	}
 	for _, rg := range regimes {
 		b.Run(rg.name, func(b *testing.B) {
@@ -506,8 +510,12 @@ func BenchmarkMutatePublish(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < rg.subs; i++ {
-				s, err := idx.Subscribe(Query{X: rg.qx, Y: rg.qx, Length: 50, Width: 50, N: 4})
+			for i := 0; i < rg.unaffected+rg.affect; i++ {
+				at := 900.0
+				if i < rg.affect {
+					at = 100
+				}
+				s, err := idx.Subscribe(Query{X: at, Y: at, Length: 50, Width: 50, N: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
