@@ -526,12 +526,13 @@ func BenchmarkKNWCServing(b *testing.B) {
 }
 
 // BenchmarkNWCServing is BenchmarkKNWCServing's twin for the NWC: one query
-// as the benchmark's workloads send it — l = w = 60, n = 8, NWC*,
-// MeasureMax, the serving execution — on 200k Gaussian points (σ 1000)
-// queried at a data point plus N(0, 50) on each axis, which is dense-read's
-// shape, and on the 200k uniform points of uniform-read. Beside ns, B and
-// allocs it reports node visits, candidate windows and the candidate high
-// water per op, counted on a second, traced pass over the same queries.
+// as the benchmark's workloads send it — l = w = 60, n = 8, NWC*, the
+// serving execution — on 200k Gaussian points (σ 1000) queried at a data
+// point plus N(0, 50) on each axis, which is dense-read's shape, and on the
+// 200k uniform points of uniform-read; one row per measure (the workloads
+// send max). Beside ns, B and allocs it reports node visits, candidate
+// windows and the candidate high water per op, counted on a second, traced
+// pass over the same queries.
 func BenchmarkNWCServing(b *testing.B) {
 	near := func(pts []geom.Point) []geom.Point {
 		rng := rand.New(rand.NewSource(8))
@@ -552,33 +553,35 @@ func BenchmarkNWCServing(b *testing.B) {
 		{"uniform-200k", datagen.Uniform(200000, 101), harness.QueryPoints(64, 6)},
 	} {
 		env := benchEnv(b, set.pts)
-		run := func(q geom.Point, rec *trace.Recorder) core.Stats {
-			_, st, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: 60, W: 60, N: 8},
-				core.SchemeNWCStar, core.MeasureMax, core.Exec{Rec: rec})
-			if err != nil {
-				b.Fatal(err)
+		for _, measure := range []core.Measure{core.MeasureMax, core.MeasureMin, core.MeasureAvg, core.MeasureWindow} {
+			run := func(q geom.Point, rec *trace.Recorder) core.Stats {
+				_, st, err := env.Engine.NWC(context.Background(), core.Query{Q: q, L: 60, W: 60, N: 8},
+					core.SchemeNWCStar, measure, core.Exec{Rec: rec})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return st
 			}
-			return st
+			b.Run(set.name+"/"+measure.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					run(set.queries[i%len(set.queries)], nil)
+				}
+				b.StopTimer()
+				var visits, windows, highWater float64
+				for _, q := range set.queries {
+					rec := trace.New()
+					st := run(q, rec)
+					qt := (&trace.Record{Engine: rec}).Trace("nwc", "", "", trace.Work{}, time.Time{}, 0)
+					visits, windows = visits+float64(st.NodeVisits), windows+float64(st.CandidateWindows)
+					highWater += float64(qt.CandidateHighWater)
+				}
+				n := float64(len(set.queries))
+				b.ReportMetric(visits/n, "nodevisits/op")
+				b.ReportMetric(windows/n, "candidatewindows/op")
+				b.ReportMetric(highWater/n, "candidatehighwater/op")
+			})
 		}
-		b.Run(set.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				run(set.queries[i%len(set.queries)], nil)
-			}
-			b.StopTimer()
-			var visits, windows, highWater float64
-			for _, q := range set.queries {
-				rec := trace.New()
-				st := run(q, rec)
-				qt := (&trace.Record{Engine: rec}).Trace("nwc", "", "", trace.Work{}, time.Time{}, 0)
-				visits, windows = visits+float64(st.NodeVisits), windows+float64(st.CandidateWindows)
-				highWater += float64(qt.CandidateHighWater)
-			}
-			n := float64(len(set.queries))
-			b.ReportMetric(visits/n, "nodevisits/op")
-			b.ReportMetric(windows/n, "candidatewindows/op")
-			b.ReportMetric(highWater/n, "candidatehighwater/op")
-		})
 	}
 }
 

@@ -79,10 +79,12 @@ func TestExplainNWCVisitSum(t *testing.T) {
 			t.Errorf("%s: found a group but GroupsEmitted = 0", sch)
 		}
 		// The verify stage's books balance: every qualified window is
-		// either ruled out by a distance gate or materialised.
-		if c.QualifiedWindows != c.WindowsGated+c.GroupsEmitted {
-			t.Errorf("%s: qualified %d != gated %d + emitted %d",
-				sch, c.QualifiedWindows, c.WindowsGated, c.GroupsEmitted)
+		// ruled out by a distance gate, skipped as a repeat of the window
+		// before it — one holding the best group at the bound, after it
+		// was refused once — or materialised.
+		if c.QualifiedWindows != c.WindowsGated+c.WindowsRepeated+c.GroupsEmitted {
+			t.Errorf("%s: qualified %d != gated %d + repeated %d + emitted %d",
+				sch, c.QualifiedWindows, c.WindowsGated, c.WindowsRepeated, c.GroupsEmitted)
 		}
 		// So do the window memo's: its first strip is W0, read for the seed
 		// before the first anchor (DESIGN.md §19); after it an anchor is
@@ -164,10 +166,10 @@ func TestExplainKNWC(t *testing.T) {
 // it and processed eight objects (the drained queue of Algorithm 1
 // processes 980 for the same answer, with a heap of 483), all eight on
 // search regions cut to its box — the first to the seed's, which W0 gives
-// before there is a group (DESIGN.md §19); under the min measure the
-// rule does not apply and all three counters stay 0; a kNWC ends at the
-// reach of its third group, with nothing left off the queue and no region
-// cut.
+// before there is a group (DESIGN.md §19); under the min measure, which
+// has no reach, the search ends once no window can give a group before the
+// one it holds, with nothing left off the queue and no region cut; a kNWC
+// ends at the reach of its third group, likewise.
 func TestExplainStopAtBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := make([]Point, 4000)
@@ -202,8 +204,8 @@ func TestExplainStopAtBound(t *testing.T) {
 	if _, tr, err = ix.ExplainNWC(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if c := tr.Counters; c.StoppedAtBound != 0 || c.NeverQueued != 0 || c.Clipped != 0 {
-		t.Errorf("min: stopped_at_bound=%d never_queued=%d clipped=%d, want 0, 0 and 0", c.StoppedAtBound, c.NeverQueued, c.Clipped)
+	if c := tr.Counters; c.StoppedAtBound != 1 || c.NeverQueued != 0 || c.Clipped != 0 {
+		t.Errorf("min: stopped_at_bound=%d never_queued=%d clipped=%d, want 1, 0 and 0", c.StoppedAtBound, c.NeverQueued, c.Clipped)
 	}
 	q.Measure = MaxDistance
 	if _, tr, err = ix.ExplainKNWC(context.Background(), KQuery{Query: q, K: 3, M: 1}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 
@@ -18,19 +19,24 @@ import (
 // it, no serving path calls it (the router's sweep is GroupsWithin; CI
 // fails on a non-test caller outside this package and bench/).
 
-// BruteForceNWC solves NWC(q, l, w, n) over pts exhaustively.
+// BruteForceNWC solves NWC(q, l, w, n) over pts exhaustively: of the n
+// nearest objects of every qualified window, the group with the least
+// distance, and among those the least set key (groupKey), with its window.
 func BruteForceNWC(pts []geom.Point, qy Query, measure Measure) Result {
 	best := Group{Dist: math.Inf(1)}
-	found := false
+	var bestKey string
 	ForEachCandidateWindow(pts, qy, func(win geom.Rect, contents []geom.Point) {
 		objs := nClosest(qy.Q, contents, qy.N)
 		d := groupDist(qy.Q, objs, win, measure)
-		if d < best.Dist {
-			best = Group{Objects: objs, Dist: d, Window: win}
-			found = true
+		if k := groupKey(qy.Q, objs); d < best.Dist || d == best.Dist && k < bestKey {
+			best, bestKey = Group{Objects: objs, Dist: d}, k
 		}
 	})
-	return Result{Group: best, Found: found}
+	if best.Objects == nil {
+		return Result{}
+	}
+	best.Window = windowOf(qy, best.Objects)
+	return Result{Group: best, Found: true}
 }
 
 // ForEachCandidateWindow enumerates every candidate l × w window with an
@@ -92,7 +98,8 @@ func ForEachCandidateWindow(pts []geom.Point, qy Query, fn func(win geom.Rect, c
 // quadrant-appropriate vertical edge and a partner object inside the
 // window on the quadrant-appropriate horizontal edge — the group of its
 // n closest objects, deduplicated by object set (keeping the smallest
-// distance per set) and sorted by ascending distance.
+// distance per set), each with its window, and sorted by ascending
+// distance, then set key.
 //
 // This is the candidate universe the NWC/kNWC algorithms quantify over.
 // It is a strict subset of ForEachCandidateWindow's enumeration (which
@@ -124,9 +131,9 @@ func CandidateGroups(pts []geom.Point, qy Query, measure Measure) []Group {
 			}
 			objs := nClosest(qy.Q, contents, qy.N)
 			d := groupDist(qy.Q, objs, win, measure)
-			k := groupKey(objs)
+			k := groupKey(qy.Q, objs)
 			if prev, ok := bestBySet[k]; !ok || d < prev.Dist {
-				bestBySet[k] = Group{Objects: objs, Dist: d, Window: win}
+				bestBySet[k] = Group{Objects: objs, Dist: d, Window: windowOf(qy, objs)}
 			}
 		}
 	}
@@ -138,38 +145,33 @@ func CandidateGroups(pts []geom.Point, qy Query, measure Measure) []Group {
 		if out[a].Dist != out[b].Dist {
 			return out[a].Dist < out[b].Dist
 		}
-		return groupKey(out[a].Objects) < groupKey(out[b].Objects)
+		return groupKey(qy.Q, out[a].Objects) < groupKey(qy.Q, out[b].Objects)
 	})
 	return out
 }
 
-// groupKey canonicalises an object set for deduplication.
-func groupKey(objs []geom.Point) string {
-	cp := make([]geom.Point, len(objs))
-	copy(cp, objs)
-	sort.Slice(cp, func(a, b int) bool {
-		if cp[a].X != cp[b].X {
-			return cp[a].X < cp[b].X
+// groupKey canonicalises an object set, given in ascending distance from q
+// (nClosest's order), for deduplication and for the order of sets at one
+// distance: per object its distance, x and y, each a word whose unsigned
+// order is the number's, and its ID — so the keys of two sets compare as
+// their objects do, one by one, by distance, then coordinates, then ID.
+func groupKey(q geom.Point, objs []geom.Point) string {
+	word := func(v float64) uint64 {
+		if v == 0 {
+			return 1 << 63 // −0 is 0
 		}
-		if cp[a].Y != cp[b].Y {
-			return cp[a].Y < cp[b].Y
+		if b := math.Float64bits(v); v > 0 {
+			return b | 1<<63
 		}
-		return cp[a].ID < cp[b].ID
-	})
-	buf := make([]byte, 0, len(cp)*24)
-	for _, p := range cp {
-		buf = appendFloat(buf, p.X)
-		buf = appendFloat(buf, p.Y)
-		buf = appendUint(buf, p.ID)
+		return ^math.Float64bits(v)
+	}
+	buf := make([]byte, 0, len(objs)*32)
+	for _, p := range objs {
+		for _, v := range []uint64{word(q.Dist(p)), word(p.X), word(p.Y), p.ID} {
+			buf = binary.BigEndian.AppendUint64(buf, v)
+		}
 	}
 	return string(buf)
-}
-
-func appendFloat(b []byte, v float64) []byte { return appendUint(b, math.Float64bits(v)) }
-
-func appendUint(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // BruteForceKNWC answers a kNWC query by greedy selection over the

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
@@ -171,7 +172,7 @@ func (q Query) Validate() error {
 // A group handed across a layer is read-only: the engine allocates what
 // it returns (its scratch never escapes), every layer above shares that
 // slice instead of copying it, and whoever needs Objects in another order
-// clones first, as CompareGroups does.
+// clones first.
 type Group struct {
 	// Objects are the n result objects, ordered by ascending distance
 	// to the query point.
@@ -179,33 +180,22 @@ type Group struct {
 	// Dist is the group's distance to the query point under the query's
 	// measure.
 	Dist float64 `json:"dist"`
-	// Window is a qualified window containing the objects (the one the
-	// algorithm found the group in).
+	// Window is the group's window, computed from its objects and the
+	// query point: of the l × w windows that hold the objects, the one whose
+	// centre is nearest q (per axis MinX = clamp(q.X − l/2, maxX − l,
+	// minX)). It holds every object and its sides are l and w up to
+	// rounding. Under MeasureWindow an NWC answer's Dist is its MINDIST to
+	// q; a kNWC group's Dist is at least that (a window that yields the
+	// group may lie farther).
 	Window geom.Rect `json:"window"`
 }
 
 // OverlapCount returns |g ∩ o| by object identity (coordinates and ID).
 func (g Group) OverlapCount(o Group) int {
-	if len(g.Objects) > 32 {
-		set := make(map[geom.Point]struct{}, len(g.Objects))
-		for _, p := range g.Objects {
-			set[p] = struct{}{}
-		}
-		n := 0
-		for _, p := range o.Objects {
-			if _, ok := set[p]; ok {
-				n++
-			}
-		}
-		return n
-	}
 	n := 0
 	for _, p := range o.Objects {
-		for _, s := range g.Objects {
-			if p == s {
-				n++
-				break
-			}
+		if slices.Contains(g.Objects, p) {
+			n++
 		}
 	}
 	return n

@@ -61,35 +61,45 @@ func TestDenseVerifyCeilings(t *testing.T) {
 	// (single = false, kNWC's), recorded with the stop at the reach: it ends
 	// with an eighth of the paper's objects unprocessed, and under MeasureMax
 	// drops nearly every anchor on a count over the memo — five window
-	// queries for 687 — where the paper's fetches the region first.
+	// queries for 687 — where the paper's fetches the region first. In query
+	// 1 one anchor more is read: the part of its region in the bound's box
+	// holds eight objects within the bound, the held group's far member and
+	// seven others, which fit a window: a set that could tie with it. Under
+	// MeasureMin the same count before fetching drops an anchor whose part
+	// of the box of the held group's far member holds no rival and nothing
+	// nearer than the bound.
 	served := map[Measure][]Stats{
 		MeasureMax: {
 			{NodeVisits: 287, ObjectsProcessed: 864, ObjectsSkipped: 177, NodesPruned: 27, WindowQueries: 5, GridProbes: 109},
-			{NodeVisits: 220, ObjectsProcessed: 734, ObjectsSkipped: 139, NodesPruned: 30, WindowQueries: 4, GridProbes: 86},
+			{NodeVisits: 246, ObjectsProcessed: 734, ObjectsSkipped: 139, NodesPruned: 30, WindowQueries: 5, GridProbes: 87},
 			{NodeVisits: 187, ObjectsProcessed: 639, ObjectsSkipped: 135, NodesPruned: 21, WindowQueries: 3, GridProbes: 76},
 		},
 		MeasureMin: {
-			{NodeVisits: 749, ObjectsProcessed: 761, ObjectsSkipped: 137, NodesPruned: 28, WindowQueries: 624, GridProbes: 716},
-			{NodeVisits: 396, ObjectsProcessed: 623, ObjectsSkipped: 123, NodesPruned: 24, WindowQueries: 500, GridProbes: 571},
-			{NodeVisits: 433, ObjectsProcessed: 598, ObjectsSkipped: 137, NodesPruned: 19, WindowQueries: 461, GridProbes: 530},
+			{NodeVisits: 434, ObjectsProcessed: 761, ObjectsSkipped: 137, NodesPruned: 28, WindowQueries: 532, GridProbes: 624},
+			{NodeVisits: 330, ObjectsProcessed: 623, ObjectsSkipped: 123, NodesPruned: 24, WindowQueries: 479, GridProbes: 550},
+			{NodeVisits: 322, ObjectsProcessed: 598, ObjectsSkipped: 137, NodesPruned: 19, WindowQueries: 417, GridProbes: 486},
 		},
 	}
 	for measure, want := range golden {
 		for i, qy := range qs {
 			for _, perAnchor := range []bool{true, false} {
 				best := math.Inf(1)
+				var members []distPoint
 				improvements := int64(0)
 				rec := trace.New()
-				st, err := eng.search(context.Background(), qy, SchemeNWCStar,
-					func() float64 { return best },
-					func(dist float64, _ []distPoint, _ geom.Rect) bool {
+				st, err := eng.search(context.Background(), qy, SchemeNWCStar, collector{
+					bound: func() float64 { return best },
+					take: func(dist float64, sel []distPoint) bool {
 						if dist >= best {
+							rec.Count(trace.CtrWindowsGated, 1)
 							return false
 						}
-						best = dist
+						best, members = dist, append(members[:0], sel...)
 						improvements++
 						return true
-					}, measure, Exec{Rec: rec, Paper: perAnchor}, false, nil)
+					},
+					held: func() ([]distPoint, float64) { return members, best },
+				}, measure, Exec{Rec: rec, Paper: perAnchor}, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -45,27 +46,13 @@ func (q KNWCQuery) Validate() error {
 // and allocates a group on entry: the same groups (DESIGN.md §16, §19).
 //
 // Group maintenance deviates deliberately from the paper's Steps 1–5,
-// which drop a candidate permanently when it overlaps a closer group —
-// even if that blocker is later evicted by a still-closer arrival, which
-// leaves holes that violate Definition 3 (the paper's analysis avoids
-// the issue only by assuming such evictions never happen, Section 4.2).
-// This implementation instead keeps a deduplicated pool of candidate
-// groups below the pruning bound and lazily computes the greedy
-// selection over it: scan candidates by ascending distance, accepting
-// each group that shares at most M objects with everything accepted so
-// far. The greedy selection provably satisfies all four criteria of
-// Definition 3 and is insensitive to discovery order. Groups with
-// identical object sets are never returned together, even when M ≥ N
-// technically allows it — duplicates carry no information.
-//
-// The candidate universe is the one Lemma 1 induces: the n closest
-// objects of every qualified window generated by an anchor object on its
-// quadrant-appropriate vertical edge and a partner object on a
-// horizontal edge (see CandidateGroups). Definition 3's fourth criterion
-// is guaranteed with respect to that universe.
-//
-// Fewer than K groups are returned when the dataset cannot supply K
-// groups satisfying the overlap constraint.
+// which leave holes that violate Definition 3 when a blocker is evicted
+// (DESIGN.md §2): a deduplicated pool of the candidate groups under the
+// bound, in (distance, set key) order, and the greedy selection over it —
+// each group that shares at most M objects with everything accepted
+// before it, identical sets never twice. The candidate universe is
+// Lemma 1's (CandidateGroups); fewer than K groups are returned when it
+// cannot supply them.
 //
 // The context is consulted per node visit or anchor, as in NWC. With
 // x.Rec set, group-pool maintenance (dedup, ordered insert, greedy
@@ -93,20 +80,21 @@ func (e *Engine) KNWC(ctx context.Context, qy KNWCQuery, scheme Scheme, measure 
 		// Group-pool maintenance happens inside the verify phase's sink;
 		// bracket it so its time — the greedy selection included, an entry
 		// leaves it current — lands on the dedup phase.
-		take = func(dist float64, sel []distPoint, win geom.Rect) bool {
+		take = func(dist float64, sel []distPoint) bool {
 			rec.Enter(trace.PhaseDedup)
 			defer rec.Enter(trace.PhaseVerify)
-			return st.offer(dist, sel, win)
+			return st.offer(dist, sel)
 		}
 	}
 	x.Bound = nil // ignored, see above
-	stats, err := e.search(ctx, qy.Query, scheme, st.bound, take, measure, x, false, nil)
+	st.strict, st.q = x.Paper, qy.Q
+	stats, err := e.search(ctx, qy.Query, scheme, collector{st.bound, take, st.kth}, measure, x, false, nil)
 	x.Rec.Count(trace.CtrDedupOffered, int64(st.offered))
 	x.Rec.Count(trace.CtrDedupAccepted, int64(st.accepted))
 	if err != nil {
 		return nil, stats, err
 	}
-	return st.result(), stats, nil
+	return st.result(qy.Query), stats, nil
 }
 
 // knwcState maintains the candidate-group pool and the greedy selection
@@ -124,14 +112,21 @@ type knwcState struct {
 	sel []int
 	// limit is compactLimit; the pool tests lower it to overflow cheaply.
 	limit int
+	// strict refuses an offer at the bound and orders equal distances by
+	// paperKey, as the paper's execution did before the answer rule, which
+	// its figures keep.
+	strict bool
 	// offered/accepted count pool traffic for the query trace: offers
 	// received, and offers that entered the pool (new object set or an
 	// improved distance for a known one).
 	offered  int
 	accepted int
-	// objs is an offer's object set, key its set key.
-	objs []geom.Point
-	key  []byte
+	// key is an offer's set key; q the query point and kthSel the members
+	// of the group under kthKey, for kth.
+	key    []byte
+	q      geom.Point
+	kthSel []distPoint
+	kthKey string
 }
 
 type poolEntry struct {
@@ -158,7 +153,7 @@ func (s *knwcState) release() {
 	clear(s.pool)
 	clear(s.held)
 	s.pool, s.sel = s.pool[:0], s.sel[:0]
-	s.offered, s.accepted = 0, 0
+	s.offered, s.accepted, s.strict, s.kthKey = 0, 0, false, ""
 	knwcPool.Put(s)
 }
 
@@ -179,23 +174,47 @@ func (s *knwcState) bound() float64 {
 	return math.Inf(1)
 }
 
-// setKey canonicalises an object set for deduplication: it puts objs in
-// (X, Y, ID) order and appends them to key, three big-endian words each —
-// the bytes the oracle's groupKey builds its own way. Keys order equal
-// distances. A set is a query's n objects, usually a handful: up to
-// insertionMax of them are put in order by insertion.
-func setKey(key []byte, objs []geom.Point) []byte {
-	if len(objs) > insertionMax {
-		slices.SortFunc(objs, comparePoints)
-	} else {
-		for i := 1; i < len(objs); i++ {
-			p, j := objs[i], i
-			for ; j > 0 && pointLess(p, objs[j-1]); j-- {
-				objs[j] = objs[j-1]
-			}
-			objs[j] = p
+// kth returns the K-th greedy group's members, ascending with their
+// distances from q, and its distance; nil before K groups exist: the group
+// the pool holds at its bound.
+func (s *knwcState) kth() ([]distPoint, float64) {
+	if len(s.sel) < s.k {
+		return nil, math.Inf(1)
+	}
+	e := &s.pool[s.sel[s.k-1]]
+	if e.key != s.kthKey {
+		s.kthKey, s.kthSel = e.key, s.kthSel[:0]
+		for _, p := range e.g.Objects {
+			s.kthSel = append(s.kthSel, distPoint{d: s.q.Dist(p), p: p})
 		}
 	}
+	return s.kthSel, e.g.Dist
+}
+
+// setKey appends the set key of a group to key: its members in the group's
+// own order, ascending under distLess, four big-endian words each — the
+// distance, x and y as order-keeping words (sortable) and the ID. The key
+// identifies the set, and two keys compare byte by byte as compareMembers
+// compares their members: the order of groups at one distance.
+func setKey(key []byte, sel []distPoint) []byte {
+	for _, c := range sel {
+		key = binary.BigEndian.AppendUint64(key, sortable(c.d))
+		key = binary.BigEndian.AppendUint64(key, sortable(c.p.X))
+		key = binary.BigEndian.AppendUint64(key, sortable(c.p.Y))
+		key = binary.BigEndian.AppendUint64(key, c.p.ID)
+	}
+	return key
+}
+
+// paperKey is the set key Exec.Paper orders a pool's equal distances by:
+// the members in (X, Y, ID) order, three raw big-endian words each — the
+// order before the answer rule (DESIGN.md §2), which the paper's figures
+// were counted under.
+func paperKey(key []byte, sel []distPoint) []byte {
+	objs := pointsOf(nil, sel)
+	slices.SortFunc(objs, func(a, b geom.Point) int {
+		return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y), cmp.Compare(a.ID, b.ID))
+	})
 	for _, p := range objs {
 		key = binary.BigEndian.AppendUint64(key, math.Float64bits(p.X))
 		key = binary.BigEndian.AppendUint64(key, math.Float64bits(p.Y))
@@ -204,26 +223,14 @@ func setKey(key []byte, objs []geom.Point) []byte {
 	return key
 }
 
-// pointLess orders points by (X, Y, ID).
-func pointLess(a, b geom.Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
+// sortable maps v to a word whose unsigned order is v's numeric order; −0
+// and +0, equal numbers, map to one word.
+func sortable(v float64) uint64 {
+	b := math.Float64bits(v + 0) // −0 + 0 is +0
+	if b>>63 != 0 {
+		return ^b
 	}
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.ID < b.ID
-}
-
-// comparePoints is pointLess as a three-way comparison.
-func comparePoints(a, b geom.Point) int {
-	if pointLess(a, b) {
-		return -1
-	}
-	if pointLess(b, a) {
-		return 1
-	}
-	return 0
+	return b | 1<<63
 }
 
 // position returns where (dist, key) sorts in pool: the position of the
@@ -235,24 +242,33 @@ func (s *knwcState) position(dist float64, key []byte) int {
 	})
 }
 
-// offer is the pool's sink: a group is tested against the bound, then by
-// its set key against the distance held for its object set, and only one
-// that enters is given objects of its own.
-func (s *knwcState) offer(dist float64, sel []distPoint, win geom.Rect) bool {
+// offer is the pool's sink: a group is tested against the k-th selected
+// entry, then by its set key against the distance held for its object set,
+// and only one that enters is given objects of its own. A group at the k-th
+// distance enters when its key sorts before the k-th entry's: it belongs to
+// the selection in that entry's place, or before it.
+func (s *knwcState) offer(dist float64, sel []distPoint) bool {
 	s.offered++
-	if dist >= s.bound() {
+	b := s.bound()
+	if dist > b || s.strict && dist == b {
 		// Farther than the K-th greedy group: cannot change the greedy
 		// prefix (same assumption the search's own pruning makes).
 		return false
 	}
-	s.objs = pointsOf(s.objs[:0], sel)
-	s.key = setKey(s.key[:0], s.objs)
+	if s.strict {
+		s.key = paperKey(s.key[:0], sel)
+	} else {
+		s.key = setKey(s.key[:0], sel)
+	}
 	key := s.key
+	if dist == b && string(key) > s.pool[s.sel[s.k-1]].key { // b is finite: K are held
+		return false // after the K-th group in the pool's order
+	}
 	old, known := s.held[string(key)]
 	if known && dist >= old {
 		return false
 	}
-	e := poolEntry{g: Group{Objects: pointsOf(nil, sel), Dist: dist, Window: win}}
+	e := poolEntry{g: Group{Objects: pointsOf(nil, sel), Dist: dist}}
 	if known {
 		// Same object set found through a closer window (matters for
 		// MeasureWindow): keep the minimum, which may reorder.
@@ -323,11 +339,12 @@ func (s *knwcState) reselect(at int, inserted bool) {
 	}
 }
 
-// result returns the final selection.
-func (s *knwcState) result() []Group {
+// result returns the final selection, each group with its window.
+func (s *knwcState) result(qy Query) []Group {
 	out := make([]Group, len(s.sel))
 	for i, at := range s.sel {
 		out[i] = s.pool[at].g
+		out[i].Window = windowOf(qy, out[i].Objects)
 	}
 	return out
 }

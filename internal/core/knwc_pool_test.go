@@ -19,7 +19,8 @@ import (
 // maintenance rules with nothing remembered between offers — entries
 // found and placed by linear scans under the oracle's groupKey, the
 // greedy selection and its bound re-derived from the first entry every
-// time they are needed.
+// time they are needed. Groups hold their objects in ascending distance
+// from poolQuery's point, as the verify stage hands them on.
 type poolModel struct {
 	k, m, limit       int
 	pool              []poolEntry
@@ -54,10 +55,12 @@ func (r *poolModel) bound() float64 {
 
 func (r *poolModel) offer(g Group) {
 	r.offered++
-	if g.Dist >= r.bound() {
-		return
+	key := groupKey(poolQuery.Q, g.Objects)
+	if sel := r.greedy(); len(sel) == r.k {
+		if kth := sel[r.k-1]; g.Dist > kth.Dist || g.Dist == kth.Dist && key > groupKey(poolQuery.Q, kth.Objects) {
+			return
+		}
 	}
-	key := groupKey(g.Objects)
 	for i, e := range r.pool {
 		if e.key == key {
 			if g.Dist >= e.g.Dist {
@@ -79,17 +82,14 @@ func (r *poolModel) offer(g Group) {
 }
 
 // offerGroup hands g to the pool through its sink, as evaluateWindows
-// does: the distance, the members in scratch that is reused as soon as the
-// sink returns — here wiped, so an entry that kept a reference to it no
-// longer equals the model's — and the window. The test comes first; only
+// does: the distance and the members, ascending, in scratch that is reused
+// as soon as the sink returns — here wiped, so an entry that kept a
+// reference to it no longer equals the model's. The test comes first; only
 // an offer that enters is materialised.
-func (s *knwcState) offerGroup(g Group) bool {
-	sel := make([]distPoint, len(g.Objects))
-	for i, p := range g.Objects {
-		sel[i] = distPoint{p: p, d: g.Dist}
-	}
+func (s *knwcState) offerGroup(q geom.Point, g Group) bool {
+	sel := withDist(q, g.Objects)
 	defer clear(sel)
-	return s.offer(g.Dist, sel, g.Window)
+	return s.offer(g.Dist, sel)
 }
 
 // checkAgainst demands of s everything the model has: the same pool in
@@ -124,8 +124,12 @@ func (r *poolModel) checkAgainst(t *testing.T, s *knwcState, at string) {
 			t.Fatalf("%s: selection %v: member %d is %+v, from scratch %+v", at, s.sel, i, s.pool[pos].g, want[i])
 		}
 	}
-	if !reflect.DeepEqual(s.result(), append([]Group{}, want...)) {
-		t.Fatalf("%s: result %+v, from scratch %+v", at, s.result(), want)
+	want = slices.Clone(want)
+	for i := range want {
+		want[i].Window = windowOf(poolQuery, want[i].Objects)
+	}
+	if got := s.result(poolQuery); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: result %+v, from scratch %+v", at, got, want)
 	}
 	if got, want := s.bound(), r.bound(); got != want {
 		t.Fatalf("%s: bound %g, from scratch %g", at, got, want)
@@ -145,6 +149,11 @@ const (
 	opOverflow        // offers past the pool's limit, made to be blocked by the first selected group
 	poolOpKinds
 )
+
+// poolQuery is the query the pool's groups answer: its point is the centre
+// of poolUniverse's sites, so that objects tie in distance; only Q, L and W
+// are read, the last two for the result's windows.
+var poolQuery = Query{Q: geom.Point{X: 1.5, Y: 0.5}, L: 4, W: 2}
 
 // poolUniverse is what offered groups are made of: eight objects with
 // distinct IDs, sites shared pairwise.
@@ -190,11 +199,12 @@ func runPoolScript(t *testing.T, data []byte, limit int) (sizes []int) {
 	defer s.release()
 	step := 0
 	offer := func(g Group) {
-		// Each side gets its own slice: neither may come to depend on the
-		// other's, or on the caller's order of objects.
+		// Each side gets its own slice, in ascending distance: neither may
+		// come to depend on the other's, or on the caller's order of objects.
+		g.Objects = nClosest(poolQuery.Q, g.Objects, len(g.Objects))
 		before := r.accepted
-		r.offer(Group{Objects: append([]geom.Point{}, g.Objects...), Dist: g.Dist, Window: g.Window})
-		if entered := s.offerGroup(g); entered != (r.accepted > before) {
+		r.offer(Group{Objects: slices.Clone(g.Objects), Dist: g.Dist})
+		if entered := s.offerGroup(poolQuery.Q, g); entered != (r.accepted > before) {
 			t.Fatalf("op %d, offer %d: the sink reported entered=%v, the model accepted %d", step, r.offered, entered, r.accepted-before)
 		}
 		if limit < compactLimit || r.offered%512 == 0 { // the check is O(pool): sampled when the pool is large
@@ -217,8 +227,7 @@ func runPoolScript(t *testing.T, data []byte, limit int) (sizes []int) {
 			if kind == opCloser {
 				delta = -delta
 			}
-			// The window tells the offers of one set apart.
-			offer(Group{Objects: objs, Dist: g.Dist + delta, Window: geom.Rect{MaxX: float64(step)}})
+			offer(Group{Objects: objs, Dist: g.Dist + delta})
 		case kind == opTie:
 			offer(Group{Objects: poolSet(a, c), Dist: entry(b).Dist})
 		case kind == opOverflow:
@@ -309,37 +318,41 @@ func FuzzKNWCPool(f *testing.F) {
 // TestSetKeyMatchesOracleKey: the engine's canonicaliser and the
 // oracle's are written apart and must stay interchangeable — same bytes,
 // hence the same order between any two sets, which is the pool's order
-// among equal distances — on sets whose objects share coordinates under
-// distinct IDs, whatever order the objects come in, of a handful of
-// objects and, one in ten, of more than insertionMax.
+// among equal distances and compareMembers' — on sets whose objects share
+// coordinates and distances under distinct IDs, with negative coordinates
+// and −0, whatever order the objects come in.
 func TestSetKeyMatchesOracleKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	q := geom.Point{X: 0, Y: 0.25}
+	coord := []float64{-1, math.Copysign(0, -1), 0, 1}
 	randomSet := func() []geom.Point {
-		n := 1 + rng.Intn(6)
-		if rng.Intn(10) == 0 {
-			n = insertionMax + 1 + rng.Intn(8)
-		}
-		objs := make([]geom.Point, n)
+		objs := make([]geom.Point, 1+rng.Intn(6))
 		for i := range objs {
-			objs[i] = geom.Point{X: float64(rng.Intn(3) - 1), Y: float64(rng.Intn(3)-1) / 2, ID: uint64(rng.Intn(40))}
+			objs[i] = geom.Point{X: coord[rng.Intn(4)], Y: coord[rng.Intn(4)] / 2, ID: uint64(rng.Intn(40))}
 		}
 		return objs
+	}
+	engine := func(objs []geom.Point) []distPoint {
+		sel := withDist(q, objs)
+		slices.SortFunc(sel, distCompare)
+		return sel
 	}
 	differ := 0
 	for i := 0; i < 2000; i++ {
 		a, b := randomSet(), randomSet()
-		ka := string(setKey(nil, a))
-		kb := string(setKey(nil, b))
-		if ka != groupKey(a) || kb != groupKey(b) {
-			t.Fatalf("sets %v, %v: engine keys %x, %x; oracle keys %x, %x", a, b, ka, kb, groupKey(a), groupKey(b))
+		sa, sb := engine(a), engine(b)
+		ka, kb := string(setKey(nil, sa)), string(setKey(nil, sb))
+		oa, ob := groupKey(q, nClosest(q, a, len(a))), groupKey(q, nClosest(q, b, len(b)))
+		if ka != oa || kb != ob {
+			t.Fatalf("sets %v, %v: engine keys %x, %x; oracle keys %x, %x", a, b, ka, kb, oa, ob)
 		}
-		if got, want := strings.Compare(ka, kb), strings.Compare(groupKey(a), groupKey(b)); got != want {
-			t.Fatalf("sets %v, %v order %d by the engine's keys, %d by the oracle's", a, b, got, want)
+		if got, want := strings.Compare(ka, kb), compareMembers(sa, sb); got != want {
+			t.Fatalf("sets %v, %v order %d by the keys, %d by their members", a, b, got, want)
 		} else if got != 0 {
 			differ++
 		}
 		rng.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-		if again := setKey(nil, a); !bytes.Equal(again, []byte(ka)) {
+		if again := setKey(nil, engine(a)); !bytes.Equal(again, []byte(ka)) {
 			t.Fatalf("set %v: key depends on the order of its objects", a)
 		}
 	}

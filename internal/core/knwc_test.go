@@ -31,7 +31,9 @@ func checkDefinition3(t *testing.T, pts []geom.Point, qy KNWCQuery, measure Meas
 				t.Fatalf("%s: group %d object %v outside window %v", label, gi, o, g.Window)
 			}
 		}
-		if d := groupDist(qy.Q, g.Objects, g.Window, measure); math.Abs(d-g.Dist) > eps {
+		// Under MeasureWindow the distance is a window's that yields the
+		// group, no nearer than the group's own window, the nearest to hold it.
+		if d := groupDist(qy.Q, g.Objects, g.Window, measure); measure != MeasureWindow && math.Abs(d-g.Dist) > eps || d > g.Dist+eps {
 			t.Fatalf("%s: group %d dist %g, recomputed %g", label, gi, g.Dist, d)
 		}
 	}
@@ -325,33 +327,33 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 	// paper's Steps 1–5) arrives, then A (closest, overlapping B)
 	// displaces B. The pool-based maintenance recovers C.
 	s := newKNWCState(2, 0)
-	s.offerGroup(mk(5, 1, 2)) // B
-	s.offerGroup(mk(9, 2, 4)) // C overlaps B: blocked while B is accepted
-	s.offerGroup(mk(1, 1, 7)) // A overlaps B, evicts it from the greedy set
-	got := s.result()
+	s.offerGroup(poolQuery.Q, mk(5, 1, 2)) // B
+	s.offerGroup(poolQuery.Q, mk(9, 2, 4)) // C overlaps B: blocked while B is accepted
+	s.offerGroup(poolQuery.Q, mk(1, 1, 7)) // A overlaps B, evicts it from the greedy set
+	got := s.result(poolQuery)
 	if len(got) != 2 || got[0].Dist != 1 || got[1].Dist != 9 {
 		t.Fatalf("groups after eviction chain: %+v", got)
 	}
 	// Exact duplicates collapse even when m >= n allows them.
 	s = newKNWCState(3, 5)
-	s.offerGroup(mk(2, 1, 2))
-	s.offerGroup(mk(2, 1, 2))
-	if got := s.result(); len(got) != 1 {
+	s.offerGroup(poolQuery.Q, mk(2, 1, 2))
+	s.offerGroup(poolQuery.Q, mk(2, 1, 2))
+	if got := s.result(poolQuery); len(got) != 1 {
 		t.Fatalf("duplicate group retained: %+v", got)
 	}
 	// Same object set through a closer window keeps the smaller
 	// distance (MeasureWindow semantics).
 	s = newKNWCState(2, 0)
-	s.offerGroup(mk(7, 1, 2))
-	s.offerGroup(mk(3, 1, 2))
-	if got := s.result(); len(got) != 1 || got[0].Dist != 3 {
+	s.offerGroup(poolQuery.Q, mk(7, 1, 2))
+	s.offerGroup(poolQuery.Q, mk(3, 1, 2))
+	if got := s.result(poolQuery); len(got) != 1 || got[0].Dist != 3 {
 		t.Fatalf("min-dist dedup failed: %+v", got)
 	}
 	// A candidate farther than the full greedy list is ignored.
 	s = newKNWCState(1, 0)
-	s.offerGroup(mk(1, 1))
-	s.offerGroup(mk(2, 2))
-	if got := s.result(); len(got) != 1 || got[0].Dist != 1 {
+	s.offerGroup(poolQuery.Q, mk(1, 1))
+	s.offerGroup(poolQuery.Q, mk(2, 2))
+	if got := s.result(poolQuery); len(got) != 1 || got[0].Dist != 1 {
 		t.Fatalf("far candidate displaced the best: %+v", got)
 	}
 	if b := s.bound(); b != 1 {
@@ -359,9 +361,9 @@ func TestKNWCPoolMaintenance(t *testing.T) {
 	}
 	// Overlap with a closer group blocks greedy acceptance.
 	s = newKNWCState(3, 0)
-	s.offerGroup(mk(1, 1, 2))
-	s.offerGroup(mk(2, 2, 3))
-	if got := s.result(); len(got) != 1 {
+	s.offerGroup(poolQuery.Q, mk(1, 1, 2))
+	s.offerGroup(poolQuery.Q, mk(2, 2, 3))
+	if got := s.result(poolQuery); len(got) != 1 {
 		t.Fatalf("overlap violation accepted: %+v", got)
 	}
 }
@@ -374,12 +376,12 @@ func TestKNWCPoolCompaction(t *testing.T) {
 			Dist:    float64(i%97) + 1, // bounded distances so the bound stays small
 			Objects: []geom.Point{{X: float64(i), Y: 0, ID: uint64(i)}},
 		}
-		s.offerGroup(g)
+		s.offerGroup(poolQuery.Q, g)
 	}
 	if len(s.pool) > compactLimit {
 		t.Fatalf("pool grew to %d entries, limit %d", len(s.pool), compactLimit)
 	}
-	got := s.result()
+	got := s.result(poolQuery)
 	if len(got) != 2 || got[0].Dist != 1 || got[1].Dist != 1 {
 		t.Fatalf("compacted pool result: %+v", got)
 	}

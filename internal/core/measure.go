@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -41,6 +42,31 @@ func groupDist(q geom.Point, objs []geom.Point, win geom.Rect, m Measure) float6
 	}
 }
 
+// windowOf is a group's window: of the l × w windows that hold objs, the one
+// whose centre is nearest q. It is computed from objs and q alone, so a group
+// has one window whichever window of the search found it. Per axis, with
+// [lo, hi] the objects' extent, MinX = clamp(q.X − l/2, hi − l, lo) and
+// MaxX = clamp(q.X + l/2, hi, lo + l): each edge is rounded once and clamped
+// last to the objects' side, so the window holds every object and its sides
+// are l and w up to rounding.
+func windowOf(qy Query, objs []geom.Point) geom.Rect {
+	lo, hi := objs[0], objs[0]
+	for _, p := range objs[1:] {
+		lo.X, lo.Y = min(lo.X, p.X), min(lo.Y, p.Y)
+		hi.X, hi.Y = max(hi.X, p.X), max(hi.Y, p.Y)
+	}
+	var win geom.Rect
+	win.MinX, win.MaxX = windowSide(qy.Q.X, qy.L, lo.X, hi.X)
+	win.MinY, win.MaxY = windowSide(qy.Q.Y, qy.W, lo.Y, hi.Y)
+	return win
+}
+
+// windowSide is windowOf on one axis: the interval of length ext holding
+// [lo, hi] whose centre is nearest c.
+func windowSide(c, ext, lo, hi float64) (float64, float64) {
+	return min(max(c-ext/2, hi-ext), lo), max(min(c+ext/2, lo+ext), hi)
+}
+
 // distOrder is the deterministic object ordering used to pick the n
 // closest objects of a window: by distance, then coordinates, then ID, so
 // every scheme returns identical groups regardless of discovery order.
@@ -68,6 +94,31 @@ func distLess(a, b distPoint) bool {
 	return a.p.ID < b.p.ID
 }
 
+// compareMembers is the order of two groups at one distance: their
+// members, each group's ascending under distLess, compared position by
+// position. A window holding a group holds its members, so its n nearest
+// are at least as early at every position: the least group at a distance
+// is found by a window anchored at one of its members, which the stop rule
+// and the bound's box keep (DESIGN.md §2). setKey's bytes compare the same
+// way.
+func compareMembers(a, b []distPoint) int {
+	for i := range min(len(a), len(b)) {
+		if c := distCompare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// withDist pairs each of objs with its distance to q.
+func withDist(q geom.Point, objs []geom.Point) []distPoint {
+	out := make([]distPoint, len(objs))
+	for i, p := range objs {
+		out[i] = distPoint{d: q.Dist(p), p: p}
+	}
+	return out
+}
+
 // insertionMax is the longest run the verify stage puts in order by
 // insertion, with the comparison inlined, rather than by slices.SortFunc,
 // which makes a call per comparison: on random distances and points the
@@ -77,6 +128,9 @@ const insertionMax = 64
 
 // distCompare is distLess as a three-way comparison.
 func distCompare(a, b distPoint) int {
+	if a.d != b.d { // the common case, decided by one comparison
+		return cmp.Compare(a.d, b.d)
+	}
 	if distLess(a, b) {
 		return -1
 	}
@@ -119,11 +173,7 @@ func pointsOf(dst []geom.Point, sel []distPoint) []geom.Point {
 // distance order (all of them if n ≥ len(pts)), breaking distance ties
 // deterministically. pts is not modified.
 func nClosest(q geom.Point, pts []geom.Point, n int) []geom.Point {
-	s := make([]distPoint, len(pts))
-	for i, p := range pts {
-		s[i] = distPoint{d: q.Dist(p), p: p}
-	}
-	return pointsOf(nil, selectClosest(s, n))
+	return pointsOf(nil, selectClosest(withDist(q, pts), n))
 }
 
 // selectClosest returns the n least elements of s under distLess, ascending

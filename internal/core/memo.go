@@ -141,8 +141,8 @@ func (e *Engine) rangeQuery(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, rect
 
 // seedMemo grows the empty memo by W0, the l × w window centred on q, read
 // from the first anchor's leaf, and returns the seed it gives (DESIGN.md
-// §19 "The seed"): when W0 holds n points their n nearest are a group, and
-// the seed lies an ulp above its distance; otherwise it is +Inf. A seed
+// §19 "The seed"): when W0 holds n points their n nearest fit a window, and
+// the seed is their distance; otherwise it is +Inf. A seed
 // cuts what the memo keeps to its box, as it cuts every anchor's region.
 func (e *Engine) seedMemo(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, qy Query, sc *searchScratch) (float64, error) {
 	m, q, n := &sc.memo, qy.Q, qy.N
@@ -156,7 +156,7 @@ func (e *Engine) seedMemo(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, qy Que
 	seed := math.Inf(1)
 	if len(got) >= n {
 		quickselect(got, n)
-		seed = math.Nextafter(slices.MaxFunc(got[:n], distCompare).d, math.Inf(1))
+		seed = slices.MaxFunc(got[:n], distCompare).d
 		// The gates compare squares: a seed whose square is subnormal is none.
 		if seed*seed < 0x1p-1022 {
 			seed = math.Inf(1)

@@ -40,7 +40,8 @@ type Exec struct {
 	Paper bool
 }
 
-// NWC answers query qy with the given scheme and measure. It
+// NWC answers query qy with the given scheme and measure: of the groups at
+// the least distance, the least in members' order (DESIGN.md §2). It
 // implements Algorithm 1: a best-first traversal of the R*-tree visits
 // objects in ascending distance from q; each object generates its
 // search region and a window query; every candidate window found is
@@ -57,16 +58,10 @@ type Exec struct {
 // dataset shrinks this traversal's frontier at node-visit granularity —
 // and every local improvement is published back into the cell.
 //
-// Sharing is sound for the single-best NWC search because the cell is
-// monotone non-increasing and always at least the final global best B:
-// a group pruned against it has distance ≥ B, so only non-answers are
-// skipped, and the search that discovers the globally best group can
-// never see a cell value below that group's distance before emitting
-// it (every other group is at least as far). The result's Found/Dist
-// therefore still describe the best group over this engine's own data,
-// except that groups at distance ≥ the global bound may be elided —
-// exactly the ones a scatter-gather merge discards anyway. See
-// DESIGN.md §12.
+// Sharing is sound because the cell is monotone non-increasing and always
+// at least the final global best B, and only groups beyond the bound in
+// force are pruned: what is elided is beyond B, which a scatter-gather
+// merge discards anyway (DESIGN.md §12).
 func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measure, x Exec) (Result, Stats, error) {
 	if err := qy.Validate(); err != nil {
 		return Result{}, Stats{}, err
@@ -77,24 +72,25 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 	if err := e.checkScheme(scheme); err != nil {
 		return Result{}, Stats{}, err
 	}
-	best := Group{Dist: math.Inf(1)}
-	found := false
-	bound := func() float64 { return best.Dist }
+	var best []distPoint // a copy of the members taken last
+	bestDist := math.Inf(1)
+	c := collector{bound: func() float64 { return bestDist }}
 	sb := x.Bound
 	if sb != nil {
-		bound = func() float64 { return min(best.Dist, sb.Load()) }
+		c.bound = func() float64 { return min(bestDist, sb.Load()) }
 	}
-	take := func(dist float64, sel []distPoint, win geom.Rect) bool {
-		if dist >= best.Dist {
+	c.take = func(dist float64, sel []distPoint) bool {
+		if dist > bestDist || dist == bestDist && compareMembers(sel, best) >= 0 {
 			x.Rec.Count(trace.CtrWindowsGated, 1) // the last distance gate
 			return false
 		}
-		best, found = Group{Objects: pointsOf(nil, sel), Dist: dist, Window: win}, true
+		best, bestDist = append(best[:0], sel...), dist
 		if sb != nil {
 			sb.Tighten(dist)
 		}
 		return true
 	}
+	c.held = func() ([]distPoint, float64) { return best, bestDist }
 	// The seed (DESIGN.md §19) bounds a serving search under the max measure
 	// from its first anchor on, and by the lemma there it still finds a
 	// group. W0's edges round; should a seeded search find none while the
@@ -104,25 +100,33 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 	if measure == MeasureMax && !x.Paper {
 		seedAt = &seed
 	}
-	stats, err := e.search(ctx, qy, scheme, bound, take, measure, x, true, seedAt)
-	if err == nil && !found && !math.IsInf(seed, 1) && (sb == nil || sb.Load() >= seed) {
+	stats, err := e.search(ctx, qy, scheme, c, measure, x, true, seedAt)
+	if err == nil && best == nil && !math.IsInf(seed, 1) && (sb == nil || sb.Load() > seed) {
 		var again Stats
-		again, err = e.search(ctx, qy, scheme, bound, take, measure, x, true, nil)
+		again, err = e.search(ctx, qy, scheme, c, measure, x, true, nil)
 		stats.Add(again)
 	}
 	if err != nil {
 		return Result{}, stats, err
 	}
-	if !found {
+	if best == nil {
 		return Result{Found: false}, stats, nil
 	}
-	return Result{Group: best, Found: true}, stats, nil
+	objs := pointsOf(nil, best)
+	return Result{Group: Group{Objects: objs, Dist: bestDist, Window: windowOf(qy, objs)}, Found: true}, stats, nil
 }
 
 // stopSlack widens the stop rule's limit by a few dozen ulps: items carry
 // Dist2 and groups math.Hypot, so an anchor inside the bound may compute
 // just outside its square. An item in the band is processed as ever.
 const stopSlack = 1 + 1e-14
+
+// gateSlack widens the bound of the geometric gates — SRR, DIP and a
+// window's MINDIST, computed from squares and from window edges that round —
+// so that a group exactly at the bound passes them, as the answer rule needs
+// (DESIGN.md §2): a gate with slack, then the sink's exact cut. Random data
+// almost never puts a window's MINDIST within 10⁻⁹ of the bound.
+const gateSlack = 1 + 1e-9
 
 // boxSlack widens the bound's box (DESIGN.md §19) as stopSlack widens the
 // limit, but on lengths: an anchor the limit lets through lies within
@@ -147,8 +151,8 @@ type pqItem struct {
 
 // before is the queue's order: ascending distance, then nodes (by id)
 // before objects (by distLess). Being total, it does not depend on what
-// else the heap holds: the stop rule leaves far items out, and equidistant
-// anchors must still come in the paper execution's order (DESIGN.md §19).
+// else the heap holds, so a query's traced counts repeat; the answer does
+// not depend on it (DESIGN.md §2).
 func (a *pqItem) before(b *pqItem) bool {
 	return a.dist2 < b.dist2 || a.dist2 == b.dist2 && a.tieBefore(b)
 }
@@ -203,16 +207,191 @@ func (pq *pqueue) pop() pqItem {
 	return top
 }
 
-// sink takes a window that passed every gate of evaluateWindows: its
-// group's distance, the n members in ascending distOrder — scratch, to be
-// copied if kept — and the window. It reports whether it kept the group.
-type sink func(dist float64, sel []distPoint, win geom.Rect) bool
+// sink takes a window's group that passed every gate of evaluateWindows:
+// its distance and its n members ascending — scratch, copied if kept. It
+// reports whether it kept the group.
+type sink func(dist float64, sel []distPoint) bool
 
-// search drives the shared NWC/kNWC traversal. bound returns the current
-// pruning distance (the distance of the best group for NWC, of the k-th
-// group for kNWC, +Inf while unset); take receives every candidate group
-// that passes the window-level gates, in discovery order, and must refuse
-// one at or beyond the bound.
+// collector is what a search hands its groups to. bound returns the current
+// pruning distance (the best group's for NWC, the k-th's for kNWC, +Inf
+// while unset); take receives every group that passes the window-level
+// gates and must refuse one beyond the bound; held, when set, returns the
+// group it keeps at its distance, members ascending, and that distance.
+type collector struct {
+	bound func() float64
+	take  sink
+	held  func() ([]distPoint, float64)
+}
+
+// rival is what a group at the bound must hold to come before the group H
+// held there (DESIGN.md §2). A group G before H differs from it first at
+// some position i: G[i] < H[i] and G[i] is not in H, and G's window holds
+// H[0..i−1] too. So the window holds H's first j members for some j ≥ i and
+// an object not in H with at most j of H's members before it — a rival of
+// rank ≤ j. With no group held at the bound (held nil) a group there needs
+// nothing.
+type rival struct {
+	held []distPoint // H ascending, nil for none
+	far  float64     // H's farthest member's distance
+}
+
+// gate is the bound the geometric gates test against, squared and with
+// >=: b widened by gateSlack, and its square above 0, so that they keep a
+// group at b.
+func gate(b float64) float64 { return max(b*gateSlack, 1e-150) }
+
+// rivalAt is the rival for bound b.
+func (c collector) rivalAt(b float64) rival {
+	if c.held != nil {
+		if held, d := c.held(); d == b && len(held) > 0 {
+			return rival{held: held, far: held[len(held)-1].d}
+		}
+	}
+	return rival{}
+}
+
+// role is what o is to the rival: −(k+1) for H's member k, k+1 for an
+// object not in H with k members before it, 0 for one after them all; most
+// objects lie beyond H's farthest member, and the test inlines.
+func (r *rival) role(o *distPoint) int {
+	if r.held == nil || o.d > r.far {
+		return 0
+	}
+	return r.rank(o)
+}
+
+func (r *rival) rank(o *distPoint) int {
+	k := 0
+	for k < len(r.held) && distLess(r.held[k], *o) {
+		k++
+	}
+	switch {
+	case k == len(r.held):
+		return 0
+	case r.held[k].p == o.p:
+		return -(k + 1)
+	}
+	return k + 1
+}
+
+// ranks counts the roles of a run of points: H's members present, and the
+// rivals by rank.
+type ranks struct{ in, at []int }
+
+func (t *ranks) reset(n int) {
+	t.in, t.at = slices.Grow(t.in[:0], n)[:n], slices.Grow(t.at[:0], n)[:n]
+	clear(t.in)
+	clear(t.at)
+}
+
+func (t *ranks) add(role, by int) {
+	switch {
+	case role < 0:
+		t.in[-role-1] += by
+	case role > 0:
+		t.at[role-1] += by
+	}
+}
+
+// tie reports whether the run can hold a group at the bound before H: a
+// rival of rank at most the length of H's prefix the run holds.
+func (t *ranks) tie() bool {
+	j := 0
+	for j < len(t.in) && t.in[j] > 0 {
+		j++
+	}
+	for k := 0; k <= j && k < len(t.at); k++ {
+		if t.at[k] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// tieIn reports whether the points of run with x in [xlo, xhi] can hold a
+// group at the bound that comes before the held one, counting in t. It is
+// asked only when the counts leave nothing else to pass.
+func (r *rival) tieIn(t *ranks, run []distPoint, xlo, xhi float64) bool {
+	if r.held == nil {
+		return true
+	}
+	t.reset(len(r.held))
+	for i := range run {
+		if o := &run[i]; o.p.X >= xlo && o.p.X <= xhi {
+			t.add(r.role(o), 1)
+		}
+	}
+	return t.tie()
+}
+
+// counts is what a counting pass over candidates found: all of them, those
+// nearer than the bound and those within it.
+type counts struct{ all, below, within int }
+
+func (t *counts) add(o distPoint, b float64, by int) {
+	t.all += by
+	if o.d < b {
+		t.below += by
+	}
+	if o.d <= b {
+		t.within += by
+	}
+}
+
+// fails reports whether windows of candidates with counts t give no group
+// of n a collector would take at bound b: none nearer than b, which needs
+// need objects nearer — all n under max, one under min and avg (DESIGN.md
+// §16) — and none at b, which needs need objects within it and, unless tie
+// is free, a rival. Under MeasureWindow the window decides
+// (evaluateWindows), but nothing is nearer than 0.
+func (t counts) fails(m Measure, n int, b float64, tie bool) bool {
+	need := 1
+	switch m {
+	case MeasureWindow:
+		return b == 0 && !tie
+	case MeasureMax:
+		need = n
+	}
+	return t.below < need && (t.within < need || !tie)
+}
+
+// gates reports whether the points of run with x in [xlo, xhi], counted in
+// t, give no group a collector would take at bound b, rival r.
+func (t counts) gates(m Measure, n int, b float64, r *rival, rk *ranks, run []distPoint, xlo, xhi float64) bool {
+	return t.fails(m, n, b, true) || t.fails(m, n, b, false) && !r.tieIn(rk, run, xlo, xhi)
+}
+
+// settledIn reports whether no window of an anchor whose region is sr (the
+// plane: any anchor) can give a group a collector would take at bound b,
+// rival rv (DESIGN.md §19): the objects it needs lie in the box of b and of
+// the held group's farthest member, the memo holds the part of sr in it,
+// and their count fails.
+func settledIn(sr geom.Rect, q geom.Point, m Measure, n int, b float64, rv rival, sc *searchScratch) bool {
+	memo := &sc.memo
+	r := b
+	if rv.held != nil {
+		r = max(b, rv.far)
+	}
+	r *= boxSlack
+	in := sr.Intersection(geom.RectAround(q).Buffer(r, r))
+	if !memo.have.ContainsRect(in) {
+		return false
+	}
+	band := memo.band(in)
+	return tally(band, in.MinX, in.MaxX, b).gates(m, n, b, &rv, &sc.rk, band, in.MinX, in.MaxX)
+}
+
+// tally counts the points of cand with x in [xlo, xhi] against bound b.
+func tally(cand []distPoint, xlo, xhi, b float64) (t counts) {
+	for i := range cand {
+		if o := &cand[i]; o.p.X >= xlo && o.p.X <= xhi {
+			t.add(*o, b, 1)
+		}
+	}
+	return t
+}
+
+// search drives the shared NWC/kNWC traversal over the collector c.
 //
 // All accounting goes onto the returned Stats, a carrier owned by this
 // one query: node visits are counted by a per-query tree Reader (which
@@ -225,21 +404,24 @@ type sink func(dist float64, sel []distPoint, win geom.Rect) bool
 // Unless x.Paper the search ends at the first item popped beyond
 // measure.anchorReach of the bound (DESIGN.md §19). single says the caller
 // keeps one best group under a bound that only falls (NWC): then nothing
-// beyond the reach is queued either, and each anchor's search region is
-// cut to the box the group lies in. A pool of distinct groups (kNWC), whose
-// bound can rise, gets neither; but under MeasureMax an anchor the memo
-// shows to have under n objects in that box is dropped before any read.
+// beyond the reach is queued either, and under MeasureMax each anchor's
+// search region is cut to the box the group lies in. Otherwise — but
+// under MeasureAvg, whose groups need just one object under the bound,
+// for a single group — an anchor is dropped before any read when the memo
+// holds what settledIn counts and the count fails, and a single group with
+// no reach ends there.
 //
 // seed, when non-nil (a single best group under MeasureMax, never the
 // paper's execution), receives the seed: the first anchor reads W0, the
-// l × w window centred on q, and when it holds n objects their distance,
-// an ulp up, bounds every pruning decision from then on. It is not a
-// group: take never sees it, and it does not reach x.Bound.
-func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func() float64, take sink, measure Measure, x Exec, single bool, seed *float64) (Stats, error) {
+// l × w window centred on q, and when it holds n objects their distance
+// bounds every pruning decision from then on. It is not a group: take never
+// sees it, and it does not reach x.Bound.
+func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collector, measure Measure, x Exec, single bool, seed *float64) (Stats, error) {
 	if seed != nil {
-		local := bound
-		bound = func() float64 { return min(local(), *seed) }
+		local := c.bound
+		c.bound = func() float64 { return min(local(), *seed) }
 	}
+	bound := c.bound
 	var st Stats
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
 	rec := x.Rec
@@ -263,6 +445,11 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 	// window's edges, p.X ± l and o.Y ± w, half an ulp of a coordinate off.
 	pad := math.Hypot(l, w) + 1e-15*(math.Abs(q.X)+math.Abs(q.Y)+l+w)
 	stop, reach, lim2 := !x.Paper, math.Inf(1), math.Inf(1)
+	var settled struct {
+		b    float64
+		far  distPoint
+		have geom.Rect
+	}
 	for len(*pq) > 0 {
 		it := pq.pop()
 		if stop {
@@ -273,10 +460,10 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			}
 		}
 		if it.isNode {
-			b := bound()
+			b := gate(bound())
 			// DIP (Section 3.3.2): prune the node when no object inside
-			// its MBR can generate a window closer than the bound. The
-			// MBR came from the parent, so pruning costs no node visit.
+			// its MBR can generate a window under the bound. The MBR came
+			// from the parent, so pruning costs no node visit.
 			if scheme.DIP && !math.IsInf(b, 1) &&
 				geom.NodeWindowLowerBound2(q, it.mbr, l, w) >= b*b {
 				st.NodesPruned++
@@ -319,7 +506,21 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			continue
 		}
 
-		// Object item: generate and evaluate its candidate windows.
+		// Object item: generate and evaluate its candidate windows, unless a
+		// single group with no reach is settled.
+		if b := bound(); stop && single && math.IsInf(reach, 1) && measure != MeasureAvg {
+			rv, far := c.rivalAt(b), distPoint{d: -1}
+			if rv.held != nil {
+				far = rv.held[len(rv.held)-1]
+			}
+			if b != settled.b || far != settled.far || sc.memo.have != settled.have {
+				if settledIn(geom.RectAround(q).Buffer(math.Inf(1), math.Inf(1)), q, measure, n, b, rv, sc) {
+					rec.Count(trace.CtrStoppedAtBound, 1)
+					break
+				}
+				settled.b, settled.far, settled.have = b, far, sc.memo.have // ask again when one moves
+			}
+		}
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return st, err
@@ -337,10 +538,10 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 		p := it.point
 		var sr geom.Rect
 		if scheme.SRR {
-			// SRR (Section 3.3.1): skip the object when every window it
-			// generates is at least bound away; otherwise shrink SR_p.
+			// SRR (Section 3.3.1): skip the object when no window it
+			// generates is under the bound; otherwise shrink SR_p.
 			b := bound()
-			sr = geom.ShrinkSearchRegion(q, p, l, w, b)
+			sr = geom.ShrinkSearchRegion(q, p, l, w, gate(b))
 			if sr.IsEmpty() {
 				st.ObjectsSkipped++
 				rec.Count(trace.CtrSRRSkips, 1)
@@ -361,17 +562,10 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 				sr = in
 				rec.Count(trace.CtrClipped, 1)
 			}
-		} else if b := bound(); !single && stop && measure == MeasureMax && !math.IsInf(b, 1) {
-			// A pool needs the region whole — a partner outside the box still
-			// defines a distinct set — but not if the box holds under n points.
-			r := b * boxSlack
-			if in := sr.Intersection(geom.RectAround(q).Buffer(r, r)); sc.memo.have.ContainsRect(in) {
-				if _, under := countUnder(sc.memo.band(in), in.MinX, in.MaxX, b); under < n {
-					rec.Count(trace.CtrAnchorsGated, 1)
-					rec.Enter(trace.PhaseDescent)
-					continue
-				}
-			}
+		} else if b := bound(); stop && !math.IsInf(b, 1) && (!single || measure == MeasureMin || measure == MeasureWindow) && settledIn(sr, q, measure, n, b, c.rivalAt(b), sc) {
+			rec.Count(trace.CtrAnchorsGated, 1)
+			rec.Enter(trace.PhaseDescent)
+			continue
 		}
 		// DEP window-query cancellation: a search region that cannot
 		// hold n objects generates no qualified window.
@@ -391,24 +585,10 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, bound func
 			return st, err
 		}
 		rec.Enter(trace.PhaseVerify)
-		evaluateWindows(qy, p, cand, sr.MinX, sr.MaxX, ordered, sc, measure, bound, take, x.Paper, &st, rec)
+		evaluateWindows(qy, p, cand, sr.MinX, sr.MaxX, ordered, sc, measure, c, x.Paper, &st, rec)
 		rec.Enter(trace.PhaseDescent)
 	}
 	return st, nil
-}
-
-// countUnder returns how many points of cand have x in [xlo, xhi], and how
-// many of those lie nearer than b.
-func countUnder(cand []distPoint, xlo, xhi, b float64) (count, under int) {
-	for i := range cand {
-		if o := &cand[i]; o.p.X >= xlo && o.p.X <= xhi {
-			count++
-			if o.d < b {
-				under++
-			}
-		}
-	}
-	return count, under
 }
 
 // evaluateWindows enumerates the candidate windows generated by anchor
@@ -420,46 +600,36 @@ func countUnder(cand []distPoint, xlo, xhi, b float64) (count, under int) {
 // appropriate horizontal edge. cand is in yOrder when ordered says so (a
 // run of the memo) and is sorted into it otherwise. A sliding two-pointer
 // over the y-ordered candidates maintains, in amortised constant time per
-// window, the window's population and how many of its objects lie
-// strictly under the pruning bound.
+// window, the window's counts against the bound (counts).
 //
-// That second count gates selection (DESIGN.md §16): a window's group can
-// beat the bound only if at least `need` of its objects are under it — all
-// n for MeasureMax, one for MeasureMin and MeasureAvg — so a window failing
-// the test is skipped without selecting anything, and an anchor whose
-// candidates as a whole fail it is dropped on a counting pass over cand,
-// before they are even copied out of it or sorted. Distances come from
-// q.Dist, the function groupDist uses, which makes the test a strict
-// necessary condition of groupDist < bound: it needs no slack and never
-// drops an improving group, and take stays the authority on what improves.
+// Those counts gate selection (DESIGN.md §16): a window whose counts fail
+// is skipped without selecting anything, and an anchor whose candidates as
+// a whole fail is dropped on a counting pass over cand, before they are
+// even copied out of it or sorted. Distances come from q.Dist, the
+// function groupDist uses, so the counts need no slack, and take stays the
+// authority on what it keeps.
 //
 // Unless paper, a window whose n nearest are those of the last window
 // handed to take is skipped too: the same group at the same distance, which
-// either sink has just refused or holds — except under MeasureWindow, where
-// the distance is the window's.
+// either sink has just refused or holds — under MeasureWindow, where the
+// distance is the window's, when it is no nearer than that window (sameM2).
 //
 // A window that passes every gate takes its n nearest from one distance
 // order of the candidates' positions, built at the anchor's first such
 // window: they are the first n positions of that order inside the window.
-func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64, ordered bool, sc *searchScratch, measure Measure, bound func() float64, take sink, paper bool, st *Stats, rec *trace.Recorder) {
+func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64, ordered bool, sc *searchScratch, measure Measure, c collector, paper bool, st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
-	need := 0 // MeasureWindow: object distances never enter the group distance
-	switch measure {
-	case MeasureMax:
-		need = n
-	case MeasureMin, MeasureAvg:
-		need = 1
-	}
-	cb := bound() // the bound the under-counts below are taken against
+	cb := c.bound() // the bound the counts below are taken against
+	r := c.rivalAt(cb)
 	// Every window of this anchor draws its contents from the candidates,
 	// so when they as a whole fail the test no window can pass it: skip
 	// the copy and the sort.
-	count, slabUnder := countUnder(cand, xlo, xhi, cb)
-	rec.Candidates(count)
-	if count < n {
+	slab := tally(cand, xlo, xhi, cb)
+	rec.Candidates(slab.all)
+	if slab.all < n {
 		return
 	}
-	if slabUnder < need {
+	if slab.gates(measure, n, cb, &r, &sc.rk, cand, xlo, xhi) {
 		rec.Count(trace.CtrAnchorsGated, 1)
 		return
 	}
@@ -500,14 +670,31 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 
 	var ord []int32 // s's positions in distance order, once a window needs it
 	gated, repeated := int64(0), int64(0)
-	under := 0 // objects of the current window s[lo..i] with d < cb
+	var in counts // of the current window s[lo..i]
+	// A window's rivals are counted only once one asks for a tie: then the
+	// roles of s's points (sc.role) and their ranks over s[lo..i] (sc.rk).
+	var roles []int32
+	rk := &sc.rk
+	tie := func(lo, i int) bool {
+		if r.held == nil {
+			return true
+		}
+		if roles == nil {
+			roles = sc.roles(s, &r)
+			rk.reset(len(r.held))
+			for k := lo; k <= i; k++ {
+				rk.add(int(roles[k]), 1)
+			}
+		}
+		return rk.tie()
+	}
 	lo := 0
 	// far is the farthest member of the last window handed to take; while
 	// none at or under it has left and none under it entered, same holds.
-	far, same := distPoint{}, false
+	far, same, sameM2 := distPoint{}, false, 0.0
 	for i, o := range s {
-		if o.d < cb {
-			under++
+		if in.add(o, cb, 1); roles != nil {
+			rk.add(int(roles[i]), 1)
 		}
 		if same && distLess(o, far) {
 			same = false
@@ -530,8 +717,8 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 		// Window y-interval: [o.Y-w, o.Y] for top anchors, [o.Y, o.Y+w]
 		// for bottom anchors. Contents are s[lo..i].
 		for top && s[lo].p.Y < o.p.Y-w || !top && s[lo].p.Y > o.p.Y+w {
-			if s[lo].d < cb {
-				under--
+			if in.add(s[lo], cb, -1); roles != nil {
+				rk.add(int(roles[lo]), -1)
 			}
 			if same && !distLess(far, s[lo]) {
 				same = false
@@ -549,26 +736,27 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 		// The bound moves when a group is kept — for kNWC's k-th
 		// distance in either direction — and, under a SharedBound, at
 		// any moment; recount the window against the value in force.
-		b := bound()
+		b := c.bound()
 		if b != cb {
-			cb, under = b, 0
-			for _, c := range s[lo : i+1] {
-				if c.d < cb {
-					under++
-				}
+			cb, r, in = b, c.rivalAt(b), counts{}
+			for k := lo; k <= i; k++ {
+				in.add(s[k], cb, 1)
 			}
+			roles = nil
 		}
-		if under < need {
+		if in.fails(measure, n, cb, true) || in.fails(measure, n, cb, false) && !tie(lo, i) {
 			gated++
 			continue
 		}
-		if same {
+		win := geom.CandidateWindow(q, p, o.p, l, w)
+		m2 := win.MinDist2(q)
+		if same && (measure != MeasureWindow || m2 >= sameM2) {
 			repeated++
 			continue
 		}
-		win := geom.CandidateWindow(q, p, o.p, l, w)
-		if !math.IsInf(b, 1) &&
-			(win.MinDist2(q) >= b*b || fen != nil && fen.sumSmallest(n)/float64(n) > b*avgSlack) {
+		if gb := gate(b); !math.IsInf(b, 1) &&
+			(m2 >= gb*gb || measure == MeasureWindow && m2 >= b*b && !tie(lo, i) ||
+				fen != nil && fen.sumSmallest(n)/float64(n) > b*avgSlack) {
 			gated++
 			continue
 		}
@@ -577,9 +765,10 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 		}
 		sel := nearestIn(s, ord, lo, i, n, sc.sel[:0])
 		sc.sel = sel
-		far, same = sel[n-1], !paper && measure != MeasureWindow
-		if take(selDist(q, sel, win, measure), sel, win) {
+		far, same, sameM2 = sel[n-1], !paper, m2
+		if c.take(selDist(q, sel, win, measure), sel) {
 			rec.Count(trace.CtrGroupsEmitted, 1)
+			cb = math.NaN() // the held group moved: recount, with its rival
 		}
 	}
 	rec.Count(trace.CtrWindowsGated, gated)

@@ -20,6 +20,8 @@ type searchScratch struct {
 	ord   []int32     // slab positions in distance order (distOrder)
 	ranks []int       // slab object rank per index (MeasureAvg)
 	sel   []distPoint // one window's n nearest, ascending
+	role  []int32     // per slab position, its role for the rival
+	rk    ranks       // the roles of a run, counted
 	fen   distStats   // Fenwick arrays, reset per anchor
 }
 
@@ -56,6 +58,9 @@ func putScratch(sc *searchScratch) {
 	if cap(sc.sel) > scratchKeepCap {
 		sc.sel = nil
 	}
+	if cap(sc.role) > scratchKeepCap {
+		sc.role = nil
+	}
 	if cap(sc.fen.dist) > scratchKeepCap {
 		sc.fen = distStats{}
 	}
@@ -69,6 +74,16 @@ func (sc *searchScratch) ints(n int) []int {
 	}
 	sc.ranks = sc.ranks[:n]
 	return sc.ranks
+}
+
+// roles returns, backed by sc.role, the role of each point of s for r.
+func (sc *searchScratch) roles(s []distPoint, r *rival) []int32 {
+	out := sc.role[:0]
+	for i := range s {
+		out = append(out, int32(r.role(&s[i])))
+	}
+	sc.role = out
+	return out
 }
 
 // distOrder returns the positions of s ascending under distLess, backed by

@@ -80,17 +80,18 @@ func watchedKNWC(eng *Engine, kq KNWCQuery, scheme Scheme, measure Measure, x Ex
 	pool := newKNWCState(kq.K, kq.M)
 	defer pool.release()
 	low = math.Inf(1)
-	take := func(dist float64, sel []distPoint, win geom.Rect) bool {
+	take := func(dist float64, sel []distPoint) bool {
 		before := pool.bound()
-		in := pool.offer(dist, sel, win)
+		in := pool.offer(dist, sel)
 		if pool.bound() > before {
 			rises++
 		}
 		low = min(low, pool.bound())
 		return in
 	}
-	_, err = eng.search(context.Background(), kq.Query, scheme, pool.bound, take, measure, x, false, nil)
-	return pool.result(), rises, low, err
+	pool.strict, pool.q = x.Paper, kq.Q
+	_, err = eng.search(context.Background(), kq.Query, scheme, collector{pool.bound, take, pool.kth}, measure, x, false, nil)
+	return pool.result(kq.Query), rises, low, err
 }
 
 // noMoreWork reports whether a search that stops at the bound did no more
@@ -116,12 +117,13 @@ func ruleCounts(rec *trace.Recorder) int64 {
 // checkStopScript holds the serving execution to the paper's on one
 // script: under every scheme and measure the two return the same Result,
 // bit for bit, which is the oracle's; the same again under a shared bound
-// set just above the optimum, and the same as each other under one set at
-// it or an ulp below. Under MeasureMax the serving execution does no more
-// of anything than the paper's, and under the three schemes that prune no
+// set at or just above the optimum, and the same as each other under one
+// an ulp below. Under MeasureMax the serving execution does no more of
+// anything than the paper's, and under the three schemes that prune no
 // node it processes exactly the objects inside the answer's distance;
-// where the rule is off — NWC under the other measures — the two
-// executions differ in node visits only. kNWC stops at the reach of its
+// NWC under the other measures, which has no reach, no filter and no box,
+// does no more of anything either and ends at most once, when no window can
+// give a group that comes before the one it holds. kNWC stops at the reach of its
 // k-th distance under all four: the two return the same groups, the pool
 // lets in as many offers, and the serving execution does no more of
 // anything, cuts nothing off the queue or off a search region, and ends at
@@ -142,7 +144,7 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 	run.objects = len(pts)
 	run.seed, run.seedGroup = seedOf(t, eng, qy), w0Group(qy, pts)
 	if wantSeed := math.Inf(1); run.seedGroup != nil {
-		wantSeed = math.Nextafter(qy.Q.Dist(run.seedGroup[qy.N-1]), math.Inf(1))
+		wantSeed = qy.Q.Dist(run.seedGroup[qy.N-1])
 		if wantSeed*wantSeed < 0x1p-1022 {
 			wantSeed = math.Inf(1)
 		}
@@ -153,8 +155,8 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 	for _, measure := range allMeasures {
 		want := BruteForceNWC(pts, qy, measure)
 		// The lattice keeps W0's edges exact, and by the lemma a seed then
-		// lies above a group (TestSeedFallback is what happens otherwise).
-		if measure == MeasureMax && !(want.Found && want.Dist < run.seed || math.IsInf(run.seed, 1)) {
+		// lies at or above a group (TestSeedFallback is what happens otherwise).
+		if measure == MeasureMax && !(want.Found && want.Dist <= run.seed || math.IsInf(run.seed, 1)) {
 			t.Fatalf("%+v over %v: seed %v, oracle %+v", qy, pts, run.seed, want)
 		}
 		if measure == MeasureMax {
@@ -186,12 +188,15 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			if !reflect.DeepEqual(served, paper) {
 				t.Fatalf("%s: served %+v, the paper's execution %+v", at, served, paper)
 			}
-			if served.Found != want.Found || served.Found && math.Abs(served.Dist-want.Dist) > 1e-9 {
+			if !reflect.DeepEqual(served, want) {
 				t.Fatalf("%s: served %+v, oracle %+v", at, served, want)
 			}
+			if served.Found {
+				checkWindow(t, at, qy, served.Group, measure == MeasureWindow)
+			}
 			if measure != MeasureMax {
-				if st.NodeVisits = stPaper.NodeVisits; st != stPaper || ruleCounts(rec) != 0 {
-					t.Fatalf("%s: the stop rule ran: stats %+v, the paper's %+v", at, st, stPaper)
+				if c := rec.Counters(); !noMoreWork(st, stPaper) || c[trace.CtrStoppedAtBound] > 1 || c[trace.CtrNeverQueued]+c[trace.CtrClipped] != 0 {
+					t.Fatalf("%s: stats %+v and counters %v, the paper's %+v", at, st, c, stPaper)
 				}
 			} else if !noMoreWork(st, stPaper) {
 				t.Fatalf("%s: stats %+v exceed the paper's %+v", at, st, stPaper)
@@ -216,12 +221,18 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(groups, groupsPaper) {
-				t.Fatalf("%s: kNWC served %+v, the paper's execution %+v", at, groups, groupsPaper)
+			// The paper's execution breaks ties its own way, which can move
+			// its later groups (DESIGN.md §2): its first group's distance is
+			// the optimum.
+			for _, g := range groups {
+				checkWindow(t, at, qy, g, false)
+			}
+			if want := BruteForceKNWC(pts, kq, measure); !sameGroups(groups, want) ||
+				len(groupsPaper) != len(want) || len(want) > 0 && groupsPaper[0].Dist != want[0].Dist {
+				t.Fatalf("%s: kNWC served %+v, the paper's execution %+v, oracle %+v", at, groups, groupsPaper, want)
 			}
 			c, cPaper := rec.Counters(), recPaper.Counters()
-			if !noMoreWork(kst, kstPaper) || c[trace.CtrDedupAccepted] != cPaper[trace.CtrDedupAccepted] ||
-				c[trace.CtrStoppedAtBound] > 1 || c[trace.CtrNeverQueued]+c[trace.CtrClipped] != 0 || ruleCounts(recPaper) != 0 {
+			if c[trace.CtrNeverQueued]+c[trace.CtrClipped] != 0 || ruleCounts(recPaper) != 0 {
 				t.Fatalf("%s: kNWC stats %+v and counters %v, the paper's %+v and %v", at, kst, c, kstPaper, cPaper)
 			}
 			if scheme == SchemeNWC {
@@ -237,17 +248,17 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 				if watched, run.rises, run.low, err = watchedKNWC(eng, kq, scheme, measure, Exec{}); err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(watched, groups) {
+				if run.rises == 0 && !reflect.DeepEqual(watched, groups) { // a rise reruns KNWC
 					t.Fatalf("%s: kNWC watched %+v, unwatched %+v", at, watched, groups)
 				}
 			}
 			if !want.Found || served.Dist == 0 {
 				continue
 			}
-			// A bound another shard found: the answer's distance survives one
-			// just above it (by more than SRR and DIP, which square it, can lose); under
-			// MeasureMax one at or below it leaves nothing to report (the
-			// other measures' gates may let a group at the bound through).
+			// A bound another shard found: the answer survives one at or just
+			// above it; under MeasureMax one below it leaves nothing to report
+			// (the other measures' gates may let a group beyond the bound
+			// through).
 			for _, pre := range []float64{served.Dist * (1 + 1e-12), served.Dist, math.Nextafter(served.Dist, 0)} {
 				var got [2]Result
 				var sts [2]Stats
@@ -262,14 +273,14 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 				if !reflect.DeepEqual(got[0], got[1]) {
 					t.Fatalf("%s under a shared bound of %v: served %+v, the paper's execution %+v", at, pre, got[0], got[1])
 				}
-				if pre > served.Dist && !(got[0].Found && got[0].Dist == served.Dist) || pre <= served.Dist && measure == MeasureMax && got[0].Found {
+				if pre >= served.Dist && !reflect.DeepEqual(got[0], served) || pre < served.Dist && measure == MeasureMax && got[0].Found {
 					t.Fatalf("%s under a shared bound of %v: %+v, alone %+v", at, pre, got[0], served)
 				}
 				if measure == MeasureMax && !noMoreWork(sts[0], sts[1]) {
 					t.Fatalf("%s under a shared bound of %v: stats %+v exceed the paper's %+v", at, pre, sts[0], sts[1])
 				}
-				// A cell at or below the answer is below the seed: finding
-				// nothing under it is the answer, and nothing runs twice.
+				// A cell at or below the answer is at or below the seed: the
+				// seeded search's answer is the answer, and nothing runs twice.
 				if measure == MeasureMax && pre <= served.Dist && sts[0].ObjectsProcessed > st.ObjectsProcessed {
 					t.Fatalf("%s under a shared bound of %v: %d objects processed, %d alone", at, pre, sts[0].ObjectsProcessed, st.ObjectsProcessed)
 				}
@@ -350,24 +361,26 @@ var stopScripts = map[string][]byte{
 	"knwc-at-the-reach": stopScript(4, 4, 2, 2, 1, [2]byte{5, 4}, [2]byte{7, 7}, [2]byte{9, 9}, [2]byte{10, 8}, [2]byte{16, 16}),
 	// Anchor (9,8) has two partners, itself and (6,9), and the two nearest of
 	// both windows are {(9,8),(8,6)}: offered once. The paper's execution
-	// offers it twice, and so does either under MeasureWindow.
+	// offers it twice; under MeasureWindow the second window is no nearer
+	// than the first, so the serving one skips it there too.
 	"repeat-window": stopScript(8, 8, 4, 4, 2, [2]byte{9, 8}, [2]byte{8, 6}, [2]byte{6, 9}, [2]byte{16, 16}),
 	// Under MeasureWindow {(8,10),(7,10)} is found 6 away through a window of
 	// (8,10) and then 2 away through one of (7,10), which replaces it; and
 	// {(6,13),(8,10)} comes twice running from each of its two anchors, 2 and
-	// then 3 away, offered every time. Under the other measures those two are
-	// the script's repeats.
+	// then 3 away: the second, no nearer, is skipped as a repeat. Under the
+	// other measures those two are the script's repeats.
 	"repeat-window-measure": stopScript(8, 16, 3, 4, 2, [2]byte{8, 10}, [2]byte{6, 13}, [2]byte{5, 6}, [2]byte{7, 10}, [2]byte{16, 10}, [2]byte{6, 9}),
 	// Three anchors leave the bound at 2 and [4,11] × [4,14] in the memo. Of
 	// the region of (12,8), [8,12] × [4,12], the bound's box keeps [8,10] ×
 	// [6,10], all of it fetched, with (9,8) inside the bound and (8,10) on it:
-	// one object where two are needed, and no window query.
+	// the two objects a group at the bound needs, and not the k-th group's,
+	// so a window query (TestCountBeforeFetch moves (8,10)).
 	"count-before-fetch": stopScript(8, 8, 4, 4, 2, [2]byte{9, 8}, [2]byte{7, 9}, [2]byte{8, 10}, [2]byte{12, 8}, [2]byte{16, 16}),
 
 	// The seed. W0 = [0,8] × [4,9] holds (1,4), (0,6) and (8,9); its two
-	// nearest set the seed an ulp above 4.03. (0,6) finds {(3,10),(0,6)} —
-	// (3,10) lies above W0 — at that distance before {(1,4),(0,6)}, the
-	// seed's own group, which shares its far member: the answer is the first.
+	// nearest set the seed at 4.03. {(3,10),(0,6)} — (3,10) lies above W0 —
+	// ties with {(1,4),(0,6)}, the seed's own group, and shares its far
+	// member: the answer is the first, whose nearer member is nearer.
 	"seed-tie": stopScript(4, 6.5, 8, 5, 2, [2]byte{0, 6}, [2]byte{1, 4}, [2]byte{3, 10}, [2]byte{8, 9}),
 	// W0 = [6,10] × [5,11] holds exactly three objects, the answer: every
 	// anchor, the first too, is cut to the box of the seed just above 3.
@@ -469,8 +482,8 @@ func TestStopAtBoundTable(t *testing.T) {
 				t.Errorf("%s: the answer's window %v does not hold q", name, w)
 			}
 		case "partner-outside-box":
-			// W0's two nearest are the answer: the seed, just above 3, cuts
-			// (8,9) to one object and (11,8) to two windows.
+			// W0's two nearest are the answer: the seed, 3, cuts (8,9) to one
+			// object and (11,8) to two windows.
 			if run.clipped != 2 || run.served.CandidateWindows != 2 || run.paper.CandidateWindows != 6 {
 				t.Errorf("%s: %d anchors cut, %d candidate windows (the paper's %d), want 2, 2 and 6",
 					name, run.clipped, run.served.CandidateWindows, run.paper.CandidateWindows)
@@ -521,15 +534,18 @@ func TestStopAtBoundTable(t *testing.T) {
 			}
 		case "seed-tie":
 			// The paper's execution emits {(3,10),(8,9)} at 4.72 first; under
-			// the seed nothing but the answer is emitted.
-			if g := run.seedGroup; run.seed != math.Nextafter(run.res.Dist, math.Inf(1)) || reflect.DeepEqual(run.res.Objects, g) ||
-				run.res.Objects[1] != g[1] || run.emitted != 1 {
-				t.Errorf("%s: seed %v from %v, answer %+v, %d emitted: want the seed's distance, its far member, another set, and 1",
+			// the seed nothing but the answer is emitted, and of the two sets
+			// at the seed's distance it is the least.
+			qy, _, _ := decodeStop(script)
+			seedGroup := Group{Objects: run.seedGroup, Dist: run.seed}
+			if g := run.seedGroup; run.seed != run.res.Dist || reflect.DeepEqual(run.res.Objects, g) ||
+				run.res.Objects[1] != g[1] || CompareGroups(qy.Q, run.res.Group, seedGroup) >= 0 || run.emitted != 1 {
+				t.Errorf("%s: seed %v from %v, answer %+v, %d emitted: want the seed's distance, its far member, a lesser set, and 1",
 					name, run.seed, g, run.res, run.emitted)
 			}
 		case "w0-holds-n":
-			if !reflect.DeepEqual(run.seedGroup, run.res.Objects) || run.seed != math.Nextafter(3, 4) || run.clipped != 3 || run.served.ObjectsProcessed != 3 {
-				t.Errorf("%s: seed %v from %v, answer %+v, %d of %d anchors cut: want the answer's, just above 3, and all 3",
+			if !reflect.DeepEqual(run.seedGroup, run.res.Objects) || run.seed != 3 || run.clipped != 3 || run.served.ObjectsProcessed != 3 {
+				t.Errorf("%s: seed %v from %v, answer %+v, %d of %d anchors cut: want the answer's, 3, and all 3",
 					name, run.seed, run.seedGroup, run.res, run.clipped, run.served.ObjectsProcessed)
 			}
 		case "w0-holds-n-minus-1":
@@ -551,25 +567,70 @@ func TestStopAtBoundTable(t *testing.T) {
 			}
 		case "repeat-window":
 			if kMax[trace.CtrWindowsRepeated] != 1 || kMax[trace.CtrDedupOffered] != 3 || kMaxPaper[trace.CtrDedupOffered] != 4 ||
-				kWin[trace.CtrWindowsRepeated] != 0 || kWin[trace.CtrDedupOffered] != kWinPaper[trace.CtrDedupOffered] {
-				t.Errorf("%s: %d windows repeated and %d offered of the paper's %d; under MeasureWindow %d and %d of %d: want 1, 3 of 4, 0 and all",
+				kWin[trace.CtrWindowsRepeated] != 1 || kWin[trace.CtrDedupOffered] != 3 || kWinPaper[trace.CtrDedupOffered] != 3 {
+				t.Errorf("%s: %d windows repeated and %d offered of the paper's %d; under MeasureWindow %d and %d of %d: want 1, 3 of 4, 1 and 3 of 3",
 					name, kMax[trace.CtrWindowsRepeated], kMax[trace.CtrDedupOffered], kMaxPaper[trace.CtrDedupOffered],
 					kWin[trace.CtrWindowsRepeated], kWin[trace.CtrDedupOffered], kWinPaper[trace.CtrDedupOffered])
 			}
 		case "repeat-window-measure":
-			if g := run.kGroups[MeasureWindow]; kWin[trace.CtrWindowsRepeated] != 0 || kWin[trace.CtrDedupOffered] != 6 || kWin[trace.CtrDedupAccepted] != 3 ||
+			if g := run.kGroups[MeasureWindow]; kWin[trace.CtrWindowsRepeated] != 2 || kWin[trace.CtrDedupOffered] != 4 || kWin[trace.CtrDedupAccepted] != 3 ||
 				len(g) != 2 || g[0].Dist != 2 || g[1].Dist != 2 || kMax[trace.CtrWindowsRepeated] != 2 {
-				t.Errorf("%s: under MeasureWindow %d windows repeated, %d offered, %d entered, answer %+v; %d repeated under MeasureMax: want 0, 6, 3, both groups 2 away, and 2",
+				t.Errorf("%s: under MeasureWindow %d windows repeated, %d offered, %d entered, answer %+v; %d repeated under MeasureMax: want 2, 4, 3, both groups 2 away, and 2",
 					name, kWin[trace.CtrWindowsRepeated], kWin[trace.CtrDedupOffered], kWin[trace.CtrDedupAccepted], g, kMax[trace.CtrWindowsRepeated])
 			}
 		case "count-before-fetch":
-			if run.kServed.ObjectsProcessed != 4 || run.kServed.WindowQueries != 3 || kMax[trace.CtrAnchorsGated] != 1 || kMaxPaper[trace.CtrAnchorsGated] != 1 {
-				t.Errorf("%s: %d objects processed, %d window queries, %d anchors gated (the paper's %d), want 4, 3, 1 and 1",
+			if run.kServed.ObjectsProcessed != 4 || run.kServed.WindowQueries != 4 || kMax[trace.CtrAnchorsGated] != 0 || kMaxPaper[trace.CtrAnchorsGated] != 0 {
+				t.Errorf("%s: %d objects processed, %d window queries, %d anchors gated (the paper's %d), want 4, 4, 0 and 0",
 					name, run.kServed.ObjectsProcessed, run.kServed.WindowQueries, kMax[trace.CtrAnchorsGated], kMaxPaper[trace.CtrAnchorsGated])
 			}
 		}
 	}
 }
+
+// TestCountBeforeFetch is count-before-fetch with (8,10) moved: of (12,8)'s
+// region the bound's box keeps what the memo holds, and the anchor is dropped
+// before its window query when that part holds under two objects within
+// the bound — (7,6), √5 away and the bound, lies outside it — or two that
+// are the k-th group's own — (8,6), on the bound, is its member: no other
+// group within the bound can come of them, in both executions. With (8,6)
+// the anchor (9,8) is dropped too: its region holds the k-th group and
+// (7,9), which is before the group's farthest member but not before its
+// first, (9,8), so no set there comes before it (DESIGN.md §2).
+func TestCountBeforeFetch(t *testing.T) {
+	for _, c := range []struct {
+		moved         [2]byte
+		kth           float64
+		queries, gone int // window queries, anchors gated
+	}{{[2]byte{7, 6}, math.Sqrt(5), 3, 1}, {[2]byte{8, 6}, 2, 2, 2}} {
+		run := checkStopScript(t, stopScript(8, 8, 4, 4, 2, [2]byte{9, 8}, [2]byte{7, 9}, c.moved, [2]byte{12, 8}, [2]byte{16, 16}))
+		kMax, kMaxPaper := run.kCounts[MeasureMax], run.kCountsPaper[MeasureMax]
+		if g := run.kGroups[MeasureMax]; len(g) != 2 || g[1].Dist != c.kth || run.kServed.ObjectsProcessed != 4 || run.kServed.WindowQueries != c.queries ||
+			kMax[trace.CtrAnchorsGated] != int64(c.gone) || kMaxPaper[trace.CtrAnchorsGated] != int64(c.gone) {
+			t.Errorf("%v: answer %+v, %d objects processed, %d window queries, %d anchors gated (the paper's %d), want the second group %v away, 4, %d, %d and %d",
+				c.moved, g, run.kServed.ObjectsProcessed, run.kServed.WindowQueries, kMax[trace.CtrAnchorsGated], kMaxPaper[trace.CtrAnchorsGated], c.kth, c.queries, c.gone, c.gone)
+		}
+	}
+}
+
+// checkWindow holds a group's window to DESIGN.md §2: it holds each of
+// the objects, its sides are l and w up to rounding, and, for an NWC
+// answer under MeasureWindow, its MINDIST is the answer's distance.
+func checkWindow(t *testing.T, at string, qy Query, g Group, mindist bool) {
+	t.Helper()
+	w := g.Window
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(w.MinX)+math.Abs(w.MinY)+b) }
+	if !near(w.Width(), qy.L) || !near(w.Height(), qy.W) || mindist && w.MinDist(qy.Q) != g.Dist {
+		t.Fatalf("%s: window %v of %+v", at, w, g)
+	}
+	for _, o := range g.Objects {
+		if !w.ContainsPoint(o) {
+			t.Fatalf("%s: window %v misses %v", at, w, o)
+		}
+	}
+}
+
+// sameGroups is reflect.DeepEqual, with no groups and nil alike.
+func sameGroups(a, b []Group) bool { return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b) }
 
 // FuzzStopAtBound drives checkStopScript with byte-derived scripts; the
 // seed corpus (testdata/fuzz/FuzzStopAtBound) is the table above.
@@ -639,8 +700,8 @@ func TestQueueOrderReplay(t *testing.T) {
 // two nearest objects, 1 either side of q, seed the bound just above 1, and
 // no window holds both. The seeded search finds nothing, and NWC searches
 // again without the seed — when the seed was the bound in force: under a
-// shared cell above it, and at it, but not under one between the seed
-// group's distance and the seed, where finding nothing is the answer. The
+// shared cell above it, but not under one at it, where finding nothing at or
+// under the cell is the answer. The
 // interpreter's lattice (half steps up to 2⁴⁰) keeps W0's edges exact, so
 // no stop script can get here.
 func TestSeedFallback(t *testing.T) {
@@ -665,8 +726,8 @@ func TestSeedFallback(t *testing.T) {
 	}{
 		{math.Inf(1), true, true},
 		{4, true, true},
-		{3, false, true},
-		{1, false, false}, // below the seed, which was never the bound in force
+		{3, true, true},
+		{1, false, false}, // the seed, which was not the bound in force alone
 	} {
 		for _, scheme := range allSchemes {
 			var got [2]Result

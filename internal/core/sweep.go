@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"slices"
 
@@ -10,15 +9,13 @@ import (
 
 // GroupsWithin returns CandidateGroups' list cut after its last group with
 // Dist ≤ limit — one entry per distinct object set at its smallest distance,
-// in CompareGroups' order — for a valid qy, whatever the order of pts. It is
-// the verify stage run over a slice (DESIGN.md §11): each point, in (X, Y, ID)
-// order, as anchor with its search region shrunk under the limit, and the
-// y-band of the points in the memo's order for candidates.
-//
-// A set found again at its smallest distance keeps the window it was first
-// found in: that of the first anchor in (X, Y, ID) order to reach it, and
-// of that anchor the first window in its sweep. The anchor order is fixed
-// here, not inherited from the memo, whose y order would pick another.
+// in CompareGroups' order, each with its window — for a valid qy, whatever
+// the order of pts. It is the verify stage run over a slice (DESIGN.md §11):
+// each point as anchor with its search region shrunk under the limit, and the
+// y-band of the points in the memo's order for candidates. The list is a
+// function of the set of points: the order the anchors run in decides
+// nothing, since a set's entry is its least distance and its window is its
+// objects'.
 func GroupsWithin(pts []geom.Point, qy Query, measure Measure, limit float64) []Group {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -28,23 +25,15 @@ func GroupsWithin(pts []geom.Point, qy Query, measure Measure, limit float64) []
 	}
 	slices.SortFunc(all, yOrder)
 	sc.memo.pts = all
-	anchors := slices.Clone(pts)
-	slices.SortFunc(anchors, comparePoints)
-	// The gates are strict and squared, made to drop a group at the bound;
-	// one at the limit must pass: the bound is the limit and a little (the
-	// next float up still loses it), its square above zero. take cuts, exactly.
-	b := max(limit*(1+1e-9), 1e-150)
-	bound := func() float64 { return b }
+	bound := func() float64 { return limit }
 	var key []byte
-	var objs []geom.Point
 	var entries []poolEntry
 	at := map[string]int{} // set key → position in entries
-	take := func(dist float64, sel []distPoint, win geom.Rect) bool {
+	take := func(dist float64, sel []distPoint) bool {
 		if dist > limit {
 			return false
 		}
-		objs = pointsOf(objs[:0], sel)
-		key = setKey(key[:0], objs)
+		key = setKey(key[:0], sel)
 		i, known := at[string(key)]
 		if known && dist >= entries[i].g.Dist {
 			return false
@@ -54,13 +43,14 @@ func GroupsWithin(pts []geom.Point, qy Query, measure Measure, limit float64) []
 			entries = append(entries, poolEntry{key: string(key), g: Group{Objects: pointsOf(nil, sel)}})
 			at[entries[i].key] = i
 		}
-		entries[i].g.Dist, entries[i].g.Window = dist, win // a set's members come in one order
+		entries[i].g.Dist = dist
 		return true
 	}
 	var st Stats
-	for _, a := range anchors {
-		if sr := geom.ShrinkSearchRegion(qy.Q, a, qy.L, qy.W, b); !sr.IsEmpty() {
-			evaluateWindows(qy, a, sc.memo.band(sr), sr.MinX, sr.MaxX, true, sc, measure, bound, take, false, &st, nil)
+	c := collector{bound: bound, take: take}
+	for _, a := range all {
+		if sr := geom.ShrinkSearchRegion(qy.Q, a.p, qy.L, qy.W, gate(limit)); !sr.IsEmpty() {
+			evaluateWindows(qy, a.p, sc.memo.band(sr), sr.MinX, sr.MaxX, true, sc, measure, c, false, &st, nil)
 		}
 	}
 	slices.SortFunc(entries, func(a, b poolEntry) int { // CompareGroups, the keys in hand
@@ -69,14 +59,17 @@ func GroupsWithin(pts []geom.Point, qy Query, measure Measure, limit float64) []
 	out := make([]Group, len(entries))
 	for i, e := range entries {
 		out[i] = e.g
+		out[i].Window = windowOf(qy, e.g.Objects)
 	}
 	return out
 }
 
-// CompareGroups is the order of a candidate list: distance, then set key.
-func CompareGroups(a, b Group) int {
+// CompareGroups is the order of a candidate list, and of the answers to one
+// query at q: distance, then the members in ascending distance order, one by
+// one under distLess — the order of setKey's bytes.
+func CompareGroups(q geom.Point, a, b Group) int {
 	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
 		return c
 	}
-	return bytes.Compare(setKey(nil, slices.Clone(a.Objects)), setKey(nil, slices.Clone(b.Objects)))
+	return compareMembers(withDist(q, a.Objects), withDist(q, b.Objects))
 }

@@ -33,9 +33,9 @@ type sweepRun struct {
 // every measure, at +Inf, just below the first group, at zero and exactly at
 // group distances (all of them up to eight, else eight picked by the first
 // byte), it returns CandidateGroups' list cut at the limit — same distances,
-// bit for bit, same objects in the same order, same order of groups — every
-// window l × w around its objects, and the same again, windows included,
-// with the points shuffled.
+// bit for bit, same objects in the same order, same windows, same order of
+// groups — every window l × w around its objects, and the same again with
+// the points shuffled.
 func checkSweepScript(t *testing.T, data []byte) (run sweepRun) {
 	t.Helper()
 	if len(data) < 1 {
@@ -73,7 +73,7 @@ func checkSweepScript(t *testing.T, data []byte) (run sweepRun) {
 			}
 			at := 0
 			for i, g := range got {
-				if w := want[i]; g.Dist != w.Dist || !reflect.DeepEqual(g.Objects, w.Objects) {
+				if w := want[i]; !reflect.DeepEqual(g, w) {
 					t.Fatalf("%v within %v: group %d is %+v, the oracle's %+v (pts=%v qy=%+v)", measure, limit, i, g, w, pts, qy)
 				}
 				if g.Window.MaxX-g.Window.MinX != qy.L || g.Window.MaxY-g.Window.MinY != qy.W {
@@ -142,8 +142,8 @@ var sweepScripts = map[string][]byte{
 	// Two objects, each an anchor of a window holding both: (9,10) on the
 	// left edge of [9,11] × [8,10], (10,9) on the right edge of [8,10] ×
 	// [8,10]. One set at one distance under every measure (q lies in both
-	// windows), found first by the anchor first in (X, Y, ID) order, which
-	// is last in (Y, X, ID) order.
+	// windows), whose window is neither: it is the objects' own, centred on
+	// q as far as they allow.
 	"one-set-two-anchors": sweepScript(5, stopScript(9.5, 8, 2, 2, 2, [2]byte{9, 10}, [2]byte{10, 9})),
 	// Pairs in every corner of the lattice, far beyond any bound a query
 	// near the middle would run under: +Inf returns them all.
@@ -196,11 +196,11 @@ func TestGroupsWithinTable(t *testing.T) {
 			}
 		case "one-set-two-anchors":
 			qy, pts, _ := decodeStop(script[1:])
-			want := geom.Rect{MinX: 9, MinY: 8, MaxX: 11, MaxY: 10}
+			want := geom.Rect{MinX: 8.5, MinY: 8, MaxX: 10.5, MaxY: 10}
 			for _, m := range allMeasures {
 				got := GroupsWithin(pts, qy, m, math.Inf(1))
 				if len(got) != 1 || got[0].Window != want {
-					t.Errorf("%s: %v keeps %+v, want one group in the first anchor's window %v", name, m, got, want)
+					t.Errorf("%s: %v keeps %+v, want one group in its objects' window %v", name, m, got, want)
 				}
 			}
 		case "limit-infinite":
@@ -234,7 +234,7 @@ func TestGroupsWithinRandom(t *testing.T) {
 					t.Fatalf("round %d, %v within %v: %d groups, the oracle has %d", round, measure, limit, len(got), cut)
 				}
 				for i, g := range got {
-					if g.Dist != want[i].Dist || !reflect.DeepEqual(g.Objects, want[i].Objects) {
+					if !reflect.DeepEqual(g, want[i]) {
 						t.Fatalf("round %d, %v within %v: group %d is %+v, the oracle's %+v", round, measure, limit, i, g, want[i])
 					}
 				}
@@ -250,13 +250,13 @@ func FuzzGroupsWithin(f *testing.F) {
 }
 
 // TestCompareGroupsIsTheListsOrder: a candidate list, shuffled, sorts back
-// to itself — equal distances by set key, as GroupsWithin left them.
+// to itself — equal distances by their members, as GroupsWithin left them.
 func TestCompareGroupsIsTheListsOrder(t *testing.T) {
 	qy, pts, _ := decodeStop(sweepScripts["tie-at-the-limit"][1:])
 	want := GroupsWithin(pts, qy, MeasureWindow, math.Inf(1))
 	got := slices.Clone(want)
 	rand.New(rand.NewSource(5)).Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
-	slices.SortFunc(got, CompareGroups)
+	slices.SortFunc(got, func(a, b Group) int { return CompareGroups(qy.Q, a, b) })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sorted to %+v, the list is %+v", got, want)
 	}

@@ -60,9 +60,9 @@ func sixteenSchemes() []Scheme {
 	return out
 }
 
-// inUniverse reports whether g is exactly — objects, distance and window
-// — the group of some qualified window of the Lemma-1 candidate universe
-// (the enumeration CandidateGroups deduplicates).
+// inUniverse reports whether g's objects and distance are the group of some
+// qualified window of the Lemma-1 candidate universe (the enumeration
+// CandidateGroups deduplicates), and its window the one its objects give.
 func inUniverse(pts []geom.Point, qy Query, measure Measure, g Group) bool {
 	for _, p := range pts {
 		top := geom.AnchorsTopEdge(qy.Q, p)
@@ -71,7 +71,7 @@ func inUniverse(pts []geom.Point, qy Query, measure Measure, g Group) bool {
 				continue
 			}
 			win := geom.CandidateWindow(qy.Q, p, o, qy.L, qy.W)
-			if win != g.Window || !win.ContainsPoint(o) || !win.ContainsPoint(p) {
+			if g.Window != windowOf(qy, g.Objects) || !win.ContainsPoint(o) || !win.ContainsPoint(p) {
 				continue
 			}
 			var contents []geom.Point
@@ -93,10 +93,11 @@ func inUniverse(pts []geom.Point, qy Query, measure Measure, g Group) bool {
 }
 
 // TestTieHeavyMatchesOracles runs NWC and kNWC under every measure and
-// scheme combination on tie-heavy data. Distances must equal the
-// oracles' bit for bit (engine and oracle share groupDist, so no
-// tolerance is needed or allowed), and every returned group must be an
-// exact member of the candidate universe.
+// scheme combination on tie-heavy data. NWC answers must equal the oracle's
+// whole — objects, distance bit for bit (engine and oracle share groupDist,
+// so no tolerance is needed or allowed) and window — and so must kNWC
+// answers, and every returned group must be a member of the candidate
+// universe.
 func TestTieHeavyMatchesOracles(t *testing.T) {
 	schemes := sixteenSchemes()
 	for seed := int64(1); seed <= 3; seed++ {
@@ -113,9 +114,8 @@ func TestTieHeavyMatchesOracles(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Found != want.Found || got.Found && got.Dist != want.Dist {
-						t.Fatalf("seed %d %v %v %+v: NWC (%v, %v), oracle (%v, %v)",
-							seed, scheme, measure, qy, got.Found, got.Dist, want.Found, want.Dist)
+					if !reflect.DeepEqual(got.Group, want.Group) || got.Found != want.Found {
+						t.Fatalf("seed %d %v %v %+v: NWC %+v, oracle %+v", seed, scheme, measure, qy, got, want)
 					}
 					if got.Found && !inUniverse(pts, qy, measure, got.Group) {
 						t.Fatalf("seed %d %v %v %+v: NWC group %+v is no candidate window's group",
@@ -136,8 +136,8 @@ func TestTieHeavyMatchesOracles(t *testing.T) {
 							t.Fatalf("seed %d %s %+v: %d groups, oracle %d", seed, label, kq, len(groups), len(ref))
 						}
 						for i, g := range groups {
-							if g.Dist != ref[i].Dist {
-								t.Fatalf("seed %d %s %+v: group %d dist %v, oracle %v", seed, label, kq, i, g.Dist, ref[i].Dist)
+							if !reflect.DeepEqual(g, ref[i]) {
+								t.Fatalf("seed %d %s %+v: group %d %+v, oracle %+v", seed, label, kq, i, g, ref[i])
 							}
 							if !inUniverse(pts, qy, measure, g) {
 								t.Fatalf("seed %d %s %+v: group %d %+v is no candidate window's group", seed, label, kq, i, g)
@@ -150,13 +150,12 @@ func TestTieHeavyMatchesOracles(t *testing.T) {
 	}
 }
 
-// TestSharedBoundAtTheOptimum pins strictness against an externally
-// supplied bound. A SharedBound already equal to the local optimum means
-// no local group improves on it: the cell stays untouched and the
-// result is elided — always under MeasureMax/MeasureMin, whose counting
-// gate is exact; the other measures' gates carry rounding slack and may
-// let the equal group through. A bound one ulp above the optimum must
-// still yield it exactly.
+// TestSharedBoundAtTheOptimum pins the edge of an externally supplied
+// bound. A SharedBound equal to the local optimum keeps it: a group at the
+// bound may be the least of its distance, so it is the answer, exactly, and
+// the cell stays untouched. A bound one ulp below elides it — always under
+// MeasureMax/MeasureMin, whose counting gate is exact; the other measures'
+// gates carry rounding slack and may let the group through.
 func TestSharedBoundAtTheOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const side = 5
@@ -178,20 +177,20 @@ func TestSharedBoundAtTheOptimum(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				strict := measure == MeasureMax || measure == MeasureMin
-				if got.Found && (strict || got.Dist != want.Dist) || at.Load() != want.Dist {
-					t.Fatalf("%v %v %+v: bound at the optimum %v: found=%v dist=%v, cell %v",
-						scheme, measure, qy, want.Dist, got.Found, got.Dist, at.Load())
+				if !reflect.DeepEqual(got, want) || at.Load() != want.Dist {
+					t.Fatalf("%v %v %+v: bound at the optimum %v: %+v, want %+v, cell %v",
+						scheme, measure, qy, want.Dist, got, want, at.Load())
 				}
-				above := rstar.NewSharedBound()
-				above.Tighten(math.Nextafter(want.Dist, math.Inf(1)))
-				got, _, err = eng.NWC(context.Background(), qy, scheme, measure, Exec{Bound: above})
+				below := rstar.NewSharedBound()
+				below.Tighten(math.Nextafter(want.Dist, 0))
+				got, _, err = eng.NWC(context.Background(), qy, scheme, measure, Exec{Bound: below})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !got.Found || got.Dist != want.Dist || above.Load() != want.Dist {
-					t.Fatalf("%v %v %+v: bound one ulp above the optimum %v: found=%v dist=%v, cell %v",
-						scheme, measure, qy, want.Dist, got.Found, got.Dist, above.Load())
+				strict := measure == MeasureMax || measure == MeasureMin
+				if got.Found && (strict || got.Dist != want.Dist) {
+					t.Fatalf("%v %v %+v: bound one ulp below the optimum %v: found=%v dist=%v",
+						scheme, measure, qy, want.Dist, got.Found, got.Dist)
 				}
 			}
 		}
@@ -243,7 +242,7 @@ func eagerWindows(qy Query, p geom.Point, cands []geom.Point, measure Measure, e
 		}
 		win := geom.CandidateWindow(q, p, o, l, w)
 		objs := nClosest(q, contents, n)
-		emit(Group{Objects: objs, Dist: groupDist(q, objs, win, measure), Window: win})
+		emit(Group{Objects: objs, Dist: groupDist(q, objs, win, measure)})
 	}
 }
 
@@ -273,15 +272,15 @@ func gatedAnchor(qy Query, p geom.Point, cands []geom.Point, measure Measure, bo
 		cand[i] = distPoint{p: c, d: qy.Q.Dist(c)}
 	}
 	var st Stats
-	evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), false, sc, measure, bound, take, false, &st, nil)
+	evaluateWindows(qy, p, cand, math.Inf(-1), math.Inf(1), false, sc, measure, collector{bound: bound, take: take}, false, &st, nil)
 }
 
 // asSink is a sink that materialises whatever it is handed and passes it
 // to emit, which decides: the eager verify stage's emit, behind the door
 // the serving one has. It reports nothing kept, which only a trace reads.
 func asSink(emit func(Group)) sink {
-	return func(dist float64, sel []distPoint, win geom.Rect) bool {
-		emit(Group{Objects: pointsOf(nil, sel), Dist: dist, Window: win})
+	return func(dist float64, sel []distPoint) bool {
+		emit(Group{Objects: pointsOf(nil, sel), Dist: dist})
 		return false
 	}
 }
@@ -306,7 +305,7 @@ func TestGatedVerifyEqualsEager(t *testing.T) {
 				gated.Dist, eager.Dist = math.Inf(1), math.Inf(1)
 				keepBest := func(best *Group) func(Group) {
 					return func(g Group) {
-						if g.Dist < best.Dist {
+						if g.Dist < best.Dist || g.Dist == best.Dist && CompareGroups(qy.Q, g, *best) < 0 {
 							*best = g
 						}
 					}
@@ -332,10 +331,10 @@ func TestGatedVerifyEqualsEager(t *testing.T) {
 							last = b
 							return b
 						}, gs.offer)
-						eagerWindows(qy, p, cands, measure, func(g Group) { es.offerGroup(g) })
+						eagerWindows(qy, p, cands, measure, func(g Group) { es.offerGroup(qy.Q, g) })
 					})
-					if !reflect.DeepEqual(gs.result(), es.result()) {
-						t.Fatalf("seed %d %v m=%d %+v: kNWC gated %+v, eager %+v", seed, measure, m, qy, gs.result(), es.result())
+					if !reflect.DeepEqual(gs.result(qy), es.result(qy)) {
+						t.Fatalf("seed %d %v m=%d %+v: kNWC gated %+v, eager %+v", seed, measure, m, qy, gs.result(qy), es.result(qy))
 					}
 				}
 			}
@@ -397,13 +396,39 @@ func TestAnchorOrderSelection(t *testing.T) {
 					}
 					slices.SortFunc(band, yOrder)
 					rng.Shuffle(len(region), func(i, j int) { region[i], region[j] = region[j], region[i] })
+					// The anchor's qualified windows in the order the sweep
+					// meets them: one per partner y on p's side, away from p.
+					top := geom.AnchorsTopEdge(q, p)
+					var ys []float64
+					for _, o := range region {
+						if top && o.p.Y >= p.Y || !top && o.p.Y <= p.Y {
+							ys = append(ys, o.p.Y)
+						}
+					}
+					slices.Sort(ys)
+					if ys = slices.Compact(ys); !top {
+						slices.Reverse(ys)
+					}
+					var wins []geom.Rect
+					for _, y := range ys {
+						win, in := geom.CandidateWindow(q, p, geom.Point{Y: y}, qy.L, qy.W), 0
+						for _, o := range region {
+							if win.ContainsPoint(o.p) {
+								in++
+							}
+						}
+						if in >= qy.N {
+							wins = append(wins, win)
+						}
+					}
 					for _, ordered := range []bool{true, false} {
 						cand := region
 						if ordered {
 							cand = band
 						}
 						calls := 0
-						take := func(dist float64, sel []distPoint, win geom.Rect) bool {
+						take := func(dist float64, sel []distPoint) bool {
+							win := wins[min(calls, len(wins)-1)]
 							calls++
 							var in []distPoint
 							for _, o := range region {
@@ -421,11 +446,11 @@ func TestAnchorOrderSelection(t *testing.T) {
 						sc := getScratch()
 						var st Stats
 						evaluateWindows(qy, p, cand, sr.MinX, sr.MaxX, ordered, sc, measure,
-							func() float64 { return math.Inf(1) }, take, true, &st, nil)
+							collector{bound: func() float64 { return math.Inf(1) }, take: take}, true, &st, nil)
 						putScratch(sc)
-						if calls != st.QualifiedWindows {
-							t.Fatalf("%s %+v %v anchor %v (ordered %v): %d windows selected of %d qualified",
-								name, qy, measure, p, ordered, calls, st.QualifiedWindows)
+						if calls != st.QualifiedWindows || calls != len(wins) {
+							t.Fatalf("%s %+v %v anchor %v (ordered %v): %d windows selected of %d qualified, %d expected",
+								name, qy, measure, p, ordered, calls, st.QualifiedWindows, len(wins))
 						}
 						windows[geom.AnchorsTopEdge(q, p)] += calls
 						sorted[len(region) <= insertionMax] += calls
@@ -461,7 +486,7 @@ func TestGatedAnchorStaysUnsorted(t *testing.T) {
 		before := slices.Clone(cand)
 		var st Stats
 		evaluateWindows(qy, p, cand, sr.MinX, sr.MaxX, false, sc, MeasureMax,
-			func() float64 { return b }, func(float64, []distPoint, geom.Rect) bool { return false }, true, &st, nil)
+			collector{bound: func() float64 { return b }, take: func(float64, []distPoint) bool { return false }}, true, &st, nil)
 		sorted := slices.IsSortedFunc(cand, yOrder)
 		if gated := !math.IsInf(b, 1); gated && !slices.Equal(cand, before) || !gated && !sorted {
 			t.Errorf("bound %v: run sorted %v, unchanged %v; a gated anchor's run must stay as fetched, a passing one's end sorted",

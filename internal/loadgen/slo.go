@@ -57,7 +57,7 @@ func ParseSLO(spec string) (SLO, error) {
 		return s, fmt.Errorf("loadgen: SLO %q has quantile %q, want digits like 50, 95, 99, 999", spec, digits)
 	}
 	s.Quantile = float64(n) / math.Pow(10, float64(len(digits)))
-	if s.Quantile >= 1 {
+	if !(s.Quantile > 0 && s.Quantile < 1) { // 10^len overflows past 308 digits
 		return s, fmt.Errorf("loadgen: SLO %q quantile %g not below 1", spec, s.Quantile)
 	}
 
@@ -74,10 +74,10 @@ func ParseSLO(spec string) (SLO, error) {
 			return s, fmt.Errorf("loadgen: SLO %q rate floor %q lacks an rps/krps suffix", spec, rate)
 		}
 		v, err := strconv.ParseFloat(rate, 64)
-		if err != nil || v <= 0 {
+		if s.MinRPS = v * mult; err != nil || !(v > 0) || math.IsInf(s.MinRPS, 1) {
+			// !(v > 0) refuses NaN, which Evaluate's MinRPS > 0 would skip.
 			return s, fmt.Errorf("loadgen: SLO %q has unparseable rate floor", spec)
 		}
-		s.MinRPS = v * mult
 	}
 	s.Threshold, err = time.ParseDuration(right)
 	if err != nil || s.Threshold <= 0 {

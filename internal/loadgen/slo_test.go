@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,16 +35,18 @@ func TestParseSLO(t *testing.T) {
 
 	for _, bad := range []string{
 		"",
-		"nwc_p99",           // no bound
-		"p99<5ms",           // no class
-		"zzz_p99<5ms",       // unknown class
-		"nwc_p99<zzz",       // unparseable duration
-		"nwc_p99<-5ms",      // negative bound
-		"nwc_p0<5ms",        // zero quantile
-		"nwc_p<5ms",         // empty quantile
-		"nwc_p99<5ms@3",     // rate floor without unit
-		"nwc_p99<5ms@krps",  // rate floor without number
-		"nwc_p99<5ms@-1rps", // negative rate floor
+		"nwc_p99",            // no bound
+		"p99<5ms",            // no class
+		"zzz_p99<5ms",        // unknown class
+		"nwc_p99<zzz",        // unparseable duration
+		"nwc_p99<-5ms",       // negative bound
+		"nwc_p0<5ms",         // zero quantile
+		"nwc_p<5ms",          // empty quantile
+		"nwc_p99<5ms@3",      // rate floor without unit
+		"nwc_p99<5ms@krps",   // rate floor without number
+		"nwc_p99<5ms@-1rps",  // negative rate floor
+		"nwc_p99<5ms@NaNrps", // a floor Evaluate would skip
+		"nwc_p99<5ms@infkrps",
 	} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("%q accepted", bad)
@@ -145,4 +148,26 @@ func TestEvaluate(t *testing.T) {
 	if !Evaluate(nil, rep) {
 		t.Error("empty objective list failed")
 	}
+}
+
+// FuzzParseSLO holds ParseSLO to its contract on any spec: an error, or an
+// SLO with a known class, a quantile strictly between 0 and 1, a positive
+// threshold and a finite rate floor of 0 or more — never a panic. The seed
+// corpus (testdata/fuzz/FuzzParseSLO) holds the floors that once parsed:
+// NaN, which Evaluate skipped, and +Inf.
+func FuzzParseSLO(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSLO(spec)
+		if err != nil {
+			return
+		}
+		switch s.Class {
+		case ClassNWC, ClassKNWC, ClassBatch, ClassMutate, ClassSub, ClassAll:
+		default:
+			t.Fatalf("%q: class %q", spec, s.Class)
+		}
+		if !(s.Quantile > 0 && s.Quantile < 1) || s.Threshold <= 0 || !(s.MinRPS >= 0) || math.IsInf(s.MinRPS, 1) {
+			t.Fatalf("%q parsed to %+v", spec, s)
+		}
+	})
 }

@@ -185,3 +185,118 @@ func TestWireGolden(t *testing.T) {
 		t.Fatalf("wire bytes differ from %s in length: %d lines, want %d", golden, len(gl), len(wl))
 	}
 }
+
+// TestWireGoldenWindows reads every group of testdata/wire.golden — NWC and
+// kNWC answers, batch items and the SSE init frame — and holds its window
+// to the one its objects and q give: per axis, of the windows of the
+// query's side that hold the objects, the one whose centre is nearest q's
+// coordinate. It also checks that the window holds each object.
+func TestWireGoldenWindows(t *testing.T) {
+	raw, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct{ X, Y, L, W float64 }
+	type group struct {
+		Objects []nwcq.Point `json:"objects"`
+		Window  nwcq.Rect    `json:"window"`
+	}
+	type answer struct {
+		Group   *group  `json:"group"`
+		Groups  []group `json:"groups"`
+		Results []struct {
+			Group  *group  `json:"group"`
+			Groups []group `json:"groups"`
+		} `json:"results"`
+	}
+	side := func(c, ext, lo, hi float64) (float64, float64) {
+		return min(max(c-ext/2, hi-ext), lo), max(min(c+ext/2, lo+ext), hi)
+	}
+	checked := 0
+	check := func(at string, q query, g group) {
+		t.Helper()
+		lo, hi := g.Objects[0], g.Objects[0]
+		for _, p := range g.Objects {
+			lo.X, lo.Y, hi.X, hi.Y = min(lo.X, p.X), min(lo.Y, p.Y), max(hi.X, p.X), max(hi.Y, p.Y)
+		}
+		var want nwcq.Rect
+		want.MinX, want.MaxX = side(q.X, q.L, lo.X, hi.X)
+		want.MinY, want.MaxY = side(q.Y, q.W, lo.Y, hi.Y)
+		if g.Window != want {
+			t.Errorf("%s: window %+v, its objects and q give %+v", at, g.Window, want)
+		}
+		for _, p := range g.Objects {
+			if p.X < g.Window.MinX || p.X > g.Window.MaxX || p.Y < g.Window.MinY || p.Y > g.Window.MaxY {
+				t.Errorf("%s: object %+v outside the window %+v", at, p, g.Window)
+			}
+		}
+		checked++
+	}
+	lines := strings.Split(string(raw), "\n")
+	for i, line := range lines {
+		head, ok := strings.CutPrefix(line, "### ")
+		if !ok {
+			continue
+		}
+		_, req, _ := strings.Cut(head, ": ")
+		method, rest, _ := strings.Cut(req, " ")
+		target, body, _ := strings.Cut(rest, " ")
+		var queries []query
+		switch path, params, _ := strings.Cut(target, "?"); {
+		case method == "GET" && (path == "/nwc" || path == "/knwc" || path == "/subscribe"):
+			var q query
+			for _, kv := range strings.Split(params, "&") {
+				k, v, _ := strings.Cut(kv, "=")
+				var f float64
+				fmt.Sscan(v, &f)
+				switch k {
+				case "x":
+					q.X = f
+				case "y":
+					q.Y = f
+				case "l":
+					q.L = f
+				case "w":
+					q.W = f
+				}
+			}
+			queries = []query{q}
+		case method == "POST" && strings.HasPrefix(path, "/batch/"):
+			var b struct{ Queries []query }
+			if err := json.Unmarshal([]byte(body), &b); err != nil {
+				t.Fatalf("line %d: %v", i+1, err)
+			}
+			queries = b.Queries
+		default:
+			continue
+		}
+		// The body is the third line of a probe, or the data line of an
+		// SSE frame.
+		data := lines[i+2]
+		if d, ok := strings.CutPrefix(lines[min(i+3, len(lines)-1)], "data: "); ok {
+			data = d
+		}
+		var a answer
+		if json.Unmarshal([]byte(data), &a) != nil {
+			continue // an error body
+		}
+		at := fmt.Sprintf("line %d", i+1)
+		if a.Group != nil {
+			check(at, queries[0], *a.Group)
+		}
+		for _, g := range a.Groups {
+			check(at, queries[0], g)
+		}
+		for j, r := range a.Results {
+			if r.Group != nil {
+				check(at, queries[j], *r.Group)
+			}
+			for _, g := range r.Groups {
+				check(at, queries[j], g)
+			}
+		}
+	}
+	if n := strings.Count(string(raw), `"window":`); checked != n {
+		t.Fatalf("%d groups checked of the %d windows in the golden file", checked, n)
+	}
+}

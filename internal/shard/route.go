@@ -20,49 +20,25 @@ import (
 	"nwcq/internal/trace"
 )
 
-// Query routing. The plan for both NWC and kNWC is:
+// Query routing (DESIGN.md §11, §12), for both NWC and kNWC:
 //
-//  1. Scatter: run the query locally on the home shard (the cell
-//     containing q) to seed a distance bound, then on the remaining
-//     shards in ascending MINDIST(q, shard bounds) order, skipping any
-//     shard whose MINDIST exceeds the current bound — the paper's
-//     best-first node pruning lifted to shard granularity. With
-//     Options.Parallelism above one, workers claim shards off that
-//     schedule concurrently and cooperate through a shared atomic bound
-//     cell: for NWC, every in-flight shard traversal prunes against the
-//     live global bound (threaded through rstar.Reader into SRR/DIP/DEP
-//     at node-visit granularity) and publishes its improvements back;
-//     still-queued shards whose MINDIST exceeds the cell are cancelled
-//     at claim time. kNWC shares its merge estimate at claim
-//     granularity only — see scatterKNWC for why engine-level sharing
-//     would be unsound there.
-//  2. Border: local answers are exact for groups drawn from one
-//     shard's points, but a window straddling a shard boundary can
-//     cluster points no single shard holds together. Every group with
-//     distance at most B has all its objects — and every point of any
-//     window that could generate a competing candidate — inside
-//     box(q, B+l, B+w), so fetching that box's points from every shard
-//     whose bounds intersect it and sweeping the fetched set for the
-//     candidate groups within B (core.GroupsWithin: the engine's verify
-//     stage over a sorted slice, costing what lies under B, not the cube
-//     of what was fetched) provably covers all of them. Candidates from
-//     partially-fetched windows are real feasible groups (their objects
-//     genuinely co-fit), so they can never beat the true optimum —
-//     taking the minimum stays exact.
-//  3. kNWC needs the full candidate *sequence* below the answer's k-th
-//     distance, not just the best group, so the border step becomes a
-//     certification loop: fetch box(D+l, D+w), greedily merge the
-//     candidate list within D (the same sweep; up to D it is provably
-//     identical to the full dataset's list), and accept when k groups
-//     emerged; otherwise double D and rerun. The local chains only seed
-//     D — correctness never depends on them.
+//  1. Scatter: the home shard (the cell containing q) first, then the
+//     others in ascending MINDIST(q, shard bounds), skipping a shard whose
+//     MINDIST exceeds the bound so far. With Options.Parallelism above one
+//     workers claim shards off that schedule, and NWC traversals share one
+//     atomic bound cell at node-visit granularity; kNWC shares its merge
+//     estimate at claim granularity only (scatterKNWC).
+//  2. Border: every group within B, and every point of a window that
+//     yields one, lies in box(q, B+l, B+w); the router fetches that box
+//     from every shard whose bounds meet it and sweeps it for the groups
+//     within B (core.GroupsWithin), which up to B is the whole dataset's
+//     list.
+//  3. kNWC certifies: fetch box(D+l, D+w), merge the list within D
+//     greedily, accept when k groups emerged, else double D. The local
+//     chains only seed D.
 //
-// The border and certify fetches fan their per-shard window queries out
-// over the same worker pool; the sweep sorts what they return, so its
-// list does not depend on the order they return it in.
-//
-// See DESIGN.md §11 for the containment proofs and §12 for the
-// shared-bound safety argument.
+// Every merge orders groups by core.CompareGroups, so the answer does not
+// depend on which shard, worker or fetch produced a group first.
 
 func coreQuery(q nwcq.Query) core.Query {
 	return core.Query{Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N}
@@ -258,21 +234,22 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, tr *trace.Record) (nwcq
 
 	// Border step: candidates at or below the local best live inside this
 	// box; if only one shard's bounds intersect it, that shard's local
-	// answer is already globally exact — as is a best of zero, which
-	// nothing is under. No shard finding a group on its own points, any
-	// group that exists must mix points from several shards: the one case
-	// the fetch cannot be bounded by a distance.
+	// answer is already globally exact — as is a best of zero under the max
+	// and avg measures, whose groups at zero lie at q, in the home shard.
+	// No shard finding a group on its own points, any group that exists
+	// must mix points from several shards: the one case the fetch cannot be
+	// bounded by a distance.
 	var fetch geom.Rect
 	if !out.Found {
 		fetch = allBounds(bounds)
-	} else if fetch = fetchBox(q, best); best == 0 || intersecting(bounds, fetch) <= 1 {
+	} else if fetch = fetchBox(q, best); best == 0 && (q.Measure == nwcq.MaxDistance || q.Measure == nwcq.AvgDistance) || intersecting(bounds, fetch) <= 1 {
 		return out, nil
 	}
 	cands, err := s.candidates(bounds, fetch, q, best, rt)
 	if err != nil {
 		return nwcq.Result{Stats: out.Stats}, err
 	}
-	if len(cands) > 0 && cands[0].Dist < best {
+	if len(cands) > 0 && (!out.Found || core.CompareGroups(qp, cands[0], out.Group) < 0) {
 		out.Found, out.Group = true, cands[0]
 	}
 	return out, nil
@@ -326,7 +303,8 @@ func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geo
 }
 
 // scatterNWC runs the NWC scatter phase and returns the merged best
-// local answer (best is +Inf when no shard found one). With more than
+// local answer, the least under core.CompareGroups (best, its distance, is
+// +Inf when no shard found one). With more than
 // one worker — never on a single shard, the automatic fallback — the
 // shard traversals cooperate through a shared bound cell:
 //
@@ -359,7 +337,7 @@ func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, b
 		},
 		func(r nwcq.Result) {
 			out.Stats.Add(r.Stats)
-			if r.Found && r.Dist < best {
+			if r.Found && (!out.Found || core.CompareGroups(qp, r.Group, out.Group) < 0) {
 				best = r.Dist
 				out.Group = r.Group
 				out.Found = true
@@ -498,21 +476,12 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, tr *trace.Record) (nw
 
 // scatterKNWC collects per-shard chains, pruning queued shards against
 // the running merged estimate — the k-th distance of the greedy merge
-// over the chains pooled so far (in a candidate list's order: ascending
-// by distance, then set key — whichever worker's chain came first), +Inf
-// while the pool cannot supply k groups. It returns that merge and
-// estimate over every queried shard; the estimate only seeds the
-// certification bound, the merge is the fast-path answer.
-//
-// Unlike NWC, the per-traversal engines get NO shared bound cell: the
-// merge estimate is non-monotone (accepting a pooled group can push the
-// k-th greedy distance up, since greedy acceptance is blocked by
-// overlap), and the single-intersecting-shard fast path returns a local
-// chain verbatim — which is only correct if that chain was built
-// unbounded. Shard-claim pruning stays sound regardless, because a
-// shard skipped against a transiently small estimate either stays
-// irrelevant (MINDIST above the final estimate) or disables the fast
-// path and is covered by the certification fetch.
+// over the chains pooled so far in core.CompareGroups' order, +Inf while
+// the pool cannot supply k groups. It returns that merge and estimate;
+// the estimate only seeds the certification bound, the merge is the
+// fast-path answer. The engines get no shared bound cell: the estimate
+// can rise, and the fast path returns a local chain verbatim, which must
+// have been built unbounded (DESIGN.md §12).
 func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point, bounds []geom.Rect, home int, shards []*trace.Recorder, rt *trace.Router) (nwcq.Stats, []core.Group, float64, error) {
 	var (
 		stats  nwcq.Stats
@@ -528,7 +497,7 @@ func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point,
 		func(kr nwcq.KResult) {
 			stats.Add(kr.Stats)
 			pool = append(pool, kr.Groups...)
-			slices.SortFunc(pool, core.CompareGroups)
+			slices.SortFunc(pool, func(a, b core.Group) int { return core.CompareGroups(qp, a, b) })
 			merged = greedy(pool, q.K, q.M)
 			est = math.Inf(1)
 			if len(merged) == q.K {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -551,8 +552,11 @@ func TestBorderMergeOnTheSeam(t *testing.T) {
 	}
 }
 
-// TestBestOfZeroNeedsNoBorder: a local best of zero is the answer — nothing
-// is under it — however many shards its box touches: no fetch, no sweep.
+// TestBestOfZeroNeedsNoBorder: under the max and avg measures a local best
+// of zero is the answer — nothing is under it, and every group at zero lies
+// at q, in the home shard — however many shards its box touches: no fetch,
+// no sweep. Under min and window a group at zero need not lie at q, and one
+// in another shard may tie with it: the border is fetched.
 func TestBestOfZeroNeedsNoBorder(t *testing.T) {
 	pts := straddlePoints(rand.New(rand.NewSource(25)), 60)
 	single, sh := buildBoth(t, pts, 4)
@@ -571,7 +575,11 @@ func TestBestOfZeroNeedsNoBorder(t *testing.T) {
 		if !got.Found || got.Dist != 0 || want.Dist != 0 {
 			t.Fatalf("%s: found=%v at %v, the single index at %v: want zero", m, got.Found, got.Dist, want.Dist)
 		}
-		if after := sh.RouterStats().BorderFetches; after != before {
+		if !reflect.DeepEqual(got.Group, want.Group) {
+			t.Fatalf("%s: %+v, the single index %+v", m, got.Group, want.Group)
+		}
+		atQ := m == nwcq.MaxDistance || m == nwcq.AvgDistance
+		if after := sh.RouterStats().BorderFetches; (after == before) != atQ {
 			t.Fatalf("%s: %d border fetches for a best of zero", m, after-before)
 		}
 	}

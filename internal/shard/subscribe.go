@@ -85,9 +85,14 @@ type routerSub struct {
 	// resync latches a coalescing overflow on any trigger; the next
 	// frame carries it out as Kind SubResync.
 	resync atomic.Bool
-	// pubNS holds the earliest not-yet-delivered publish instant
-	// (UnixNano), for publish→notify latency accounting.
-	pubNS atomic.Int64
+	// pubNS holds the earliest not-yet-delivered publish instant and
+	// lastNS the latest one pumped (UnixNano), for publish→notify latency
+	// accounting. A frame can reflect a publish no pump has seen yet — the
+	// shard swaps its view in before it stamps the notification — and its
+	// edge can be one an earlier frame re-armed: with nothing undelivered
+	// it carries the latest instant pumped, a publish at or before its
+	// state.
+	pubNS, lastNS atomic.Int64
 
 	// Consumer-side state (Next is single-consumer; no lock needed).
 	init    *nwcq.SubUpdate
@@ -107,6 +112,7 @@ func (r *routerSub) pump(t *sub.Subscription) {
 		if n.Resync {
 			r.resync.Store(true)
 		}
+		r.lastNS.Store(n.At.UnixNano())
 		r.pubNS.CompareAndSwap(0, n.At.UnixNano())
 		select {
 		case r.dirty <- struct{}{}:
@@ -169,7 +175,11 @@ func (r *routerSub) Next(ctx context.Context, cancel <-chan struct{}) (nwcq.SubU
 			u.Kind = nwcq.SubResync
 			r.s.subResyncs.Add(1)
 		}
-		if ns := r.pubNS.Swap(0); ns != 0 {
+		ns := r.pubNS.Swap(0)
+		if ns == 0 {
+			ns = r.lastNS.Load()
+		}
+		if ns != 0 {
 			u.PublishedAt = time.Unix(0, ns)
 		}
 		return u, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,16 +30,19 @@ import (
 // and the router, by the leader's LSN on a follower.
 //
 // The fixed-script suites this covers, assertion → op and check. The
-// two crash-recovery suites are replaced by it; the others still run
-// as regressions on their own scripts (ROADMAP item 5(c)):
+// two crash-recovery suites, TestShardedMutationOracle and
+// TestShardedBatchMutations are replaced by it; the others still run as
+// regressions on their own scripts (ROADMAP item 5(c)):
 //   - TestMutationStressPrefixCorrectness (NWC, kNWC and batch answers
 //     under every scheme racing a writer match a version in [lo, hi]; the
 //     quiesced index holds the last version) → opReaders, then every
 //     later op and finish's contents check.
 //   - TestShardedMutationOracle (Len and answers follow a mirror on memory
-//     and Dir shards, across a reopen) → the router backends, opNWC,
-//     opWindow, opReopen's contents; TestShardedBatchMutations (flags in
-//     input order, a phantom not found) → opDeleteBatch's flags.
+//     and Dir shards, across a reopen) → the router backends (memory and
+//     Dir), whose opNWC answers are the oracle's whole groups, opWindow,
+//     and opReopen's contents check; TestShardedBatchMutations (flags in
+//     input order, a phantom not found) → opDeleteBatch, whose batch
+//     carries an absent point, and apply's flags check.
 //   - TestSubscriptionFramesMatchOracle (an init frame at the subscribed
 //     version, monotone stamps, a publish instant, each frame the oracle
 //     at its version, a frame per changed answer, one active subscription,
@@ -181,24 +185,20 @@ func oracleNWC(v version, qi int) core.Result {
 	return memo([3]uint64{0, uint64(qi), v.key}, func() core.Result { return core.BruteForceNWC(v.pts, coreQuery(qi), core.MeasureMax) })
 }
 
-func okNWC(found bool, dist float64, v version, qi int) bool {
+// okNWC and okKNWC hold an answer to the oracle's whole groups — objects,
+// distance and window, bit for bit: the queries are under the max measure,
+// whose distance sums nothing, and every backend answers with the least
+// group in one order (DESIGN.md §2).
+func okNWC(found bool, g nwcq.Group, v version, qi int) bool {
 	want := oracleNWC(v, qi)
-	return found == want.Found && (!found || math.Abs(dist-want.Group.Dist) <= 1e-9)
+	return found == want.Found && (!found || reflect.DeepEqual(g, want.Group))
 }
 
 func okKNWC(r nwcq.KResult, v version, qi int) bool {
 	want := memo([3]uint64{1, uint64(qi), v.key}, func() []core.Group {
 		return core.BruteForceKNWC(v.pts, core.KNWCQuery{Query: coreQuery(qi), K: 3, M: 1}, core.MeasureMax)
 	})
-	if len(r.Groups) != len(want) {
-		return false
-	}
-	for i, g := range want {
-		if math.Abs(r.Groups[i].Dist-g.Dist) > 1e-9 {
-			return false
-		}
-	}
-	return true
+	return len(r.Groups) == len(want) && (len(want) == 0 || reflect.DeepEqual(r.Groups, want))
 }
 
 // mutation is one call: one point goes through Insert/Delete, more
@@ -444,7 +444,7 @@ func (m *model) checkFollower() {
 	v, qi := m.vers[m.versionAt(lsn)], int(lsn%uint64(len(modelQueries)))
 	r, err := px.NWC(modelQueries[qi])
 	kr, kerr := px.KNWC(kquery(qi))
-	if m.contentsKey(px) != v.key || err != nil || kerr != nil || !okNWC(r.Found, r.Dist, v, qi) || !okKNWC(kr, v, qi) {
+	if m.contentsKey(px) != v.key || err != nil || kerr != nil || !okNWC(r.Found, r.Group, v, qi) || !okKNWC(kr, v, qi) {
 		m.fatalf("the follower at LSN %d is not the leader's version there (%d points, want %d; %v, %v)", lsn, px.Len(), len(v.pts), err, kerr)
 	}
 	m.st["followerChecks"]++
@@ -580,7 +580,7 @@ func (m *model) subscribe(qi int, onFollower bool) {
 		m.fatalf("subscribe: %v", err)
 	}
 	u, err := s.Next(context.Background(), nil)
-	if err != nil || u.Kind != nwcq.SubInit || !okNWC(u.Result.Found, u.Result.Dist, m.vers[v], qi) {
+	if err != nil || u.Kind != nwcq.SubInit || !okNWC(u.Result.Found, u.Result.Group, m.vers[v], qi) {
 		m.fatalf("the first frame of query %d is %q (%v), not the init frame at version %d", qi, u.Kind, err, v)
 	}
 	m.subs = append(m.subs, &standing{s: s, qi: qi, follower: onFollower, router: m.router && !onFollower,
@@ -614,7 +614,7 @@ func (m *model) drain(st *standing) {
 		// frame took carries none (ROADMAP item 15(b)), so only the index's
 		// frames must carry one.
 		again := u.Kind == nwcq.SubResync && v == st.last // a resync may repeat the state it resyncs to
-		if err != nil || v <= st.last && !again || v > cur || !st.router && u.PublishedAt.IsZero() || !okNWC(u.Result.Found, u.Result.Dist, m.vers[v], st.qi) {
+		if err != nil || v <= st.last && !again || v > cur || u.PublishedAt.IsZero() || !okNWC(u.Result.Found, u.Result.Group, m.vers[v], st.qi) {
 			m.fatalf("%s frame of query %d names version %d, after %d, up to %d: found=%v dist=%g at %v (%v)",
 				u.Kind, st.qi, v, st.last, cur, u.Result.Found, u.Result.Dist, u.PublishedAt, err)
 		}
@@ -629,7 +629,7 @@ func (m *model) drain(st *standing) {
 		}
 	}
 	for v := st.checked + 1; v <= cur && !st.router && !resync; v++ {
-		if prev := oracleNWC(m.vers[v-1], st.qi); !okNWC(prev.Found, prev.Group.Dist, m.vers[v], st.qi) && !delivered[v] {
+		if prev := oracleNWC(m.vers[v-1], st.qi); !okNWC(prev.Found, prev.Group, m.vers[v], st.qi) && !delivered[v] {
 			m.fatalf("query %d's answer changed at version %d, and no frame named it", st.qi, v)
 		}
 	}
@@ -653,7 +653,7 @@ func (m *model) read(kind, qi int, scheme nwcq.Scheme) ([]func(version) bool, er
 	switch kind {
 	case 0:
 		r, err := m.b.NWCCtx(ctx, q)
-		return []func(version) bool{func(v version) bool { return okNWC(r.Found, r.Dist, v, qi) }}, err
+		return []func(version) bool{func(v version) bool { return okNWC(r.Found, r.Group, v, qi) }}, err
 	case 1:
 		r, err := m.b.KNWCCtx(ctx, kq)
 		return []func(version) bool{func(v version) bool { return okKNWC(r, v, qi) }}, err
@@ -661,7 +661,7 @@ func (m *model) read(kind, qi int, scheme nwcq.Scheme) ([]func(version) bool, er
 	rs, err := m.b.NWCBatchCtx(ctx, modelQueries, nwcq.BatchOptions{Parallelism: 4})
 	var oks []func(version) bool
 	for i, r := range rs {
-		oks = append(oks, func(v version) bool { return okNWC(r.Found, r.Dist, v, i) })
+		oks = append(oks, func(v version) bool { return okNWC(r.Found, r.Group, v, i) })
 	}
 	return oks, err
 }
@@ -691,7 +691,7 @@ func (m *model) query(k, a, b byte) {
 		v, ctx := m.vers[m.versionAt(lsn)], context.Background()
 		r, err := m.px.NWCAsOf(ctx, modelQueries[qi], lsn)
 		kr, kerr := m.px.KNWCAsOf(ctx, kquery(qi), lsn)
-		if err != nil || kerr != nil || !okNWC(r.Found, r.Dist, v, qi) || !okKNWC(kr, v, qi) {
+		if err != nil || kerr != nil || !okNWC(r.Found, r.Group, v, qi) || !okKNWC(kr, v, qi) {
 			m.fatalf("query %d as of LSN %d disagrees with the oracle (%v, %v)", qi, lsn, err, kerr)
 		}
 		m.st["asOf"]++
