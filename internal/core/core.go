@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
@@ -192,10 +191,26 @@ type Group struct {
 
 // OverlapCount returns |g ∩ o| by object identity (coordinates and ID).
 func (g Group) OverlapCount(o Group) int {
+	if len(g.Objects) > 32 {
+		set := make(map[geom.Point]struct{}, len(g.Objects))
+		for _, p := range g.Objects {
+			set[p] = struct{}{}
+		}
+		n := 0
+		for _, p := range o.Objects {
+			if _, ok := set[p]; ok {
+				n++
+			}
+		}
+		return n
+	}
 	n := 0
 	for _, p := range o.Objects {
-		if slices.Contains(g.Objects, p) {
-			n++
+		for _, s := range g.Objects {
+			if p == s {
+				n++
+				break
+			}
 		}
 	}
 	return n

@@ -309,9 +309,10 @@ func FuzzMemoRegion(f *testing.F) {
 // shared between anchors, NWC under MeasureMax stopped at the bound, kNWC
 // at the reach of its k-th — and Algorithm 1's return the same answer, bit
 // for bit, under each of the seven schemes and four measures, for NWC and
-// kNWC (the first group: the paper's kNWC breaks ties its own way), on
-// uniform, clustered and duplicate-heavy data, and no counter of a serving
-// NWC may exceed the paper execution's. Node visits are compared per dataset and scheme:
+// kNWC (the first group: the paper's kNWC breaks ties its own way, and its
+// traversal with a pool that keeps ties gives all of them), on uniform,
+// clustered and duplicate-heavy data, and no counter of a serving query may
+// exceed the paper execution's (for kNWC, with that pool). Node visits are compared per dataset and scheme:
 // a single query with a handful of anchors can read a few nodes more when
 // shared (a strip is longer and thinner than the region it completes), so
 // "no more than per anchor" holds of sums, not of every query.
@@ -376,12 +377,19 @@ func TestSharedEqualsPerAnchor(t *testing.T) {
 						t.Fatal(err)
 					}
 					// The paper's kNWC keeps its strict pool and its own order of
-					// equal distances, which can change the later groups, and it
-					// does not search again when its k-th distance rose (DESIGN.md
-					// §2): compared on the first group's distance, the optimum.
-					if len(groups) != len(groupsPA) || len(groups) > 0 && groups[0].Dist != groupsPA[0].Dist {
-						t.Fatalf("%s %v %v %+v: kNWC shared %+v, per-anchor %+v", name, scheme, measure, kq, groups, groupsPA)
+					// equal distances, which can change the later groups and their
+					// number (DESIGN.md §2): compared on the first group's
+					// distance, the optimum. Its traversal with a pool that keeps
+					// ties returns the same groups as the serving execution and
+					// bounds its work.
+					groupsRef, stRef, _, _, err := watchedKNWC(eng, kq, scheme, measure, Exec{Paper: true})
+					if err != nil {
+						t.Fatal(err)
 					}
+					if len(groups) == 0 != (len(groupsPA) == 0) || len(groups) > 0 && groups[0].Dist != groupsPA[0].Dist || !sameGroups(groups, groupsRef) {
+						t.Fatalf("%s %v %v %+v: kNWC shared %+v, per-anchor %+v, keeping ties %+v", name, scheme, measure, kq, groups, groupsPA, groupsRef)
+					}
+					noMoreButVisits("kNWC "+measure.String(), st, stRef)
 				}
 			}
 			if shared > perAnchor {

@@ -324,8 +324,23 @@ func (r *rival) tieIn(t *ranks, run []distPoint, xlo, xhi float64) bool {
 	return t.tie()
 }
 
+// avgSlack keeps MeasureAvg's gates conservative: a mean of equal distances
+// can round below them, and the order-statistic sum and groupDist's add the
+// same distances in different orders, so the two may differ by a few ulps;
+// a borderline group must never be lost.
+const avgSlack = 1 + 1e-9
+
+// countTo is the distance to which counts are taken for bound b: b, and
+// under MeasureAvg b·avgSlack.
+func countTo(m Measure, b float64) float64 {
+	if m == MeasureAvg {
+		return b * avgSlack
+	}
+	return b
+}
+
 // counts is what a counting pass over candidates found: all of them, those
-// nearer than the bound and those within it.
+// nearer than the bound and those within it (as far as countTo).
 type counts struct{ all, below, within int }
 
 func (t *counts) add(o distPoint, b float64, by int) {
@@ -368,9 +383,10 @@ func (t counts) gates(m Measure, n int, b float64, r *rival, rk *ranks, run []di
 // and their count fails.
 func settledIn(sr geom.Rect, q geom.Point, m Measure, n int, b float64, rv rival, sc *searchScratch) bool {
 	memo := &sc.memo
-	r := b
+	cl := countTo(m, b)
+	r := cl
 	if rv.held != nil {
-		r = max(b, rv.far)
+		r = max(r, rv.far)
 	}
 	r *= boxSlack
 	in := sr.Intersection(geom.RectAround(q).Buffer(r, r))
@@ -378,7 +394,7 @@ func settledIn(sr geom.Rect, q geom.Point, m Measure, n int, b float64, rv rival
 		return false
 	}
 	band := memo.band(in)
-	return tally(band, in.MinX, in.MaxX, b).gates(m, n, b, &rv, &sc.rk, band, in.MinX, in.MaxX)
+	return tally(band, in.MinX, in.MaxX, cl).gates(m, n, b, &rv, &sc.rk, band, in.MinX, in.MaxX)
 }
 
 // tally counts the points of cand with x in [xlo, xhi] against bound b.
@@ -619,12 +635,12 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 // window: they are the first n positions of that order inside the window.
 func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64, ordered bool, sc *searchScratch, measure Measure, c collector, paper bool, st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
-	cb := c.bound() // the bound the counts below are taken against
-	r := c.rivalAt(cb)
+	cb := c.bound() // the bound the counts below are taken against, to cl
+	cl, r := countTo(measure, cb), c.rivalAt(cb)
 	// Every window of this anchor draws its contents from the candidates,
 	// so when they as a whole fail the test no window can pass it: skip
 	// the copy and the sort.
-	slab := tally(cand, xlo, xhi, cb)
+	slab := tally(cand, xlo, xhi, cl)
 	rec.Candidates(slab.all)
 	if slab.all < n {
 		return
@@ -663,11 +679,6 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 			ranks[i] = fen.rankOf(o.d)
 		}
 	}
-	// avgSlack keeps the order-statistic gate conservative: its sum and
-	// groupDist's add the same distances in different orders, so the two
-	// may differ by a few ulps, and a borderline group must never be lost.
-	const avgSlack = 1 + 1e-9
-
 	var ord []int32 // s's positions in distance order, once a window needs it
 	gated, repeated := int64(0), int64(0)
 	var in counts // of the current window s[lo..i]
@@ -693,7 +704,7 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 	// none at or under it has left and none under it entered, same holds.
 	far, same, sameM2 := distPoint{}, false, 0.0
 	for i, o := range s {
-		if in.add(o, cb, 1); roles != nil {
+		if in.add(o, cl, 1); roles != nil {
 			rk.add(int(roles[i]), 1)
 		}
 		if same && distLess(o, far) {
@@ -717,7 +728,7 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 		// Window y-interval: [o.Y-w, o.Y] for top anchors, [o.Y, o.Y+w]
 		// for bottom anchors. Contents are s[lo..i].
 		for top && s[lo].p.Y < o.p.Y-w || !top && s[lo].p.Y > o.p.Y+w {
-			if in.add(s[lo], cb, -1); roles != nil {
+			if in.add(s[lo], cl, -1); roles != nil {
 				rk.add(int(roles[lo]), -1)
 			}
 			if same && !distLess(far, s[lo]) {
@@ -738,9 +749,9 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 		// any moment; recount the window against the value in force.
 		b := c.bound()
 		if b != cb {
-			cb, r, in = b, c.rivalAt(b), counts{}
+			cb, cl, r, in = b, countTo(measure, b), c.rivalAt(b), counts{}
 			for k := lo; k <= i; k++ {
-				in.add(s[k], cb, 1)
+				in.add(s[k], cl, 1)
 			}
 			roles = nil
 		}

@@ -75,8 +75,11 @@ type stopRun struct {
 
 // watchedKNWC is Engine.KNWC with an eye on the pool: it also counts the
 // offers that left the k-th distance farther than they found it, and
-// returns the lowest it ever was.
-func watchedKNWC(eng *Engine, kq KNWCQuery, scheme Scheme, measure Measure, x Exec) (groups []Group, rises int, low float64, err error) {
+// returns the lowest it ever was. Its pool keeps ties under x.Paper too:
+// the paper's traversal with the serving answer rule, the reference the
+// serving execution's work is held to. Pool traffic is counted on x.Rec,
+// as KNWC counts it.
+func watchedKNWC(eng *Engine, kq KNWCQuery, scheme Scheme, measure Measure, x Exec) (groups []Group, st Stats, rises int, low float64, err error) {
 	pool := newKNWCState(kq.K, kq.M)
 	defer pool.release()
 	low = math.Inf(1)
@@ -89,9 +92,11 @@ func watchedKNWC(eng *Engine, kq KNWCQuery, scheme Scheme, measure Measure, x Ex
 		low = min(low, pool.bound())
 		return in
 	}
-	pool.strict, pool.q = x.Paper, kq.Q
-	_, err = eng.search(context.Background(), kq.Query, scheme, collector{pool.bound, take, pool.kth}, measure, x, false, nil)
-	return pool.result(kq.Query), rises, low, err
+	pool.q = kq.Q
+	st, err = eng.search(context.Background(), kq.Query, scheme, collector{pool.bound, take, pool.kth}, measure, x, false, nil)
+	x.Rec.Count(trace.CtrDedupOffered, int64(pool.offered))
+	x.Rec.Count(trace.CtrDedupAccepted, int64(pool.accepted))
+	return pool.result(kq.Query), st, rises, low, err
 }
 
 // noMoreWork reports whether a search that stops at the bound did no more
@@ -123,11 +128,14 @@ func ruleCounts(rec *trace.Recorder) int64 {
 // node it processes exactly the objects inside the answer's distance;
 // NWC under the other measures, which has no reach, no filter and no box,
 // does no more of anything either and ends at most once, when no window can
-// give a group that comes before the one it holds. kNWC stops at the reach of its
-// k-th distance under all four: the two return the same groups, the pool
-// lets in as many offers, and the serving execution does no more of
-// anything, cuts nothing off the queue or off a search region, and ends at
-// the bound at most once.
+// give a group that comes before the one it holds. kNWC stops at the reach
+// of its k-th distance under all four. It is held to the paper's traversal
+// with a pool that keeps ties (watchedKNWC): the two return the oracle's
+// groups, the pool lets in as many offers, and the serving execution does
+// no more of anything, cuts nothing off the queue or off a search region,
+// and ends at the bound at most once. The paper's own kNWC, whose pool
+// refuses ties and orders them its own way, may pick other groups after
+// its first, and so fewer or more: it is held to the oracle's first distance.
 func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 	t.Helper()
 	qy, pts, origin := decodeStop(data)
@@ -217,23 +225,30 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			groupsPaper, kstPaper, err := eng.KNWC(ctx, kq, scheme, measure, Exec{Rec: recPaper, Paper: true})
+			groupsPaper, _, err := eng.KNWC(ctx, kq, scheme, measure, Exec{Rec: recPaper, Paper: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The paper's execution breaks ties its own way, which can move
 			// its later groups (DESIGN.md §2): its first group's distance is
-			// the optimum.
+			// the optimum. Its traversal with a pool that keeps ties is the
+			// reference for the serving execution's work.
+			recRef := trace.New()
+			groupsRef, kstRef, _, _, err := watchedKNWC(eng, kq, scheme, measure, Exec{Rec: recRef, Paper: true})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, g := range groups {
 				checkWindow(t, at, qy, g, false)
 			}
-			if want := BruteForceKNWC(pts, kq, measure); !sameGroups(groups, want) ||
-				len(groupsPaper) != len(want) || len(want) > 0 && groupsPaper[0].Dist != want[0].Dist {
-				t.Fatalf("%s: kNWC served %+v, the paper's execution %+v, oracle %+v", at, groups, groupsPaper, want)
+			if want := BruteForceKNWC(pts, kq, measure); !sameGroups(groups, want) || !sameGroups(groupsRef, want) ||
+				len(groupsPaper) == 0 != (len(want) == 0) || len(want) > 0 && groupsPaper[0].Dist != want[0].Dist {
+				t.Fatalf("%s: kNWC served %+v, the paper's traversal %+v and execution %+v, oracle %+v", at, groups, groupsRef, groupsPaper, want)
 			}
-			c, cPaper := rec.Counters(), recPaper.Counters()
-			if c[trace.CtrNeverQueued]+c[trace.CtrClipped] != 0 || ruleCounts(recPaper) != 0 {
-				t.Fatalf("%s: kNWC stats %+v and counters %v, the paper's %+v and %v", at, kst, c, kstPaper, cPaper)
+			c, cRef, cPaper := rec.Counters(), recRef.Counters(), recPaper.Counters()
+			if !noMoreWork(kst, kstRef) || c[trace.CtrDedupAccepted] != cRef[trace.CtrDedupAccepted] ||
+				c[trace.CtrStoppedAtBound] > 1 || c[trace.CtrNeverQueued]+c[trace.CtrClipped] != 0 || ruleCounts(recRef)+ruleCounts(recPaper) != 0 {
+				t.Fatalf("%s: kNWC stats %+v and counters %v, the paper's traversal's %+v and %v", at, kst, c, kstRef, cRef)
 			}
 			if scheme == SchemeNWC {
 				if run.kGroups == nil {
@@ -245,10 +260,10 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 			if measure == MeasureMax && scheme == SchemeNWC {
 				run.kServed = kst
 				var watched []Group
-				if watched, run.rises, run.low, err = watchedKNWC(eng, kq, scheme, measure, Exec{}); err != nil {
+				if watched, _, run.rises, run.low, err = watchedKNWC(eng, kq, scheme, measure, Exec{}); err != nil {
 					t.Fatal(err)
 				}
-				if run.rises == 0 && !reflect.DeepEqual(watched, groups) { // a rise reruns KNWC
+				if !reflect.DeepEqual(watched, groups) {
 					t.Fatalf("%s: kNWC watched %+v, unwatched %+v", at, watched, groups)
 				}
 			}
@@ -636,6 +651,19 @@ func sameGroups(a, b []Group) bool { return len(a) == 0 && len(b) == 0 || reflec
 // seed corpus (testdata/fuzz/FuzzStopAtBound) is the table above.
 func FuzzStopAtBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkStopScript(t, data) })
+}
+
+// TestStopScriptFindings runs checkStopScript on two scripts FuzzStopAtBound
+// found. In the first, under MeasureAvg, three coincident objects have a
+// mean that rounds below their distance: under a shared bound at the
+// answer's distance the search found nothing while its counts took objects
+// within the bound itself, not within b·avgSlack. In the second the paper's
+// kNWC, which breaks a tie its own way, returns two groups where the answer
+// has one.
+func TestStopScriptFindings(t *testing.T) {
+	for _, data := range []string{"700020000000", "0072207)7X77x878"} {
+		checkStopScript(t, []byte(data))
+	}
 }
 
 // TestQueueOrderReplay pins the queue's order on a recorded sequence of

@@ -495,13 +495,15 @@ func TestParallelKNWCTies(t *testing.T) {
 // k = 3, m = 1, the max measure) under 2,000 queries at width 4 (200 under
 // -short or the race detector), where the parent commit's answers differed
 // in 3 NWC object sets, 44 NWC windows, 34 kNWC answers' object sets and
-// 269 kNWC answers' windows. A few kNWC answers still differ: the index's
-// misses a group after its k-th distance rose (ROADMAP 16(a), open), which
-// the router's certification finds. Where they differ the router's must be
-// the oracle's on the points near q; the test counts those.
+// 269 kNWC answers' windows. Three kNWC answers still differ, queries 462,
+// 1,665 and 1,968: the index's misses a group after its k-th distance rose
+// (ROADMAP 16(a), open), which the router's certification finds. There the
+// router's must be the oracle's on the points near q, and the test pins
+// those three.
 func TestBackendsAnswerAlike(t *testing.T) {
-	defects := 0 // kNWC answers in which the index misses a group: 16(a)
-	compare := func(t *testing.T, single *nwcq.Index, sh *Sharded, pts []nwcq.Point, q nwcq.Query, kq nwcq.KQuery) {
+	// compare reports whether the index's kNWC answer misses a group the
+	// router's has (16(a)); any other difference fails the test.
+	compare := func(t *testing.T, single *nwcq.Index, sh *Sharded, pts []nwcq.Point, q nwcq.Query, kq nwcq.KQuery) (defect bool) {
 		t.Helper()
 		want, err := single.NWC(q)
 		if err != nil {
@@ -523,7 +525,7 @@ func TestBackendsAnswerAlike(t *testing.T) {
 			t.Fatal(err)
 		}
 		if reflect.DeepEqual(kgot.Groups, kwant.Groups) {
-			return
+			return false
 		}
 		// Every group within d of q, and every window that yields one, lies
 		// in box(q, d+l, d+w): the oracle over those points is the answer.
@@ -540,7 +542,7 @@ func TestBackendsAnswerAlike(t *testing.T) {
 		if pts == nil || !reflect.DeepEqual(kgot.Groups, core.BruteForceKNWC(near, core.KNWCQuery{Query: coreQuery(q), K: kq.K, M: kq.M}, core.MeasureMax)) {
 			t.Fatalf("kNWC %+v: router %+v, index %+v", kq, kgot.Groups, kwant.Groups)
 		}
-		defects++
+		return true
 	}
 	t.Run("lattices", func(t *testing.T) {
 		var pts []nwcq.Point
@@ -588,13 +590,17 @@ func TestBackendsAnswerAlike(t *testing.T) {
 		if testing.Short() || raceEnabled {
 			queries = 200
 		}
+		var defects []int
 		for i := 0; i < queries; i++ {
 			q := nwcq.Query{X: rng.Float64() * side, Y: rng.Float64() * side, Length: 60, Width: 60, N: 8}
-			compare(t, single, sh, pts, q, nwcq.KQuery{Query: q, K: 3, M: 1})
+			if compare(t, single, sh, pts, q, nwcq.KQuery{Query: q, K: 3, M: 1}) {
+				defects = append(defects, i)
+			}
 		}
-		if defects > queries/100 {
-			t.Fatalf("the index misses a group in %d of %d kNWC answers", defects, queries)
+		// The three kNWC answers 16(a) is known to change here, no more.
+		want := slices.DeleteFunc([]int{462, 1665, 1968}, func(i int) bool { return i >= queries })
+		if !slices.Equal(defects, want) {
+			t.Fatalf("the index misses a group in kNWC answers %v of %d, want %v (ROADMAP 16(a))", defects, queries, want)
 		}
-		t.Logf("the index misses a group in %d of %d kNWC answers (ROADMAP 16(a))", defects, queries)
 	})
 }
