@@ -312,10 +312,11 @@ func FuzzMemoRegion(f *testing.F) {
 // kNWC (the first group: the paper's kNWC breaks ties its own way, and its
 // traversal with a pool that keeps ties gives all of them), on uniform,
 // clustered and duplicate-heavy data, and no counter of a serving query may
-// exceed the paper execution's (for kNWC, with that pool). Node visits are compared per dataset and scheme:
-// a single query with a handful of anchors can read a few nodes more when
-// shared (a strip is longer and thinner than the region it completes), so
-// "no more than per anchor" holds of sums, not of every query.
+// exceed the paper execution's (for kNWC, with that pool). Node visits are
+// compared per dataset and scheme: a single query with a handful of anchors
+// can read a few nodes more when shared (a strip is longer and thinner than
+// the region it completes), so "no more than per anchor" holds of sums, not
+// of every query.
 func TestSharedEqualsPerAnchor(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	datasets := map[string][]geom.Point{}

@@ -635,7 +635,9 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 // window: they are the first n positions of that order inside the window.
 func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64, ordered bool, sc *searchScratch, measure Measure, c collector, paper bool, st *Stats, rec *trace.Recorder) {
 	q, l, w, n := qy.Q, qy.L, qy.W, qy.N
-	cb := c.bound() // the bound the counts below are taken against, to cl
+	// cb is the bound the counts below are taken against, cl how far they
+	// take objects.
+	cb := c.bound()
 	cl, r := countTo(measure, cb), c.rivalAt(cb)
 	// Every window of this anchor draws its contents from the candidates,
 	// so when they as a whole fail the test no window can pass it: skip
