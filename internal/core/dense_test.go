@@ -44,7 +44,8 @@ func denseFixture(t *testing.T) (*Engine, []Query) {
 // fetched.
 func TestDenseVerifyCeilings(t *testing.T) {
 	eng, qs := denseFixture(t)
-	// Recorded with the eager verify stage, commit 95e1636.
+	// Recorded with the eager verify stage, commit 95e1636; MeasureAvg's
+	// with the order-statistic gate, commit 615cc36.
 	golden := map[Measure][]Stats{
 		MeasureMax: {
 			{NodeVisits: 30957, ObjectsProcessed: 998, ObjectsSkipped: 311, NodesPruned: 140, WindowQueries: 687, GridProbes: 791},
@@ -55,6 +56,11 @@ func TestDenseVerifyCeilings(t *testing.T) {
 			{NodeVisits: 27491, ObjectsProcessed: 878, ObjectsSkipped: 254, NodesPruned: 124, WindowQueries: 624, GridProbes: 716},
 			{NodeVisits: 18354, ObjectsProcessed: 694, ObjectsSkipped: 194, NodesPruned: 86, WindowQueries: 500, GridProbes: 571},
 			{NodeVisits: 15294, ObjectsProcessed: 691, ObjectsSkipped: 230, NodesPruned: 87, WindowQueries: 461, GridProbes: 530},
+		},
+		MeasureAvg: {
+			{NodeVisits: 28865, ObjectsProcessed: 913, ObjectsSkipped: 260, NodesPruned: 121, WindowQueries: 653, GridProbes: 748},
+			{NodeVisits: 21371, ObjectsProcessed: 761, ObjectsSkipped: 192, NodesPruned: 80, WindowQueries: 569, GridProbes: 646},
+			{NodeVisits: 16562, ObjectsProcessed: 720, ObjectsSkipped: 232, NodesPruned: 98, WindowQueries: 488, GridProbes: 560},
 		},
 	}
 	// The serving execution of a search that is not for a single best group
@@ -67,7 +73,8 @@ func TestDenseVerifyCeilings(t *testing.T) {
 	// seven others, which fit a window: a set that could tie with it. Under
 	// MeasureMin the same count before fetching drops an anchor whose part
 	// of the box of the held group's far member holds no rival and nothing
-	// nearer than the bound.
+	// nearer than the bound. Under MeasureAvg a group needs just one object
+	// within the bound, and the count drops 25–30 anchors of 490–650.
 	served := map[Measure][]Stats{
 		MeasureMax: {
 			{NodeVisits: 287, ObjectsProcessed: 864, ObjectsSkipped: 177, NodesPruned: 27, WindowQueries: 5, GridProbes: 109},
@@ -78,6 +85,11 @@ func TestDenseVerifyCeilings(t *testing.T) {
 			{NodeVisits: 434, ObjectsProcessed: 761, ObjectsSkipped: 137, NodesPruned: 28, WindowQueries: 532, GridProbes: 624},
 			{NodeVisits: 330, ObjectsProcessed: 623, ObjectsSkipped: 123, NodesPruned: 24, WindowQueries: 479, GridProbes: 550},
 			{NodeVisits: 322, ObjectsProcessed: 598, ObjectsSkipped: 137, NodesPruned: 19, WindowQueries: 417, GridProbes: 486},
+		},
+		MeasureAvg: {
+			{NodeVisits: 883, ObjectsProcessed: 800, ObjectsSkipped: 147, NodesPruned: 27, WindowQueries: 628, GridProbes: 723},
+			{NodeVisits: 461, ObjectsProcessed: 688, ObjectsSkipped: 119, NodesPruned: 23, WindowQueries: 539, GridProbes: 616},
+			{NodeVisits: 527, ObjectsProcessed: 623, ObjectsSkipped: 135, NodesPruned: 22, WindowQueries: 459, GridProbes: 531},
 		},
 	}
 	for measure, want := range golden {

@@ -3,15 +3,16 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"math"
+	"reflect"
 	"testing"
 
 	"nwcq/internal/geom"
 )
 
 // FuzzNWCAgainstOracle drives the full engine with byte-derived point
-// sets and query shapes and cross-checks the optimal distance against
-// the exhaustive oracle for every scheme. Run with
+// sets and query shapes and holds the answer of each of the sixteen
+// schemes — objects, dist and window — to the exhaustive oracle's, under
+// every measure. Run with
 //
 //	go test -fuzz FuzzNWCAgainstOracle ./internal/core
 //
@@ -53,18 +54,14 @@ func FuzzNWCAgainstOracle(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := BruteForceNWC(pts, qy, measure)
-		for _, scheme := range allSchemes {
+		for _, scheme := range sixteenSchemes() {
 			got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Found != want.Found {
-				t.Fatalf("scheme %v: found=%v, oracle %v (pts=%v qy=%+v)",
-					scheme, got.Found, want.Found, pts, qy)
-			}
-			if got.Found && math.Abs(got.Dist-want.Dist) > 1e-9 {
-				t.Fatalf("scheme %v: dist=%g, oracle %g (pts=%v qy=%+v)",
-					scheme, got.Dist, want.Dist, pts, qy)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("scheme %v, %v: %+v, oracle %+v (pts=%v qy=%+v)",
+					scheme, measure, got, want, pts, qy)
 			}
 		}
 	})

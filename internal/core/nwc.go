@@ -324,10 +324,9 @@ func (r *rival) tieIn(t *ranks, run []distPoint, xlo, xhi float64) bool {
 	return t.tie()
 }
 
-// avgSlack keeps MeasureAvg's gates conservative: a mean of equal distances
-// can round below them, and the order-statistic sum and groupDist's add the
-// same distances in different orders, so the two may differ by a few ulps;
-// a borderline group must never be lost.
+// avgSlack keeps MeasureAvg's counts conservative: a mean of equal distances
+// can round below them, so a group at the bound may have no member within
+// it, and a borderline group must never be lost.
 const avgSlack = 1 + 1e-9
 
 // countTo is the distance to which counts are taken for bound b: b, and
@@ -421,11 +420,9 @@ func tally(cand []distPoint, xlo, xhi, b float64) (t counts) {
 // measure.anchorReach of the bound (DESIGN.md §19). single says the caller
 // keeps one best group under a bound that only falls (NWC): then nothing
 // beyond the reach is queued either, and under MeasureMax each anchor's
-// search region is cut to the box the group lies in. Otherwise — but
-// under MeasureAvg, whose groups need just one object under the bound,
-// for a single group — an anchor is dropped before any read when the memo
-// holds what settledIn counts and the count fails, and a single group with
-// no reach ends there.
+// search region is cut to the box the group lies in. Otherwise an anchor
+// is dropped before any read when the memo holds what settledIn counts and
+// the count fails, and a single group with no reach ends there.
 //
 // seed, when non-nil (a single best group under MeasureMax, never the
 // paper's execution), receives the seed: the first anchor reads W0, the
@@ -524,7 +521,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 
 		// Object item: generate and evaluate its candidate windows, unless a
 		// single group with no reach is settled.
-		if b := bound(); stop && single && math.IsInf(reach, 1) && measure != MeasureAvg {
+		if b := bound(); stop && single && math.IsInf(reach, 1) {
 			rv, far := c.rivalAt(b), distPoint{d: -1}
 			if rv.held != nil {
 				far = rv.held[len(rv.held)-1]
@@ -578,7 +575,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 				sr = in
 				rec.Count(trace.CtrClipped, 1)
 			}
-		} else if b := bound(); stop && !math.IsInf(b, 1) && (!single || measure == MeasureMin || measure == MeasureWindow) && settledIn(sr, q, measure, n, b, c.rivalAt(b), sc) {
+		} else if b := bound(); stop && !math.IsInf(b, 1) && settledIn(sr, q, measure, n, b, c.rivalAt(b), sc) {
 			rec.Count(trace.CtrAnchorsGated, 1)
 			rec.Enter(trace.PhaseDescent)
 			continue
@@ -622,8 +619,8 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 // is skipped without selecting anything, and an anchor whose candidates as
 // a whole fail is dropped on a counting pass over cand, before they are
 // even copied out of it or sorted. Distances come from q.Dist, the
-// function groupDist uses, so the counts need no slack, and take stays the
-// authority on what it keeps.
+// function groupDist uses, so the counts need no slack but avg's rounding
+// (countTo), and take, the authority on what it keeps, cuts exactly.
 //
 // Unless paper, a window whose n nearest are those of the last window
 // handed to take is skipped too: the same group at the same distance, which
@@ -668,19 +665,6 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 	if !top {
 		slices.Reverse(s)
 	}
-	// MeasureAvg has no counting test as sharp as its group distance, so
-	// it also tracks the window's distances in an order-statistic tree
-	// and gates on the exact mean of the n smallest.
-	var fen *distStats
-	var ranks []int
-	if measure == MeasureAvg {
-		fen = &sc.fen
-		fen.reset(s)
-		ranks = sc.ints(len(s))
-		for i, o := range s {
-			ranks[i] = fen.rankOf(o.d)
-		}
-	}
 	var ord []int32 // s's positions in distance order, once a window needs it
 	gated, repeated := int64(0), int64(0)
 	var in counts // of the current window s[lo..i]
@@ -712,9 +696,6 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 		if same && distLess(o, far) {
 			same = false
 		}
-		if fen != nil {
-			fen.add(ranks[i])
-		}
 		// Horizontal anchors on the wrong side of p generate windows
 		// that would not contain p; skip them (Section 3.2).
 		if top && o.p.Y < p.Y || !top && o.p.Y > p.Y {
@@ -735,9 +716,6 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 			}
 			if same && !distLess(far, s[lo]) {
 				same = false
-			}
-			if fen != nil {
-				fen.remove(ranks[lo])
 			}
 			lo++
 		}
@@ -768,8 +746,7 @@ func evaluateWindows(qy Query, p geom.Point, cand []distPoint, xlo, xhi float64,
 			continue
 		}
 		if gb := gate(b); !math.IsInf(b, 1) &&
-			(m2 >= gb*gb || measure == MeasureWindow && m2 >= b*b && !tie(lo, i) ||
-				fen != nil && fen.sumSmallest(n)/float64(n) > b*avgSlack) {
+			(m2 >= gb*gb || measure == MeasureWindow && m2 >= b*b && !tie(lo, i)) {
 			gated++
 			continue
 		}

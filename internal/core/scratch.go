@@ -7,22 +7,20 @@ import (
 
 // searchScratch bundles the per-query working memory of the NWC/kNWC
 // traversal: the best-first heap, the window memo, the current anchor's
-// candidates and their distance order, the order-statistic setup arrays
-// and the n-closest selection scratch.
+// candidates and their distance order, and the n-closest selection
+// scratch.
 // Queries borrow one from scratchPool so steady-state batch load (many
 // queries across worker goroutines) stops allocating these on every
 // call; everything handed to the caller (result groups, object lists)
 // is still freshly allocated, so nothing escapes back into the pool.
 type searchScratch struct {
-	pq    pqueue
-	memo  windowMemo  // what this query's window queries fetched so far
-	slab  []distPoint // what a range query read, then the current anchor's candidates, y-ordered
-	ord   []int32     // slab positions in distance order (distOrder)
-	ranks []int       // slab object rank per index (MeasureAvg)
-	sel   []distPoint // one window's n nearest, ascending
-	role  []int32     // per slab position, its role for the rival
-	rk    ranks       // the roles of a run, counted
-	fen   distStats   // Fenwick arrays, reset per anchor
+	pq   pqueue
+	memo windowMemo  // what this query's window queries fetched so far
+	slab []distPoint // what a range query read, then the current anchor's candidates, y-ordered
+	ord  []int32     // slab positions in distance order (distOrder)
+	sel  []distPoint // one window's n nearest, ascending
+	role []int32     // per slab position, its role for the rival
+	rk   ranks       // the roles of a run, counted
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -52,28 +50,13 @@ func putScratch(sc *searchScratch) {
 	if cap(sc.ord) > scratchKeepCap {
 		sc.ord = nil
 	}
-	if cap(sc.ranks) > scratchKeepCap {
-		sc.ranks = nil
-	}
 	if cap(sc.sel) > scratchKeepCap {
 		sc.sel = nil
 	}
 	if cap(sc.role) > scratchKeepCap {
 		sc.role = nil
 	}
-	if cap(sc.fen.dist) > scratchKeepCap {
-		sc.fen = distStats{}
-	}
 	scratchPool.Put(sc)
-}
-
-// ints returns a length-n slice backed by sc.ranks, reusing capacity.
-func (sc *searchScratch) ints(n int) []int {
-	if cap(sc.ranks) < n {
-		sc.ranks = make([]int, n)
-	}
-	sc.ranks = sc.ranks[:n]
-	return sc.ranks
 }
 
 // roles returns, backed by sc.role, the role of each point of s for r.

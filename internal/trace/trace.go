@@ -102,15 +102,14 @@ const (
 	// set, or an improved distance for a known set).
 	CtrDedupAccepted
 	// CtrWindowsGated counts qualified windows skipped by a distance
-	// gate — too few objects under the bound, window MINDIST,
-	// MeasureAvg's order-statistic mean, or an NWC's best distance —
-	// without materialising their group. For an NWC, qualified windows =
-	// gated + repeated + emitted.
+	// gate — too few objects under the bound, window MINDIST, or an
+	// NWC's best distance — without materialising their group. For an
+	// NWC, qualified windows = gated + repeated + emitted.
 	CtrWindowsGated
 	// CtrAnchorsGated counts anchor objects whose whole x-slab held too
 	// few objects under the bound for any of their windows to improve
-	// it; their windows are neither sorted nor enumerated — nor, when a
-	// kNWC's window memo already shows it, is their region probed or read.
+	// it; their windows are neither sorted nor enumerated — nor, when the
+	// window memo already shows it, is their region probed or read.
 	CtrAnchorsGated
 	// CtrMemoServed counts anchors whose search region lay inside the
 	// query's window memo: their candidates cost no node visit.

@@ -30,9 +30,10 @@ import (
 // and the router, by the leader's LSN on a follower.
 //
 // The fixed-script suites this covers, assertion → op and check. The
-// two crash-recovery suites, TestShardedMutationOracle and
-// TestShardedBatchMutations are replaced by it; the others still run as
-// regressions on their own scripts (ROADMAP item 5(c)):
+// two crash-recovery suites and TestShardedMutationOracle,
+// TestShardedBatchMutations, TestSubscriptionFramesMatchOracle and
+// TestSubscriptionFollowerDelivery are replaced by it; the others still
+// run as regressions on their own scripts (ROADMAP item 5(c)):
 //   - TestMutationStressPrefixCorrectness (NWC, kNWC and batch answers
 //     under every scheme racing a writer match a version in [lo, hi]; the
 //     quiesced index holds the last version) → opReaders, then every

@@ -49,90 +49,6 @@ func assertMonotoneGens(t *testing.T, frames []SubUpdate) {
 	}
 }
 
-// TestSubscriptionFramesMatchOracle is the lifecycle acceptance test:
-// apply a recorded mutation script to a subscribed index, then check
-// every delivered frame against the brute-force oracle at the exact
-// version its generation stamp names — and, conversely, that every
-// version where the answer actually changed produced a frame (the
-// affect test never filters a real change away).
-func TestSubscriptionFramesMatchOracle(t *testing.T) {
-	base, ops, versions := buildMutationScript(40, 30, 71)
-	idx, err := Build(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := newMutOracle(versions)
-	q := Query{X: 120, Y: 140, Length: 120, Width: 120, N: 2}
-
-	s, err := idx.Subscribe(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for k, op := range ops {
-		if op.insert {
-			if err := idx.Insert(op.p); err != nil {
-				t.Fatalf("op %d: insert: %v", k, err)
-			}
-		} else {
-			found, err := idx.Delete(op.p)
-			if err != nil || !found {
-				t.Fatalf("op %d: delete: found=%v err=%v", k, found, err)
-			}
-		}
-	}
-
-	frames := drainFrames(t, s)
-	if len(frames) == 0 || frames[0].Kind != SubInit {
-		t.Fatalf("first frame is %+v, want an init frame", frames)
-	}
-	assertMonotoneGens(t, frames)
-	initGen := frames[0].Gen
-	if !nwcAgrees(frames[0].Result, oracle.NWC(0, 0, q)) {
-		t.Fatalf("init frame disagrees with the oracle at version 0")
-	}
-
-	delivered := map[int]bool{}
-	for i, u := range frames[1:] {
-		if u.Kind != SubUpdateKind {
-			t.Fatalf("frame %d kind %q; nothing coalesced, so only updates are expected", i+1, u.Kind)
-		}
-		if u.PublishedAt.IsZero() {
-			t.Fatalf("frame %d carries no publish instant", i+1)
-		}
-		v := int(u.Gen - initGen)
-		if v < 1 || v > len(ops) {
-			t.Fatalf("frame %d gen %d names version %d outside the script", i+1, u.Gen, v)
-		}
-		if !nwcAgrees(u.Result, oracle.NWC(0, v, q)) {
-			t.Fatalf("frame %d (version %d): found=%v dist=%g disagrees with the oracle",
-				i+1, v, u.Result.Found, u.Result.Dist)
-		}
-		delivered[v] = true
-	}
-
-	// Completeness: a version whose answer differs from its predecessor's
-	// must have produced a frame. (The converse — frames for unchanged
-	// answers — is allowed: the affect test is conservative.)
-	for v := 1; v <= len(ops); v++ {
-		prev, cur := oracle.NWC(0, v-1, q), oracle.NWC(0, v, q)
-		changed := prev.Found != cur.Found ||
-			(cur.Found && math.Abs(prev.Group.Dist-cur.Group.Dist) > 1e-9)
-		if changed && !delivered[v] {
-			t.Fatalf("answer changed at version %d but no frame was delivered", v)
-		}
-	}
-	if len(delivered) == 0 {
-		t.Fatal("script produced no update frames; the test is vacuous")
-	}
-
-	st := idx.SubscriptionStats()
-	if st.Active != 1 || st.Coalesced != 0 || st.EvalErrors != 0 {
-		t.Fatalf("stats %+v: want 1 active, nothing coalesced, no eval errors", st)
-	}
-}
-
 // TestSubscriptionOverflowResync pins the backpressure contract with a
 // 2-deep queue: a consumer that ignores 8 affecting mutations keeps
 // only the 2 newest states, the first delivery after the overflow is
@@ -290,82 +206,6 @@ func TestSubscriptionChurnUnderMutation(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close left a pending Next blocked")
-	}
-}
-
-// TestSubscriptionFollowerDelivery is the replication acceptance check:
-// a subscriber on a follower fed through ApplyReplicated must see the
-// same LSN-ordered frame sequence — same stamps, same answers — as a
-// subscriber on the leader, because follower notifications are stamped
-// with the leader's LSN rather than any local counter.
-func TestSubscriptionFollowerDelivery(t *testing.T) {
-	base := testPoints(60, 17)
-	o := buildOptions{maxEntries: 8, gridCellSize: 25, walSegmentBytes: 1 << 10}
-	leader := newMemPaged().build(t, base, o)
-	defer leader.Close()
-	follower := newMemPaged().build(t, nil, o)
-	defer follower.Close()
-
-	// Bulk-built base never went through the leader's WAL, so the first
-	// catch-up snapshots; subscriptions attach on the converged pair.
-	syncFollower(t, leader, follower)
-	assertConverged(t, leader, follower)
-
-	q := Query{X: 500, Y: 500, Length: 120, Width: 120, N: 3}
-	ls, err := leader.Subscribe(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
-	fs, err := follower.Subscribe(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-
-	// A deterministic tail: inserts marching through the query window,
-	// with every third point deleted again, so the answer both improves
-	// and degrades along the way.
-	var livePts []Point
-	for i := 0; i < 20; i++ {
-		p := Point{X: 440 + float64(i)*6, Y: 480 + float64(i%5)*10, ID: uint64(5000 + i)}
-		if err := leader.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-		livePts = append(livePts, p)
-		if i%3 == 2 {
-			victim := livePts[0]
-			livePts = livePts[1:]
-			if found, err := leader.Delete(victim); err != nil || !found {
-				t.Fatalf("delete: found=%v err=%v", found, err)
-			}
-		}
-	}
-	syncFollower(t, leader, follower)
-	assertConverged(t, leader, follower)
-
-	lf, ff := drainFrames(t, ls), drainFrames(t, fs)
-	if len(lf) != len(ff) {
-		t.Fatalf("leader delivered %d frames, follower %d", len(lf), len(ff))
-	}
-	if len(lf) < 2 {
-		t.Fatalf("only %d frames delivered; the tail should have produced updates", len(lf))
-	}
-	for i := range lf {
-		l, f := lf[i], ff[i]
-		if l.Kind != f.Kind {
-			t.Fatalf("frame %d: leader kind %q, follower %q", i, l.Kind, f.Kind)
-		}
-		if i > 0 && (l.LSN != f.LSN) {
-			t.Fatalf("frame %d: leader LSN %d, follower LSN %d — the replicas diverge on the version axis", i, l.LSN, f.LSN)
-		}
-		if i > 0 && l.LSN <= lf[i-1].LSN {
-			t.Fatalf("frame %d LSN %d not above predecessor's %d", i, l.LSN, lf[i-1].LSN)
-		}
-		if l.Result.Found != f.Result.Found || math.Abs(l.Result.Dist-f.Result.Dist) > 1e-9 {
-			t.Fatalf("frame %d answers diverge: leader found=%v dist=%g, follower found=%v dist=%g",
-				i, l.Result.Found, l.Result.Dist, f.Result.Found, f.Result.Dist)
-		}
 	}
 }
 
