@@ -11,9 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"nwcq"
+	"nwcq/internal/core"
 	"nwcq/internal/datagen"
 )
 
@@ -49,11 +49,11 @@ func main() {
 		fatal(err)
 	}
 
-	sch, err := parseScheme(*scheme)
+	sch, err := core.ParseScheme(*scheme)
 	if err != nil {
 		fatal(err)
 	}
-	meas, err := parseMeasure(*measure)
+	meas, err := core.ParseMeasure(*measure)
 	if err != nil {
 		fatal(err)
 	}
@@ -140,40 +140,6 @@ func printStats(st nwcq.Stats) {
 	fmt.Printf("I/O: %d node visits; %d objects processed (%d skipped), %d nodes pruned, %d window queries, %d/%d windows qualified\n",
 		st.NodeVisits, st.ObjectsProcessed, st.ObjectsSkipped, st.NodesPruned,
 		st.WindowQueries, st.QualifiedWindows, st.CandidateWindows)
-}
-
-func parseScheme(s string) (nwcq.Scheme, error) {
-	switch strings.ToUpper(s) {
-	case "NWC":
-		return nwcq.SchemeNWC, nil
-	case "SRR":
-		return nwcq.SchemeSRR, nil
-	case "DIP":
-		return nwcq.SchemeDIP, nil
-	case "DEP":
-		return nwcq.SchemeDEP, nil
-	case "IWP":
-		return nwcq.SchemeIWP, nil
-	case "NWC+":
-		return nwcq.SchemeNWCPlus, nil
-	case "NWC*":
-		return nwcq.SchemeNWCStar, nil
-	}
-	return nwcq.Scheme{}, fmt.Errorf("unknown scheme %q", s)
-}
-
-func parseMeasure(s string) (nwcq.Measure, error) {
-	switch strings.ToLower(s) {
-	case "max":
-		return nwcq.MaxDistance, nil
-	case "min":
-		return nwcq.MinDistance, nil
-	case "avg":
-		return nwcq.AvgDistance, nil
-	case "window":
-		return nwcq.WindowDistance, nil
-	}
-	return 0, fmt.Errorf("unknown measure %q", s)
 }
 
 func fatal(err error) {

@@ -96,7 +96,7 @@ func TestExplainNWCVisitSum(t *testing.T) {
 			t.Errorf("%s: %d window queries, %d served, %d bypassed leave %d growths for %d strips after W0",
 				sch, c.WindowQueries, c.MemoServed, c.MemoBypassed, grew, strips)
 		}
-		if _, _, _, iwp := sch.Flags(); iwp && c.IWPJumpStarts+c.IWPRootStarts != c.MemoStrips+c.MemoBypassed {
+		if sch.IWP() && c.IWPJumpStarts+c.IWPRootStarts != c.MemoStrips+c.MemoBypassed {
 			t.Errorf("%s: %d jump + %d root starts != %d strips + %d bypassed",
 				sch, c.IWPJumpStarts, c.IWPRootStarts, c.MemoStrips, c.MemoBypassed)
 		}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
@@ -85,60 +86,88 @@ func (m Measure) anchorReach(b, pad float64, single bool) float64 {
 // errInvalidMeasure rejects unknown Measure values at the API boundary.
 var errInvalidMeasure = errors.New("core: invalid measure")
 
-// Scheme enables the optimisation techniques, reproducing the schemes of
-// Table 3. The zero value is the plain NWC algorithm.
-type Scheme struct {
-	SRR bool // search region reduction (Section 3.3.1)
-	DIP bool // distance-based pruning (Section 3.3.2)
-	DEP bool // density-based pruning (Section 3.3.3)
-	IWP bool // incremental window query processing (Section 3.3.4)
+// ParseMeasure is the inverse of Measure.String, in any case.
+func ParseMeasure(name string) (Measure, error) {
+	lower := strings.ToLower(name)
+	for m := MeasureMax; m <= MeasureWindow; m++ {
+		if lower == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown measure %q", name)
 }
 
-// The seven schemes evaluated in the paper (Table 3).
-var (
-	SchemeNWC     = Scheme{}
-	SchemeSRR     = Scheme{SRR: true}
-	SchemeDIP     = Scheme{DIP: true}
-	SchemeDEP     = Scheme{DEP: true}
-	SchemeIWP     = Scheme{IWP: true}
-	SchemeNWCPlus = Scheme{SRR: true, DIP: true}
-	SchemeNWCStar = Scheme{SRR: true, DIP: true, DEP: true, IWP: true}
+// Scheme selects which of the four optimisation techniques run a query,
+// reproducing the schemes of Table 3. It records the techniques switched
+// off, so the zero value is NWC*, every technique on, the default of
+// every layer. A Scheme above SchemeNWC is not a scheme.
+type Scheme uint8
+
+const (
+	noSRR Scheme = 1 << iota // search region reduction (Section 3.3.1)
+	noDIP                    // distance-based pruning (Section 3.3.2)
+	noDEP                    // density-based pruning (Section 3.3.3)
+	noIWP                    // incremental window query processing (Section 3.3.4)
 )
+
+// The seven schemes evaluated in the paper (Table 3).
+const (
+	SchemeNWCStar Scheme = 0
+	SchemeNWCPlus        = noDEP | noIWP
+	SchemeSRR            = noDIP | noDEP | noIWP
+	SchemeDIP            = noSRR | noDEP | noIWP
+	SchemeDEP            = noSRR | noDIP | noIWP
+	SchemeIWP            = noSRR | noDIP | noDEP
+	SchemeNWC            = noSRR | noDIP | noDEP | noIWP
+)
+
+// PaperSchemes lists Table 3's schemes in its display order.
+var PaperSchemes = []Scheme{SchemeNWC, SchemeSRR, SchemeDIP, SchemeDEP, SchemeIWP, SchemeNWCPlus, SchemeNWCStar}
+
+// NewScheme builds the scheme that runs the techniques given as true.
+func NewScheme(srr, dip, dep, iwp bool) Scheme {
+	var s Scheme
+	for i, on := range [...]bool{srr, dip, dep, iwp} {
+		if !on {
+			s |= 1 << i
+		}
+	}
+	return s
+}
+
+// SRR, DIP, DEP and IWP report whether s runs the technique.
+func (s Scheme) SRR() bool { return s&noSRR == 0 }
+func (s Scheme) DIP() bool { return s&noDIP == 0 }
+func (s Scheme) DEP() bool { return s&noDEP == 0 }
+func (s Scheme) IWP() bool { return s&noIWP == 0 }
+
+// schemeNames holds each scheme's name, indexed by its value: the paper's
+// for Table 3's seven, the techniques it runs for the other nine.
+var schemeNames = [SchemeNWC + 1]string{
+	"NWC*", "DIP+DEP+IWP", "SRR+DEP+IWP", "DEP+IWP",
+	"SRR+DIP+IWP", "DIP+IWP", "SRR+IWP", "IWP",
+	"SRR+DIP+DEP", "DIP+DEP", "SRR+DEP", "DEP",
+	"NWC+", "DIP", "SRR", "NWC",
+}
 
 // String implements fmt.Stringer using the paper's scheme names.
 func (s Scheme) String() string {
-	switch s {
-	case SchemeNWC:
-		return "NWC"
-	case SchemeSRR:
-		return "SRR"
-	case SchemeDIP:
-		return "DIP"
-	case SchemeDEP:
-		return "DEP"
-	case SchemeIWP:
-		return "IWP"
-	case SchemeNWCPlus:
-		return "NWC+"
-	case SchemeNWCStar:
-		return "NWC*"
+	if s > SchemeNWC {
+		return fmt.Sprintf("Scheme(%d)", uint8(s))
 	}
-	out := ""
-	for _, f := range []struct {
-		on   bool
-		name string
-	}{{s.SRR, "SRR"}, {s.DIP, "DIP"}, {s.DEP, "DEP"}, {s.IWP, "IWP"}} {
-		if f.on {
-			if out != "" {
-				out += "+"
-			}
-			out += f.name
+	return schemeNames[s]
+}
+
+// ParseScheme is the inverse of String on Table 3's schemes, in any case;
+// it refuses the other nine combinations.
+func ParseScheme(name string) (Scheme, error) {
+	upper := strings.ToUpper(name)
+	for _, s := range PaperSchemes {
+		if upper == s.String() {
+			return s, nil
 		}
 	}
-	if out == "" {
-		return "NWC"
-	}
-	return out
+	return 0, fmt.Errorf("unknown scheme %q", name)
 }
 
 // Query is an NWC query (q, l, w, n) per Definition 1.
@@ -311,10 +340,10 @@ func (e *Engine) Density() *grid.Density { return e.density }
 func (e *Engine) IWPIndex() *iwp.Index { return e.iwpIdx }
 
 func (e *Engine) checkScheme(s Scheme) error {
-	if s.DEP && e.density == nil {
+	if s.DEP() && e.density == nil {
 		return errors.New("core: scheme enables DEP but the engine has no density grid")
 	}
-	if s.IWP && e.iwpIdx == nil {
+	if s.IWP() && e.iwpIdx == nil {
 		return errors.New("core: scheme enables IWP but the engine has no IWP index")
 	}
 	return nil

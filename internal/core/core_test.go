@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"nwcq/internal/geom"
@@ -12,11 +15,6 @@ import (
 	"nwcq/internal/iwp"
 	"nwcq/internal/rstar"
 )
-
-// allSchemes lists the seven schemes of Table 3.
-var allSchemes = []Scheme{
-	SchemeNWC, SchemeSRR, SchemeDIP, SchemeDEP, SchemeIWP, SchemeNWCPlus, SchemeNWCStar,
-}
 
 var allMeasures = []Measure{MeasureMax, MeasureMin, MeasureAvg, MeasureWindow}
 
@@ -151,7 +149,7 @@ func TestNWCMatchesBruteForceAllSchemes(t *testing.T) {
 			}
 			for _, measure := range allMeasures {
 				want := BruteForceNWC(pts, qy, measure)
-				for _, scheme := range allSchemes {
+				for _, scheme := range PaperSchemes {
 					got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 					if err != nil {
 						t.Fatal(err)
@@ -198,7 +196,7 @@ func TestSchemesAgreeOnLargerData(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, scheme := range allSchemes[1:] {
+				for _, scheme := range PaperSchemes[1:] {
 					got, st, err := eng.NWC(context.Background(), qy, scheme, measure, x)
 					if err != nil {
 						t.Fatal(err)
@@ -229,7 +227,7 @@ func TestOptimisationsReduceIO(t *testing.T) {
 	eng := buildEngine(t, pts, 16, 25)
 	qy := Query{Q: geom.Point{X: 500, Y: 500}, L: 20, W: 20, N: 5}
 	visits := map[string]uint64{}
-	for _, scheme := range allSchemes {
+	for _, scheme := range PaperSchemes {
 		_, st, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
@@ -311,7 +309,7 @@ func TestNoQualifiedWindow(t *testing.T) {
 	eng := buildEngine(t, pts, 8, 50)
 	// n larger than the dataset: impossible.
 	qy := Query{Q: geom.Point{X: 500, Y: 500}, L: 10, W: 10, N: len(pts) + 1}
-	for _, scheme := range allSchemes {
+	for _, scheme := range PaperSchemes {
 		got, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +383,7 @@ func TestQueryFarOutsideSpace(t *testing.T) {
 	eng := buildEngine(t, pts, 4, 50)
 	qy := Query{Q: geom.Point{X: -5000, Y: 8000}, L: 60, W: 60, N: 3}
 	want := BruteForceNWC(pts, qy, MeasureMax)
-	for _, scheme := range allSchemes {
+	for _, scheme := range PaperSchemes {
 		got, _, err := eng.NWC(context.Background(), qy, scheme, MeasureMax, Exec{})
 		if err != nil {
 			t.Fatal(err)
@@ -423,7 +421,7 @@ func TestDuplicateHeavyDataset(t *testing.T) {
 		}
 		for _, measure := range allMeasures {
 			want := BruteForceNWC(pts, qy, measure)
-			for _, scheme := range allSchemes {
+			for _, scheme := range PaperSchemes {
 				got, _, err := eng.NWC(context.Background(), qy, scheme, measure, Exec{})
 				if err != nil {
 					t.Fatal(err)
@@ -464,8 +462,65 @@ func TestSchemeString(t *testing.T) {
 			t.Errorf("scheme %+v String() = %q, want %q", s, got, want)
 		}
 	}
-	if got := (Scheme{SRR: true, DEP: true}).String(); got != "SRR+DEP" {
+	if got := NewScheme(true, false, true, false).String(); got != "SRR+DEP" {
 		t.Errorf("ad-hoc scheme String() = %q", got)
+	}
+}
+
+// TestSchemeVocabulary pins the one table of scheme and measure names:
+// the 16 schemes are 16 distinct values in the recorder's 16 slots, with
+// the flags the fuzz corpora index them by; the parsers invert String on
+// the names the server accepts and refuse the rest.
+func TestSchemeVocabulary(t *testing.T) {
+	if Scheme(0) != SchemeNWCStar || Scheme(0).String() != "NWC*" {
+		t.Errorf("the zero Scheme is %v, want NWC*", Scheme(0))
+	}
+	seen := map[Scheme]bool{}
+	for b, s := range sixteenSchemes() {
+		if s > SchemeNWC || seen[s] {
+			t.Errorf("flags %04b: scheme %d repeats or leaves the 16 slots", b, s)
+		}
+		seen[s] = true
+		if got := [4]bool{s.SRR(), s.DIP(), s.DEP(), s.IWP()}; got != [4]bool{b&1 != 0, b&2 != 0, b&4 != 0, b&8 != 0} {
+			t.Errorf("flags %04b: NewScheme gives SRR, DIP, DEP, IWP = %v", b, got)
+		}
+		name := s.String()
+		parsed, err := ParseScheme(name)
+		if slices.Contains(PaperSchemes, s) {
+			for _, n := range []string{name, strings.ToLower(name), strings.ToUpper(name[:1]) + strings.ToLower(name[1:])} {
+				if got, err := ParseScheme(n); err != nil || got != s {
+					t.Errorf("ParseScheme(%q) = %v, %v; want %v", n, got, err, s)
+				}
+			}
+		} else {
+			var on []string
+			for i, f := range []string{"SRR", "DIP", "DEP", "IWP"} {
+				if b&(1<<i) != 0 {
+					on = append(on, f)
+				}
+			}
+			if name != strings.Join(on, "+") || err == nil {
+				t.Errorf("flags %04b: name %q, ParseScheme = %v, %v; want %q refused", b, name, parsed, err, strings.Join(on, "+"))
+			}
+		}
+	}
+	if len(PaperSchemes) != 7 || PaperSchemes[0] != SchemeNWC || PaperSchemes[6] != SchemeNWCStar {
+		t.Errorf("PaperSchemes = %v, want Table 3's seven from NWC to NWC*", PaperSchemes)
+	}
+	for _, bad := range []string{"", "nope", " SRR", "NWC**", "SRR+DIP"} {
+		if _, err := ParseScheme(bad); err == nil || err.Error() != fmt.Sprintf("unknown scheme %q", bad) {
+			t.Errorf("ParseScheme(%q) error = %v", bad, err)
+		}
+	}
+	for m := MeasureMax; m <= MeasureWindow; m++ {
+		for _, n := range []string{m.String(), strings.ToUpper(m.String())} {
+			if got, err := ParseMeasure(n); err != nil || got != m {
+				t.Errorf("ParseMeasure(%q) = %v, %v; want %v", n, got, err, m)
+			}
+		}
+	}
+	if _, err := ParseMeasure("nope"); err == nil || err.Error() != `unknown measure "nope"` {
+		t.Errorf(`ParseMeasure("nope") error = %v`, err)
 	}
 }
 

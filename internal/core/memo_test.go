@@ -336,7 +336,7 @@ func TestSharedEqualsPerAnchor(t *testing.T) {
 	}
 	for name, pts := range datasets {
 		eng := buildEngine(t, pts, 8, 25)
-		for _, scheme := range allSchemes {
+		for _, scheme := range PaperSchemes {
 			var shared, perAnchor uint64
 			// noMoreButVisits adds the node visits to the scheme's two sums
 			// and demands no other counter above the paper's.

@@ -477,7 +477,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 			// DIP (Section 3.3.2): prune the node when no object inside
 			// its MBR can generate a window under the bound. The MBR came
 			// from the parent, so pruning costs no node visit.
-			if scheme.DIP && !math.IsInf(b, 1) &&
+			if scheme.DIP() && !math.IsInf(b, 1) &&
 				geom.NodeWindowLowerBound2(q, it.mbr, l, w) >= b*b {
 				st.NodesPruned++
 				rec.Count(trace.CtrDIPPruned, 1)
@@ -487,7 +487,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 			// every window its objects can generate; if the density grid
 			// bounds the extended region's population below n, no object
 			// inside can generate a qualified window.
-			if scheme.DEP {
+			if scheme.DEP() {
 				st.GridProbes++
 				if e.density.PrunesRect(geom.ExtendMBR(q, it.mbr, l, w), n) {
 					st.NodesPruned++
@@ -542,7 +542,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 		st.ObjectsProcessed++
 		if seed != nil && st.ObjectsProcessed == 1 {
 			rec.Enter(trace.PhaseWindowEnum)
-			if *seed, err = e.seedMemo(r, scheme.IWP, it.id, qy, sc); err != nil {
+			if *seed, err = e.seedMemo(r, scheme.IWP(), it.id, qy, sc); err != nil {
 				return st, err
 			}
 			reach = measure.anchorReach(bound(), pad, single)
@@ -550,7 +550,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 		rec.Enter(trace.PhaseSRR)
 		p := it.point
 		var sr geom.Rect
-		if scheme.SRR {
+		if scheme.SRR() {
 			// SRR (Section 3.3.1): skip the object when no window it
 			// generates is under the bound; otherwise shrink SR_p.
 			b := bound()
@@ -582,7 +582,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 		}
 		// DEP window-query cancellation: a search region that cannot
 		// hold n objects generates no qualified window.
-		if scheme.DEP {
+		if scheme.DEP() {
 			st.GridProbes++
 			if e.density.PrunesRect(sr, n) {
 				st.ObjectsSkipped++
@@ -593,7 +593,7 @@ func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collecto
 		}
 		st.WindowQueries++
 		rec.Enter(trace.PhaseWindowEnum)
-		cand, ordered, err := e.anchorCandidates(r, scheme.IWP, it.id, sr, qy, x.Paper, sc)
+		cand, ordered, err := e.anchorCandidates(r, scheme.IWP(), it.id, sr, qy, x.Paper, sc)
 		if err != nil {
 			return st, err
 		}

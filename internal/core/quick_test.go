@@ -122,7 +122,7 @@ func TestQuickSchemeEquivalence(t *testing.T) {
 			W: norm(wr, 300) + 0.5,
 			N: int(nRaw%6) + 1,
 		}
-		scheme := allSchemes[int(sRaw)%len(allSchemes)]
+		scheme := PaperSchemes[int(sRaw)%len(PaperSchemes)]
 		base, _, err := eng.NWC(context.Background(), qy, SchemeNWC, MeasureMax, Exec{})
 		if err != nil {
 			return false

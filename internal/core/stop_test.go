@@ -182,7 +182,7 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 				}
 			}
 		}
-		for _, scheme := range allSchemes {
+		for _, scheme := range PaperSchemes {
 			at := fmt.Sprintf("%v %v %+v over %v", scheme, measure, qy, pts)
 			rec := trace.New()
 			served, st, err := eng.NWC(ctx, qy, scheme, measure, Exec{Rec: rec})
@@ -208,7 +208,7 @@ func checkStopScript(t *testing.T, data []byte) (run stopRun) {
 				}
 			} else if !noMoreWork(st, stPaper) {
 				t.Fatalf("%s: stats %+v exceed the paper's %+v", at, st, stPaper)
-			} else if !scheme.DIP && !scheme.DEP && st.ObjectsProcessed != run.within {
+			} else if !scheme.DIP() && !scheme.DEP() && st.ObjectsProcessed != run.within {
 				t.Fatalf("%s: %d objects processed, %d lie within the answer's distance", at, st.ObjectsProcessed, run.within)
 			}
 			if measure == MeasureMax && scheme == SchemeNWC {
@@ -757,7 +757,7 @@ func TestSeedFallback(t *testing.T) {
 		{3, true, true},
 		{1, false, false}, // the seed, which was not the bound in force alone
 	} {
-		for _, scheme := range allSchemes {
+		for _, scheme := range PaperSchemes {
 			var got [2]Result
 			var sts [2]Stats
 			for i, x := range []Exec{{}, {Paper: true}} {

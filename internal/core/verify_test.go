@@ -55,7 +55,7 @@ func tieQuery(rng *rand.Rand, side int) Query {
 func sixteenSchemes() []Scheme {
 	var out []Scheme
 	for b := 0; b < 16; b++ {
-		out = append(out, Scheme{SRR: b&1 != 0, DIP: b&2 != 0, DEP: b&4 != 0, IWP: b&8 != 0})
+		out = append(out, NewScheme(b&1 != 0, b&2 != 0, b&4 != 0, b&8 != 0))
 	}
 	return out
 }

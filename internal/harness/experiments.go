@@ -86,12 +86,6 @@ const (
 	defaultM = 2
 )
 
-// schemes is Table 3's scheme list, in its display order.
-var schemes = []core.Scheme{
-	core.SchemeNWC, core.SchemeSRR, core.SchemeDIP, core.SchemeDEP,
-	core.SchemeIWP, core.SchemeNWCPlus, core.SchemeNWCStar,
-}
-
 // Dataset is a named generated point set.
 type Dataset struct {
 	Name   string
@@ -147,8 +141,8 @@ func Table3() *Table {
 		}
 		return "-"
 	}
-	for _, s := range schemes {
-		t.AddRow(s.String(), mark(s.SRR), mark(s.DIP), mark(s.DEP), mark(s.IWP))
+	for _, s := range core.PaperSchemes {
+		t.AddRow(s.String(), mark(s.SRR()), mark(s.DIP()), mark(s.DEP()), mark(s.IWP()))
 	}
 	return t
 }
@@ -210,7 +204,7 @@ func Fig10(o Options) (*Table, error) {
 		}
 		row := []string{fmt.Sprintf("%g", sd)}
 		var vals []float64
-		for _, s := range schemes {
+		for _, s := range core.PaperSchemes {
 			m, err := RunNWC(env, queries, l, w, defaultN, s, o.Measure)
 			if err != nil {
 				return nil, err
@@ -262,7 +256,7 @@ func Fig11(o Options) ([]*Table, error) {
 		}
 		for _, n := range ns {
 			row := []string{fmt.Sprintf("%d", n)}
-			for _, s := range schemes {
+			for _, s := range core.PaperSchemes {
 				m, err := RunNWC(env, queries, l, w, n, s, o.Measure)
 				if err != nil {
 					return nil, err
@@ -295,7 +289,7 @@ func Fig12(o Options) ([]*Table, error) {
 		}
 		for _, sz := range sizes {
 			row := []string{fmt.Sprintf("%g", sz)}
-			for _, s := range schemes {
+			for _, s := range core.PaperSchemes {
 				m, err := RunNWC(env, queries, sz*ws, sz*ws, defaultN, s, o.Measure)
 				if err != nil {
 					return nil, err
@@ -487,8 +481,8 @@ func FigKNWCByN(o Options) (*Table, error) {
 }
 
 func schemeNames() []string {
-	out := make([]string, len(schemes))
-	for i, s := range schemes {
+	out := make([]string, len(core.PaperSchemes))
+	for i, s := range core.PaperSchemes {
 		out[i] = s.String()
 	}
 	return out

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"nwcq/internal/core"
 )
 
 // Op classes the harness records separately: each gets its own latency
@@ -87,6 +89,11 @@ func (p Profile) Validate() error {
 	}
 	if p.Window < 0 || p.N < 0 || p.K < 0 || p.M < 0 || p.BatchSize < 0 {
 		return fmt.Errorf("loadgen: negative query parameter")
+	}
+	for _, s := range p.Schemes {
+		if _, err := core.ParseScheme(s); err != nil {
+			return fmt.Errorf("loadgen: %w", err)
+		}
 	}
 	return nil
 }

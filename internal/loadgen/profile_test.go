@@ -192,6 +192,8 @@ func TestProfileValidate(t *testing.T) {
 		{KNWCShare: 0.6, BatchShare: 0.3, MutateShare: 0.3},
 		{SpaceMin: 10, SpaceMax: 5},
 		{N: -1},
+		{Schemes: []string{"NWC*", "SRX"}},  // nwcload -schemes 'NWC*,SRX'
+		{Schemes: []string{"NWC*", " SRR"}}, // nwcload -schemes 'NWC*, SRR'
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("profile %+v accepted", bad)

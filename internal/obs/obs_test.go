@@ -10,7 +10,7 @@ import (
 	"nwcq/internal/qcache"
 )
 
-var testQuery = Query{X: 1, Y: 2, Length: 3, Width: 4, N: 5, Scheme: 15, Measure: core.MeasureMax}
+var testQuery = Query{X: 1, Y: 2, Length: 3, Width: 4, N: 5, Scheme: core.SchemeNWCStar, Measure: core.MeasureMax}
 
 // TestCacheHitVisitsNothing: an answer served from a result cache read no
 // node, whatever the stored Stats of the execution that filled the entry

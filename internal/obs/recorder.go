@@ -47,37 +47,12 @@ var ErrInvalidQuery = errors.New("nwcq: invalid query")
 // SlowLogSize is the number of entries a slow-query ring retains.
 const SlowLogSize = 128
 
-// SchemeIndex packs a scheme's four optimisation flags into the index
-// of its per-scheme counter.
-func SchemeIndex(srr, dip, dep, iwp bool) int {
-	i := 0
-	if srr {
-		i |= 1
-	}
-	if dip {
-		i |= 2
-	}
-	if dep {
-		i |= 4
-	}
-	if iwp {
-		i |= 8
-	}
-	return i
-}
-
-// schemeName is SchemeIndex's inverse, in the paper's scheme names.
-func schemeName(i int) string {
-	return core.Scheme{SRR: i&1 != 0, DIP: i&2 != 0, DEP: i&4 != 0, IWP: i&8 != 0}.String()
-}
-
 // Query is what a finished NWC/kNWC query reports to Finish: its
 // resolved scheme and the parameters a slow-log entry carries.
 type Query struct {
 	X, Y, Length, Width float64
 	N, K, M             int
-	// Scheme is the query scheme's SchemeIndex.
-	Scheme int
+	Scheme              core.Scheme
 	// Measure is rendered only if the query enters the slow log.
 	Measure fmt.Stringer
 }
@@ -91,8 +66,8 @@ type Recorder struct {
 	// visits holds the per-query node visits of the two kinds that
 	// report them, KindNWC and KindKNWC.
 	visits [KindKNWC + 1]*histo.Histogram
-	// byScheme counts NWC/kNWC queries per resolved scheme (SchemeIndex).
-	byScheme [16]metrics.Counter
+	// byScheme counts NWC/kNWC queries per scheme, indexed by its value.
+	byScheme [core.SchemeNWC + 1]metrics.Counter
 
 	// slowNs is the slow-query threshold; zero means off, and the query
 	// path then pays one atomic load and one branch. slow is the
@@ -146,11 +121,13 @@ func (r *Recorder) Finish(kind Kind, q Query, start time.Time, visits uint64, ca
 	}
 	r.observe(kind, elapsed, err)
 	r.visits[kind].Observe(float64(visits))
-	r.byScheme[q.Scheme].Inc()
+	if q.Scheme <= core.SchemeNWC { // Validate refused any other
+		r.byScheme[q.Scheme].Inc()
+	}
 	if th := r.slowNs.Load(); th > 0 && int64(elapsed) >= th && !errors.Is(err, ErrInvalidQuery) {
 		e := &SlowQueryEntry{
 			Kind:    kindNames[kind],
-			Scheme:  schemeName(q.Scheme),
+			Scheme:  q.Scheme.String(),
 			Measure: q.Measure.String(),
 			X:       q.X, Y: q.Y, Length: q.Length, Width: q.Width, N: q.N,
 			K: q.K, M: q.M,

@@ -3,6 +3,7 @@ package obs
 import (
 	"time"
 
+	"nwcq/internal/core"
 	"nwcq/internal/metrics"
 	"nwcq/internal/qcache"
 	"nwcq/internal/sub"
@@ -306,7 +307,7 @@ func (r *Recorder) Snapshot(src Sources) MetricsSnapshot {
 	}
 	for i := range r.byScheme {
 		if n := r.byScheme[i].Value(); n > 0 {
-			out.SchemeCounts[schemeName(i)] += n
+			out.SchemeCounts[core.Scheme(i).String()] += n
 		}
 	}
 	if pc := out.PageCache; pc != nil {

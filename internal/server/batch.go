@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"nwcq"
+	"nwcq/internal/core"
 )
 
 // Batch endpoints: POST /batch/nwc and /batch/knwc answer many queries
@@ -42,19 +43,16 @@ type batchRequestJSON struct {
 
 func (bq batchQueryJSON) query() (nwcq.Query, error) {
 	q := nwcq.Query{X: bq.X, Y: bq.Y, Length: bq.L, Width: bq.W, N: bq.N}
+	var err error
 	if bq.Scheme != "" {
-		scheme, err := ParseScheme(bq.Scheme)
-		if err != nil {
+		if q.Scheme, err = core.ParseScheme(bq.Scheme); err != nil {
 			return q, err
 		}
-		q.Scheme = scheme
 	}
 	if bq.Measure != "" {
-		measure, err := ParseMeasure(bq.Measure)
-		if err != nil {
+		if q.Measure, err = core.ParseMeasure(bq.Measure); err != nil {
 			return q, err
 		}
-		q.Measure = measure
 	}
 	return q, nil
 }

@@ -53,11 +53,11 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"nwcq"
+	"nwcq/internal/core"
 	"nwcq/internal/histo"
 	"nwcq/internal/metrics"
 	"nwcq/internal/repl"
@@ -252,58 +252,16 @@ func queryFrom(vals url.Values) (nwcq.Query, error) {
 		return q, fmt.Errorf("parameter %q: %w", "n", err)
 	}
 	if sv := vals.Get("scheme"); sv != "" {
-		scheme, err := ParseScheme(sv)
-		if err != nil {
+		if q.Scheme, err = core.ParseScheme(sv); err != nil {
 			return q, err
 		}
-		q.Scheme = scheme
 	}
 	if mv := vals.Get("measure"); mv != "" {
-		measure, err := ParseMeasure(mv)
-		if err != nil {
+		if q.Measure, err = core.ParseMeasure(mv); err != nil {
 			return q, err
 		}
-		q.Measure = measure
 	}
 	return q, nil
-}
-
-// ParseScheme maps the paper's scheme names onto Scheme values.
-func ParseScheme(s string) (nwcq.Scheme, error) {
-	switch strings.ToUpper(s) {
-	case "NWC":
-		return nwcq.SchemeNWC, nil
-	case "SRR":
-		return nwcq.SchemeSRR, nil
-	case "DIP":
-		return nwcq.SchemeDIP, nil
-	case "DEP":
-		return nwcq.SchemeDEP, nil
-	case "IWP":
-		return nwcq.SchemeIWP, nil
-	case "NWC+":
-		return nwcq.SchemeNWCPlus, nil
-	case "NWC*":
-		return nwcq.SchemeNWCStar, nil
-	default:
-		return nwcq.Scheme{}, fmt.Errorf("unknown scheme %q", s)
-	}
-}
-
-// ParseMeasure maps measure names onto Measure values.
-func ParseMeasure(s string) (nwcq.Measure, error) {
-	switch strings.ToLower(s) {
-	case "max":
-		return nwcq.MaxDistance, nil
-	case "min":
-		return nwcq.MinDistance, nil
-	case "avg":
-		return nwcq.AvgDistance, nil
-	case "window":
-		return nwcq.WindowDistance, nil
-	default:
-		return 0, fmt.Errorf("unknown measure %q", s)
-	}
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {

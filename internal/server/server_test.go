@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"sort"
 	"strconv"
@@ -654,17 +655,28 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestParseHelpers checks the scheme and measure parameters of the query
+// string: names are case-insensitive and unknown names are refused.
 func TestParseHelpers(t *testing.T) {
-	if _, err := ParseScheme("nope"); err == nil {
+	base := url.Values{"x": {"1"}, "y": {"2"}, "l": {"10"}, "w": {"10"}, "n": {"3"}}
+	with := func(k, v string) url.Values {
+		vals := url.Values{}
+		for bk, bv := range base {
+			vals[bk] = bv
+		}
+		vals.Set(k, v)
+		return vals
+	}
+	if _, err := queryFrom(with("scheme", "nope")); err == nil {
 		t.Error("bad scheme accepted")
 	}
-	if s, err := ParseScheme("nwc+"); err != nil || s != nwcq.SchemeNWCPlus {
+	if q, err := queryFrom(with("scheme", "nwc+")); err != nil || q.Scheme != nwcq.SchemeNWCPlus {
 		t.Error("case-insensitive scheme parse failed")
 	}
-	if _, err := ParseMeasure("nope"); err == nil {
+	if _, err := queryFrom(with("measure", "nope")); err == nil {
 		t.Error("bad measure accepted")
 	}
-	if m, err := ParseMeasure("WINDOW"); err != nil || m != nwcq.WindowDistance {
+	if q, err := queryFrom(with("measure", "WINDOW")); err != nil || q.Measure != nwcq.WindowDistance {
 		t.Error("case-insensitive measure parse failed")
 	}
 }

@@ -138,6 +138,10 @@ func TestWireGolden(t *testing.T) {
 			`{"queries":[{"x":500,"y":500,"l":60,"w":40,"n":4,"k":3,"m":1},{"x":1,"y":1,"l":1,"w":1,"n":50,"k":2},{"x":700,"y":300,"l":30,"w":30,"n":6,"k":2,"measure":"min"}]}`)
 		wr.probe(backend.h, backend.name, "GET", "/nwc?x=500&y=500&l=60&w=40", "")
 		wr.probe(backend.h, backend.name, "GET", "/nwc?x=500&y=500&l=-1&w=40&n=5", "")
+		wr.probe(backend.h, backend.name, "GET", "/nwc?x=500&y=500&l=60&w=40&n=5&scheme=bogus", "")
+		wr.probe(backend.h, backend.name, "GET", "/nwc?x=500&y=500&l=60&w=40&n=5&measure=bogus", "")
+		wr.probe(backend.h, backend.name, "GET", "/nwc?x=500&y=500&l=60&w=40&n=5&scheme=nwc%2B&measure=WINDOW", "")
+		wr.probe(backend.h, backend.name, "POST", "/batch/nwc", `{"queries":[{"x":500,"y":500,"l":60,"w":40,"n":5,"scheme":"nope"}]}`)
 		wr.probe(backend.h, backend.name, "POST", "/insert", `{"x":500.5,"y":499.5,"id":900001}`)
 		wr.probe(backend.h, backend.name, "GET", "/nwc?x=500&y=500&l=60&w=40&n=5", "")
 		wr.probe(backend.h, backend.name, "POST", "/delete", `{"x":500.5,"y":499.5,"id":900001}`)

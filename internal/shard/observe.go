@@ -72,7 +72,7 @@ func newRouterCounters() *routerCounters {
 func recorded(q nwcq.Query, k, m int) obs.Query {
 	return obs.Query{
 		X: q.X, Y: q.Y, Length: q.Length, Width: q.Width, N: q.N, K: k, M: m,
-		Scheme:  obs.SchemeIndex(q.Scheme.Flags()),
+		Scheme:  q.Scheme,
 		Measure: q.Measure,
 	}
 }

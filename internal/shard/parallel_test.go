@@ -355,6 +355,37 @@ func TestRouterCacheCoalescingUnderMutations(t *testing.T) {
 	}
 }
 
+// TestDefaultSchemeSharesCacheEntry: the zero Scheme is NWC*, so a query
+// that omits the scheme and the same query naming NWC* are one result
+// cache key, on an index and on a router.
+func TestDefaultSchemeSharesCacheEntry(t *testing.T) {
+	pts := straddlePoints(rand.New(rand.NewSource(77)), 100)
+	idx, err := nwcq.Build(pts, nwcq.WithResultCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, ResultCache: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	for _, b := range []interface {
+		NWC(nwcq.Query) (nwcq.Result, error)
+		Metrics() nwcq.MetricsSnapshot
+	}{idx, sh} {
+		q := nwcq.Query{X: 50, Y: 50, Length: 8, Width: 8, N: 3}
+		for _, s := range []nwcq.Scheme{nwcq.SchemeDefault, nwcq.SchemeNWCStar} {
+			q.Scheme = s
+			if _, err := b.NWC(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rc := b.Metrics().ResultCache; rc == nil || rc.Hits != 1 || rc.Misses != 1 {
+			t.Errorf("%T: cache %+v, want the NWC* query a hit on the default's entry", b, rc)
+		}
+	}
+}
+
 // TestRouterCacheHitIsExact verifies a router cache hit returns the
 // identical answer and shows up in the metrics snapshot.
 func TestRouterCacheHitIsExact(t *testing.T) {

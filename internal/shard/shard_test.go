@@ -25,7 +25,7 @@ var allMeasures = []nwcq.Measure{
 	nwcq.MaxDistance, nwcq.MinDistance, nwcq.AvgDistance, nwcq.WindowDistance,
 }
 
-// allSchemes enumerates all 16 explicit optimisation combinations.
+// allSchemes enumerates all 16 optimisation combinations.
 func allSchemes() []nwcq.Scheme {
 	var out []nwcq.Scheme
 	for b := 0; b < 16; b++ {

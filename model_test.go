@@ -31,9 +31,11 @@ import (
 //
 // The fixed-script suites this covers, assertion → op and check. The
 // two crash-recovery suites and TestShardedMutationOracle,
-// TestShardedBatchMutations, TestSubscriptionFramesMatchOracle and
-// TestSubscriptionFollowerDelivery are replaced by it; the others still
-// run as regressions on their own scripts (ROADMAP item 5(c)):
+// TestShardedBatchMutations, TestSubscriptionFramesMatchOracle,
+// TestSubscriptionFollowerDelivery, TestReplicationCatchUpAndLiveTail,
+// TestReplicationSnapshotBootstrap and TestApplyReplicatedDeduplicates
+// are replaced by it; the others still run as regressions on their own
+// scripts (ROADMAP item 5(c)):
 //   - TestMutationStressPrefixCorrectness (NWC, kNWC and batch answers
 //     under every scheme racing a writer match a version in [lo, hi]; the
 //     quiesced index holds the last version) → opReaders, then every
@@ -63,7 +65,8 @@ import (
 //     folAttachStale, catchUp's recycled check, checkFollower.
 //     …SurvivesLeaderCheckpoints (a held stream delivers every record
 //     across a checkpoint) → folHold, opCheckpoint, a sync (leaseSyncs).
-//     TestApplyReplicatedDeduplicates → folHold opens one record early.
+//     TestApplyReplicatedDeduplicates (a record delivered twice is
+//     applied once) → folHold opens one record early.
 //   - TestFollowerCrashReopenResumes (the position survives an unclean and
 //     a clean death, the clean one replaying nothing) → folCrash at fault
 //     point b, opReopen on the follower. TestLeaderRestartMidStream (a

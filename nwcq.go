@@ -92,81 +92,27 @@ const (
 // Scheme selects which of the paper's optimisation techniques run a
 // query: SRR (search region reduction), DIP (distance-based pruning),
 // DEP (density-based pruning) and IWP (incremental window query
-// processing).
-//
-// Scheme is a value type designed so Query literals need no pointer
-// plumbing: the zero value (SchemeDefault) means "the default scheme",
-// which is SchemeNWCStar with every optimisation on. To run the plain
-// unoptimised algorithm, say SchemeNWC explicitly.
-type Scheme struct {
-	bits uint8
-}
-
-const (
-	schemeBitSRR uint8 = 1 << iota
-	schemeBitDIP
-	schemeBitDEP
-	schemeBitIWP
-	// schemeBitExplicit separates an explicitly chosen scheme from the
-	// zero value, so Scheme{} can mean "default" while SchemeNWC (all
-	// optimisations off, explicitly) stays expressible.
-	schemeBitExplicit
-)
+// processing). It records the techniques switched off, so the zero value
+// (SchemeDefault) is SchemeNWCStar with every optimisation on. To run the
+// plain unoptimised algorithm, say SchemeNWC.
+type Scheme = core.Scheme
 
 // The paper's evaluation schemes (Table 3), plus the zero-value default.
-var (
-	// SchemeDefault is the zero Scheme; it resolves to SchemeNWCStar.
-	SchemeDefault = Scheme{}
-	SchemeNWC     = Scheme{bits: schemeBitExplicit}
-	SchemeSRR     = Scheme{bits: schemeBitExplicit | schemeBitSRR}
-	SchemeDIP     = Scheme{bits: schemeBitExplicit | schemeBitDIP}
-	SchemeDEP     = Scheme{bits: schemeBitExplicit | schemeBitDEP}
-	SchemeIWP     = Scheme{bits: schemeBitExplicit | schemeBitIWP}
-	SchemeNWCPlus = Scheme{bits: schemeBitExplicit | schemeBitSRR | schemeBitDIP}
-	SchemeNWCStar = Scheme{bits: schemeBitExplicit | schemeBitSRR | schemeBitDIP | schemeBitDEP | schemeBitIWP}
+const (
+	// SchemeDefault is the zero Scheme, SchemeNWCStar.
+	SchemeDefault Scheme = 0
+	SchemeNWC            = core.SchemeNWC
+	SchemeSRR            = core.SchemeSRR
+	SchemeDIP            = core.SchemeDIP
+	SchemeDEP            = core.SchemeDEP
+	SchemeIWP            = core.SchemeIWP
+	SchemeNWCPlus        = core.SchemeNWCPlus
+	SchemeNWCStar        = core.SchemeNWCStar
 )
 
-// NewScheme builds an explicit scheme from individual optimisation
-// flags. NewScheme(false, false, false, false) is the plain NWC
-// algorithm, not the default.
-func NewScheme(srr, dip, dep, iwp bool) Scheme {
-	s := Scheme{bits: schemeBitExplicit}
-	if srr {
-		s.bits |= schemeBitSRR
-	}
-	if dip {
-		s.bits |= schemeBitDIP
-	}
-	if dep {
-		s.bits |= schemeBitDEP
-	}
-	if iwp {
-		s.bits |= schemeBitIWP
-	}
-	return s
-}
-
-// IsDefault reports whether s is the zero value, which resolves to
-// SchemeNWCStar.
-func (s Scheme) IsDefault() bool { return s.bits&schemeBitExplicit == 0 }
-
-// Flags returns the resolved optimisation flags (the zero value
-// resolves to all four on).
-func (s Scheme) Flags() (srr, dip, dep, iwp bool) {
-	if s.IsDefault() {
-		return true, true, true, true
-	}
-	return s.bits&schemeBitSRR != 0, s.bits&schemeBitDIP != 0,
-		s.bits&schemeBitDEP != 0, s.bits&schemeBitIWP != 0
-}
-
-func (s Scheme) internal() core.Scheme {
-	srr, dip, dep, iwp := s.Flags()
-	return core.Scheme{SRR: srr, DIP: dip, DEP: dep, IWP: iwp}
-}
-
-// String returns the paper's name for the resolved scheme.
-func (s Scheme) String() string { return s.internal().String() }
+// NewScheme builds the scheme that runs the optimisations given as true.
+// NewScheme(false, false, false, false) is SchemeNWC.
+func NewScheme(srr, dip, dep, iwp bool) Scheme { return core.NewScheme(srr, dip, dep, iwp) }
 
 // Query is an NWC query.
 type Query struct {
@@ -517,7 +463,7 @@ func (ix *Index) NWCCtx(ctx context.Context, q Query) (Result, error) {
 func (ix *Index) nwcOnView(ctx context.Context, v *view, q Query, rec *trace.Recorder) (Result, error) {
 	res, st, err := v.eng.NWC(ctx, core.Query{
 		Q: Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N,
-	}, q.Scheme.internal(), q.Measure, core.Exec{Rec: rec, Bound: rstar.BoundFromContext(ctx)})
+	}, q.Scheme, q.Measure, core.Exec{Rec: rec, Bound: rstar.BoundFromContext(ctx)})
 	if err != nil {
 		return Result{Stats: st}, err
 	}
@@ -537,7 +483,7 @@ func (ix *Index) knwcOnView(ctx context.Context, v *view, q KQuery, rec *trace.R
 	groups, st, err := v.eng.KNWC(ctx, core.KNWCQuery{
 		Query: core.Query{Q: Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N},
 		K:     q.K, M: q.M,
-	}, q.Scheme.internal(), q.Measure, core.Exec{Rec: rec})
+	}, q.Scheme, q.Measure, core.Exec{Rec: rec})
 	if err != nil {
 		return KResult{Stats: st}, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"nwcq/internal/obs"
 	"nwcq/internal/pager"
 )
 
@@ -19,18 +18,39 @@ func buildTestIndex(t *testing.T, n int) *Index {
 	return ix
 }
 
-// TestSchemeIndexRoundTrip pins the byScheme indexing: every one of the
-// 16 flag combinations must map to its own slot and back.
+// TestSchemeIndexRoundTrip checks that each of the 16 flag combinations
+// lands in its own slot of the recorder and reads back under its own
+// name, and that the zero value counts as NWC*.
 func TestSchemeIndexRoundTrip(t *testing.T) {
+	ix := buildTestIndex(t, 100)
+	q := Query{X: 500, Y: 500, Length: 100, Width: 100, N: 3}
+	names := map[string]bool{}
 	for i := 0; i < 16; i++ {
-		s := NewScheme(i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0)
-		if got := obs.SchemeIndex(s.Flags()); got != i {
-			t.Errorf("SchemeIndex(NewScheme(%04b).Flags()) = %d, want %d", i, got, i)
+		q.Scheme = NewScheme(i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0)
+		names[q.Scheme.String()] = true
+		if _, err := ix.NWC(q); err != nil {
+			t.Fatalf("NewScheme(%04b): %v", i, err)
 		}
 	}
-	// The zero value resolves to all optimisations on.
-	if got := obs.SchemeIndex(SchemeDefault.Flags()); got != 15 {
-		t.Errorf("SchemeIndex(SchemeDefault.Flags()) = %d, want 15", got)
+	if len(names) != 16 {
+		t.Fatalf("16 schemes have %d names: %v", len(names), names)
+	}
+	q.Scheme = SchemeDefault
+	if _, err := ix.NWC(q); err != nil {
+		t.Fatal(err)
+	}
+	got := ix.Metrics().SchemeCounts
+	for name := range names {
+		want := uint64(1)
+		if name == "NWC*" {
+			want = 2
+		}
+		if got[name] != want {
+			t.Errorf("SchemeCounts[%q] = %d, want %d", name, got[name], want)
+		}
+	}
+	if len(got) != 16 {
+		t.Errorf("SchemeCounts has %d entries, want 16: %v", len(got), got)
 	}
 }
 

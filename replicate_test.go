@@ -135,14 +135,12 @@ func (m *memPaged) open(t *testing.T, o buildOptions) *PagedIndex {
 // syncFollower mirrors the internal/repl follower algorithm against the
 // direct API: stream from the follower's position, bootstrapping from a
 // snapshot when that history is compacted, until the follower reaches
-// the leader's committed LSN. Returns whether a snapshot was needed.
-func syncFollower(t *testing.T, leader, follower *PagedIndex) bool {
+// the leader's committed LSN.
+func syncFollower(t *testing.T, leader, follower *PagedIndex) {
 	t.Helper()
-	bootstrapped := false
 	from := follower.ReplicaLSN() + 1
 	st, err := leader.StreamFrom(from)
 	if errors.Is(err, ErrCompacted) {
-		bootstrapped = true
 		pts, snapLSN, serr := leader.ReplicationSnapshot()
 		if serr != nil {
 			t.Fatalf("snapshot: %v", serr)
@@ -187,7 +185,6 @@ func syncFollower(t *testing.T, leader, follower *PagedIndex) bool {
 			t.Fatalf("apply lsn %d: %v", rec.LSN, err)
 		}
 	}
-	return bootstrapped
 }
 
 // assertConverged checks the acceptance oracle: identical point sets
@@ -223,43 +220,6 @@ func assertConverged(t *testing.T, leader, follower *PagedIndex) {
 			t.Fatalf("KNWC group %d dist diverges: %g vs %g", i, lk.Groups[i].Dist, fk.Groups[i].Dist)
 		}
 	}
-}
-
-// TestReplicationCatchUpAndLiveTail drives a follower through an
-// initial catch-up and a second incremental sync, checking full
-// convergence after each.
-func TestReplicationCatchUpAndLiveTail(t *testing.T) {
-	base := crashBasePoints()
-	script, _ := buildCrashScript(rand.New(rand.NewSource(21)), base, 24)
-	o := buildOptions{maxEntries: 8, gridCellSize: 25, walSegmentBytes: 1 << 10}
-
-	leader := newMemPaged().build(t, base, o)
-	defer leader.Close()
-	follower := newMemPaged().build(t, nil, o)
-	defer follower.Close()
-
-	for _, s := range script[:12] {
-		if err := doStep(leader, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The leader's bulk-built base never went through its WAL, so the
-	// very first catch-up must come as a snapshot.
-	if !syncFollower(t, leader, follower) {
-		t.Fatal("initial catch-up skipped the snapshot bootstrap despite a bulk-built leader")
-	}
-	assertConverged(t, leader, follower)
-
-	for _, s := range script[12:] {
-		if err := doStep(leader, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The live tail is incremental: records only, no re-bootstrap.
-	if syncFollower(t, leader, follower) {
-		t.Fatal("live tail re-bootstrapped instead of streaming records")
-	}
-	assertConverged(t, leader, follower)
 }
 
 // TestReplicationSurvivesLeaderCheckpoints is the retention bug's
@@ -318,46 +278,6 @@ func TestReplicationSurvivesLeaderCheckpoints(t *testing.T) {
 	leader.wmu.Unlock()
 	if err != nil {
 		t.Fatalf("post-release checkpoint: %v", err)
-	}
-}
-
-// TestReplicationSnapshotBootstrap recycles the history a follower
-// would need, forcing the snapshot path — including wiping a stale
-// follower that had already indexed unrelated points.
-func TestReplicationSnapshotBootstrap(t *testing.T) {
-	base := crashBasePoints()
-	script, _ := buildCrashScript(rand.New(rand.NewSource(47)), base, 30)
-	o := buildOptions{maxEntries: 8, gridCellSize: 25,
-		walSegmentBytes: 1 << 10, walCheckpointBytes: 768}
-
-	leader := newMemPaged().build(t, base, o)
-	defer leader.Close()
-	for _, s := range script {
-		if err := doStep(leader, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A final checkpoint guarantees LSN 1 is recycled.
-	leader.wmu.Lock()
-	if err := leader.dur.checkpointLocked(leader.cur.Load().tree); err != nil {
-		t.Fatal(err)
-	}
-	leader.wmu.Unlock()
-	if _, err := leader.StreamFrom(1); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("StreamFrom(1) after full checkpoint = %v, want ErrCompacted", err)
-	}
-
-	// The follower starts with unrelated local state: the bootstrap must
-	// reset it, not merge with it.
-	stale := []Point{{X: 1, Y: 1, ID: 777001}, {X: 2, Y: 2, ID: 777002}}
-	follower := newMemPaged().build(t, stale, o)
-	defer follower.Close()
-	if !syncFollower(t, leader, follower) {
-		t.Fatal("expected a snapshot bootstrap")
-	}
-	assertConverged(t, leader, follower)
-	if fs := recoveredSet(t, follower); fs[stale[0]] || fs[stale[1]] {
-		t.Fatal("stale pre-bootstrap points survived the reset")
 	}
 }
 
@@ -522,38 +442,6 @@ func TestLeaderRestartMidStream(t *testing.T) {
 	}
 	syncFollower(t, leader, follower)
 	assertConverged(t, leader, follower)
-}
-
-// TestApplyReplicatedDeduplicates feeds the same record twice (stream
-// reconnect overlap) and expects one application.
-func TestApplyReplicatedDeduplicates(t *testing.T) {
-	base := crashBasePoints()
-	o := buildOptions{maxEntries: 8, gridCellSize: 25}
-	leader := newMemPaged().build(t, base, o)
-	defer leader.Close()
-	follower := newMemPaged().build(t, nil, o)
-	defer follower.Close()
-
-	if err := leader.Insert(Point{X: 10, Y: 10, ID: 500000}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := leader.StreamFrom(leader.ReplicationLSNs().Committed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	rec, err := st.Next()
-	if err != nil || rec == nil {
-		t.Fatalf("Next: %+v, %v", rec, err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := follower.ApplyReplicated(rec.LSN, rec.Data); err != nil {
-			t.Fatalf("apply #%d: %v", i+1, err)
-		}
-	}
-	if n := follower.Len(); n != 1 {
-		t.Fatalf("%d points after duplicate delivery, want 1", n)
-	}
 }
 
 // TestCloseSurfacesWALPoisonAndReleasesPages is the Close-ordering

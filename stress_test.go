@@ -210,6 +210,7 @@ func TestValidationErrors(t *testing.T) {
 		{X: 1, Y: 2, Length: 10, Width: -1, N: 3},
 		{X: 1, Y: 2, Length: 10, Width: 10, N: 0},
 		{X: 1, Y: 2, Length: 10, Width: 10, N: 3, Measure: Measure(99)},
+		{X: 1, Y: 2, Length: 10, Width: 10, N: 3, Scheme: SchemeNWC + 1},
 	}
 	for i, q := range bad {
 		_, err := idx.NWC(q)

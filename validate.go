@@ -39,8 +39,8 @@ func finiteParam(param string, v float64) error {
 }
 
 // Validate checks the query's parameters: coordinates and extents must
-// be finite, Length and Width positive, N at least 1, and Measure one
-// of the defined values. Rejections unwrap to ErrInvalidQuery.
+// be finite, Length and Width positive, N at least 1, and Measure and
+// Scheme among the defined values. Rejections unwrap to ErrInvalidQuery.
 func (q Query) Validate() error {
 	if err := finiteParam("X", q.X); err != nil {
 		return err
@@ -65,6 +65,9 @@ func (q Query) Validate() error {
 	}
 	if !q.Measure.Valid() {
 		return invalid("Measure", "unknown measure %d", int(q.Measure))
+	}
+	if q.Scheme > SchemeNWC {
+		return invalid("Scheme", "unknown scheme %d", q.Scheme)
 	}
 	return nil
 }
