@@ -28,8 +28,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -41,45 +43,59 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is nwcload over args, reporting to stdout and stderr; it returns
+// the exit status. The configuration is checked in full before the
+// /readyz gate, so a bad one fails at once whether or not a server is up.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nwcload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		url     = flag.String("url", "http://localhost:8080", "server under test")
-		mode    = flag.String("mode", "closed", "arrival model: closed (workers in lock-step) or open (fixed-rate arrivals)")
-		rate    = flag.Float64("rate", 1000, "open loop: target arrivals per second")
-		arrival = flag.String("arrival", "poisson", "open loop: inter-arrival gaps, poisson or fixed")
-		workers = flag.Int("workers", 8, "closed loop: concurrent workers; open loop: max requests in flight")
+		url     = fs.String("url", "http://localhost:8080", "server under test")
+		mode    = fs.String("mode", "closed", "arrival model: closed (workers in lock-step) or open (fixed-rate arrivals)")
+		rate    = fs.Float64("rate", 1000, "open loop: target arrivals per second")
+		arrival = fs.String("arrival", "poisson", "open loop: inter-arrival gaps, poisson or fixed")
+		workers = fs.Int("workers", 8, "closed loop: concurrent workers; open loop: max requests in flight")
 
-		duration = flag.Duration("duration", 30*time.Second, "measured window")
-		warmup   = flag.Duration("warmup", 5*time.Second, "unrecorded warmup before measuring")
-		ready    = flag.Duration("ready-timeout", 30*time.Second, "how long to wait for /readyz (0 skips the gate)")
+		duration = fs.Duration("duration", 30*time.Second, "measured window")
+		warmup   = fs.Duration("warmup", 5*time.Second, "unrecorded warmup before measuring")
+		ready    = fs.Duration("ready-timeout", 30*time.Second, "how long to wait for /readyz (0 skips the gate)")
 
-		window      = flag.Float64("window", 200, "query window side length")
-		n           = flag.Int("n", 8, "objects per window (query parameter n)")
-		k           = flag.Int("k", 3, "kNWC result groups (query parameter k)")
-		m           = flag.Int("m", 1, "kNWC non-overlap parameter m")
-		schemes     = flag.String("schemes", "", "comma-separated scheme rotation (e.g. 'NWC*,SRR'); empty = server default")
-		knwcShare   = flag.Float64("knwc-share", 0.2, "fraction of ops that are kNWC queries")
-		batchShare  = flag.Float64("batch-share", 0, "fraction of ops that are POST /batch/nwc requests")
-		batchSize   = flag.Int("batch-size", 16, "queries per batch op")
-		mutateShare = flag.Float64("mutate-share", 0, "fraction of ops that are insert/delete mutations")
-		subs        = flag.Int("subs", 0, "standing-query SSE subscriptions held open for the run; each delivered frame records publish→notify latency under the 'sub' class (pair with -mutate-share)")
-		hotShare    = flag.Float64("hot-share", 0, "fraction of query centers drawn from the Gaussian hot spot")
-		hotSigma    = flag.Float64("hot-sigma", 250, "hot-spot standard deviation")
-		seed        = flag.Int64("seed", 1, "op-stream seed (reproducible runs)")
+		window      = fs.Float64("window", 200, "query window side length")
+		n           = fs.Int("n", 8, "objects per window (query parameter n)")
+		k           = fs.Int("k", 3, "kNWC result groups (query parameter k)")
+		m           = fs.Int("m", 1, "kNWC non-overlap parameter m")
+		schemes     = fs.String("schemes", "", "comma-separated scheme rotation (e.g. 'NWC*,SRR'); empty = server default")
+		knwcShare   = fs.Float64("knwc-share", 0.2, "fraction of ops that are kNWC queries")
+		batchShare  = fs.Float64("batch-share", 0, "fraction of ops that are POST /batch/nwc requests")
+		batchSize   = fs.Int("batch-size", 16, "queries per batch op")
+		mutateShare = fs.Float64("mutate-share", 0, "fraction of ops that are insert/delete mutations")
+		subs        = fs.Int("subs", 0, "standing-query SSE subscriptions held open for the run; each delivered frame records publish→notify latency under the 'sub' class (pair with -mutate-share)")
+		hotShare    = fs.Float64("hot-share", 0, "fraction of query centers drawn from the Gaussian hot spot")
+		hotSigma    = fs.Float64("hot-sigma", 250, "hot-spot standard deviation")
+		seed        = fs.Int64("seed", 1, "op-stream seed (reproducible runs)")
 
-		sloSpec = flag.String("slo", "", "comma-separated objectives, e.g. 'nwc_p99<5ms@1krps,all_p999<50ms'")
-		sloFile = flag.String("slo-file", "", "JSON file of objectives (array of specs, or {\"slos\": [...]})")
-		out     = flag.String("out", "", "archive the report as JSON (e.g. BENCH_load.json)")
+		sloSpec = fs.String("slo", "", "comma-separated objectives, e.g. 'nwc_p99<5ms@1krps,all_p999<50ms'")
+		sloFile = fs.String("slo-file", "", "JSON file of objectives (array of specs, or {\"slos\": [...]})")
+		out     = fs.String("out", "", "archive the report as JSON (e.g. BENCH_load.json)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	slos, err := loadgen.ParseSLOs(*sloSpec)
 	if err != nil {
-		fatalConfig(err)
+		return fail(stderr, err)
 	}
 	if *sloFile != "" {
 		fromFile, err := loadgen.LoadSLOFile(*sloFile)
 		if err != nil {
-			fatalConfig(err)
+			return fail(stderr, err)
 		}
 		slos = append(slos, fromFile...)
 	}
@@ -112,44 +128,47 @@ func main() {
 		},
 	}
 	if *mode == "open" && *arrival != "poisson" && *arrival != "fixed" {
-		fatalConfig(fmt.Errorf("nwcload: -arrival %q, want poisson or fixed", *arrival))
+		return fail(stderr, fmt.Errorf("-arrival %q, want poisson or fixed", *arrival))
+	}
+	if err := cfg.Validate(); err != nil {
+		return fail(stderr, err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *ready > 0 {
-		fmt.Fprintf(os.Stderr, "waiting for %s/readyz (up to %v)\n", strings.TrimSuffix(*url, "/"), *ready)
+		fmt.Fprintf(stderr, "waiting for %s/readyz (up to %v)\n", strings.TrimSuffix(*url, "/"), *ready)
 		if err := loadgen.WaitReady(ctx, nil, *url, *ready); err != nil {
-			fatalConfig(err)
+			return fail(stderr, err)
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "running: mode=%s duration=%v warmup=%v\n", *mode, *duration, *warmup)
+	fmt.Fprintf(stderr, "running: mode=%s duration=%v warmup=%v\n", *mode, *duration, *warmup)
 	rep, err := loadgen.Run(ctx, cfg)
 	if err != nil {
-		fatalConfig(err)
+		return fail(stderr, err)
 	}
 	passed := loadgen.Evaluate(slos, rep)
 
-	printReport(rep)
+	printReport(stdout, rep)
 	if *out != "" {
 		raw, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatalConfig(err)
+			return fail(stderr, err)
 		}
 		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
-			fatalConfig(err)
+			return fail(stderr, err)
 		}
-		fmt.Fprintf(os.Stderr, "report archived to %s\n", *out)
+		fmt.Fprintf(stderr, "report archived to %s\n", *out)
 	}
 	if !passed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func printReport(rep *loadgen.Report) {
-	w := os.Stdout
+func printReport(w io.Writer, rep *loadgen.Report) {
 	fmt.Fprintf(w, "target %s, %s loop", rep.Target, rep.Mode)
 	if rep.Mode == "open" {
 		fmt.Fprintf(w, " (%s arrivals at %g rps)", rep.Arrival, rep.TargetRPS)
@@ -189,7 +208,8 @@ func printReport(rep *loadgen.Report) {
 	}
 }
 
-func fatalConfig(err error) {
-	fmt.Fprintf(os.Stderr, "nwcload: %v\n", err)
-	os.Exit(2)
+// fail reports a configuration or run error and returns exit status 2.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "nwcload: %v\n", err)
+	return 2
 }

@@ -64,7 +64,10 @@ type Config struct {
 	Client *http.Client
 }
 
-func (c *Config) validate() error {
+// Validate reports a configuration error, nil when Run can start on
+// the configuration. Run calls it first; a command calls it before it
+// waits for the server, so a bad configuration never waits on one.
+func (c Config) Validate() error {
 	if c.BaseURL == "" {
 		return errors.New("loadgen: BaseURL is required")
 	}
@@ -82,9 +85,6 @@ func (c *Config) validate() error {
 	}
 	if c.Subs < 0 {
 		return fmt.Errorf("loadgen: negative subs")
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("loadgen: duration must be positive")
@@ -156,8 +156,11 @@ func issue(ctx context.Context, client *http.Client, baseURL string, op Op) bool
 // verdicts unfilled; see Evaluate). The context cancels the run early;
 // whatever was measured so far is still reported.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = 8
 	}
 	client := cfg.Client
 	if client == nil {

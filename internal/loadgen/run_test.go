@@ -233,7 +233,7 @@ func TestConfigValidate(t *testing.T) {
 	base := func() Config {
 		return Config{BaseURL: "http://x", Mode: "closed", Duration: time.Second}
 	}
-	if err := func() error { c := base(); return c.validate() }(); err != nil {
+	if err := func() error { c := base(); return c.Validate() }(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 	bads := []func(*Config){
@@ -248,7 +248,7 @@ func TestConfigValidate(t *testing.T) {
 	for i, mutate := range bads {
 		c := base()
 		mutate(&c)
-		if err := c.validate(); err == nil {
+		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}

@@ -231,3 +231,137 @@ func TestStrOrderMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderKey holds orderKey to the float order on edge values: the
+// extremes, subnormals, both zeros and negative coordinates. The key
+// must rise with the value and map −0 and +0 to one key.
+func TestOrderKey(t *testing.T) {
+	sub := math.Float64frombits(0x000f_ffff_ffff_ffff) // the largest subnormal
+	ascending := []float64{
+		-math.MaxFloat64, -1e300, -10000, -5000.5, -1, -0x1p-1022,
+		-sub, -2 * math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, sub, 0x1p-1022,
+		1, 5000.5, 10000, 1e300, math.MaxFloat64,
+	}
+	rng := rand.New(rand.NewSource(14))
+	for range 2000 {
+		f := math.Float64frombits(rng.Uint64())
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			ascending = append(ascending, f)
+		}
+	}
+	slices.Sort(ascending)
+	for i, a := range ascending {
+		for _, b := range ascending[i:] {
+			ka, kb := orderKey(a), orderKey(b)
+			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
+				t.Fatalf("orderKey(%g) = %#x, orderKey(%g) = %#x: not in the values' order", a, ka, b, kb)
+			}
+		}
+	}
+}
+
+// strReference is the STR order by two full comparator sorts: by
+// (X, Y, ID), then each slab by (Y, X, ID).
+func strReference(pts []geom.Point, capacity int) []geom.Point {
+	want := slices.Clone(pts)
+	slices.SortFunc(want, cmpXY)
+	nNodes := (len(want) + capacity - 1) / capacity
+	slabSize := max(1, int(math.Ceil(math.Sqrt(float64(nNodes))))) * capacity
+	for s := 0; s < len(want); s += slabSize {
+		slices.SortFunc(want[s:min(s+slabSize, len(want))], cmpYX)
+	}
+	return want
+}
+
+// keyOrderInputs are the inputs that stress the key order: coincident
+// points, one x, one y, both zeros, sorted and reversed input, and xs
+// too wide or too narrow for the bucket pass to scale.
+func keyOrderInputs(n int) map[string][]geom.Point {
+	rng := rand.New(rand.NewSource(int64(n)))
+	inputs := map[string][]geom.Point{
+		"lattice": latticePoints(n, 7, int64(n)),
+		"uniform": datagen.Uniform(n, int64(n)+1),
+	}
+	sorted := slices.Clone(inputs["uniform"])
+	slices.SortFunc(sorted, cmpXY)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	inputs["sorted"], inputs["reversed"] = sorted, reversed
+	shapes := map[string]func(i int) geom.Point{
+		"one-x": func(int) geom.Point { return geom.Point{X: -7, Y: float64(rng.Intn(50)) - 25} },
+		"one-y": func(int) geom.Point { return geom.Point{X: float64(rng.Intn(50)) - 25, Y: 3} },
+		"zeros": func(i int) geom.Point {
+			z := []float64{math.Copysign(0, -1), 0, -1, 1}
+			return geom.Point{X: z[rng.Intn(4)], Y: z[rng.Intn(4)], ID: uint64(rng.Intn(3))}
+		},
+		"wide": func(int) geom.Point {
+			return geom.Point{X: []float64{-math.MaxFloat64, 0, math.MaxFloat64}[rng.Intn(3)], Y: rng.Float64()}
+		},
+		"subnormal": func(int) geom.Point {
+			return geom.Point{X: float64(rng.Intn(5)) * math.SmallestNonzeroFloat64, Y: rng.NormFloat64()}
+		},
+	}
+	for name, at := range shapes {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = at(i)
+			if name != "zeros" {
+				pts[i].ID = uint64(i)
+			}
+		}
+		inputs[name] = pts
+	}
+	return inputs
+}
+
+// TestSortSlabMatchesSort holds the radix slab sort against a full
+// cmpYX sort, one buffer serving every size.
+func TestSortSlabMatchesSort(t *testing.T) {
+	buf := make([]geom.Point, 600)
+	for _, n := range []int{0, 1, 2, 3, 64, 200, 600} {
+		for name, pts := range keyOrderInputs(n) {
+			got, want := slices.Clone(pts), slices.Clone(pts)
+			sortSlab(got, buf)
+			slices.SortFunc(want, cmpYX)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, n=%d: slab order differs from a full sort's", name, n)
+			}
+		}
+	}
+}
+
+// TestStrOrderFromMatchesSort holds the bucket pass, and strOrder in
+// place, against two full sorts for every size from 0 to a few slabs,
+// on one processor and on two; the source must come back untouched.
+func TestStrOrderFromMatchesSort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, capacity := range []int{2, 5, 35} {
+			sizes := []int{6000}
+			for n := 0; n <= 8*capacity+3; n++ {
+				sizes = append(sizes, n)
+			}
+			for _, n := range sizes {
+				for name, pts := range keyOrderInputs(n) {
+					src := slices.Clone(pts)
+					want := strReference(pts, capacity)
+					got := make([]geom.Point, n)
+					strOrderFrom(got, src, capacity)
+					if !slices.Equal(got, want) {
+						t.Fatalf("procs %d, %s, n=%d, capacity %d: strOrderFrom differs from a full sort's", procs, name, n, capacity)
+					}
+					if !slices.Equal(src, pts) {
+						t.Fatalf("procs %d, %s, n=%d, capacity %d: strOrderFrom changed its source", procs, name, n, capacity)
+					}
+					strOrder(src, capacity)
+					if !slices.Equal(src, want) {
+						t.Fatalf("procs %d, %s, n=%d, capacity %d: strOrder differs from a full sort's", procs, name, n, capacity)
+					}
+				}
+			}
+		}
+	}
+}

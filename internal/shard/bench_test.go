@@ -6,7 +6,24 @@ import (
 	"testing"
 
 	"nwcq"
+	"nwcq/internal/datagen"
 )
+
+// BenchmarkNewSharded measures the router's set-up over 200k uniform
+// points: the partition into 4 shards and their STR-packed builds.
+func BenchmarkNewSharded(b *testing.B) {
+	pts := datagen.Uniform(200000, 101)
+	opt := Options{Shards: 4, Build: []nwcq.BuildOption{nwcq.WithBulkLoad()}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh, err := NewSharded(pts, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh.Close()
+	}
+}
 
 // BenchmarkShardedScatterGather measures routed NWC latency across
 // shard counts under two query mixes: hot-spot (all queries land in one

@@ -295,9 +295,19 @@ func finite(p nwcq.Point) bool {
 }
 
 // partition splits points by destination shard, preserving input order
-// within each shard.
+// within each shard. It counts each shard's points first, so that every
+// part is allocated once, at its size.
 func (s *Sharded) partition(points []nwcq.Point) [][]nwcq.Point {
+	counts := make([]int, len(s.regions))
+	for _, p := range points {
+		counts[s.shardFor(p.X, p.Y)]++
+	}
 	parts := make([][]nwcq.Point, len(s.regions))
+	for i, c := range counts {
+		if c > 0 {
+			parts[i] = make([]nwcq.Point, 0, c)
+		}
+	}
 	for _, p := range points {
 		i := s.shardFor(p.X, p.Y)
 		parts[i] = append(parts[i], p)
