@@ -114,6 +114,47 @@ func TestCIRunPatterns(t *testing.T) {
 	}
 }
 
+// TestRetiredSuitesStayRetired holds the model test's doc comment
+// (model_test.go) to the tree: no suite it lists as replaced, before a
+// bullet's "→", is declared in any _test.go file of the module, and every
+// suite it lists as still running is. A retired suite growing back beside
+// the model, or a kept one renamed away, then fails here.
+func TestRetiredSuitesStayRetired(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "model_test.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc string
+	for _, g := range f.Comments {
+		if text := g.Text(); strings.Contains(text, "It replaces these") {
+			doc = text
+		}
+	}
+	replaced, kept, ok := strings.Cut(doc, "These still run")
+	if !ok {
+		t.Fatal("model_test.go's doc comment lists no replaced and kept suites")
+	}
+	declared, name := declaredTests(t, "./..."), regexp.MustCompile(`\bTest[A-Z]\w*`)
+	retired := 0
+	for _, bullet := range strings.Split(replaced, "\n  - ")[1:] {
+		before, _, _ := strings.Cut(bullet, "→")
+		for _, n := range name.FindAllString(before, -1) {
+			if retired++; slices.Contains(declared, n) {
+				t.Errorf("%s is declared, but model_test.go lists it as replaced by the model", n)
+			}
+		}
+	}
+	stays := name.FindAllString(kept, -1)
+	for _, n := range stays {
+		if !slices.Contains(declared, n) {
+			t.Errorf("model_test.go lists %s as still running, and no _test.go file declares it", n)
+		}
+	}
+	if retired < 10 || len(stays) < 10 {
+		t.Errorf("found %d replaced and %d kept suites in model_test.go; the pattern has stopped matching them", retired, len(stays))
+	}
+}
+
 // declaredTests lists the top-level function names in the _test.go files
 // of pkg, a go test package argument such as ".", "./internal/core/" or
 // "./..." (every package of this module; bench/ is a module of its own).

@@ -141,7 +141,7 @@ func (e *Engine) rangeQuery(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, rect
 
 // seedMemo grows the empty memo by W0, the l × w window centred on q, read
 // from the first anchor's leaf, and returns the seed it gives (DESIGN.md
-// §19 "The seed"): when W0 holds n points their n nearest fit a window, and
+// §19 "The seed"): when W0 holds n points whose n nearest fit a window,
 // the seed is their distance; otherwise it is +Inf. A seed
 // cuts what the memo keeps to its box, as it cuts every anchor's region.
 func (e *Engine) seedMemo(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, qy Query, sc *searchScratch) (float64, error) {
@@ -156,7 +156,15 @@ func (e *Engine) seedMemo(r rstar.Reader, viaIWP bool, leaf rstar.NodeID, qy Que
 	seed := math.Inf(1)
 	if len(got) >= n {
 		quickselect(got, n)
-		seed = slices.MaxFunc(got[:n], distCompare).d
+		// The lemma needs them to fit a window as the search tests it, by
+		// p.X ± l and o.Y ± w; W0's own edges q ± l/2 round, so they may not.
+		b := geom.RectAround(got[0].p)
+		for _, o := range got[1:n] {
+			b = b.ExtendPoint(o.p)
+		}
+		if b.MaxX <= b.MinX+qy.L && b.MinX >= b.MaxX-qy.L && b.MaxY <= b.MinY+qy.W && b.MinY >= b.MaxY-qy.W {
+			seed = slices.MaxFunc(got[:n], distCompare).d
+		}
 		// The gates compare squares: a seed whose square is subnormal is none.
 		if seed*seed < 0x1p-1022 {
 			seed = math.Inf(1)

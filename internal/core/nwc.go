@@ -91,21 +91,11 @@ func (e *Engine) NWC(ctx context.Context, qy Query, scheme Scheme, measure Measu
 		return true
 	}
 	c.held = func() ([]distPoint, float64) { return best, bestDist }
-	// The seed (DESIGN.md §19) bounds a serving search under the max measure
-	// from its first anchor on, and by the lemma there it still finds a
-	// group. W0's edges round; should a seeded search find none while the
-	// seed was the bound in force, it runs again without one.
-	seed := math.Inf(1)
-	var seedAt *float64
+	var seed *float64 // bounds a serving search under the max measure (DESIGN.md §19)
 	if measure == MeasureMax && !x.Paper {
-		seedAt = &seed
+		seed = new(float64)
 	}
-	stats, err := e.search(ctx, qy, scheme, c, measure, x, true, seedAt)
-	if err == nil && best == nil && !math.IsInf(seed, 1) && (sb == nil || sb.Load() > seed) {
-		var again Stats
-		again, err = e.search(ctx, qy, scheme, c, measure, x, true, nil)
-		stats.Add(again)
-	}
+	stats, err := e.search(ctx, qy, scheme, c, measure, x, true, seed)
 	if err != nil {
 		return Result{}, stats, err
 	}
@@ -426,11 +416,12 @@ func tally(cand []distPoint, xlo, xhi, b float64) (t counts) {
 //
 // seed, when non-nil (a single best group under MeasureMax, never the
 // paper's execution), receives the seed: the first anchor reads W0, the
-// l × w window centred on q, and when it holds n objects their distance
-// bounds every pruning decision from then on. It is not a group: take never
-// sees it, and it does not reach x.Bound.
+// l × w window centred on q, and when its n nearest fit a window their
+// distance bounds every pruning decision from then on, +Inf until then.
+// It is not a group: take never sees it, and it does not reach x.Bound.
 func (e *Engine) search(ctx context.Context, qy Query, scheme Scheme, c collector, measure Measure, x Exec, single bool, seed *float64) (Stats, error) {
 	if seed != nil {
+		*seed = math.Inf(1)
 		local := c.bound
 		c.bound = func() float64 { return min(local(), *seed) }
 	}

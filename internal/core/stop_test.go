@@ -721,15 +721,14 @@ func TestQueueOrderReplay(t *testing.T) {
 	}
 }
 
-// TestSeedFallback is the seed's one way to be wrong (DESIGN.md §19 "The
-// seed"): W0's n nearest fit W0, but W0's edges q ± l/2 round, so they need
-// not fit an l × w window. At 2⁵², where the spacing of float64 is 1, W0 of
-// a 1 × 1 query centred on an integer q spans three integers along x: its
-// two nearest objects, 1 either side of q, seed the bound just above 1, and
-// no window holds both. The seeded search finds nothing, and NWC searches
-// again without the seed — when the seed was the bound in force: under a
-// shared cell above it, but not under one at it, where finding nothing at or
-// under the cell is the answer. The
+// TestSeedFallback holds the seed's guard (DESIGN.md §19 "The seed"): W0's
+// edges q ± l/2 round, so W0's n nearest need not fit an l × w window. At
+// 2⁵², where the spacing of float64 is 1, W0 of a 1 × 1 query centred on an
+// integer q spans three integers along x: its two nearest objects, 1 either
+// side of q, would seed the bound just above 1, and no window holds both.
+// seedMemo refuses that seed, so the one search finds the group 3 away
+// under every shared cell above it, processing no object twice, and finds
+// nothing under a cell below it, as the paper's execution does. The
 // interpreter's lattice (half steps up to 2⁴⁰) keeps W0's edges exact, so
 // no stop script can get here.
 func TestSeedFallback(t *testing.T) {
@@ -746,17 +745,18 @@ func TestSeedFallback(t *testing.T) {
 	}
 	ctx := context.Background()
 	if w0 := geom.RectAround(q).Buffer(0.5, 0.5); w0.Width() != 2 {
-		t.Fatalf("W0 = %v is not 2 wide: nothing to fall back from", w0)
+		t.Fatalf("W0 = %v is not 2 wide: nothing to guard against", w0)
+	}
+	sc := getScratch()
+	seed, err := eng.seedMemo(eng.tree.Reader(ctx, nil), false, eng.tree.Root(), qy, sc)
+	if putScratch(sc); err != nil || !math.IsInf(seed, 1) {
+		t.Fatalf("W0's two nearest, 2 apart, seed %v (%v), want no seed", seed, err)
 	}
 	for _, c := range []struct {
-		cell         float64 // the shared cell; +Inf for none
-		found, rerun bool
-	}{
-		{math.Inf(1), true, true},
-		{4, true, true},
-		{3, true, true},
-		{1, false, false}, // the seed, which was not the bound in force alone
-	} {
+		cell      float64 // the shared cell; +Inf for none
+		found     bool
+		processed int // the two objects 1 away, then the two 3 away, each once
+	}{{math.Inf(1), true, 4}, {4, true, 4}, {3, true, 4}, {1, false, 2}} {
 		for _, scheme := range PaperSchemes {
 			var got [2]Result
 			var sts [2]Stats
@@ -773,10 +773,8 @@ func TestSeedFallback(t *testing.T) {
 			if !reflect.DeepEqual(got[0], got[1]) || got[0].Found != c.found || c.found && got[0].Dist != 3 {
 				t.Fatalf("%s: served %+v, the paper's execution %+v, want found=%v at 3", at, got[0], got[1], c.found)
 			}
-			// The seeded search takes the two objects 1 away; a rerun takes
-			// them again and the two 3 away.
-			if want := map[bool]int{false: 2, true: 6}[c.rerun]; sts[0].ObjectsProcessed != want {
-				t.Errorf("%s: %d objects processed, want %d (rerun=%v)", at, sts[0].ObjectsProcessed, want, c.rerun)
+			if sts[0].ObjectsProcessed != c.processed {
+				t.Errorf("%s: %d objects processed, want %d in one search", at, sts[0].ObjectsProcessed, c.processed)
 			}
 		}
 	}

@@ -2,8 +2,13 @@ package nwcq
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"nwcq/internal/core"
+	"nwcq/internal/geom"
 )
 
 // Incremental IWP maintenance at the index level (DESIGN.md §17). The
@@ -11,6 +16,89 @@ import (
 // internal/iwp; these tests pin what the view layer adds: a superseded
 // view keeps a valid index of its own for as long as it is pinned or
 // retained, and a mutation costs no read of the whole tree.
+
+// mutOp is one step of a recorded mutation sequence.
+type mutOp struct {
+	insert bool
+	p      Point
+}
+
+// buildMutationScript returns a deterministic base set, an op sequence,
+// and versions[k] = the point set after applying the first k ops. The
+// script mixes inserts (including periodic far-out-of-space outliers
+// that force a density-grid rebuild) with deletes of live points.
+func buildMutationScript(nBase, nOps int, seed int64) (base []Point, ops []mutOp, versions [][]Point) {
+	rng := rand.New(rand.NewSource(seed))
+	base = make([]Point, nBase)
+	for i := range base {
+		base[i] = Point{X: rng.Float64() * 400, Y: rng.Float64() * 400, ID: uint64(i)}
+	}
+	live := append([]Point(nil), base...)
+	versions = append(versions, append([]Point(nil), live...))
+	nextID := uint64(10_000)
+	for len(ops) < nOps {
+		var op mutOp
+		if len(live) > nBase/2 && rng.Float64() < 0.45 {
+			op = mutOp{insert: false, p: live[rng.Intn(len(live))]}
+		} else {
+			p := Point{X: rng.Float64() * 400, Y: rng.Float64() * 400, ID: nextID}
+			if len(ops)%10 == 9 {
+				// Outlier far outside the current space: Insert must
+				// rebuild the grid and publish it with the tree.
+				p.X = 900 + float64(len(ops))*40
+				p.Y = 900 + float64(len(ops))*40
+			}
+			nextID++
+			op = mutOp{insert: true, p: p}
+		}
+		ops = append(ops, op)
+		if op.insert {
+			live = append(live, op.p)
+		} else {
+			for i := range live {
+				if live[i] == op.p {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+		}
+		versions = append(versions, append([]Point(nil), live...))
+	}
+	return base, ops, versions
+}
+
+// mutOracle memoises brute-force answers per (query, version) so
+// concurrent checkers share the O(N³) work.
+type mutOracle struct {
+	mu       sync.Mutex
+	versions [][]Point
+	nwc      map[[2]int]core.Result
+}
+
+func newMutOracle(versions [][]Point) *mutOracle {
+	return &mutOracle{versions: versions, nwc: map[[2]int]core.Result{}}
+}
+
+func (o *mutOracle) NWC(qi, ver int, q Query) core.Result {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	key := [2]int{qi, ver}
+	if r, ok := o.nwc[key]; ok {
+		return r
+	}
+	r := core.BruteForceNWC(o.versions[ver], core.Query{
+		Q: geom.Point{X: q.X, Y: q.Y}, L: q.Length, W: q.Width, N: q.N,
+	}, core.MeasureMax)
+	o.nwc[key] = r
+	return r
+}
+
+func nwcAgrees(res Result, want core.Result) bool {
+	if res.Found != want.Found {
+		return false
+	}
+	return !res.Found || math.Abs(res.Dist-want.Group.Dist) <= 1e-9
+}
 
 // iwpQueries are answered under both IWP-bearing schemes, so an index
 // out of step with its view's tree shows up as a wrong answer or a

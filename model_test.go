@@ -29,62 +29,70 @@ import (
 // touches on the router. A frame names its version by Gen on the index
 // and the router, by the leader's LSN on a follower.
 //
-// The fixed-script suites this covers, assertion → op and check. The
-// two crash-recovery suites and TestShardedMutationOracle,
-// TestShardedBatchMutations, TestSubscriptionFramesMatchOracle,
-// TestSubscriptionFollowerDelivery, TestReplicationCatchUpAndLiveTail,
-// TestReplicationSnapshotBootstrap and TestApplyReplicatedDeduplicates
-// are replaced by it; the others still run as regressions on their own
-// scripts (ROADMAP item 5(c)):
+// It replaces these fixed-script suites, one bullet each: what they
+// asserted → the op and check that carries it now.
 //   - TestMutationStressPrefixCorrectness (NWC, kNWC and batch answers
 //     under every scheme racing a writer match a version in [lo, hi]; the
 //     quiesced index holds the last version) → opReaders, then every
 //     later op and finish's contents check.
-//   - TestShardedMutationOracle (Len and answers follow a mirror on memory
-//     and Dir shards, across a reopen) → the router backends (memory and
-//     Dir), whose opNWC answers are the oracle's whole groups, opWindow,
-//     and opReopen's contents check; TestShardedBatchMutations (flags in
-//     input order, a phantom not found) → opDeleteBatch, whose batch
-//     carries an absent point, and apply's flags check.
+//   - TestShardedMutationOracle (Len and answers follow a mirror on
+//     memory and Dir shards, across a reopen) → the router backends,
+//     whose opNWC answers are the oracle's whole groups, opWindow, and
+//     opReopen's contents check.
+//   - TestShardedBatchMutations (flags in input order, a phantom not
+//     found) → opDeleteBatch, whose batch carries an absent point, and
+//     apply's flags check.
 //   - TestSubscriptionFramesMatchOracle (an init frame at the subscribed
 //     version, monotone stamps, a publish instant, each frame the oracle
 //     at its version, a frame per changed answer, one active subscription,
-//     no evaluation error) → opSubscribe, opDrain, finish's stats check;
-//     that nothing coalesced is TestSubscriptionOverflowResync's business.
-//     TestSubscriptionFollowerDelivery (follower frames carry the leader's
-//     LSNs and answers) → opSubscribe on the follower, checked by LSN; its
-//     frame-for-frame equality with the leader is stronger than the
-//     at-least-once contract, so each side meets the oracle instead. The
-//     oracle half of TestTemporalReadsMatchSubscriptionFrames (an as-of
-//     read at a frame's LSN repeats the frame) → opAsOf and opDrain, both
-//     against the oracle at that LSN's version.
-//   - TestReplicationCatchUpAndLiveTail and …SnapshotBootstrap (a
-//     bulk-built leader's first catch-up is a snapshot since LSN 1 is
-//     compacted, the tail streams instead of bootstrapping again, a stale
-//     follower is reset, the follower equals the leader) → folAttach,
-//     folAttachStale, catchUp's recycled check, checkFollower.
-//     …SurvivesLeaderCheckpoints (a held stream delivers every record
-//     across a checkpoint) → folHold, opCheckpoint, a sync (leaseSyncs).
-//     TestApplyReplicatedDeduplicates (a record delivered twice is
-//     applied once) → folHold opens one record early.
+//     no evaluation error) → opSubscribe, opDrain, finish's stats check.
+//   - TestSubscriptionFollowerDelivery (follower frames carry the leader's
+//     LSNs and answers) → opSubscribe on the follower, checked by LSN
+//     against the oracle rather than frame for frame against the leader.
+//   - TestReplicationCatchUpAndLiveTail and TestReplicationSnapshotBootstrap
+//     (a bulk-built leader's first catch-up is a snapshot, the tail
+//     streams, a stale follower is reset, the follower equals the leader)
+//     → folAttach, folAttachStale, catchUp's recycled check, checkFollower.
+//   - TestReplicationSurvivesLeaderCheckpoints (a held stream delivers
+//     every record across a checkpoint) → folHold, opCheckpoint, a sync.
+//   - TestApplyReplicatedDeduplicates (a record delivered twice is applied
+//     once) → folHold, which opens its stream one record early.
 //   - TestFollowerCrashReopenResumes (the position survives an unclean and
-//     a clean death, the clean one replaying nothing) → folCrash at fault
-//     point b, opReopen on the follower. TestLeaderRestartMidStream (a
-//     restarted leader covers the follower's position) → opReopen.
-//   - TestCrashRecoveryEveryStep and …AbandonedWithoutSync (a recovered
-//     set in [acked, attempted], replayed from the log, serviceable,
-//     nothing replayed after the next clean close) → opCrash, crashed(),
-//     reopen, finish; TestModelCrashSweep loops crash@k until a run
-//     completes uninjured.
+//     a clean death, the clean one replaying nothing) → folCrash, opReopen
+//     on the follower and reopen's position check.
+//   - TestLeaderRestartMidStream (a restarted leader covers the
+//     follower's position) → opReopen on the leader and reopen's check.
+//   - TestCrashRecoveryEveryStep and TestCrashRecoveryAbandonedWithoutSync
+//     (a recovered set in [acked, attempted], replayed from the log,
+//     serviceable, nothing replayed after the next clean close) → opCrash,
+//     crashed(), reopen, finish, and TestModelCrashSweep.
 //
-// What no op expresses stays where it was: the WAL-level abort filter and
-// the poisoned-close ordering (replicate_test.go), OverflowResync, the
-// churn race and the zero-subscriber gate (subscribe_test.go),
-// FollowerResetReplays and FollowerCheckpointKeepsPosition
-// (record_test.go), GridRebuildPublishRace and ViewPinZeroAlloc. The
-// defects this test found are ROADMAP items 15 and 16; one of them, a
-// routed read seeing a shard at two versions, is why opReaders skips
-// the router.
+// These still run on their own scripts, each for the reason given:
+//   - TestReplicationStreamAbortFiltering and
+//     TestCloseSurfacesWALPoisonAndReleasesPages: a stream over a WAL
+//     written by hand, and a poisoned close's order.
+//   - TestSubscriptionOverflowResync, TestSubscriptionChurnUnderMutation
+//     and TestZeroSubscriberPublishBypassesRegistry: a full queue
+//     coalescing frames (the model drains before one fills),
+//     subscriptions opened and closed racing a writer, and a publish with
+//     no subscriber leaving the registry's counters alone.
+//   - TestTemporalReadsMatchSubscriptionFrames: as-of reads in the slow
+//     log and outside the retained window. That an as-of read at a frame's
+//     LSN repeats the frame, its other half, is opAsOf and opDrain, both
+//     checked against the oracle at that LSN's version.
+//   - TestFollowerResetReplays and TestFollowerCheckpointKeepsPosition: a
+//     crash at one chosen step of a re-bootstrap, and a checkpoint on every
+//     record, which the model's build options never ask for.
+//   - TestGridRebuildPublishRace and TestViewPinZeroAlloc: inserts far out
+//     of the model's space under readers, and a pin's allocations.
+//   - TestConcurrentMutationStraddling: routed reads racing a writer,
+//     which opReaders skips — a routed read can see a shard at two
+//     versions (ROADMAP item 16(b)).
+//   - TestShardedDirBuildReopen: a Dir router closed, reopened and
+//     mutated, which the sharded/dir backends' opReopen and the ops after
+//     it check too; it is the next to retire (ROADMAP item 5(d)).
+//
+// The defects this test found are ROADMAP items 15 and 16.
 
 const (
 	opInsert = iota
@@ -767,6 +775,7 @@ func (m *model) readers(a, b byte) {
 		}()
 	}
 	wg.Wait()
+	<-stop // the writer reports on m.t too
 	if m.t.Failed() {
 		m.t.FailNow()
 	}

@@ -209,10 +209,13 @@ func TestSubscriptionChurnUnderMutation(t *testing.T) {
 	}
 }
 
-// TestTemporalReadsMatchSubscriptionFrames ties the as-of read path to
-// the subscription version axis: with retention on, NWCAsOf at a
-// frame's LSN must reproduce that frame's answer, and LSNs outside the
-// retained window must fail with ErrLSNNotRetained.
+// TestTemporalReadsMatchSubscriptionFrames reads as of each frame's LSN
+// with retention on. That such a read repeats its frame is the model
+// test's opAsOf and opDrain, each checked against the oracle at the LSN's
+// version; this holds the rest: every as-of read past the slow-query
+// threshold reaches the slow log, a query that fails validation never
+// runs and stays out of it, and an LSN outside the retained window fails
+// with ErrLSNNotRetained.
 func TestTemporalReadsMatchSubscriptionFrames(t *testing.T) {
 	o := buildOptions{maxEntries: 8, gridCellSize: 25, walSegmentBytes: 1 << 10, viewRetention: 64}
 	px := newMemPaged().build(t, testPoints(50, 23), o)
@@ -239,13 +242,8 @@ func TestTemporalReadsMatchSubscriptionFrames(t *testing.T) {
 	px.SetSlowQueryThreshold(time.Nanosecond)
 	updates := 0
 	for _, u := range frames[1:] {
-		res, err := px.NWCAsOf(ctx, q, u.LSN)
-		if err != nil {
+		if _, err := px.NWCAsOf(ctx, q, u.LSN); err != nil {
 			t.Fatalf("NWCAsOf(%d): %v", u.LSN, err)
-		}
-		if res.Found != u.Result.Found || math.Abs(res.Dist-u.Result.Dist) > 1e-9 {
-			t.Fatalf("as-of read at LSN %d (found=%v dist=%g) disagrees with the frame (found=%v dist=%g)",
-				u.LSN, res.Found, res.Dist, u.Result.Found, u.Result.Dist)
 		}
 		if _, err := px.KNWCAsOf(ctx, KQuery{Query: q, K: 2, M: 1}, u.LSN); err != nil {
 			t.Fatalf("KNWCAsOf(%d): %v", u.LSN, err)
@@ -253,7 +251,7 @@ func TestTemporalReadsMatchSubscriptionFrames(t *testing.T) {
 		updates++
 	}
 	if updates == 0 {
-		t.Fatal("no update frames; the temporal cross-check is vacuous")
+		t.Fatal("no update frames; the temporal reads are vacuous")
 	}
 	// A validation failure never executed and stays out of the log.
 	if _, err := px.NWCAsOf(ctx, Query{X: 500, Y: 500, Length: 100, Width: 100}, frames[1].LSN); !errors.Is(err, ErrInvalidQuery) {
