@@ -606,11 +606,7 @@ func BenchmarkRStarBulkLoad(b *testing.B) {
 	pts := datagen.Uniform(100000, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree, err := rstar.New(rstar.NewMemStore(), rstar.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tree.BulkLoad(pts); err != nil {
+		if _, err := rstar.Build(rstar.NewMemStore(), rstar.Options{}, pts, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -628,6 +624,37 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuildPaged measures a paged index's set-up as the benchmark
+// harness's paged-mixed workload does it: 200k uniform points,
+// STR-packed over a given space into a page file with a 512-page buffer
+// pool and a 512-node cache. It reports the build's physical page
+// writes and reads: a build writes each node's page once and reads
+// none back.
+func BenchmarkBuildPaged(b *testing.B) {
+	pts := datagen.Uniform(200000, 101)
+	path := filepath.Join(b.TempDir(), "build.nwcq")
+	var writes, reads uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		px, err := BuildPaged(pts, path, WithBulkLoad(), WithSpace(0, 0, datagen.SpaceWidth, datagen.SpaceWidth),
+			WithPageCacheSize(512), WithNodeCacheSize(512), WithWALSync(SyncAlways))
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := px.PageStats()
+		writes += st.Writes
+		reads += st.Reads
+		b.StopTimer()
+		if err := px.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 }
 
 // BenchmarkRStarWindowQuery measures a window query returning ~25
@@ -713,7 +740,7 @@ func BenchmarkPagerReadWrite(b *testing.B) {
 	var ids []pager.PageID
 	payload := make([]byte, pager.PayloadSize())
 	for i := 0; i < 1024; i++ {
-		id, err := store.Allocate()
+		id, err := store.Allocate(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -743,7 +770,7 @@ func BenchmarkPagerReadWrite(b *testing.B) {
 	}
 	var cids []pager.PageID
 	for i := 0; i < 1024; i++ {
-		id, err := cached.Allocate()
+		id, err := cached.Allocate(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -402,23 +402,18 @@ func replayWAL(tree *rstar.Tree, log *wal.Log, afterLSN, baseReplica uint64) (*r
 }
 
 // rebuildFreeSet reinstates the page allocator's free list as the
-// complement of the recovered tree's reachable pages — the only ground
+// complement of reached, the recovered tree's pages — the only ground
 // truth after a crash, since the free list lives in memory only.
-func rebuildFreeSet(tree *rstar.Tree, pages *pager.Store) error {
-	ids, err := tree.NodeIDs()
-	if err != nil {
-		return err
-	}
-	reachable := make(map[pager.PageID]bool, len(ids))
-	for _, id := range ids {
-		reachable[pager.PageID(id)] = true
+func rebuildFreeSet(reached []rstar.NodeID, pages *pager.Store) {
+	reachable := make([]bool, pages.NumPages())
+	for _, id := range reached {
+		reachable[id] = true
 	}
 	var free []pager.PageID
-	for id := 1; id < pages.NumPages(); id++ {
-		if !reachable[pager.PageID(id)] {
+	for id := 1; id < len(reachable); id++ {
+		if !reachable[id] {
 			free = append(free, pager.PageID(id))
 		}
 	}
 	pages.AddFreePages(free)
-	return nil
 }

@@ -16,15 +16,12 @@ import (
 func buildUniformTree(t *testing.T, n int, fanOut int) *rstar.Tree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	tr, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: fanOut})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Point{X: rng.Float64() * 10000, Y: rng.Float64() * 10000, ID: uint64(i)}
 	}
-	if err := tr.BulkLoad(pts); err != nil {
+	tr, err := rstar.Build(rstar.NewMemStore(), rstar.Options{MaxEntries: fanOut}, pts, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return tr

@@ -53,11 +53,8 @@ func Build(name string, pts []geom.Point, cfg Config) (*Env, error) {
 	if cfg.GridCellSize == 0 {
 		cfg.GridCellSize = grid.DefaultCellSize
 	}
-	tree, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: cfg.MaxEntries})
+	tree, err := rstar.Build(rstar.NewMemStore(), rstar.Options{MaxEntries: cfg.MaxEntries}, pts, cfg.BulkLoad)
 	if err != nil {
-		return nil, err
-	}
-	if err := tree.Load(pts, cfg.BulkLoad); err != nil {
 		return nil, err
 	}
 	den, err := grid.New(datagen.Space(), cfg.GridCellSize, pts)

@@ -220,11 +220,14 @@ func Build(tree *rstar.Tree) (*Index, error) {
 
 // BuildWithStrategy walks the tree once and constructs the node records
 // and the overlapping pointer sets under the given spacing strategy. It
-// reads every node, so it is the bootstrap — a new or reopened index, a
-// commit that changed the tree's height — and the oracle Apply is tested
-// against, not the way a commit is followed. The walk's node accesses
-// are build-time cost and are not part of query I/O; callers typically
-// ResetVisits afterwards.
+// reads every internal node and no leaf: a leaf's record is its ID and
+// the MBR in its parent's entry, both known one level up, and the tree
+// is balanced (rstar's walks refuse one that is not), so the children
+// of a node at depth height−2 are the leaves. It is the bootstrap — a
+// new or reopened index, a commit that changed the tree's height — and
+// the oracle Apply is tested against, not the way a commit is followed.
+// The walk's node accesses are build-time cost and are not part of
+// query I/O; callers typically ResetVisits afterwards.
 func BuildWithStrategy(tree *rstar.Tree, strategy Strategy) (*Index, error) {
 	if strategy < Exponential || strategy > Minimal {
 		return nil, fmt.Errorf("iwp: unknown strategy %d", int(strategy))
@@ -242,24 +245,30 @@ func BuildWithStrategy(tree *rstar.Tree, strategy Strategy) (*Index, error) {
 	// child's MBR is taken from its parent's entry, which the tree keeps
 	// equal to the child's own (rstar.CheckInvariants, rule 1) — the same
 	// source Apply has.
+	leafDepth := ix.height - 1
 	byDepth := make([][]Pointer, ix.height)
-	var descend func(n *rstar.Node, mbr geom.Rect, parent rstar.NodeID, depth int) error
-	descend = func(n *rstar.Node, mbr geom.Rect, parent rstar.NodeID, depth int) error {
-		if depth >= ix.height || n.Leaf != (depth == ix.height-1) {
+	record := func(id rstar.NodeID, mbr geom.Rect, parent rstar.NodeID, depth int) {
+		*b.edit(id) = node{parent: parent, level: int32(depth + 1), mbr: mbr}
+		byDepth[depth] = append(byDepth[depth], Pointer{Node: id, MBR: mbr})
+		if depth == leafDepth {
+			ix.numLeaves++
+		}
+	}
+	var descend func(n *rstar.Node, depth int) error
+	descend = func(n *rstar.Node, depth int) error {
+		if n.Leaf != (depth == leafDepth) {
 			return fmt.Errorf("iwp: node %d at depth %d does not fit a balanced tree of height %d", n.ID, depth, ix.height)
 		}
-		*b.edit(n.ID) = node{parent: parent, level: int32(depth + 1), mbr: mbr}
-		byDepth[depth] = append(byDepth[depth], Pointer{Node: n.ID, MBR: mbr})
-		if n.Leaf {
-			ix.numLeaves++
-			return nil
-		}
 		for i, c := range n.Children {
+			record(c, n.Rects[i], n.ID, depth+1)
+			if depth+1 == leafDepth {
+				continue
+			}
 			child, err := tree.Node(c)
 			if err != nil {
 				return err
 			}
-			if err := descend(child, n.Rects[i], n.ID, depth+1); err != nil {
+			if err := descend(child, depth+1); err != nil {
 				return err
 			}
 		}
@@ -269,7 +278,8 @@ func BuildWithStrategy(tree *rstar.Tree, strategy Strategy) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := descend(root, root.MBR(), rstar.InvalidNode, 0); err != nil {
+	record(root.ID, root.MBR(), rstar.InvalidNode, 0)
+	if err := descend(root, 0); err != nil {
 		return nil, err
 	}
 

@@ -157,11 +157,8 @@ func TestBackwardPointerCountFormula(t *testing.T) {
 
 func bulkTree(t *testing.T, pts []geom.Point, maxEntries int) *rstar.Tree {
 	t.Helper()
-	tr, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: maxEntries})
+	tr, err := rstar.Build(rstar.NewMemStore(), rstar.Options{MaxEntries: maxEntries}, pts, true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.BulkLoad(pts); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -490,11 +487,8 @@ func TestSingleLeafTree(t *testing.T) {
 // every pair.
 func BenchmarkIWPBuild(b *testing.B) {
 	for _, n := range []int{200000, 800000} {
-		tr, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: 50})
+		tr, err := rstar.Build(rstar.NewMemStore(), rstar.Options{MaxEntries: 50}, datagen.Uniform(n, 101), true)
 		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.BulkLoad(datagen.Uniform(n, 101)); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {

@@ -347,20 +347,32 @@ func (s *Store) UserRoot() (PageID, []byte) {
 	return s.userRoot, meta
 }
 
-// Allocate returns a fresh page, reusing a freed page when available.
-func (s *Store) Allocate() (PageID, error) {
+// Allocate returns a fresh page holding first (at most PayloadSize
+// bytes), reusing a freed page when available: a page's first image is
+// its one write. A nil first reserves the page instead, for a caller
+// that writes it before anything reads it: a reused page keeps its
+// bytes and a new one is zeros.
+func (s *Store) Allocate(first []byte) (PageID, error) {
+	if len(first) > payloadSize {
+		return InvalidPage, fmt.Errorf("pager: payload %d bytes exceeds page payload %d", len(first), payloadSize)
+	}
 	s.meta.Lock()
 	defer s.meta.Unlock()
 	s.stats.allocs.Add(1)
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
+		if first != nil {
+			if err := s.writePage(id, first); err != nil {
+				return InvalidPage, err
+			}
+		}
 		s.free = s.free[:n-1]
 		return id, nil
 	}
 	id := PageID(s.numPages.Load())
 	// Materialise the page before publishing the new page count, so a
 	// racing reader can never pass the range check and find a hole.
-	if err := s.writePage(id, make([]byte, payloadSize)); err != nil {
+	if err := s.writePage(id, first); err != nil {
 		return InvalidPage, err
 	}
 	s.numPages.Add(1)

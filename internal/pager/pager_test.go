@@ -25,16 +25,13 @@ func newTestStore(t *testing.T, cache int) (*Store, *MemFile) {
 
 func TestAllocateReadWrite(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	id, err := s.Allocate()
+	payload := []byte("hello pages")
+	id, err := s.Allocate(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id == InvalidPage {
 		t.Fatal("allocated invalid page")
-	}
-	payload := []byte("hello pages")
-	if err := s.Write(id, payload); err != nil {
-		t.Fatal(err)
 	}
 	got, err := s.Read(id)
 	if err != nil {
@@ -45,6 +42,65 @@ func TestAllocateReadWrite(t *testing.T) {
 	}
 	if len(got) != PayloadSize() {
 		t.Fatalf("payload length %d, want %d", len(got), PayloadSize())
+	}
+	if w := s.Stats().Writes; w != 1 {
+		t.Errorf("allocating a page with its first image wrote %d pages, want 1", w)
+	}
+}
+
+// TestAllocateFirstImage: a recycled page takes its first image in the
+// allocation's one write, and a reservation (nil image) writes a new
+// page as zeros and leaves a recycled one as it was.
+func TestAllocateFirstImage(t *testing.T) {
+	s, _ := newTestStore(t, 0)
+	old, err := s.Allocate([]byte("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Free(old); err != nil {
+		t.Fatal(err)
+	}
+	s.ResetStats()
+	id, err := s.Allocate([]byte("new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != old || string(got[:3]) != "new" {
+		t.Fatalf("recycled allocation = page %d holding %q, want page %d holding \"new\"", id, got[:3], old)
+	}
+	if w := s.Stats().Writes; w != 1 {
+		t.Errorf("recycled allocation wrote %d pages, want 1", w)
+	}
+
+	if err := s.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	s.ResetStats()
+	if r, err := s.Allocate(nil); err != nil || r != id {
+		t.Fatalf("reserving = (%d, %v), want page %d", r, err, id)
+	}
+	fresh, err := s.Allocate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := s.Stats().Writes; w != 1 {
+		t.Errorf("two reservations wrote %d pages, want 1 (the new page only)", w)
+	}
+	for _, c := range []struct {
+		id   PageID
+		want string
+	}{{id, "new"}, {fresh, "\x00\x00\x00"}} {
+		got, err := s.Read(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:3]) != c.want {
+			t.Errorf("reserved page %d holds %q, want %q", c.id, got[:3], c.want)
+		}
 	}
 }
 
@@ -63,7 +119,10 @@ func TestHeaderPageProtected(t *testing.T) {
 
 func TestPayloadTooLarge(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	id, _ := s.Allocate()
+	if _, err := s.Allocate(make([]byte, PageSize)); err == nil {
+		t.Error("oversized first image accepted")
+	}
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, make([]byte, PageSize)); err == nil {
 		t.Error("oversized payload accepted")
 	}
@@ -71,9 +130,9 @@ func TestPayloadTooLarge(t *testing.T) {
 
 func TestFreeListReuse(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	a, _ := s.Allocate()
-	b, _ := s.Allocate()
-	c, _ := s.Allocate()
+	a, _ := s.Allocate(nil)
+	b, _ := s.Allocate(nil)
+	c, _ := s.Allocate(nil)
 	if err := s.Free(b); err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +140,12 @@ func TestFreeListReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// LIFO reuse: a then b.
-	r1, _ := s.Allocate()
-	r2, _ := s.Allocate()
+	r1, _ := s.Allocate(nil)
+	r2, _ := s.Allocate(nil)
 	if r1 != a || r2 != b {
 		t.Errorf("reused %d,%d; want %d,%d", r1, r2, a, b)
 	}
-	r3, _ := s.Allocate()
+	r3, _ := s.Allocate(nil)
 	if r3 != c+1 {
 		t.Errorf("fresh page %d, want %d", r3, c+1)
 	}
@@ -106,7 +165,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	contents := map[PageID][]byte{}
 	for i := 0; i < 50; i++ {
-		id, err := s.Allocate()
+		id, err := s.Allocate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +215,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate()
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("precious data")); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +268,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 
 func TestCacheHits(t *testing.T) {
 	s, _ := newTestStore(t, 8)
-	id, _ := s.Allocate()
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("cached")); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +291,7 @@ func TestCacheEviction(t *testing.T) {
 	s, _ := newTestStore(t, 2)
 	var ids []PageID
 	for i := 0; i < 4; i++ {
-		id, _ := s.Allocate()
+		id, _ := s.Allocate(nil)
 		s.Write(id, []byte{byte(i)})
 		ids = append(ids, id)
 	}
@@ -259,7 +318,7 @@ func TestCacheEviction(t *testing.T) {
 // handed out earlier keep their contents.
 func TestFrameStableAcrossWrite(t *testing.T) {
 	s, _ := newTestStore(t, 4)
-	id, _ := s.Allocate()
+	id, _ := s.Allocate(nil)
 	s.Write(id, []byte("immutable"))
 	old, _ := s.Read(id)
 	if err := s.Write(id, []byte("replaced!")); err != nil {
@@ -363,7 +422,7 @@ func TestReadPinnedKeepsResident(t *testing.T) {
 	s, _ := newTestStore(t, 2)
 	var ids []PageID
 	for i := 0; i < 4; i++ {
-		id, _ := s.Allocate()
+		id, _ := s.Allocate(nil)
 		if err := s.Write(id, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +471,7 @@ func TestReadPinnedKeepsResident(t *testing.T) {
 // file every time and counts every read as a miss.
 func TestZeroCapacityPassthrough(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	id, _ := s.Allocate()
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("cold")); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +512,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate()
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("cold page")); err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +622,7 @@ func TestOSFileBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate()
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("on disk")); err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +682,7 @@ func TestManyPagesStress(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		switch {
 		case len(order) == 0 || rng.Intn(3) > 0:
-			id, err := s.Allocate()
+			id, err := s.Allocate(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -665,7 +724,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	s, _ := newTestStore(t, 16)
 	var ids []PageID
 	for i := 0; i < 64; i++ {
-		id, err := s.Allocate()
+		id, err := s.Allocate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -726,7 +785,7 @@ func TestConcurrentAllocateFree(t *testing.T) {
 			defer wg.Done()
 			var mine []PageID
 			for i := 0; i < 100; i++ {
-				id, err := s.Allocate()
+				id, err := s.Allocate(nil)
 				if err != nil {
 					errs <- err
 					return

@@ -1,7 +1,6 @@
 package rstar
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 	"runtime"
@@ -12,56 +11,53 @@ import (
 	"nwcq/internal/geom"
 )
 
-// Load fills the empty tree with pts: by BulkLoad when bulk is set, by
-// one R* insertion per point (the paper's construction) otherwise.
-func (t *Tree) Load(pts []geom.Point, bulk bool) error {
-	if bulk {
-		return t.BulkLoad(pts)
-	}
-	for _, p := range pts {
-		if err := t.Insert(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BulkLoad builds the tree from pts using sort-tile-recursive (STR)
-// packing (Leutenegger, Edgington and Lopez, ICDE 1997). It is much
-// faster than repeated insertion for large static datasets — the setting
-// of the paper's experiments — at a small cost in node quality. The tree
-// must be empty.
+// Build creates a tree on store holding pts: by STR packing when bulk is
+// set, by one R* insertion per point (the paper's construction)
+// otherwise.
 //
-// Each node is packed to fillFactor × MaxEntries entries (fillFactor is
-// fixed at 0.7, a customary STR choice that leaves room for later
-// inserts).
+// STR (sort-tile-recursive) packing (Leutenegger, Edgington and Lopez,
+// ICDE 1997) is much faster than repeated insertion for large static
+// datasets — the setting of the paper's experiments — at a small cost in
+// node quality. Each node is packed to fillFactor × MaxEntries entries
+// (fillFactor is fixed at 0.7, a customary STR choice that leaves room
+// for later inserts), and each node is allocated full, so a paged store
+// writes each of its pages once.
 //
 // Points are ordered by (X, Y, ID) across slabs and by (Y, X, ID) within
 // one, so the tree — every node, its ID included — is a function of the
 // point set, not of the order pts lists it in: coincident points fall to
 // the leaves by ID. The coordinates must be finite.
-func (t *Tree) BulkLoad(pts []geom.Point) error {
-	if t.frozen {
-		return ErrImmutableTree
+func Build(store NodeStore, opts Options, pts []geom.Point, bulk bool) (*Tree, error) {
+	if !bulk || len(pts) == 0 {
+		t, err := New(store, opts)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range pts {
+			if err := t.Insert(p); err != nil {
+				return nil, err
+			}
+		}
+		return t, nil
 	}
-	if t.count != 0 {
-		return errors.New("rstar: BulkLoad requires an empty tree")
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if len(pts) == 0 {
-		return nil
-	}
+	t := &Tree{store: store, opts: opts}
+	return t, t.pack(pts)
+}
+
+// pack STR-packs pts, which are not empty, into a tree on a store that
+// holds none of its nodes.
+func (t *Tree) pack(pts []geom.Point) error {
 	capacity := t.opts.MaxEntries * 7 / 10
 	if capacity < 2 {
 		capacity = 2
 	}
 
-	// Free the placeholder empty root.
-	if err := t.store.Free(t.root); err != nil {
-		return err
-	}
-
 	// Level 0: tile points into leaves, ordered into a copy of pts that
-	// the upper levels then reuse as scratch.
+	// the leaves then hold.
 	sorted := make([]geom.Point, len(pts))
 	strOrderFrom(sorted, pts, capacity)
 	level, err := t.packLeaves(sorted, capacity)
@@ -70,9 +66,11 @@ func (t *Tree) BulkLoad(pts []geom.Point) error {
 	}
 	t.height = 1
 
-	// Upper levels: tile child entries until a single node remains.
+	// Upper levels: tile child entries until a single node remains, the
+	// centres ordered in one scratch slice.
+	scratch := make([]geom.Point, 2*len(level))
 	for len(level) > 1 {
-		level, err = t.packInternal(level, capacity, sorted)
+		level, err = t.packInternal(level, capacity, scratch)
 		if err != nil {
 			return err
 		}
@@ -85,15 +83,13 @@ func (t *Tree) BulkLoad(pts []geom.Point) error {
 
 // packLeaves cuts pts, in STR order, into leaves of capacity points and
 // returns the resulting child entries, one per leaf, in allocation order.
+// Each leaf holds its run of pts, capped so that an append to it copies.
 func (t *Tree) packLeaves(pts []geom.Point, capacity int) ([]entry, error) {
 	out := make([]entry, 0, (len(pts)+capacity-1)/capacity)
 	for ls := 0; ls < len(pts); ls += capacity {
-		leaf, err := t.store.Alloc(true)
-		if err != nil {
-			return nil, err
-		}
-		leaf.Points = append(leaf.Points, pts[ls:min(ls+capacity, len(pts))]...)
-		if err := t.store.Put(leaf); err != nil {
+		end := min(ls+capacity, len(pts))
+		leaf := &Node{Leaf: true, Points: pts[ls:end:end]}
+		if err := t.store.Alloc(leaf); err != nil {
 			return nil, err
 		}
 		out = append(out, childEntry(leaf.MBR(), leaf.ID))
@@ -104,12 +100,9 @@ func (t *Tree) packLeaves(pts []geom.Point, capacity int) ([]entry, error) {
 // packInternal tiles child entries into internal nodes one level up. The
 // entries are ordered by their centres, each computed once, with the
 // child's position in the level — its allocation order — breaking ties.
-// The centres are written to scratch and ordered into it, when it holds
-// two per child.
+// The centres are written to scratch, which holds two per child, and
+// ordered into it.
 func (t *Tree) packInternal(children []entry, capacity int, scratch []geom.Point) ([]entry, error) {
-	if len(scratch) < 2*len(children) {
-		scratch = make([]geom.Point, 2*len(children))
-	}
 	centres, ordered := scratch[:len(children)], scratch[len(children):2*len(children)]
 	for i, e := range children {
 		c := e.rect.Center()
@@ -118,19 +111,14 @@ func (t *Tree) packInternal(children []entry, capacity int, scratch []geom.Point
 	strOrderFrom(ordered, centres, capacity)
 	out := make([]entry, 0, (len(children)+capacity-1)/capacity)
 	for ls := 0; ls < len(ordered); ls += capacity {
-		node, err := t.store.Alloc(false)
-		if err != nil {
-			return nil, err
-		}
 		run := ordered[ls:min(ls+capacity, len(ordered))]
-		node.Rects = make([]geom.Rect, 0, len(run))
-		node.Children = make([]NodeID, 0, len(run))
+		node := &Node{Rects: make([]geom.Rect, 0, len(run)), Children: make([]NodeID, 0, len(run))}
 		for _, c := range run {
 			e := children[c.ID]
 			node.Rects = append(node.Rects, e.rect)
 			node.Children = append(node.Children, e.child)
 		}
-		if err := t.store.Put(node); err != nil {
+		if err := t.store.Alloc(node); err != nil {
 			return nil, err
 		}
 		out = append(out, childEntry(node.MBR(), node.ID))

@@ -64,8 +64,8 @@ func treeHash(t *testing.T, tr *Tree) string {
 
 func bulkLoaded(t *testing.T, pts []geom.Point, fanout int) *Tree {
 	t.Helper()
-	tr := newTree(t, Options{MaxEntries: fanout})
-	if err := tr.BulkLoad(pts); err != nil {
+	tr, err := Build(NewMemStore(), Options{MaxEntries: fanout}, pts, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(true); err != nil {
@@ -86,7 +86,7 @@ func goldenSets() map[string][]geom.Point {
 	}
 }
 
-// TestBulkLoadGolden pins the trees BulkLoad builds, node for node, to
+// TestBulkLoadGolden pins the trees Build packs, node for node, to
 // testdata/bulkload.golden. A change to the packing that alters any
 // node's ID, points, rectangles or children fails it; -update-bulkload
 // rewrites the file, which is only right for a deliberate change of the

@@ -38,12 +38,12 @@ func (s *faultStore) Put(n *Node) error {
 	return s.NodeStore.Put(n)
 }
 
-func (s *faultStore) Alloc(leaf bool) (*Node, error) {
+func (s *faultStore) Alloc(n *Node) error {
 	s.allocs++
 	if s.failAlloc > 0 && s.allocs == s.failAlloc {
-		return nil, errInjected
+		return errInjected
 	}
-	return s.NodeStore.Alloc(leaf)
+	return s.NodeStore.Alloc(n)
 }
 
 func (s *faultStore) Free(id NodeID) error {
@@ -131,13 +131,10 @@ func TestFaultPropagation(t *testing.T) {
 
 	// Alloc faults during bulk load.
 	fs := &faultStore{NodeStore: NewMemStore(), failAlloc: 3}
-	tr2, err := New(fs, Options{MaxEntries: 5})
-	if err == nil {
-		if err := tr2.BulkLoad(pts); err == nil {
-			t.Error("bulk load over failing alloc succeeded")
-		} else if !errors.Is(err, errInjected) {
-			t.Errorf("foreign bulk-load error: %v", err)
-		}
+	if _, err := Build(fs, Options{MaxEntries: 5}, pts, true); err == nil {
+		t.Error("bulk load over failing alloc succeeded")
+	} else if !errors.Is(err, errInjected) {
+		t.Errorf("foreign bulk-load error: %v", err)
 	}
 
 	// Free faults during delete.

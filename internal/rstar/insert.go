@@ -178,13 +178,11 @@ func (t *Tree) adjustPath(path []pathItem, level int) error {
 
 // growRoot installs a new root above the old one after a root split.
 func (t *Tree) growRoot(oldRoot *Node, extra entry) error {
-	newRoot, err := t.store.Alloc(false)
-	if err != nil {
-		return err
+	newRoot := &Node{
+		Rects:    []geom.Rect{oldRoot.MBR(), extra.rect},
+		Children: []NodeID{oldRoot.ID, extra.child},
 	}
-	newRoot.Rects = []geom.Rect{oldRoot.MBR(), extra.rect}
-	newRoot.Children = []NodeID{oldRoot.ID, extra.child}
-	if err := t.store.Put(newRoot); err != nil {
+	if err := t.store.Alloc(newRoot); err != nil {
 		return err
 	}
 	t.root = newRoot.ID
@@ -241,12 +239,9 @@ func (t *Tree) splitNode(node *Node) (entry, error) {
 	if err := t.store.Put(node); err != nil {
 		return entry{}, err
 	}
-	sibling, err := t.store.Alloc(node.Leaf)
-	if err != nil {
-		return entry{}, err
-	}
+	sibling := &Node{Leaf: node.Leaf}
 	setNodeEntries(sibling, right)
-	if err := t.store.Put(sibling); err != nil {
+	if err := t.store.Alloc(sibling); err != nil {
 		return entry{}, err
 	}
 	return childEntry(sibling.MBR(), sibling.ID), nil

@@ -113,9 +113,9 @@ func (v *memView) Get(id NodeID) (*Node, error) {
 	return n, nil
 }
 
-func (v *memView) Alloc(bool) (*Node, error) { return nil, ErrImmutableTree }
-func (v *memView) Put(*Node) error           { return ErrImmutableTree }
-func (v *memView) Free(NodeID) error         { return ErrImmutableTree }
+func (v *memView) Alloc(*Node) error { return ErrImmutableTree }
+func (v *memView) Put(*Node) error   { return ErrImmutableTree }
+func (v *memView) Free(NodeID) error { return ErrImmutableTree }
 
 // Root implements NodeStore.
 func (v *memView) Root() (NodeID, int, int) { return v.root, v.height, v.count }

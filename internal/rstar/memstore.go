@@ -29,9 +29,9 @@ func NewMemStore() *MemStore {
 }
 
 // Alloc implements NodeStore.
-func (s *MemStore) Alloc(leaf bool) (*Node, error) {
+func (s *MemStore) Alloc(node *Node) error {
 	if s.sealed {
-		return nil, ErrImmutableTree
+		return ErrImmutableTree
 	}
 	var id NodeID
 	if n := len(s.free); n > 0 {
@@ -41,9 +41,9 @@ func (s *MemStore) Alloc(leaf bool) (*Node, error) {
 		id = NodeID(len(s.nodes))
 		s.nodes = append(s.nodes, nil)
 	}
-	node := &Node{ID: id, Leaf: leaf}
+	node.ID = id
 	s.nodes[id] = node
-	return node, nil
+	return nil
 }
 
 // Get implements NodeStore and counts one visit.

@@ -67,14 +67,22 @@ func NewPagedStoreCache(pages *pager.Store, nodes int) *PagedStore {
 // Pages exposes the underlying page store (for stats and Sync).
 func (s *PagedStore) Pages() *pager.Store { return s.pages }
 
-// Alloc implements NodeStore.
-func (s *PagedStore) Alloc(leaf bool) (*Node, error) {
-	id, err := s.pages.Allocate()
+// Alloc implements NodeStore: the node's image is its page's first
+// and only write, and a recycled page's cached decode is dropped as a
+// Put drops it.
+func (s *PagedStore) Alloc(n *Node) error {
+	buf, err := encodeNode(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := &Node{ID: NodeID(id), Leaf: leaf}
-	return n, s.Put(n)
+	id, err := s.pages.Allocate(buf)
+	if err != nil {
+		return err
+	}
+	n.ID = NodeID(id)
+	s.version.Add(1)
+	s.cache.drop(n.ID)
+	return nil
 }
 
 // Get implements NodeStore and counts one visit. Cached nodes are
@@ -154,7 +162,7 @@ func (s *PagedStore) ResetVisits() { s.visits.Store(0) }
 // released after their readers drained), so writing the page later
 // cannot disturb a pinned version.
 func (s *PagedStore) ReserveID() (NodeID, error) {
-	id, err := s.pages.Allocate()
+	id, err := s.pages.Allocate(nil)
 	if err != nil {
 		return 0, err
 	}

@@ -312,12 +312,8 @@ func TestNodeCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewPagedStoreCache(pages, 64)
-	n, err := s.Alloc(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Points = append(n.Points, geom.Point{X: 1, Y: 2, ID: 3})
-	if err := s.Put(n); err != nil {
+	n := &Node{Leaf: true, Points: []geom.Point{{X: 1, Y: 2, ID: 3}}}
+	if err := s.Alloc(n); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get(n.ID)
@@ -363,8 +359,8 @@ func TestNodeCacheStaleDecodeNotInserted(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewPagedStoreCache(pages, 64)
-	n, err := s.Alloc(true)
-	if err != nil {
+	n := &Node{Leaf: true}
+	if err := s.Alloc(n); err != nil {
 		t.Fatal(err)
 	}
 	stale := &Node{ID: n.ID, Leaf: true}
@@ -391,12 +387,8 @@ func TestPagedStoreConcurrentGetPut(t *testing.T) {
 	s := NewPagedStoreCache(pages, 64)
 	var ids []NodeID
 	for i := 0; i < 16; i++ {
-		n, err := s.Alloc(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Points = []geom.Point{{X: float64(i), Y: float64(i), ID: uint64(i)}}
-		if err := s.Put(n); err != nil {
+		n := &Node{Leaf: true, Points: []geom.Point{{X: float64(i), Y: float64(i), ID: uint64(i)}}}
+		if err := s.Alloc(n); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, n.ID)

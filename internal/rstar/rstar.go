@@ -79,8 +79,9 @@ func (n *Node) MBR() geom.Rect {
 // NodeStore abstracts node persistence. Implementations count node
 // accesses (Get) so the tree can report I/O in the paper's metric.
 type NodeStore interface {
-	// Alloc creates an empty node of the given kind.
-	Alloc(leaf bool) (*Node, error)
+	// Alloc assigns the filled node n a fresh ID and persists it, so a
+	// new node is written once.
+	Alloc(n *Node) error
 	// Get fetches a node and counts one visit.
 	Get(id NodeID) (*Node, error)
 	// Put persists a node after mutation.
@@ -142,7 +143,7 @@ type Tree struct {
 	reinsertedAtLevel []bool
 
 	// frozen marks an immutable snapshot (see Freeze in snapshot.go);
-	// Insert/Delete/BulkLoad refuse to run and changes go through
+	// Insert and Delete refuse to run and changes go through
 	// BeginWrite instead.
 	frozen bool
 }
@@ -154,15 +155,12 @@ func New(store NodeStore, opts Options) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{store: store, opts: opts}
-	root, err := store.Alloc(true)
-	if err != nil {
+	root := &Node{Leaf: true}
+	if err := store.Alloc(root); err != nil {
 		return nil, err
 	}
 	t.root = root.ID
 	t.height = 1
-	if err := store.Put(root); err != nil {
-		return nil, err
-	}
 	return t, t.persistRoot()
 }
 
@@ -216,30 +214,4 @@ func (t *Tree) MBR() (geom.Rect, error) {
 		return geom.Rect{}, err
 	}
 	return root.MBR(), nil
-}
-
-// NodeIDs walks the tree and returns the id of every reachable node
-// (root included; empty for an empty tree). Crash recovery uses the set
-// to reconstruct the page allocator's free list as the complement of
-// reachability. The walk counts visits on the cumulative counter;
-// callers that care reset it afterwards.
-func (t *Tree) NodeIDs() ([]NodeID, error) {
-	if t.root == InvalidNode {
-		return nil, nil
-	}
-	var ids []NodeID
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		ids = append(ids, id)
-		n, err := t.store.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if !n.Leaf {
-			stack = append(stack, n.Children...)
-		}
-	}
-	return ids, nil
 }

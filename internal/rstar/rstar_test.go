@@ -394,8 +394,8 @@ func TestBulkLoad(t *testing.T) {
 	for _, n := range []int{1, 10, 100, 5000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		pts := genPoints(rng, n, true)
-		tr := newTree(t, Options{MaxEntries: 16})
-		if err := tr.BulkLoad(pts); err != nil {
+		tr, err := Build(NewMemStore(), Options{MaxEntries: 16}, pts, true)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if tr.Len() != n {
@@ -424,8 +424,8 @@ func TestBulkLoad(t *testing.T) {
 func TestBulkLoadThenMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	pts := genPoints(rng, 2000, false)
-	tr := newTree(t, Options{MaxEntries: 16})
-	if err := tr.BulkLoad(pts[:1500]); err != nil {
+	tr, err := Build(NewMemStore(), Options{MaxEntries: 16}, pts[:1500], true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	insertAll(t, tr, pts[1500:])
@@ -439,16 +439,6 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	}
 	all, _ := tr.All()
 	samePointSet(t, all, pts[200:], "bulk+mutate contents")
-}
-
-func TestBulkLoadNonEmptyRejected(t *testing.T) {
-	tr := newTree(t, Options{})
-	if err := tr.Insert(geom.Point{X: 1, Y: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.BulkLoad([]geom.Point{{X: 2, Y: 2}}); err == nil {
-		t.Error("BulkLoad on non-empty tree accepted")
-	}
 }
 
 func TestVisitCounting(t *testing.T) {

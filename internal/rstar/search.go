@@ -1,6 +1,10 @@
 package rstar
 
-import "nwcq/internal/geom"
+import (
+	"fmt"
+
+	"nwcq/internal/geom"
+)
 
 // Search performs a window (range) query: fn is called for every indexed
 // point inside rect (closed boundaries). fn returning false stops the
@@ -27,37 +31,55 @@ func (t *Tree) SearchCollect(rect geom.Rect) ([]geom.Point, error) {
 
 // All returns every indexed point in unspecified order.
 func (t *Tree) All() ([]geom.Point, error) {
-	out := make([]geom.Point, 0, t.count)
-	err := t.walk(t.root, func(n *Node) bool {
+	pts, _, err := t.Contents()
+	return pts, err
+}
+
+// Contents walks the tree once, reading each node once, and returns its
+// points and the ID of every node, root included. Recovery reinstates
+// the page allocator's free set from the IDs, as the complement of what
+// the tree reaches. Like every walk it refuses an unbalanced tree.
+func (t *Tree) Contents() ([]geom.Point, []NodeID, error) {
+	pts := make([]geom.Point, 0, t.count)
+	var ids []NodeID
+	err := t.walk(t.root, 0, func(n *Node) bool {
+		ids = append(ids, n.ID)
 		if n.Leaf {
-			out = append(out, n.Points...)
+			pts = append(pts, n.Points...)
 		}
 		return true
 	})
-	return out, err
+	return pts, ids, err
 }
 
-// walk visits every node of the subtree depth-first. fn returning false
-// prunes the node's subtree.
-func (t *Tree) walk(id NodeID, fn func(n *Node) bool) error {
+// walk visits every node of the subtree of id, at depth, depth-first. fn
+// returning false prunes the node's subtree. It checks the balanced-tree
+// rule on every node it reads: a leaf sits at depth Height()−1 and
+// nothing else does. So a page file whose leaf level holds an internal
+// node, or whose upper levels hold a leaf, is refused by the walk that
+// reopens it; the IWP build, which reads no leaf, relies on that.
+func (t *Tree) walk(id NodeID, depth int, fn func(n *Node) bool) error {
 	node, err := t.store.Get(id)
 	if err != nil {
 		return err
+	}
+	if node.Leaf != (depth == t.height-1) {
+		return fmt.Errorf("rstar: node %d at depth %d does not fit a balanced tree of height %d", id, depth, t.height)
 	}
 	if !fn(node) || node.Leaf {
 		return nil
 	}
 	for _, c := range node.Children {
-		if err := t.walk(c, fn); err != nil {
+		if err := t.walk(c, depth+1, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Walk exposes a read-only depth-first traversal of the tree's nodes.
-// It is used by the IWP build pass and by invariant checks; every node
-// access is counted like any other visit.
+// Walk exposes a read-only depth-first traversal of the tree's nodes,
+// used by invariant checks; every node access is counted like any other
+// visit.
 func (t *Tree) Walk(fn func(n *Node) bool) error {
-	return t.walk(t.root, fn)
+	return t.walk(t.root, 0, fn)
 }

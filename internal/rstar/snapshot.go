@@ -79,8 +79,8 @@ type freezableStore interface {
 	Freeze() (NodeStore, error)
 }
 
-// ErrImmutableTree is returned by direct mutations (Insert, Delete,
-// BulkLoad) on a frozen tree; changes must go through BeginWrite.
+// ErrImmutableTree is returned by direct mutations (Insert, Delete) on
+// a frozen tree; changes must go through BeginWrite.
 var ErrImmutableTree = errors.New("rstar: tree snapshot is immutable; use BeginWrite")
 
 // Freeze seals the tree's store against in-place mutation and returns
@@ -310,16 +310,16 @@ func (s *cowStore) Put(n *Node) error {
 	return nil
 }
 
-func (s *cowStore) Alloc(leaf bool) (*Node, error) {
+func (s *cowStore) Alloc(n *Node) error {
 	id, err := s.base.ReserveID()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := &Node{ID: id, Leaf: leaf}
+	n.ID = id
 	s.dirty[id] = n
 	s.written[id] = true
 	s.allocs[id] = true
-	return n, nil
+	return nil
 }
 
 func (s *cowStore) Free(id NodeID) error {

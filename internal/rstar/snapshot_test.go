@@ -447,7 +447,7 @@ func TestCommitDeltaExact(t *testing.T) {
 			heights := map[int]bool{}
 
 			reachable := func(tr *Tree) map[NodeID]bool {
-				ids, err := tr.NodeIDs()
+				_, ids, err := tr.Contents()
 				if err != nil {
 					t.Fatal(err)
 				}

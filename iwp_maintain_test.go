@@ -1,9 +1,11 @@
 package nwcq
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -227,6 +229,68 @@ func TestPinnedViewsKeepTheirIWPIndex(t *testing.T) {
 			checkViewAgainstOracle(t, "retained, after writes", oracle, ver, asOf(lsnOf[ver]))
 		}
 	})
+}
+
+// TestPinnedViewSurvivesCheckpoint: a view a query pins keeps its pages
+// through checkpoints. The views before it drain, and a checkpoint
+// returns their pages to the allocator; the pinned view is retired past
+// a small retention and stays queued. Commits then take every recycled
+// page, writing each new node's first image into it, until the file has
+// to grow again. The pinned view still answers as its version does.
+func TestPinnedViewSurvivesCheckpoint(t *testing.T) {
+	const nBase, nOps, pinAt, retention = 140, 400, 20, 2
+	base, ops, versions := buildMutationScript(nBase, nOps, 67)
+	oracle := newMutOracle(versions)
+	px := newMemPaged().build(t, base, buildOptions{maxEntries: 6, gridCellSize: 25, viewRetention: retention})
+	defer px.Close()
+	ctx := context.Background()
+	apply := func(op mutOp) {
+		t.Helper()
+		if op.insert {
+			if err := px.Insert(op.p); err != nil {
+				t.Fatal(err)
+			}
+		} else if found, err := px.Delete(op.p); err != nil || !found {
+			t.Fatalf("delete %v = (%v, %v)", op.p, found, err)
+		}
+	}
+
+	for _, op := range ops[:pinAt] {
+		apply(op)
+	}
+	pinned := px.acquire()
+	defer pinned.release()
+	k := pinAt
+	for ; k < pinAt+4*retention; k++ {
+		apply(ops[k])
+	}
+	if err := px.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recycled := px.pages.Stats().Frees
+	if recycled == 0 {
+		t.Fatal("the checkpoint returned no page to the allocator")
+	}
+	for grown := px.pages.NumPages(); px.pages.NumPages() == grown; k++ {
+		if k == nOps {
+			t.Fatalf("%d commits after the checkpoint left %d recycled pages unused", nOps-pinAt-4*retention, recycled)
+		}
+		apply(ops[k])
+	}
+	checkViewAgainstOracle(t, "pinned across a checkpoint", oracle, pinAt, func(q Query) (Result, error) {
+		return px.nwcOnView(ctx, pinned, q, nil)
+	})
+	got, err := pinned.tree.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := func(a, b Point) int { return cmp.Compare(a.ID, b.ID) }
+	slices.SortFunc(got, byID)
+	want := slices.Clone(versions[pinAt])
+	slices.SortFunc(want, byID)
+	if !slices.Equal(got, want) {
+		t.Errorf("the pinned view holds %d points after %d commits on recycled pages, its version %d", len(got), k-pinAt, len(want))
+	}
 }
 
 // TestPagedMutationsPatchIWP is the paged-mixed regression in miniature:

@@ -358,11 +358,8 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 	if err := o.check(points); err != nil {
 		return nil, err
 	}
-	tree, err := rstar.New(rstar.NewMemStore(), rstar.Options{MaxEntries: o.maxEntries})
+	tree, err := rstar.Build(rstar.NewMemStore(), rstar.Options{MaxEntries: o.maxEntries}, points, o.bulkLoad)
 	if err != nil {
-		return nil, err
-	}
-	if err := tree.Load(points, o.bulkLoad); err != nil {
 		return nil, err
 	}
 	ix := &Index{}

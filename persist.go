@@ -143,11 +143,8 @@ func buildPagedOn(points []Point, f pagedFile, wfs wal.FS, o buildOptions) (px *
 	if px.pages, err = pager.Create(f, pager.Options{CacheSize: pageCache}); err != nil {
 		return nil, err
 	}
-	tree, err := rstar.New(rstar.NewPagedStoreCache(px.pages, nodeCache), rstar.Options{MaxEntries: o.maxEntries})
+	tree, err := rstar.Build(rstar.NewPagedStoreCache(px.pages, nodeCache), rstar.Options{MaxEntries: o.maxEntries}, points, o.bulkLoad)
 	if err != nil {
-		return nil, err
-	}
-	if err = tree.Load(points, o.bulkLoad); err != nil {
 		return nil, err
 	}
 	// A fresh log plus an initial checkpoint: the build is the durable
@@ -221,15 +218,14 @@ func openPagedOn(f pagedFile, wfs wal.FS, o buildOptions) (px *PagedIndex, err e
 			return nil, err
 		}
 	}
-	// The free list lives in memory only: reinstate it as the complement
-	// of the recovered tree's reachable pages.
-	if err = rebuildFreeSet(tree, px.pages); err != nil {
-		return nil, err
-	}
-	points, err := tree.All()
+	// One walk reads every page of the recovered tree once, refusing a
+	// tree that is not balanced. The free list lives in memory only:
+	// reinstate it as the complement of the pages the walk reached.
+	points, reached, err := tree.Contents()
 	if err != nil {
 		return nil, err
 	}
+	rebuildFreeSet(reached, px.pages)
 	if err = px.start(tree, points, o); err != nil {
 		return nil, err
 	}

@@ -1,9 +1,18 @@
 package nwcq
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"nwcq/internal/pager"
+	"nwcq/internal/rstar"
 )
 
 func TestPagedBuildQueryReopen(t *testing.T) {
@@ -267,5 +276,142 @@ func TestPagedMutationPersists(t *testing.T) {
 	}
 	if c.Found != b.Found || math.Abs(c.Dist-b.Dist) > 1e-9 {
 		t.Fatalf("reopened dist %v/%g, fresh %v/%g", c.Found, c.Dist, b.Found, b.Dist)
+	}
+}
+
+// pagedBuildSHA256 pins the bytes of the page file TestPagedBuildIO
+// builds. The hash was taken from a build that wrote every page three
+// times and read the leaves back: how often a build writes a page must
+// not change what the file holds.
+const pagedBuildSHA256 = "testdata/paged_build.sha256"
+
+// TestPagedBuildIO: a paged build writes each node's page once and
+// reads none back, and the file's bytes are the ones pinned in
+// testdata. Reopening it with caches smaller than the tree reads each
+// page once, plus at most one read per internal node for the IWP build.
+func TestPagedBuildIO(t *testing.T) {
+	pts := testPoints(20000, 44)
+	path := filepath.Join(t.TempDir(), "index.nwcq")
+	px, err := BuildPaged(pts, path, WithBulkLoad(), WithPageCacheSize(32), WithNodeCacheSize(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := px.PageStats()
+	nodes := uint64(px.pages.NumPages() - 1) // the header page is not a node
+	if st.Writes != nodes || st.Reads != 0 {
+		t.Errorf("build of %d nodes wrote %d pages and read %d, want %d and 0", nodes, st.Writes, st.Reads, nodes)
+	}
+	if err := px.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(pagedBuildSHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != strings.TrimSpace(string(want)) {
+		t.Errorf("page file SHA-256 %s, want %s (%s)", got, strings.TrimSpace(string(want)), pagedBuildSHA256)
+	}
+
+	re, err := OpenPaged(path, WithPageCacheSize(32), WithNodeCacheSize(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	reads := re.PageStats().Reads
+	var walked, internal uint64
+	if err := re.cur.Load().tree.Walk(func(n *rstar.Node) bool {
+		walked++
+		if !n.Leaf {
+			internal++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if walked != nodes {
+		t.Fatalf("reopened tree has %d nodes, the build wrote %d", walked, nodes)
+	}
+	if reads < nodes || reads > nodes+internal {
+		t.Errorf("reopen read %d pages, want from %d (every node) to %d (and every internal node again)", reads, nodes, nodes+internal)
+	}
+	t.Logf("%d nodes (%d internal): build wrote %d pages, reopen read %d", nodes, internal, st.Writes, reads)
+}
+
+// TestOpenPagedRefusesUnbalancedTree hand-edits a page file, with valid
+// checksums, so that a leaf-level page holds an internal node, and in a
+// second file so that an upper-level page holds a leaf. Neither is a
+// tree the index can serve, and OpenPaged must refuse both.
+func TestOpenPagedRefusesUnbalancedTree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// from is the kind of page replaced, 1 for a leaf and 0 for an
+		// internal node other than the root.
+		from byte
+	}{{"leaf-level page holds an internal node", 1}, {"upper-level page holds a leaf", 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "index.nwcq")
+			px, err := BuildPaged(walTestPoints(3000), path, WithBulkLoad())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if px.TreeHeight() < 3 {
+				t.Fatalf("tree height %d, want 3 or more for an internal node below the root", px.TreeHeight())
+			}
+			if err := px.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page := func(id int) []byte { return raw[id*pager.PageSize : (id+1)*pager.PageSize] }
+			root := int(binary.BigEndian.Uint32(page(0)[16:20]))
+			victim, other := 0, 0
+			for id := 1; id < len(raw)/pager.PageSize; id++ {
+				switch {
+				case id == root:
+				case page(id)[0] == c.from && victim == 0:
+					victim = id
+				case page(id)[0] == 1 && other == 0:
+					other = id
+				}
+			}
+			if victim == 0 || other == 0 {
+				t.Fatal("no page to replace")
+			}
+			p := page(victim)
+			clear(p)
+			if c.from == 1 {
+				// An internal node of one entry: another leaf, under its MBR.
+				p[0], p[2] = 0, 1
+				for i, v := range []float64{0, 0, 500, 500} {
+					binary.BigEndian.PutUint64(p[3+8*i:], math.Float64bits(v))
+				}
+				binary.BigEndian.PutUint32(p[35:], uint32(other))
+			} else {
+				// A leaf of one point.
+				p[0], p[2] = 1, 1
+				binary.BigEndian.PutUint64(p[3:], math.Float64bits(1))
+				binary.BigEndian.PutUint64(p[11:], math.Float64bits(1))
+				binary.BigEndian.PutUint64(p[19:], 1)
+			}
+			payload := len(p) - 4
+			binary.BigEndian.PutUint32(p[payload:], crc32.ChecksumIEEE(p[:payload]))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenPaged(path)
+			if err == nil {
+				re.Close()
+				t.Fatal("OpenPaged served a tree that is not balanced")
+			}
+			if !strings.Contains(err.Error(), "does not fit a balanced tree") {
+				t.Fatalf("OpenPaged error %q, want the balanced-tree refusal", err)
+			}
+		})
 	}
 }
