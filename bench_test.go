@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -631,7 +632,9 @@ func BenchmarkBuild(b *testing.B) {
 // STR-packed over a given space into a page file with a 512-page buffer
 // pool and a 512-node cache. It reports the build's physical page
 // writes and reads: a build writes each node's page once and reads
-// none back.
+// none back. Each build starts with no page file: the previous one is
+// removed with the timer stopped, so no iteration pays for truncating
+// its predecessor's 24 MB.
 func BenchmarkBuildPaged(b *testing.B) {
 	pts := datagen.Uniform(200000, 101)
 	path := filepath.Join(b.TempDir(), "build.nwcq")
@@ -649,6 +652,9 @@ func BenchmarkBuildPaged(b *testing.B) {
 		reads += st.Reads
 		b.StopTimer()
 		if err := px.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -740,7 +746,7 @@ func BenchmarkPagerReadWrite(b *testing.B) {
 	var ids []pager.PageID
 	payload := make([]byte, pager.PayloadSize())
 	for i := 0; i < 1024; i++ {
-		id, err := store.Allocate(nil)
+		id, err := store.Allocate(nil, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -770,7 +776,7 @@ func BenchmarkPagerReadWrite(b *testing.B) {
 	}
 	var cids []pager.PageID
 	for i := 0; i < 1024; i++ {
-		id, err := cached.Allocate(nil)
+		id, err := cached.Allocate(nil, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -74,11 +74,15 @@ type crashInjector struct {
 	armed     bool
 	remaining int
 	crashed   bool
+	// pageTear is the length of the page-file write the crash landed
+	// on, zero when it landed anywhere else; headers counts the header
+	// writes that reached the page file since the injector was armed.
+	pageTear, headers int
 }
 
 func (c *crashInjector) arm(k int) {
 	c.mu.Lock()
-	c.armed, c.remaining, c.crashed = k >= 0, k, false
+	c.armed, c.remaining, c.crashed, c.pageTear, c.headers = k >= 0, k, false, 0, 0
 	c.mu.Unlock()
 }
 
@@ -110,10 +114,11 @@ func (c *crashInjector) didCrash() bool {
 
 // crashFile injects failures into one file's mutating operations. Reads
 // never fail: the interesting states are what survives on "disk", not
-// read errors. With headerAtomic the offset-0 write is all-or-nothing,
-// matching the protocol's documented assumption that the pager's
-// header-page write is atomic; WAL segment writes tear freely, since
-// the frame CRC scan is exactly the mechanism that handles them.
+// read errors. With headerAtomic (the page file) the offset-0 write is
+// all-or-nothing, matching the protocol's documented assumption that
+// the pager's header-page write is atomic, and a torn page write is
+// recorded in the injector's pageTear; WAL segment writes tear freely,
+// since the frame CRC scan is exactly the mechanism that handles them.
 type crashFile struct {
 	*wal.MemFile
 	inj          *crashInjector
@@ -123,10 +128,20 @@ type crashFile struct {
 func (f *crashFile) WriteAt(p []byte, off int64) (int, error) {
 	torn, failed := f.inj.step()
 	if failed {
+		if torn && f.headerAtomic {
+			f.inj.mu.Lock()
+			f.inj.pageTear = len(p)
+			f.inj.mu.Unlock()
+		}
 		if torn && !(f.headerAtomic && off == 0) && len(p) > 1 {
 			_, _ = f.MemFile.WriteAt(p[:len(p)/2], off)
 		}
 		return 0, errCrash
+	}
+	if f.headerAtomic && off == 0 {
+		f.inj.mu.Lock()
+		f.inj.headers++
+		f.inj.mu.Unlock()
 	}
 	return f.MemFile.WriteAt(p, off)
 }

@@ -1,10 +1,10 @@
 package iwp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"nwcq/internal/datagen"
@@ -269,34 +269,35 @@ func checkOverlapsBruteForce(t *testing.T, label string, tr *rstar.Tree, strateg
 
 func samePointSet(t *testing.T, got, want []geom.Point, label string) {
 	t.Helper()
-	key := func(p geom.Point) [3]float64 {
-		return [3]float64{p.X, p.Y, float64(p.ID)}
-	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
 	}
-	a := make([][3]float64, len(got))
-	b := make([][3]float64, len(want))
-	for i := range got {
-		a[i], b[i] = key(got[i]), key(want[i])
-	}
-	less := func(s [][3]float64) func(i, j int) bool {
-		return func(i, j int) bool {
-			for k := 0; k < 3; k++ {
-				if s[i][k] != s[j][k] {
-					return s[i][k] < s[j][k]
-				}
-			}
-			return false
-		}
-	}
-	sort.Slice(a, less(a))
-	sort.Slice(b, less(b))
+	a, b := sortedPoints(got), sortedPoints(want)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("%s: element %d differs", label, i)
 		}
 	}
+}
+
+// samePoints reports whether got and want hold the same points in any
+// order, without formatting a label for the common case.
+func samePoints(got, want []geom.Point) bool {
+	return len(got) == len(want) && slices.Equal(sortedPoints(got), sortedPoints(want))
+}
+
+func sortedPoints(pts []geom.Point) []geom.Point {
+	out := slices.Clone(pts)
+	slices.SortFunc(out, func(a, b geom.Point) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Y, b.Y); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return out
 }
 
 // TestWindowQueryEquivalence is the core IWP property: for every object

@@ -39,7 +39,7 @@ func FuzzPagerOpen(f *testing.F) {
 				t.Fatalf("page %d of %d unreadable: %v", id, n, err)
 			}
 		}
-		id, err := s.Allocate(nil)
+		id, err := s.Allocate(nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,10 @@
 //   - File I/O is serialised per page by striped reader/writer locks, so
 //     reads of different pages proceed in parallel and a write never
 //     tears a concurrent read of its page.
+//   - Pages appended at the end of the file wait in one write-behind
+//     run and reach the file in one write per run; a reader checks the
+//     run's span lock-free and writes the run out only when it misses
+//     on one of its pages.
 //   - Statistics are atomic counters, snapshotted without stopping
 //     readers.
 //
@@ -34,6 +38,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -56,6 +61,10 @@ const (
 // Two pages conflict only when their IDs collide modulo this count.
 const ioStripes = 64
 
+// runPages is the most pages the write-behind run holds (1 MiB): an
+// append to a full run writes the run out first.
+const runPages = 256
+
 // PageID identifies a page within a file. Page 0 is the header page and
 // is never handed out by Allocate.
 type PageID uint32
@@ -69,7 +78,8 @@ const InvalidPage PageID = 0
 // concurrent traffic is consistent per counter.
 type Stats struct {
 	// Reads and Writes count pages physically transferred to or from the
-	// backing file.
+	// backing file. A page appended to the write-behind run is counted
+	// when it joins the run, whose one write carries it to the file.
 	Reads  uint64
 	Writes uint64
 	Allocs uint64
@@ -140,8 +150,9 @@ type File interface {
 	io.WriterAt
 	Truncate(size int64) error
 	// Sync makes previously written bytes durable (fsync). Page writes
-	// are write-through but land in the OS cache; checkpoints call Sync
-	// to pin them to stable storage.
+	// land in the OS cache, and the Store writes its pending run out
+	// before every Sync; checkpoints call Sync to pin the pages to
+	// stable storage.
 	Sync() error
 }
 
@@ -229,10 +240,24 @@ type Store struct {
 	flight   map[PageID]*flightCall
 
 	// meta guards the allocation state and the header image. Lock order:
-	// meta before any io stripe; the read path takes neither meta nor
+	// meta before runMu, and meta before any io stripe; no stripe is
+	// held while runMu is taken. The read path takes neither meta nor
 	// more than one stripe.
 	meta     sync.Mutex
 	dirtyHdr bool
+
+	// run is the write-behind run: the whole images (CRC trailer in
+	// place) of the pages Allocate appended at the end of the file and
+	// has not written yet, consecutive from runStart. runMu guards both.
+	// The buffer grows by doubling, is reused from run to run and is
+	// released at every fsync, so an idle store holds none. runSpan mirrors the run's pages as
+	// start<<32 | end for the read path's lock-free check; it is zero
+	// when the run is empty, and it is cleared only after the run's
+	// write returned.
+	runMu    sync.Mutex
+	runStart PageID
+	run      []byte
+	runSpan  atomic.Uint64
 
 	// free holds the reusable pages. It lives in memory only: Free never
 	// writes to a page, because the last durable checkpoint may still
@@ -352,7 +377,17 @@ func (s *Store) UserRoot() (PageID, []byte) {
 // its one write. A nil first reserves the page instead, for a caller
 // that writes it before anything reads it: a reused page keeps its
 // bytes and a new one is zeros.
-func (s *Store) Allocate(first []byte) (PageID, error) {
+//
+// A reused page is written through. A new page joins the write-behind
+// run, which reaches the file in one write when it is full, when a
+// read misses or a Write lands on one of its pages, and before every
+// fsync; nothing durable names the page before then.
+//
+// readBack installs the first image as the page's pool frame, for a
+// page the caller reads back soon (an R*-tree's internal node, which
+// the IWP build reads). Without it the page costs no frame and no copy
+// beyond the run's, and a later read goes to the file.
+func (s *Store) Allocate(first []byte, readBack bool) (PageID, error) {
 	if len(first) > payloadSize {
 		return InvalidPage, fmt.Errorf("pager: payload %d bytes exceeds page payload %d", len(first), payloadSize)
 	}
@@ -362,7 +397,7 @@ func (s *Store) Allocate(first []byte) (PageID, error) {
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
 		if first != nil {
-			if err := s.writePage(id, first); err != nil {
+			if err := s.writePage(id, first, readBack); err != nil {
 				return InvalidPage, err
 			}
 		}
@@ -370,14 +405,101 @@ func (s *Store) Allocate(first []byte) (PageID, error) {
 		return id, nil
 	}
 	id := PageID(s.numPages.Load())
-	// Materialise the page before publishing the new page count, so a
-	// racing reader can never pass the range check and find a hole.
-	if err := s.writePage(id, first); err != nil {
+	// Enter the page into the run before publishing the new page count,
+	// so a racing reader that passes the range check finds the page in
+	// the run or in the file, never a hole.
+	if err := s.appendRun(id, first); err != nil {
 		return InvalidPage, err
+	}
+	if readBack {
+		data := make([]byte, payloadSize)
+		copy(data, first)
+		s.pool.put(&Frame{id: id, data: data}, false)
 	}
 	s.numPages.Add(1)
 	s.dirtyHdr = true
 	return id, nil
+}
+
+// appendRun adds page id's image to the run, writing the run out first
+// when it is full or id does not follow it. Caller holds meta.
+func (s *Store) appendRun(id PageID, first []byte) error {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if len(s.run) > 0 && (len(s.run) == runPages*PageSize || id != s.runEnd()) {
+		if err := s.flushRunLocked(); err != nil {
+			return err
+		}
+	}
+	if len(s.run) == 0 {
+		s.runStart = id
+	}
+	off := len(s.run)
+	if cap(s.run)-off < PageSize {
+		// Double, as append would not past small sizes: a build's run
+		// then allocates 2 MiB on its way to full, not 5.
+		s.run = slices.Grow(s.run, max(off, PageSize))
+	}
+	s.run = s.run[:off+PageSize]
+	raw := s.run[off:]
+	clear(raw[copy(raw, first):payloadSize])
+	putBE32(raw[payloadSize:], crc32.ChecksumIEEE(raw[:payloadSize]))
+	s.stats.writes.Add(1)
+	s.runSpan.Store(uint64(s.runStart)<<32 | uint64(id+1))
+	return nil
+}
+
+// runEnd is the page after the run's last. Caller holds runMu.
+func (s *Store) runEnd() PageID {
+	return s.runStart + PageID(len(s.run)/PageSize)
+}
+
+// pending reports whether page id may wait in the run. It takes no
+// lock: a false answer for a published page means the run's write
+// that held it has returned.
+func (s *Store) pending(id PageID) bool {
+	span := s.runSpan.Load()
+	return uint32(id) >= uint32(span>>32) && uint32(id) < uint32(span)
+}
+
+// flushRunFor writes the run out if it still holds page id, so the
+// file has the page's image. The caller holds no stripe.
+func (s *Store) flushRunFor(id PageID) error {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if id < s.runStart || id >= s.runEnd() {
+		return nil
+	}
+	return s.flushRunLocked()
+}
+
+// flushRunLocked writes the run to the file in one WriteAt and empties
+// it, keeping the buffer for the next appends. No reader reads a run
+// page from the file before this returns, so no stripe is needed: a
+// reader that sees the page pending waits on runMu. On error the run
+// stays, for the next attempt. Caller holds runMu.
+func (s *Store) flushRunLocked() error {
+	if len(s.run) == 0 {
+		return nil
+	}
+	if _, err := s.file.WriteAt(s.run, int64(s.runStart)*PageSize); err != nil {
+		return fmt.Errorf("pager: write pages %d-%d: %w", s.runStart, s.runEnd()-1, err)
+	}
+	s.run = s.run[:0]
+	s.runSpan.Store(0)
+	return nil
+}
+
+// releaseRunLocked writes the run out and drops its buffer; every fsync
+// path calls it first. Caller holds meta.
+func (s *Store) releaseRunLocked() error {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if err := s.flushRunLocked(); err != nil {
+		return err
+	}
+	s.run = nil
+	return nil
 }
 
 // Free returns a page to the free list; a later Allocate reuses it. The
@@ -485,8 +607,13 @@ func (s *Store) fetch(id PageID, pin bool) (*Frame, error) {
 // lock, verifies the checksum once, and installs the frame in the pool
 // before releasing the stripe — so a racing writer (which installs its
 // own frame under the stripe write lock) can never be overwritten by
-// stale bytes.
+// stale bytes. A page still in the run sends the run to the file first.
 func (s *Store) readPage(id PageID, pin bool) (*Frame, error) {
+	if s.pending(id) {
+		if err := s.flushRunFor(id); err != nil {
+			return nil, err
+		}
+	}
 	mu := &s.io[uint32(id)%ioStripes]
 	mu.RLock()
 	defer mu.RUnlock()
@@ -513,13 +640,20 @@ func (s *Store) Write(id PageID, payload []byte) error {
 	if len(payload) > payloadSize {
 		return fmt.Errorf("pager: payload %d bytes exceeds page payload %d", len(payload), payloadSize)
 	}
-	return s.writePage(id, payload)
+	return s.writePage(id, payload, true)
 }
 
-// writePage writes through to the file and installs the fresh frame in
-// the pool, both under the page's stripe write lock, then supersedes
-// any in-flight read of the page.
-func (s *Store) writePage(id PageID, payload []byte) error {
+// writePage writes through to the file and, under the page's stripe
+// write lock, installs the fresh frame in the pool (or, without
+// readBack, drops any stale one), then supersedes any in-flight read of
+// the page. A page still in the run sends the run to the file first,
+// so the run's later write cannot land over this one.
+func (s *Store) writePage(id PageID, payload []byte, readBack bool) error {
+	if s.pending(id) {
+		if err := s.flushRunFor(id); err != nil {
+			return err
+		}
+	}
 	raw := make([]byte, PageSize)
 	copy(raw, payload)
 	putBE32(raw[payloadSize:], crc32.ChecksumIEEE(raw[:payloadSize]))
@@ -530,7 +664,11 @@ func (s *Store) writePage(id PageID, payload []byte) error {
 		return fmt.Errorf("pager: write page %d: %w", id, err)
 	}
 	s.stats.writes.Add(1)
-	s.pool.put(&Frame{id: id, data: raw[:payloadSize:payloadSize]}, false)
+	if readBack {
+		s.pool.put(&Frame{id: id, data: raw[:payloadSize:payloadSize]}, false)
+	} else {
+		s.pool.drop(id)
+	}
 	mu.Unlock()
 	// Readers that arrive after this write must not join a flight whose
 	// physical read predates it.
@@ -540,12 +678,14 @@ func (s *Store) writePage(id PageID, payload []byte) error {
 	return nil
 }
 
-// Sync flushes the header and fsyncs the backing file. Page writes are
-// write-through, so after Sync the file is a complete, reopenable,
-// durable image.
+// Sync writes the run and the header out and fsyncs the backing file,
+// so after Sync the file is a complete, reopenable, durable image.
 func (s *Store) Sync() error {
 	s.meta.Lock()
 	defer s.meta.Unlock()
+	if err := s.releaseRunLocked(); err != nil {
+		return err
+	}
 	if s.dirtyHdr {
 		if err := s.flushHeaderLocked(); err != nil {
 			return err
@@ -554,12 +694,15 @@ func (s *Store) Sync() error {
 	return s.fsyncLocked()
 }
 
-// SyncData fsyncs the backing file without touching the header. The
-// checkpoint protocol uses it to pin shadow pages to stable storage
-// before the header flip makes them reachable.
+// SyncData writes the run out and fsyncs the backing file without
+// touching the header. The checkpoint protocol uses it to pin shadow
+// pages to stable storage before the header flip makes them reachable.
 func (s *Store) SyncData() error {
 	s.meta.Lock()
 	defer s.meta.Unlock()
+	if err := s.releaseRunLocked(); err != nil {
+		return err
+	}
 	return s.fsyncLocked()
 }
 
@@ -600,6 +743,10 @@ func (s *Store) SetReplicaLSN(lsn uint64) {
 func (s *Store) WriteCheckpoint(lsn uint64) error {
 	s.meta.Lock()
 	defer s.meta.Unlock()
+	// A page the header counts is in the file before the header is.
+	if err := s.releaseRunLocked(); err != nil {
+		return err
+	}
 	s.ckptLSN = lsn
 	if err := s.flushHeaderLocked(); err != nil {
 		return err

@@ -26,7 +26,7 @@ func newTestStore(t *testing.T, cache int) (*Store, *MemFile) {
 func TestAllocateReadWrite(t *testing.T) {
 	s, _ := newTestStore(t, 0)
 	payload := []byte("hello pages")
-	id, err := s.Allocate(payload)
+	id, err := s.Allocate(payload, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAllocateReadWrite(t *testing.T) {
 // page as zeros and leaves a recycled one as it was.
 func TestAllocateFirstImage(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	old, err := s.Allocate([]byte("old"))
+	old, err := s.Allocate([]byte("old"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAllocateFirstImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	id, err := s.Allocate([]byte("new"))
+	id, err := s.Allocate([]byte("new"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +80,10 @@ func TestAllocateFirstImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	if r, err := s.Allocate(nil); err != nil || r != id {
+	if r, err := s.Allocate(nil, false); err != nil || r != id {
 		t.Fatalf("reserving = (%d, %v), want page %d", r, err, id)
 	}
-	fresh, err := s.Allocate(nil)
+	fresh, err := s.Allocate(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +119,10 @@ func TestHeaderPageProtected(t *testing.T) {
 
 func TestPayloadTooLarge(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	if _, err := s.Allocate(make([]byte, PageSize)); err == nil {
+	if _, err := s.Allocate(make([]byte, PageSize), false); err == nil {
 		t.Error("oversized first image accepted")
 	}
-	id, _ := s.Allocate(nil)
+	id, _ := s.Allocate(nil, false)
 	if err := s.Write(id, make([]byte, PageSize)); err == nil {
 		t.Error("oversized payload accepted")
 	}
@@ -130,9 +130,9 @@ func TestPayloadTooLarge(t *testing.T) {
 
 func TestFreeListReuse(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	a, _ := s.Allocate(nil)
-	b, _ := s.Allocate(nil)
-	c, _ := s.Allocate(nil)
+	a, _ := s.Allocate(nil, false)
+	b, _ := s.Allocate(nil, false)
+	c, _ := s.Allocate(nil, false)
 	if err := s.Free(b); err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func TestFreeListReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// LIFO reuse: a then b.
-	r1, _ := s.Allocate(nil)
-	r2, _ := s.Allocate(nil)
+	r1, _ := s.Allocate(nil, false)
+	r2, _ := s.Allocate(nil, false)
 	if r1 != a || r2 != b {
 		t.Errorf("reused %d,%d; want %d,%d", r1, r2, a, b)
 	}
-	r3, _ := s.Allocate(nil)
+	r3, _ := s.Allocate(nil, false)
 	if r3 != c+1 {
 		t.Errorf("fresh page %d, want %d", r3, c+1)
 	}
@@ -165,7 +165,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	contents := map[PageID][]byte{}
 	for i := 0; i < 50; i++ {
-		id, err := s.Allocate(nil)
+		id, err := s.Allocate(nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate(nil)
+	id, _ := s.Allocate(nil, false)
 	if err := s.Write(id, []byte("precious data")); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 
 func TestCacheHits(t *testing.T) {
 	s, _ := newTestStore(t, 8)
-	id, _ := s.Allocate(nil)
+	id, _ := s.Allocate(nil, false)
 	if err := s.Write(id, []byte("cached")); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestCacheEviction(t *testing.T) {
 	s, _ := newTestStore(t, 2)
 	var ids []PageID
 	for i := 0; i < 4; i++ {
-		id, _ := s.Allocate(nil)
+		id, _ := s.Allocate(nil, false)
 		s.Write(id, []byte{byte(i)})
 		ids = append(ids, id)
 	}
@@ -318,7 +318,7 @@ func TestCacheEviction(t *testing.T) {
 // handed out earlier keep their contents.
 func TestFrameStableAcrossWrite(t *testing.T) {
 	s, _ := newTestStore(t, 4)
-	id, _ := s.Allocate(nil)
+	id, _ := s.Allocate(nil, false)
 	s.Write(id, []byte("immutable"))
 	old, _ := s.Read(id)
 	if err := s.Write(id, []byte("replaced!")); err != nil {
@@ -422,7 +422,7 @@ func TestReadPinnedKeepsResident(t *testing.T) {
 	s, _ := newTestStore(t, 2)
 	var ids []PageID
 	for i := 0; i < 4; i++ {
-		id, _ := s.Allocate(nil)
+		id, _ := s.Allocate(nil, false)
 		if err := s.Write(id, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +471,7 @@ func TestReadPinnedKeepsResident(t *testing.T) {
 // file every time and counts every read as a miss.
 func TestZeroCapacityPassthrough(t *testing.T) {
 	s, _ := newTestStore(t, 0)
-	id, _ := s.Allocate(nil)
+	id, _ := s.Allocate(nil, false)
 	if err := s.Write(id, []byte("cold")); err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate(nil)
+	id, _ := s.Allocate(nil, false)
 	if err := s.Write(id, []byte("cold page")); err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +622,7 @@ func TestOSFileBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate(nil)
+	id, _ := s.Allocate(nil, false)
 	if err := s.Write(id, []byte("on disk")); err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +682,7 @@ func TestManyPagesStress(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		switch {
 		case len(order) == 0 || rng.Intn(3) > 0:
-			id, err := s.Allocate(nil)
+			id, err := s.Allocate(nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -724,7 +724,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	s, _ := newTestStore(t, 16)
 	var ids []PageID
 	for i := 0; i < 64; i++ {
-		id, err := s.Allocate(nil)
+		id, err := s.Allocate(nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -785,7 +785,7 @@ func TestConcurrentAllocateFree(t *testing.T) {
 			defer wg.Done()
 			var mine []PageID
 			for i := 0; i < 100; i++ {
-				id, err := s.Allocate(nil)
+				id, err := s.Allocate(nil, false)
 				if err != nil {
 					errs <- err
 					return
@@ -817,5 +817,269 @@ func TestConcurrentAllocateFree(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// runImage is the test payload of page id at version v: the page's own
+// ID, so a read that lands on a neighbour is caught, then v.
+func runImage(id PageID, v byte) []byte {
+	b := make([]byte, 5)
+	putBE32(b, uint32(id))
+	b[4] = v
+	return b
+}
+
+func checkImage(t *testing.T, s *Store, id PageID, v byte) {
+	t.Helper()
+	got, err := s.Read(id)
+	if err != nil {
+		t.Fatalf("read page %d: %v", id, err)
+	}
+	if want := runImage(id, v); !bytes.Equal(got[:len(want)], want) {
+		t.Fatalf("page %d reads %v, want %v", id, got[:len(want)], want)
+	}
+}
+
+// TestWriteBehindReadsPendingPages reads every appended page back while
+// it still waits in the run, before, at and past the run's full size,
+// with and without a frame: with no pool, every read goes to the file.
+func TestWriteBehindReadsPendingPages(t *testing.T) {
+	s, _ := newTestStore(t, 0)
+	var ids []PageID
+	for i := 0; i < 2*runPages+3; i++ {
+		id, err := s.Allocate(runImage(PageID(i+1), 1), i%2 == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != PageID(i+1) {
+			t.Fatalf("append %d got page %d", i, id)
+		}
+		ids = append(ids, id)
+		// Every third page is read at once, the rest in a sweep below,
+		// so reads land at the run's start, middle and end.
+		if i%3 == 0 {
+			if !s.pending(id) {
+				t.Fatalf("page %d is not in the run after its allocation", id)
+			}
+			checkImage(t, s, id, 1)
+		}
+	}
+	for _, id := range ids {
+		checkImage(t, s, id, 1)
+	}
+	if st := s.Stats(); st.Writes != uint64(len(ids)) || st.Reads != st.CacheMisses {
+		t.Fatalf("stats %+v: want %d writes, one per page, and every read a file read", st, len(ids))
+	}
+}
+
+// TestWriteBehindWritePendingPage: a Write to a page in the run lands
+// after the run's write, so it is the image the page keeps, and its
+// neighbours keep theirs.
+func TestWriteBehindWritePendingPage(t *testing.T) {
+	s, f := newTestStore(t, 0)
+	for i := 1; i <= 3; i++ {
+		if _, err := s.Allocate(runImage(PageID(i), 1), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Write(2, runImage(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if s.pending(1) || s.pending(3) {
+		t.Fatal("a Write to a pending page left the run pending")
+	}
+	for i, v := range []byte{1, 2, 1} {
+		checkImage(t, s, PageID(i+1), v)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []byte{1, 2, 1} {
+		checkImage(t, re, PageID(i+1), v)
+	}
+}
+
+// TestWriteBehindFreePendingPage: a page freed while it waits in the
+// run comes back from the free list with the new image written over the
+// run's, or, reserved, with the run's image.
+func TestWriteBehindFreePendingPage(t *testing.T) {
+	s, _ := newTestStore(t, 0)
+	a, _ := s.Allocate(runImage(1, 1), false)
+	b, _ := s.Allocate(runImage(2, 1), false)
+	if err := s.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Allocate(runImage(1, 2), false)
+	if err != nil || id != a {
+		t.Fatalf("re-allocation = (%d, %v), want page %d", id, err, a)
+	}
+	checkImage(t, s, a, 2)
+	checkImage(t, s, b, 1)
+
+	c, _ := s.Allocate(runImage(3, 1), false)
+	if err := s.Free(c); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.Allocate(nil, false); err != nil || r != c {
+		t.Fatalf("reserving = (%d, %v), want page %d", r, err, c)
+	}
+	if !s.pending(c) {
+		t.Fatal("reserving a freed pending page wrote the run")
+	}
+	checkImage(t, s, c, 1)
+}
+
+// TestWriteBehindSyncMatchesPageAtATime: after Sync the file holds the
+// bytes a store writing one page at a time leaves, whatever the run's
+// boundaries and whichever pages took frames.
+func TestWriteBehindSyncMatchesPageAtATime(t *testing.T) {
+	const n = runPages + runPages/2
+	runs, rf := newTestStore(t, 8)
+	single, sf := newTestStore(t, 0)
+	for i := 1; i <= n; i++ {
+		// Lengths that rise and fall, so a page shorter than the one
+		// before it at its place in the buffer must not keep its tail.
+		img := bytes.Repeat(runImage(PageID(i), byte(i)), 1+(i*37)%800)
+		if _, err := runs.Allocate(img, i%5 == 0); err != nil {
+			t.Fatal(err)
+		}
+		id, err := single.Allocate(img, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A read of the page sends it out on its own.
+		if _, err := single.Read(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := runs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if rf.Len() != (n+1)*PageSize || !bytes.Equal(rf.buf, sf.buf) {
+		t.Fatalf("a synced store written in runs differs from one written page by page (%d and %d bytes)", rf.Len(), sf.Len())
+	}
+	if runs.run != nil {
+		t.Fatal("Sync kept the run's buffer")
+	}
+}
+
+// countingFile counts WriteAt calls.
+type countingFile struct {
+	*MemFile
+	writes atomic.Int64
+}
+
+func (f *countingFile) WriteAt(p []byte, off int64) (int, error) {
+	f.writes.Add(1)
+	return f.MemFile.WriteAt(p, off)
+}
+
+// TestWriteBehindWriteAtCalls: a k-page append reaches the file in
+// ⌈k/256⌉ writes, plus the header's at Create and at Sync, and the run
+// never holds more than 256 pages.
+func TestWriteBehindWriteAtCalls(t *testing.T) {
+	for _, k := range []int{1, 2, runPages - 1, runPages, runPages + 1, 3*runPages + 17} {
+		f := &countingFile{MemFile: NewMemFile()}
+		s, err := Create(f, Options{CacheSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= k; i++ {
+			if _, err := s.Allocate(runImage(PageID(i), 1), i%7 == 0); err != nil {
+				t.Fatal(err)
+			}
+			if len(s.run) > runPages*PageSize {
+				t.Fatalf("the run holds %d pages", len(s.run)/PageSize)
+			}
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		want := (k+runPages-1)/runPages + 2
+		if got := f.writes.Load(); got != int64(want) {
+			t.Errorf("%d-page append: %d WriteAt calls, want %d", k, got, want)
+		}
+		if w := s.Stats().Writes; w != uint64(k) {
+			t.Errorf("%d-page append counted %d page writes", k, w)
+		}
+	}
+}
+
+// TestWriteBehindConcurrentReaders reads published pages, rewrites some
+// and fsyncs while one appender fills runs and sends them out (run
+// under -race): every read sees the page's own ID and a valid checksum.
+func TestWriteBehindConcurrentReaders(t *testing.T) {
+	s, _ := newTestStore(t, 16)
+	const total = 3*runPages + 40
+	done := make(chan struct{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := s.NumPages()
+				if n < 2 {
+					continue
+				}
+				// Lean on the newest pages: they are the run's.
+				id := PageID(n - 1 - rng.Intn(min(n-1, 40)))
+				if g == 2 && rng.Intn(4) == 0 {
+					if err := s.Write(id, runImage(id, 2)); err != nil {
+						errs <- err
+						return
+					}
+					continue
+				}
+				got, err := s.Read(id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if be32(got) != uint32(id) {
+					errs <- fmt.Errorf("page %d reads page %d's image", id, be32(got))
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 1; i <= total; i++ {
+		if _, err := s.Allocate(runImage(PageID(i), 1), i%4 == 0); err != nil {
+			t.Fatal(err)
+		}
+		if i%150 == 0 {
+			if err := s.SyncData(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for id := PageID(1); id <= total; id++ {
+		got, err := s.Read(id)
+		if err != nil {
+			t.Fatalf("page %d after the race: %v", id, err)
+		}
+		if be32(got) != uint32(id) {
+			t.Fatalf("page %d after the race reads page %d's image", id, be32(got))
+		}
 	}
 }

@@ -69,13 +69,14 @@ func (s *PagedStore) Pages() *pager.Store { return s.pages }
 
 // Alloc implements NodeStore: the node's image is its page's first
 // and only write, and a recycled page's cached decode is dropped as a
-// Put drops it.
+// Put drops it. Only an internal node's page gets a pool frame: a
+// build reads internal nodes back (the IWP build) and no leaf.
 func (s *PagedStore) Alloc(n *Node) error {
 	buf, err := encodeNode(n)
 	if err != nil {
 		return err
 	}
-	id, err := s.pages.Allocate(buf)
+	id, err := s.pages.Allocate(buf, !n.Leaf)
 	if err != nil {
 		return err
 	}
@@ -162,7 +163,7 @@ func (s *PagedStore) ResetVisits() { s.visits.Store(0) }
 // released after their readers drained), so writing the page later
 // cannot disturb a pinned version.
 func (s *PagedStore) ReserveID() (NodeID, error) {
-	id, err := s.pages.Allocate(nil)
+	id, err := s.pages.Allocate(nil, false)
 	if err != nil {
 		return 0, err
 	}

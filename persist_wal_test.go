@@ -1,9 +1,11 @@
 package nwcq
 
 import (
+	"cmp"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -133,6 +135,108 @@ func TestOpenPagedTornWALTail(t *testing.T) {
 	}
 	if hasPoint(torn) {
 		t.Fatal("torn record resurrected by recovery")
+	}
+}
+
+// TestOpenPagedTornPageRun crashes a paged build, and then a commit
+// that extends the file, at every I/O step, tearing the write the crash
+// lands on. The pager writes appended pages in runs of up to 256, so
+// some of those writes carry many pages and the tear cuts one in half.
+// OpenPaged must then refuse the file or open the last checkpoint plus
+// the log: a point set some caller could have seen, read in a walk that
+// checks every page the tree reaches. A torn page it reached would fail
+// that walk's checksum.
+func TestOpenPagedTornPageRun(t *testing.T) {
+	base := walTestPoints(2500) // 625 pages at the model's fan-out 8
+	o := modelOptions
+	o.bulkLoad = true
+	batch := make([]Point, 300)
+	for i := range batch {
+		batch[i] = Point{X: float64(i%20) + 0.5, Y: float64(i/20) + 0.5, ID: uint64(100000 + i)}
+	}
+	sorted := func(sets ...[]Point) []Point {
+		pts := slices.Concat(sets...)
+		slices.SortFunc(pts, func(a, b Point) int { return cmp.Compare(a.ID, b.ID) })
+		return pts
+	}
+	all := func(px *PagedIndex) []Point {
+		pts, err := px.Window(-1, -1, 1000, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sorted(pts)
+	}
+	for _, phase := range []string{"build", "commit"} {
+		tears := 0
+		for k := 0; ; k++ {
+			d := NewMemDisk()
+			if phase == "build" {
+				d.ArmCrash(k)
+			}
+			f, fs := d.files()
+			px, err := buildPagedOn(base, f, fs, o)
+			acked := false
+			if phase == "commit" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.ArmCrash(k)
+				acked = px.InsertBatch(batch) == nil
+			}
+			if !d.Crashed() {
+				d.ArmCrash(-1)
+				if err := px.Close(); err != nil {
+					t.Fatal(err)
+				}
+				rec, err := d.Open()
+				if err != nil {
+					t.Fatalf("%s: reopening the uninjured run: %v", phase, err)
+				}
+				want := sorted(base)
+				if phase == "commit" {
+					want = sorted(base, batch)
+				}
+				if got := all(rec); !slices.Equal(got, want) {
+					t.Fatalf("%s: the uninjured run reopens with %d points, want %d", phase, len(got), len(want))
+				}
+				rec.Close()
+				if tears == 0 {
+					t.Fatalf("%s: no crash in %d steps landed on a multi-page write", phase, k)
+				}
+				break
+			}
+			if d.inj.pageTear > pager.PageSize {
+				tears++
+			}
+			// A build that crashed before its checkpoint leaves no tree
+			// to open: the one header it wrote is Create's. Once a header
+			// names a tree, every page of it must be whole: refusing the
+			// file would lose what it holds.
+			named := phase == "commit" || d.inj.headers > 1
+			rec, err := d.Open()
+			if err != nil {
+				if named {
+					t.Fatalf("%s, crash at step %d (page tear %d bytes): %v", phase, k, d.inj.pageTear, err)
+				}
+				continue
+			}
+			got := all(rec)
+			var want [][]Point
+			switch {
+			case phase == "build":
+				want = [][]Point{nil, sorted(base)}
+			case acked:
+				want = [][]Point{sorted(base, batch)}
+			default:
+				want = [][]Point{sorted(base), sorted(base, batch)}
+			}
+			if !slices.ContainsFunc(want, func(w []Point) bool { return slices.Equal(got, w) }) {
+				t.Fatalf("%s, crash at step %d (page tear %d bytes): recovered %d points, want one of %d sets", phase, k, d.inj.pageTear, len(got), len(want))
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
