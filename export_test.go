@@ -76,13 +76,15 @@ type crashInjector struct {
 	crashed   bool
 	// pageTear is the length of the page-file write the crash landed
 	// on, zero when it landed anywhere else; headers counts the header
-	// writes that reached the page file since the injector was armed.
+	// writes that reached the page file since the injector was armed, and
+	// pageWrites holds the length of every other write that did.
 	pageTear, headers int
+	pageWrites        []int
 }
 
 func (c *crashInjector) arm(k int) {
 	c.mu.Lock()
-	c.armed, c.remaining, c.crashed, c.pageTear, c.headers = k >= 0, k, false, 0, 0
+	c.armed, c.remaining, c.crashed, c.pageTear, c.headers, c.pageWrites = k >= 0, k, false, 0, 0, nil
 	c.mu.Unlock()
 }
 
@@ -138,9 +140,13 @@ func (f *crashFile) WriteAt(p []byte, off int64) (int, error) {
 		}
 		return 0, errCrash
 	}
-	if f.headerAtomic && off == 0 {
+	if f.headerAtomic {
 		f.inj.mu.Lock()
-		f.inj.headers++
+		if off == 0 {
+			f.inj.headers++
+		} else {
+			f.inj.pageWrites = append(f.inj.pageWrites, len(p))
+		}
 		f.inj.mu.Unlock()
 	}
 	return f.MemFile.WriteAt(p, off)

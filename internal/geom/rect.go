@@ -137,13 +137,28 @@ func (r Rect) Union(o Rect) Rect {
 // 1 on every side when either extent is zero (a grid needs an area), or
 // the unit square when there are no points. A point with a non-finite
 // coordinate is an error.
+//
+// The box is the fold of ExtendPoint over points, bit for bit, by direct
+// comparisons: an equal coordinate replaces a bound only to give it
+// math.Min's or math.Max's sign of zero (−0 is the lesser).
 func Bounds(points []Point) (Rect, error) {
 	r := EmptyRect()
 	for i, p := range points {
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+		if !(math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64) {
 			return Rect{}, fmt.Errorf("point %d has non-finite coordinates", i)
 		}
-		r = r.ExtendPoint(p)
+		if p.X < r.MinX || p.X == r.MinX && math.Signbit(p.X) {
+			r.MinX = p.X
+		}
+		if p.X > r.MaxX || p.X == r.MaxX && !math.Signbit(p.X) {
+			r.MaxX = p.X
+		}
+		if p.Y < r.MinY || p.Y == r.MinY && math.Signbit(p.Y) {
+			r.MinY = p.Y
+		}
+		if p.Y > r.MaxY || p.Y == r.MaxY && !math.Signbit(p.Y) {
+			r.MaxY = p.Y
+		}
 	}
 	if r.IsEmpty() {
 		return NewRect(0, 0, 1, 1), nil

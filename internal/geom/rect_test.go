@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,6 +48,67 @@ func TestBounds(t *testing.T) {
 	for _, p := range []Point{{X: math.NaN()}, {Y: math.Inf(-1)}} {
 		if _, err := Bounds([]Point{{X: 1, Y: 1}, p}); err == nil {
 			t.Errorf("Bounds accepted %v", p)
+		}
+	}
+}
+
+// foldBounds is Bounds as a fold of ExtendPoint: the reference its
+// direct comparisons must match bit for bit.
+func foldBounds(points []Point) (Rect, error) {
+	r := EmptyRect()
+	for i, p := range points {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return Rect{}, fmt.Errorf("point %d has non-finite coordinates", i)
+		}
+		r = r.ExtendPoint(p)
+	}
+	if r.IsEmpty() {
+		return NewRect(0, 0, 1, 1), nil
+	}
+	if r.Width() <= 0 || r.Height() <= 0 {
+		r = r.Buffer(1, 1)
+	}
+	return r, nil
+}
+
+// TestBoundsMatchesExtendPointFold: Bounds gives the ExtendPoint fold's
+// box by math.Float64bits — the sign of every zero included — and its
+// error, for signed zeros in every order, one point, a zero extent, and
+// a NaN or an infinity at each index.
+func TestBoundsMatchesExtendPointFold(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	zeros := []float64{0, negZero}
+	cases := map[string][]Point{
+		"none":       nil,
+		"one":        {{X: 3, Y: -4}},
+		"one -0":     {{X: negZero, Y: negZero}},
+		"zero width": {{X: 2, Y: 1}, {X: 2, Y: 5}, {X: 2, Y: -3}},
+		"zero area":  {{X: 7, Y: 7}, {X: 7, Y: 7}},
+		"mixed":      {{X: 5, Y: -1}, {X: negZero, Y: 8}, {X: 0, Y: 0}, {X: -2, Y: negZero}, {X: 9, Y: 3}},
+	}
+	for _, a := range zeros {
+		for _, b := range zeros {
+			for _, c := range zeros {
+				cases[fmt.Sprintf("zeros %v %v %v", math.Signbit(a), math.Signbit(b), math.Signbit(c))] =
+					[]Point{{X: a, Y: b}, {X: b, Y: c}, {X: c, Y: a}, {X: 1, Y: -1}}
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		for _, bad := range []Point{{X: math.NaN(), Y: 1}, {X: 1, Y: math.NaN()}, {X: math.Inf(-1), Y: 1}, {X: 1, Y: math.Inf(1)}} {
+			pts := []Point{{X: 1, Y: 2}, {X: negZero, Y: 3}, {X: 4, Y: 0}, {X: 5, Y: 6}}
+			pts[i] = bad
+			cases[fmt.Sprintf("%v at %d", bad, i)] = pts
+		}
+	}
+	bits := func(r Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.MinX), math.Float64bits(r.MinY), math.Float64bits(r.MaxX), math.Float64bits(r.MaxY)}
+	}
+	for name, pts := range cases {
+		got, gerr := Bounds(pts)
+		want, werr := foldBounds(pts)
+		if bits(got) != bits(want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Errorf("%s: Bounds = %v, %v; the fold gives %v, %v", name, got, gerr, want, werr)
 		}
 	}
 }

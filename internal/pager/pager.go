@@ -79,7 +79,8 @@ const InvalidPage PageID = 0
 type Stats struct {
 	// Reads and Writes count pages physically transferred to or from the
 	// backing file. A page appended to the write-behind run is counted
-	// when it joins the run, whose one write carries it to the file.
+	// when it joins the run, whose one write carries it to the file; a
+	// Write that replaces its image there is not counted again.
 	Reads  uint64
 	Writes uint64
 	Allocs uint64
@@ -380,8 +381,9 @@ func (s *Store) UserRoot() (PageID, []byte) {
 //
 // A reused page is written through. A new page joins the write-behind
 // run, which reaches the file in one write when it is full, when a
-// read misses or a Write lands on one of its pages, and before every
-// fsync; nothing durable names the page before then.
+// read misses on one of its pages, at Flush, and before every fsync;
+// nothing durable names the page before then. A Write to a page still
+// in the run replaces its image there.
 //
 // readBack installs the first image as the page's pool frame, for a
 // page the caller reads back soon (an R*-tree's internal node, which
@@ -462,6 +464,18 @@ func (s *Store) pending(id PageID) bool {
 	return uint32(id) >= uint32(span>>32) && uint32(id) < uint32(span)
 }
 
+// rewriteRun replaces page id's image in the run with raw and reports
+// whether the run still held the page. The caller holds no stripe.
+func (s *Store) rewriteRun(id PageID, raw []byte) bool {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if id < s.runStart || id >= s.runEnd() {
+		return false
+	}
+	copy(s.run[int(id-s.runStart)*PageSize:], raw)
+	return true
+}
+
 // flushRunFor writes the run out if it still holds page id, so the
 // file has the page's image. The caller holds no stripe.
 func (s *Store) flushRunFor(id PageID) error {
@@ -488,6 +502,15 @@ func (s *Store) flushRunLocked() error {
 	s.run = s.run[:0]
 	s.runSpan.Store(0)
 	return nil
+}
+
+// Flush writes the run out without an fsync. A commit calls it once it
+// has written its pages, so that they reach the file in one write and
+// the run never holds more than one commit's pages.
+func (s *Store) Flush() error {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	return s.flushRunLocked()
 }
 
 // releaseRunLocked writes the run out and drops its buffer; every fsync
@@ -643,27 +666,27 @@ func (s *Store) Write(id PageID, payload []byte) error {
 	return s.writePage(id, payload, true)
 }
 
-// writePage writes through to the file and, under the page's stripe
-// write lock, installs the fresh frame in the pool (or, without
-// readBack, drops any stale one), then supersedes any in-flight read of
-// the page. A page still in the run sends the run to the file first,
-// so the run's later write cannot land over this one.
+// writePage writes the page's image, checksum in place, and, under the
+// page's stripe write lock, installs the fresh frame in the pool (or,
+// without readBack, drops any stale one), then supersedes any in-flight
+// read of the page. A page still in the run takes the image there, to
+// reach the file in the run's one write; any other is written through.
+// No reader reads a run page from the file before the run's write, so
+// the image in the run is the one a later read finds.
 func (s *Store) writePage(id PageID, payload []byte, readBack bool) error {
-	if s.pending(id) {
-		if err := s.flushRunFor(id); err != nil {
-			return err
-		}
-	}
 	raw := make([]byte, PageSize)
 	copy(raw, payload)
 	putBE32(raw[payloadSize:], crc32.ChecksumIEEE(raw[:payloadSize]))
+	inRun := s.pending(id) && s.rewriteRun(id, raw)
 	mu := &s.io[uint32(id)%ioStripes]
 	mu.Lock()
-	if _, err := s.file.WriteAt(raw, int64(id)*PageSize); err != nil {
-		mu.Unlock()
-		return fmt.Errorf("pager: write page %d: %w", id, err)
+	if !inRun {
+		if _, err := s.file.WriteAt(raw, int64(id)*PageSize); err != nil {
+			mu.Unlock()
+			return fmt.Errorf("pager: write page %d: %w", id, err)
+		}
+		s.stats.writes.Add(1)
 	}
-	s.stats.writes.Add(1)
 	if readBack {
 		s.pool.put(&Frame{id: id, data: raw[:payloadSize:payloadSize]}, false)
 	} else {

@@ -50,11 +50,16 @@ func TestAllocateReadWrite(t *testing.T) {
 
 // TestAllocateFirstImage: a recycled page takes its first image in the
 // allocation's one write, and a reservation (nil image) writes a new
-// page as zeros and leaves a recycled one as it was.
+// page as zeros and leaves a recycled one as it was. The page is synced
+// before it is freed, so that it is recycled from the file, not from
+// the write-behind run.
 func TestAllocateFirstImage(t *testing.T) {
 	s, _ := newTestStore(t, 0)
 	old, err := s.Allocate([]byte("old"), false)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Free(old); err != nil {
@@ -219,7 +224,11 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if err := s.Write(id, []byte("precious data")); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the page's on-disk image.
+	// The page waits in the write-behind run until a sync sends it to
+	// the file; then flip a byte in its on-disk image.
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	off := int64(id)*PageSize + 5
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
@@ -872,33 +881,53 @@ func TestWriteBehindReadsPendingPages(t *testing.T) {
 	}
 }
 
-// TestWriteBehindWritePendingPage: a Write to a page in the run lands
-// after the run's write, so it is the image the page keeps, and its
-// neighbours keep theirs.
+// TestWriteBehindWritePendingPage: a Write to a page in the run
+// replaces its image there, so the run, still pending, carries the new
+// image to the file in its one write, no page is counted twice, and its
+// neighbours keep their images; a read then sends the run out as usual.
 func TestWriteBehindWritePendingPage(t *testing.T) {
-	s, f := newTestStore(t, 0)
+	mf := NewMemFile()
+	f := &countingFile{MemFile: mf}
+	s, err := Create(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i <= 3; i++ {
 		if _, err := s.Allocate(runImage(PageID(i), 1), false); err != nil {
 			t.Fatal(err)
 		}
 	}
+	before := f.writes.Load()
 	if err := s.Write(2, runImage(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.pending(1) || s.pending(3) {
-		t.Fatal("a Write to a pending page left the run pending")
+	if !s.pending(1) || !s.pending(2) || !s.pending(3) {
+		t.Fatal("a Write to a pending page sent the run out")
+	}
+	if got := f.writes.Load() - before; got != 0 {
+		t.Fatalf("a Write to a pending page made %d WriteAt calls, want 0", got)
+	}
+	if w := s.Stats().Writes; w != 3 {
+		t.Fatalf("%d page writes counted, want 3: one per page", w)
 	}
 	for i, v := range []byte{1, 2, 1} {
 		checkImage(t, s, PageID(i+1), v)
 	}
+	if got := f.writes.Load() - before; got != 1 {
+		t.Fatalf("reading the run's pages made %d WriteAt calls, want 1", got)
+	}
+	if err := s.Write(2, runImage(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	checkImage(t, s, 2, 3)
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(f, Options{})
+	re, err := Open(mf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range []byte{1, 2, 1} {
+	for i, v := range []byte{1, 3, 1} {
 		checkImage(t, re, PageID(i+1), v)
 	}
 }

@@ -183,12 +183,17 @@ func (s *PagedStore) UnreserveIDs(ids []NodeID) {
 // page — so readers of the previous version keep seeing their nodes
 // byte-for-byte; the version flip is the SetRoot at the end. Dead pages
 // are left untouched until ReleaseIDs (pager.Free scribbles a free-list
-// link into the page, which would corrupt a pinned reader's view).
+// link into the page, which would corrupt a pinned reader's view). The
+// batch's new pages, reserved into the pager's write-behind run, take
+// their images there and go to the file in one write.
 func (s *PagedStore) PublishBatch(written []*Node, dead []NodeID, root NodeID, height, count int) (NodeStore, error) {
 	for _, n := range written {
 		if err := s.Put(n); err != nil {
 			return nil, err
 		}
+	}
+	if err := s.pages.Flush(); err != nil {
+		return nil, err
 	}
 	if err := s.SetRoot(root, height, count); err != nil {
 		return nil, err

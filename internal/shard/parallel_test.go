@@ -209,6 +209,41 @@ func TestParallelBoundTightenings(t *testing.T) {
 	}
 }
 
+// TestScatterHomeRunsAlone: the home shard runs first and alone at every
+// width, so the bound it seeds prunes siblings it excludes before any of
+// them starts. At Parallelism 4, 200 NWC and kNWC queries well inside
+// one shard each query exactly that shard and prune the other three.
+func TestScatterHomeRunsAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	pts := make([]nwcq.Point, 4000)
+	for i := range pts {
+		pts[i] = nwcq.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100, ID: uint64(i + 1)}
+	}
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	for i := 0; i < 200; i++ {
+		// 15 or more from every seam and edge: each home shard holds a
+		// group within a few units of q.
+		q := nwcq.Query{X: 15 + rng.Float64()*20 + float64(i%2)*50, Y: 15 + rng.Float64()*20 + float64(i/2%2)*50, Length: 4, Width: 4, N: 3}
+		before := sh.RouterStats()
+		if i%4 < 2 {
+			_, err = sh.NWC(q)
+		} else {
+			_, err = sh.KNWC(nwcq.KQuery{Query: q, K: 2, M: 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := sh.RouterStats()
+		if queried, pruned := after.ShardQueries-before.ShardQueries, after.ShardsPruned-before.ShardsPruned; queried != 1 || pruned != 3 {
+			t.Fatalf("query %d at (%.1f, %.1f) queried %d shards and pruned %d, want 1 and 3", i, q.X, q.Y, queried, pruned)
+		}
+	}
+}
+
 // TestSingleShardAutomaticFallback verifies that a single-shard router
 // takes the sequential path no matter how wide the configured pool is:
 // the parallel machinery (shared cell, workers) must not engage, so its

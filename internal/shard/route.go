@@ -22,10 +22,11 @@ import (
 
 // Query routing (DESIGN.md §11, §12), for both NWC and kNWC:
 //
-//  1. Scatter: the home shard (the cell containing q) first, then the
-//     others in ascending MINDIST(q, shard bounds), skipping a shard whose
-//     MINDIST exceeds the bound so far. With Options.Parallelism above one
-//     workers claim shards off that schedule, and NWC traversals share one
+//  1. Scatter: the home shard (the cell containing q) first, alone, on
+//     the calling goroutine, to seed the bound; then the others in
+//     ascending MINDIST(q, shard bounds), skipping a shard whose MINDIST
+//     exceeds the bound so far. With Options.Parallelism above one workers
+//     claim the siblings home left standing, and NWC traversals share one
 //     atomic bound cell at node-visit granularity; kNWC shares its merge
 //     estimate at claim granularity only (scatterKNWC).
 //  2. Border: every group within B, and every point of a window that
@@ -93,9 +94,9 @@ func routedTrace(tr *trace.Record, kind string, q nwcq.Query, st nwcq.Stats, ela
 	return tr.Trace(kind, q.Scheme.String(), q.Measure.String(), core.TraceWork(st), time.Now().Add(-elapsed), elapsed)
 }
 
-// visitOrder returns shard indexes with home first and the rest in
-// ascending MINDIST(q, bounds) order, equal distances by index — the
-// scatter schedule.
+// visitOrder returns the shard indexes other than home in ascending
+// MINDIST(q, bounds) order, equal distances by index — the scatter's
+// schedule after home.
 func (s *Sharded) visitOrder(qp geom.Point, bounds []geom.Rect, home int) []int {
 	order := make([]int, 0, len(bounds))
 	for i := range bounds {
@@ -106,7 +107,7 @@ func (s *Sharded) visitOrder(qp geom.Point, bounds []geom.Rect, home int) []int 
 	slices.SortFunc(order, func(a, b int) int {
 		return cmp.Or(cmp.Compare(bounds[a].MinDist2(qp), bounds[b].MinDist2(qp)), cmp.Compare(a, b))
 	})
-	return append([]int{home}, order...)
+	return order
 }
 
 // fetchBox is the rectangle that contains every object of every
@@ -256,30 +257,30 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, tr *trace.Record) (nwcq
 }
 
 // scatter is the scatter phase's one scheduler, for both query kinds
-// and every pool width: it visits the shards in MINDIST order (home
-// first) over the shared worker pool, whose one-worker case is a plain
-// loop on the calling goroutine. A shard other than home whose MINDIST
-// exceeds limit() when a worker claims it is skipped — the paper's
-// best-first node pruning lifted to shard granularity; every other
-// shard runs query and has its result folded in by absorb. limit and
-// absorb run under the scatter mutex, so they may share state freely.
-// The first query error stops further claims and is returned once the
-// in-flight shards finish.
+// and every pool width. The home shard runs first, alone, on the calling
+// goroutine, so that every other shard meets the bound it seeds — the
+// paper's best-first order lifted to shard granularity. A sibling whose
+// MINDIST exceeds limit() then is dropped; the survivors go in MINDIST
+// order to the shared worker pool, whose one-worker case is a plain loop
+// on the calling goroutine, and one whose MINDIST exceeds limit() when a
+// worker claims it is skipped too. Each skip counts in ShardsPruned.
+// Every shard that runs query has its result folded in by absorb. limit
+// and absorb run under the scatter mutex, so they may share state
+// freely. The first query error stops further claims and is returned
+// once the in-flight shards finish.
 func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geom.Rect, home, workers int, rt *trace.Router,
 	limit func() float64, query func(context.Context, int) (R, error), absorb func(R)) error {
-	order := s.visitOrder(qp, bounds, home)
 	var mu sync.Mutex
-	return wpool.Each(len(order), workers, func(j int) error {
-		i := order[j]
+	pruned := func(i int) bool {
 		mu.Lock()
-		pruned := i != home && bounds[i].MinDist(qp) > limit()
-		if pruned {
+		defer mu.Unlock()
+		if bounds[i].MinDist(qp) > limit() {
 			rt.ShardsPruned++
+			return true
 		}
-		mu.Unlock()
-		if pruned {
-			return nil
-		}
+		return false
+	}
+	run := func(i int) error {
 		var (
 			r   R
 			err error
@@ -299,6 +300,16 @@ func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geo
 		absorb(r)
 		mu.Unlock()
 		return nil
+	}
+	if err := run(home); err != nil {
+		return err
+	}
+	order := slices.DeleteFunc(s.visitOrder(qp, bounds, home), pruned)
+	return wpool.Each(len(order), workers, func(j int) error {
+		if pruned(order[j]) {
+			return nil
+		}
+		return run(order[j])
 	})
 }
 

@@ -18,6 +18,7 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -52,7 +53,8 @@ type Options struct {
 	// declared once and apply per shard. Do not pass nwcq.WithSpace here:
 	// each shard derives its own (sub-)space from its points.
 	Build []nwcq.BuildOption
-	// Parallelism is the router's worker-pool width: how many shards the
+	// Parallelism is the router's worker-pool width: how many shards
+	// NewSharded and OpenSharded build or open at once, how many the
 	// scatter phase (and the border fetch) queries concurrently, and the
 	// default batch width. 0 means GOMAXPROCS; 1 forces the sequential
 	// path. Adjustable at runtime with SetParallelism.
@@ -82,6 +84,7 @@ type Sharded struct {
 
 	space   geom.Rect
 	gx, gy  int
+	cw, ch  float64     // a grid cell's width and height
 	regions []geom.Rect // nominal grid cells, fixed at construction
 
 	// bounds is the effective per-shard bounds: the nominal region
@@ -179,15 +182,16 @@ func splitGrid(n int) (gx, gy int) {
 }
 
 // rectFrom normalises the configured rectangle, deriving the points'
-// padded bounding box when the zero value was given; a point with a
-// non-finite coordinate is an error either way.
+// padded bounding box only when the zero value was given; that
+// derivation refuses a point with a non-finite coordinate, and the
+// routing pass refuses it either way.
 func rectFrom(r nwcq.Rect, points []nwcq.Point) (geom.Rect, error) {
+	if r != (nwcq.Rect{}) {
+		return geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY), nil
+	}
 	bounds, err := geom.Bounds(points)
 	if err != nil {
 		return geom.Rect{}, fmt.Errorf("shard: %w", err)
-	}
-	if r != (nwcq.Rect{}) {
-		return geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY), nil
 	}
 	return bounds, nil
 }
@@ -211,12 +215,12 @@ func newRouter(space geom.Rect, n int, opt Options) *Sharded {
 		ctr:       newRouterCounters(),
 	}
 	s.SetParallelism(opt.Parallelism)
-	cw, ch := space.Width()/float64(gx), space.Height()/float64(gy)
+	s.cw, s.ch = space.Width()/float64(gx), space.Height()/float64(gy)
 	for i := 0; i < n; i++ {
 		col, row := i%gx, i/gx
-		minX := space.MinX + float64(col)*cw
-		minY := space.MinY + float64(row)*ch
-		maxX, maxY := minX+cw, minY+ch
+		minX := space.MinX + float64(col)*s.cw
+		minY := space.MinY + float64(row)*s.ch
+		maxX, maxY := minX+s.cw, minY+s.ch
 		// Snap the outer edges exactly onto the space so floating-point
 		// division never leaves a sliver uncovered.
 		if col == gx-1 {
@@ -236,9 +240,8 @@ func newRouter(space geom.Rect, n int, opt Options) *Sharded {
 // shardFor routes a location to its shard: the grid cell containing it,
 // with out-of-space locations clamped to the nearest edge cell.
 func (s *Sharded) shardFor(x, y float64) int {
-	cw, ch := s.space.Width()/float64(s.gx), s.space.Height()/float64(s.gy)
-	col := int(math.Floor((x - s.space.MinX) / cw))
-	row := int(math.Floor((y - s.space.MinY) / ch))
+	col := int(math.Floor((x - s.space.MinX) / s.cw))
+	row := int(math.Floor((y - s.space.MinY) / s.ch))
 	if col < 0 {
 		col = 0
 	}
@@ -295,24 +298,34 @@ func finite(p nwcq.Point) bool {
 }
 
 // partition splits points by destination shard, preserving input order
-// within each shard. It counts each shard's points first, so that every
-// part is allocated once, at its size.
-func (s *Sharded) partition(points []nwcq.Point) [][]nwcq.Point {
+// within each shard, and returns each point's shard beside the parts.
+// One pass routes every point, storing its shard, and counts each
+// shard's points, so that the second pass fills parts allocated once, at
+// their size. bad is the first point with a non-finite coordinate, -1
+// when there is none: a build refuses it, a mutation leaves it to the
+// shard it routes to.
+func (s *Sharded) partition(points []nwcq.Point) (parts [][]nwcq.Point, dest []int32, bad int) {
+	bad = -1
+	dest = make([]int32, len(points))
 	counts := make([]int, len(s.regions))
-	for _, p := range points {
-		counts[s.shardFor(p.X, p.Y)]++
+	for j, p := range points {
+		if bad < 0 && !finite(p) {
+			bad = j
+		}
+		i := s.shardFor(p.X, p.Y)
+		dest[j] = int32(i)
+		counts[i]++
 	}
-	parts := make([][]nwcq.Point, len(s.regions))
+	parts = make([][]nwcq.Point, len(s.regions))
 	for i, c := range counts {
 		if c > 0 {
 			parts[i] = make([]nwcq.Point, 0, c)
 		}
 	}
-	for _, p := range points {
-		i := s.shardFor(p.X, p.Y)
-		parts[i] = append(parts[i], p)
+	for j, p := range points {
+		parts[dest[j]] = append(parts[dest[j]], p)
 	}
-	return parts
+	return parts, dest, bad
 }
 
 // NewSharded partitions points across opt.Shards indexes and returns
@@ -320,8 +333,10 @@ func (s *Sharded) partition(points []nwcq.Point) [][]nwcq.Point {
 // are paged, WAL-backed indexes under that directory (created if
 // needed) with a manifest so OpenSharded can reopen them; otherwise
 // everything lives in memory. A point with a non-finite coordinate is
-// refused before the directory is touched, and the manifest is written
-// only once every shard is built.
+// refused before the directory is touched. The shards are built side by
+// side on the router's worker pool (Options.Parallelism wide), each the
+// same at every width; the manifest is written only once every shard is
+// built.
 func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("shard: Shards must be at least 1, got %d", opt.Shards)
@@ -331,28 +346,28 @@ func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 		return nil, err
 	}
 	s := newRouter(space, opt.Shards, opt)
-	parts := s.partition(points)
+	parts, _, bad := s.partition(points)
+	if bad >= 0 {
+		return nil, fmt.Errorf("shard: point %d has non-finite coordinates", bad)
+	}
 	if opt.Dir != "" {
 		if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	for i := range s.shards {
+	err = s.fill(func(i int) (*nwcq.PagedIndex, *nwcq.Index, []nwcq.Point, error) {
 		if opt.Dir == "" {
 			ix, err := nwcq.Build(parts[i], opt.Build...)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			s.shards[i] = ix
-			continue
+			return nil, ix, parts[i], err
 		}
 		px, err := nwcq.BuildPaged(parts[i], shardPath(opt.Dir, i), opt.Build...)
 		if err != nil {
-			s.closeShards()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			return nil, nil, nil, err
 		}
-		s.pageds[i] = px
-		s.shards[i] = &px.Index
+		return px, &px.Index, parts[i], nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if opt.Dir != "" {
 		if err := writeManifest(opt.Dir, s); err != nil {
@@ -360,10 +375,6 @@ func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 			return nil, err
 		}
 	}
-	for i, part := range parts {
-		s.extendBounds(i, part)
-	}
-	s.rec.SetSlowThreshold(s.shards[0].SlowQueryThreshold())
 	return s, nil
 }
 
@@ -377,27 +388,51 @@ func OpenSharded(dir string, opt Options) (*Sharded, error) {
 		return nil, err
 	}
 	s := newRouter(geom.NewRect(m.Space.MinX, m.Space.MinY, m.Space.MaxX, m.Space.MaxY), m.Shards, opt)
-	for i := range s.shards {
+	err = s.fill(func(i int) (*nwcq.PagedIndex, *nwcq.Index, []nwcq.Point, error) {
 		px, err := nwcq.OpenPaged(shardPath(dir, i), opt.Build...)
 		if err != nil {
-			s.closeShards()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			return nil, nil, nil, err
 		}
-		s.pageds[i] = px
-		s.shards[i] = &px.Index
-	}
-	// Recover the effective bounds: outliers routed to edge cells live
-	// outside their nominal region, and pruning must keep covering them.
-	for i, ix := range s.shards {
-		all, err := ix.Window(-math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, math.MaxFloat64)
+		// Recover the effective bounds: outliers routed to edge cells
+		// live outside their nominal region, and pruning must keep
+		// covering them.
+		all, err := px.Window(-math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, math.MaxFloat64)
 		if err != nil {
-			s.closeShards()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			return px, &px.Index, nil, err
 		}
-		s.extendBounds(i, all)
+		return px, &px.Index, all, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// fill builds or opens every shard with open over the router's worker
+// pool, one shard per claim, and grows each shard's effective bounds to
+// cover the points open returns for it. A shard open returns, error or
+// not, is the router's to close. On an error fill closes every shard and
+// returns the lowest-numbered shard's error: the pool claims shards in
+// order, so every shard below a failed one has run, and the error is the
+// one a sequential loop meets first, at every width.
+func (s *Sharded) fill(open func(i int) (*nwcq.PagedIndex, *nwcq.Index, []nwcq.Point, error)) error {
+	errs := make([]error, len(s.shards))
+	err := wpool.Each(len(s.shards), s.parallelism(), func(i int) error {
+		px, ix, pts, err := open(i)
+		s.pageds[i], s.shards[i] = px, ix
+		if err != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
+			return errs[i]
+		}
+		s.extendBounds(i, pts)
+		return nil
+	})
+	if err != nil {
+		s.closeShards()
+		return cmp.Or(errs...)
 	}
 	s.rec.SetSlowThreshold(s.shards[0].SlowQueryThreshold())
-	return s, nil
+	return nil
 }
 
 // manifest is the sharded directory's layout record. It is a file format
@@ -537,7 +572,8 @@ func (s *Sharded) Insert(p nwcq.Point) error { return s.InsertBatch([]nwcq.Point
 func (s *Sharded) InsertBatch(pts []nwcq.Point) (err error) {
 	start := time.Now()
 	defer func() { s.rec.Observe(obs.KindInsert, start, err) }()
-	for i, part := range s.partition(pts) {
+	parts, _, _ := s.partition(pts)
+	for i, part := range parts {
 		if len(part) == 0 {
 			continue
 		}
@@ -565,7 +601,7 @@ func (s *Sharded) DeleteBatch(pts []nwcq.Point) (founds []bool, err error) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
-	parts := s.partition(pts)
+	parts, dest, _ := s.partition(pts)
 	flags := make([][]bool, len(parts))
 	for i, part := range parts {
 		if len(part) == 0 {
@@ -578,8 +614,7 @@ func (s *Sharded) DeleteBatch(pts []nwcq.Point) (founds []bool, err error) {
 	// partition keeps input order within a shard: hand each point the
 	// next flag of its shard.
 	founds = make([]bool, len(pts))
-	for j, p := range pts {
-		i := s.shardFor(p.X, p.Y)
+	for j, i := range dest {
 		founds[j], flags[i] = flags[i][0], flags[i][1:]
 	}
 	return founds, nil

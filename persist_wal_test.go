@@ -141,7 +141,8 @@ func TestOpenPagedTornWALTail(t *testing.T) {
 // TestOpenPagedTornPageRun crashes a paged build, and then a commit
 // that extends the file, at every I/O step, tearing the write the crash
 // lands on. The pager writes appended pages in runs of up to 256, so
-// some of those writes carry many pages and the tear cuts one in half.
+// some of those writes carry many pages and the tear cuts one in half;
+// the commit's new pages, reserved and then written, go out in one run.
 // OpenPaged must then refuse the file or open the last checkpoint plus
 // the log: a point set some caller could have seen, read in a walk that
 // checks every page the tree reaches. A torn page it reached would fail
@@ -184,6 +185,12 @@ func TestOpenPagedTornPageRun(t *testing.T) {
 				acked = px.InsertBatch(batch) == nil
 			}
 			if !d.Crashed() {
+				// The commit's 72 new pages are reserved into the
+				// write-behind run and then written there, so they reach
+				// the file in one write, each once.
+				if want := []int{72 * pager.PageSize}; phase == "commit" && !slices.Equal(d.inj.pageWrites, want) {
+					t.Fatalf("commit: page-file writes of %v bytes, want %v", d.inj.pageWrites, want)
+				}
 				d.ArmCrash(-1)
 				if err := px.Close(); err != nil {
 					t.Fatal(err)
