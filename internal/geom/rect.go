@@ -102,13 +102,16 @@ func (r Rect) Intersects(o Rect) bool {
 }
 
 // Intersection returns the common region of r and o, which is empty when
-// they do not intersect.
+// they do not intersect. It and Union use the builtin min and max,
+// which compile inline and order −0 below +0 as math.Min and math.Max
+// do; a NaN gives a NaN even beside an infinity, where math.Min(−Inf,
+// NaN) is −Inf. Coordinates are finite, so no bound meets one.
 func (r Rect) Intersection(o Rect) Rect {
 	out := Rect{
-		MinX: math.Max(r.MinX, o.MinX),
-		MinY: math.Max(r.MinY, o.MinY),
-		MaxX: math.Min(r.MaxX, o.MaxX),
-		MaxY: math.Min(r.MaxY, o.MaxY),
+		MinX: max(r.MinX, o.MinX),
+		MinY: max(r.MinY, o.MinY),
+		MaxX: min(r.MaxX, o.MaxX),
+		MaxY: min(r.MaxY, o.MaxY),
 	}
 	if out.IsEmpty() {
 		return EmptyRect()
@@ -125,10 +128,10 @@ func (r Rect) Union(o Rect) Rect {
 		return r
 	}
 	return Rect{
-		MinX: math.Min(r.MinX, o.MinX),
-		MinY: math.Min(r.MinY, o.MinY),
-		MaxX: math.Max(r.MaxX, o.MaxX),
-		MaxY: math.Max(r.MaxY, o.MaxY),
+		MinX: min(r.MinX, o.MinX),
+		MinY: min(r.MinY, o.MinY),
+		MaxX: max(r.MaxX, o.MaxX),
+		MaxY: max(r.MaxY, o.MaxY),
 	}
 }
 

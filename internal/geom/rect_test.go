@@ -113,6 +113,51 @@ func TestBoundsMatchesExtendPointFold(t *testing.T) {
 	}
 }
 
+// TestUnionIntersectionMatchMathMinMax holds Union's and Intersection's
+// bounds, bit for bit, to math.Min's and math.Max's on both zeros, both
+// infinities, the extremes and subnormals, and to a NaN wherever either
+// side is one: there the builtins differ from math.Min(−Inf, NaN), which
+// is −Inf, and from math.Max(+Inf, NaN), which is +Inf.
+func TestUnionIntersectionMatchMathMinMax(t *testing.T) {
+	sub := math.Float64frombits(0x000f_ffff_ffff_ffff) // the largest subnormal
+	values := []float64{
+		math.Inf(-1), -math.MaxFloat64, -1, -sub, -math.SmallestNonzeroFloat64, math.Copysign(0, -1),
+		0, math.SmallestNonzeroFloat64, sub, 1, math.MaxFloat64, math.Inf(1), math.NaN(),
+	}
+	same := func(got, want float64) bool {
+		if math.IsNaN(want) {
+			return math.IsNaN(got)
+		}
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	inf := math.Inf(1)
+	for _, a := range values {
+		for _, b := range values {
+			lo, hi := math.Min(a, b), math.Max(a, b)
+			if math.IsNaN(a) || math.IsNaN(b) {
+				lo, hi = math.NaN(), math.NaN()
+			}
+			u := RectAround(Point{X: a, Y: b}).Union(RectAround(Point{X: b, Y: a}))
+			for _, c := range []struct {
+				what      string
+				got, want float64
+			}{
+				{"Union MinX", u.MinX, lo}, {"Union MinY", u.MinY, lo},
+				{"Union MaxX", u.MaxX, hi}, {"Union MaxY", u.MaxY, hi},
+				{"Intersection MinX", Rect{a, b, inf, inf}.Intersection(Rect{b, a, inf, inf}).MinX, hi},
+				{"Intersection MinY", Rect{a, b, inf, inf}.Intersection(Rect{b, a, inf, inf}).MinY, hi},
+				{"Intersection MaxX", Rect{-inf, -inf, a, b}.Intersection(Rect{-inf, -inf, b, a}).MaxX, lo},
+				{"Intersection MaxY", Rect{-inf, -inf, a, b}.Intersection(Rect{-inf, -inf, b, a}).MaxY, lo},
+			} {
+				if !same(c.got, c.want) {
+					t.Errorf("%s of %v and %v = %v (%#x), math gives %v (%#x)", c.what, a, b,
+						c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+				}
+			}
+		}
+	}
+}
+
 func TestEmptyRect(t *testing.T) {
 	e := EmptyRect()
 	if !e.IsEmpty() {

@@ -2,6 +2,7 @@ package iwp
 
 import (
 	"cmp"
+	"flag"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -273,6 +274,10 @@ func growDrainScript(rng *rand.Rand, fanout, store, strategy int) []byte {
 	return data
 }
 
+// TestApplyEqualsBuild runs a 600-op grow-and-drain script per fan-out,
+// store and strategy, then the three 300-op scripts that seeded
+// FuzzApplyEqualsBuild until the fuzzer's minimization of their mutants
+// stalled it (see there): each grows the tree by a level and drains it.
 func TestApplyEqualsBuild(t *testing.T) {
 	seed := int64(0)
 	for fanout := 4; fanout <= 8; fanout++ {
@@ -291,16 +296,33 @@ func TestApplyEqualsBuild(t *testing.T) {
 			}
 		}
 	}
+	for seed := int64(101); seed <= 103; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := growDrainScript(rng, 4+rng.Intn(5), rng.Intn(2), rng.Intn(3))[:2+3*300]
+		t.Run(fmt.Sprintf("seed=%d/300-ops", seed), func(t *testing.T) {
+			if st := runScript(t, script); st.grew < 1 || st.shrank < 1 {
+				t.Fatalf("script too tame: %d commits, %d patched, height rose %d times and fell %d times",
+					st.commits, st.patched, st.grew, st.shrank)
+			}
+		})
+	}
 }
 
+// fuzzMaxOps is how many ops of an input FuzzApplyEqualsBuild interprets
+// while fuzzing, as many as its longest seed.
+const fuzzMaxOps = 40
+
 // FuzzApplyEqualsBuild starts from six short scripts, one per store and
-// strategy, and then three 300-op ones. The fuzzer mutates its corpus in
-// order, and a mutated input that finds new coverage is minimized, one
-// run per byte removed, for up to a minute: from a 300-op script that
-// minute is spent on a few hundred runs. A script of 20 to 40 ops runs
-// in milliseconds, so the short seeds come first and the fuzzer explores
-// from them, while the long ones keep whole grow-and-drain cycles in the
-// corpus.
+// strategy. A mutated input that finds new coverage is minimized before
+// the fuzzer goes on, one run per byte removed and then per pair of cut
+// points, for up to a minute; a worker minimizing runs no new inputs.
+// Under the fuzzer's instrumentation a script of 300 to 460 ops takes
+// about half a second a run, so minimizing a mutant of one held a
+// worker for the whole minute, and with two such mutants queued the
+// fuzzer ran nothing. So the seeds are short, the 300-op scripts that
+// once seeded it run in TestApplyEqualsBuild, and while fuzzing only
+// the first fuzzMaxOps ops of an input run: the checked-in corpus,
+// scripts of up to 460 ops, still runs whole under go test.
 func FuzzApplyEqualsBuild(f *testing.F) {
 	for store := 0; store < 2; store++ {
 		for strategy := 0; strategy < 3; strategy++ {
@@ -309,9 +331,11 @@ func FuzzApplyEqualsBuild(f *testing.F) {
 			f.Add(growDrainScript(rng, 4+rng.Intn(2), store, strategy)[:2+3*ops])
 		}
 	}
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		f.Add(growDrainScript(rng, 4+rng.Intn(5), rng.Intn(2), rng.Intn(3))[:2+3*300])
-	}
-	f.Fuzz(func(t *testing.T, data []byte) { runScript(t, data) })
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if fuzzing {
+			data = data[:min(len(data), 2+3*fuzzMaxOps)]
+		}
+		runScript(t, data)
+	})
 }

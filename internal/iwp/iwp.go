@@ -497,6 +497,11 @@ func (b *builder) peers(n *rstar.Node, childDepth, target int, self Pointer, wri
 	return out, nil
 }
 
+// MBR returns the bounding rectangle of the tree's points, the empty
+// rectangle when it holds none: the root's MBR as the index records it,
+// with no node read.
+func (ix *Index) MBR() geom.Rect { return ix.node(ix.rootID).mbr }
+
 // Strategy returns the spacing strategy this index was built with.
 func (ix *Index) Strategy() Strategy { return ix.strategy }
 

@@ -165,6 +165,9 @@ type slabOrder struct {
 	slabSize int
 	spare    chan struct{}
 	wg       sync.WaitGroup
+	// table is scatter's bucket table, shared out among the slab workers
+	// once scatter is done with it.
+	table []int
 }
 
 // newSlabOrder starts the STR order of pts for nodes of capacity
@@ -210,46 +213,66 @@ const bucketsPerSlab = 16
 // scatter writes src into o.pts with every slab's members in its place,
 // by one bucket pass on X followed by selectBoundaries inside the
 // buckets that straddle a slab boundary. It reports false, having
-// written nothing, when the xs span no finite positive width or the
-// buckets would be finer than a float64 can scale to.
+// written nothing, when bucketPass cannot scale the xs.
 func (o *slabOrder) scatter(src []geom.Point) bool {
 	if len(src) == 0 {
 		return true
 	}
-	minX, maxX := src[0].X, src[0].X
-	for _, p := range src[1:] {
-		if p.X < minX {
-			minX = p.X
-		} else if p.X > maxX {
-			maxX = p.X
-		}
-	}
-	nb := bucketsPerSlab * o.slabs()
-	width := maxX - minX
-	scale := float64(nb) / width
-	if !(width > 0 && width <= math.MaxFloat64 && scale <= math.MaxFloat64) {
+	o.table = make([]int, bucketsPerSlab*o.slabs())
+	if !bucketPass(o.pts, src, false, o.table) {
 		return false
 	}
-	bucket := func(x float64) int { return min(int((x-minX)*scale), nb-1) }
-	next := make([]int, nb)
-	for _, p := range src {
-		next[bucket(p.X)]++
-	}
-	sum := 0
-	for b, c := range next {
-		next[b], sum = sum, sum+c
-	}
-	for _, p := range src {
-		b := bucket(p.X)
-		o.pts[next[b]] = p
-		next[b]++
-	}
 	lo := 0
-	for _, hi := range next { // next[b] is now where bucket b ends
+	for _, hi := range o.table {
 		o.selectBoundaries(lo, hi, 2*bits.Len(uint(hi-lo)))
 		lo = hi
 	}
 	o.wg.Wait()
+	return true
+}
+
+// bucketPass writes src into dst, of the same length and not empty,
+// grouped by the bucket ⌊(c − min)·scale⌋ of each point's coordinate c
+// (Y when byY is set, X otherwise), one bucket per element of ends.
+// The bucket is monotone in c, so every point of a bucket precedes, in
+// the coordinate's order, every point of the next. On return ends[b] is
+// where bucket b ends in dst. It reports false, having written
+// nothing, when the coordinates span no finite positive width or the
+// buckets would be finer than a float64 can scale to.
+func bucketPass(dst, src []geom.Point, byY bool, ends []int) bool {
+	coord := func(p geom.Point) float64 {
+		if byY {
+			return p.Y
+		}
+		return p.X
+	}
+	lo, hi := coord(src[0]), coord(src[0])
+	for _, p := range src[1:] {
+		if c := coord(p); c < lo {
+			lo = c
+		} else if c > hi {
+			hi = c
+		}
+	}
+	nb := len(ends)
+	width := hi - lo
+	scale := float64(nb) / width
+	if !(width > 0 && width <= math.MaxFloat64 && scale <= math.MaxFloat64) {
+		return false
+	}
+	clear(ends)
+	for _, p := range src {
+		ends[min(int((coord(p)-lo)*scale), nb-1)]++
+	}
+	sum := 0
+	for b, c := range ends {
+		ends[b], sum = sum, sum+c
+	}
+	for _, p := range src {
+		b := min(int((coord(p)-lo)*scale), nb-1)
+		dst[ends[b]] = p
+		ends[b]++
+	}
 	return true
 }
 
@@ -280,89 +303,89 @@ func (o *slabOrder) selectBoundaries(lo, hi, budget int) {
 	}
 }
 
+// pointsPerBucket is how many points sortSlab puts in a y bucket on
+// average. A 2,660-point uniform slab, BenchmarkBuild's, sorts as fast
+// at 2 to 6 (2-CPU Xeon); at 5 the tables of two slab workers fit in the
+// one scatter leaves behind, so they allocate nothing more.
+const pointsPerBucket = 5
+
 // sortSlabs sorts every slab by (Y, X, ID). One worker per processor
-// takes the slabs in turn, each with one slab-sized buffer for the radix
-// passes.
+// takes the slabs in turn, each with one slab-sized buffer and its own
+// part of o.table, which serve every slab it sorts.
 func (o *slabOrder) sortSlabs() {
 	nSlabs := o.slabs()
+	if nSlabs == 0 {
+		return
+	}
+	size := min(o.slabSize, len(o.pts))
+	per := max(1, size/pointsPerBucket)
+	workers := 1 + min(cap(o.spare), nSlabs-1)
+	if len(o.table) < workers*per {
+		o.table = make([]int, workers*per)
+	}
 	var next atomic.Int64
-	work := func() {
+	work := func(ends []int) {
 		var buf []geom.Point
 		for s := int(next.Add(1) - 1); s < nSlabs; s = int(next.Add(1) - 1) {
 			slab := o.pts[s*o.slabSize : min((s+1)*o.slabSize, len(o.pts))]
 			if buf == nil {
-				buf = make([]geom.Point, min(o.slabSize, len(o.pts)))
+				buf = make([]geom.Point, size)
 			}
-			sortSlab(slab, buf)
+			sortSlab(slab, buf, ends)
 		}
 	}
-	for range min(cap(o.spare), nSlabs-1) {
+	for w := 1; w < workers; w++ {
 		o.wg.Add(1)
 		go func() {
 			defer o.wg.Done()
-			work()
+			work(o.table[w*per : (w+1)*per])
 		}()
 	}
-	work()
+	work(o.table[:per])
 	o.wg.Wait()
 }
 
-// sortSlab sorts a by (Y, X, ID): an LSD radix sort on Y's orderKey, one
-// byte a pass, that skips every pass whose byte all keys share, then
-// cmpYX over each run of equal Y. buf holds at least len(a) points.
-func sortSlab(a, buf []geom.Point) {
+// shortBucket is the longest bucket sortSlab orders by insertion; a
+// longer one, which only a skewed slab makes, goes to slices.SortFunc.
+const shortBucket = 12
+
+// sortSlab sorts a by (Y, X, ID): one bucket pass on Y into buf, about
+// pointsPerBucket points a bucket, then cmpYX inside each bucket as it
+// is copied back. A slab whose ys bucketPass cannot scale is sorted by
+// cmpYX alone. buf holds at least len(a) points and ends at least
+// len(a)/pointsPerBucket counts.
+func sortSlab(a, buf []geom.Point, ends []int) {
 	if len(a) < 2 {
 		return
 	}
-	var count [8][256]int
-	for _, p := range a {
-		k := orderKey(p.Y)
-		for d := range count {
-			count[d][byte(k>>(8*d))]++
-		}
+	ends = ends[:max(1, len(a)/pointsPerBucket)]
+	if !bucketPass(buf[:len(a)], a, true, ends) {
+		slices.SortFunc(a, cmpYX)
+		return
 	}
-	k0 := orderKey(a[0].Y)
-	src, dst := a, buf[:len(a)]
-	for d := range count {
-		c := &count[d]
-		if c[byte(k0>>(8*d))] == len(a) {
-			continue
+	lo := 0
+	for _, hi := range ends {
+		b := a[lo:hi]
+		copy(b, buf[lo:hi])
+		if len(b) > shortBucket {
+			slices.SortFunc(b, cmpYX)
+		} else {
+			insertionSortYX(b)
 		}
-		sum := 0
-		for i, n := range c {
-			c[i], sum = sum, sum+n
-		}
-		for _, p := range src {
-			b := byte(orderKey(p.Y) >> (8 * d))
-			dst[c[b]] = p
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-	for i := 0; i < len(a); {
-		j := i + 1
-		for j < len(a) && a[j].Y == a[i].Y {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(a[i:j], cmpYX)
-		}
-		i = j
+		lo = hi
 	}
 }
 
-// orderKey maps a finite coordinate to a uint64 in the same order, −0
-// and +0 to one key, as cmpXY and cmpYX compare them: a negative value's
-// bits are flipped, a positive one's sign bit is set.
-func orderKey(f float64) uint64 {
-	if f == 0 {
-		return 1 << 63
+// insertionSortYX sorts a short run by cmpYX.
+func insertionSortYX(a []geom.Point) {
+	for i := 1; i < len(a); i++ {
+		p := a[i]
+		j := i
+		for ; j > 0 && cmpYX(p, a[j-1]) < 0; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = p
 	}
-	b := math.Float64bits(f)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // partitionXY reorders a, len(a) ≥ 3, around the median of its first,

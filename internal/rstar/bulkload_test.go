@@ -232,36 +232,6 @@ func TestStrOrderMatchesSort(t *testing.T) {
 	}
 }
 
-// TestOrderKey holds orderKey to the float order on edge values: the
-// extremes, subnormals, both zeros and negative coordinates. The key
-// must rise with the value and map −0 and +0 to one key.
-func TestOrderKey(t *testing.T) {
-	sub := math.Float64frombits(0x000f_ffff_ffff_ffff) // the largest subnormal
-	ascending := []float64{
-		-math.MaxFloat64, -1e300, -10000, -5000.5, -1, -0x1p-1022,
-		-sub, -2 * math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.Copysign(0, -1), 0,
-		math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, sub, 0x1p-1022,
-		1, 5000.5, 10000, 1e300, math.MaxFloat64,
-	}
-	rng := rand.New(rand.NewSource(14))
-	for range 2000 {
-		f := math.Float64frombits(rng.Uint64())
-		if !math.IsNaN(f) && !math.IsInf(f, 0) {
-			ascending = append(ascending, f)
-		}
-	}
-	slices.Sort(ascending)
-	for i, a := range ascending {
-		for _, b := range ascending[i:] {
-			ka, kb := orderKey(a), orderKey(b)
-			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
-				t.Fatalf("orderKey(%g) = %#x, orderKey(%g) = %#x: not in the values' order", a, ka, b, kb)
-			}
-		}
-	}
-}
-
 // strReference is the STR order by two full comparator sorts: by
 // (X, Y, ID), then each slab by (Y, X, ID).
 func strReference(pts []geom.Point, capacity int) []geom.Point {
@@ -276,13 +246,16 @@ func strReference(pts []geom.Point, capacity int) []geom.Point {
 }
 
 // keyOrderInputs are the inputs that stress the key order: coincident
-// points, one x, one y, both zeros, sorted and reversed input, and xs
-// too wide or too narrow for the bucket pass to scale.
+// points, one x, one y, both zeros with repeated IDs, sorted and
+// reversed input, a Gaussian, one far outlier that leaves nearly every
+// point in one y bucket, and xs or ys too wide or too narrow for a
+// bucket pass to scale.
 func keyOrderInputs(n int) map[string][]geom.Point {
 	rng := rand.New(rand.NewSource(int64(n)))
 	inputs := map[string][]geom.Point{
-		"lattice": latticePoints(n, 7, int64(n)),
-		"uniform": datagen.Uniform(n, int64(n)+1),
+		"lattice":  latticePoints(n, 7, int64(n)),
+		"uniform":  datagen.Uniform(n, int64(n)+1),
+		"gaussian": datagen.Gaussian(n, 5000, 800, int64(n)+2),
 	}
 	sorted := slices.Clone(inputs["uniform"])
 	slices.SortFunc(sorted, cmpXY)
@@ -302,6 +275,18 @@ func keyOrderInputs(n int) map[string][]geom.Point {
 		"subnormal": func(int) geom.Point {
 			return geom.Point{X: float64(rng.Intn(5)) * math.SmallestNonzeroFloat64, Y: rng.NormFloat64()}
 		},
+		"wide-y": func(int) geom.Point {
+			return geom.Point{X: rng.Float64(), Y: []float64{-math.MaxFloat64, 0, math.MaxFloat64, rng.NormFloat64()}[rng.Intn(4)]}
+		},
+		"subnormal-y": func(int) geom.Point {
+			return geom.Point{X: float64(rng.Intn(3)), Y: float64(rng.Intn(7)) * math.SmallestNonzeroFloat64}
+		},
+		"far-outlier": func(i int) geom.Point {
+			if i == n/2 {
+				return geom.Point{X: rng.Float64(), Y: 1e12}
+			}
+			return geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		},
 	}
 	for name, at := range shapes {
 		pts := make([]geom.Point, n)
@@ -316,17 +301,23 @@ func keyOrderInputs(n int) map[string][]geom.Point {
 	return inputs
 }
 
-// TestSortSlabMatchesSort holds the radix slab sort against a full
-// cmpYX sort, one buffer serving every size.
+// TestSortSlabMatchesSort holds the bucket slab sort against a full
+// cmpYX sort, one buffer and one bucket table serving every size: each
+// size up to 64, then every 37th to a slab of 2,660 points (76 nodes of
+// 35, the slab a 200k-point build sorts).
 func TestSortSlabMatchesSort(t *testing.T) {
-	buf := make([]geom.Point, 600)
-	for _, n := range []int{0, 1, 2, 3, 64, 200, 600} {
+	const most = 2660
+	buf, ends := make([]geom.Point, most), make([]int, most/pointsPerBucket)
+	for n := 0; n <= most; n++ {
+		if n > 64 && n%37 != 0 && n != most {
+			continue
+		}
 		for name, pts := range keyOrderInputs(n) {
 			got, want := slices.Clone(pts), slices.Clone(pts)
-			sortSlab(got, buf)
+			sortSlab(got, buf, ends)
 			slices.SortFunc(want, cmpYX)
 			if !slices.Equal(got, want) {
-				t.Errorf("%s, n=%d: slab order differs from a full sort's", name, n)
+				t.Fatalf("%s, n=%d: slab order differs from a full sort's", name, n)
 			}
 		}
 	}

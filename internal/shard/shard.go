@@ -261,34 +261,31 @@ func (s *Sharded) shardFor(x, y float64) int {
 // do not modify).
 func (s *Sharded) shardBounds() []geom.Rect { return *s.bounds.Load() }
 
-// extendBounds grows shard i's effective bounds to cover pts, if
-// needed. Extension is monotonic, so pruning against stale (smaller)
-// bounds can only happen for points not yet visible to any query. A
-// point with a non-finite coordinate extends nothing: the shard refuses
-// it before anything becomes visible.
-func (s *Sharded) extendBounds(i int, pts []nwcq.Point) {
-	cur := s.shardBounds()
-	needs := false
-	for _, p := range pts {
-		if finite(p) && !cur[i].ContainsPoint(p) {
-			needs = true
-			break
-		}
-	}
-	if !needs {
+// extendBounds grows shard i's effective bounds to cover r, if needed.
+// Extension is monotonic, so pruning against stale (smaller) bounds can
+// only happen for points not yet visible to any query.
+func (s *Sharded) extendBounds(i int, r geom.Rect) {
+	if s.shardBounds()[i].ContainsRect(r) {
 		return
 	}
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	cur = s.shardBounds()
-	next := make([]geom.Rect, len(cur))
-	copy(next, cur)
+	next := slices.Clone(s.shardBounds())
+	next[i] = next[i].Union(r)
+	s.bounds.Store(&next)
+}
+
+// finiteBox is the smallest rectangle covering pts' points with finite
+// coordinates: a point with a non-finite one extends no bounds, because
+// the shard refuses it before anything becomes visible.
+func finiteBox(pts []nwcq.Point) geom.Rect {
+	r := geom.EmptyRect()
 	for _, p := range pts {
 		if finite(p) {
-			next[i] = next[i].ExtendPoint(p)
+			r = r.ExtendPoint(p)
 		}
 	}
-	s.bounds.Store(&next)
+	return r
 }
 
 // finite reports whether both of p's coordinates are finite (a NaN
@@ -355,16 +352,16 @@ func NewSharded(points []nwcq.Point, opt Options) (*Sharded, error) {
 			return nil, err
 		}
 	}
-	err = s.fill(func(i int) (*nwcq.PagedIndex, *nwcq.Index, []nwcq.Point, error) {
+	err = s.fill(func(i int) (*nwcq.PagedIndex, *nwcq.Index, error) {
 		if opt.Dir == "" {
 			ix, err := nwcq.Build(parts[i], opt.Build...)
-			return nil, ix, parts[i], err
+			return nil, ix, err
 		}
 		px, err := nwcq.BuildPaged(parts[i], shardPath(opt.Dir, i), opt.Build...)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		return px, &px.Index, parts[i], nil
+		return px, &px.Index, nil
 	})
 	if err != nil {
 		return nil, err
@@ -388,19 +385,12 @@ func OpenSharded(dir string, opt Options) (*Sharded, error) {
 		return nil, err
 	}
 	s := newRouter(geom.NewRect(m.Space.MinX, m.Space.MinY, m.Space.MaxX, m.Space.MaxY), m.Shards, opt)
-	err = s.fill(func(i int) (*nwcq.PagedIndex, *nwcq.Index, []nwcq.Point, error) {
+	err = s.fill(func(i int) (*nwcq.PagedIndex, *nwcq.Index, error) {
 		px, err := nwcq.OpenPaged(shardPath(dir, i), opt.Build...)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		// Recover the effective bounds: outliers routed to edge cells
-		// live outside their nominal region, and pruning must keep
-		// covering them.
-		all, err := px.Window(-math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, math.MaxFloat64)
-		if err != nil {
-			return px, &px.Index, nil, err
-		}
-		return px, &px.Index, all, nil
+		return px, &px.Index, nil
 	})
 	if err != nil {
 		return nil, err
@@ -410,21 +400,23 @@ func OpenSharded(dir string, opt Options) (*Sharded, error) {
 
 // fill builds or opens every shard with open over the router's worker
 // pool, one shard per claim, and grows each shard's effective bounds to
-// cover the points open returns for it. A shard open returns, error or
-// not, is the router's to close. On an error fill closes every shard and
-// returns the lowest-numbered shard's error: the pool claims shards in
-// order, so every shard below a failed one has run, and the error is the
-// one a sequential loop meets first, at every width.
-func (s *Sharded) fill(open func(i int) (*nwcq.PagedIndex, *nwcq.Index, []nwcq.Point, error)) error {
+// cover its points' extent: outliers routed to edge cells live outside
+// their nominal region, and pruning must keep covering them, after a
+// reopen too. A shard open returns, error or not, is the router's to
+// close. On an error fill closes every shard and returns the
+// lowest-numbered shard's error: the pool claims shards in order, so
+// every shard below a failed one has run, and the error is the one a
+// sequential loop meets first, at every width.
+func (s *Sharded) fill(open func(i int) (*nwcq.PagedIndex, *nwcq.Index, error)) error {
 	errs := make([]error, len(s.shards))
 	err := wpool.Each(len(s.shards), s.parallelism(), func(i int) error {
-		px, ix, pts, err := open(i)
+		px, ix, err := open(i)
 		s.pageds[i], s.shards[i] = px, ix
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return errs[i]
 		}
-		s.extendBounds(i, pts)
+		s.extendBounds(i, ix.Extent())
 		return nil
 	})
 	if err != nil {
@@ -577,7 +569,7 @@ func (s *Sharded) InsertBatch(pts []nwcq.Point) (err error) {
 		if len(part) == 0 {
 			continue
 		}
-		s.extendBounds(i, part)
+		s.extendBounds(i, finiteBox(part))
 		if err = s.shards[i].InsertBatch(part); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}

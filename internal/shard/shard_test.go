@@ -383,6 +383,69 @@ func TestShardedDirBuildReopen(t *testing.T) {
 	}
 }
 
+// TestOpenShardedBoundsMatchFold: a reopen grows each shard's bounds
+// from its tree's extent, and they must equal, bit for bit, the fold of
+// ExtendPoint over the shard's points from its region that a reopen
+// once computed by reading every point back. Outliers beyond every edge
+// are inserted, the farthest of them deleted again, so the bounds the
+// directory was closed with are wider than the reopened ones.
+func TestOpenShardedBoundsMatchFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pts := straddlePoints(rng, 400)
+	dir := filepath.Join(t.TempDir(), "cluster")
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := []nwcq.Point{
+		{X: -7.25, Y: 40, ID: 9001}, {X: 130.5, Y: 3, ID: 9002}, {X: 60, Y: -0.125, ID: 9003},
+		{X: 20, Y: 101.5, ID: 9004}, {X: -3, Y: -4, ID: 9005}, {X: 1e3, Y: 1e3, ID: 9006},
+	}
+	gone := []nwcq.Point{
+		{X: -500, Y: 10, ID: 9101}, {X: 2e4, Y: 90, ID: 9102}, {X: 70, Y: -1e5, ID: 9103},
+		{X: -800.5, Y: 3e3, ID: 9104}, {X: 5e4, Y: -6e4, ID: 9105},
+	}
+	if err := sh.InsertBatch(append(slices.Clone(kept), gone...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.DeleteBatch(append(slices.Clone(gone), pts[:40]...)); err != nil {
+		t.Fatal(err)
+	}
+	closed := slices.Clone(sh.shardBounds())
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	bits := func(r geom.Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.MinX), math.Float64bits(r.MinY), math.Float64bits(r.MaxX), math.Float64bits(r.MaxY)}
+	}
+	for i, got := range re.shardBounds() {
+		all, err := re.pageds[i].Window(-math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, math.MaxFloat64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := re.regions[i]
+		if slices.ContainsFunc(all, func(p nwcq.Point) bool { return !want.ContainsPoint(p) }) {
+			for _, p := range all {
+				want = want.ExtendPoint(p)
+			}
+		}
+		if bits(got) != bits(want) {
+			t.Errorf("shard %d: reopened bounds %v, the fold of its %d points gives %v", i, got, len(all), want)
+		}
+		if got == re.regions[i] {
+			t.Errorf("shard %d: no outlier outside its region %v", i, got)
+		}
+		if got == closed[i] {
+			t.Errorf("shard %d: bounds %v as wide as before the deletes", i, got)
+		}
+	}
+}
+
 // TestShardedValidation checks routed queries reject invalid input the
 // same way the single index does.
 func TestShardedValidation(t *testing.T) {

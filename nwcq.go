@@ -52,6 +52,7 @@ import (
 	"nwcq/internal/core"
 	"nwcq/internal/geom"
 	"nwcq/internal/grid"
+	"nwcq/internal/iwp"
 	"nwcq/internal/metrics"
 	"nwcq/internal/obs"
 	"nwcq/internal/pager"
@@ -389,25 +390,36 @@ func (o buildOptions) check(points []Point) error {
 // start publishes the first view of a built or reopened index: the
 // density grid of points over the WithSpace rectangle or their padded
 // bounding box, the frozen tree (which holds the same points) and its
-// IWP pointers. lsn is the WAL position the view reflects, zero without
-// a log.
+// IWP pointers, built in one walk of the tree's internal nodes. The grid
+// reads the points alone, so it is counted on a goroutine of its own
+// while the tree is frozen and the pointers built; its error is the one
+// returned first. lsn is the WAL position the view reflects, zero
+// without a log.
 func (ix *Index) start(tree *rstar.Tree, points []Point, o buildOptions, lsn uint64) error {
-	space := o.space
-	if !o.spaceSet {
-		var err error
-		if space, err = geom.Bounds(points); err != nil {
-			return fmt.Errorf("nwcq: %w", err)
-		}
+	type counted struct {
+		den *grid.Density
+		err error
 	}
-	den, err := grid.New(space, o.gridCellSize, points)
-	if err != nil {
-		return err
-	}
+	grids := make(chan counted, 1)
+	// The goroutine takes the three fields it reads: capturing o would
+	// move the options to the heap.
+	go func(space geom.Rect, spaceSet bool, cellSize float64) {
+		den, err := density(points, space, spaceSet, cellSize)
+		grids <- counted{den, err}
+	}(o.space, o.spaceSet, o.gridCellSize)
 	frozen, err := tree.Freeze()
+	var idx *iwp.Index
+	if err == nil {
+		idx, err = iwp.Build(frozen)
+	}
+	g := <-grids
+	if g.err != nil {
+		return g.err
+	}
 	if err != nil {
 		return err
 	}
-	v, err := firstView(frozen, den)
+	v, err := newView(frozen, g.den, idx)
 	if err != nil {
 		return err
 	}
@@ -424,12 +436,31 @@ func (ix *Index) start(tree *rstar.Tree, points []Point, o buildOptions, lsn uin
 	return nil
 }
 
+// density counts the grid of points, of cells cellSize wide, over space
+// when spaceSet and over the points' padded bounding box otherwise.
+func density(points []Point, space geom.Rect, spaceSet bool, cellSize float64) (*grid.Density, error) {
+	if !spaceSet {
+		var err error
+		if space, err = geom.Bounds(points); err != nil {
+			return nil, fmt.Errorf("nwcq: %w", err)
+		}
+	}
+	return grid.New(space, cellSize, points)
+}
+
 // Len returns the number of indexed points (in the current view; a
 // concurrent mutation is reflected once published).
 func (ix *Index) Len() int { return ix.cur.Load().tree.Len() }
 
 // TreeHeight returns the R*-tree height in levels.
 func (ix *Index) TreeHeight() int { return ix.cur.Load().tree.Height() }
+
+// Extent returns the bounding rectangle of the indexed points in the
+// current view, the empty rectangle when there are none. It is the
+// tree's root MBR, which the IWP index holds in memory, so it reads no
+// node; every MBR is tight, so it equals the fold of Rect.ExtendPoint
+// over the points bit for bit.
+func (ix *Index) Extent() Rect { return ix.cur.Load().iwp.MBR() }
 
 // StorageOverheadBytes reports the extra storage of the DEP density
 // grid and the IWP pointers, using the paper's accounting (two bytes

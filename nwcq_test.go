@@ -1,9 +1,17 @@
 package nwcq
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
+
+	"nwcq/internal/rstar"
 )
 
 func testPoints(n int, seed int64) []Point {
@@ -232,6 +240,112 @@ func TestBuildValidation(t *testing.T) {
 	if res.Dist != 5 {
 		t.Errorf("dist %g, want 5", res.Dist)
 	}
+}
+
+// TestBuildGridErrorFirst holds the error of a grid that needs more
+// than its cell limit to the text it had while the grid was counted
+// before the tree was frozen: the grid now counts beside the IWP build,
+// and its error must still be the one a build returns.
+func TestBuildGridErrorFirst(t *testing.T) {
+	const configured = "grid: space [0,1e+06]x[0,1e+06] at cell size 25 needs 1.600080001e+09 cells, more than 268435456"
+	if _, err := Build([]Point{{X: 1, Y: 2}}, WithSpace(0, 0, 1e6, 1e6)); fmt.Sprint(err) != configured {
+		t.Errorf("Build over a configured space: %v, want %q", err, configured)
+	}
+	const bounded = "grid: space [0,1e+07]x[0,1e+06] at cell size 25 needs 1.6000440001e+10 cells, more than 268435456"
+	if _, err := Build([]Point{{X: 0, Y: 0}, {X: 1e7, Y: 3}, {X: 5, Y: 1e6}}, WithBulkLoad()); fmt.Sprint(err) != bounded {
+		t.Errorf("Build over the points' bounds: %v, want %q", err, bounded)
+	}
+	path := filepath.Join(t.TempDir(), "index.nwcq")
+	if _, err := BuildPaged([]Point{{X: 1, Y: 2}}, path, WithSpace(0, 0, 1e6, 1e6)); fmt.Sprint(err) != configured {
+		t.Errorf("BuildPaged over a configured space: %v, want %q", err, configured)
+	}
+}
+
+// TestBuildSameAtEveryProcs checks that a bulk-loaded Build on one
+// processor and on two gives the same tree node for node, the same
+// storage overhead and the same answers: the slabs are sorted side by
+// side and the grid is counted beside the IWP build, and neither may
+// change what is built.
+func TestBuildSameAtEveryProcs(t *testing.T) {
+	pts := testPoints(30000, 47)
+	for i := range pts[:5000] { // coincident points, to be ordered by ID
+		pts[i].X, pts[i].Y = math.Floor(pts[i].X/50)*50, math.Floor(pts[i].Y/50)*50
+	}
+	type built struct {
+		hash        string
+		gridB, iwpB int
+		nwc         []Result
+		knwc        []KResult
+	}
+	build := func() built {
+		ix, err := Build(pts, WithBulkLoad())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b built
+		b.hash = indexTreeHash(t, ix.cur.Load().tree)
+		b.gridB, b.iwpB = ix.StorageOverheadBytes()
+		rng := rand.New(rand.NewSource(48))
+		for range 40 {
+			q := Query{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, Length: 10 + rng.Float64()*60, Width: 10 + rng.Float64()*60, N: 2 + rng.Intn(6)}
+			res, err := ix.NWC(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.nwc = append(b.nwc, res)
+			kres, err := ix.KNWC(KQuery{Query: q, K: 3, M: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.knwc = append(b.knwc, kres)
+		}
+		return b
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := build()
+	runtime.GOMAXPROCS(2)
+	got := build()
+	if got.hash != want.hash {
+		t.Errorf("tree hash %s on two processors, %s on one", got.hash, want.hash)
+	}
+	if got.gridB != want.gridB || got.iwpB != want.iwpB {
+		t.Errorf("StorageOverheadBytes (%d, %d) on two processors, (%d, %d) on one", got.gridB, got.iwpB, want.gridB, want.iwpB)
+	}
+	if !reflect.DeepEqual(got.nwc, want.nwc) || !reflect.DeepEqual(got.knwc, want.knwc) {
+		t.Error("answers on two processors differ from those on one")
+	}
+}
+
+// indexTreeHash is a SHA-256 over every node of tr in depth-first
+// order: its ID, kind, points, child rectangles and child IDs.
+func indexTreeHash(t *testing.T, tr *rstar.Tree) string {
+	t.Helper()
+	h := sha256.New()
+	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	f := func(v float64) { word(math.Float64bits(v)) }
+	err := tr.Walk(func(n *rstar.Node) bool {
+		word(uint64(n.ID))
+		word(uint64(len(n.Points)))
+		for _, p := range n.Points {
+			f(p.X)
+			f(p.Y)
+			word(p.ID)
+		}
+		word(uint64(len(n.Children)))
+		for i, c := range n.Children {
+			r := n.Rects[i]
+			f(r.MinX)
+			f(r.MinY)
+			f(r.MaxX)
+			f(r.MaxY)
+			word(uint64(c))
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func TestIOStatsAccumulate(t *testing.T) {

@@ -67,16 +67,6 @@ func newView(tree *rstar.Tree, den *grid.Density, idx *iwp.Index) (*view, error)
 	return &view{tree: tree, grid: den, iwp: idx, eng: eng}, nil
 }
 
-// firstView assembles the view a Build or an OpenPaged starts from: the
-// one place the IWP index is built by reading the whole tree.
-func firstView(tree *rstar.Tree, den *grid.Density) (*view, error) {
-	idx, err := iwp.Build(tree)
-	if err != nil {
-		return nil, err
-	}
-	return newView(tree, den, idx)
-}
-
 // acquire pins the current view for one query. The loop handles the
 // one race that exists: between loading ix.cur and incrementing refs,
 // the writer may have superseded and tombstoned the view (refs -1), in
