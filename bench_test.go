@@ -632,13 +632,15 @@ func BenchmarkBuild(b *testing.B) {
 // STR-packed over a given space into a page file with a 512-page buffer
 // pool and a 512-node cache. It reports the build's physical page
 // writes and reads: a build writes each node's page once and reads
-// none back. Each build starts with no page file: the previous one is
-// removed with the timer stopped, so no iteration pays for truncating
-// its predecessor's 24 MB.
+// none back. It also reports the wall time the build waited inside the
+// page file's fsyncs, which a CPU profile does not see. Each build
+// starts with no page file: the previous one is removed with the timer
+// stopped, so no iteration pays for truncating its predecessor's 24 MB.
 func BenchmarkBuildPaged(b *testing.B) {
 	pts := datagen.Uniform(200000, 101)
 	path := filepath.Join(b.TempDir(), "build.nwcq")
 	var writes, reads uint64
+	var syncWait time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -647,9 +649,10 @@ func BenchmarkBuildPaged(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st := px.PageStats()
+		st := px.pages.Stats()
 		writes += st.Writes
 		reads += st.Reads
+		syncWait += st.SyncWait
 		b.StopTimer()
 		if err := px.Close(); err != nil {
 			b.Fatal(err)
@@ -661,6 +664,7 @@ func BenchmarkBuildPaged(b *testing.B) {
 	}
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+	b.ReportMetric(syncWait.Seconds()*1e3/float64(b.N), "fsync-ms/op")
 }
 
 // BenchmarkRStarWindowQuery measures a window query returning ~25

@@ -29,9 +29,10 @@ import (
 // script that grows and drains it passes through leaf splits, forced
 // reinsertion, condense-and-reinsert, root split and root collapse.
 // After every commit the patched index must equal a fresh Build of the
-// new snapshot, the index it was derived from must be untouched, and an
-// incremental window query from every leaf must return what a root-down
-// search returns.
+// new snapshot, the index it was derived from must be untouched (equal
+// to a copy of its records taken when it was new), and an incremental
+// window query from every leaf must return what a root-down search
+// returns.
 const (
 	scriptMaxOps   = 600
 	scriptBatchCap = 16
@@ -72,7 +73,8 @@ func runScript(t *testing.T, data []byte) scriptStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := ix // Build of cur, in storage of its own
+	kept := snapshot(ix)
+	var sets pointSets
 
 	var live []geom.Point
 	var pending [][]rstar.NodeID // retired IDs, released two commits late
@@ -108,9 +110,9 @@ func runScript(t *testing.T, data []byte) scriptStats {
 		}
 		sameIndex(t, label, patched, want)
 		// The version Apply derived from serves readers pinned to the old
-		// snapshot: it must still equal the Build taken when it was new.
-		sameIndex(t, label+", superseded index", ix, oracle)
-		windowsFromEveryLeaf(t, label, patched, next, st.commits)
+		// snapshot: it must still hold the records it held when it was new.
+		sameRecords(t, label+", superseded index", ix, kept)
+		windowsFromEveryLeaf(t, label, patched, next, st.commits, &sets)
 
 		st.commits++
 		switch {
@@ -130,7 +132,7 @@ func runScript(t *testing.T, data []byte) scriptStats {
 			}
 			pending = pending[1:]
 		}
-		cur, ix, oracle = next, patched, want
+		cur, ix, kept = next, patched, snapshot(patched)
 	}
 
 	for ; len(ops) >= 3; ops = ops[3:] {
@@ -211,10 +213,96 @@ func sameIndex(t *testing.T, label string, got, want *Index) {
 	}
 }
 
+// snapshot copies ix's records, overlap lists included, so that a later
+// sameRecords shows whether anything wrote to ix or to a list it shares.
+func snapshot(ix *Index) *Index {
+	cp := *ix
+	cp.targeted = slices.Clone(ix.targeted)
+	cp.chunks = make([]*chunk, len(ix.chunks))
+	for i, c := range ix.chunks {
+		if c == nil {
+			continue
+		}
+		cc := *c
+		for j := range cc {
+			cc[j].overlap = slices.Clone(cc[j].overlap)
+		}
+		cp.chunks[i] = &cc
+	}
+	return &cp
+}
+
+// sameRecords fails unless got holds exactly the records of want, its
+// snapshot: the same fields, the same slots and every list in the same
+// order.
+func sameRecords(t *testing.T, label string, got, want *Index) {
+	t.Helper()
+	if got.rootID != want.rootID || got.height != want.height || got.strategy != want.strategy ||
+		got.numLeaves != want.numLeaves || got.numOverlap != want.numOverlap ||
+		!slices.Equal(got.targeted, want.targeted) || len(got.chunks) != len(want.chunks) {
+		t.Fatalf("%s: index header changed since it was built", label)
+	}
+	for i, c := range got.chunks {
+		w := want.chunks[i]
+		if (c == nil) != (w == nil) {
+			t.Fatalf("%s: chunk %d appeared or vanished", label, i)
+		}
+		if c == nil {
+			continue
+		}
+		for j := range c {
+			g, w := &c[j], &w[j]
+			if g.parent != w.parent || g.level != w.level || g.mbr != w.mbr || !slices.Equal(g.overlap, w.overlap) {
+				t.Fatalf("%s: node %d record {parent %d level %d mbr %v overlap %v}, was {parent %d level %d mbr %v overlap %v}",
+					label, i<<chunkShift|j, g.parent, g.level, g.mbr, g.overlap, w.parent, w.level, w.mbr, w.overlap)
+			}
+		}
+	}
+}
+
+// pointSets compares window answers as sets without sorting them: a
+// script gives every point its own small ID, so a table indexed by ID
+// marks a reference answer's points in one pass and checks the other
+// answer in a second. Its tables are reused from answer to answer.
+type pointSets struct {
+	round int
+	stamp []int        // stamp[id] == round: the reference holds id
+	point []geom.Point // and this is its point
+}
+
+// same reports whether got holds exactly want's points. It may answer
+// false for equal answers (an ID repeated or too large for the table),
+// never true for different ones, so a false is checked again by
+// samePointSet.
+func (s *pointSets) same(got, want []geom.Point) bool {
+	const maxID = 1 << 16
+	if len(got) != len(want) {
+		return false
+	}
+	s.round++
+	for _, p := range want {
+		if p.ID >= maxID {
+			return false
+		}
+		if int(p.ID) >= len(s.stamp) {
+			s.stamp = append(s.stamp, make([]int, int(p.ID)+1-len(s.stamp))...)
+			s.point = append(s.point, make([]geom.Point, int(p.ID)+1-len(s.point))...)
+		}
+		s.stamp[p.ID], s.point[p.ID] = s.round, p
+	}
+	for _, p := range got {
+		if p.ID >= uint64(len(s.stamp)) || s.stamp[p.ID] != s.round || s.point[p.ID] != p {
+			return false
+		}
+		s.stamp[p.ID] = 0 // a second point with this ID is not in want
+	}
+	return true
+}
+
 // windowsFromEveryLeaf checks WindowCollect against a root-down search
 // from every leaf of tree, over rectangles inside the leaf, around it,
 // across the space and sticking out of it.
-func windowsFromEveryLeaf(t *testing.T, label string, ix *Index, tree *rstar.Tree, salt int) {
+func windowsFromEveryLeaf(t *testing.T, label string, ix *Index, tree *rstar.Tree, salt int, sets *pointSets) {
 	t.Helper()
 	err := tree.Walk(func(n *rstar.Node) bool {
 		if !n.Leaf {
@@ -239,7 +327,7 @@ func windowsFromEveryLeaf(t *testing.T, label string, ix *Index, tree *rstar.Tre
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !samePoints(got, want) {
+			if !sets.same(got, want) {
 				samePointSet(t, got, want, fmt.Sprintf("%s: leaf %d window %v", label, n.ID, rect))
 			}
 		}
@@ -315,14 +403,18 @@ const fuzzMaxOps = 40
 // FuzzApplyEqualsBuild starts from six short scripts, one per store and
 // strategy. A mutated input that finds new coverage is minimized before
 // the fuzzer goes on, one run per byte removed and then per pair of cut
-// points, for up to a minute; a worker minimizing runs no new inputs.
-// Under the fuzzer's instrumentation a script of 300 to 460 ops takes
-// about half a second a run, so minimizing a mutant of one held a
-// worker for the whole minute, and with two such mutants queued the
-// fuzzer ran nothing. So the seeds are short, the 300-op scripts that
-// once seeded it run in TestApplyEqualsBuild, and while fuzzing only
-// the first fuzzMaxOps ops of an input run: the checked-in corpus,
-// scripts of up to 460 ops, still runs whole under go test.
+// points, for up to -fuzzminimizetime (a minute by default); a worker
+// minimizing runs no new inputs. Under the fuzzer's instrumentation a
+// script of 300 to 460 ops takes about half a second a run, so
+// minimizing a mutant of one held a worker for the whole minute, and
+// with two such mutants queued the fuzzer ran nothing. So the seeds are
+// short, the 300-op scripts that once seeded it run in
+// TestApplyEqualsBuild, and while fuzzing only the first fuzzMaxOps ops
+// of an input run: the checked-in corpus, scripts of up to 460 ops,
+// still runs whole under go test. Even a 36–40-op mutant could take
+// 16–18 s to minimize, so run the target with the stall bounded:
+//
+//	go test -run '^$' -fuzz '^FuzzApplyEqualsBuild$' -fuzztime 10s -fuzzminimizetime 2s ./internal/iwp/
 func FuzzApplyEqualsBuild(f *testing.F) {
 	for store := 0; store < 2; store++ {
 		for strategy := 0; strategy < 3; strategy++ {

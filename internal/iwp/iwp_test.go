@@ -280,12 +280,6 @@ func samePointSet(t *testing.T, got, want []geom.Point, label string) {
 	}
 }
 
-// samePoints reports whether got and want hold the same points in any
-// order, without formatting a label for the common case.
-func samePoints(got, want []geom.Point) bool {
-	return len(got) == len(want) && slices.Equal(sortedPoints(got), sortedPoints(want))
-}
-
 func sortedPoints(pts []geom.Point) []geom.Point {
 	out := slices.Clone(pts)
 	slices.SortFunc(out, func(a, b geom.Point) int {

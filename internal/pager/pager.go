@@ -24,7 +24,8 @@
 //   - Pages appended at the end of the file wait in one write-behind
 //     run and reach the file in one write per run; a reader checks the
 //     run's span lock-free and writes the run out only when it misses
-//     on one of its pages.
+//     on one of its pages. A full run asks the kernel to start writing
+//     it back at once, so the next fsync waits only for the tail.
 //   - Statistics are atomic counters, snapshotted without stopping
 //     readers.
 //
@@ -38,9 +39,11 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // PageSize is the fixed on-disk page size in bytes, matching the paper's
@@ -98,6 +101,9 @@ type Stats struct {
 	// Syncs counts fsyncs of the backing file (Sync, SyncData,
 	// WriteCheckpoint) — the dominant cost of checkpoints.
 	Syncs uint64
+	// SyncWait is the wall time spent inside the backing file's Sync: a
+	// wait off the CPU, which a CPU profile does not show.
+	SyncWait time.Duration
 }
 
 // storeStats is the atomic backing of Stats.
@@ -106,6 +112,7 @@ type storeStats struct {
 	cacheHits, cacheMisses       atomic.Uint64
 	evictions, coalesced         atomic.Uint64
 	syncs                        atomic.Uint64
+	syncWait                     atomic.Int64
 }
 
 func (s *storeStats) snapshot() Stats {
@@ -119,6 +126,7 @@ func (s *storeStats) snapshot() Stats {
 		Evictions:   s.evictions.Load(),
 		Coalesced:   s.coalesced.Load(),
 		Syncs:       s.syncs.Load(),
+		SyncWait:    time.Duration(s.syncWait.Load()),
 	}
 }
 
@@ -132,6 +140,7 @@ func (s *storeStats) reset() {
 	s.evictions.Store(0)
 	s.coalesced.Store(0)
 	s.syncs.Store(0)
+	s.syncWait.Store(0)
 }
 
 // ErrChecksum is returned when a page read fails CRC verification.
@@ -155,6 +164,27 @@ type File interface {
 	// before every Sync; checkpoints call Sync to pin the pages to
 	// stable storage.
 	Sync() error
+}
+
+// writebackStarter is a File that can start writing a byte range back
+// to its device without waiting for it (sync_file_range's
+// SYNC_FILE_RANGE_WRITE). The Store calls it after each full run's
+// write, so that the fsync that follows waits only for what was
+// written since. It is a hint: it promises nothing about durability,
+// and its error is ignored. *os.File gets it from osWriteback.
+type writebackStarter interface {
+	StartWriteback(off, n int64) error
+}
+
+// writebackOf returns f's way of starting writeback, nil if it has none.
+func writebackOf(f File) func(off, n int64) error {
+	switch f := f.(type) {
+	case writebackStarter:
+		return f.StartWriteback
+	case *os.File:
+		return osWriteback(f)
+	}
+	return nil
 }
 
 // MemFile is an in-memory File for tests and ephemeral stores.
@@ -184,12 +214,7 @@ func (f *MemFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *MemFile) WriteAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.buf)) {
-		grown := make([]byte, end)
-		copy(grown, f.buf)
-		f.buf = grown
-	}
+	f.grow(off + int64(len(p)))
 	copy(f.buf[off:], p)
 	return len(p), nil
 }
@@ -202,10 +227,17 @@ func (f *MemFile) Truncate(size int64) error {
 		f.buf = f.buf[:size]
 		return nil
 	}
-	grown := make([]byte, size)
-	copy(grown, f.buf)
-	f.buf = grown
+	f.grow(size)
 	return nil
+}
+
+// grow extends the file with zeros to size bytes. Appending amortises
+// the copies, so a file written page after page at its end is not
+// copied whole at every write. Caller holds mu.
+func (f *MemFile) grow(size int64) {
+	if n := size - int64(len(f.buf)); n > 0 {
+		f.buf = append(f.buf, make([]byte, n)...)
+	}
 }
 
 // Sync implements File; memory is always "durable".
@@ -259,6 +291,9 @@ type Store struct {
 	runStart PageID
 	run      []byte
 	runSpan  atomic.Uint64
+	// writeback starts the writeback of a full run's bytes; nil when the
+	// file offers none.
+	writeback func(off, n int64) error
 
 	// free holds the reusable pages. It lives in memory only: Free never
 	// writes to a page, because the last durable checkpoint may still
@@ -304,8 +339,9 @@ type Options struct {
 
 func newStore(f File, opt Options) *Store {
 	s := &Store{
-		file:   f,
-		flight: make(map[PageID]*flightCall),
+		file:      f,
+		flight:    make(map[PageID]*flightCall),
+		writeback: writebackOf(f),
 	}
 	s.pool = newPool(opt.CacheSize, &s.stats.evictions)
 	return s
@@ -424,13 +460,26 @@ func (s *Store) Allocate(first []byte, readBack bool) (PageID, error) {
 }
 
 // appendRun adds page id's image to the run, writing the run out first
-// when it is full or id does not follow it. Caller holds meta.
+// when it is full or id does not follow it. A full run's write is
+// followed by the writeback hint for its bytes, called here and not on
+// a goroutine, which could run after the file's owner closed it and
+// another file took its descriptor. No other write gets the hint: a
+// commit's Flush, a partial run sent out before an fsync or by a read,
+// and a write-through leave the mutation path as it was. Caller holds
+// meta.
 func (s *Store) appendRun(id PageID, first []byte) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if len(s.run) > 0 && (len(s.run) == runPages*PageSize || id != s.runEnd()) {
+	if full := len(s.run) == runPages*PageSize; len(s.run) > 0 && (full || id != s.runEnd()) {
+		off, n := int64(s.runStart)*PageSize, int64(len(s.run))
 		if err := s.flushRunLocked(); err != nil {
 			return err
+		}
+		if full && s.writeback != nil {
+			// Only an fsync makes the run durable; an error here (ENOSYS
+			// under a seccomp filter, EINVAL on some filesystems) costs
+			// nothing but the early start.
+			_ = s.writeback(off, n)
 		}
 	}
 	if len(s.run) == 0 {
@@ -777,9 +826,13 @@ func (s *Store) WriteCheckpoint(lsn uint64) error {
 	return s.fsyncLocked()
 }
 
-// fsyncLocked syncs the backing file and counts it. Caller holds meta.
+// fsyncLocked syncs the backing file, counts it and times the wait.
+// Caller holds meta.
 func (s *Store) fsyncLocked() error {
-	if err := s.file.Sync(); err != nil {
+	start := time.Now()
+	err := s.file.Sync()
+	s.stats.syncWait.Add(int64(time.Since(start)))
+	if err != nil {
 		return fmt.Errorf("pager: sync: %w", err)
 	}
 	s.stats.syncs.Add(1)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -681,6 +683,17 @@ func TestMemFileTruncate(t *testing.T) {
 	if !bytes.Equal(buf, []byte{'0', '1', '2', '3', 0, 0, 0, 0}) {
 		t.Errorf("grown content = %v", buf)
 	}
+	// A write past the end after a cut zeroes the gap, not the old bytes.
+	if err := f.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	f.WriteAt([]byte("x"), 6)
+	if _, err := f.ReadAt(buf[:7], 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf[:7], []byte{'0', '1', 0, 0, 0, 0, 'x'}) {
+		t.Errorf("content after a cut and a write past the end = %v", buf[:7])
+	}
 }
 
 func TestManyPagesStress(t *testing.T) {
@@ -1110,5 +1123,146 @@ func TestWriteBehindConcurrentReaders(t *testing.T) {
 		if be32(got) != uint32(id) {
 			t.Fatalf("page %d after the race reads page %d's image", id, be32(got))
 		}
+	}
+}
+
+// hintFile records the writeback hints a Store gives it, and answers
+// each with err. The Store gives them on the appending goroutine.
+type hintFile struct {
+	*MemFile
+	err   error
+	hints [][2]int64 // {offset, length}
+}
+
+func (f *hintFile) StartWriteback(off, n int64) error {
+	f.hints = append(f.hints, [2]int64{off, n})
+	return f.err
+}
+
+// TestWriteBehindStartsWriteback: a full run sent out by the next append
+// starts the writeback of exactly its bytes, and no other write does —
+// not the partial run an fsync sends out, not a full run a commit's
+// Flush sends out, not a write-through. A hint that fails fails nothing,
+// every fsync is still issued, and the file holds the same bytes. A
+// MemFile offers no hint; an *os.File on Linux does.
+func TestWriteBehindStartsWriteback(t *testing.T) {
+	var images [][]byte
+	for _, hintErr := range []error{nil, errors.New("sync_file_range: function not implemented")} {
+		f := &hintFile{MemFile: NewMemFile(), err: hintErr}
+		s, err := Create(f, Options{CacheSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const appends = 600
+		for i := 1; i <= appends; i++ {
+			if _, err := s.Allocate(runImage(PageID(i), 1), i%5 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := int64(runPages * PageSize)
+		want := [][2]int64{{PageSize, run}, {PageSize + run, run}}
+		if got := f.hints; !slices.Equal(got, want) {
+			t.Fatalf("%d appends gave hints %v, want %v", appends, got, want)
+		}
+		if err := s.SyncData(); err != nil {
+			t.Fatal(err)
+		}
+		// A commit's pages, a full run of them, sent out by its Flush.
+		for i := appends + 1; i <= appends+runPages; i++ {
+			if _, err := s.Allocate(runImage(PageID(i), 1), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Write-throughs: a rewrite, and a freed page's reuse.
+		if err := s.Write(3, runImage(3, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Free(5); err != nil {
+			t.Fatal(err)
+		}
+		if id, err := s.Allocate(runImage(5, 2), false); err != nil || id != 5 {
+			t.Fatalf("reuse = (%d, %v), want page 5", id, err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteCheckpoint(7); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.hints; !slices.Equal(got, want) {
+			t.Fatalf("hints %v after the fsyncs, Flush and write-throughs, want only %v", got, want)
+		}
+		st := s.Stats()
+		if st.Syncs != 3 || st.Writes != appends+runPages+2 {
+			t.Fatalf("stats %+v: want 3 syncs and %d page writes", st, appends+runPages+2)
+		}
+		re, err := Open(f.MemFile, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := PageID(1); id <= appends+runPages; id++ {
+			v := byte(1)
+			if id == 3 || id == 5 {
+				v = 2
+			}
+			checkImage(t, re, id, v)
+		}
+		images = append(images, f.MemFile.buf)
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Fatal("a failing hint changed the file")
+	}
+	if writebackOf(NewMemFile()) != nil {
+		t.Fatal("a MemFile offers a writeback hint")
+	}
+
+	// The same appends through an *os.File reach the same bytes, and on
+	// Linux the hint is the kernel's.
+	path := filepath.Join(t.TempDir(), "pages.db")
+	of, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer of.Close()
+	s, err := Create(of, Options{CacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" && s.writeback == nil {
+		t.Fatal("an *os.File on linux/amd64 offers no writeback hint")
+	}
+	if s.writeback != nil {
+		if err := s.writeback(0, PageSize); err != nil {
+			t.Logf("the kernel refuses the hint here (%v); it is ignored", err)
+		}
+	}
+	mf, err := Create(NewMemFile(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2*runPages+3; i++ {
+		for _, st := range []*Store{s, mf} {
+			if _, err := st.Allocate(runImage(PageID(i), 1), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, st := range []*Store{s, mf} {
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Syncs != 1 || st.SyncWait <= 0 {
+		t.Fatalf("stats %+v: want one sync, and a wait in it", st)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, mf.file.(*MemFile).buf) {
+		t.Fatal("a store on an *os.File wrote other bytes than one on a MemFile")
 	}
 }
