@@ -20,9 +20,9 @@ import (
 // single-flight on first use.
 //
 // The storage layers are built for exactly this fan-out: on a paged
-// index, workers share the buffer pool's immutable frames zero-copy
-// (per-shard locking, single-flight cold reads) and the decoded-node
-// cache, and each query draws its working memory (heap, candidate
+// index, workers share the decoded-node cache (per-shard locking) and
+// read the pages it misses under per-page striped locks, and each query
+// draws its working memory (heap, candidate
 // buffers, selection scratch) from a sync.Pool, so steady-state batch
 // load allocates almost nothing per query.
 

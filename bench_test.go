@@ -629,8 +629,8 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkBuildPaged measures a paged index's set-up as the benchmark
 // harness's paged-mixed workload does it: 200k uniform points,
-// STR-packed over a given space into a page file with a 512-page buffer
-// pool and a 512-node cache. It reports the build's physical page
+// STR-packed over a given space into a page file with a 512-node cache.
+// It reports the build's physical page
 // writes and reads: a build writes each node's page once and reads
 // none back. It also reports the wall time the build waited inside the
 // page file's fsyncs, which a CPU profile does not see. Each build
@@ -645,7 +645,7 @@ func BenchmarkBuildPaged(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		px, err := BuildPaged(pts, path, WithBulkLoad(), WithSpace(0, 0, datagen.SpaceWidth, datagen.SpaceWidth),
-			WithPageCacheSize(512), WithNodeCacheSize(512), WithWALSync(SyncAlways))
+			WithNodeCacheSize(512), WithWALSync(SyncAlways))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -740,17 +740,17 @@ func BenchmarkIWPWindowQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkPagerReadWrite measures raw page I/O through the pager with
-// its buffer pool disabled.
+// BenchmarkPagerReadWrite measures raw page I/O through the pager, which
+// caches nothing: every read is a file read and a CRC check.
 func BenchmarkPagerReadWrite(b *testing.B) {
-	store, err := pager.Create(pager.NewMemFile(), pager.Options{})
+	store, err := pager.Create(pager.NewMemFile())
 	if err != nil {
 		b.Fatal(err)
 	}
 	var ids []pager.PageID
 	payload := make([]byte, pager.PayloadSize())
 	for i := 0; i < 1024; i++ {
-		id, err := store.Allocate(nil, false)
+		id, err := store.Allocate(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -768,32 +768,6 @@ func BenchmarkPagerReadWrite(b *testing.B) {
 		b.SetBytes(pager.PageSize)
 		for i := 0; i < b.N; i++ {
 			if _, err := store.Read(ids[i%len(ids)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Same reads against a pool that holds the working set: hits return
-	// the shared immutable frame with zero copies and zero allocations.
-	cached, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: 2048})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cids []pager.PageID
-	for i := 0; i < 1024; i++ {
-		id, err := cached.Allocate(nil, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := cached.Write(id, payload); err != nil {
-			b.Fatal(err)
-		}
-		cids = append(cids, id)
-	}
-	b.Run("read-hot", func(b *testing.B) {
-		b.SetBytes(pager.PageSize)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cached.Read(cids[i%len(cids)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -838,12 +812,11 @@ func BenchmarkPagedVsMemQuery(b *testing.B) {
 }
 
 // BenchmarkPagedParallel measures NWC query throughput on a paged index
-// under 1/2/4/8 goroutines, with the caches hot (buffer pool and node
-// cache sized to hold the tree) and cold (both disabled, every read a
-// physical page access). The hot path exercises the concurrency work in
-// the pager — sharded zero-copy buffer pool, single-flight misses,
-// atomic stats — whose wall-clock benefit appears as the goroutine
-// count rises on multi-core hardware.
+// under 1/2/4/8 goroutines, with the node cache hot (sized to hold the
+// tree) and cold (disabled, every node read a physical page access).
+// The hot path exercises the sharded node cache and the cold one the
+// pager's striped page locks, whose wall-clock benefit appears as the
+// goroutine count rises on multi-core hardware.
 func BenchmarkPagedParallel(b *testing.B) {
 	raw := datagen.CALikeN(10000, 9)
 	pts := make([]Point, len(raw))
@@ -855,8 +828,8 @@ func BenchmarkPagedParallel(b *testing.B) {
 		name string
 		opts []BuildOption
 	}{
-		{"hot", []BuildOption{WithBulkLoad(), WithPageCacheSize(4096)}},
-		{"cold", []BuildOption{WithBulkLoad(), WithPageCacheSize(0), WithNodeCacheSize(0)}},
+		{"hot", []BuildOption{WithBulkLoad(), WithNodeCacheSize(4096)}},
+		{"cold", []BuildOption{WithBulkLoad(), WithNodeCacheSize(0)}},
 	}
 	for _, cfg := range configs {
 		path := filepath.Join(b.TempDir(), cfg.name+".nwcq")

@@ -65,7 +65,7 @@ func main() {
 	fmt.Printf("nearest 6-object cluster: dist %.1f, %d node visits\n",
 		res.Dist, res.Stats.NodeVisits)
 	ps := idx.PageStats()
-	fmt.Printf("physical I/O: %d page reads, %d buffer-pool hits\n", ps.Reads, ps.CacheHits)
+	fmt.Printf("physical I/O: %d page reads, %d node-cache hits\n", ps.Reads, ps.CacheHits)
 
 	gridB, iwpB := idx.StorageOverheadBytes()
 	fmt.Printf("optimisation storage: density grid %.0f KiB, IWP pointers %.0f KiB\n",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 
+	"nwcq/internal/pager"
 	"nwcq/internal/wal"
 )
 
@@ -122,7 +123,7 @@ func (c *crashInjector) didCrash() bool {
 // recorded in the injector's pageTear; WAL segment writes tear freely,
 // since the frame CRC scan is exactly the mechanism that handles them.
 type crashFile struct {
-	*wal.MemFile
+	*pager.MemFile
 	inj          *crashInjector
 	headerAtomic bool
 }
@@ -181,7 +182,7 @@ func (c *crashFS) Create(name string) (wal.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &crashFile{MemFile: f.(*wal.MemFile), inj: c.inj}, nil
+	return &crashFile{MemFile: f.(*pager.MemFile), inj: c.inj}, nil
 }
 
 func (c *crashFS) Open(name string) (wal.File, error) {
@@ -189,7 +190,7 @@ func (c *crashFS) Open(name string) (wal.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &crashFile{MemFile: f.(*wal.MemFile), inj: c.inj}, nil
+	return &crashFile{MemFile: f.(*pager.MemFile), inj: c.inj}, nil
 }
 
 func (c *crashFS) Remove(name string) error {

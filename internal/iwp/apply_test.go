@@ -55,7 +55,7 @@ func runScript(t *testing.T, data []byte) scriptStats {
 
 	var store rstar.NodeStore = rstar.NewMemStore()
 	if paged {
-		pages, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: 256})
+		pages, err := pager.Create(pager.NewMemFile())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,10 +42,9 @@ func (r *Recorder) WritePrometheus(pw *metrics.PromWriter, s MetricsSnapshot, po
 	if pc := s.PageCache; pc != nil {
 		pw.Counter("nwcq_page_cache_reads_total", "Physical page reads.", float64(pc.Reads))
 		pw.Counter("nwcq_page_cache_writes_total", "Physical page writes.", float64(pc.Writes))
-		pw.Counter("nwcq_page_cache_hits_total", "Buffer-pool hits.", float64(pc.Hits))
-		pw.Counter("nwcq_page_cache_misses_total", "Buffer-pool misses.", float64(pc.Misses))
-		pw.Counter("nwcq_page_cache_evictions_total", "Frames evicted for room.", float64(pc.Evictions))
-		pw.Counter("nwcq_page_cache_coalesced_total", "Cold reads coalesced by single-flight.", float64(pc.Coalesced))
+		pw.Counter("nwcq_page_cache_hits_total", "Node-cache hits.", float64(pc.Hits))
+		pw.Counter("nwcq_page_cache_misses_total", "Node-cache misses, each one page read.", float64(pc.Misses))
+		pw.Counter("nwcq_page_cache_evictions_total", "Nodes evicted from the node cache for room.", float64(pc.Evictions))
 		pw.Counter("nwcq_page_syncs_total", "Fsyncs of the page file (checkpoint cost).", float64(pc.Syncs))
 	}
 	if w := s.WAL; w != nil {

@@ -110,20 +110,20 @@ func TestAddShardSumsAndMaxes(t *testing.T) {
 	var src Sources
 	src.AddShard(MetricsSnapshot{
 		CumulativeNodeVisits: 10, IWPRebuilds: 1,
-		PageCache: &PageCacheMetrics{Reads: 1, Writes: 2, Hits: 3, Misses: 4, Evictions: 5, Coalesced: 6, Syncs: 7},
+		PageCache: &PageCacheMetrics{Reads: 1, Writes: 2, Hits: 3, Misses: 4, Evictions: 5, Syncs: 7},
 		WAL: &WALMetrics{Appends: 1, AppendBytes: 2, Fsyncs: 3, Rotations: 4, SegmentsRecycled: 5, Checkpoints: 6, RecordsReplayed: 7,
 			AppendedLSN: 90, DurableLSN: 80, CommittedLSN: 90, ReplicaLSN: 0, SyncPolicy: "always"},
 	})
 	src.AddShard(MetricsSnapshot{
 		CumulativeNodeVisits: 5, IWPRebuilds: 2,
-		PageCache: &PageCacheMetrics{Reads: 10, Writes: 20, Hits: 30, Misses: 40, Evictions: 50, Coalesced: 60, Syncs: 70},
+		PageCache: &PageCacheMetrics{Reads: 10, Writes: 20, Hits: 30, Misses: 40, Evictions: 50, Syncs: 70},
 		WAL: &WALMetrics{Appends: 10, AppendBytes: 20, Fsyncs: 30, Rotations: 40, SegmentsRecycled: 50, Checkpoints: 60, RecordsReplayed: 70,
 			AppendedLSN: 40, DurableLSN: 95, CommittedLSN: 40, ReplicaLSN: 3, SyncPolicy: "always"},
 	})
 	if src.NodeVisits != 15 || src.IWPRebuilds != 3 {
 		t.Errorf("visits %d, rebuilds %d, want 15 and 3", src.NodeVisits, src.IWPRebuilds)
 	}
-	if pc := *src.PageCache; pc != (PageCacheMetrics{Reads: 11, Writes: 22, Hits: 33, Misses: 44, Evictions: 55, Coalesced: 66, Syncs: 77}) {
+	if pc := *src.PageCache; pc != (PageCacheMetrics{Reads: 11, Writes: 22, Hits: 33, Misses: 44, Evictions: 55, Syncs: 77}) {
 		t.Errorf("page cache %+v", pc)
 	}
 	want := WALMetrics{Appends: 11, AppendBytes: 22, Fsyncs: 33, Rotations: 44, SegmentsRecycled: 55, Checkpoints: 66, RecordsReplayed: 77,

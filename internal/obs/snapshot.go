@@ -30,16 +30,15 @@ type QueryKindMetrics struct {
 	NodeVisitsP99  float64 `json:"node_visits_p99"`
 }
 
-// PageCacheMetrics reports buffer-pool effectiveness for a paged index:
-// physical transfers, hit/miss/eviction counts, cold reads coalesced by
-// single-flight, and the resulting hit rate.
+// PageCacheMetrics reports a paged index's page I/O and its decoded-node
+// cache: physical transfers, the cache's hit/miss/eviction counts (each
+// miss is one page read), and the resulting hit rate.
 type PageCacheMetrics struct {
 	Reads     uint64 `json:"reads"`
 	Writes    uint64 `json:"writes"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Coalesced uint64 `json:"coalesced"`
 	// Syncs counts fsyncs of the page file — checkpoint cost.
 	Syncs uint64 `json:"syncs"`
 	// HitRate is Hits / (Hits + Misses), zero when no reads happened.
@@ -96,8 +95,9 @@ type MetricsSnapshot struct {
 	// mutations that changed the R*-tree's height. All other mutations
 	// patch the index incrementally and leave this counter alone.
 	IWPRebuilds uint64 `json:"iwp_rebuilds"`
-	// PageCache reports buffer-pool counters; nil for in-memory indexes,
-	// which have no page cache. A sharded backend sums its shards'.
+	// PageCache reports page I/O and node-cache counters; nil for
+	// in-memory indexes, which have no page file. A sharded backend
+	// sums its shards'.
 	PageCache *PageCacheMetrics `json:"page_cache,omitempty"`
 	// WAL reports write-ahead-log counters; nil for in-memory indexes,
 	// which have no log. A sharded backend sums its shards'.
@@ -239,7 +239,6 @@ func (src *Sources) AddShard(shard MetricsSnapshot) {
 		pc.Hits += p.Hits
 		pc.Misses += p.Misses
 		pc.Evictions += p.Evictions
-		pc.Coalesced += p.Coalesced
 		pc.Syncs += p.Syncs
 	}
 	if w := shard.WAL; w != nil {

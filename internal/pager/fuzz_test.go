@@ -23,13 +23,13 @@ func FuzzPagerOpen(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		s, err := Open(file, Options{CacheSize: 4})
+		s, err := Open(file)
 		if err != nil {
 			return
 		}
 		n := s.NumPages()
-		if n < 1 || int64(n)*PageSize > int64(file.Len()) {
-			t.Fatalf("opened a store of %d pages over a %d-byte file", n, file.Len())
+		if n < 1 || int64(n)*PageSize > int64(len(file.buf)) {
+			t.Fatalf("opened a store of %d pages over a %d-byte file", n, len(file.buf))
 		}
 		if root, _ := s.UserRoot(); int(root) >= n {
 			t.Fatalf("opened a store whose root %d is not among its %d pages", root, n)
@@ -39,7 +39,7 @@ func FuzzPagerOpen(f *testing.F) {
 				t.Fatalf("page %d of %d unreadable: %v", id, n, err)
 			}
 		}
-		id, err := s.Allocate(nil, false)
+		id, err := s.Allocate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

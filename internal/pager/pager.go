@@ -1,7 +1,8 @@
 // Package pager implements a disk-oriented fixed-size page store with a
-// header page, an in-memory free list, per-page CRC-32 checksums, a
-// sharded pinned buffer pool with single-flight miss handling, and
-// atomic read/write statistics.
+// header page, an in-memory free list, per-page CRC-32 checksums and
+// atomic read/write statistics. It caches nothing: every Read reaches
+// the file, and the caller above it (the R*-tree's decoded-node cache)
+// decides what stays in memory.
 //
 // It is the storage substrate beneath the paged R*-tree node store. The
 // paper's evaluation (Section 5) uses a page size of 4096 bytes and
@@ -13,19 +14,15 @@
 // A Store is safe for concurrent use and its read path is designed to
 // scale with cores:
 //
-//   - Cache hits touch one buffer-pool shard mutex and return a shared
-//     immutable frame — no page copy, no global lock, no CRC re-check
-//     (checksums are verified once, when a page enters the pool).
-//   - Cache misses are single-flight: concurrent readers of the same
-//     cold page coalesce onto one file read.
 //   - File I/O is serialised per page by striped reader/writer locks, so
 //     reads of different pages proceed in parallel and a write never
-//     tears a concurrent read of its page.
+//     tears a concurrent read of its page. A read checks the page's CRC
+//     and returns a payload its caller owns.
 //   - Pages appended at the end of the file wait in one write-behind
 //     run and reach the file in one write per run; a reader checks the
-//     run's span lock-free and writes the run out only when it misses
-//     on one of its pages. A full run asks the kernel to start writing
-//     it back at once, so the next fsync waits only for the tail.
+//     run's span lock-free and writes the run out only when it reads
+//     one of its pages. A full run asks the kernel to start writing it
+//     back at once, so the next fsync waits only for the tail.
 //   - Statistics are atomic counters, snapshotted without stopping
 //     readers.
 //
@@ -88,16 +85,6 @@ type Stats struct {
 	Writes uint64
 	Allocs uint64
 	Frees  uint64
-	// CacheHits counts reads served by the buffer pool without touching
-	// the backing file; CacheMisses counts reads that had to go to it.
-	CacheHits   uint64
-	CacheMisses uint64
-	// Evictions counts frames dropped from the pool to make room.
-	Evictions uint64
-	// Coalesced counts readers of a cold page that piggybacked on
-	// another reader's in-flight file read instead of issuing their own
-	// (the single-flight saving: Coalesced misses cost no physical read).
-	Coalesced uint64
 	// Syncs counts fsyncs of the backing file (Sync, SyncData,
 	// WriteCheckpoint) — the dominant cost of checkpoints.
 	Syncs uint64
@@ -109,24 +96,18 @@ type Stats struct {
 // storeStats is the atomic backing of Stats.
 type storeStats struct {
 	reads, writes, allocs, frees atomic.Uint64
-	cacheHits, cacheMisses       atomic.Uint64
-	evictions, coalesced         atomic.Uint64
 	syncs                        atomic.Uint64
 	syncWait                     atomic.Int64
 }
 
 func (s *storeStats) snapshot() Stats {
 	return Stats{
-		Reads:       s.reads.Load(),
-		Writes:      s.writes.Load(),
-		Allocs:      s.allocs.Load(),
-		Frees:       s.frees.Load(),
-		CacheHits:   s.cacheHits.Load(),
-		CacheMisses: s.cacheMisses.Load(),
-		Evictions:   s.evictions.Load(),
-		Coalesced:   s.coalesced.Load(),
-		Syncs:       s.syncs.Load(),
-		SyncWait:    time.Duration(s.syncWait.Load()),
+		Reads:    s.reads.Load(),
+		Writes:   s.writes.Load(),
+		Allocs:   s.allocs.Load(),
+		Frees:    s.frees.Load(),
+		Syncs:    s.syncs.Load(),
+		SyncWait: time.Duration(s.syncWait.Load()),
 	}
 }
 
@@ -135,10 +116,6 @@ func (s *storeStats) reset() {
 	s.writes.Store(0)
 	s.allocs.Store(0)
 	s.frees.Store(0)
-	s.cacheHits.Store(0)
-	s.cacheMisses.Store(0)
-	s.evictions.Store(0)
-	s.coalesced.Store(0)
 	s.syncs.Store(0)
 	s.syncWait.Store(0)
 }
@@ -187,7 +164,10 @@ func writebackOf(f File) func(off, n int64) error {
 	return nil
 }
 
-// MemFile is an in-memory File for tests and ephemeral stores.
+// MemFile is an in-memory File for tests and benchmarks. It also serves
+// as a WAL segment (package wal's MemFS hands these out), so one type
+// backs both halves of an in-memory paged index and its fault-injecting
+// wrappers.
 type MemFile struct {
 	mu  sync.RWMutex
 	buf []byte
@@ -243,18 +223,21 @@ func (f *MemFile) grow(size int64) {
 // Sync implements File; memory is always "durable".
 func (f *MemFile) Sync() error { return nil }
 
-// Len returns the current file size in bytes.
-func (f *MemFile) Len() int {
+// Size returns the current file size in bytes.
+func (f *MemFile) Size() (int64, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return len(f.buf)
+	return int64(len(f.buf)), nil
 }
+
+// Close does nothing: the bytes stay, for a later store or log to
+// reopen, as a disk keeps them.
+func (f *MemFile) Close() error { return nil }
 
 // Store is a page store over a File. It is safe for concurrent use; see
 // the package comment for the locking design.
 type Store struct {
 	file  File
-	pool  *pool
 	stats storeStats
 
 	// numPages is the number of pages in the file, including the header
@@ -266,11 +249,6 @@ type Store struct {
 	// never tear a concurrent read of the same page while reads of
 	// different pages proceed in parallel.
 	io [ioStripes]sync.RWMutex
-
-	// flight coalesces concurrent cache misses on the same page onto one
-	// physical read.
-	flightMu sync.Mutex
-	flight   map[PageID]*flightCall
 
 	// meta guards the allocation state and the header image. Lock order:
 	// meta before runMu, and meta before any io stripe; no stripe is
@@ -319,40 +297,16 @@ type Store struct {
 	userMeta [64]byte
 }
 
-// flightCall is one in-flight physical page read. done is closed once
-// frame/err are final; waiters that joined before completion share the
-// result.
-type flightCall struct {
-	done  chan struct{}
-	frame *Frame
-	err   error
-}
-
-// Options configures a Store.
-type Options struct {
-	// CacheSize is the buffer-pool capacity in pages. Zero disables
-	// caching so every Read hits the backing file. The pool is sharded
-	// (up to 16 ways for large capacities), so the capacity is a total
-	// across shards and eviction is approximately LRU per shard.
-	CacheSize int
-}
-
-func newStore(f File, opt Options) *Store {
-	s := &Store{
-		file:      f,
-		flight:    make(map[PageID]*flightCall),
-		writeback: writebackOf(f),
-	}
-	s.pool = newPool(opt.CacheSize, &s.stats.evictions)
-	return s
+func newStore(f File) *Store {
+	return &Store{file: f, writeback: writebackOf(f)}
 }
 
 // Create initialises a fresh store on f, truncating any prior content.
-func Create(f File, opt Options) (*Store, error) {
+func Create(f File) (*Store, error) {
 	if err := f.Truncate(0); err != nil {
 		return nil, fmt.Errorf("pager: truncate: %w", err)
 	}
-	s := newStore(f, opt)
+	s := newStore(f)
 	s.numPages.Store(1) // header
 	s.dirtyHdr = true
 	if err := s.flushHeaderLocked(); err != nil {
@@ -362,8 +316,8 @@ func Create(f File, opt Options) (*Store, error) {
 }
 
 // Open attaches to an existing store on f, validating the header.
-func Open(f File, opt Options) (*Store, error) {
-	s := newStore(f, opt)
+func Open(f File) (*Store, error) {
+	s := newStore(f)
 	if err := s.readHeader(); err != nil {
 		return nil, err
 	}
@@ -420,12 +374,7 @@ func (s *Store) UserRoot() (PageID, []byte) {
 // read misses on one of its pages, at Flush, and before every fsync;
 // nothing durable names the page before then. A Write to a page still
 // in the run replaces its image there.
-//
-// readBack installs the first image as the page's pool frame, for a
-// page the caller reads back soon (an R*-tree's internal node, which
-// the IWP build reads). Without it the page costs no frame and no copy
-// beyond the run's, and a later read goes to the file.
-func (s *Store) Allocate(first []byte, readBack bool) (PageID, error) {
+func (s *Store) Allocate(first []byte) (PageID, error) {
 	if len(first) > payloadSize {
 		return InvalidPage, fmt.Errorf("pager: payload %d bytes exceeds page payload %d", len(first), payloadSize)
 	}
@@ -435,7 +384,7 @@ func (s *Store) Allocate(first []byte, readBack bool) (PageID, error) {
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
 		if first != nil {
-			if err := s.writePage(id, first, readBack); err != nil {
+			if err := s.writePage(id, first); err != nil {
 				return InvalidPage, err
 			}
 		}
@@ -448,11 +397,6 @@ func (s *Store) Allocate(first []byte, readBack bool) (PageID, error) {
 	// the run or in the file, never a hole.
 	if err := s.appendRun(id, first); err != nil {
 		return InvalidPage, err
-	}
-	if readBack {
-		data := make([]byte, payloadSize)
-		copy(data, first)
-		s.pool.put(&Frame{id: id, data: data}, false)
 	}
 	s.numPages.Add(1)
 	s.dirtyHdr = true
@@ -596,91 +540,14 @@ func (s *Store) AddFreePages(ids []PageID) {
 	s.free = append(s.free, ids...)
 }
 
-// Read returns the payload of page id.
-//
-// Ownership contract: the returned slice is a shared, immutable frame
-// of the buffer pool and MUST be treated as read-only. It stays valid
-// indefinitely — a later Write to the page installs a new frame rather
-// than mutating this one, and eviction only ends pool residency — so
-// callers may retain it, but must copy before modifying. Decoding
-// callers (such as the R*-tree node store) read straight out of the
-// frame with zero copies.
+// Read returns the payload of page id, read from the file under the
+// page's stripe read lock and checked against its CRC. The slice is the
+// caller's own: no other reader shares it and no later Write changes
+// it. A page still in the run sends the run to the file first.
 func (s *Store) Read(id PageID) ([]byte, error) {
-	f, err := s.frame(id, false)
-	if err != nil {
-		return nil, err
-	}
-	return f.data, nil
-}
-
-// ReadPinned is Read returning the whole frame with one pin held: the
-// buffer pool will not evict the page until the caller calls Release.
-// Use it to keep hot pages (an index root, a directory page) resident
-// regardless of intervening scan traffic.
-func (s *Store) ReadPinned(id PageID) (*Frame, error) {
-	return s.frame(id, true)
-}
-
-// frame returns the current frame for id, from the pool when resident,
-// through a single-flight physical read otherwise.
-func (s *Store) frame(id PageID, pin bool) (*Frame, error) {
 	if err := s.checkRange(id); err != nil {
 		return nil, err
 	}
-	if f := s.pool.get(id, pin); f != nil {
-		s.stats.cacheHits.Add(1)
-		return f, nil
-	}
-	s.stats.cacheMisses.Add(1)
-	f, err := s.fetch(id, pin)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// fetch coalesces concurrent misses on one page: the first caller
-// becomes the leader and performs the physical read; followers block on
-// the leader's result and are counted as Coalesced. A concurrent Write
-// to the page supersedes the flight entry so readers arriving after the
-// write start a fresh read and cannot observe pre-write data.
-func (s *Store) fetch(id PageID, pin bool) (*Frame, error) {
-	s.flightMu.Lock()
-	if c, ok := s.flight[id]; ok {
-		s.flightMu.Unlock()
-		<-c.done
-		if c.err != nil {
-			return nil, c.err
-		}
-		s.stats.coalesced.Add(1)
-		if pin {
-			// Best-effort pin: the frame is valid regardless; residency
-			// protection starts if the frame is (still) pooled.
-			c.frame.pins.Add(1)
-		}
-		return c.frame, nil
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[id] = c
-	s.flightMu.Unlock()
-
-	c.frame, c.err = s.readPage(id, pin)
-
-	s.flightMu.Lock()
-	if s.flight[id] == c {
-		delete(s.flight, id)
-	}
-	s.flightMu.Unlock()
-	close(c.done)
-	return c.frame, c.err
-}
-
-// readPage performs the physical read under the page's stripe read
-// lock, verifies the checksum once, and installs the frame in the pool
-// before releasing the stripe — so a racing writer (which installs its
-// own frame under the stripe write lock) can never be overwritten by
-// stale bytes. A page still in the run sends the run to the file first.
-func (s *Store) readPage(id PageID, pin bool) (*Frame, error) {
 	if s.pending(id) {
 		if err := s.flushRunFor(id); err != nil {
 			return nil, err
@@ -695,13 +562,10 @@ func (s *Store) readPage(id PageID, pin bool) (*Frame, error) {
 	}
 	s.stats.reads.Add(1)
 	payload := raw[:payloadSize:payloadSize]
-	want := be32(raw[payloadSize:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	if got, want := crc32.ChecksumIEEE(payload), be32(raw[payloadSize:]); got != want {
 		return nil, fmt.Errorf("%w: page %d", ErrChecksum, id)
 	}
-	f := &Frame{id: id, data: payload}
-	s.pool.put(f, pin)
-	return f, nil
+	return payload, nil
 }
 
 // Write stores payload (at most PayloadSize bytes) into page id.
@@ -712,41 +576,29 @@ func (s *Store) Write(id PageID, payload []byte) error {
 	if len(payload) > payloadSize {
 		return fmt.Errorf("pager: payload %d bytes exceeds page payload %d", len(payload), payloadSize)
 	}
-	return s.writePage(id, payload, true)
+	return s.writePage(id, payload)
 }
 
-// writePage writes the page's image, checksum in place, and, under the
-// page's stripe write lock, installs the fresh frame in the pool (or,
-// without readBack, drops any stale one), then supersedes any in-flight
-// read of the page. A page still in the run takes the image there, to
-// reach the file in the run's one write; any other is written through.
-// No reader reads a run page from the file before the run's write, so
-// the image in the run is the one a later read finds.
-func (s *Store) writePage(id PageID, payload []byte, readBack bool) error {
+// writePage writes the page's image, checksum in place. A page still in
+// the run takes the image there, to reach the file in the run's one
+// write; any other is written through under the page's stripe write
+// lock, so no reader sees half of it. No reader reads a run page from
+// the file before the run's write, so the image in the run is the one a
+// later read finds.
+func (s *Store) writePage(id PageID, payload []byte) error {
 	raw := make([]byte, PageSize)
 	copy(raw, payload)
 	putBE32(raw[payloadSize:], crc32.ChecksumIEEE(raw[:payloadSize]))
-	inRun := s.pending(id) && s.rewriteRun(id, raw)
+	if s.pending(id) && s.rewriteRun(id, raw) {
+		return nil
+	}
 	mu := &s.io[uint32(id)%ioStripes]
 	mu.Lock()
-	if !inRun {
-		if _, err := s.file.WriteAt(raw, int64(id)*PageSize); err != nil {
-			mu.Unlock()
-			return fmt.Errorf("pager: write page %d: %w", id, err)
-		}
-		s.stats.writes.Add(1)
+	defer mu.Unlock()
+	if _, err := s.file.WriteAt(raw, int64(id)*PageSize); err != nil {
+		return fmt.Errorf("pager: write page %d: %w", id, err)
 	}
-	if readBack {
-		s.pool.put(&Frame{id: id, data: raw[:payloadSize:payloadSize]}, false)
-	} else {
-		s.pool.drop(id)
-	}
-	mu.Unlock()
-	// Readers that arrive after this write must not join a flight whose
-	// physical read predates it.
-	s.flightMu.Lock()
-	delete(s.flight, id)
-	s.flightMu.Unlock()
+	s.stats.writes.Add(1)
 	return nil
 }
 
@@ -917,16 +769,14 @@ func (s *Store) readHeader() error {
 }
 
 // holdsPages reports whether f is long enough for n whole pages. It asks
-// for the length where f can tell it (*os.File, the in-memory files) and
-// otherwise reads the last byte of page n-1.
+// for the length where f can tell it (*os.File, MemFile) and otherwise
+// reads the last byte of page n-1.
 func holdsPages(f File, n uint32) bool {
 	end := int64(n) * PageSize
 	switch f := f.(type) {
 	case interface{ Stat() (fs.FileInfo, error) }:
 		fi, err := f.Stat()
 		return err == nil && fi.Size() >= end
-	case interface{ Len() int }:
-		return int64(f.Len()) >= end
 	case interface{ Size() (int64, error) }:
 		size, err := f.Size()
 		return err == nil && size >= end

@@ -12,13 +12,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func newTestStore(t *testing.T, cache int) (*Store, *MemFile) {
+func newTestStore(t *testing.T) (*Store, *MemFile) {
 	t.Helper()
 	f := NewMemFile()
-	s, err := Create(f, Options{CacheSize: cache})
+	s, err := Create(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +25,9 @@ func newTestStore(t *testing.T, cache int) (*Store, *MemFile) {
 }
 
 func TestAllocateReadWrite(t *testing.T) {
-	s, _ := newTestStore(t, 0)
+	s, _ := newTestStore(t)
 	payload := []byte("hello pages")
-	id, err := s.Allocate(payload, false)
+	id, err := s.Allocate(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +55,8 @@ func TestAllocateReadWrite(t *testing.T) {
 // before it is freed, so that it is recycled from the file, not from
 // the write-behind run.
 func TestAllocateFirstImage(t *testing.T) {
-	s, _ := newTestStore(t, 0)
-	old, err := s.Allocate([]byte("old"), false)
+	s, _ := newTestStore(t)
+	old, err := s.Allocate([]byte("old"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestAllocateFirstImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	id, err := s.Allocate([]byte("new"), false)
+	id, err := s.Allocate([]byte("new"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +86,10 @@ func TestAllocateFirstImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	if r, err := s.Allocate(nil, false); err != nil || r != id {
+	if r, err := s.Allocate(nil); err != nil || r != id {
 		t.Fatalf("reserving = (%d, %v), want page %d", r, err, id)
 	}
-	fresh, err := s.Allocate(nil, false)
+	fresh, err := s.Allocate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestAllocateFirstImage(t *testing.T) {
 }
 
 func TestHeaderPageProtected(t *testing.T) {
-	s, _ := newTestStore(t, 0)
+	s, _ := newTestStore(t)
 	if err := s.Write(0, []byte("x")); !errors.Is(err, ErrPageRange) {
 		t.Errorf("writing header page: err = %v, want ErrPageRange", err)
 	}
@@ -125,21 +124,21 @@ func TestHeaderPageProtected(t *testing.T) {
 }
 
 func TestPayloadTooLarge(t *testing.T) {
-	s, _ := newTestStore(t, 0)
-	if _, err := s.Allocate(make([]byte, PageSize), false); err == nil {
+	s, _ := newTestStore(t)
+	if _, err := s.Allocate(make([]byte, PageSize)); err == nil {
 		t.Error("oversized first image accepted")
 	}
-	id, _ := s.Allocate(nil, false)
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, make([]byte, PageSize)); err == nil {
 		t.Error("oversized payload accepted")
 	}
 }
 
 func TestFreeListReuse(t *testing.T) {
-	s, _ := newTestStore(t, 0)
-	a, _ := s.Allocate(nil, false)
-	b, _ := s.Allocate(nil, false)
-	c, _ := s.Allocate(nil, false)
+	s, _ := newTestStore(t)
+	a, _ := s.Allocate(nil)
+	b, _ := s.Allocate(nil)
+	c, _ := s.Allocate(nil)
 	if err := s.Free(b); err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +146,12 @@ func TestFreeListReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// LIFO reuse: a then b.
-	r1, _ := s.Allocate(nil, false)
-	r2, _ := s.Allocate(nil, false)
+	r1, _ := s.Allocate(nil)
+	r2, _ := s.Allocate(nil)
 	if r1 != a || r2 != b {
 		t.Errorf("reused %d,%d; want %d,%d", r1, r2, a, b)
 	}
-	r3, _ := s.Allocate(nil, false)
+	r3, _ := s.Allocate(nil)
 	if r3 != c+1 {
 		t.Errorf("fresh page %d, want %d", r3, c+1)
 	}
@@ -164,7 +163,7 @@ func TestFreeListReuse(t *testing.T) {
 
 func TestPersistenceRoundTrip(t *testing.T) {
 	f := NewMemFile()
-	s, err := Create(f, Options{})
+	s, err := Create(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	contents := map[PageID][]byte{}
 	for i := 0; i < 50; i++ {
-		id, err := s.Allocate(nil, false)
+		id, err := s.Allocate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +190,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := Open(f, Options{})
+	reopened, err := Open(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +217,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	f := NewMemFile()
-	s, err := Create(f, Options{}) // no cache: reads must hit the file
+	s, err := Create(f) // no cache: reads must hit the file
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate(nil, false)
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("precious data")); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +246,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 
 func TestHeaderCorruptionRejectedOnOpen(t *testing.T) {
 	f := NewMemFile()
-	if _, err := Create(f, Options{}); err != nil {
+	if _, err := Create(f); err != nil {
 		t.Fatal(err)
 	}
 	var b [1]byte
@@ -258,7 +257,7 @@ func TestHeaderCorruptionRejectedOnOpen(t *testing.T) {
 	if _, err := f.WriteAt(b[:], 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(f, Options{}); !errors.Is(err, ErrChecksum) {
+	if _, err := Open(f); !errors.Is(err, ErrChecksum) {
 		t.Errorf("open corrupted header err = %v, want ErrChecksum", err)
 	}
 }
@@ -272,71 +271,24 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := f.WriteAt(garbage, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(f, Options{}); err == nil {
+	if _, err := Open(f); err == nil {
 		t.Error("opened garbage file without error")
 	}
 }
 
-func TestCacheHits(t *testing.T) {
-	s, _ := newTestStore(t, 8)
-	id, _ := s.Allocate(nil, false)
-	if err := s.Write(id, []byte("cached")); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetStats()
-	for i := 0; i < 5; i++ {
-		if _, err := s.Read(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Reads != 0 {
-		t.Errorf("physical reads = %d, want 0 (write-through cache)", st.Reads)
-	}
-	if st.CacheHits != 5 {
-		t.Errorf("cache hits = %d, want 5", st.CacheHits)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	s, _ := newTestStore(t, 2)
-	var ids []PageID
-	for i := 0; i < 4; i++ {
-		id, _ := s.Allocate(nil, false)
-		s.Write(id, []byte{byte(i)})
-		ids = append(ids, id)
-	}
-	s.ResetStats()
-	// Only the two most recent pages are cached.
-	if _, err := s.Read(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Reads != 1 || st.CacheHits != 0 {
-		t.Errorf("stats after cold read = %+v", st)
-	}
-	if _, err := s.Read(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.CacheHits != 1 {
-		t.Errorf("stats after warm read = %+v", st)
-	}
-}
-
-// TestFrameStableAcrossWrite pins down the zero-copy ownership
-// contract: Read returns a shared immutable frame, and a later Write
-// installs a fresh frame instead of mutating the old one, so slices
-// handed out earlier keep their contents.
+// TestFrameStableAcrossWrite pins down the ownership contract: the
+// page image Read returns is the caller's, so a later Write leaves a
+// slice handed out earlier as it was, and the next Read sees the write.
 func TestFrameStableAcrossWrite(t *testing.T) {
-	s, _ := newTestStore(t, 4)
-	id, _ := s.Allocate(nil, false)
+	s, _ := newTestStore(t)
+	id, _ := s.Allocate(nil)
 	s.Write(id, []byte("immutable"))
 	old, _ := s.Read(id)
 	if err := s.Write(id, []byte("replaced!")); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(old[:9], []byte("immutable")) {
-		t.Errorf("earlier frame mutated by write: %q", old[:9])
+		t.Errorf("earlier image mutated by write: %q", old[:9])
 	}
 	fresh, _ := s.Read(id)
 	if !bytes.Equal(fresh[:9], []byte("replaced!")) {
@@ -344,145 +296,11 @@ func TestFrameStableAcrossWrite(t *testing.T) {
 	}
 }
 
-func TestPoolZeroCapacity(t *testing.T) {
-	var ev atomic.Uint64
-	p := newPool(0, &ev)
-	p.put(&Frame{id: 1, data: []byte("a")}, false)
-	if p.get(1, false) != nil {
-		t.Error("zero-capacity pool stored a frame")
-	}
-	if p.len() != 0 {
-		t.Error("zero-capacity pool non-empty")
-	}
-}
-
-func TestPoolDrop(t *testing.T) {
-	var ev atomic.Uint64
-	p := newPool(4, &ev)
-	p.put(&Frame{id: 1, data: []byte("a")}, false)
-	p.put(&Frame{id: 2, data: []byte("b")}, false)
-	p.drop(1)
-	if p.get(1, false) != nil {
-		t.Error("dropped page still pooled")
-	}
-	if p.get(2, false) == nil {
-		t.Error("unrelated page evicted by drop")
-	}
-}
-
-// TestPoolEvictionOrder verifies LRU order within a shard: capacity 2
-// keeps the pool unsharded, so touching page 1 must make page 2 the
-// eviction victim.
-func TestPoolEvictionOrder(t *testing.T) {
-	var ev atomic.Uint64
-	p := newPool(2, &ev)
-	p.put(&Frame{id: 1, data: []byte("a")}, false)
-	p.put(&Frame{id: 2, data: []byte("b")}, false)
-	if p.get(1, false) == nil { // 1 becomes MRU; 2 is now LRU
-		t.Fatal("page 1 missing")
-	}
-	p.put(&Frame{id: 3, data: []byte("c")}, false)
-	if p.get(2, false) != nil {
-		t.Error("LRU page 2 survived eviction")
-	}
-	if p.get(1, false) == nil || p.get(3, false) == nil {
-		t.Error("MRU pages evicted out of order")
-	}
-	if ev.Load() != 1 {
-		t.Errorf("evictions = %d, want 1", ev.Load())
-	}
-}
-
-// TestPoolPinBlocksEviction verifies a pinned frame is rotated past by
-// eviction (the shard temporarily exceeding capacity if needed) and
-// becomes evictable again after Release.
-func TestPoolPinBlocksEviction(t *testing.T) {
-	var ev atomic.Uint64
-	p := newPool(2, &ev)
-	p.put(&Frame{id: 1, data: []byte("a")}, true) // pinned
-	p.put(&Frame{id: 2, data: []byte("b")}, false)
-	p.put(&Frame{id: 3, data: []byte("c")}, false) // evicts 2, not pinned 1
-	if p.get(1, false) == nil {
-		t.Error("pinned frame evicted")
-	}
-	if p.get(2, false) != nil {
-		t.Error("unpinned frame survived while pinned one was protected")
-	}
-	// Pin the survivors too: the shard must over-fill rather than evict.
-	if f := p.get(3, false); f == nil {
-		t.Fatal("page 3 missing")
-	} else {
-		f.pins.Add(1)
-	}
-	p.put(&Frame{id: 4, data: []byte("d")}, false)
-	if p.len() != 3 {
-		t.Errorf("pool len = %d, want 3 (over-capacity with all-pinned residents)", p.len())
-	}
-	// Releasing page 1 makes it the eviction victim on the next insert.
-	p.get(1, false).Release()
-	p.put(&Frame{id: 5, data: []byte("e")}, false)
-	if p.get(1, false) != nil {
-		t.Error("released frame not evicted under pressure")
-	}
-}
-
-// TestReadPinnedKeepsResident exercises pinning through the Store API:
-// a pinned page survives eviction pressure without physical rereads,
-// and is reclaimed normally once released.
-func TestReadPinnedKeepsResident(t *testing.T) {
-	s, _ := newTestStore(t, 2)
-	var ids []PageID
-	for i := 0; i < 4; i++ {
-		id, _ := s.Allocate(nil, false)
-		if err := s.Write(id, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	f, err := s.ReadPinned(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.ID() != ids[0] || f.Data()[0] != 0 {
-		t.Fatalf("pinned frame = id %d data %v", f.ID(), f.Data()[0])
-	}
-	// Churn every other page through the 2-frame pool.
-	for round := 0; round < 3; round++ {
-		for _, id := range ids[1:] {
-			if _, err := s.Read(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s.ResetStats()
-	if _, err := s.Read(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Reads != 0 || st.CacheHits != 1 {
-		t.Errorf("pinned page not resident under churn: %+v", st)
-	}
-	f.Release()
-	for round := 0; round < 3; round++ {
-		for _, id := range ids[1:] {
-			if _, err := s.Read(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s.ResetStats()
-	if _, err := s.Read(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Reads != 1 {
-		t.Errorf("released page still resident after churn: %+v", st)
-	}
-}
-
-// TestZeroCapacityPassthrough verifies a cache-disabled store reads the
-// file every time and counts every read as a miss.
+// TestZeroCapacityPassthrough: a store holds no cache, so every Read
+// reaches the file and is counted as one.
 func TestZeroCapacityPassthrough(t *testing.T) {
-	s, _ := newTestStore(t, 0)
-	id, _ := s.Allocate(nil, false)
+	s, _ := newTestStore(t)
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("cold")); err != nil {
 		t.Fatal(err)
 	}
@@ -493,133 +311,8 @@ func TestZeroCapacityPassthrough(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Reads != 3 || st.CacheMisses != 3 || st.CacheHits != 0 {
+	if st.Reads != 3 {
 		t.Errorf("passthrough stats = %+v", st)
-	}
-}
-
-// blockingFile gates ReadAt on non-header pages so a test can hold a
-// physical read open while other readers pile up behind it.
-type blockingFile struct {
-	*MemFile
-	gate    chan struct{} // close to let reads proceed
-	entered chan struct{} // receives one value per gated ReadAt entry
-}
-
-func (f *blockingFile) ReadAt(p []byte, off int64) (int, error) {
-	if off >= PageSize {
-		f.entered <- struct{}{}
-		<-f.gate
-	}
-	return f.MemFile.ReadAt(p, off)
-}
-
-// TestSingleFlightCoalescing holds one physical read open while K-1
-// more readers request the same cold page; they must coalesce onto the
-// leader's read: exactly one physical read, K-1 coalesced misses.
-func TestSingleFlightCoalescing(t *testing.T) {
-	mem := NewMemFile()
-	s, err := Create(mem, Options{CacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _ := s.Allocate(nil, false)
-	if err := s.Write(id, []byte("cold page")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the store on a gated file so the page is cold again.
-	bf := &blockingFile{MemFile: mem, gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	s2, err := Open(bf, Options{CacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const readers = 8
-	var wg sync.WaitGroup
-	results := make(chan []byte, readers)
-	errs := make(chan error, readers)
-	wg.Add(1)
-	go func() { // leader: blocks inside ReadAt
-		defer wg.Done()
-		buf, err := s2.Read(id)
-		if err != nil {
-			errs <- err
-			return
-		}
-		results <- buf
-	}()
-	<-bf.entered // leader is inside the physical read
-	for i := 1; i < readers; i++ {
-		wg.Add(1)
-		go func() { // followers: must join the leader's flight
-			defer wg.Done()
-			buf, err := s2.Read(id)
-			if err != nil {
-				errs <- err
-				return
-			}
-			results <- buf
-		}()
-	}
-	// Give followers time to reach the in-flight map, then open the gate.
-	time.Sleep(50 * time.Millisecond)
-	close(bf.gate)
-	wg.Wait()
-	close(errs)
-	close(results)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for buf := range results {
-		if !bytes.Equal(buf[:9], []byte("cold page")) {
-			t.Fatalf("coalesced read returned %q", buf[:9])
-		}
-	}
-	st := s2.Stats()
-	if st.Reads != 1 {
-		t.Errorf("physical reads = %d, want 1 (single-flight)", st.Reads)
-	}
-	if st.Coalesced != readers-1 {
-		t.Errorf("coalesced = %d, want %d", st.Coalesced, readers-1)
-	}
-	if st.CacheMisses != readers {
-		t.Errorf("misses = %d, want %d", st.CacheMisses, readers)
-	}
-}
-
-// TestPoolConcurrent hammers one pool from many goroutines mixing gets,
-// puts, pins and drops (run under -race).
-func TestPoolConcurrent(t *testing.T) {
-	var ev atomic.Uint64
-	p := newPool(64, &ev)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := PageID(1 + (g*7+i)%128)
-				switch i % 4 {
-				case 0:
-					p.put(&Frame{id: id, data: []byte{byte(i)}}, false)
-				case 1:
-					if f := p.get(id, true); f != nil {
-						f.Release()
-					}
-				case 2:
-					p.get(id, false)
-				default:
-					p.drop(id)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if p.len() > 96 { // 64 cap; transient pin overflow only
-		t.Errorf("pool len = %d after churn", p.len())
 	}
 }
 
@@ -629,11 +322,11 @@ func TestOSFileBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Create(f, Options{CacheSize: 4})
+	s, err := Create(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Allocate(nil, false)
+	id, _ := s.Allocate(nil)
 	if err := s.Write(id, []byte("on disk")); err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +343,7 @@ func TestOSFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	s2, err := Open(f2, Options{})
+	s2, err := Open(f2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,8 +363,8 @@ func TestMemFileTruncate(t *testing.T) {
 	if err := f.Truncate(4); err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() != 4 {
-		t.Errorf("len = %d, want 4", f.Len())
+	if len(f.buf) != 4 {
+		t.Errorf("len = %d, want 4", len(f.buf))
 	}
 	if err := f.Truncate(8); err != nil {
 		t.Fatal(err)
@@ -697,14 +390,14 @@ func TestMemFileTruncate(t *testing.T) {
 }
 
 func TestManyPagesStress(t *testing.T) {
-	s, _ := newTestStore(t, 16)
+	s, _ := newTestStore(t)
 	rng := rand.New(rand.NewSource(99))
 	live := map[PageID][]byte{}
 	var order []PageID
 	for i := 0; i < 3000; i++ {
 		switch {
 		case len(order) == 0 || rng.Intn(3) > 0:
-			id, err := s.Allocate(nil, false)
+			id, err := s.Allocate(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -743,10 +436,10 @@ func TestManyPagesStress(t *testing.T) {
 // parallel readers and writers on disjoint and shared pages (run under
 // -race).
 func TestConcurrentStoreAccess(t *testing.T) {
-	s, _ := newTestStore(t, 16)
+	s, _ := newTestStore(t)
 	var ids []PageID
 	for i := 0; i < 64; i++ {
-		id, err := s.Allocate(nil, false)
+		id, err := s.Allocate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -796,7 +489,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 // TestConcurrentAllocateFree hammers the allocator from many
 // goroutines; every returned ID must be unique among live pages.
 func TestConcurrentAllocateFree(t *testing.T) {
-	s, _ := newTestStore(t, 0)
+	s, _ := newTestStore(t)
 	var mu sync.Mutex
 	live := map[PageID]bool{}
 	var wg sync.WaitGroup
@@ -807,7 +500,7 @@ func TestConcurrentAllocateFree(t *testing.T) {
 			defer wg.Done()
 			var mine []PageID
 			for i := 0; i < 100; i++ {
-				id, err := s.Allocate(nil, false)
+				id, err := s.Allocate(nil)
 				if err != nil {
 					errs <- err
 					return
@@ -863,13 +556,13 @@ func checkImage(t *testing.T, s *Store, id PageID, v byte) {
 }
 
 // TestWriteBehindReadsPendingPages reads every appended page back while
-// it still waits in the run, before, at and past the run's full size,
-// with and without a frame: with no pool, every read goes to the file.
+// it still waits in the run, before, at and past the run's full size:
+// every read goes to the file.
 func TestWriteBehindReadsPendingPages(t *testing.T) {
-	s, _ := newTestStore(t, 0)
+	s, _ := newTestStore(t)
 	var ids []PageID
 	for i := 0; i < 2*runPages+3; i++ {
-		id, err := s.Allocate(runImage(PageID(i+1), 1), i%2 == 0)
+		id, err := s.Allocate(runImage(PageID(i+1), 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -889,7 +582,7 @@ func TestWriteBehindReadsPendingPages(t *testing.T) {
 	for _, id := range ids {
 		checkImage(t, s, id, 1)
 	}
-	if st := s.Stats(); st.Writes != uint64(len(ids)) || st.Reads != st.CacheMisses {
+	if st := s.Stats(); st.Writes != uint64(len(ids)) || st.Reads != uint64(len(ids)+len(ids)/3+1) {
 		t.Fatalf("stats %+v: want %d writes, one per page, and every read a file read", st, len(ids))
 	}
 }
@@ -901,12 +594,12 @@ func TestWriteBehindReadsPendingPages(t *testing.T) {
 func TestWriteBehindWritePendingPage(t *testing.T) {
 	mf := NewMemFile()
 	f := &countingFile{MemFile: mf}
-	s, err := Create(f, Options{})
+	s, err := Create(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := s.Allocate(runImage(PageID(i), 1), false); err != nil {
+		if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -936,7 +629,7 @@ func TestWriteBehindWritePendingPage(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(mf, Options{})
+	re, err := Open(mf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -949,24 +642,24 @@ func TestWriteBehindWritePendingPage(t *testing.T) {
 // run comes back from the free list with the new image written over the
 // run's, or, reserved, with the run's image.
 func TestWriteBehindFreePendingPage(t *testing.T) {
-	s, _ := newTestStore(t, 0)
-	a, _ := s.Allocate(runImage(1, 1), false)
-	b, _ := s.Allocate(runImage(2, 1), false)
+	s, _ := newTestStore(t)
+	a, _ := s.Allocate(runImage(1, 1))
+	b, _ := s.Allocate(runImage(2, 1))
 	if err := s.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Allocate(runImage(1, 2), false)
+	id, err := s.Allocate(runImage(1, 2))
 	if err != nil || id != a {
 		t.Fatalf("re-allocation = (%d, %v), want page %d", id, err, a)
 	}
 	checkImage(t, s, a, 2)
 	checkImage(t, s, b, 1)
 
-	c, _ := s.Allocate(runImage(3, 1), false)
+	c, _ := s.Allocate(runImage(3, 1))
 	if err := s.Free(c); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := s.Allocate(nil, false); err != nil || r != c {
+	if r, err := s.Allocate(nil); err != nil || r != c {
 		t.Fatalf("reserving = (%d, %v), want page %d", r, err, c)
 	}
 	if !s.pending(c) {
@@ -977,19 +670,19 @@ func TestWriteBehindFreePendingPage(t *testing.T) {
 
 // TestWriteBehindSyncMatchesPageAtATime: after Sync the file holds the
 // bytes a store writing one page at a time leaves, whatever the run's
-// boundaries and whichever pages took frames.
+// boundaries.
 func TestWriteBehindSyncMatchesPageAtATime(t *testing.T) {
 	const n = runPages + runPages/2
-	runs, rf := newTestStore(t, 8)
-	single, sf := newTestStore(t, 0)
+	runs, rf := newTestStore(t)
+	single, sf := newTestStore(t)
 	for i := 1; i <= n; i++ {
 		// Lengths that rise and fall, so a page shorter than the one
 		// before it at its place in the buffer must not keep its tail.
 		img := bytes.Repeat(runImage(PageID(i), byte(i)), 1+(i*37)%800)
-		if _, err := runs.Allocate(img, i%5 == 0); err != nil {
+		if _, err := runs.Allocate(img); err != nil {
 			t.Fatal(err)
 		}
-		id, err := single.Allocate(img, false)
+		id, err := single.Allocate(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1004,8 +697,8 @@ func TestWriteBehindSyncMatchesPageAtATime(t *testing.T) {
 	if err := single.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if rf.Len() != (n+1)*PageSize || !bytes.Equal(rf.buf, sf.buf) {
-		t.Fatalf("a synced store written in runs differs from one written page by page (%d and %d bytes)", rf.Len(), sf.Len())
+	if len(rf.buf) != (n+1)*PageSize || !bytes.Equal(rf.buf, sf.buf) {
+		t.Fatalf("a synced store written in runs differs from one written page by page (%d and %d bytes)", len(rf.buf), len(sf.buf))
 	}
 	if runs.run != nil {
 		t.Fatal("Sync kept the run's buffer")
@@ -1029,12 +722,12 @@ func (f *countingFile) WriteAt(p []byte, off int64) (int, error) {
 func TestWriteBehindWriteAtCalls(t *testing.T) {
 	for _, k := range []int{1, 2, runPages - 1, runPages, runPages + 1, 3*runPages + 17} {
 		f := &countingFile{MemFile: NewMemFile()}
-		s, err := Create(f, Options{CacheSize: 16})
+		s, err := Create(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i <= k; i++ {
-			if _, err := s.Allocate(runImage(PageID(i), 1), i%7 == 0); err != nil {
+			if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
 				t.Fatal(err)
 			}
 			if len(s.run) > runPages*PageSize {
@@ -1058,7 +751,7 @@ func TestWriteBehindWriteAtCalls(t *testing.T) {
 // and fsyncs while one appender fills runs and sends them out (run
 // under -race): every read sees the page's own ID and a valid checksum.
 func TestWriteBehindConcurrentReaders(t *testing.T) {
-	s, _ := newTestStore(t, 16)
+	s, _ := newTestStore(t)
 	const total = 3*runPages + 40
 	done := make(chan struct{})
 	errs := make(chan error, 8)
@@ -1100,7 +793,7 @@ func TestWriteBehindConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 	for i := 1; i <= total; i++ {
-		if _, err := s.Allocate(runImage(PageID(i), 1), i%4 == 0); err != nil {
+		if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
 			t.Fatal(err)
 		}
 		if i%150 == 0 {
@@ -1149,13 +842,13 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 	var images [][]byte
 	for _, hintErr := range []error{nil, errors.New("sync_file_range: function not implemented")} {
 		f := &hintFile{MemFile: NewMemFile(), err: hintErr}
-		s, err := Create(f, Options{CacheSize: 8})
+		s, err := Create(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const appends = 600
 		for i := 1; i <= appends; i++ {
-			if _, err := s.Allocate(runImage(PageID(i), 1), i%5 == 0); err != nil {
+			if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1169,7 +862,7 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 		}
 		// A commit's pages, a full run of them, sent out by its Flush.
 		for i := appends + 1; i <= appends+runPages; i++ {
-			if _, err := s.Allocate(runImage(PageID(i), 1), false); err != nil {
+			if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1183,7 +876,7 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 		if err := s.Free(5); err != nil {
 			t.Fatal(err)
 		}
-		if id, err := s.Allocate(runImage(5, 2), false); err != nil || id != 5 {
+		if id, err := s.Allocate(runImage(5, 2)); err != nil || id != 5 {
 			t.Fatalf("reuse = (%d, %v), want page 5", id, err)
 		}
 		if err := s.Sync(); err != nil {
@@ -1199,7 +892,7 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 		if st.Syncs != 3 || st.Writes != appends+runPages+2 {
 			t.Fatalf("stats %+v: want 3 syncs and %d page writes", st, appends+runPages+2)
 		}
-		re, err := Open(f.MemFile, Options{})
+		re, err := Open(f.MemFile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1227,7 +920,7 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer of.Close()
-	s, err := Create(of, Options{CacheSize: 8})
+	s, err := Create(of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1239,13 +932,13 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 			t.Logf("the kernel refuses the hint here (%v); it is ignored", err)
 		}
 	}
-	mf, err := Create(NewMemFile(), Options{})
+	mf, err := Create(NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2*runPages+3; i++ {
 		for _, st := range []*Store{s, mf} {
-			if _, err := st.Allocate(runImage(PageID(i), 1), false); err != nil {
+			if _, err := st.Allocate(runImage(PageID(i), 1)); err != nil {
 				t.Fatal(err)
 			}
 		}

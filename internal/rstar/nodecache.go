@@ -3,12 +3,13 @@ package rstar
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultNodeCacheSize is the decoded-node cache capacity used when the
 // caller does not choose one. At the paper's fan-out of 50, 1024 nodes
 // cover the full directory of a multi-million point tree, so steady-state
-// queries decode only leaf pages.
+// queries read only leaf pages.
 const DefaultNodeCacheSize = 1024
 
 // nodeCacheShards spreads cache lock traffic across concurrent queries;
@@ -16,9 +17,9 @@ const DefaultNodeCacheSize = 1024
 // uniform.
 const nodeCacheShards = 8
 
-// nodeCache is a sharded LRU of decoded nodes keyed by NodeID, sitting
-// in front of PagedStore page reads so hot upper-tree nodes skip the
-// header parse and entry-slice allocations of decodeNode on every visit.
+// nodeCache is a sharded LRU of decoded nodes keyed by NodeID, the one
+// cache of a paged tree: a hit costs no page read and no decodeNode, a
+// miss reads the page from the file.
 //
 // Cached *Node values are shared between queries and must be treated as
 // read-only — the same contract Node already documents. Tree mutations
@@ -27,6 +28,8 @@ const nodeCacheShards = 8
 // mutated node's entry, so readers never observe a node mid-mutation.
 type nodeCache struct {
 	shards [nodeCacheShards]nodeCacheShard
+	// evictions counts nodes dropped to make room.
+	evictions atomic.Uint64
 }
 
 type nodeCacheShard struct {
@@ -93,17 +96,38 @@ func (c *nodeCache) insertIfVersion(n *Node, v uint64, current func() uint64) {
 	if current() != v {
 		return
 	}
+	putLocked(sh, n)
+	for sh.order.Len() > sh.cap {
+		back := sh.order.Back()
+		delete(sh.entries, back.Value.(*Node).ID)
+		sh.order.Remove(back)
+		c.evictions.Add(1)
+	}
+}
+
+// put installs n, whose page the caller has just written and versioned,
+// without evicting: a build's directory stays whole, beyond capacity if
+// it must, until the IWP build has read it back, and the next decode
+// inserted into the shard trims it to capacity.
+func (c *nodeCache) put(n *Node) {
+	if c == nil {
+		return
+	}
+	sh := c.shard(n.ID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	putLocked(sh, n)
+}
+
+// putLocked installs n in sh as its most recent entry. Caller holds
+// sh.mu.
+func putLocked(sh *nodeCacheShard, n *Node) {
 	if el, ok := sh.entries[n.ID]; ok {
 		el.Value = n
 		sh.order.MoveToFront(el)
 		return
 	}
 	sh.entries[n.ID] = sh.order.PushFront(n)
-	for sh.order.Len() > sh.cap {
-		back := sh.order.Back()
-		delete(sh.entries, back.Value.(*Node).ID)
-		sh.order.Remove(back)
-	}
 }
 
 // drop removes id from the cache; called by Put and Free after the

@@ -21,21 +21,33 @@ import (
 //	leaf entries, 24 bytes each:      x float64, y float64, id uint64
 //	internal entries, 36 bytes each:  minx, miny, maxx, maxy float64, child uint32
 //
-// A decoded-node cache sits in front of the page reads so hot
-// upper-tree nodes are not re-decoded on every visit. The cache is
-// transparent to the paper's I/O accounting: Get counts one visit
-// whether the node came from the cache, the buffer pool, or the file —
-// a visit models touching the node, and which memory tier supplied the
-// bytes is the optimisation under study, not the metric.
+// A decoded-node cache, the tree's only cache, sits in front of the page
+// reads: a hit costs no read and no decode, a miss is one pager Read.
+// The cache is transparent to the paper's I/O accounting: Get counts one
+// visit whether the node came from the cache or the file — a visit
+// models touching the node, and which memory tier supplied the bytes is
+// the optimisation under study, not the metric.
 type PagedStore struct {
 	pages  *pager.Store
 	visits atomic.Uint64
 
 	// cache holds decoded nodes; nil when disabled. version is bumped by
-	// every Put/Free, letting concurrent Gets detect that the bytes they
-	// decoded are stale before inserting them (see insertIfVersion).
+	// every Alloc/Put/Free, letting concurrent Gets detect that the bytes
+	// they decoded are stale before inserting them (see insertIfVersion).
 	cache   *nodeCache
 	version atomic.Uint64
+	// hits and misses count Gets served by the cache and Gets that read
+	// the page; with the cache off every Get misses.
+	hits, misses atomic.Uint64
+}
+
+// CacheStats counts the decoded-node cache's outcomes since the store
+// was made. Misses equals the pager Reads that Gets issued: there is no
+// second tier below the cache.
+type CacheStats struct {
+	Hits, Misses uint64
+	// Evictions counts nodes dropped from the cache to make room.
+	Evictions uint64
 }
 
 const (
@@ -59,7 +71,7 @@ func NewPagedStore(pages *pager.Store) *PagedStore {
 
 // NewPagedStoreCache wraps a pager.Store as a NodeStore with a
 // decoded-node cache holding about nodes entries; nodes <= 0 disables
-// the cache so every Get decodes from the page image.
+// the cache so every Get reads and decodes its page.
 func NewPagedStoreCache(pages *pager.Store, nodes int) *PagedStore {
 	return &PagedStore{pages: pages, cache: newNodeCache(nodes)}
 }
@@ -67,22 +79,36 @@ func NewPagedStoreCache(pages *pager.Store, nodes int) *PagedStore {
 // Pages exposes the underlying page store (for stats and Sync).
 func (s *PagedStore) Pages() *pager.Store { return s.pages }
 
+// CacheStats returns the decoded-node cache's counters.
+func (s *PagedStore) CacheStats() CacheStats {
+	st := CacheStats{Hits: s.hits.Load(), Misses: s.misses.Load()}
+	if s.cache != nil {
+		st.Evictions = s.cache.evictions.Load()
+	}
+	return st
+}
+
 // Alloc implements NodeStore: the node's image is its page's first
-// and only write, and a recycled page's cached decode is dropped as a
-// Put drops it. Only an internal node's page gets a pool frame: a
-// build reads internal nodes back (the IWP build) and no leaf.
+// and only write. An internal node enters the cache, since a build
+// reads internal nodes back (the IWP build) and no leaf, so a build
+// reads no page; a leaf drops a recycled page's cached decode as a Put
+// drops it.
 func (s *PagedStore) Alloc(n *Node) error {
 	buf, err := encodeNode(n)
 	if err != nil {
 		return err
 	}
-	id, err := s.pages.Allocate(buf, !n.Leaf)
+	id, err := s.pages.Allocate(buf)
 	if err != nil {
 		return err
 	}
 	n.ID = NodeID(id)
 	s.version.Add(1)
-	s.cache.drop(n.ID)
+	if n.Leaf {
+		s.cache.drop(n.ID)
+	} else {
+		s.cache.put(n)
+	}
 	return nil
 }
 
@@ -92,6 +118,7 @@ func (s *PagedStore) Alloc(n *Node) error {
 // Put/Free).
 func (s *PagedStore) Get(id NodeID) (*Node, error) {
 	if n := s.cache.get(id); n != nil {
+		s.hits.Add(1)
 		s.visits.Add(1)
 		return n, nil
 	}
@@ -100,6 +127,7 @@ func (s *PagedStore) Get(id NodeID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.misses.Add(1)
 	s.visits.Add(1)
 	n, err := decodeNode(id, buf)
 	if err != nil {
@@ -163,7 +191,7 @@ func (s *PagedStore) ResetVisits() { s.visits.Store(0) }
 // released after their readers drained), so writing the page later
 // cannot disturb a pinned version.
 func (s *PagedStore) ReserveID() (NodeID, error) {
-	id, err := s.pages.Allocate(nil, false)
+	id, err := s.pages.Allocate(nil)
 	if err != nil {
 		return 0, err
 	}

@@ -12,9 +12,9 @@ import (
 	"nwcq/internal/pager"
 )
 
-func newPagedTree(t *testing.T, opts Options, cache int) (*Tree, *PagedStore) {
+func newPagedTree(t *testing.T, opts Options) (*Tree, *PagedStore) {
 	t.Helper()
-	pages, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: cache})
+	pages, err := pager.Create(pager.NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPagedMatchesMem(t *testing.T) {
 	pts := genPoints(rng, 3000, true)
 
 	mem := newTree(t, Options{MaxEntries: 20})
-	paged, _ := newPagedTree(t, Options{MaxEntries: 20}, 64)
+	paged, _ := newPagedTree(t, Options{MaxEntries: 20})
 	for _, p := range pts {
 		if err := mem.Insert(p); err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestPagedPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err := pager.Create(f, pager.Options{CacheSize: 32})
+	pages, err := pager.Create(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPagedPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	pages2, err := pager.Open(f2, pager.Options{CacheSize: 32})
+	pages2, err := pager.Open(f2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestPagedPersistenceAcrossReopen(t *testing.T) {
 }
 
 func TestAttachEmptyStoreFails(t *testing.T) {
-	pages, err := pager.Create(pager.NewMemFile(), pager.Options{})
+	pages, err := pager.Create(pager.NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAttachEmptyStoreFails(t *testing.T) {
 }
 
 func TestPagedDeleteStress(t *testing.T) {
-	tr, _ := newPagedTree(t, Options{MaxEntries: 8}, 128)
+	tr, _ := newPagedTree(t, Options{MaxEntries: 8})
 	rng := rand.New(rand.NewSource(4))
 	pts := genPoints(rng, 600, true)
 	for _, p := range pts {
@@ -236,10 +236,9 @@ func TestPagedDeleteStress(t *testing.T) {
 	}
 }
 
-// TestVisitsUnchangedByCachingLayers builds the same tree under three
-// cache configurations — everything cold, buffer pool only, buffer pool
-// plus decoded-node cache — and checks that identical queries report
-// identical visit counts. The caches may change where bytes come from,
+// TestVisitsUnchangedByCachingLayers builds the same tree with the
+// decoded-node cache off and on and checks that identical queries report
+// identical visit counts. The cache may change where bytes come from,
 // never how many nodes the algorithm touches.
 func TestVisitsUnchangedByCachingLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -252,16 +251,14 @@ func TestVisitsUnchangedByCachingLayers(t *testing.T) {
 
 	configs := []struct {
 		name      string
-		pageCache int
 		nodeCache int
 	}{
-		{"cold", 0, 0},
-		{"pool-only", 256, 0},
-		{"pool+nodes", 256, DefaultNodeCacheSize},
+		{"off", 0},
+		{"on", DefaultNodeCacheSize},
 	}
 	visits := make([][]uint64, len(configs))
 	for ci, cfg := range configs {
-		pages, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: cfg.pageCache})
+		pages, err := pager.Create(pager.NewMemFile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +294,7 @@ func TestVisitsUnchangedByCachingLayers(t *testing.T) {
 	for ci := 1; ci < len(configs); ci++ {
 		for qi := range queries {
 			if visits[ci][qi] != visits[0][qi] {
-				t.Errorf("%s: query %d visits %d, want %d (as with no caches)",
+				t.Errorf("%s: query %d visits %d, want %d (as with no cache)",
 					configs[ci].name, qi, visits[ci][qi], visits[0][qi])
 			}
 		}
@@ -307,7 +304,7 @@ func TestVisitsUnchangedByCachingLayers(t *testing.T) {
 // TestNodeCacheInvalidation checks that Put and Free evict the decoded
 // node so readers never see stale entries.
 func TestNodeCacheInvalidation(t *testing.T) {
-	pages, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: 16})
+	pages, err := pager.Create(pager.NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +351,7 @@ func TestNodeCacheInvalidation(t *testing.T) {
 // a decode that raced with a Put (read old bytes, then the store moved
 // on) must not enter the cache.
 func TestNodeCacheStaleDecodeNotInserted(t *testing.T) {
-	pages, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: 16})
+	pages, err := pager.Create(pager.NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +377,7 @@ func TestNodeCacheStaleDecodeNotInserted(t *testing.T) {
 // readers and a writer (run under -race). Readers must always decode a
 // complete image — either the old or the new version of the node.
 func TestPagedStoreConcurrentGetPut(t *testing.T) {
-	pages, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: 32})
+	pages, err := pager.Create(pager.NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}

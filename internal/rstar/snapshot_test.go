@@ -60,7 +60,7 @@ func buildFrozenMem(t *testing.T, pts []geom.Point) *Tree {
 
 func buildFrozenPaged(t *testing.T, pts []geom.Point) *Tree {
 	t.Helper()
-	pages, err := pager.Create(pager.NewMemFile(), pager.Options{CacheSize: 64})
+	pages, err := pager.Create(pager.NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}

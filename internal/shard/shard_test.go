@@ -337,52 +337,6 @@ func TestShardedBatch(t *testing.T) {
 	}
 }
 
-// TestShardedDirBuildReopen round-trips a paged sharded deployment:
-// build under a directory, query, close, reopen, and query again.
-func TestShardedDirBuildReopen(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pts := straddlePoints(rng, 70)
-	dir := filepath.Join(t.TempDir(), "cluster")
-
-	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := nwcq.Query{X: 50, Y: 50, Length: 6, Width: 6, N: 4}
-	want, err := sh.NWC(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenSharded(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Shards() != 4 {
-		t.Fatalf("reopened Shards=%d, want 4", re.Shards())
-	}
-	if re.Len() != len(pts) {
-		t.Fatalf("reopened Len=%d, want %d", re.Len(), len(pts))
-	}
-	got, err := re.NWC(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nwcAgree(t, "reopen", got, want)
-
-	// Mutations must keep routing and answering correctly after reopen.
-	if err := re.Insert(nwcq.Point{X: 50.5, Y: 50.5, ID: 9001}); err != nil {
-		t.Fatal(err)
-	}
-	if found, err := re.Delete(nwcq.Point{X: 50.5, Y: 50.5, ID: 9001}); err != nil || !found {
-		t.Fatalf("delete after reopen: found=%v err=%v", found, err)
-	}
-}
-
 // TestOpenShardedBoundsMatchFold: a reopen grows each shard's bounds
 // from its tree's extent, and they must equal, bit for bit, the fold of
 // ExtendPoint over the shard's points from its region that a reopen

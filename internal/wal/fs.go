@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"nwcq/internal/pager"
 )
 
 // File is the backing device of one log segment. It is the injectable
@@ -107,24 +109,25 @@ func (f osFile) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-// MemFS is an in-memory FS for tests and benchmarks. Its files persist
+// MemFS is an in-memory FS for tests and benchmarks, whose segments are
+// pager.MemFiles. Its files persist
 // across Open/Close cycles (the map owns the bytes), which is exactly
 // what a crash-recovery harness needs: abandon the crashed log, reopen
 // over the same MemFS, and the surviving bytes are what a real disk
 // would hold.
 type MemFS struct {
 	mu    sync.Mutex
-	files map[string]*MemFile
+	files map[string]*pager.MemFile
 }
 
 // NewMemFS returns an empty in-memory FS.
-func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*MemFile)} }
+func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*pager.MemFile)} }
 
 // Create implements FS.
 func (fs *MemFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := NewMemFile()
+	f := pager.NewMemFile()
 	fs.files[name] = f
 	return f, nil
 }
@@ -164,69 +167,3 @@ func (fs *MemFS) List() ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// MemFile is an in-memory File. It also satisfies the pager's File
-// interface, so one MemFile can back a page store in tests that need a
-// shared fault-injection seam across both the log and the page file.
-type MemFile struct {
-	mu  sync.RWMutex
-	buf []byte
-}
-
-// NewMemFile returns an empty in-memory file.
-func NewMemFile() *MemFile { return &MemFile{} }
-
-// ReadAt implements io.ReaderAt.
-func (f *MemFile) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if off >= int64(len(f.buf)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.buf[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// WriteAt implements io.WriterAt, growing the file as needed.
-func (f *MemFile) WriteAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.buf)) {
-		grown := make([]byte, end)
-		copy(grown, f.buf)
-		f.buf = grown
-	}
-	copy(f.buf[off:], p)
-	return len(p), nil
-}
-
-// Truncate implements File.
-func (f *MemFile) Truncate(size int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if size <= int64(len(f.buf)) {
-		f.buf = f.buf[:size]
-		return nil
-	}
-	grown := make([]byte, size)
-	copy(grown, f.buf)
-	f.buf = grown
-	return nil
-}
-
-// Sync implements File (memory is always "durable").
-func (f *MemFile) Sync() error { return nil }
-
-// Size implements File.
-func (f *MemFile) Size() (int64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return int64(len(f.buf)), nil
-}
-
-// Close implements File; the bytes stay owned by the FS.
-func (f *MemFile) Close() error { return nil }

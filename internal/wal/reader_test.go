@@ -21,7 +21,7 @@ func appendSynced(t *testing.T, l *Log, payload string) uint64 {
 func TestReaderCatchUpAndLiveTail(t *testing.T) {
 	fs := NewMemFS()
 	// Tiny segments so catch-up crosses several sealed files.
-	l, err := Create(fs, Options{SegmentBytes: 128})
+	l, err := Create(fs, Options{SegmentBytes: 128}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestReaderCatchUpAndLiveTail(t *testing.T) {
 // reader lost history.
 func TestCheckpointRetainsLeasedSegments(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{SegmentBytes: 128})
+	l, err := Create(fs, Options{SegmentBytes: 128}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCheckpointRetainsLeasedSegments(t *testing.T) {
 
 func TestNewReaderCompacted(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{SegmentBytes: 128})
+	l, err := Create(fs, Options{SegmentBytes: 128}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestNewReaderCompacted(t *testing.T) {
 
 func TestReaderDurableBound(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{}) // large segment: no rotation syncs
+	l, err := Create(fs, Options{}, 1) // large segment: no rotation syncs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestReaderDurableBound(t *testing.T) {
 
 func TestLeaseAdvancePermitsPartialRecycling(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{SegmentBytes: 128})
+	l, err := Create(fs, Options{SegmentBytes: 128}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

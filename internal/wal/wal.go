@@ -4,10 +4,9 @@
 // The log is the durability substrate for the paged index: mutations
 // append a logical record and (depending on sync policy) wait for it to
 // become durable before the page store publishes the change. Concurrent
-// committers coalesce into one fsync (group commit, the same
-// single-flight idea the buffer pool uses for cold misses). A
-// checkpoint makes the page file itself durable, after which covered
-// segments are recycled.
+// committers coalesce into one fsync (group commit). A checkpoint makes
+// the page file itself durable, after which covered segments are
+// recycled.
 //
 // On-disk layout: each segment file starts with a 16-byte header
 // (magic, version, first LSN), followed by frames of
@@ -142,8 +141,11 @@ func segName(firstLSN uint64) string {
 	return fmt.Sprintf("%016x%s", firstLSN, segmentSuffix)
 }
 
-// Create wipes any existing segments and starts an empty log at LSN 1.
-func Create(fs FS, opt Options) (*Log, error) {
+// Create wipes any existing segments and starts an empty log whose first
+// record will be LSN first (at least 1). The LSNs below first are the
+// caller's: a checkpoint already covers them, so the log reports them
+// appended and durable and never hands them out.
+func Create(fs FS, opt Options, first uint64) (*Log, error) {
 	names, err := fs.List()
 	if err != nil {
 		return nil, fmt.Errorf("wal: list segments: %w", err)
@@ -153,25 +155,29 @@ func Create(fs FS, opt Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: remove stale segment %s: %w", name, err)
 		}
 	}
-	l := &Log{fs: fs, opt: opt, nextLSN: 1}
-	if err := l.addSegmentLocked(1); err != nil {
+	first = max(first, 1)
+	l := &Log{fs: fs, opt: opt, nextLSN: first, appended: first - 1}
+	if err := l.addSegmentLocked(first); err != nil {
 		return nil, err
 	}
-	l.durable.Store(0)
+	l.durable.Store(first - 1)
 	return l, nil
 }
 
 // Open scans existing segments, truncates a torn tail, and positions
 // the log to append after the last intact record. Everything scanned is
-// available through Records until the first checkpoint. An empty
-// directory yields a fresh log at LSN 1.
-func Open(fs FS, opt Options) (*Log, error) {
+// available through Records until the first checkpoint. first is the
+// lowest LSN the log may hand out, the caller's checkpoint plus one: a
+// directory with no segment, or with none past the checkpoint, yields a
+// fresh log at first, so no record is ever appended under an LSN the
+// checkpoint already covers (replay would skip it).
+func Open(fs FS, opt Options, first uint64) (*Log, error) {
 	names, err := fs.List()
 	if err != nil {
 		return nil, fmt.Errorf("wal: list segments: %w", err)
 	}
 	if len(names) == 0 {
-		return Create(fs, opt)
+		return Create(fs, opt, first)
 	}
 	l := &Log{fs: fs, opt: opt}
 	torn := false
@@ -211,15 +217,13 @@ func Open(fs FS, opt Options) (*Log, error) {
 		}
 		torn = segTorn
 	}
-	if len(l.segs) == 0 {
-		// Every segment was torn away; start fresh but keep the LSN
-		// sequence monotonic from what the headers claimed.
-		if l.nextLSN == 0 {
-			l.nextLSN = 1
+	if l.nextLSN < max(first, 1) {
+		// Every intact record is one the checkpoint covers, or every
+		// segment was torn away: start again above the checkpoint.
+		for _, seg := range l.segs {
+			seg.file.Close()
 		}
-		if err := l.addSegmentLocked(l.nextLSN); err != nil {
-			return nil, err
-		}
+		return Create(fs, opt, first)
 	}
 	l.appended = l.nextLSN - 1
 	// Everything that survived the scan is on disk; only fsync state is

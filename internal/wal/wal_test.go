@@ -37,7 +37,7 @@ func wantRecords(t *testing.T, got []Record, want ...string) {
 
 func TestAppendSyncReopen(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{})
+	l, err := Create(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAppendSyncReopen(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	r, err := Open(fs, Options{})
+	r, err := Open(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAppendSyncReopen(t *testing.T) {
 func TestRotationAndRecycle(t *testing.T) {
 	fs := NewMemFS()
 	// Tiny segments: every record rotates once the previous one landed.
-	l, err := Create(fs, Options{SegmentBytes: 64})
+	l, err := Create(fs, Options{SegmentBytes: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRotationAndRecycle(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(fs, Options{SegmentBytes: 64})
+	r, err := Open(fs, Options{SegmentBytes: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRotationAndRecycle(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{})
+	l, err := Create(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(fs, Options{})
+	r, err := Open(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(fs, Options{})
+	r2, err := Open(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestCorruptionDropsSuffix(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{SegmentBytes: 64})
+	l, err := Create(fs, Options{SegmentBytes: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCorruptionDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(fs, Options{SegmentBytes: 64})
+	r, err := Open(fs, Options{SegmentBytes: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestCorruptionDropsSuffix(t *testing.T) {
 
 func TestSyncIntervalTimer(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{SyncEvery: 5 * time.Millisecond})
+	l, err := Create(fs, Options{SyncEvery: 5 * time.Millisecond}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func (f *failAfterFile) WriteAt(p []byte, off int64) (int, error) {
 
 func TestAppendFailureIsSticky(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{})
+	l, err := Create(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAppendFailureIsSticky(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(fs, Options{})
+	r, err := Open(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestAppendFailureIsSticky(t *testing.T) {
 
 func TestGroupCommitCoalesces(t *testing.T) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{})
+	l, err := Create(fs, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 }
 
 func TestEmptyAndOversizeRecordsRejected(t *testing.T) {
-	l, err := Create(NewMemFS(), Options{})
+	l, err := Create(NewMemFS(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestEmptyAndOversizeRecordsRejected(t *testing.T) {
 // leaves when a crash tears an append in half.
 func FuzzWALSegment(f *testing.F) {
 	fs := NewMemFS()
-	l, err := Create(fs, Options{})
+	l, err := Create(fs, Options{}, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func FuzzWALSegment(f *testing.F) {
 		fs := NewMemFS()
 		seg, _ := fs.Create(segName(1))
 		seg.WriteAt(data, 0)
-		l, err := Open(fs, Options{})
+		l, err := Open(fs, Options{}, 1)
 		if err != nil {
 			return
 		}
@@ -389,7 +389,7 @@ func FuzzWALSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		sizes := segmentSizes(t, fs)
-		l, err = Open(fs, Options{})
+		l, err = Open(fs, Options{}, 1)
 		if err != nil {
 			t.Fatalf("second open: %v", err)
 		}

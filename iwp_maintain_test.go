@@ -294,15 +294,15 @@ func TestPinnedViewSurvivesCheckpoint(t *testing.T) {
 }
 
 // TestPagedMutationsPatchIWP is the paged-mixed regression in miniature:
-// on a page file several times its buffer pool, insert/delete pairs
+// on a page file several times its node cache, insert/delete pairs
 // interleaved with NWC* queries never rebuild the IWP index, and a
-// query after a mutation misses the pool a bounded number of times — not
-// once per page of the tree, which is what a rebuild costs.
+// query after a mutation misses the cache a bounded number of times —
+// not once per page of the tree, which is what a rebuild costs.
 func TestPagedMutationsPatchIWP(t *testing.T) {
 	pts := testPoints(12000, 71)
 	o := buildOptions{
 		maxEntries: 50, gridCellSize: 25, bulkLoad: true,
-		pageCache: 48, pageCacheSet: true, nodeCache: 48, nodeCacheSet: true,
+		nodeCache: 48, nodeCacheSet: true,
 	}
 	px := newMemPaged().build(t, pts, o)
 	defer px.Close()
@@ -327,7 +327,7 @@ func TestPagedMutationsPatchIWP(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		ask(i) // warm the pool the way a serving index is warm
+		ask(i) // warm the cache the way a serving index is warm
 	}
 	before := px.PageStats()
 	const pairs = 100

@@ -66,6 +66,9 @@ import (
 //     (a recovered set in [acked, attempted], replayed from the log,
 //     serviceable, nothing replayed after the next clean close) → opCrash,
 //     crashed(), reopen, finish, and TestModelCrashSweep.
+//   - TestShardedDirBuildReopen (a Dir router closed, reopened, queried
+//     and mutated) → the sharded/dir backends' opReopen and every op
+//     after it.
 //
 // These still run on their own scripts, each for the reason given:
 //   - TestReplicationStreamAbortFiltering and
@@ -88,9 +91,6 @@ import (
 //   - TestConcurrentMutationStraddling: routed reads racing a writer,
 //     which opReaders skips — a routed read can see a shard at two
 //     versions (ROADMAP item 16(b)).
-//   - TestShardedDirBuildReopen: a Dir router closed, reopened and
-//     mutated, which the sharded/dir backends' opReopen and the ops after
-//     it check too; it is the next to retire (ROADMAP item 5(d)).
 //
 // The defects this test found are ROADMAP items 15 and 16.
 

@@ -55,7 +55,6 @@ import (
 	"nwcq/internal/iwp"
 	"nwcq/internal/metrics"
 	"nwcq/internal/obs"
-	"nwcq/internal/pager"
 	"nwcq/internal/qcache"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
@@ -202,9 +201,9 @@ type Index struct {
 	// mutation that changed the tree's height. Every other mutation
 	// patches the index and does not count.
 	iwpRebuilds metrics.Counter
-	// pageStats reports buffer-pool counters for paged indexes (nil for
-	// in-memory indexes); Metrics uses it to expose cache effectiveness.
-	pageStats func() pager.Stats
+	// pageStats reports page I/O and node-cache counters for paged
+	// indexes (nil for in-memory indexes); Metrics exposes them.
+	pageStats func() PageStats
 	// dur binds the write-ahead log of a paged index (nil for in-memory
 	// indexes); see durable.go.
 	dur *durability
@@ -232,10 +231,8 @@ type buildOptions struct {
 	bulkLoad     bool
 	space        geom.Rect
 	spaceSet     bool
-	// pageCache / nodeCache apply to paged indexes only; the Set flags
-	// distinguish "explicitly zero" (disable) from "use the default".
-	pageCache    int
-	pageCacheSet bool
+	// nodeCache applies to paged indexes only; the Set flag
+	// distinguishes "explicitly zero" (disable) from "use the default".
 	nodeCache    int
 	nodeCacheSet bool
 	// slowThreshold enables the slow-query log when positive.
@@ -279,20 +276,18 @@ func WithBulkLoad() BuildOption {
 	return func(o *buildOptions) { o.bulkLoad = true }
 }
 
-// WithPageCacheSize sets the buffer-pool capacity, in 4096-byte pages,
-// of a paged index (default 256). The pool holds immutable page frames
-// shared zero-copy by concurrent readers; zero or negative disables
-// caching so every read reaches the file. In-memory indexes ignore it.
+// WithPageCacheSize does nothing.
+//
+// Deprecated: a paged index has one cache, of decoded nodes, sized by
+// WithNodeCacheSize; the page buffer pool this option sized is gone.
 func WithPageCacheSize(pages int) BuildOption {
-	return func(o *buildOptions) {
-		o.pageCache = pages
-		o.pageCacheSet = true
-	}
+	return func(*buildOptions) {}
 }
 
 // WithNodeCacheSize sets the decoded-node cache capacity, in tree
-// nodes, of a paged index (default rstar.DefaultNodeCacheSize). The
-// cache keeps hot upper-tree nodes decoded between queries; zero or
+// nodes, of a paged index (default rstar.DefaultNodeCacheSize). It is
+// the index's only cache: it keeps hot upper-tree nodes decoded between
+// queries, and a miss reads the node's page from the file; zero or
 // negative disables it. Node-visit accounting is identical either way.
 // In-memory indexes ignore it.
 func WithNodeCacheSize(nodes int) BuildOption {

@@ -22,7 +22,7 @@ type (
 	MetricsSnapshot = obs.MetricsSnapshot
 	// QueryKindMetrics summarises one operation kind in a MetricsSnapshot.
 	QueryKindMetrics = obs.QueryKindMetrics
-	// PageCacheMetrics reports a paged index's buffer-pool effectiveness.
+	// PageCacheMetrics reports a paged index's page I/O and node cache.
 	PageCacheMetrics = obs.PageCacheMetrics
 	// WALMetrics reports write-ahead-log activity and the LSN horizon.
 	WALMetrics = obs.WALMetrics
@@ -69,8 +69,7 @@ func (ix *Index) Metrics() MetricsSnapshot {
 		src.PageCache = &PageCacheMetrics{
 			Reads: st.Reads, Writes: st.Writes,
 			Hits: st.CacheHits, Misses: st.CacheMisses,
-			Evictions: st.Evictions, Coalesced: st.Coalesced,
-			Syncs: st.Syncs,
+			Evictions: st.Evictions, Syncs: st.Syncs,
 		}
 	}
 	if d := ix.dur; d != nil {

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"nwcq/internal/pager"
 )
 
 func buildTestIndex(t *testing.T, n int) *Index {
@@ -58,7 +56,7 @@ func TestSchemeIndexRoundTrip(t *testing.T) {
 // has served no reads must report HitRate 0, not NaN.
 func TestHitRateZeroReads(t *testing.T) {
 	ix := buildTestIndex(t, 100)
-	ix.pageStats = func() pager.Stats { return pager.Stats{} }
+	ix.pageStats = func() PageStats { return PageStats{} }
 	snap := ix.Metrics()
 	if snap.PageCache == nil {
 		t.Fatal("no page cache section")

@@ -12,11 +12,10 @@ import (
 
 // PagedIndex is an Index whose R*-tree nodes live on 4096-byte pages in
 // a file, one node per page — the disk-oriented form the paper's I/O
-// accounting assumes. Every page is checksummed (CRC-32, verified once
-// when it enters the buffer pool) and reads go through a sharded pool
-// of immutable frames shared zero-copy by concurrent queries, with a
-// decoded-node cache above it; size both with WithPageCacheSize and
-// WithNodeCacheSize.
+// accounting assumes. Every page is checksummed (CRC-32, verified at
+// every read). The index keeps one cache, of decoded nodes shared
+// read-only by concurrent queries, sized with WithNodeCacheSize; a miss
+// reads its page from the file.
 //
 // Mutations (Insert, Delete and the batch forms) are crash-safe: each
 // is logged to a write-ahead log beside the index file (<path>.wal/)
@@ -29,6 +28,7 @@ import (
 type PagedIndex struct {
 	Index
 	pages *pager.Store
+	nodes *rstar.PagedStore
 	file  pagedFile
 	log   *wal.Log
 	// closed makes Close idempotent: only the first call tears down.
@@ -42,37 +42,30 @@ type pagedFile interface {
 	Close() error
 }
 
-// PageStats mirrors the pager's operation counters.
+// PageStats counts a paged index's page I/O and its node cache.
 type PageStats struct {
 	// Reads and Writes count physical page transfers.
 	Reads  uint64
 	Writes uint64
-	// CacheHits and CacheMisses count buffer-pool outcomes; Evictions
-	// counts frames dropped for room; Coalesced counts cold reads served
-	// by piggybacking on another reader's in-flight file read.
+	// CacheHits and CacheMisses count the decoded-node cache's outcomes:
+	// each miss is one page read. Evictions counts nodes dropped for
+	// room.
 	CacheHits   uint64
 	CacheMisses uint64
 	Evictions   uint64
-	Coalesced   uint64
 	// Syncs counts fsyncs of the page file — checkpoint cost.
 	Syncs uint64
 }
 
-// defaultPageCache is the buffer-pool capacity (in pages) used when
-// WithPageCacheSize is not given.
-const defaultPageCache = 256
-
-// resolveCaches applies the cache defaults for paged indexes.
-func (o *buildOptions) resolveCaches() (pageCache, nodeCache int) {
-	pageCache = defaultPageCache
-	if o.pageCacheSet {
-		pageCache = o.pageCache
-	}
-	nodeCache = rstar.DefaultNodeCacheSize
+// newPagedStore wraps the index's page store in the tree's node store,
+// with the node cache the options size.
+func (p *PagedIndex) newPagedStore(o buildOptions) *rstar.PagedStore {
+	nodes := rstar.DefaultNodeCacheSize
 	if o.nodeCacheSet {
-		nodeCache = o.nodeCache
+		nodes = o.nodeCache
 	}
-	return pageCache, nodeCache
+	p.nodes = rstar.NewPagedStoreCache(p.pages, nodes)
+	return p.nodes
 }
 
 // walDirFor returns the WAL directory accompanying an index file.
@@ -139,44 +132,33 @@ func openPagedFiles(path string, flag int) (*os.File, wal.FS, error) {
 func buildPagedOn(points []Point, f pagedFile, wfs wal.FS, o buildOptions) (px *PagedIndex, err error) {
 	px = &PagedIndex{file: f}
 	defer px.releaseOnError(&err)
-	pageCache, nodeCache := o.resolveCaches()
-	if px.pages, err = pager.Create(f, pager.Options{CacheSize: pageCache}); err != nil {
+	if px.pages, err = pager.Create(f); err != nil {
 		return nil, err
 	}
-	tree, err := rstar.Build(rstar.NewPagedStoreCache(px.pages, nodeCache), rstar.Options{MaxEntries: o.maxEntries}, points, o.bulkLoad)
+	tree, err := rstar.Build(px.newPagedStore(o), rstar.Options{MaxEntries: o.maxEntries}, points, o.bulkLoad)
 	if err != nil {
 		return nil, err
 	}
 	// A fresh log plus an initial checkpoint: the build is the durable
-	// image, the log takes over from here.
-	if px.log, err = wal.Create(wfs, walOptions(o)); err != nil {
-		return nil, err
-	}
+	// image, the log takes over from here. The bulk-built base never
+	// went through the log, so no record replay can reconstruct it onto
+	// an empty replica. The base stands for LSN 1: the checkpoint covers
+	// it and the log starts at 2, so history "from the beginning" is
+	// honestly compacted, and a replication stream that would need it
+	// gets ErrCompacted — forcing the snapshot bootstrap — instead of
+	// silently missing the base. An empty build has no base to stand for.
 	ckptLSN := uint64(0)
 	if len(points) > 0 {
-		// The bulk-built base never went through the log, so no record
-		// replay can reconstruct it onto an empty replica. Burn LSN 1
-		// on a no-op marker and checkpoint past it: history "from the
-		// beginning" is then honestly compacted, and a replication
-		// stream that would need it gets ErrCompacted — forcing the
-		// snapshot bootstrap — instead of silently missing the base.
-		if ckptLSN, err = px.log.Append(encodeMutation(recInsert, nil)); err != nil {
-			return nil, err
-		}
-		if err = px.log.Sync(ckptLSN); err != nil {
-			return nil, err
-		}
+		ckptLSN = 1
+	}
+	if px.log, err = wal.Create(wfs, walOptions(o), ckptLSN+1); err != nil {
+		return nil, err
 	}
 	if err = px.pages.SyncData(); err != nil {
 		return nil, err
 	}
 	if err = px.pages.WriteCheckpoint(ckptLSN); err != nil {
 		return nil, err
-	}
-	if ckptLSN > 0 {
-		if err = px.log.Checkpointed(ckptLSN); err != nil {
-			return nil, err
-		}
 	}
 	px.dur = newDurability(px.log, px.pages, o)
 	if err = px.start(tree, points, o); err != nil {
@@ -190,15 +172,14 @@ func buildPagedOn(points []Point, f pagedFile, wfs wal.FS, o buildOptions) (px *
 func openPagedOn(f pagedFile, wfs wal.FS, o buildOptions) (px *PagedIndex, err error) {
 	px = &PagedIndex{file: f}
 	defer px.releaseOnError(&err)
-	pageCache, nodeCache := o.resolveCaches()
-	if px.pages, err = pager.Open(f, pager.Options{CacheSize: pageCache}); err != nil {
+	if px.pages, err = pager.Open(f); err != nil {
 		return nil, err
 	}
-	tree, err := rstar.Attach(rstar.NewPagedStoreCache(px.pages, nodeCache), rstar.Options{MaxEntries: o.maxEntries})
+	tree, err := rstar.Attach(px.newPagedStore(o), rstar.Options{MaxEntries: o.maxEntries})
 	if err != nil {
 		return nil, err
 	}
-	if px.log, err = wal.Open(wfs, walOptions(o)); err != nil {
+	if px.log, err = wal.Open(wfs, walOptions(o), px.pages.CheckpointLSN()+1); err != nil {
 		return nil, err
 	}
 	px.dur = newDurability(px.log, px.pages, o)
@@ -236,7 +217,7 @@ func openPagedOn(f pagedFile, wfs wal.FS, o buildOptions) (px *PagedIndex, err e
 // (recovery applied or skipped each one), so it commits at the appended
 // frontier.
 func (p *PagedIndex) start(tree *rstar.Tree, points []Point, o buildOptions) error {
-	p.pageStats = p.pages.Stats
+	p.pageStats = p.PageStats
 	return p.Index.start(tree, points, o, p.log.AppendedLSN())
 }
 
@@ -252,15 +233,13 @@ func (p *PagedIndex) releaseOnError(err *error) {
 	p.file.Close()
 }
 
-// PageStats returns the pager's operation counters, including buffer-pool
-// effectiveness (hits, misses, evictions, coalesced cold reads) and
-// fsync count.
+// PageStats returns the page file's I/O counters, the node cache's
+// hits, misses and evictions, and the fsync count.
 func (p *PagedIndex) PageStats() PageStats {
-	st := p.pages.Stats()
+	st, cs := p.pages.Stats(), p.nodes.CacheStats()
 	return PageStats{
 		Reads: st.Reads, Writes: st.Writes,
-		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
-		Evictions: st.Evictions, Coalesced: st.Coalesced,
+		CacheHits: cs.Hits, CacheMisses: cs.Misses, Evictions: cs.Evictions,
 		Syncs: st.Syncs,
 	}
 }

@@ -110,9 +110,9 @@ func TestOpenPagedMissingFile(t *testing.T) {
 	}
 }
 
-// TestCacheSizeOptions exercises WithPageCacheSize / WithNodeCacheSize:
-// a cache-disabled paged index answers identically (results and node
-// visits) to the default cached one, just with every read physical.
+// TestCacheSizeOptions exercises WithNodeCacheSize: a cache-disabled
+// paged index answers identically (results and node visits) to the
+// default cached one, just with every read physical.
 func TestCacheSizeOptions(t *testing.T) {
 	pts := testPoints(2000, 12)
 	q := Query{X: 400, Y: 600, Length: 70, Width: 70, N: 5}
@@ -124,7 +124,7 @@ func TestCacheSizeOptions(t *testing.T) {
 	}
 	defer cached.Close()
 	cold, err := BuildPaged(pts, filepath.Join(dir, "cold.nwcq"),
-		WithBulkLoad(), WithPageCacheSize(0), WithNodeCacheSize(0))
+		WithBulkLoad(), WithNodeCacheSize(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCacheSizeOptions(t *testing.T) {
 	if st.Reads == 0 {
 		t.Error("cache-disabled index recorded no physical reads")
 	}
-	// Cached store: repeated queries are served from the pool.
+	// Cached store: repeated queries are served from the node cache.
 	if _, err := cached.NWC(q); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,43 @@ func TestCacheSizeOptions(t *testing.T) {
 	}
 }
 
-// TestPagedMetricsExposePageCache checks the buffer-pool counters reach
+// TestPagedReadsAreCacheMisses: a paged index has one cache, of decoded
+// nodes, and no second tier below it, so on an index built and then
+// queried read-only each cache miss is one page read and each page read
+// a miss, whatever the cache's size; with the cache off nothing hits.
+func TestPagedReadsAreCacheMisses(t *testing.T) {
+	pts := testPoints(5000, 15)
+	for _, c := range []struct {
+		name  string
+		nodes int
+	}{{"off", 0}, {"small", 16}, {"default", rstar.DefaultNodeCacheSize}} {
+		t.Run(c.name, func(t *testing.T) {
+			px, err := BuildPaged(pts, filepath.Join(t.TempDir(), "idx.nwcq"), WithBulkLoad(), WithNodeCacheSize(c.nodes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer px.Close()
+			for i := 0; i < 20; i++ {
+				p := pts[(i*97)%len(pts)]
+				if _, err := px.NWC(Query{X: p.X, Y: p.Y, Length: 40, Width: 40, N: 4}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := px.KNWC(KQuery{Query: Query{X: p.X, Y: p.Y, Length: 40, Width: 40, N: 3}, K: 2, M: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := px.PageStats()
+			if st.Reads == 0 || st.Reads != st.CacheMisses {
+				t.Errorf("%d page reads for %d cache misses, want as many, and some", st.Reads, st.CacheMisses)
+			}
+			if hit := st.CacheHits > 0; hit != (c.nodes > 0) {
+				t.Errorf("%d cache hits with a cache of %d nodes", st.CacheHits, c.nodes)
+			}
+		})
+	}
+}
+
+// TestPagedMetricsExposePageCache checks the page and node-cache counters reach
 // Index.Metrics (and therefore the server's GET /metrics, which serialises
 // the same snapshot): present on paged indexes, absent on in-memory ones.
 func TestPagedMetricsExposePageCache(t *testing.T) {

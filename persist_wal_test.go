@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"nwcq/internal/pager"
+	"nwcq/internal/wal"
 )
 
 func walTestPoints(n int) []Point {
@@ -135,6 +136,85 @@ func TestOpenPagedTornWALTail(t *testing.T) {
 	}
 	if hasPoint(torn) {
 		t.Fatal("torn record resurrected by recovery")
+	}
+}
+
+// TestReopenedLogStartsPastCheckpoint: a build starts its log past the
+// LSN its base stands for, in one segment and with no marker record, and
+// a log reopened with no record past the page file's checkpoint starts
+// above that checkpoint. A log that restarted at LSN 1 under a header
+// checkpointed at 1 handed its first insert an LSN the checkpoint
+// covers, and the next recovery skipped the acknowledged insert.
+func TestReopenedLogStartsPastCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.nwcq")
+	pts := walTestPoints(200)
+	px, err := BuildPaged(pts, path, WithBulkLoad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(walDirFor(path), "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("a fresh build left %d segment files, want 1: %v", len(segs), segs)
+	}
+	if st := px.Metrics().WAL; st.Appends != 0 || st.Fsyncs != 0 || st.AppendedLSN != 1 {
+		t.Fatalf("a fresh build logged %d records in %d fsyncs up to LSN %d, want none, at LSN 1", st.Appends, st.Fsyncs, st.AppendedLSN)
+	}
+	if _, err := px.StreamFrom(1); !errors.Is(err, wal.ErrCompacted) {
+		t.Fatalf("a stream from LSN 1 of a bulk-built index: %v, want wal.ErrCompacted", err)
+	}
+	if err := px.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	px, err = OpenPaged(path, WithWALSync(SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	extra := Point{X: pts[0].X + 0.5, Y: pts[0].Y + 0.5, ID: 1 << 40}
+	if err := px.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	// Copy the files while the index is open, as a crash leaves them:
+	// the insert is in the log only.
+	crashed := filepath.Join(t.TempDir(), "idx.nwcq")
+	copyFile(t, path, crashed)
+	if err := os.MkdirAll(walDirFor(crashed), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segs, err = filepath.Glob(filepath.Join(walDirFor(path), "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		copyFile(t, seg, filepath.Join(walDirFor(crashed), filepath.Base(seg)))
+	}
+	re, err := OpenPaged(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Len(); got != len(pts)+1 {
+		t.Fatalf("recovered %d points, want %d: the acknowledged insert was lost", got, len(pts)+1)
+	}
+}
+
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	b, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

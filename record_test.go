@@ -54,7 +54,7 @@ func TestOpenPagedReplaysEveryOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := wal.Open(wfs, wal.Options{})
+	log, err := wal.Open(wfs, wal.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

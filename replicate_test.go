@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nwcq/internal/geom"
+	"nwcq/internal/pager"
 	"nwcq/internal/wal"
 )
 
@@ -17,12 +18,12 @@ import (
 // directory, both in memory and both surviving an abandoned index the
 // way a disk survives a killed process.
 type memPaged struct {
-	pf  *wal.MemFile
+	pf  *pager.MemFile
 	mfs *wal.MemFS
 }
 
 func newMemPaged() *memPaged {
-	return &memPaged{pf: wal.NewMemFile(), mfs: wal.NewMemFS()}
+	return &memPaged{pf: pager.NewMemFile(), mfs: wal.NewMemFS()}
 }
 
 func (m *memPaged) build(t *testing.T, pts []Point, o buildOptions) *PagedIndex {
@@ -48,7 +49,7 @@ func (m *memPaged) open(t *testing.T, o buildOptions) *PagedIndex {
 // record is held until its fate is decided.
 func TestReplicationStreamAbortFiltering(t *testing.T) {
 	mfs := wal.NewMemFS()
-	l, err := wal.Open(mfs, wal.Options{})
+	l, err := wal.Open(mfs, wal.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestCloseSurfacesWALPoisonAndReleasesPages(t *testing.T) {
 	base := crashBasePoints()
 	o := buildOptions{maxEntries: 8, gridCellSize: 25, walSegmentBytes: 1 << 10}
 	inj := &crashInjector{}
-	pf := wal.NewMemFile()
+	pf := pager.NewMemFile()
 	mfs := wal.NewMemFS()
 	px, err := buildPagedOn(base, pf, &crashFS{fs: mfs, inj: inj}, o)
 	if err != nil {
