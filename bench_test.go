@@ -633,14 +633,15 @@ func BenchmarkBuild(b *testing.B) {
 // It reports the build's physical page
 // writes and reads: a build writes each node's page once and reads
 // none back. It also reports the wall time the build waited inside the
-// page file's fsyncs, which a CPU profile does not see. Each build
+// page file's fsyncs, and for a full run's write to land before it
+// could hand on the next, which a CPU profile does not see. Each build
 // starts with no page file: the previous one is removed with the timer
 // stopped, so no iteration pays for truncating its predecessor's 24 MB.
 func BenchmarkBuildPaged(b *testing.B) {
 	pts := datagen.Uniform(200000, 101)
 	path := filepath.Join(b.TempDir(), "build.nwcq")
 	var writes, reads uint64
-	var syncWait time.Duration
+	var syncWait, writeWait time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -653,6 +654,7 @@ func BenchmarkBuildPaged(b *testing.B) {
 		writes += st.Writes
 		reads += st.Reads
 		syncWait += st.SyncWait
+		writeWait += st.WriteWait
 		b.StopTimer()
 		if err := px.Close(); err != nil {
 			b.Fatal(err)
@@ -665,6 +667,7 @@ func BenchmarkBuildPaged(b *testing.B) {
 	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 	b.ReportMetric(syncWait.Seconds()*1e3/float64(b.N), "fsync-ms/op")
+	b.ReportMetric(writeWait.Seconds()*1e3/float64(b.N), "write-wait-ms/op")
 }
 
 // BenchmarkRStarWindowQuery measures a window query returning ~25
@@ -767,7 +770,7 @@ func BenchmarkPagerReadWrite(b *testing.B) {
 	b.Run("read", func(b *testing.B) {
 		b.SetBytes(pager.PageSize)
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Read(ids[i%len(ids)]); err != nil {
+			if _, err := store.Read(ids[i%len(ids)], nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -35,7 +35,7 @@ func FuzzPagerOpen(f *testing.F) {
 			t.Fatalf("opened a store whose root %d is not among its %d pages", root, n)
 		}
 		for id := 1; id < n; id++ {
-			if _, err := s.Read(PageID(id)); err != nil {
+			if _, err := s.Read(PageID(id), nil); err != nil {
 				t.Fatalf("page %d of %d unreadable: %v", id, n, err)
 			}
 		}

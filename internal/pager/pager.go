@@ -21,8 +21,10 @@
 //   - Pages appended at the end of the file wait in one write-behind
 //     run and reach the file in one write per run; a reader checks the
 //     run's span lock-free and writes the run out only when it reads
-//     one of its pages. A full run asks the kernel to start writing it
-//     back at once, so the next fsync waits only for the tail.
+//     one of its pages. A full run goes to a writer goroutine, which
+//     writes it and asks the kernel to start writing it back at once,
+//     so the next fsync waits only for the tail; the next run fills a
+//     second buffer meanwhile.
 //   - Statistics are atomic counters, snapshotted without stopping
 //     readers.
 //
@@ -91,23 +93,27 @@ type Stats struct {
 	// SyncWait is the wall time spent inside the backing file's Sync: a
 	// wait off the CPU, which a CPU profile does not show.
 	SyncWait time.Duration
+	// WriteWait is the wall time appends spent waiting for the previous
+	// full run's write to land before handing on their own.
+	WriteWait time.Duration
 }
 
 // storeStats is the atomic backing of Stats.
 type storeStats struct {
 	reads, writes, allocs, frees atomic.Uint64
 	syncs                        atomic.Uint64
-	syncWait                     atomic.Int64
+	syncWait, writeWait          atomic.Int64
 }
 
 func (s *storeStats) snapshot() Stats {
 	return Stats{
-		Reads:    s.reads.Load(),
-		Writes:   s.writes.Load(),
-		Allocs:   s.allocs.Load(),
-		Frees:    s.frees.Load(),
-		Syncs:    s.syncs.Load(),
-		SyncWait: time.Duration(s.syncWait.Load()),
+		Reads:     s.reads.Load(),
+		Writes:    s.writes.Load(),
+		Allocs:    s.allocs.Load(),
+		Frees:     s.frees.Load(),
+		Syncs:     s.syncs.Load(),
+		SyncWait:  time.Duration(s.syncWait.Load()),
+		WriteWait: time.Duration(s.writeWait.Load()),
 	}
 }
 
@@ -118,6 +124,7 @@ func (s *storeStats) reset() {
 	s.frees.Store(0)
 	s.syncs.Store(0)
 	s.syncWait.Store(0)
+	s.writeWait.Store(0)
 }
 
 // ErrChecksum is returned when a page read fails CRC verification.
@@ -145,8 +152,8 @@ type File interface {
 
 // writebackStarter is a File that can start writing a byte range back
 // to its device without waiting for it (sync_file_range's
-// SYNC_FILE_RANGE_WRITE). The Store calls it after each full run's
-// write, so that the fsync that follows waits only for what was
+// SYNC_FILE_RANGE_WRITE). The Store's writer calls it after each full
+// run's write, so that the fsync that follows waits only for what was
 // written since. It is a hint: it promises nothing about durability,
 // and its error is ignored. *os.File gets it from osWriteback.
 type writebackStarter interface {
@@ -259,15 +266,20 @@ type Store struct {
 
 	// run is the write-behind run: the whole images (CRC trailer in
 	// place) of the pages Allocate appended at the end of the file and
-	// has not written yet, consecutive from runStart. runMu guards both.
-	// The buffer grows by doubling, is reused from run to run and is
-	// released at every fsync, so an idle store holds none. runSpan mirrors the run's pages as
-	// start<<32 | end for the read path's lock-free check; it is zero
-	// when the run is empty, and it is cleared only after the run's
-	// write returned.
+	// has not sent out, consecutive from runStart. The full run before
+	// it may be in flight, its pages just before runStart; spare is the
+	// buffer of the last flight that landed, for the next run. runMu
+	// guards all four. A buffer grows by doubling, is reused from run to run and
+	// is released at every fsync, so an idle store holds none. runSpan
+	// mirrors the pages of the flight and the run as start<<32 | end
+	// for the read path's lock-free check; it is zero when both are
+	// empty, and it drops a page only after the write that held it
+	// returned.
 	runMu    sync.Mutex
 	runStart PageID
 	run      []byte
+	flight   *flight
+	spare    []byte
 	runSpan  atomic.Uint64
 	// writeback starts the writeback of a full run's bytes; nil when the
 	// file offers none.
@@ -370,10 +382,10 @@ func (s *Store) UserRoot() (PageID, []byte) {
 // bytes and a new one is zeros.
 //
 // A reused page is written through. A new page joins the write-behind
-// run, which reaches the file in one write when it is full, when a
-// read misses on one of its pages, at Flush, and before every fsync;
-// nothing durable names the page before then. A Write to a page still
-// in the run replaces its image there.
+// run, which reaches the file in one write: on the writer goroutine
+// once it is full, or when a read misses on one of its pages, at Flush
+// and before every fsync; nothing durable names the page before then.
+// A Write to a page still in the run replaces its image there.
 func (s *Store) Allocate(first []byte) (PageID, error) {
 	if len(first) > payloadSize {
 		return InvalidPage, fmt.Errorf("pager: payload %d bytes exceeds page payload %d", len(first), payloadSize)
@@ -403,27 +415,18 @@ func (s *Store) Allocate(first []byte) (PageID, error) {
 	return id, nil
 }
 
-// appendRun adds page id's image to the run, writing the run out first
-// when it is full or id does not follow it. A full run's write is
-// followed by the writeback hint for its bytes, called here and not on
-// a goroutine, which could run after the file's owner closed it and
-// another file took its descriptor. No other write gets the hint: a
-// commit's Flush, a partial run sent out before an fsync or by a read,
-// and a write-through leave the mutation path as it was. Caller holds
-// meta.
+// appendRun adds page id, the page after the run's last, to the run.
+// A full run is handed to a writer goroutine first, which writes it and
+// calls the writeback hint for its bytes; the next run fills the spare
+// buffer meanwhile. No other write gets the hint: a commit's Flush, a
+// partial run sent out before an fsync or by a read, and a
+// write-through leave the mutation path as it was. Caller holds meta.
 func (s *Store) appendRun(id PageID, first []byte) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if full := len(s.run) == runPages*PageSize; len(s.run) > 0 && (full || id != s.runEnd()) {
-		off, n := int64(s.runStart)*PageSize, int64(len(s.run))
-		if err := s.flushRunLocked(); err != nil {
+	if len(s.run) == runPages*PageSize {
+		if err := s.sendRunLocked(); err != nil {
 			return err
-		}
-		if full && s.writeback != nil {
-			// Only an fsync makes the run durable; an error here (ENOSYS
-			// under a seccomp filter, EINVAL on some filesystems) costs
-			// nothing but the early start.
-			_ = s.writeback(off, n)
 		}
 	}
 	if len(s.run) == 0 {
@@ -440,8 +443,97 @@ func (s *Store) appendRun(id PageID, first []byte) error {
 	clear(raw[copy(raw, first):payloadSize])
 	putBE32(raw[payloadSize:], crc32.ChecksumIEEE(raw[:payloadSize]))
 	s.stats.writes.Add(1)
-	s.runSpan.Store(uint64(s.runStart)<<32 | uint64(id+1))
+	s.runSpan.Store(uint64(s.spanStart())<<32 | uint64(id+1))
 	return nil
+}
+
+// flight is a full run on its way to the file. A writer goroutine
+// writes buf at page start, gives the writeback hint and closes done;
+// err is the write's error, read once done is closed. failed, guarded
+// by runMu, records that err was returned: the next wait writes the
+// run itself.
+type flight struct {
+	start  PageID
+	buf    []byte
+	done   chan struct{}
+	err    error
+	failed bool
+}
+
+// sendRunLocked hands the full run to a writer goroutine and starts the
+// next one in the spare buffer. The flight before it lands first, so at
+// most one run is in flight; the wait counts as WriteWait. Caller holds
+// runMu.
+func (s *Store) sendRunLocked() error {
+	began := time.Now()
+	err := s.landLocked()
+	s.stats.writeWait.Add(int64(time.Since(began)))
+	if err != nil {
+		return err
+	}
+	f := &flight{start: s.runStart, buf: s.run, done: make(chan struct{})}
+	s.flight = f
+	if s.run = s.spare[:0]; s.run == nil {
+		// A full run was just made; the next is likely to be full too.
+		s.run = make([]byte, 0, runPages*PageSize)
+	}
+	s.spare = nil
+	go func() {
+		defer close(f.done)
+		if f.err = s.writeRun(f.start, f.buf); f.err == nil && s.writeback != nil {
+			// Only an fsync makes the run durable; an error here (ENOSYS
+			// under a seccomp filter, EINVAL on some filesystems) costs
+			// nothing but the early start.
+			_ = s.writeback(int64(f.start)*PageSize, int64(len(f.buf)))
+		}
+	}()
+	return nil
+}
+
+// landLocked waits for the run in flight, if any, to reach the file. A
+// failed write's error is returned once, and the run stays in flight
+// for the next wait to write again. Neither the writer nor this wait
+// holds a stripe: no reader reads a page in flight from the file
+// before the wait returns, since it sees the page pending and waits
+// here. Caller holds runMu.
+func (s *Store) landLocked() error {
+	f := s.flight
+	if f == nil {
+		return nil
+	}
+	<-f.done
+	if f.failed {
+		if err := s.writeRun(f.start, f.buf); err != nil {
+			return err
+		}
+	} else if f.err != nil {
+		f.failed = true
+		return f.err
+	}
+	s.flight, s.spare = nil, f.buf
+	s.runSpan.Store(0)
+	if len(s.run) > 0 {
+		s.runSpan.Store(uint64(s.runStart)<<32 | uint64(s.runEnd()))
+	}
+	return nil
+}
+
+// writeRun writes buf, a run starting at page start, to the file in
+// one WriteAt.
+func (s *Store) writeRun(start PageID, buf []byte) error {
+	if _, err := s.file.WriteAt(buf, int64(start)*PageSize); err != nil {
+		return fmt.Errorf("pager: write pages %d-%d: %w", start, start+PageID(len(buf)/PageSize)-1, err)
+	}
+	return nil
+}
+
+// spanStart is the first page of the flight, or of the run when none is
+// in flight. Caller holds runMu.
+func (s *Store) spanStart() PageID {
+	if s.flight != nil {
+		return s.flight.start
+	}
+	return s.runStart
 }
 
 // runEnd is the page after the run's last. Caller holds runMu.
@@ -449,61 +541,99 @@ func (s *Store) runEnd() PageID {
 	return s.runStart + PageID(len(s.run)/PageSize)
 }
 
-// pending reports whether page id may wait in the run. It takes no
-// lock: a false answer for a published page means the run's write
+// pending reports whether page id may wait in the run or in flight. It
+// takes no lock: a false answer for a published page means the write
 // that held it has returned.
 func (s *Store) pending(id PageID) bool {
 	span := s.runSpan.Load()
 	return uint32(id) >= uint32(span>>32) && uint32(id) < uint32(span)
 }
 
-// rewriteRun replaces page id's image in the run with raw and reports
-// whether the run still held the page. The caller holds no stripe.
-func (s *Store) rewriteRun(id PageID, raw []byte) bool {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	if id < s.runStart || id >= s.runEnd() {
-		return false
-	}
-	copy(s.run[int(id-s.runStart)*PageSize:], raw)
-	return true
+// inFlight reports whether page id is in the run in flight. Caller
+// holds runMu.
+func (s *Store) inFlight(id PageID) bool {
+	return s.flight != nil && id >= s.flight.start && id < s.runStart
 }
 
-// flushRunFor writes the run out if it still holds page id, so the
-// file has the page's image. The caller holds no stripe.
+// rewriteRun replaces page id's image in the run with raw and reports
+// whether the run still held the page. A page in flight lands first,
+// and is then the file's. The caller holds no stripe.
+func (s *Store) rewriteRun(id PageID, raw []byte) (bool, error) {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if s.inFlight(id) {
+		return false, s.landLocked()
+	}
+	if id < s.runStart || id >= s.runEnd() {
+		return false, nil
+	}
+	copy(s.run[int(id-s.runStart)*PageSize:], raw)
+	return true, nil
+}
+
+// flushRunFor makes sure the file has page id's image: it waits for the
+// page's flight to land, or writes the run out if it holds the page.
+// The caller holds no stripe.
 func (s *Store) flushRunFor(id PageID) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
+	if s.inFlight(id) {
+		return s.landLocked()
+	}
 	if id < s.runStart || id >= s.runEnd() {
 		return nil
 	}
 	return s.flushRunLocked()
 }
 
-// flushRunLocked writes the run to the file in one WriteAt and empties
-// it, keeping the buffer for the next appends. No reader reads a run
-// page from the file before this returns, so no stripe is needed: a
-// reader that sees the page pending waits on runMu. On error the run
-// stays, for the next attempt. Caller holds runMu.
+// flushRunLocked lands the flight, then writes the run to the file in
+// one WriteAt and empties it, keeping the buffer for the next appends.
+// No reader reads a run page from the file before this returns, so no
+// stripe is needed: a reader that sees the page pending waits on
+// runMu. On error the run stays, for the next attempt. Caller holds
+// runMu.
 func (s *Store) flushRunLocked() error {
+	if err := s.landLocked(); err != nil {
+		return err
+	}
 	if len(s.run) == 0 {
 		return nil
 	}
-	if _, err := s.file.WriteAt(s.run, int64(s.runStart)*PageSize); err != nil {
-		return fmt.Errorf("pager: write pages %d-%d: %w", s.runStart, s.runEnd()-1, err)
+	if err := s.writeRun(s.runStart, s.run); err != nil {
+		return err
 	}
 	s.run = s.run[:0]
 	s.runSpan.Store(0)
 	return nil
 }
 
-// Flush writes the run out without an fsync. A commit calls it once it
-// has written its pages, so that they reach the file in one write and
-// the run never holds more than one commit's pages.
+// Flush writes the run out without an fsync, once the run in flight has
+// landed. A commit calls it once it has written its pages, so that they
+// reach the file in one write and the run never holds more than one
+// commit's pages.
 func (s *Store) Flush() error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	return s.flushRunLocked()
+}
+
+// Close waits for the run in flight, if any, to land and returns its
+// write's error, unless an earlier call returned it. After it no write
+// or writeback hint of the store's reaches the file, so the file's
+// owner may close the file, and its descriptor go to another file. The
+// run that has not gone out is not written: what no Flush or fsync
+// sent out was never promised to the file. The store must not be used
+// afterwards.
+func (s *Store) Close() error {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if f := s.flight; f != nil {
+		<-f.done
+		if !f.failed {
+			return f.err
+		}
+	}
+	return nil
 }
 
 // releaseRunLocked writes the run out and drops its buffer; every fsync
@@ -514,7 +644,7 @@ func (s *Store) releaseRunLocked() error {
 	if err := s.flushRunLocked(); err != nil {
 		return err
 	}
-	s.run = nil
+	s.run, s.spare = nil, nil
 	return nil
 }
 
@@ -541,10 +671,13 @@ func (s *Store) AddFreePages(ids []PageID) {
 }
 
 // Read returns the payload of page id, read from the file under the
-// page's stripe read lock and checked against its CRC. The slice is the
-// caller's own: no other reader shares it and no later Write changes
-// it. A page still in the run sends the run to the file first.
-func (s *Store) Read(id PageID) ([]byte, error) {
+// page's stripe read lock and checked against its CRC. It reads into
+// page, a buffer of at least PageSize bytes, and returns its first
+// PayloadSize; a nil page reads into a fresh buffer. Either way the
+// slice is the caller's own: no other reader shares it and no later
+// Write changes it. A page still in the run sends the run to the file
+// first, and a page in flight waits for its run to land.
+func (s *Store) Read(id PageID, page []byte) ([]byte, error) {
 	if err := s.checkRange(id); err != nil {
 		return nil, err
 	}
@@ -553,10 +686,13 @@ func (s *Store) Read(id PageID) ([]byte, error) {
 			return nil, err
 		}
 	}
+	if page == nil {
+		page = make([]byte, PageSize)
+	}
+	raw := page[:PageSize]
 	mu := &s.io[uint32(id)%ioStripes]
 	mu.RLock()
 	defer mu.RUnlock()
-	raw := make([]byte, PageSize)
 	if _, err := s.file.ReadAt(raw, int64(id)*PageSize); err != nil {
 		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
@@ -589,8 +725,10 @@ func (s *Store) writePage(id PageID, payload []byte) error {
 	raw := make([]byte, PageSize)
 	copy(raw, payload)
 	putBE32(raw[payloadSize:], crc32.ChecksumIEEE(raw[:payloadSize]))
-	if s.pending(id) && s.rewriteRun(id, raw) {
-		return nil
+	if s.pending(id) {
+		if held, err := s.rewriteRun(id, raw); held || err != nil {
+			return err
+		}
 	}
 	mu := &s.io[uint32(id)%ioStripes]
 	mu.Lock()

@@ -34,7 +34,7 @@ func TestAllocateReadWrite(t *testing.T) {
 	if id == InvalidPage {
 		t.Fatal("allocated invalid page")
 	}
-	got, err := s.Read(id)
+	got, err := s.Read(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAllocateFirstImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(id)
+	got, err := s.Read(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAllocateFirstImage(t *testing.T) {
 		id   PageID
 		want string
 	}{{id, "new"}, {fresh, "\x00\x00\x00"}} {
-		got, err := s.Read(c.id)
+		got, err := s.Read(c.id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +115,10 @@ func TestHeaderPageProtected(t *testing.T) {
 	if err := s.Write(0, []byte("x")); !errors.Is(err, ErrPageRange) {
 		t.Errorf("writing header page: err = %v, want ErrPageRange", err)
 	}
-	if _, err := s.Read(0); !errors.Is(err, ErrPageRange) {
+	if _, err := s.Read(0, nil); !errors.Is(err, ErrPageRange) {
 		t.Errorf("reading header page: err = %v, want ErrPageRange", err)
 	}
-	if _, err := s.Read(999); !errors.Is(err, ErrPageRange) {
+	if _, err := s.Read(999, nil); !errors.Is(err, ErrPageRange) {
 		t.Errorf("reading past EOF: err = %v, want ErrPageRange", err)
 	}
 }
@@ -202,7 +202,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Errorf("user meta %q", meta[:9])
 	}
 	for id, want := range contents {
-		got, err := reopened.Read(id)
+		got, err := reopened.Read(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Read(id); !errors.Is(err, ErrChecksum) {
+	if _, err := s.Read(id, nil); !errors.Is(err, ErrChecksum) {
 		t.Errorf("corrupted read err = %v, want ErrChecksum", err)
 	}
 }
@@ -277,20 +277,21 @@ func TestOpenRejectsGarbage(t *testing.T) {
 }
 
 // TestFrameStableAcrossWrite pins down the ownership contract: the
-// page image Read returns is the caller's, so a later Write leaves a
-// slice handed out earlier as it was, and the next Read sees the write.
+// page image Read returns into a fresh buffer (a nil page) is the
+// caller's, so a later Write leaves a slice handed out earlier as it
+// was, and the next Read sees the write.
 func TestFrameStableAcrossWrite(t *testing.T) {
 	s, _ := newTestStore(t)
 	id, _ := s.Allocate(nil)
 	s.Write(id, []byte("immutable"))
-	old, _ := s.Read(id)
+	old, _ := s.Read(id, nil)
 	if err := s.Write(id, []byte("replaced!")); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(old[:9], []byte("immutable")) {
 		t.Errorf("earlier image mutated by write: %q", old[:9])
 	}
-	fresh, _ := s.Read(id)
+	fresh, _ := s.Read(id, nil)
 	if !bytes.Equal(fresh[:9], []byte("replaced!")) {
 		t.Errorf("read after write = %q", fresh[:9])
 	}
@@ -306,7 +307,7 @@ func TestZeroCapacityPassthrough(t *testing.T) {
 	}
 	s.ResetStats()
 	for i := 0; i < 3; i++ {
-		if _, err := s.Read(id); err != nil {
+		if _, err := s.Read(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +349,7 @@ func TestOSFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	root, _ := s2.UserRoot()
-	got, err := s2.Read(root)
+	got, err := s2.Read(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,7 @@ func TestManyPagesStress(t *testing.T) {
 		}
 	}
 	for id, want := range live {
-		got, err := s.Read(id)
+		got, err := s.Read(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +459,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 				id := ids[(g*31+i)%len(ids)]
 				switch i % 3 {
 				case 0:
-					if _, err := s.Read(id); err != nil {
+					if _, err := s.Read(id, nil); err != nil {
 						errs <- err
 						return
 					}
@@ -480,7 +481,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	}
 	// Every page still reads back with a valid checksum.
 	for _, id := range ids {
-		if _, err := s.Read(id); err != nil {
+		if _, err := s.Read(id, nil); err != nil {
 			t.Fatalf("page %d unreadable after concurrent access: %v", id, err)
 		}
 	}
@@ -546,7 +547,7 @@ func runImage(id PageID, v byte) []byte {
 
 func checkImage(t *testing.T, s *Store, id PageID, v byte) {
 	t.Helper()
-	got, err := s.Read(id)
+	got, err := s.Read(id, nil)
 	if err != nil {
 		t.Fatalf("read page %d: %v", id, err)
 	}
@@ -687,7 +688,7 @@ func TestWriteBehindSyncMatchesPageAtATime(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A read of the page sends it out on its own.
-		if _, err := single.Read(id); err != nil {
+		if _, err := single.Read(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -780,7 +781,7 @@ func TestWriteBehindConcurrentReaders(t *testing.T) {
 					}
 					continue
 				}
-				got, err := s.Read(id)
+				got, err := s.Read(id, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -809,7 +810,7 @@ func TestWriteBehindConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := PageID(1); id <= total; id++ {
-		got, err := s.Read(id)
+		got, err := s.Read(id, nil)
 		if err != nil {
 			t.Fatalf("page %d after the race: %v", id, err)
 		}
@@ -820,24 +821,34 @@ func TestWriteBehindConcurrentReaders(t *testing.T) {
 }
 
 // hintFile records the writeback hints a Store gives it, and answers
-// each with err. The Store gives them on the appending goroutine.
+// each with err. The Store gives them on its writer goroutine.
 type hintFile struct {
 	*MemFile
 	err   error
+	mu    sync.Mutex
 	hints [][2]int64 // {offset, length}
 }
 
 func (f *hintFile) StartWriteback(off, n int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.hints = append(f.hints, [2]int64{off, n})
 	return f.err
 }
 
+// given returns the hints given so far.
+func (f *hintFile) given() [][2]int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.hints)
+}
+
 // TestWriteBehindStartsWriteback: a full run sent out by the next append
-// starts the writeback of exactly its bytes, and no other write does —
-// not the partial run an fsync sends out, not a full run a commit's
-// Flush sends out, not a write-through. A hint that fails fails nothing,
-// every fsync is still issued, and the file holds the same bytes. A
-// MemFile offers no hint; an *os.File on Linux does.
+// starts the writeback of exactly its bytes once it has landed, and no
+// other write does — not the partial run an fsync sends out, not a full
+// run a commit's Flush sends out, not a write-through. A hint that
+// fails fails nothing, every fsync is still issued, and the file holds
+// the same bytes. A MemFile offers no hint; an *os.File on Linux does.
 func TestWriteBehindStartsWriteback(t *testing.T) {
 	var images [][]byte
 	for _, hintErr := range []error{nil, errors.New("sync_file_range: function not implemented")} {
@@ -852,13 +863,13 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run := int64(runPages * PageSize)
-		want := [][2]int64{{PageSize, run}, {PageSize + run, run}}
-		if got := f.hints; !slices.Equal(got, want) {
-			t.Fatalf("%d appends gave hints %v, want %v", appends, got, want)
-		}
 		if err := s.SyncData(); err != nil {
 			t.Fatal(err)
+		}
+		run := int64(runPages * PageSize)
+		want := [][2]int64{{PageSize, run}, {PageSize + run, run}}
+		if got := f.given(); !slices.Equal(got, want) {
+			t.Fatalf("%d appends gave hints %v once landed, want %v", appends, got, want)
 		}
 		// A commit's pages, a full run of them, sent out by its Flush.
 		for i := appends + 1; i <= appends+runPages; i++ {
@@ -885,7 +896,7 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 		if err := s.WriteCheckpoint(7); err != nil {
 			t.Fatal(err)
 		}
-		if got := f.hints; !slices.Equal(got, want) {
+		if got := f.given(); !slices.Equal(got, want) {
 			t.Fatalf("hints %v after the fsyncs, Flush and write-throughs, want only %v", got, want)
 		}
 		st := s.Stats()
@@ -957,5 +968,152 @@ func TestWriteBehindStartsWriteback(t *testing.T) {
 	}
 	if !bytes.Equal(raw, mf.file.(*MemFile).buf) {
 		t.Fatal("a store on an *os.File wrote other bytes than one on a MemFile")
+	}
+}
+
+// gateFile holds every whole-run write until open is closed, and
+// counts the run writes that landed.
+type gateFile struct {
+	*MemFile
+	open   chan struct{}
+	landed atomic.Int64
+}
+
+func (f *gateFile) WriteAt(p []byte, off int64) (int, error) {
+	if len(p) == runPages*PageSize {
+		<-f.open
+		defer f.landed.Add(1)
+	}
+	return f.MemFile.WriteAt(p, off)
+}
+
+// TestWriteBehindReadsInFlightPages reads the pages of a full run while
+// its write is held on the writer goroutine, from several readers at
+// once (run under -race), beside a read of the partial run after it:
+// every read waits for the write to land and returns the page's bytes.
+func TestWriteBehindReadsInFlightPages(t *testing.T) {
+	f := &gateFile{MemFile: NewMemFile(), open: make(chan struct{})}
+	s, err := Create(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = runPages + 5
+	for i := 1; i <= pages; i++ {
+		if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := PageID(1); id <= pages; id++ {
+		if !s.pending(id) {
+			t.Fatalf("page %d of the run in flight or after it is not pending", id)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 5)
+	for g := 0; g < 5; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				id := PageID(1 + (g*53+i*7)%pages)
+				got, err := s.Read(id, nil)
+				if err == nil && be32(got) != uint32(id) {
+					err = fmt.Errorf("page %d reads page %d's image", id, be32(got))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	close(f.open)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := f.landed.Load(); n != 1 {
+		t.Fatalf("%d run writes landed, want 1", n)
+	}
+}
+
+// TestWriteBehindCloseWaitsForWriter: Close returns only once the run
+// in flight has landed, so the owner can close the file after it.
+func TestWriteBehindCloseWaitsForWriter(t *testing.T) {
+	f := &gateFile{MemFile: NewMemFile(), open: make(chan struct{})}
+	s, err := Create(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= runPages+1; i++ {
+		if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan int64)
+	go func() {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+		closed <- f.landed.Load()
+	}()
+	close(f.open)
+	if n := <-closed; n != 1 {
+		t.Fatalf("Close returned with %d run writes landed, want 1", n)
+	}
+}
+
+// errInjected is the failure failFile injects.
+var errInjected = errors.New("injected write failure")
+
+// failFile fails every whole-run write while fail is set.
+type failFile struct {
+	*MemFile
+	fail atomic.Bool
+}
+
+func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fail.Load() && len(p) == runPages*PageSize {
+		return 0, errInjected
+	}
+	return f.MemFile.WriteAt(p, off)
+}
+
+// TestWriteBehindWriterError: a full run's failed write is returned by
+// the next append that must wait for it, which allocates nothing, and
+// the run stays for the next attempt: once the file takes writes again,
+// an fsync lands it, and every page reads back its own image.
+func TestWriteBehindWriterError(t *testing.T) {
+	f := &failFile{MemFile: NewMemFile()}
+	s, err := Create(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.fail.Store(true)
+	for i := 1; i <= 2*runPages; i++ {
+		if _, err := s.Allocate(runImage(PageID(i), 1)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if _, err := s.Allocate(runImage(2*runPages+1, 1)); !errors.Is(err, errInjected) {
+		t.Fatalf("the append after a failed run's write: %v, want the write's error", err)
+	}
+	if n := s.NumPages(); n != 2*runPages+1 {
+		t.Fatalf("%d pages after the failed append, want %d", n, 2*runPages+1)
+	}
+	if err := s.SyncData(); !errors.Is(err, errInjected) {
+		t.Fatalf("an fsync while the file still fails: %v, want the write's error", err)
+	}
+	f.fail.Store(false)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(f.MemFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := PageID(1); id <= 2*runPages; id++ {
+		checkImage(t, re, id, 1)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"nwcq/internal/geom"
+	"nwcq/internal/pool"
 )
 
 // Build creates a tree on store holding pts: by STR packing when bulk is
@@ -188,19 +189,38 @@ func (o *slabOrder) slabs() int { return (len(o.pts) + o.slabSize - 1) / o.slabS
 // spareProc reports whether a spare processor was free, taking it: the
 // caller starts a goroutine that calls done when it finishes.
 func (o *slabOrder) spareProc() bool {
-	select {
-	case <-o.spare:
-		o.wg.Add(1)
-		return true
-	default:
+	if o.takeProcs(1) == 0 {
 		return false
 	}
+	o.wg.Add(1)
+	return true
 }
 
 // done returns the processor spareProc took.
 func (o *slabOrder) done() {
 	o.spare <- struct{}{}
 	o.wg.Done()
+}
+
+// takeProcs takes up to n spare processors, as many as are free, and
+// returns how many it took; giveProcs returns them.
+func (o *slabOrder) takeProcs(n int) int {
+	k := 0
+	for ; k < n; k++ {
+		select {
+		case <-o.spare:
+		default:
+			return k
+		}
+	}
+	return k
+}
+
+// giveProcs returns n processors takeProcs took.
+func (o *slabOrder) giveProcs(n int) {
+	for range n {
+		o.spare <- struct{}{}
+	}
 }
 
 // bucketsPerSlab is how many x buckets scatter makes per slab. A slab
@@ -210,24 +230,81 @@ func (o *slabOrder) done() {
 // left are a few percent of the build at any of them.
 const bucketsPerSlab = 16
 
+// scatterChunk is the fewest points a scatter worker beyond the first
+// takes, and about the share of src it claims at a time: a goroutine
+// costs more than fewer points are worth, and claiming in chunks lets
+// the calling goroutine's worker do the rest when another is kept from
+// running, as in a sharded build whose shards fill every processor.
+const scatterChunk = 1 << 14
+
 // scatter writes src into o.pts with every slab's members in its place,
 // by one bucket pass on X followed by selectBoundaries inside the
-// buckets that straddle a slab boundary. It reports false, having
-// written nothing, when bucketPass cannot scale the xs.
+// buckets that straddle a slab boundary. It runs on every spare
+// processor that has scatterChunk points to take. It reports false,
+// having written nothing, when the xs cannot be scaled.
 func (o *slabOrder) scatter(src []geom.Point) bool {
+	workers := 1 + o.takeProcs(len(src)/scatterChunk-1)
+	ok := o.scatterOn(src, workers)
+	o.giveProcs(workers - 1)
+	return ok
+}
+
+// scatterOn is scatter on workers goroutines. src is cut into at least
+// workers contiguous chunks of about scatterChunk points, and the
+// workers claim chunks in turn for each of the bucket pass's three
+// loops — range, count and place — each chunk with its own counts. The
+// counts are summed bucket-major and chunk-minor, so each chunk places
+// a bucket's points after those of the chunks before it: the stable
+// result of one pass, whichever worker took which chunk and however
+// many there were. The straddling buckets are then shared out in
+// contiguous runs, each holding its own part of o.pts. One worker
+// makes every loop on the calling goroutine.
+func (o *slabOrder) scatterOn(src []geom.Point, workers int) bool {
 	if len(src) == 0 {
 		return true
 	}
-	o.table = make([]int, bucketsPerSlab*o.slabs())
-	if !bucketPass(o.pts, src, false, o.table) {
+	defer o.wg.Wait()
+	chunks := max(workers, len(src)/scatterChunk)
+	each := func(fn func(c int)) {
+		_ = pool.Each(chunks, workers, func(c int) error { fn(c); return nil })
+	}
+	chunk := func(c int) []geom.Point {
+		return src[c*len(src)/chunks : (c+1)*len(src)/chunks]
+	}
+	// One count per bucket for each chunk; the slab sorts reuse the
+	// table once the scatter is done with it.
+	nb := bucketsPerSlab * o.slabs()
+	o.table = make([]int, chunks*nb)
+	counts := func(c int) []int { return o.table[c*nb : (c+1)*nb] }
+	los, his := make([]float64, chunks), make([]float64, chunks)
+	each(func(c int) { los[c], his[c] = coordRange(chunk(c), false) })
+	lo, hi := slices.Min(los), slices.Max(his)
+	scale, ok := bucketScale(lo, hi, nb)
+	if !ok {
 		return false
 	}
-	lo := 0
-	for _, hi := range o.table {
-		o.selectBoundaries(lo, hi, 2*bits.Len(uint(hi-lo)))
-		lo = hi
+	each(func(c int) { countBuckets(chunk(c), false, lo, scale, counts(c)) })
+	sum := 0
+	for b := range nb {
+		for c := range chunks {
+			n := &o.table[c*nb+b]
+			*n, sum = sum, sum+*n
+		}
 	}
-	o.wg.Wait()
+	each(func(c int) { placeBuckets(o.pts, chunk(c), false, lo, scale, counts(c)) })
+	// Each chunk's counts now end its share of each bucket, so the last
+	// chunk's end the buckets.
+	ends := counts(chunks - 1)
+	each(func(c int) {
+		first, lo := c*nb/chunks, 0
+		if first > 0 {
+			lo = ends[first-1]
+		}
+		for _, hi := range ends[first : (c+1)*nb/chunks] {
+			o.selectBoundaries(lo, hi, 2*bits.Len(uint(hi-lo)))
+			lo = hi
+		}
+	})
 	return true
 }
 
@@ -237,43 +314,74 @@ func (o *slabOrder) scatter(src []geom.Point) bool {
 // The bucket is monotone in c, so every point of a bucket precedes, in
 // the coordinate's order, every point of the next. On return ends[b] is
 // where bucket b ends in dst. It reports false, having written
-// nothing, when the coordinates span no finite positive width or the
-// buckets would be finer than a float64 can scale to.
+// nothing, when bucketScale refuses the coordinates' range.
 func bucketPass(dst, src []geom.Point, byY bool, ends []int) bool {
-	coord := func(p geom.Point) float64 {
-		if byY {
-			return p.Y
-		}
-		return p.X
+	lo, hi := coordRange(src, byY)
+	scale, ok := bucketScale(lo, hi, len(ends))
+	if !ok {
+		return false
 	}
-	lo, hi := coord(src[0]), coord(src[0])
+	clear(ends)
+	countBuckets(src, byY, lo, scale, ends)
+	sum := 0
+	for b, c := range ends {
+		ends[b], sum = sum, sum+c
+	}
+	placeBuckets(dst, src, byY, lo, scale, ends)
+	return true
+}
+
+// coord is a point's Y when byY is set, its X otherwise.
+func coord(p geom.Point, byY bool) float64 {
+	if byY {
+		return p.Y
+	}
+	return p.X
+}
+
+// coordRange returns the least and the greatest coordinate of src;
+// for no points, +Inf and −Inf.
+func coordRange(src []geom.Point, byY bool) (lo, hi float64) {
+	if len(src) == 0 {
+		return math.Inf(1), math.Inf(-1)
+	}
+	lo, hi = coord(src[0], byY), coord(src[0], byY)
 	for _, p := range src[1:] {
-		if c := coord(p); c < lo {
+		if c := coord(p, byY); c < lo {
 			lo = c
 		} else if c > hi {
 			hi = c
 		}
 	}
-	nb := len(ends)
+	return lo, hi
+}
+
+// bucketScale returns the scale that maps coordinates in [lo, hi] onto
+// nb buckets. It reports false when they span no finite positive width
+// or the buckets would be finer than a float64 can scale to.
+func bucketScale(lo, hi float64, nb int) (float64, bool) {
 	width := hi - lo
 	scale := float64(nb) / width
-	if !(width > 0 && width <= math.MaxFloat64 && scale <= math.MaxFloat64) {
-		return false
-	}
-	clear(ends)
+	return scale, width > 0 && width <= math.MaxFloat64 && scale <= math.MaxFloat64
+}
+
+// countBuckets adds to counts[b] the points of src in bucket b.
+func countBuckets(src []geom.Point, byY bool, lo, scale float64, counts []int) {
+	nb := len(counts)
 	for _, p := range src {
-		ends[min(int((coord(p)-lo)*scale), nb-1)]++
+		counts[min(int((coord(p, byY)-lo)*scale), nb-1)]++
 	}
-	sum := 0
-	for b, c := range ends {
-		ends[b], sum = sum, sum+c
-	}
+}
+
+// placeBuckets writes each point of src at next[b] in dst, b its
+// bucket, and advances next[b].
+func placeBuckets(dst, src []geom.Point, byY bool, lo, scale float64, next []int) {
+	nb := len(next)
 	for _, p := range src {
-		b := min(int((coord(p)-lo)*scale), nb-1)
-		dst[ends[b]] = p
-		ends[b]++
+		b := min(int((coord(p, byY)-lo)*scale), nb-1)
+		dst[next[b]] = p
+		next[b]++
 	}
-	return true
 }
 
 // selectBoundaries takes pts[lo:hi], the points of ranks lo … hi−1 by

@@ -325,13 +325,17 @@ func TestSortSlabMatchesSort(t *testing.T) {
 
 // TestStrOrderFromMatchesSort holds the bucket pass, and strOrder in
 // place, against two full sorts for every size from 0 to a few slabs,
-// on one processor and on two; the source must come back untouched.
+// on one processor and on two, and the x scatter split over one to four
+// workers; the source must come back untouched.
 func TestStrOrderFromMatchesSort(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		for _, capacity := range []int{2, 5, 35} {
 			sizes := []int{6000}
+			if capacity == 35 {
+				sizes = append(sizes, 3*scatterChunk+7) // more chunks than workers
+			}
 			for n := 0; n <= 8*capacity+3; n++ {
 				sizes = append(sizes, n)
 			}
@@ -346,6 +350,19 @@ func TestStrOrderFromMatchesSort(t *testing.T) {
 					}
 					if !slices.Equal(src, pts) {
 						t.Fatalf("procs %d, %s, n=%d, capacity %d: strOrderFrom changed its source", procs, name, n, capacity)
+					}
+					for workers := 1; workers <= 4; workers++ {
+						got := make([]geom.Point, n)
+						o := newSlabOrder(got, capacity)
+						if !o.scatterOn(src, workers) {
+							copy(got, src)
+							strOrder(got, capacity)
+						} else {
+							o.sortSlabs()
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("procs %d, %s, n=%d, capacity %d: a scatter on %d workers differs from a full sort's", procs, name, n, capacity, workers)
+						}
 					}
 					strOrder(src, capacity)
 					if !slices.Equal(src, want) {

@@ -23,7 +23,7 @@ func FuzzDecodeNode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := encodeNode(n)
+		enc, err := encodeNode(n, nil)
 		if err != nil {
 			t.Fatalf("decoded node does not encode: %v", err)
 		}

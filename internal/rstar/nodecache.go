@@ -12,10 +12,15 @@ import (
 // queries read only leaf pages.
 const DefaultNodeCacheSize = 1024
 
-// nodeCacheShards spreads cache lock traffic across concurrent queries;
-// node IDs are page IDs, assigned sequentially, so id mod shards is
-// uniform.
-const nodeCacheShards = 8
+// maxNodeCacheShards is the most shards a cache spreads its lock
+// traffic over, and nodesPerShard the fewest nodes a shard of a
+// many-shard cache holds: a small cache in many shards is many tiny
+// LRUs, each evicting a node the walk wants next. Node IDs are page
+// IDs, assigned sequentially, so id mod shards is uniform.
+const (
+	maxNodeCacheShards = 8
+	nodesPerShard      = 64
+)
 
 // nodeCache is a sharded LRU of decoded nodes keyed by NodeID, the one
 // cache of a paged tree: a hit costs no page read and no decodeNode, a
@@ -27,7 +32,8 @@ const nodeCacheShards = 8
 // with queries per the Tree concurrency contract, and Put/Free drop the
 // mutated node's entry, so readers never observe a node mid-mutation.
 type nodeCache struct {
-	shards [nodeCacheShards]nodeCacheShard
+	// shards is a power of two in number, at most maxNodeCacheShards.
+	shards []nodeCacheShard
 	// evictions counts nodes dropped to make room.
 	evictions atomic.Uint64
 }
@@ -40,15 +46,21 @@ type nodeCacheShard struct {
 }
 
 // newNodeCache returns a cache holding about capacity nodes in total,
-// or nil when capacity <= 0 (callers treat a nil cache as a miss).
+// or nil when capacity <= 0 (callers treat a nil cache as a miss). It
+// has one shard per nodesPerShard nodes, rounded up to a power of two
+// and capped at maxNodeCacheShards.
 func newNodeCache(capacity int) *nodeCache {
 	if capacity <= 0 {
 		return nil
 	}
-	c := &nodeCache{}
+	n := 1
+	for n < maxNodeCacheShards && n*nodesPerShard < capacity {
+		n *= 2
+	}
+	c := &nodeCache{shards: make([]nodeCacheShard, n)}
 	for i := range c.shards {
-		per := capacity / nodeCacheShards
-		if i < capacity%nodeCacheShards {
+		per := capacity / n
+		if i < capacity%n {
 			per++
 		}
 		if per < 1 {
@@ -64,7 +76,7 @@ func newNodeCache(capacity int) *nodeCache {
 }
 
 func (c *nodeCache) shard(id NodeID) *nodeCacheShard {
-	return &c.shards[uint32(id)%nodeCacheShards]
+	return &c.shards[uint32(id)&uint32(len(c.shards)-1)]
 }
 
 func (c *nodeCache) get(id NodeID) *Node {

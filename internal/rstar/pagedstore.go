@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"nwcq/internal/geom"
@@ -94,7 +95,9 @@ func (s *PagedStore) CacheStats() CacheStats {
 // reads no page; a leaf drops a recycled page's cached decode as a Put
 // drops it.
 func (s *PagedStore) Alloc(n *Node) error {
-	buf, err := encodeNode(n)
+	page := pagePool.Get().(*[pager.PageSize]byte)
+	defer pagePool.Put(page)
+	buf, err := encodeNode(n, page[:])
 	if err != nil {
 		return err
 	}
@@ -123,7 +126,9 @@ func (s *PagedStore) Get(id NodeID) (*Node, error) {
 		return n, nil
 	}
 	v := s.version.Load()
-	buf, err := s.pages.Read(pager.PageID(id))
+	page := pagePool.Get().(*[pager.PageSize]byte)
+	defer pagePool.Put(page)
+	buf, err := s.pages.Read(pager.PageID(id), page[:])
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +142,18 @@ func (s *PagedStore) Get(id NodeID) (*Node, error) {
 	return n, nil
 }
 
+// pagePool holds the page buffers Get reads into and Alloc and Put
+// encode into: decodeNode copies out what it keeps, and the pager copies
+// what it is given, so a buffer serves the next call.
+var pagePool = sync.Pool{New: func() any { return new([pager.PageSize]byte) }}
+
 // Put implements NodeStore. The order matters for concurrent readers:
 // write the page, bump the version (so a reader that read the old bytes
 // refuses to cache its decode), then drop any cached copy.
 func (s *PagedStore) Put(n *Node) error {
-	buf, err := encodeNode(n)
+	page := pagePool.Get().(*[pager.PageSize]byte)
+	defer pagePool.Put(page)
+	buf, err := encodeNode(n, page[:])
 	if err != nil {
 		return err
 	}
@@ -237,7 +249,10 @@ func (s *PagedStore) ReleaseIDs(ids []NodeID) {
 	}
 }
 
-func encodeNode(n *Node) ([]byte, error) {
+// encodeNode writes n's page image into the front of page, which holds
+// at least a payload's worth of bytes, or into a fresh buffer when page
+// is nil, and returns the image.
+func encodeNode(n *Node, page []byte) ([]byte, error) {
 	var size int
 	if n.Leaf {
 		size = nodeHeaderSize + leafEntrySize*len(n.Points)
@@ -247,7 +262,11 @@ func encodeNode(n *Node) ([]byte, error) {
 	if size > pager.PayloadSize() {
 		return nil, fmt.Errorf("rstar: node %d with %d entries overflows page", n.ID, n.Len())
 	}
-	buf := make([]byte, size)
+	if page == nil {
+		page = make([]byte, size)
+	}
+	buf := page[:size]
+	buf[0] = 0
 	if n.Leaf {
 		buf[0] = 1
 	}

@@ -40,7 +40,7 @@ func TestNodeEncodingRoundTrip(t *testing.T) {
 			X: rng.NormFloat64() * 1e6, Y: rng.NormFloat64() * 1e-6, ID: rng.Uint64(),
 		})
 	}
-	buf, err := encodeNode(leaf)
+	buf, err := encodeNode(leaf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestNodeEncodingRoundTrip(t *testing.T) {
 			rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100))
 		inner.Children = append(inner.Children, NodeID(rng.Uint32()))
 	}
-	buf, err = encodeNode(inner)
+	buf, err = encodeNode(inner, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestNodeEncodingOverflow(t *testing.T) {
 		n.Rects = append(n.Rects, geom.Rect{})
 		n.Children = append(n.Children, 1)
 	}
-	if _, err := encodeNode(n); err == nil {
+	if _, err := encodeNode(n, nil); err == nil {
 		t.Error("oversized node encoded without error")
 	}
 }
@@ -344,6 +344,32 @@ func TestNodeCacheInvalidation(t *testing.T) {
 	}
 	if s.cache.get(n.ID) != nil {
 		t.Error("freed node still cached")
+	}
+}
+
+// TestNodeCacheShardsFollowCapacity: a cache has a shard per 64 nodes,
+// up to 8, so a small cache is one LRU: 16 nodes whose IDs share one
+// residue mod 8 all stay in a 16-node cache, where eight 2-node shards
+// would keep 2 of them.
+func TestNodeCacheShardsFollowCapacity(t *testing.T) {
+	c := newNodeCache(16)
+	for i := range 16 {
+		c.insertIfVersion(&Node{ID: NodeID(8*i + 1), Leaf: true}, 0, func() uint64 { return 0 })
+	}
+	if got := c.len(); got != 16 {
+		t.Fatalf("a 16-node cache fed 16 nodes keeps %d", got)
+	}
+	for _, tc := range []struct{ capacity, shards int }{
+		{1, 1}, {64, 1}, {65, 2}, {200, 4}, {512, 8}, {DefaultNodeCacheSize, 8}, {1 << 20, 8},
+	} {
+		c := newNodeCache(tc.capacity)
+		total := 0
+		for i := range c.shards {
+			total += c.shards[i].cap
+		}
+		if len(c.shards) != tc.shards || total != tc.capacity {
+			t.Errorf("a %d-node cache has %d shards holding %d, want %d holding %d", tc.capacity, len(c.shards), total, tc.shards, tc.capacity)
+		}
 	}
 }
 

@@ -246,7 +246,7 @@ func TestQuickPagedRoundTrip(t *testing.T) {
 		}
 		ok := true
 		err = tr.Walk(func(n *Node) bool {
-			buf, err := encodeNode(n)
+			buf, err := encodeNode(n, nil)
 			if err != nil {
 				ok = false
 				return false

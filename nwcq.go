@@ -45,6 +45,7 @@ package nwcq
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,7 @@ import (
 	"nwcq/internal/iwp"
 	"nwcq/internal/metrics"
 	"nwcq/internal/obs"
+	"nwcq/internal/pool"
 	"nwcq/internal/qcache"
 	"nwcq/internal/rstar"
 	"nwcq/internal/sub"
@@ -370,13 +372,38 @@ func Build(points []Point, opts ...BuildOption) (*Index, error) {
 // it before they touch a tree or a file. A reopened index is not checked:
 // its points passed a build or a mutation, and a mutation may grow the
 // space.
+//
+// The points are checked in contiguous chunks of at least checkChunk,
+// one per processor, side by side; the error returned is the first bad
+// point's, as one pass in order finds it.
 func (o buildOptions) check(points []Point) error {
+	parts := max(1, min(runtime.GOMAXPROCS(0), len(points)/checkChunk))
+	errs := make([]error, parts)
+	_ = pool.Each(parts, parts, func(w int) error {
+		first := w * len(points) / parts
+		errs[w] = o.checkFrom(points[first:(w+1)*len(points)/parts], first)
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkChunk is the fewest points check gives a goroutine.
+const checkChunk = 1 << 14
+
+// checkFrom is check on a chunk of the build's points that starts at
+// point first, for the errors to name the points as check does.
+func (o buildOptions) checkFrom(points []Point, first int) error {
 	for i, p := range points {
 		if err := validatePoint(p); err != nil {
-			return fmt.Errorf("nwcq: point %d: %w", i, err)
+			return fmt.Errorf("nwcq: point %d: %w", first+i, err)
 		}
 		if o.spaceSet && !o.space.ContainsPoint(p) {
-			return fmt.Errorf("nwcq: point %d at (%g, %g) outside the configured space", i, p.X, p.Y)
+			return fmt.Errorf("nwcq: point %d at (%g, %g) outside the configured space", first+i, p.X, p.Y)
 		}
 	}
 	return nil

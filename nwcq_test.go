@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -242,6 +243,29 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildCheckNamesFirstBadPoint: the point check runs in chunks side
+// by side, and its error is still the first bad point's, whichever
+// chunk finds one first.
+func TestBuildCheckNamesFirstBadPoint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pts := testPoints(4*checkChunk, 64)
+	late, early := 3*checkChunk+5, checkChunk+7
+	pts[late].X = math.NaN()
+	want := fmt.Sprintf("nwcq: point %d: nwcq: invalid point: coordinates (NaN, %g) must be finite", late, pts[late].Y)
+	if _, err := Build(pts, WithBulkLoad()); fmt.Sprint(err) != want {
+		t.Fatalf("Build: %v, want %q", err, want)
+	}
+	pts[early].Y = 2e6
+	want = fmt.Sprintf("nwcq: point %d at (%g, 2e+06) outside the configured space", early, pts[early].X)
+	path := filepath.Join(t.TempDir(), "index.nwcq")
+	if _, err := BuildPaged(pts, path, WithBulkLoad(), WithSpace(0, 0, 1000, 1000)); fmt.Sprint(err) != want {
+		t.Fatalf("BuildPaged: %v, want %q", err, want)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a BuildPaged that refused a point left a page file: %v", err)
+	}
+}
+
 // TestBuildGridErrorFirst holds the error of a grid that needs more
 // than its cell limit to the text it had while the grid was counted
 // before the tree was frozen: the grid now counts beside the IWP build,
@@ -263,16 +287,18 @@ func TestBuildGridErrorFirst(t *testing.T) {
 
 // TestBuildSameAtEveryProcs checks that a bulk-loaded Build on one
 // processor and on two gives the same tree node for node, the same
-// storage overhead and the same answers: the slabs are sorted side by
-// side and the grid is counted beside the IWP build, and neither may
+// storage overhead and the same answers, and a BuildPaged the same
+// page file: the x scatter and the slab sorts are split over the
+// processors, the grid is counted beside the IWP build and full runs
+// are written on the page store's writer goroutine, and none may
 // change what is built.
 func TestBuildSameAtEveryProcs(t *testing.T) {
-	pts := testPoints(30000, 47)
-	for i := range pts[:5000] { // coincident points, to be ordered by ID
+	pts := testPoints(40000, 47) // enough for the scatter and the check to split
+	for i := range pts[:5000] {  // coincident points, to be ordered by ID
 		pts[i].X, pts[i].Y = math.Floor(pts[i].X/50)*50, math.Floor(pts[i].Y/50)*50
 	}
 	type built struct {
-		hash        string
+		hash, pages string
 		gridB, iwpB int
 		nwc         []Result
 		knwc        []KResult
@@ -285,6 +311,19 @@ func TestBuildSameAtEveryProcs(t *testing.T) {
 		var b built
 		b.hash = indexTreeHash(t, ix.cur.Load().tree)
 		b.gridB, b.iwpB = ix.StorageOverheadBytes()
+		path := filepath.Join(t.TempDir(), "index.nwcq")
+		px, err := BuildPaged(pts, path, WithBulkLoad())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := px.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.pages = fmt.Sprintf("%x", sha256.Sum256(raw))
 		rng := rand.New(rand.NewSource(48))
 		for range 40 {
 			q := Query{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, Length: 10 + rng.Float64()*60, Width: 10 + rng.Float64()*60, N: 2 + rng.Intn(6)}
@@ -307,6 +346,9 @@ func TestBuildSameAtEveryProcs(t *testing.T) {
 	got := build()
 	if got.hash != want.hash {
 		t.Errorf("tree hash %s on two processors, %s on one", got.hash, want.hash)
+	}
+	if got.pages != want.pages {
+		t.Errorf("page file SHA-256 %s on two processors, %s on one", got.pages, want.pages)
 	}
 	if got.gridB != want.gridB || got.iwpB != want.iwpB {
 		t.Errorf("StorageOverheadBytes (%d, %d) on two processors, (%d, %d) on one", got.gridB, got.iwpB, want.gridB, want.iwpB)

@@ -222,13 +222,17 @@ func (p *PagedIndex) start(tree *rstar.Tree, points []Point, o buildOptions) err
 }
 
 // releaseOnError closes the log and the file of an index whose
-// assembly failed with *err.
+// assembly failed with *err, once the page store's writer has finished
+// with the file.
 func (p *PagedIndex) releaseOnError(err *error) {
 	if *err == nil {
 		return
 	}
 	if p.log != nil {
 		p.log.Close()
+	}
+	if p.pages != nil {
+		p.pages.Close()
 	}
 	p.file.Close()
 }
@@ -263,6 +267,9 @@ func (p *PagedIndex) Close() error {
 	firstErr := p.dur.closeLocked(p.cur.Load().tree)
 	p.wmu.Unlock()
 	if err := p.log.Close(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	if err := p.pages.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	if err := p.file.Close(); err != nil && firstErr == nil {

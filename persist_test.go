@@ -3,16 +3,19 @@ package nwcq
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"nwcq/internal/pager"
 	"nwcq/internal/rstar"
+	"nwcq/internal/wal"
 )
 
 func TestPagedBuildQueryReopen(t *testing.T) {
@@ -449,5 +452,136 @@ func TestOpenPagedRefusesUnbalancedTree(t *testing.T) {
 				t.Fatalf("OpenPaged error %q, want the balanced-tree refusal", err)
 			}
 		})
+	}
+}
+
+// errRunWrite is the failure runFailFile injects.
+var errRunWrite = errors.New("injected run write failure")
+
+// runFailFile is an in-memory page file whose writes of more than one
+// page — the write-behind runs — fail.
+type runFailFile struct{ *pager.MemFile }
+
+func (f runFailFile) WriteAt(p []byte, off int64) (int, error) {
+	if len(p) > pager.PageSize {
+		return 0, errRunWrite
+	}
+	return f.MemFile.WriteAt(p, off)
+}
+
+// TestWriteBehindWriterErrorFailsBuild: a full run's write fails on the
+// page store's writer goroutine, and the build fails with that error,
+// whether the next full run's hand-off or the closing fsync meets it
+// first, and publishes nothing: no index is returned, and the file
+// holds no tree to open.
+func TestWriteBehindWriterErrorFailsBuild(t *testing.T) {
+	o := newBuildOptions([]BuildOption{WithBulkLoad()})
+	// About 300 and 700 pages: one full run and a partial one, or two
+	// full runs and more.
+	for _, n := range []int{10000, 24000} {
+		f, wfs := runFailFile{pager.NewMemFile()}, wal.NewMemFS()
+		px, err := buildPagedOn(testPoints(n, 61), f, wfs, o)
+		if !errors.Is(err, errRunWrite) || px != nil {
+			t.Fatalf("%d points: build = (%v, %v), want no index and the injected error", n, px, err)
+		}
+		if re, err := openPagedOn(f.MemFile, wfs, o); err == nil {
+			re.Close()
+			t.Fatalf("%d points: the failed build left a tree to open", n)
+		}
+	}
+}
+
+// drainFile is an in-memory page file that holds every write of more
+// than one page until open is closed, and records whether a write or a
+// writeback hint came after Close, and how many run writes had landed
+// by then.
+type drainFile struct {
+	*pager.MemFile
+	open chan struct{}
+
+	mu                 sync.Mutex
+	closed, late       bool
+	landed, landedSeen int
+}
+
+func (f *drainFile) WriteAt(p []byte, off int64) (int, error) {
+	if len(p) > pager.PageSize {
+		<-f.open
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.late = f.late || f.closed
+	n, err := f.MemFile.WriteAt(p, off)
+	if len(p) > pager.PageSize {
+		f.landed++
+	}
+	return n, err
+}
+
+func (f *drainFile) StartWriteback(off, n int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.late = f.late || f.closed
+	return nil
+}
+
+func (f *drainFile) Close() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed, f.landedSeen = true, f.landed
+	return nil
+}
+
+// signalFS is a WAL directory whose Create fails, after it has told
+// created.
+type signalFS struct {
+	wal.FS
+	created chan struct{}
+}
+
+func (s signalFS) Create(string) (wal.File, error) {
+	close(s.created)
+	return nil, errors.New("injected log create failure")
+}
+
+// TestWriteBehindFailedBuildDrainsWriter: a build that fails while a
+// full run is still on its way to the file closes the file only once
+// the run's write and its writeback hint have landed, so neither can
+// reach whatever file takes the descriptor next; a built index's Close
+// does the same.
+func TestWriteBehindFailedBuildDrainsWriter(t *testing.T) {
+	o := newBuildOptions([]BuildOption{WithBulkLoad()})
+	f := &drainFile{MemFile: pager.NewMemFile(), open: make(chan struct{})}
+	wfs := signalFS{FS: wal.NewMemFS(), created: make(chan struct{})}
+	built := make(chan error, 1)
+	go func() {
+		_, err := buildPagedOn(testPoints(10000, 62), f, wfs, o)
+		built <- err
+	}()
+	// The tree is built and its first full run held: open the file
+	// only once the log's creation has failed the build.
+	<-wfs.created
+	close(f.open)
+	if err := <-built; err == nil {
+		t.Fatal("a build whose log cannot be created succeeded")
+	}
+	f.mu.Lock()
+	closed, late, seen := f.closed, f.late, f.landedSeen
+	f.mu.Unlock()
+	if !closed || late || seen != 1 {
+		t.Fatalf("failed build: file closed %v after %d run writes landed, a write after Close %v; want closed after 1, none late", closed, seen, late)
+	}
+
+	g := &drainFile{MemFile: pager.NewMemFile(), open: make(chan struct{})}
+	close(g.open)
+	px, err := buildPagedOn(testPoints(30000, 63), g, wal.NewMemFS(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := px.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if g.late || g.landedSeen < 3 {
+		t.Fatalf("Close: %d run writes landed before the file closed, a write after Close %v", g.landedSeen, g.late)
 	}
 }
